@@ -1,5 +1,5 @@
-"""Flow-control apply throughput: batching + coalescing vs. the
-single-message path.
+"""Flow-control apply throughput: batching + coalescing vs. batches
+of one.
 
 A hot-object update workload (a few objects absorbing many writes in
 per-object bursts — the shape §4.4's overload anecdotes describe) is
@@ -9,8 +9,8 @@ write to the session's previous write: interleaving objects makes every
 message depend on its neighbour's object and the union-safety scan
 rightly refuses to coalesce any of them.
 
-- **disabled** — flow control off: one pop, one dependency check, one
-  engine write per message (the pre-PR pipeline);
+- **disabled** — flow control off, so every batch is one message: one
+  pop, one dependency check, one engine write per message;
 - **batched** — ``pop_many`` + ``process_batch`` group commit, but no
   coalescing: same message count, one engine transaction per batch;
 - **batched+coalesced** — the full subsystem: queued same-object writes
@@ -139,7 +139,7 @@ def test_batched_coalesced_apply_throughput():
     # object; batching group-commits what's left.
     assert by_name["batched+coalesced"]["queued_at_drain"] <= 2 * HOT_OBJECTS
     assert by_name["disabled"]["queued_at_drain"] == UPDATES
-    assert speedup >= 2.0, f"only {speedup:.2f}x over the single-message path"
+    assert speedup >= 2.0, f"only {speedup:.2f}x over batches of one"
 
 
 if __name__ == "__main__":  # pragma: no cover - CI smoke entry point

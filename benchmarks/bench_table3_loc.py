@@ -5,11 +5,21 @@ to support each engine (474 for ActiveRecord, ~200-300 per further ORM,
 ~50 per extra SQL vendor). We measure the analogous quantity in this
 code base: the mapper (ORM adapter) source size per engine family, and
 the per-vendor delta (the variant subclasses).
+
+The paper's argument is that support code stays small, so the same file
+tracks the size of the whole tree: code lines per package under
+``src/repro`` (``python benchmarks/bench_table3_loc.py`` prints just
+that table and writes nothing).
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
+import io
+import os
+import tokenize
+from typing import Dict
 
 from benchmarks.common import emit, format_table
 from repro.databases.columnar.engine import CassandraLike
@@ -20,8 +30,63 @@ from repro.databases.search.engine import ElasticsearchLike
 from repro.orm import engine_mappers
 
 
+_PACKAGE_ROOT = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
+)
+_NOT_CODE = frozenset({
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
+})
+
+
 def loc_of(obj) -> int:
     return len(inspect.getsource(obj).splitlines())
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that carry code: blank lines, comment-only
+    lines and docstrings do not count, so neither deleting comments nor
+    trimming prose moves the number."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+            continue
+        first = node.body[0] if node.body else None
+        if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)):
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docstrings)
+
+
+def package_code_lines(root: str = _PACKAGE_ROOT) -> Dict[str, int]:
+    """Code lines per top-level package under ``root`` (subpackages
+    roll up into their parent; modules directly in ``root`` are
+    ``(top level)``), plus a ``total`` row."""
+    out: Dict[str, int] = {}
+    for directory, _dirs, files in os.walk(root):
+        relative = os.path.relpath(directory, root)
+        package = "(top level)" if relative == "." else relative.split(os.sep)[0]
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                    out[package] = out.get(package, 0) + code_lines(handle.read())
+    out = dict(sorted(out.items()))
+    out["total"] = sum(out.values())
+    return out
+
+
+def package_table() -> list:
+    return format_table(
+        "Code lines per package under src/repro "
+        "(non-blank, non-comment, docstrings excluded)",
+        ["package", "code lines"],
+        [[name, count] for name, count in package_code_lines().items()],
+    )
 
 
 def test_table3_support_code_size(benchmark):
@@ -53,6 +118,7 @@ def test_table3_support_code_size(benchmark):
         "Table 3 (analogue) — per-vendor variant code",
         ["vendor stand-in", "LoC"], rows2,
     )
+    lines += package_table()
     emit(lines)
 
     # Shape: the first adapter (relational) is the largest; further
@@ -64,3 +130,7 @@ def test_table3_support_code_size(benchmark):
 
     benchmark(lambda: [loc_of(cls) for cls in
                        (engine_mappers.RelationalMapper, MongoLike)])
+
+
+if __name__ == "__main__":  # pragma: no cover - prints the tracked number
+    print("\n".join(package_table()))

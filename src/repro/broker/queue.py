@@ -127,37 +127,45 @@ class SubscriberQueue:
     # -- subscriber side -----------------------------------------------------
 
     def pop(self, timeout: Optional[float] = 0.0) -> Optional[Message]:
-        """Take the next message (it stays unacked until :meth:`ack`).
+        """Take the next message (it stays unacked until :meth:`ack`);
+        the one-message form of :meth:`pop_many`.
 
-        ``timeout=0`` polls; ``timeout=None`` blocks indefinitely. The
-        wait is a predicate re-check loop against a shared deadline: a
-        spurious wakeup, or a notify consumed by a faster worker, puts
-        the caller back to sleep for the *remaining* time instead of
-        returning ``None`` early (a dropped delivery from the caller's
-        point of view).
+        ``timeout=0`` polls; ``timeout=None`` blocks indefinitely.
         """
         yield_point("queue.pop", queue=self.name)
         with self._lock:
-            if self.decommissioned:
-                raise QueueDecommissioned(self.name)
-            if not self._items and timeout != 0.0:
-                if timeout is None:
-                    while not self._items and not self.decommissioned:
-                        self._available.wait()
-                else:
-                    deadline = time.monotonic() + timeout
-                    while not self._items and not self.decommissioned:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._available.wait(remaining)
-            if self.decommissioned:
-                raise QueueDecommissioned(self.name)
+            self._await_items_locked(timeout)
             if not self._items:
                 return None
             message = self._take_locked()
         yield_point("queue.popped", queue=self.name, message=message)
         return message
+
+    def _await_items_locked(self, timeout: Optional[float]) -> None:
+        """Wait until a message is queued or ``timeout`` passes; raises
+        on a decommissioned queue. Caller holds ``self._lock``.
+
+        The wait is a predicate re-check loop against a shared deadline:
+        a spurious wakeup, or a notify consumed by a faster worker, puts
+        the caller back to sleep for the *remaining* time instead of
+        returning early (a dropped delivery from the caller's point of
+        view).
+        """
+        if self.decommissioned:
+            raise QueueDecommissioned(self.name)
+        if not self._items and timeout != 0.0:
+            if timeout is None:
+                while not self._items and not self.decommissioned:
+                    self._available.wait()
+            else:
+                deadline = time.monotonic() + timeout
+                while not self._items and not self.decommissioned:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._available.wait(remaining)
+            if self.decommissioned:
+                raise QueueDecommissioned(self.name)
 
     def _take_locked(self) -> Message:
         """Pop the head with full per-delivery bookkeeping. Caller
@@ -192,21 +200,7 @@ class SubscriberQueue:
         yield_point("queue.pop", queue=self.name)
         popped: List[Message] = []
         with self._lock:
-            if self.decommissioned:
-                raise QueueDecommissioned(self.name)
-            if not self._items and timeout != 0.0:
-                if timeout is None:
-                    while not self._items and not self.decommissioned:
-                        self._available.wait()
-                else:
-                    deadline = time.monotonic() + timeout
-                    while not self._items and not self.decommissioned:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._available.wait(remaining)
-            if self.decommissioned:
-                raise QueueDecommissioned(self.name)
+            self._await_items_locked(timeout)
             while self._items and len(popped) < max_n:
                 popped.append(self._take_locked())
         for message in popped:

@@ -97,8 +97,8 @@ class Ecosystem:
         self.broker.tracer = self.tracer
         #: Per-link lag SLOs and the ``eco.monitor.health()`` report.
         self.monitor = LagMonitor(self)
-        #: FlowController once :meth:`enable_flow` has run; None keeps
-        #: the pre-flow per-message pipeline byte-for-byte.
+        #: FlowController once :meth:`enable_flow` has run; None means
+        #: no admission, no coalescing, and apply batches of one.
         self.flow = None
         #: DurabilityManager once :meth:`enable_durability` has run;
         #: None keeps the in-memory-only pipeline byte-for-byte.
@@ -161,7 +161,8 @@ class Ecosystem:
         Every subscriber queue — existing and future — gets credit-based
         admission with graduated backpressure ahead of the §4.4 kill
         cliff, semantics-aware coalescing of same-object writes, and the
-        workers/drain switch to dependency-aware batched apply."""
+        workers/drain apply batches of up to ``batch_max`` messages
+        instead of one."""
         from repro.runtime.flow import FlowConfig, FlowController
 
         controller = FlowController(

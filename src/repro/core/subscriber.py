@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -56,6 +57,15 @@ class SubscriptionSpec:
 
 def table_for_type(type_name: str) -> str:
     return pluralize(snake_case(type_name))
+
+
+def _by_seq(message: Message) -> int:
+    return message.seq
+
+
+#: The scope of an apply that needs neither an active trace nor an
+#: engine transaction around it.
+_PLAIN = nullcontext()
 
 
 class SynapseSubscriber:
@@ -163,94 +173,57 @@ class SynapseSubscriber:
     # Synchronous draining (deterministic execution)
     # ------------------------------------------------------------------
 
-    def _flow_controller(self):
-        """The ecosystem's FlowController when batched apply is on."""
+    @property
+    def batch_limit(self) -> int:
+        """The most deliveries one apply call is handed: 1, unless the
+        ecosystem has flow control — then its ``batch_max``."""
         controller = getattr(self.service.ecosystem, "flow", None)
-        if controller is not None and controller.config.batch_apply:
-            return controller
-        return None
+        return 1 if controller is None else controller.config.batch_max
 
     def drain(self, max_rounds: int = 1000) -> int:
         """Process queued messages until quiescent; returns the number
         processed. Messages whose dependencies cannot be satisfied stay
         queued (the §6.5 deadlock scenario when messages were lost)."""
-        if self.queue is None:
+        queue = self.queue
+        if queue is None:
             return 0
-        controller = self._flow_controller()
-        if controller is not None:
-            return self._drain_batched(max_rounds, controller)
+        limit = self.batch_limit
+        flow = queue.flow
         processed = 0
         pending: List[Message] = []
         for _ in range(max_rounds):
             try:
                 while True:
-                    message = self.queue.pop()
-                    if message is None:
+                    batch = queue.pop_many(limit)
+                    if not batch:
                         break
-                    pending.append(message)
+                    pending.extend(batch)
             except QueueDecommissioned:
                 # Messages popped in earlier rounds must not leak as
                 # phantom in-flight deliveries: return them (a tolerated
                 # no-op on the dead queue) before propagating.
                 for message in pending:
-                    self.queue.nack(message)
+                    queue.nack(message)
                 raise
             progress = False
+            pending.sort(key=_by_seq)
             remaining: List[Message] = []
-            for message in sorted(pending, key=lambda m: m.seq):
-                if self.process_message(message):
-                    self.queue.ack(message)
-                    processed += 1
-                    progress = True
-                else:
-                    remaining.append(message)
-            pending = remaining
-            if not progress and not len(self.queue):
-                break
-        for message in pending:
-            self.queue.nack(message)
-        if self.bootstrapping and self.queue is not None and not len(self.queue):
-            self.bootstrapping = False
-        return processed
-
-    def _drain_batched(self, max_rounds: int, controller) -> int:
-        """Drain via ``pop_many`` + :meth:`process_batch` — the same
-        quiescence semantics as :meth:`drain`, with the per-message
-        pop/verify/apply amortised across group-committed batches."""
-        batch_max = controller.config.batch_max
-        flow = self.queue.flow
-        processed = 0
-        pending: List[Message] = []
-        for _ in range(max_rounds):
-            try:
-                while True:
-                    batch = self.queue.pop_many(batch_max)
-                    if not batch:
-                        break
-                    pending.extend(batch)
-            except QueueDecommissioned:
-                for message in pending:
-                    self.queue.nack(message)
-                raise
-            progress = False
-            pending.sort(key=lambda m: m.seq)
-            remaining: List[Message] = []
-            for start in range(0, len(pending), batch_max):
-                chunk = pending[start:start + batch_max]
+            for start in range(0, len(pending), limit):
+                chunk = pending[start:start + limit]
                 done, retry, _errors = self.process_batch(chunk)
                 for message in done:
-                    self.queue.ack(message)
+                    queue.ack(message)
                     processed += 1
                     progress = True
                 remaining.extend(retry)
-                if done and flow is not None:
-                    flow.batch_size.record(len(done))
+                if flow is not None:
+                    flow.batch_size.record(len(chunk))
             pending = remaining
-            if not progress and not len(self.queue):
+            if not progress and not len(queue):
                 break
         for message in pending:
-            self.queue.nack(message)
-        if self.bootstrapping and self.queue is not None and not len(self.queue):
+            queue.nack(message)
+        if self.bootstrapping and not len(queue):
             self.bootstrapping = False
         return processed
 
@@ -270,118 +243,64 @@ class SynapseSubscriber:
     # ------------------------------------------------------------------
 
     def process_message(self, message: Message, wait_timeout: float = 0.0) -> bool:
-        """Apply one message if its dependencies allow; True when done."""
-        if self._already_applied(message.uid):
-            self._duplicates.increment()
-            yield_point("dedup.duplicate", message=message)
-            return True  # redelivered duplicate: safe to ack again
-        if message.trace is None:
-            return self._process(message, wait_timeout)
-        # Traced message: make the trace the thread's current trace so an
-        # over-threshold histogram observation anywhere in the apply path
-        # captures this message's uid as its exemplar.
-        with activate_trace(message.trace):
-            return self._process(message, wait_timeout)
-
-    def _process(self, message: Message, wait_timeout: float) -> bool:
-        if message.repair:
-            # Anti-entropy repair: never waits (the whole point is to
-            # heal counter deficits that would make waiting eternal) and
-            # bypasses the generation gate, which could itself be
-            # deadlocked behind the very divergence being repaired.
-            self._apply_repair(message)
-            return True
-        mode = self.app_modes.get(message.app, WEAK)
-        if not self._generation_ready(message):
-            return False
-
-        store = self.service.subscriber_version_store
-        if (self.bootstrapping or message.bootstrap) and mode != WEAK:
-            # Bootstrap forces weak semantics (§3.2): apply without
-            # waiting, but keep full counter accounting so the configured
-            # mode resumes cleanly once in sync.
-            self._apply_timed(message)
-            store.apply_counts(message.counter_increments())
-            self._finish(message)
-            return True
-
-        object_deps = self._object_deps(message)
-        if mode == WEAK:
-            self._apply_weak(message, object_deps)
-            self._finish(message)
-            return True
-
-        required = dict(
-            effective_dependencies(message.dependencies, mode, set(object_deps))
-        )
-        required.update(message.external_dependencies)
-        yield_point("dep.check", message=message, required=required)
-        wait_start = trace_now()
-        if wait_timeout > 0:
-            if not store.wait_satisfied(required, wait_timeout):
-                return False
-        elif not store.satisfied(required):
-            return False
-        waited = trace_now() - wait_start
-        self.dep_wait.record(waited)
-        if message.trace is not None:
-            message.trace.add(STAGE_DEP_WAIT, wait_start, waited)
-        self._apply_timed(message)
-        # Increment every own-app dependency; externals are never bumped.
-        store.apply_counts(message.counter_increments())
-        self._finish(message)
-        return True
-
-    # ------------------------------------------------------------------
-    # Batched processing (flow control)
-    # ------------------------------------------------------------------
+        """Apply one message if its dependencies allow; True when done.
+        An apply error propagates to the caller."""
+        done, _retry, _errors, failure = self._handle([message], wait_timeout)
+        if failure is not None:
+            raise failure
+        return bool(done)
 
     def process_batch(
         self, messages: List[Message], wait_timeout: float = 0.0
     ) -> Tuple[List[Message], List[Message], int]:
         """Verify and apply a ``pop_many`` batch; returns
         ``(done, retry, errors)`` — ``done`` should be acked, ``retry``
-        nacked (or given up on), ``errors`` counts apply failures.
+        nacked (or given up on), ``errors`` counts apply failures."""
+        done, retry, errors, _failure = self._handle(messages, wait_timeout)
+        return done, retry, errors
 
-        Dependencies are verified once for the whole batch: a message
-        is eligible when the store *plus the bumps earlier batch
-        members will make* satisfies it, so in-batch causal chains
-        (e.g. consecutive writes by the same session user) land
-        together. All eligible messages then apply in one engine
-        transaction (group commit) when the local engine supports
-        transactions; inside it, interleave events are record-only —
-        the batch is one atomic step, and a suspended scheduler step
-        while holding the engine mutex would deadlock the conformance
-        harness.
+    def _handle(
+        self, messages: List[Message], wait_timeout: float
+    ) -> Tuple[List[Message], List[Message], int, Optional[Exception]]:
+        """The subscriber algorithm (§4.2) over one popped batch; a
+        single message is a batch of one. Returns ``process_batch``'s
+        triple plus the exception behind ``errors``.
+
+        Each message is classified once, in ``seq`` order. An ordered
+        message is admitted when the store *plus the bumps earlier
+        batch members will make* satisfies it, so in-batch causal
+        chains (e.g. consecutive writes by the same session user) land
+        together. One admitted message applies exactly as it would
+        alone. Several apply in one engine transaction (group commit)
+        when the local engine supports transactions; inside it,
+        interleave events are record-only — the batch is one atomic
+        step, and a suspended scheduler step while holding the engine
+        mutex would deadlock the conformance harness.
         """
         done: List[Message] = []
         retry: List[Message] = []
-        eligible: List[Tuple[Message, str]] = []
+        #: (message, weak) — admitted, in apply order.
+        ready: List[Tuple[Message, bool]] = []
+        #: Counter bumps the admitted members will make on apply.
+        bumps: Dict[str, int] = {}
+        #: (index in ``retry``, required map) of the first
+        #: dependency-stalled message.
+        blocked: Optional[Tuple[int, Dict[str, int]]] = None
         store = self.service.subscriber_version_store
-        pending_bumps: Dict[str, int] = {}
-
-        def admit(message: Message, kind: str) -> None:
-            eligible.append((message, kind))
-            if kind != "weak":
-                for dep, amount in message.counter_increments().items():
-                    pending_bumps[dep] = pending_bumps.get(dep, 0) + amount
-
-        def required_of(message: Message, mode: str) -> Dict[str, int]:
-            required = dict(
-                effective_dependencies(
-                    message.dependencies, mode, set(self._object_deps(message))
-                )
-            )
-            required.update(message.external_dependencies)
-            return required
-
-        for message in sorted(messages, key=lambda m: m.seq):
+        chained = len(messages) > 1
+        if chained:
+            messages = sorted(messages, key=_by_seq)
+        for message in messages:
             if self._already_applied(message.uid):
                 self._duplicates.increment()
                 yield_point("dedup.duplicate", message=message)
-                done.append(message)
+                done.append(message)  # redelivered duplicate: safe to ack again
                 continue
             if message.repair:
+                # Anti-entropy repair: never waits (the whole point is to
+                # heal counter deficits that would make waiting eternal) and
+                # bypasses the generation gate, which could itself be
+                # deadlocked behind the very divergence being repaired.
                 with activate_trace(message.trace):
                     self._apply_repair(message)
                 done.append(message)
@@ -390,121 +309,122 @@ class SynapseSubscriber:
                 retry.append(message)
                 continue
             mode = self.app_modes.get(message.app, WEAK)
-            if (self.bootstrapping or message.bootstrap) and mode != WEAK:
-                admit(message, "bootstrap")
-                continue
             if mode == WEAK:
-                admit(message, "weak")
+                # Weak never waits, and fast-forwards instead of bumping.
+                ready.append((message, True))
                 continue
-            required = required_of(message, mode)
-            yield_point("dep.check", message=message, required=required)
-            if all(
-                store.ops(dep) + pending_bumps.get(dep, 0) >= version
-                for dep, version in required.items()
-            ):
-                admit(message, "ordered")
-            else:
-                retry.append(message)
-
-        if not eligible and retry and wait_timeout > 0:
-            # Nothing applicable right now: block on the head retry's
-            # requirements like the single-message path would, instead
-            # of spinning nack/pop rounds that inflate delivery counts
-            # into premature give-ups.
-            first = retry[0]
-            mode = self.app_modes.get(first.app, WEAK)
-            if mode != WEAK:
-                required = required_of(first, mode)
+            # Bootstrap forces weak semantics (§3.2): apply without
+            # waiting, but keep full counter accounting so the configured
+            # mode resumes cleanly once in sync.
+            if not (self.bootstrapping or message.bootstrap):
+                # Non-weak modes never consult the written-object set.
+                required = effective_dependencies(message.dependencies, mode, ())
+                required.update(message.external_dependencies)
+                yield_point("dep.check", message=message, required=required)
                 wait_start = trace_now()
-                if store.wait_satisfied(required, wait_timeout):
-                    waited = trace_now() - wait_start
-                    self.dep_wait.record(waited)
-                    if first.trace is not None:
-                        first.trace.add(STAGE_DEP_WAIT, wait_start, waited)
-                    retry.pop(0)
-                    admit(first, "ordered")
-
-        if not eligible:
-            return done, retry, 0
-
-        batch = [message for message, _ in eligible]
-        db = self.service.database
-        use_tx = (
-            len(batch) > 1
-            and db is not None
-            and getattr(db, "supports_transactions", False)
-            and db.current_transaction() is None
-        )
-        yield_point("batch.apply", size=len(batch), group_commit=use_tx)
-        batch_start = trace_now()
-        completed: List[Tuple[Message, Dict[str, Any]]] = []
-        errors = 0
-        views = self.service.views
-        if use_tx:
-            # Views buffer the whole group commit and fold once after it
-            # lands, so each derived aggregate updates — and each cache
-            # key invalidates — once per batch, never mid-transaction.
-            if views is not None:
-                views.begin_batch()
-            try:
-                with db.begin():
-                    for message, kind in eligible:
-                        completed.append(
-                            (message, self._apply_in_batch(message, kind))
-                        )
-            except Exception:
-                # The engine rolled back: drop the buffered transitions
-                # before redo re-lands the writes (redo re-enters
-                # on_applied with fresh post-rollback row states).
-                if views is not None:
-                    views.abort_batch()
-                errors = 1
-                landed = {id(message) for message, _ in completed}
-                retry.extend(m for m in batch if id(m) not in landed)
-                self._redo_after_rollback(completed)
-            else:
-                if views is not None:
-                    views.commit_batch()
-        else:
-            for message, kind in eligible:
-                try:
-                    completed.append(
-                        (message, self._apply_in_batch(message, kind))
+                if bumps:
+                    satisfied = all(
+                        store.ops(dep) + bumps.get(dep, 0) >= version
+                        for dep, version in required.items()
                     )
-                except Exception:
-                    errors += 1
+                else:
+                    satisfied = store.satisfied(required)
+                if not satisfied:
+                    if blocked is None:
+                        blocked = (len(retry), required)
                     retry.append(message)
-        elapsed = trace_now() - batch_start
-        for message, _ in completed:
-            done.append(message)
-            if message.trace is not None:
-                message.trace.add(STAGE_BATCH, batch_start, elapsed)
-        yield_point("batch.applied", size=len(completed), retried=len(retry))
-        return done, retry, errors
+                    continue
+                self._record_dep_wait(message, wait_start)
+            ready.append((message, False))
+            if chained:
+                for dep, amount in message.counter_increments().items():
+                    bumps[dep] = bumps.get(dep, 0) + amount
 
-    def _apply_in_batch(
-        self, message: Message, kind: str
-    ) -> Dict[str, Dict[str, Any]]:
-        """Apply one eligible message inside the batch (record-only
-        events: the group-commit transaction may hold the engine
-        mutex). Counter bumps interleave per message, so in-batch
-        dependents see their deps land before their own apply event.
-        Returns {hashed object dep: operation} for the engine writes
-        that actually ran — the redo set for rollback recovery."""
-        store = self.service.subscriber_version_store
-        object_deps = self._object_deps(message)
-        with activate_trace(message.trace):
-            if kind == "weak":
-                applied = self._apply_weak(message, object_deps, record_only=True)
-                self._finish(message, record_only=True)
-                return {hashed: object_deps[hashed] for hashed in applied}
-            self._apply_timed(message, record_only=True)
-            store.apply_counts(message.counter_increments(), record_only=True)
-            self._finish(message, record_only=True)
-            return object_deps
+        if not ready and blocked is not None and wait_timeout > 0:
+            # Nothing applicable right now: block on the first stalled
+            # member's requirements instead of spinning nack/pop rounds
+            # that inflate delivery counts into premature give-ups.
+            index, required = blocked
+            wait_start = trace_now()
+            if store.wait_satisfied(required, wait_timeout):
+                self._record_dep_wait(retry[index], wait_start)
+                ready.append((retry.pop(index), False))
+
+        if not ready:
+            return done, retry, 0, None
+        several = len(ready) > 1
+        grouped = several and self._can_group_commit()
+        if several:
+            yield_point("batch.apply", size=len(ready), group_commit=grouped)
+            batch_start = trace_now()
+        completed: List[Tuple[Message, Optional[Dict[str, Any]]]] = []
+        errors, failure = 0, None
+        try:
+            with self._group_commit() if grouped else _PLAIN:
+                for message, weak in ready:
+                    completed.append(
+                        (message, self._apply_one(message, weak, record_only=several))
+                    )
+        except Exception as exc:
+            # The first failure ends the batch: later members may have
+            # been admitted against the bumps of the one that failed.
+            errors, failure = 1, exc
+            retry.extend(message for message, _ in ready[len(completed):])
+            if grouped:
+                self._redo_after_rollback(completed)
+        done.extend(message for message, _ in completed)
+        if several:
+            elapsed = trace_now() - batch_start
+            for message, _ in completed:
+                if message.trace is not None:
+                    message.trace.add(STAGE_BATCH, batch_start, elapsed)
+            yield_point("batch.applied", size=len(completed), retried=len(retry))
+        return done, retry, errors, failure
+
+    def _record_dep_wait(self, message: Message, wait_start: float) -> None:
+        """One ``dep_wait`` sample (and span, when traced) per ordered
+        message — near zero when nothing blocked."""
+        waited = trace_now() - wait_start
+        trace = message.trace
+        if trace is None:
+            self.dep_wait.record(waited)
+            return
+        # Active so an over-threshold wait keeps this uid as exemplar.
+        with activate_trace(trace):
+            self.dep_wait.record(waited)
+        trace.add(STAGE_DEP_WAIT, wait_start, waited)
+
+    def _apply_one(
+        self, message: Message, weak: bool, record_only: bool = False
+    ) -> Optional[Dict[str, Dict[str, Any]]]:
+        """Apply one admitted message: engine writes, counter bumps,
+        bookkeeping. ``record_only=True`` (inside a batch) downgrades
+        the interleave events to observe-only: the group-commit
+        transaction may hold the engine mutex. Counter bumps interleave
+        per message, so in-batch dependents see their deps land before
+        their own apply event. Returns {hashed object dep: operation}
+        for the writes a weak apply actually ran, None when every
+        operation ran — the redo set for rollback recovery."""
+        # Traced message: make the trace the thread's current trace so an
+        # over-threshold histogram observation anywhere in the apply path
+        # captures this message's uid as its exemplar.
+        with activate_trace(message.trace) if message.trace is not None else _PLAIN:
+            written = None
+            if weak:
+                written = self._apply_weak(message, record_only)
+            else:
+                (observe_point if record_only else yield_point)("apply", message=message)
+                start = trace_now()
+                self._apply_all(message)
+                elapsed = trace_now() - start
+                self.apply_time.record(elapsed)
+                if message.trace is not None:
+                    message.trace.add(STAGE_APPLY, start, elapsed)
+            self._finish(message, record_only, bump=not weak)
+            return written
 
     def _redo_after_rollback(
-        self, completed: List[Tuple[Message, Dict[str, Dict[str, Any]]]]
+        self, completed: List[Tuple[Message, Optional[Dict[str, Dict[str, Any]]]]]
     ) -> None:
         """A mid-batch engine fault rolled back the whole group-commit
         transaction, but the completed prefix already bumped its
@@ -522,8 +442,9 @@ class SynapseSubscriber:
         for message, _ in completed:
             for dep, amount in message.counter_increments().items():
                 batch_bumps[dep] = batch_bumps.get(dep, 0) + amount
-        for message, redo in completed:
+        for message, written in completed:
             increments = message.counter_increments()
+            redo = self._object_deps(message) if written is None else written
             for hashed, operation in redo.items():
                 version = message.dependencies.get(hashed, 0)
                 ceiling = version + batch_bumps.get(
@@ -545,30 +466,24 @@ class SynapseSubscriber:
                     # Count it and let anti-entropy repair the object.
                     self._redo_failed.increment()
 
-    def _apply_timed(self, message: Message, record_only: bool = False) -> None:
-        """Apply all operations, feeding the apply histogram/span.
-
-        ``record_only=True`` (batched apply inside the group-commit
-        transaction) downgrades the interleave event to observe-only:
-        the caller holds the engine mutex, where a suspended scheduler
-        step would deadlock the conformance harness.
-        """
-        emit = observe_point if record_only else yield_point
-        emit("apply", message=message)
-        start = trace_now()
-        self._apply_all(message)
-        elapsed = trace_now() - start
-        self.apply_time.record(elapsed)
-        if message.trace is not None:
-            message.trace.add(STAGE_APPLY, start, elapsed)
-
-    def _finish(self, message: Message, record_only: bool = False) -> None:
-        """Common bookkeeping once a message has been applied."""
-        self._mark_applied(message.uid)
-        self._processed.increment()
+    def _finish(
+        self, message: Message, record_only: bool = False, bump: bool = False
+    ) -> None:
+        """Common bookkeeping once a message's writes have landed
+        (``record_only`` as in :meth:`_apply_one`). ``bump`` increments
+        every own-app dependency; externals are never bumped."""
         durability = getattr(self.service.ecosystem, "durability", None)
         if durability is not None:
+            # Before the bump: the bump is what releases a dependent
+            # message, and a dependent's record overtaking this one
+            # would make replay land the older write last.
             durability.log_apply(self.service.name, message)
+        if bump:
+            self.service.subscriber_version_store.apply_counts(
+                message.counter_increments(), record_only
+            )
+        self._mark_applied(message.uid)
+        self._processed.increment()
         emit = observe_point if record_only else yield_point
         emit("msg.finished", message=message)
         monitor = getattr(self.service.ecosystem, "monitor", None)
@@ -581,42 +496,51 @@ class SynapseSubscriber:
         """Apply every operation of one message, atomically when the
         local engine supports transactions — a multi-write publisher
         transaction then lands as one subscriber transaction (§4.2)."""
+        operations = message.operations
+        several = len(operations) > 1
+        with self._group_commit() if several and self._can_group_commit() else _PLAIN:
+            for operation in operations:
+                self._apply_operation(message.app, operation)
+
+    def _can_group_commit(self) -> bool:
         db = self.service.database
-        if (
-            len(message.operations) > 1
-            and db is not None
+        return (
+            db is not None
             and getattr(db, "supports_transactions", False)
             and db.current_transaction() is None
-        ):
-            views = self.service.views
+        )
+
+    @contextmanager
+    def _group_commit(self):
+        """One engine transaction around the block's writes: a
+        multi-operation message or a multi-message batch. Callers
+        check :meth:`_can_group_commit` first.
+
+        Views buffer the whole group commit and fold once after it
+        lands, so each derived aggregate updates — and each cache key
+        invalidates — once per commit, never mid-transaction."""
+        views = self.service.views
+        if views is not None:
+            views.begin_batch()
+        try:
+            with self.service.database.begin():
+                yield
+        except Exception:
+            # The engine rolled back: drop the buffered transitions
+            # (a redo re-enters on_applied with fresh post-rollback
+            # row states).
             if views is not None:
-                views.begin_batch()
-            try:
-                with db.begin():
-                    for operation in message.operations:
-                        self._apply_operation(message.app, operation)
-            except Exception:
-                if views is not None:
-                    views.abort_batch()
-                raise
-            if views is not None:
-                views.commit_batch()
-            return
-        for operation in message.operations:
-            self._apply_operation(message.app, operation)
+                views.abort_batch()
+            raise
+        if views is not None:
+            views.commit_batch()
 
     def force_apply(self, message: Message) -> None:
         """Give up waiting for a late/lost dependency and apply anyway
         (the configurable-timeout semantics recommended in §6.5: causal
         is timeout=∞, weak is timeout=0, this is anything in between)."""
-        if self._already_applied(message.uid):
-            return
-        with activate_trace(message.trace):
-            self._apply_timed(message)
-            self.service.subscriber_version_store.apply_counts(
-                message.counter_increments()
-            )
-            self._finish(message)
+        if not self._already_applied(message.uid):
+            self._apply_one(message, weak=False)
 
     def _already_applied(self, uid: str) -> bool:
         with self._applied_lock:
@@ -680,20 +604,16 @@ class SynapseSubscriber:
         self._finish(message)
 
     def _apply_weak(
-        self,
-        message: Message,
-        object_deps: Dict[str, Dict[str, Any]],
-        record_only: bool = False,
-    ) -> List[str]:
+        self, message: Message, record_only: bool
+    ) -> Dict[str, Dict[str, Any]]:
         """Weak delivery: apply fresh operations, discard stale ones, and
-        fast-forward per-object counters (§3.2, §4.2). Returns the
-        hashed deps actually applied (the batched path needs them to
-        redo engine writes after a mid-batch rollback)."""
+        fast-forward per-object counters (§3.2, §4.2). Returns
+        {hashed dep: operation} for the operations actually applied."""
         store = self.service.subscriber_version_store
         claim = observe_point if record_only else yield_point
         increments = message.counter_increments()
-        applied: List[str] = []
-        for hashed, operation in object_deps.items():
+        applied: Dict[str, Dict[str, Any]] = {}
+        for hashed, operation in self._object_deps(message).items():
             version = message.dependencies.get(hashed, 0)
             claim(
                 "apply.weak.claim", message=message, dep=hashed, version=version
@@ -716,7 +636,7 @@ class SynapseSubscriber:
                 store.fast_forward(
                     hashed, version + max(0, increments.get(hashed, 1) - 1)
                 )
-                applied.append(hashed)
+                applied[hashed] = operation
         return applied
 
     def _generation_ready(self, message: Message) -> bool:

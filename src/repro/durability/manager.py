@@ -721,7 +721,7 @@ class DurabilityManager:
 
     def _replay_apply(self, service: Any, message: Message) -> None:
         """Re-run one subscriber apply from its log record, mirroring
-        ``SynapseSubscriber._process`` minus gating — raw engine writes
+        ``SynapseSubscriber._apply_one`` minus gating — raw engine writes
         plus the exact counter arithmetic of each delivery class."""
         sub = service.subscriber
         store = service.subscriber_version_store

@@ -6,8 +6,9 @@ Two shapes:
   then sweep N seeds per delivery mode (each seed once plain, once
   with crash-recovery, once with flow control — coalescing + batched
   apply — once with durability — WAL every transition, then prove a
-  fresh restore reproduces the live state — and a slice with broker
-  faults). This is the CI smoke step. Every failing schedule prints
+  fresh restore reproduces the live state — a slice with broker
+  faults, and a slice with flow control *and* a crashing worker). This
+  is the CI smoke step. Every failing schedule prints
   the exact CLI line that replays it.
 - ``conformance --seed K --mode M [--crash --flow --durability ...]`` —
   replay one schedule and dump its violations and trace tail. This is
@@ -103,7 +104,8 @@ def conformance_command(args: List[str]) -> int:
     print(
         f"sweeping {len(configs)} schedules "
         f"({seeds} seeds x {len(modes)} modes, "
-        "plain + crash-recovery + flow + durability + views + cdc):"
+        "plain + crash-recovery + flow + durability + views + cdc, "
+        "flow x crash on a slice):"
     )
     checked = 0
     for config in configs:

@@ -59,8 +59,9 @@ class ScheduleConfig:
     queue_limit: Optional[int] = None
     #: Dependency-hash space (None = full names).
     hash_space: Optional[int] = None
-    #: Enable the flow-control subsystem: coalescing at publish plus
-    #: pop_many/process_batch subscriber workers (batched group commit).
+    #: Enable the flow-control subsystem: coalescing at publish, and
+    #: subscriber workers that pop batches of several messages (group
+    #: commit) instead of one.
     flow: bool = False
     #: Enable the durability subsystem: every schedule WALs to a
     #: throwaway data dir, and after quiescence a second fresh
@@ -435,73 +436,20 @@ class ConformanceHarness:
         return unacked <= self.crashed_uids
 
     def _subscriber_loop(self, wid: str, abandon_after: Optional[int] = None) -> None:
-        if self.config.flow and abandon_after is None:
-            # Flow schedules drain through pop_many/process_batch;
-            # crash workers keep the single-message path (they must
-            # abandon one precise in-flight delivery).
-            self._subscriber_loop_batched(wid)
-            return
+        """One virtual pool worker: ``pop_many`` a batch (one message
+        unless the schedule has flow on), verify and apply it through
+        ``process_batch``, settle every delivery. A crash worker
+        (``abandon_after``) abandons whatever it popped — what a real
+        pool worker dying mid-batch leaves behind."""
         subscriber = self.sub.subscriber
         queue = subscriber.queue
+        limit = subscriber.batch_limit
         handled = 0
         while True:
             try:
                 yield_point("worker.tick", worker=wid)
                 try:
-                    message = queue.pop(timeout=0.0)
-                except QueueDecommissioned:
-                    observe_point("worker.decommissioned", worker=wid)
-                    return
-                if message is None:
-                    if self._drained():
-                        observe_point("worker.drained", worker=wid)
-                        return
-                    continue
-                done = subscriber.process_message(message, wait_timeout=0.0)
-                handled += 1
-                if abandon_after is not None and handled >= abandon_after:
-                    # Simulated worker crash: exit without ack/nack; the
-                    # delivery stays in the unacked table until recovery
-                    # calls requeue_unacked().
-                    self.crashed_uids.add(message.uid)
-                    observe_point("worker.crashed", worker=wid, message=message)
-                    return
-                if done:
-                    queue.ack(message)
-                elif message.delivery_count >= self.config.max_deliveries:
-                    # §6.5 give-up semantics: a dependency that will
-                    # never arrive (dropped message) must not wedge the
-                    # worker forever.
-                    observe_point("worker.gave_up", worker=wid, message=message)
-                    queue.ack(message)
-                else:
-                    queue.nack(message)
-            except QueueDecommissioned:
-                # Ack/nack of a delivery the decommission cleared: the
-                # fixed queue tolerates the ack; a decommission raised
-                # from a nested pop path lands here and the worker exits
-                # cleanly instead of dying silently.
-                observe_point("worker.decommissioned", worker=wid)
-                return
-            except Exception as exc:  # noqa: BLE001 — the invariant itself
-                self.checker.violation(
-                    INV_WORKER,
-                    f"worker {wid} died on unexpected {type(exc).__name__}: {exc}",
-                )
-                return
-
-    def _subscriber_loop_batched(self, wid: str) -> None:
-        """The flow-control drain loop: ``pop_many`` batches verified
-        and applied through ``process_batch`` (group commit), with the
-        same give-up and decommission semantics as the single path."""
-        subscriber = self.sub.subscriber
-        queue = subscriber.queue
-        batch_max = self.eco.flow.config.batch_max
-        while True:
-            try:
-                yield_point("worker.tick", worker=wid)
-                try:
-                    batch = queue.pop_many(batch_max, timeout=0.0)
+                    batch = queue.pop_many(limit, timeout=0.0)
                 except QueueDecommissioned:
                     observe_point("worker.decommissioned", worker=wid)
                     return
@@ -510,18 +458,42 @@ class ConformanceHarness:
                         observe_point("worker.drained", worker=wid)
                         return
                     continue
-                done, retry, _errors = subscriber.process_batch(
+                done, retry, errors = subscriber.process_batch(
                     batch, wait_timeout=0.0
                 )
+                if errors:
+                    # No schedule injects engine faults: an apply that
+                    # raised is a bug, not something to retry quietly.
+                    self.checker.violation(
+                        INV_WORKER,
+                        f"worker {wid}: {errors} apply error(s) in a batch "
+                        f"of {len(batch)}",
+                    )
+                handled += len(batch)
+                if abandon_after is not None and handled >= abandon_after:
+                    # Simulated worker crash: exit without ack/nack; the
+                    # deliveries stay in the unacked table until recovery
+                    # calls requeue_unacked().
+                    for message in batch:
+                        self.crashed_uids.add(message.uid)
+                        observe_point("worker.crashed", worker=wid, message=message)
+                    return
                 for message in done:
                     queue.ack(message)
                 for message in retry:
                     if message.delivery_count >= self.config.max_deliveries:
+                        # §6.5 give-up semantics: a dependency that will
+                        # never arrive (dropped message) must not wedge the
+                        # worker forever.
                         observe_point("worker.gave_up", worker=wid, message=message)
                         queue.ack(message)
                     else:
                         queue.nack(message)
             except QueueDecommissioned:
+                # Ack/nack of a delivery the decommission cleared: the
+                # fixed queue tolerates the ack; a decommission raised
+                # from a nested pop path lands here and the worker exits
+                # cleanly instead of dying silently.
                 observe_point("worker.decommissioned", worker=wid)
                 return
             except Exception as exc:  # noqa: BLE001 — the invariant itself
@@ -690,12 +662,25 @@ def default_matrix(
     variant (a seeded slice of the workload bypasses the ORM through
     the transactional outbox, with a poller worker racing the
     subscribers), with broker faults folded into a slice of the
-    seeds."""
+    seeds, and a flow × crash-recovery variant on another slice (a
+    worker dies holding a partially applied batch; ``requeue_unacked``
+    plus dedup must absorb it)."""
     base = base or ScheduleConfig()
     configs: List[ScheduleConfig] = []
     for mode in modes or [CAUSAL, GLOBAL, WEAK]:
         for seed in range(seeds):
             faults = 1 if seed % 4 == 3 else 0
+            if seed % 4 == 1:
+                configs.append(
+                    replace(
+                        base,
+                        mode=mode,
+                        seed=seed,
+                        flow=True,
+                        crash_recovery=True,
+                        faults=0,
+                    )
+                )
             configs.append(
                 replace(base, mode=mode, seed=seed, faults=faults)
             )

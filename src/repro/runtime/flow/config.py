@@ -39,7 +39,6 @@ class FlowConfig:
     #: scan will look for the coalesce candidate before giving up.
     coalesce_window: int = 32
 
-    batch_apply: bool = True
     batch_min: int = 1
     batch_max: int = 16
     #: AIMD: batch size grows by ``aimd_increase`` after a full clean

@@ -1,10 +1,11 @@
 """Threaded subscriber worker pools.
 
 "Messages in the queue are processed in parallel by multiple subscriber
-workers per application" (§4). Each worker pops a message, waits (up to
-a timeout) for its dependencies, applies it and acks. A message that
-exceeds the retry budget triggers the deadlock callback — production
-Synapse rebootstraps the subscriber at that point (§6.5).
+workers per application" (§4). Each worker pops a batch — one message,
+unless flow control sizes it larger — waits (up to a timeout) for its
+dependencies, applies it and acks. A message that exceeds the retry
+budget triggers the deadlock callback — production Synapse rebootstraps
+the subscriber at that point (§6.5).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import time
 from typing import Any, Callable, List, Optional
 
 from repro.errors import QueueDecommissioned
+from repro.runtime.flow.batch import BatchSizer
 from repro.runtime.metrics import Counter
 
 
@@ -129,18 +131,10 @@ class SubscriberWorkerPool:
         self._reg_deadlocked = registry.counter(f"workers.{service.name}.deadlocked")
         self._reg_apply_errors = registry.counter(f"workers.{service.name}.apply_errors")
         self._recorder = getattr(service.ecosystem, "recorder", None)
-        # Flow control: when the ecosystem has batched apply enabled the
-        # workers switch to the pop_many/process_batch loop, sharing one
-        # AIMD batch sizer across the pool.
+        # Flow control: the pool's workers share one AIMD batch sizer;
+        # without it every batch is one message.
         controller = getattr(service.ecosystem, "flow", None)
-        if controller is not None and controller.config.batch_apply:
-            from repro.runtime.flow import BatchSizer
-
-            self._flow = controller
-            self._sizer = BatchSizer(controller.config)
-        else:
-            self._flow = None
-            self._sizer = None
+        self._sizer = None if controller is None else BatchSizer(controller.config)
         self._batches = Counter()
 
     @property
@@ -180,105 +174,50 @@ class SubscriberWorkerPool:
     # -- main loop ---------------------------------------------------------------
 
     def _run(self) -> None:
+        """Drain up to the batch size in one lock round-trip,
+        verify/apply via ``process_batch``, settle every delivery, then
+        feed the outcome — and, periodically, the LagMonitor's link
+        pressure — back into the sizer."""
         subscriber = self.service.subscriber
         queue = subscriber.queue
         if queue is None:
             return
-        if self._flow is not None:
-            self._run_batched(subscriber, queue)
-            return
-        while not self._stop.is_set():
-            try:
-                message = queue.pop(timeout=0.05)
-            except QueueDecommissioned:
-                self._record_anomaly("queue.decommissioned")
-                if self.on_deadlock is not None:
-                    self.on_deadlock(self.service)
-                return
-            if message is None:
-                continue
-            with self._active_lock:
-                self._active += 1
-            try:
-                errored = False
-                try:
-                    # First delivery probes without blocking: when the
-                    # queue holds out-of-order messages, burning the
-                    # full dependency wait on each one serialises
-                    # chain-head discovery at wait_timeout per pop
-                    # (with every worker parked, nothing progresses at
-                    # all). A fast defer scans the queue in one cheap
-                    # rotation instead; redeliveries block as before so
-                    # an in-flight predecessor still satisfies us
-                    # without another round trip through the queue.
-                    first = message.delivery_count <= 1
-                    done = subscriber.process_message(
-                        message, wait_timeout=0.0 if first else self.wait_timeout
-                    )
-                except Exception:
-                    # A transient engine fault (or poisonous payload) must
-                    # not kill the worker: nack and let redelivery retry.
-                    self._apply_errors.increment()
-                    self._reg_apply_errors.increment()
-                    done = False
-                    errored = True
-                try:
-                    if done:
-                        queue.ack(message)
-                    elif message.delivery_count >= self.max_deliveries:
-                        self._give_up(subscriber, queue, message)
-                    elif errored:
-                        queue.nack(message)
-                    else:
-                        # Dependency stall: the predecessor is behind
-                        # this message in the queue, so rotate to the
-                        # back (nacking to the front would re-pop the
-                        # same message while the predecessor starves).
-                        queue.defer(message)
-                except QueueDecommissioned:
-                    # The queue died while this delivery was in flight
-                    # (its ack/nack is a tolerated no-op). Route the
-                    # decommission like the pop path does instead of
-                    # letting the exception kill the worker silently.
-                    self._record_anomaly("queue.decommissioned")
-                    if self.on_deadlock is not None:
-                        self.on_deadlock(self.service)
-                    return
-            finally:
-                with self._idle:
-                    self._active -= 1
-                    self._idle.notify_all()
-
-    def _run_batched(self, subscriber: Any, queue: Any) -> None:
-        """Flow-control loop: drain up to the AIMD batch size in one
-        lock round-trip, verify/apply via ``process_batch`` (group
-        commit), then feed the outcome — and, periodically, the
-        LagMonitor's link pressure — back into the sizer."""
         sizer = self._sizer
         flow = queue.flow
         monitor = getattr(self.service.ecosystem, "monitor", None)
         while not self._stop.is_set():
             try:
-                batch = queue.pop_many(sizer.current, timeout=0.05)
+                batch = queue.pop_many(
+                    1 if sizer is None else sizer.current, timeout=0.05
+                )
             except QueueDecommissioned:
-                self._record_anomaly("queue.decommissioned")
-                if self.on_deadlock is not None:
-                    self.on_deadlock(self.service)
+                self._on_decommission()
                 return
             if not batch:
                 continue
             with self._active_lock:
                 self._active += 1
             try:
-                errors = 0
+                # First deliveries probe without blocking: when the
+                # queue holds out-of-order messages, burning the full
+                # dependency wait on each pop serialises chain-head
+                # discovery at wait_timeout per pop (with every worker
+                # parked, nothing progresses at all). A fast defer
+                # scans the queue in one cheap rotation instead;
+                # redeliveries block as before so an in-flight
+                # predecessor still satisfies us without another round
+                # trip through the queue.
+                first = all(message.delivery_count <= 1 for message in batch)
                 try:
                     done, retry, errors = subscriber.process_batch(
-                        batch, wait_timeout=self.wait_timeout
+                        batch, wait_timeout=0.0 if first else self.wait_timeout
                     )
                 except Exception:
                     # process_batch contains apply errors itself; this
-                    # guards the verification phase. Nack everything.
-                    done, retry, errors = [], list(batch), 1
+                    # guards the verification phase. A transient fault
+                    # (or poisonous payload) must not kill the worker:
+                    # nack everything and let redelivery retry.
+                    done, retry, errors = [], batch, 1
                 if errors:
                     self._apply_errors.increment(errors)
                     self._reg_apply_errors.increment(errors)
@@ -287,9 +226,11 @@ class SubscriberWorkerPool:
                     # stalled purely on dependency waits: its missing
                     # predecessors are behind it in the queue. Rotate
                     # such batches to the back (defer) so the chain
-                    # head surfaces; partially-applied batches made
-                    # progress and retry at the front as before.
-                    stalled = not done and not errors and retry
+                    # head surfaces — nacking to the front would re-pop
+                    # the same messages while the predecessor starves.
+                    # Partially-applied batches made progress and retry
+                    # at the front.
+                    stalled = not done and not errors
                     for message in done:
                         queue.ack(message)
                     for message in retry:
@@ -300,23 +241,33 @@ class SubscriberWorkerPool:
                         else:
                             queue.nack(message)
                 except QueueDecommissioned:
-                    self._record_anomaly("queue.decommissioned")
-                    if self.on_deadlock is not None:
-                        self.on_deadlock(self.service)
+                    # The queue died while these deliveries were in
+                    # flight (their ack/nack is a tolerated no-op).
+                    # Route the decommission like the pop path does
+                    # instead of letting the exception kill the worker
+                    # silently.
+                    self._on_decommission()
                     return
                 if flow is not None:
                     flow.batch_size.record(len(batch))
-                sizer.on_batch(
-                    popped=len(batch), applied=len(done), failed=len(retry) + errors
-                )
-                if self._batches.increment() % 32 == 0 and monitor is not None:
-                    sizer.observe_pressure(
-                        monitor.link_pressure(self.service.name)
+                if sizer is not None:
+                    sizer.on_batch(
+                        popped=len(batch), applied=len(done),
+                        failed=len(retry) + errors,
                     )
+                    if self._batches.increment() % 32 == 0 and monitor is not None:
+                        sizer.observe_pressure(
+                            monitor.link_pressure(self.service.name)
+                        )
             finally:
                 with self._idle:
                     self._active -= 1
                     self._idle.notify_all()
+
+    def _on_decommission(self) -> None:
+        self._record_anomaly("queue.decommissioned")
+        if self.on_deadlock is not None:
+            self.on_deadlock(self.service)
 
     def _give_up(self, subscriber: Any, queue: Any, message: Any) -> None:
         """Give-up timeout reached (§6.5): drop or weak-apply, then ack."""

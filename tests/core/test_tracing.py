@@ -1,12 +1,16 @@
 """End-to-end tracing of the publish->route->apply pipeline."""
 
+import pytest
+
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
+from repro.runtime.flow import FlowConfig
 from repro.runtime.tracing import (
     MARK_ACKED,
     STAGE_APPLY,
+    STAGE_BATCH,
     STAGE_COLLECT,
     STAGE_DEP_WAIT,
     STAGE_DWELL,
@@ -49,7 +53,17 @@ class TestTracingDisabled:
 
 class TestTracingEnabled:
     def test_single_write_covers_every_stage(self):
+        self.check_single_write_covers_every_stage(flow=False)
+
+    def test_single_write_covers_every_stage_with_flow_on(self):
+        """Regression: flow on used to drop the ``dep_wait`` span and end
+        the critical path in ``batch_apply`` even for one message."""
+        self.check_single_write_covers_every_stage(flow=True)
+
+    def check_single_write_covers_every_stage(self, flow):
         eco = Ecosystem()
+        if flow:
+            eco.enable_flow(FlowConfig())
         pub, sub, User, SubUser = build(eco)
         eco.enable_tracing()
         with pub.controller():
@@ -68,6 +82,9 @@ class TestTracingEnabled:
             STAGE_DEP_WAIT,
             STAGE_APPLY,
         } <= stages
+        # Applied alone: no group commit to report, and the critical
+        # path ends in the apply.
+        assert STAGE_BATCH not in stages
         assert all(span.duration >= 0 for span in trace.spans)
         # The intercept span subsumes collection, registration and the
         # engine write.
@@ -76,6 +93,29 @@ class TestTracingEnabled:
             + trace.duration(STAGE_REGISTER)
             + trace.duration(STAGE_ENGINE_WRITE)
         )
+
+    @pytest.mark.parametrize("flow", [False, True], ids=["flow-off", "flow-on"])
+    def test_every_ordered_message_gets_a_dep_wait_sample(self, flow):
+        """One ``dep_wait`` sample and span per applied causal message,
+        zero-length when nothing blocked — so ``dep_wait_mean_ms`` means
+        the same thing at every batch size. (Regression: with flow on,
+        only a call that blocked in ``wait_satisfied`` recorded one.)"""
+        eco = Ecosystem()
+        if flow:
+            eco.enable_flow(FlowConfig())
+        pub, sub, User, SubUser = build(eco)
+        eco.enable_tracing()
+        with pub.controller():
+            User.create(name="ada")
+            User.create(name="bob")
+        assert sub.subscriber.drain() == 2
+        assert sub.subscriber.dep_wait.count == 2
+        traces = eco.tracer.finished()
+        assert len(traces) == 2
+        for trace in traces:
+            assert STAGE_DEP_WAIT in trace.stages()
+            # The two share a group commit exactly when flow batches them.
+            assert (STAGE_BATCH in trace.stages()) == flow
 
     def test_trace_survives_wire_round_trip(self):
         trace = Trace(app="pub")

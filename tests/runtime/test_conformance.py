@@ -17,6 +17,7 @@ from repro.runtime.conformance import (
     INV_POP,
     INV_WORKER,
     ScheduleConfig,
+    default_matrix,
     replay_twice,
     run_schedule,
 )
@@ -168,6 +169,56 @@ class TestFlowSchedules:
 
         assert flow_coalesce_safety_scenario() == []
         assert "flow.unsafe-coalesce-rejected" in run_directed_scenarios()
+
+
+class TestFlowCrashSchedules:
+    """Flow control with a crashing worker: the one harness loop makes a
+    crash worker abandon its whole popped batch — including members it
+    already applied — and ``requeue_unacked`` plus dedup must absorb it."""
+
+    def test_worker_dying_mid_batch_is_absorbed_in_all_modes(self):
+        abandoned_a_batch = deduplicated = False
+        for mode in ("causal", "global", "weak"):
+            for seed in range(6):
+                result = run_schedule(
+                    ScheduleConfig(
+                        mode=mode, seed=seed, flow=True, crash_recovery=True,
+                        messages=12,
+                    )
+                )
+                assert result.ok, [str(v) for v in result.violations]
+                crashes = [line for line in result.trace if "worker.crashed" in line]
+                abandoned_a_batch = abandoned_a_batch or len(crashes) > 1
+                deduplicated = deduplicated or result.stats["duplicates"] > 0
+        # The sweep must actually lose a multi-message batch and redeliver
+        # an already-applied member.
+        assert abandoned_a_batch and deduplicated
+
+    def test_flow_crash_schedule_deterministic(self):
+        config = ScheduleConfig(
+            mode="causal", seed=3, flow=True, crash_recovery=True, messages=12
+        )
+        first, second = replay_twice(config)
+        assert first.trace == second.trace
+
+    def test_default_matrix_sweeps_the_flow_crash_slice(self):
+        matrix = default_matrix(8)
+        sliced = [c for c in matrix if c.flow and c.crash_recovery]
+        assert {c.mode for c in sliced} == {"causal", "global", "weak"}
+        assert {c.seed for c in sliced} == {1, 5}
+
+
+class TestWalApplyOrder:
+    """Regression: the ``apply`` WAL record used to be appended after the
+    counter bump that releases dependents, so a dependent's record could
+    overtake it and restore replayed the older write last (live row
+    value 3, restored 2 on this schedule)."""
+
+    def test_dependent_applies_replay_in_engine_write_order(self):
+        result = run_schedule(
+            ScheduleConfig(mode="causal", seed=133, durability=True)
+        )
+        assert result.ok, [str(v) for v in result.violations]
 
 
 class TestGateRaceSchedule:

@@ -11,14 +11,19 @@ within one queue revolution.
 
 from __future__ import annotations
 
+import threading
+from unittest import mock
+
 from repro.broker.message import Message
 from repro.broker.queue import SubscriberQueue
 from repro.core import Ecosystem
+from repro.core.subscriber import SynapseSubscriber
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 from repro.runtime.flow import FlowConfig
 from repro.runtime.workers import SubscriberWorkerPool
+from repro.versionstore.store import SubscriberVersionStore
 
 
 def make_message(seq):
@@ -110,7 +115,7 @@ class TestWorkerStallRotation:
         pool = SubscriberWorkerPool(
             sub, workers=3, wait_timeout=0.1, max_deliveries=10_000
         )
-        assert pool._flow is None
+        assert pool._sizer is None
         with pool:
             assert pool.wait_until_idle(timeout=20)
         assert pool.deadlocked_messages == 0
@@ -123,17 +128,55 @@ class TestWorkerStallRotation:
         pop -> dependency wait -> nack-to-front forever once the chain
         head sank behind nacked later messages. Stall rotation (defer)
         guarantees the head surfaces within one revolution."""
-        eco, pub, sub, Doc, SubDoc = self._chain_ecosystem(
-            batch_apply=True, batch_max=8
-        )
+        eco, pub, sub, Doc, SubDoc = self._chain_ecosystem(batch_max=8)
         with pub.controller():
             docs = [Doc.create(name=f"d{i}", score=i) for i in range(40)]
         pool = SubscriberWorkerPool(
             sub, workers=3, wait_timeout=0.1, max_deliveries=10_000
         )
-        assert pool._flow is not None
+        assert pool._sizer is not None
         with pool:
             assert pool.wait_until_idle(timeout=20)
+        assert pool.deadlocked_messages == 0
+        for doc in docs:
+            assert SubDoc.__mapper__.find(doc.id) is not None
+
+    def test_first_deliveries_probe_without_blocking_under_flow(self):
+        """Chain-head discovery: the head of a causal chain sits behind
+        its followers. A batch made only of first deliveries must probe
+        and defer, never park in ``wait_satisfied`` — with flow on, the
+        pool used to block ``wait_timeout`` on every such batch, so
+        finding the head cost one timeout per pop."""
+        eco, pub, sub, Doc, SubDoc = self._chain_ecosystem(batch_max=4)
+        with pub.controller():
+            docs = [Doc.create(name=f"d{i}", score=i) for i in range(12)]
+        queue = sub.subscriber.queue
+        queue._items.rotate(-1)  # bury the chain head at the back
+        assert queue.peek_all()[-1].seq == min(m.seq for m in queue.peek_all())
+
+        batch_is_first = threading.local()
+        blocked_on_first = []
+        real_batch = SynapseSubscriber.process_batch
+        real_wait = SubscriberVersionStore.wait_satisfied
+
+        def process_batch(self, messages, wait_timeout=0.0):
+            batch_is_first.value = all(m.delivery_count == 1 for m in messages)
+            return real_batch(self, messages, wait_timeout)
+
+        def wait_satisfied(self, dependencies, timeout):
+            if timeout > 0 and batch_is_first.value:
+                blocked_on_first.append(timeout)
+            return real_wait(self, dependencies, timeout)
+
+        with mock.patch.object(SynapseSubscriber, "process_batch", process_batch), \
+                mock.patch.object(SubscriberVersionStore, "wait_satisfied", wait_satisfied):
+            pool = SubscriberWorkerPool(
+                sub, workers=2, wait_timeout=0.1, max_deliveries=10_000
+            )
+            assert pool._sizer is not None
+            with pool:
+                assert pool.wait_until_idle(timeout=20)
+        assert blocked_on_first == []
         assert pool.deadlocked_messages == 0
         for doc in docs:
             assert SubDoc.__mapper__.find(doc.id) is not None

@@ -1,11 +1,15 @@
 """Dependency-aware batched apply: ``process_batch`` group commit,
-in-batch causal chains, mid-batch fault recovery, and the AIMD sizer."""
+in-batch causal chains, mid-batch fault recovery, the AIMD sizer, and
+the batch-of-one equivalence the single apply funnel rests on."""
+
+import random
 
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 from repro.runtime.flow import BatchSizer, FlowConfig
+from repro.runtime.interleave import install_hook, uninstall_hook
 from repro.runtime.workers import SubscriberWorkerPool
 
 
@@ -61,7 +65,8 @@ class TestBatchSizer:
         assert sizer.current == 1  # floors at batch_min
 
 
-def build_ecosystem(mode="causal", flow=True, coalesce=False, batch_max=8):
+def build_ecosystem(mode="causal", flow=True, coalesce=False, batch_max=8,
+                    sub_db=None):
     eco = Ecosystem()
     if flow:
         eco.enable_flow(FlowConfig(batch_max=batch_max, coalesce=coalesce))
@@ -72,7 +77,7 @@ def build_ecosystem(mode="causal", flow=True, coalesce=False, batch_max=8):
         name = Field(str)
         score = Field(int, default=0)
 
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
+    sub = eco.service("sub", database=sub_db or PostgresLike("sub-db"))
 
     @sub.model(subscribe={"from": "pub", "fields": ["name", "score"],
                           "mode": mode}, name="Doc")
@@ -100,9 +105,9 @@ class TestProcessBatch:
             assert SubDoc.__mapper__.find(doc.id) is not None
 
     def test_in_batch_causal_chain_lands_in_one_call(self):
-        """Session writes chain each message to the previous one; the
-        single-message path needs one pass per link, the batched path
-        verifies against the bumps earlier batch members will make."""
+        """Session writes chain each message to the previous one;
+        batches of one need one pass per link, a larger batch verifies
+        against the bumps its earlier members will make."""
         eco, pub, sub, Doc, SubDoc = build_ecosystem()
         with pub.controller():
             doc = Doc.create(name="d", score=0)
@@ -185,6 +190,30 @@ class TestProcessBatch:
         assert not report.in_sync
         assert sub.repair_replication(report=report).verified_in_sync
 
+    def test_first_failure_ends_a_batch_without_transactions(self):
+        """On an engine without transactions nothing rolls back, so the
+        members after a failed apply must not run: they may have been
+        admitted against the failed member's pending bumps. (Regression:
+        the loop used to carry on, land the chain's last write, and let
+        the retried middle write overwrite it.)"""
+        eco, pub, sub, Doc, SubDoc = build_ecosystem(sub_db=MongoLike("sub-db"))
+        with pub.controller():
+            doc = Doc.create(name="d", score=0)
+            for r in (1, 2):
+                doc.score = r
+                doc.save()
+        batch = sub.subscriber.queue.pop_many(8)
+        assert len(batch) == 3
+        sub.database.faults.skip_next_writes = 1
+        sub.database.faults.fail_next_writes = 1
+        done, retry, errors = sub.subscriber.process_batch(batch)
+        assert (len(done), len(retry), errors) == (1, 2, 1)
+        assert SubDoc.__mapper__.find(doc.id)["score"] == 0
+        done2, retry2, errors2 = sub.subscriber.process_batch(retry)
+        assert (len(done2), len(retry2), errors2) == (2, 0, 0)
+        assert SubDoc.__mapper__.find(doc.id)["score"] == 2
+        assert sub.audit_replication().in_sync
+
     def test_weak_batch_converges_and_audits_clean(self):
         eco, pub, sub, Doc, SubDoc = build_ecosystem(
             mode="weak", coalesce=True
@@ -226,7 +255,7 @@ class TestBatchedWorkerPool:
         pool = SubscriberWorkerPool(
             sub, workers=3, wait_timeout=0.1, max_deliveries=10_000
         )
-        assert pool._flow is not None  # batched loop engaged
+        assert pool._sizer is not None  # batches sized by AIMD
         with pool:
             assert pool.wait_until_idle(timeout=10)
         for doc in docs:
@@ -237,9 +266,126 @@ class TestBatchedWorkerPool:
     def test_flow_disabled_pool_keeps_single_message_loop(self):
         eco, pub, sub, Doc, SubDoc = build_ecosystem(flow=False)
         pool = SubscriberWorkerPool(sub, workers=2)
-        assert pool._flow is None
+        assert pool._sizer is None
         with pub.controller():
             doc = Doc.create(name="d")
         with pool:
             assert pool.wait_until_idle(timeout=10)
         assert SubDoc.__mapper__.find(doc.id) is not None
+
+
+class TestBatchOfOneIsTheSingleMessagePath:
+    """The invariant the one apply funnel rests on: a single message is
+    a batch of one. The same seeded stream — a causal publisher and a
+    weak one, delivered out of order — must end identically whether it
+    goes through ``process_message`` or ``process_batch([m])``, event
+    for event; larger batches may take different steps but must reach
+    the same rows and counters."""
+
+    def _stream(self, seed=7):
+        """A fresh ecosystem with the stream already queued (shuffled by
+        ``seed``) at a subscriber of both publishers; flow stays off so
+        every run queues exactly the same messages."""
+        eco = Ecosystem()
+        models = {}
+        for app, mode in (("cpub", "causal"), ("wpub", "weak")):
+            pub = eco.service(app, database=MongoLike(f"{app}-db"),
+                              delivery_mode=mode)
+
+            @pub.model(publish=["score"], name=f"{app}Doc")
+            class Doc(Model):
+                score = Field(int, default=0)
+
+            models[app] = (pub, Doc)
+        sub = eco.service("sub", database=PostgresLike("sub-db"))
+        replicas = []
+        for app, mode in (("cpub", "causal"), ("wpub", "weak")):
+            @sub.model(subscribe={"from": app, "fields": ["score"],
+                                  "mode": mode}, name=f"{app}Doc")
+            class SubDoc(Model):
+                score = Field(int, default=0)
+
+            replicas.append(SubDoc)
+        rng = random.Random(seed)
+        docs = {app: [] for app in models}
+        for step in range(48):
+            app = rng.choice(sorted(models))
+            pub, Doc = models[app]
+            with pub.controller():
+                if len(docs[app]) < 3 or rng.random() < 0.2:
+                    docs[app].append(Doc.create(score=step))
+                else:
+                    doc = rng.choice(docs[app])
+                    doc.score = step
+                    doc.save()
+        queue = sub.subscriber.queue
+        messages = queue.pop_many(10_000)
+        assert len(messages) == 48
+        rng.shuffle(messages)
+        return eco, sub, replicas, messages
+
+    def _run(self, apply, chunk=1):
+        """Apply the stream ``chunk`` deliveries at a time, re-offering
+        what stalled, and return every observable end state."""
+        eco, sub, replicas, pending = self._stream()
+        labels = []
+
+        def hook(label, info, pause):
+            labels.append(label)
+
+        install_hook(hook)
+        try:
+            while pending:
+                stalled = []
+                for start in range(0, len(pending), chunk):
+                    batch = pending[start:start + chunk]
+                    done = apply(sub.subscriber, batch)
+                    for message in done:
+                        sub.subscriber.queue.ack(message)
+                    stalled.extend(m for m in batch if m not in done)
+                assert len(stalled) < len(pending), "stream wedged"
+                pending = stalled
+        finally:
+            uninstall_hook(hook)
+        rows = [
+            sorted((doc.id, doc.score) for doc in cls.all())
+            for cls in replicas
+        ]
+        registry = {
+            name: value["count"] if isinstance(value, dict) else value
+            for name, value in eco.metrics.snapshot().items()
+            if name.startswith(("subscriber.", "versionstore."))
+        }
+        counters = sub.subscriber_version_store.snapshot()
+        return rows, counters, registry, labels
+
+    @staticmethod
+    def _one_at_a_time(subscriber, batch):
+        return [m for m in batch if subscriber.process_message(m)]
+
+    @staticmethod
+    def _as_batch(subscriber, batch):
+        done, _retry, errors = subscriber.process_batch(batch)
+        assert errors == 0
+        return done
+
+    def test_process_message_equals_process_batch_of_one(self):
+        single = self._run(self._one_at_a_time)
+        batched = self._run(self._as_batch)
+        assert single == batched
+        rows, _counters, registry, labels = single
+        assert sum(len(r) for r in rows) > 0
+        assert registry["subscriber.sub.processed"] == 48
+        # Out-of-order delivery really exercised both stall kinds.
+        assert registry["subscriber.sub.stale_discarded"] > 0
+        assert labels.count("dep.check") > labels.count("apply")
+        assert "batch.apply" not in labels
+
+    def test_chunks_of_eight_reach_the_same_state(self):
+        rows, counters, registry, _ = self._run(self._one_at_a_time)
+        rows8, counters8, registry8, labels8 = self._run(self._as_batch, chunk=8)
+        assert (rows8, counters8) == (rows, counters)
+        for name in ("subscriber.sub.processed", "subscriber.sub.duplicates",
+                     "subscriber.sub.dep_wait", "versionstore.sub.applied"):
+            assert registry8[name] == registry[name], name
+        assert "batch.apply" in labels8  # several really applied together
