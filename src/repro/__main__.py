@@ -7,8 +7,9 @@ Commands:
         print the service topology (optionally GraphViz DOT)
     metrics [--trace]
         run a small publisher->subscriber scenario and print the
-        MetricsRegistry snapshot; with --trace, also print the
-        per-stage spans of one end-to-end traced message
+        MetricsRegistry snapshot; with --trace, run it with the WAL on
+        (fsync off, scratch dir) and also print the per-stage spans of
+        one end-to-end traced message, wal.append included
     conformance [--seeds N] [--mode causal|global|weak] [--crash]
                 [--seed K --faults F --generation-bump --queue-limit Q]
         deterministic delivery-semantics conformance: directed race
@@ -74,7 +75,9 @@ Commands:
 
 from __future__ import annotations
 
+import contextlib
 import sys
+import tempfile
 
 
 def _metrics_command(with_trace: bool) -> int:
@@ -101,10 +104,16 @@ def _metrics_command(with_trace: bool) -> int:
     class SubUser(Model):
         name = Field(str)
 
-    with pub.controller():
-        for i in range(5):
-            User.create(name=f"user-{i}")
-    sub.subscriber.drain()
+    with contextlib.ExitStack() as stack:
+        if with_trace:
+            # Durability on (fsync off, scratch dir) so the trace shows
+            # the wal.append spans next to the stages they sit inside.
+            data_dir = stack.enter_context(tempfile.TemporaryDirectory())
+            stack.callback(eco.enable_durability(data_dir=data_dir).close)
+        with pub.controller():
+            for i in range(5):
+                User.create(name=f"user-{i}")
+        sub.subscriber.drain()
 
     print("MetricsRegistry snapshot (pub -> sub, 5 writes)")
     for name, value in eco.metrics.snapshot().items():

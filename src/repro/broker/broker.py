@@ -171,16 +171,26 @@ class Broker:
         Each queue receives its own wire-format copy, so subscribers can
         never observe each other's mutations. The message is serialised
         *once* per publish; each queue deserialises its own copy from the
-        shared payload (one ``to_json`` instead of one per subscriber).
+        shared payload and inherits the encoded body it was parsed from,
+        so the WAL records the copy rides in never encode it again.
 
         Under a shard placement, queues owned by other shards receive the
         same wire payload via the forwarder instead of a local enqueue.
         """
+        payload: Optional[str] = None
         if self.durability is not None:
+            # The one encode of this publish: the ``out`` record, every
+            # queue copy and their ``pub``/``apply`` records all reuse
+            # the body cached here.
+            payload = message.to_json()
             # Logged before fan-out: the publisher's version store is
             # already bumped, so the record carries the counter state a
             # restored process must resume publishing from.
             self.durability.log_out(message)
+            if message.trace is not None:
+                # The trace just gained the record's ``wal.append`` span;
+                # splice it onto the cached body again below.
+                payload = None
         with self._lock:
             targets = [
                 (sub, self._queues[sub])
@@ -204,7 +214,6 @@ class Broker:
                 delay = max(delay, queue.flow.publish_delay())
         if delay > 0:
             time.sleep(delay)
-        payload: Optional[str] = None
         for sub, queue in local:
             if self._should_drop():
                 self._dropped.increment()
@@ -219,10 +228,10 @@ class Broker:
             if payload is None:
                 payload = message.to_json()
             if message.trace is None:
-                queue.publish(Message.from_json(payload))
+                queue.publish(message.wire_copy(payload))
             else:
                 start = trace_now()
-                copy = Message.from_json(payload)
+                copy = message.wire_copy(payload)
                 queue.publish(copy)
                 if copy.trace is not None:
                     copy.trace.add(STAGE_ROUTE, start, trace_now() - start)

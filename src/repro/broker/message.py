@@ -5,6 +5,18 @@ transaction), its dependency map, a timestamp and the publisher's
 generation number. The payload is JSON-serialisable end to end — we
 round-trip through ``json`` to guarantee nothing non-serialisable leaks
 across the service boundary.
+
+A message is encoded **once**: :meth:`Message.body` caches the canonical
+JSON of its wire dict, and everything that needs the serialised form —
+the broker's fan-out (:meth:`Message.to_json`), every queue's wire copy
+(:meth:`Message.wire_copy`) and every WAL record that carries the
+message — reuses those bytes. The cache is sound because a published
+message's body fields are never assigned or mutated in place;
+:meth:`Message.rewrite` (coalescing) is the one sanctioned change and
+drops the cache. Payload dicts must have string keys (they are JSON
+objects): the canonical form sorts keys *before* stringifying them —
+so receivers see every dict in key order, not the sender's insertion
+order, and nothing may depend on either.
 """
 
 from __future__ import annotations
@@ -29,6 +41,12 @@ WIRE_VERSION = 3
 
 _seq = itertools.count(1)
 _seq_lock = threading.Lock()
+
+#: Canonical JSON: sorted keys, no whitespace, ASCII-only. The one
+#: encoding of a message body and of a WAL record (whose CRC replay
+#: recomputes from exactly this form), so a cached body can be spliced
+#: into a record verbatim.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class Message:
@@ -94,8 +112,14 @@ class Message:
         #: runtime state of one queue's copy, never serialised.
         self.enqueued_at: Optional[float] = None
         self.dwell: Optional[float] = None
+        #: Cached :meth:`body`; ``None`` until first needed.
+        self._body: Optional[str] = None
 
-    def to_json(self) -> str:
+    def to_wire(self) -> Dict[str, Any]:
+        """The wire payload as a dict, trace excluded (traces are runtime
+        observability state, not durable data). Shares this message's
+        containers — safe to hold because they are replaced, never
+        mutated (:meth:`rewrite`)."""
         payload = {
             "wire_version": WIRE_VERSION,
             "uid": self.uid,
@@ -114,13 +138,29 @@ class Message:
             payload["increments"] = self.increments
         if self.cdc is not None:
             payload["cdc"] = self.cdc
-        if self.trace is not None:
-            payload["trace"] = self.trace.to_dict()
-        return json.dumps(payload)
+        return payload
+
+    def body(self) -> str:
+        """Canonical JSON of :meth:`to_wire`, encoded on first use and
+        cached — what WAL records embed and ``to_json`` extends."""
+        body = self._body
+        if body is None:
+            body = self._body = canonical_json(self.to_wire())
+        return body
+
+    def to_json(self) -> str:
+        body = self.body()
+        if self.trace is None:
+            return body
+        # The trace keeps growing after publish, so it is never cached:
+        # spliced onto the body as the payload's last key.
+        return f'{body[:-1]},"trace":{json.dumps(self.trace.to_dict())}}}'
 
     @classmethod
-    def from_json(cls, payload: str) -> "Message":
-        data = json.loads(payload)
+    def from_wire(cls, data: Dict[str, Any]) -> "Message":
+        """Build a message from a wire dict (adopting its containers).
+        The body is *not* taken from whatever text ``data`` was parsed
+        from: foreign bytes may be spaced, unsorted or versionless."""
         version = data.get("wire_version", 1)
         if version > WIRE_VERSION:
             raise BrokerError(
@@ -143,6 +183,38 @@ class Message:
             cdc=data.get("cdc"),
         )
 
+    @classmethod
+    def from_json(cls, payload: str) -> "Message":
+        return cls.from_wire(json.loads(payload))
+
+    def wire_copy(self, payload: str) -> "Message":
+        """A copy parsed from ``payload``, which must be this message's
+        own :meth:`to_json` output: parsing isolates the copy's
+        containers, and it inherits the cached body it was parsed from."""
+        clone = Message.from_json(payload)
+        clone._body = self._body
+        return clone
+
+    def rewrite(
+        self,
+        operations: List[Dict[str, Any]],
+        dependencies: Dict[str, int],
+        external_dependencies: Dict[str, int],
+        increments: Dict[str, int],
+        coalesced_uids: List[str],
+    ) -> None:
+        """Replace the body fields a merge changes — the single
+        sanctioned mutation of a published message (flow-control
+        coalescing). The arguments must be fresh containers, not the
+        old ones edited in place: earlier :meth:`to_wire` dicts (a
+        snapshot being written) still hold the old ones."""
+        self.operations = operations
+        self.dependencies = dependencies
+        self.external_dependencies = external_dependencies
+        self.increments = increments
+        self.coalesced_uids = coalesced_uids
+        self._body = None
+
     def counter_increments(self) -> Dict[str, int]:
         """Per-dependency counter bumps on apply: the plain §4.2 rule
         (one per write dependency) unless coalescing summed them."""
@@ -152,7 +224,7 @@ class Message:
 
     def copy(self) -> "Message":
         """Wire-format round trip: what each subscriber queue stores."""
-        return Message.from_json(self.to_json())
+        return self.wire_copy(self.to_json())
 
     def __repr__(self) -> str:
         ops = [(op["operation"], op.get("id")) for op in self.operations]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
@@ -333,13 +332,8 @@ class SubscriberQueue:
         with self._lock:
             owed = sorted(self._unacked.values(), key=lambda m: m.seq)
             owed.extend(self._items)
-            pending = []
-            for message in owed:
-                payload = json.loads(message.to_json())
-                payload.pop("trace", None)
-                pending.append(payload)
             return {
-                "pending": pending,
+                "pending": [message.to_wire() for message in owed],
                 "decommissioned": self.decommissioned,
                 "published": self.total_published,
                 "acked": self.total_acked,

@@ -479,8 +479,20 @@ class SynapseSubscriber:
             # would make replay land the older write last.
             durability.log_apply(self.service.name, message)
         if bump:
+            increments = message.counter_increments()
+            if self.app_modes.get(message.app) == GLOBAL:
+                # The global counter is the gate that admits this
+                # message's successor, so it is bumped after the object
+                # counters: once the gate opens, every bump of every
+                # earlier message has landed. The order is set here, not
+                # read off the wire, which carries dependencies in
+                # canonical key order (``__global__`` first).
+                gate = self.service.ecosystem.hasher.hash(GLOBAL_OBJECT)
+                if gate in increments:
+                    increments = dict(increments)
+                    increments[gate] = increments.pop(gate)
             self.service.subscriber_version_store.apply_counts(
-                message.counter_increments(), record_only
+                increments, record_only
             )
         self._mark_applied(message.uid)
         self._processed.increment()

@@ -18,11 +18,7 @@ from repro.durability.datadir import (
     snapshot_dir,
     wal_dir,
 )
-from repro.durability.manager import (
-    DurabilityManager,
-    RestoreReport,
-    wire_payload,
-)
+from repro.durability.manager import DurabilityManager, RestoreReport
 from repro.durability.snapshot import SNAPSHOT_VERSION, SnapshotStore, build_manifest
 from repro.durability.wal import (
     FSYNC_ALWAYS,
@@ -59,5 +55,4 @@ __all__ = [
     "resolve_data_dir",
     "snapshot_dir",
     "wal_dir",
-    "wire_payload",
 ]

@@ -47,7 +47,6 @@ pre-durability recovery ladder (docs/recovery.md).
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -63,14 +62,7 @@ from repro.durability.wal import (
     SegmentedWAL,
 )
 from repro.errors import WALCorrupt
-
-
-def wire_payload(message: Message) -> Dict[str, Any]:
-    """A message's wire payload as a dict, trace dropped (traces are
-    runtime observability state, not durable data)."""
-    data = json.loads(message.to_json())
-    data.pop("trace", None)
-    return data
+from repro.runtime.tracing import STAGE_WAL, trace_now
 
 
 def _uid_seq(uid: str) -> Optional[int]:
@@ -146,8 +138,23 @@ class DurabilityManager:
     def restoring(self) -> bool:
         return self._restoring
 
-    def _append(self, rec: Dict[str, Any]) -> None:
-        self.wal.append(rec)
+    def _append(
+        self,
+        rec: Dict[str, Any],
+        message: Optional[Message] = None,
+        body: Optional[str] = None,
+    ) -> None:
+        """Append one record. ``message`` is the message the record is
+        about (its append is timed into the message's trace when it has
+        one); ``body`` is that message's cached canonical body, which
+        becomes the record's ``m`` field without being encoded again."""
+        trace = message.trace if message is not None else None
+        if trace is None:
+            self.wal.append(rec, body)
+        else:
+            start = trace_now()
+            self.wal.append(rec, body)
+            trace.add(STAGE_WAL, start, trace_now() - start)
         self._appends_since_snapshot += 1
 
     def log_out(self, message: Message) -> None:
@@ -168,23 +175,20 @@ class DurabilityManager:
                 pvs.kv.hget(key, "ops") or 0,
                 pvs.kv.hget(key, "version") or 0,
             ]
-        rec = {"t": "out", "app": message.app, "m": wire_payload(message),
-               "vs": counters}
+        rec = {"t": "out", "app": message.app, "vs": counters}
         if message.cdc is not None:
             # Piggybacked cursor: advancing past this outbox entry is
             # atomic with capturing the counters its publish bumped —
             # a crash can never leave the counters durable but the
             # cursor behind (which would republish and double-bump).
             rec["cur"] = message.cdc
-        self._append(rec)
+        self._append(rec, message, message.body())
         self.maybe_snapshot()
 
     def log_pub(self, queue_name: str, message: Message) -> None:
         if self._restoring:
             return
-        self._append(
-            {"t": "pub", "q": queue_name, "m": wire_payload(message)}
-        )
+        self._append({"t": "pub", "q": queue_name}, message, message.body())
 
     def log_coal(self, queue_name: str, survivor: Message) -> None:
         if self._restoring:
@@ -197,8 +201,8 @@ class DurabilityManager:
         # counter bumps under causal/global delivery).
         self._append(
             {"t": "coal", "q": queue_name, "uid": survivor.uid,
-             "m": wire_payload(survivor),
-             "absorbed": list(survivor.coalesced_uids)}
+             "absorbed": survivor.coalesced_uids},
+            survivor, survivor.body(),
         )
 
     def log_shed(self, queue_name: str, message: Message, flow: Any) -> None:
@@ -235,14 +239,16 @@ class DurabilityManager:
         would have to rediscover every defer before draining."""
         if self._restoring:
             return
-        self._append({"t": "defer", "q": queue_name, "uid": message.uid})
+        self._append(
+            {"t": "defer", "q": queue_name, "uid": message.uid}, message
+        )
 
     def log_ack(self, queue_name: str, message: Message) -> None:
         if self._restoring:
             return
         if self.wal.injector is not None:
             self.wal.injector.fire("before-ack")
-        self._append({"t": "ack", "q": queue_name, "uid": message.uid})
+        self._append({"t": "ack", "q": queue_name, "uid": message.uid}, message)
 
     def log_decom(self, queue_name: str) -> None:
         if self._restoring:
@@ -258,8 +264,8 @@ class DurabilityManager:
         if self._restoring:
             return
         self._append(
-            {"t": "apply", "svc": service_name, "uid": message.uid,
-             "m": wire_payload(message)}
+            {"t": "apply", "svc": service_name, "uid": message.uid},
+            message, message.body(),
         )
 
     def log_gen(self, service_name: str, app: str, generation: int) -> None:
@@ -423,7 +429,7 @@ class DurabilityManager:
                 queue = broker.queue_for(queue_name)
                 messages = []
                 for payload in entries.values():
-                    message = Message.from_json(json.dumps(payload))
+                    message = Message.from_wire(payload)
                     seq = _uid_seq(message.uid)
                     if seq is not None:
                         max_seq = max(max_seq, seq)
@@ -626,7 +632,7 @@ class DurabilityManager:
             pending.pop(rec["q"], None)
             shed.pop(rec["q"], None)
         elif kind == "apply":
-            message = Message.from_json(json.dumps(rec["m"]))
+            message = Message.from_wire(rec["m"])
             seq = _uid_seq(message.uid)
             if seq is not None:
                 max_seq = seq
@@ -653,7 +659,7 @@ class DurabilityManager:
         elif kind == "out":
             service = eco.local_service(rec["app"])
             if service is not None:
-                message = Message.from_json(json.dumps(rec["m"]))
+                message = Message.from_wire(rec["m"])
                 seq = _uid_seq(message.uid)
                 if seq is not None:
                     max_seq = seq

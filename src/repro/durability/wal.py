@@ -1,11 +1,14 @@
 """The segmented write-ahead log.
 
 Append-only JSON-lines segments: every line is one envelope
-``{"v": WAL_WIRE_VERSION, "crc": <crc32>, "rec": {...}}`` whose CRC is
+``{"crc":<crc32>,"rec":{...},"v":WAL_WIRE_VERSION}`` whose CRC is
 computed over the canonical JSON of ``rec`` alone — a flipped bit in a
-record body, not just a torn line, is detected on replay. Segments
-rotate at a fixed record count so snapshot compaction can reclaim whole
-files below the snapshot's pin.
+record body, not just a torn line, is detected on replay. A record that
+carries a message takes the message's already-encoded canonical body
+and splices it in as its ``m`` field, so the writer CRCs the bytes it
+produced instead of encoding the message again. Segments rotate at a
+fixed record count so snapshot compaction can reclaim whole files below
+the snapshot's pin.
 
 Three fsync policies model the real durability/throughput trade:
 
@@ -35,6 +38,7 @@ import threading
 import zlib
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.broker.message import canonical_json
 from repro.errors import DurabilityError, WALCorrupt
 
 #: On-disk WAL schema version. Bump when a record changes meaning;
@@ -94,20 +98,40 @@ class CrashInjector:
         raise SimulatedCrash(f"injected crash at {point}")
 
 
-def canonical_record(rec: Dict[str, Any]) -> str:
-    """The CRC input: sorted keys, no whitespace — both writer and
-    replayer derive the same bytes for the same record."""
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+def _crc(canonical: str) -> int:
+    return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
 
 
 def record_crc(rec: Dict[str, Any]) -> int:
-    return zlib.crc32(canonical_record(rec).encode("utf-8")) & 0xFFFFFFFF
+    """CRC over the canonical JSON of ``rec`` (sorted keys, no
+    whitespace): writer and replayer derive the same bytes for the same
+    record."""
+    return _crc(canonical_json(rec))
 
 
-def encode_record(rec: Dict[str, Any]) -> str:
-    """One WAL line (without the newline)."""
-    envelope = {"v": WAL_WIRE_VERSION, "crc": record_crc(rec), "rec": rec}
-    return json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+def encode_record(rec: Dict[str, Any], body: Optional[str] = None) -> str:
+    """One WAL line (without the newline): exactly what
+    ``canonical_json({"v": ..., "crc": record_crc(rec), "rec": rec})``
+    yields, in one pass.
+
+    ``body`` is the canonical JSON of the record's ``m`` field, already
+    encoded by the caller (``rec`` then must not carry ``m`` itself):
+    only the small header around it is dumped here, in two halves so the
+    body lands at ``m``'s sorted position.
+    """
+    if body is None:
+        inner = canonical_json(rec)
+    else:
+        if "m" in rec:
+            raise DurabilityError("record carries both 'm' and an encoded body")
+        head = {k: v for k, v in rec.items() if k < "m"}
+        tail = {k: v for k, v in rec.items() if k > "m"}
+        inner = "".join((
+            canonical_json(head)[:-1] + "," if head else "{",
+            '"m":', body,
+            "," + canonical_json(tail)[1:] if tail else "}",
+        ))
+    return f'{{"crc":{_crc(inner)},"rec":{inner},"v":{WAL_WIRE_VERSION}}}'
 
 
 def decode_record(line: str) -> Dict[str, Any]:
@@ -192,6 +216,7 @@ class SegmentedWAL:
             self._segment = 1
             self._segment_count = 0
         self._total_bytes = 0
+        self._total_segments = 0
         self._update_gauges()
 
     # -- segment bookkeeping -------------------------------------------------
@@ -215,12 +240,14 @@ class SegmentedWAL:
             return sum(1 for line in fh if line.strip())
 
     def _update_gauges(self) -> None:
-        """Full recompute from the filesystem (init, rotation, torn-tail
-        truncation, compaction); appends keep the byte gauge fresh
-        incrementally instead of paying a listdir per record."""
+        """Full recompute from the filesystem (init, sync, torn-tail
+        truncation, compaction). Appends and rotation keep both gauges
+        fresh incrementally: a listdir plus a stat per segment on every
+        rotation would make a long log between snapshots quadratic."""
         if self._segments_gauge is None:
             return
         ids = self.segment_ids()
+        self._total_segments = len(ids)
         self._segments_gauge.set(len(ids))
         total = sum(
             os.path.getsize(self.segment_path(sid))
@@ -231,6 +258,9 @@ class SegmentedWAL:
         self._bytes_gauge.set(total)
 
     def _track_written(self, byte_count: int) -> None:
+        """Callers pass ``len(text)``: WAL lines are pure ASCII
+        (``canonical_json`` escapes everything else), so characters
+        written equal bytes written."""
         if self._bytes_gauge is not None:
             self._total_bytes += byte_count
             self._bytes_gauge.set(self._total_bytes)
@@ -242,7 +272,8 @@ class SegmentedWAL:
                 self.segment_path(self._segment), "a", encoding="utf-8"
             )
             if created and self._segments_gauge is not None:
-                self._segments_gauge.set(len(self.segment_ids()))
+                self._total_segments += 1
+                self._segments_gauge.set(self._total_segments)
         return self._fh
 
     def _rotate_locked(self) -> None:
@@ -252,13 +283,15 @@ class SegmentedWAL:
             self._fh = None
         self._segment += 1
         self._segment_count = 0
-        self._update_gauges()
 
     # -- appending -----------------------------------------------------------
 
-    def append(self, rec: Dict[str, Any]) -> Tuple[int, int]:
-        """Durably append one record; returns its position."""
-        line = encode_record(rec)
+    def append(
+        self, rec: Dict[str, Any], body: Optional[str] = None
+    ) -> Tuple[int, int]:
+        """Durably append one record; returns its position. ``body`` is
+        the record's pre-encoded ``m`` field (see :func:`encode_record`)."""
+        line = encode_record(rec, body)
         with self._lock:
             if self._segment_count >= self.segment_records:
                 self._rotate_locked()
@@ -276,7 +309,7 @@ class SegmentedWAL:
                 fh = self._handle()
                 fh.write(line + "\n")
                 fh.flush()
-                self._track_written(len(line.encode("utf-8")) + 1)
+                self._track_written(len(line) + 1)
                 if self.fsync == FSYNC_ALWAYS:
                     os.fsync(fh.fileno())
                     if self._fsyncs is not None:
@@ -289,11 +322,10 @@ class SegmentedWAL:
         if not self._buffer:
             return
         fh = self._handle()
-        fh.write("\n".join(self._buffer) + "\n")
+        data = "\n".join(self._buffer) + "\n"
+        fh.write(data)
         fh.flush()
-        self._track_written(
-            sum(len(line.encode("utf-8")) + 1 for line in self._buffer)
-        )
+        self._track_written(len(data))
         if do_fsync:
             os.fsync(fh.fileno())
             if self._fsyncs is not None:

@@ -65,12 +65,15 @@ def counter_increments(message: Message) -> Dict[str, int]:
 
 
 def merge_into(survivor: Message, absorbed: Message) -> None:
-    """Fold ``absorbed`` (the newer write) into ``survivor`` in place.
+    """Fold ``absorbed`` (the newer write) into ``survivor``.
 
     Attributes merge newest-wins, the operation stays a create if the
     survivor was one (the row must still come into existence),
     dependency versions take the per-key max, and counter increments
-    sum so version arithmetic downstream is preserved.
+    sum so version arithmetic downstream is preserved. Every merged
+    field is a fresh container handed to :meth:`Message.rewrite`, which
+    also drops the survivor's cached body: its next WAL record
+    (``coal``, later ``apply``) re-encodes the post-merge payload.
     """
     old_op = survivor.operations[0]
     new_op = absorbed.operations[0]
@@ -80,13 +83,11 @@ def merge_into(survivor: Message, absorbed: Message) -> None:
     merged_op["attributes"] = attributes
     if old_op.get("operation") == "create":
         merged_op["operation"] = "create"
-    survivor.operations = [merged_op]
 
     surv_incr = counter_increments(survivor)
     increments = dict(surv_incr)
     for dep, amount in counter_increments(absorbed).items():
         increments[dep] = increments.get(dep, 0) + amount
-    survivor.increments = increments
 
     # The absorbed message's dependency versions were emitted *after*
     # the survivor's publisher-side bumps, so they assume the survivor
@@ -95,16 +96,25 @@ def merge_into(survivor: Message, absorbed: Message) -> None:
     # survivor's increments per key, or the merged message would wait
     # on bumps it itself carries (a self-deadlock). Per-key max with
     # the survivor's own requirement keeps every external prerequisite.
+    dependencies = dict(survivor.dependencies)
     for dep, version in absorbed.dependencies.items():
         version -= surv_incr.get(dep, 0)
-        if version > survivor.dependencies.get(dep, -1):
-            survivor.dependencies[dep] = version
+        if version > dependencies.get(dep, -1):
+            dependencies[dep] = version
+    external = dict(survivor.external_dependencies)
     for dep, version in absorbed.external_dependencies.items():
-        if version > survivor.external_dependencies.get(dep, -1):
-            survivor.external_dependencies[dep] = version
+        if version > external.get(dep, -1):
+            external[dep] = version
 
-    survivor.coalesced_uids.append(absorbed.uid)
-    survivor.coalesced_uids.extend(absorbed.coalesced_uids)
+    survivor.rewrite(
+        operations=[merged_op],
+        increments=increments,
+        dependencies=dependencies,
+        external_dependencies=external,
+        coalesced_uids=[
+            *survivor.coalesced_uids, absorbed.uid, *absorbed.coalesced_uids
+        ],
+    )
     if survivor.trace is None and absorbed.trace is not None:
         survivor.trace = absorbed.trace
 

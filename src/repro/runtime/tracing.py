@@ -12,6 +12,9 @@ the JSON wire round trip of ``Message.copy()``), accumulating one
     queue.dwell               time spent sitting in the durable queue
     subscriber.dep_wait       waiting for dependency counters
     subscriber.apply          applying the operations through the local ORM
+    wal.append                one WAL record about the message (durability
+                              on: ``out``, then ``pub``/``apply``/``ack``
+                              per queue copy), encode + write
 
 plus point-in-time marks (``queue.enqueued``, ``subscriber.ack``). The
 per-ecosystem :class:`Tracer` is the on/off switch and the sink finished
@@ -58,6 +61,9 @@ STAGE_APPLY = "subscriber.apply"
 #: Group-commit window of the flow-control batched apply: one span per
 #: batched message, covering the whole batch transaction it rode in.
 STAGE_BATCH = "subscriber.batch_apply"
+#: One durability WAL append about the message (encode + write, plus the
+#: fsync under ``always``). Nested inside whichever stage logged it.
+STAGE_WAL = "wal.append"
 
 MARK_ENQUEUED = "queue.enqueued"
 MARK_ACKED = "subscriber.ack"
@@ -81,6 +87,7 @@ PIPELINE_STAGES = (
     STAGE_DEP_WAIT,
     STAGE_APPLY,
     STAGE_BATCH,
+    STAGE_WAL,
     STAGE_AUDIT_DIGEST,
     STAGE_AUDIT_DIFF,
     STAGE_REPAIR_PUBLISH,

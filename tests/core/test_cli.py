@@ -34,6 +34,7 @@ class TestCLI:
         assert "publisher.intercept" in out
         assert "queue.dwell" in out
         assert "subscriber.apply" in out
+        assert "wal.append" in out  # --trace runs with durability on
         assert "total" in out
 
     def test_unknown_command(self, capsys):

@@ -215,6 +215,32 @@ class TestGlobalMode:
         assert sub.subscriber.drain() == 5
         assert SUser.count() == 5
 
+    def test_global_gate_is_bumped_after_the_object_counters(self):
+        """The wire carries dependencies in canonical key order, which
+        puts ``__global__`` first; the subscriber still bumps it last,
+        so a successor admitted by the gate finds every earlier bump in
+        place (and conformance schedules do not depend on JSON key
+        order)."""
+        eco = Ecosystem()
+        pub, User, Post, Comment = build_social_publisher(eco, mode="global")
+        sub, *_ = build_social_subscriber(eco, mode="global")
+        store = sub.subscriber_version_store
+        bumped = []
+        apply_counts = store.apply_counts
+
+        def recording(counts, record_only=False):
+            bumped.append(list(counts))
+            apply_counts(counts, record_only)
+
+        store.apply_counts = recording
+        user = User.create(name="a")
+        Post.create(body="hi", author_id=user.id)
+        wire = sub.subscriber.queue.peek_all()[0].dependencies
+        assert list(wire)[0] == GLOBAL_OBJECT and len(wire) > 1
+        assert sub.subscriber.drain() == 2
+        assert len(bumped) == 2
+        assert all(keys[-1] == GLOBAL_OBJECT and len(keys) > 1 for keys in bumped)
+
     def test_causal_subscriber_of_global_publisher_ignores_global_object(self):
         eco = Ecosystem()
         pub, User, Post, Comment = build_social_publisher(eco, mode="global")

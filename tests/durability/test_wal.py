@@ -75,6 +75,35 @@ class TestAppendReplay:
             SegmentedWAL(str(tmp_path), fsync="sometimes")
 
 
+class TestRotationGauges:
+    def test_rotation_keeps_gauges_without_listing_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """Rotation is O(1): the segments/bytes gauges advance from what
+        the writer itself did, never from a directory listing (one
+        ``listdir`` plus a ``stat`` per segment on every rotation makes
+        a long log between snapshots quadratic)."""
+        from repro.runtime.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        wal = SegmentedWAL(str(tmp_path), segment_records=4, metrics=metrics)
+        listings = []
+        real_listdir = os.listdir
+        monkeypatch.setattr(
+            os, "listdir",
+            lambda path: listings.append(path) or real_listdir(path),
+        )
+        for i in range(18):  # four rotations, five segments
+            wal.append({"t": "ack", "q": "q", "uid": f"pub:{i}"})
+        assert listings == []
+        monkeypatch.undo()
+        gauges = metrics.snapshot("durability.wal.")
+        assert gauges["durability.wal.segments"] == len(wal.segment_ids()) == 5
+        assert gauges["durability.wal.bytes"] == sum(
+            os.path.getsize(wal.segment_path(sid)) for sid in wal.segment_ids()
+        )
+
+
 class TestFsyncPolicies:
     def test_off_reaches_the_file_immediately(self, tmp_path):
         wal = SegmentedWAL(str(tmp_path), fsync="off")
