@@ -168,19 +168,20 @@ class Broker:
     def publish(self, message: Message) -> None:
         """Fan the message out to every bound subscriber queue.
 
-        Each queue receives its own wire-format copy, so subscribers can
-        never observe each other's mutations. The message is serialised
-        *once* per publish; each queue deserialises its own copy from the
-        shared payload and inherits the encoded body it was parsed from,
-        so the WAL records the copy rides in never encode it again.
+        The message is serialised *once* per publish — which is also what
+        refuses a non-serialisable payload here, in the publisher's stack
+        frame. Each local queue receives its own :meth:`Message.delivery`:
+        delivery state and trace are per queue, the (immutable) body and
+        its encoded form are shared, so no queue parses anything and the
+        WAL records a delivery rides in never encode it again.
 
         Under a shard placement, queues owned by other shards receive the
-        same wire payload via the forwarder instead of a local enqueue.
+        wire payload via the forwarder instead of a local enqueue.
         """
         payload: Optional[str] = None
         if self.durability is not None:
             # The one encode of this publish: the ``out`` record, every
-            # queue copy and their ``pub``/``apply`` records all reuse
+            # delivery and their ``pub``/``apply`` records all reuse
             # the body cached here.
             payload = message.to_json()
             # Logged before fan-out: the publisher's version store is
@@ -228,10 +229,10 @@ class Broker:
             if payload is None:
                 payload = message.to_json()
             if message.trace is None:
-                queue.publish(message.wire_copy(payload))
+                queue.publish(message.delivery())
             else:
                 start = trace_now()
-                copy = message.wire_copy(payload)
+                copy = message.delivery()
                 queue.publish(copy)
                 if copy.trace is not None:
                     copy.trace.add(STAGE_ROUTE, start, trace_now() - start)

@@ -2,21 +2,25 @@
 
 A message carries every write of one publisher operation (or one
 transaction), its dependency map, a timestamp and the publisher's
-generation number. The payload is JSON-serialisable end to end — we
-round-trip through ``json`` to guarantee nothing non-serialisable leaks
-across the service boundary.
+generation number. The payload is JSON-serialisable end to end: every
+publish encodes it (:meth:`Message.to_json`), which is what refuses a
+non-serialisable value in the publisher's own stack frame.
 
-A message is encoded **once**: :meth:`Message.body` caches the canonical
-JSON of its wire dict, and everything that needs the serialised form —
-the broker's fan-out (:meth:`Message.to_json`), every queue's wire copy
-(:meth:`Message.wire_copy`) and every WAL record that carries the
-message — reuses those bytes. The cache is sound because a published
-message's body fields are never assigned or mutated in place;
-:meth:`Message.rewrite` (coalescing) is the one sanctioned change and
-drops the cache. Payload dicts must have string keys (they are JSON
-objects): the canonical form sorts keys *before* stringifying them —
-so receivers see every dict in key order, not the sender's insertion
-order, and nothing may depend on either.
+A message is encoded **once** and is **immutable after publish**:
+:meth:`Message.body` caches the canonical JSON of its wire dict, which
+the forwarder to another shard and every WAL record about the message
+reuse. JSON is parsed only across a process boundary
+(:meth:`Message.from_json`: ``Broker.deliver_remote`` and restore); the
+queues of one process each get a :meth:`Message.delivery`, sharing the
+body containers and the cached body and owning only delivery state.
+Sound because body fields are never assigned or mutated in place —
+:meth:`Message.rewrite` (coalescing), the one sanctioned change,
+replaces one delivery's containers and drops its cache — and because
+both edges copy: ``core.marshal`` builds the body in fresh containers,
+the subscriber hands applications copies of its mutable values. Payload
+dicts must have string keys and read in key order everywhere: the
+canonical form sorts them and ``core.marshal`` builds them sorted, so a
+local delivery reads exactly as the wire round trip would.
 """
 
 from __future__ import annotations
@@ -88,8 +92,8 @@ class Message:
         #: counter deficit from lost messages heals without a bootstrap.
         self.repair = repair
         #: End-to-end trace context; None unless the ecosystem tracer is
-        #: enabled. Serialised with the payload so it survives the wire
-        #: round trip of :meth:`copy`.
+        #: enabled. Serialised with the payload so it survives the wire;
+        #: forked per local delivery.
         self.trace = trace
         #: Uids of messages this one absorbed via flow-control
         #: coalescing; their at-least-once obligation is discharged
@@ -187,12 +191,19 @@ class Message:
     def from_json(cls, payload: str) -> "Message":
         return cls.from_wire(json.loads(payload))
 
-    def wire_copy(self, payload: str) -> "Message":
-        """A copy parsed from ``payload``, which must be this message's
-        own :meth:`to_json` output: parsing isolates the copy's
-        containers, and it inherits the cached body it was parsed from."""
-        clone = Message.from_json(payload)
-        clone._body = self._body
+    def delivery(self) -> "Message":
+        """One local queue's delivery of this message: it shares the
+        body containers and the cached body (immutable after publish)
+        and owns what a queue writes — ``seq``, delivery count, dwell
+        bookkeeping and a fork of the trace."""
+        clone = Message.__new__(Message)
+        clone.__dict__.update(self.__dict__)
+        with _seq_lock:
+            clone.seq = next(_seq)
+        clone.delivery_count = 0
+        clone.enqueued_at = clone.dwell = None
+        if self.trace is not None:
+            clone.trace = self.trace.fork()
         return clone
 
     def rewrite(
@@ -221,10 +232,6 @@ class Message:
         if self.increments is not None:
             return self.increments
         return {dep: 1 for dep in self.dependencies}
-
-    def copy(self) -> "Message":
-        """Wire-format round trip: what each subscriber queue stores."""
-        return self.wire_copy(self.to_json())
 
     def __repr__(self) -> str:
         ops = [(op["operation"], op.get("id")) for op in self.operations]

@@ -4,6 +4,11 @@ Each operation record carries the operation kind, the object's full
 inheritance chain (so subscribers can consume polymorphic models, §4.1),
 its id and the published attributes. Virtual attributes are marshalled
 by calling their getters on a hydrated instance.
+
+Marshalling is where a message's body is made: every queue of this
+process shares it unparsed (``Message.delivery``), so it is built in
+fresh containers, in the shape the JSON wire round trip would have
+given it — dict keys sorted, tuples as lists.
 """
 
 from __future__ import annotations
@@ -11,6 +16,19 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.broker.message import Message
+
+
+def wire_value(value: Any) -> Any:
+    """``value`` as the wire delivers it, in containers of its own:
+    dicts in key order (keys must be strings — JSON would sort other
+    keys and then stringify them), tuples as lists; scalars as is."""
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError(f"payload dict keys must be strings: {value!r}")
+        return {key: wire_value(value[key]) for key in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return [wire_value(item) for item in value]
+    return value
 
 
 def marshal_attributes(
@@ -23,13 +41,13 @@ def marshal_attributes(
     """
     out: Dict[str, Any] = {}
     instance = None
-    for name in fields:
+    for name in sorted(fields):
         if name in model_cls._fields:
-            out[name] = row.get(name)
+            out[name] = wire_value(row.get(name))
         elif name in model_cls._virtual_fields:
             if instance is None:
                 instance = model_cls.from_row(row)
-            out[name] = getattr(instance, name)
+            out[name] = wire_value(getattr(instance, name))
         else:
             raise KeyError(f"{model_cls.__name__} has no published field {name!r}")
     return out
@@ -49,10 +67,10 @@ def marshal_operation(
         except Exception:
             attributes = {}
     return {
+        "attributes": attributes,
+        "id": row.get("id"),
         "operation": kind,
         "types": model_cls.type_chain(),
-        "id": row.get("id"),
-        "attributes": attributes,
     }
 
 
@@ -71,12 +89,12 @@ def build_message(
     return Message(
         app=app,
         operations=operations,
-        dependencies=dict(dependencies),
+        dependencies=dict(sorted(dependencies.items())),
         published_at=published_at,
         generation=generation,
         bootstrap=bootstrap,
         repair=repair,
-        external_dependencies=external_dependencies,
+        external_dependencies=dict(sorted((external_dependencies or {}).items())),
         uid=uid,
         cdc=cdc,
     )

@@ -28,6 +28,7 @@ from repro.core.delivery import (
     effective_dependencies,
 )
 from repro.core.dependencies import dep_name
+from repro.core.marshal import wire_value
 from repro.errors import QueueDecommissioned, SubscriptionError
 from repro.orm.associations import snake_case
 from repro.orm.callbacks import run_callbacks
@@ -717,10 +718,13 @@ class SynapseSubscriber:
             return  # this service does not subscribe to the model
         model_cls = spec.model_cls
         kind = operation["operation"]
+        attributes = operation["attributes"]
+        # The body is shared by every local queue and every redelivery:
+        # the application gets its list/dict values as private copies.
         attrs = {
-            local: operation["attributes"][remote]
+            local: wire_value(attributes[remote])
             for remote, local in spec.fields.items()
-            if remote in operation["attributes"]
+            if remote in attributes
         }
         service = self.service
         # Read-path hook (docs/read_path.md): views need the row state

@@ -23,6 +23,7 @@ from repro.runtime.conformance.checker import (
     INV_GATE,
     INV_GLOBAL,
     INV_IDLE,
+    INV_IMMUTABLE,
     INV_LEAK,
     INV_MONOTONE,
     INV_POP,
@@ -66,6 +67,7 @@ __all__ = [
     "INV_GATE",
     "INV_GLOBAL",
     "INV_IDLE",
+    "INV_IMMUTABLE",
     "INV_LEAK",
     "INV_MONOTONE",
     "INV_POP",

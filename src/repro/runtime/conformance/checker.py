@@ -40,6 +40,9 @@ Invariant identifiers (stable, used by tests and the CLI):
   older than the key's last invalidation (no cached read is staler
   than an applied write), and at quiescence every derived read model
   equals a from-scratch recomputation over the base rows.
+- ``body.immutable`` — a finished message still encodes to its cached
+  body: nothing (an application callback above all) wrote into the
+  containers every local queue and every redelivery share.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.broker.message import canonical_json
 from repro.core.delivery import GLOBAL, GLOBAL_OBJECT, WEAK, effective_dependencies
 
 INV_CAUSAL = "causal.dependency-order"
@@ -65,6 +69,7 @@ INV_DURABLE = "durability.restore-equivalence"
 INV_VIEW = "views.read-freshness"
 INV_CDC = "cdc.outbox-delivery"
 INV_SAGA = "saga.inventory-balance"
+INV_IMMUTABLE = "body.immutable"
 
 
 @dataclass
@@ -276,6 +281,12 @@ class DeliveryChecker:
 
     def _on_msg_finished(self, info: Dict[str, Any]) -> None:
         message = info["message"]
+        if canonical_json(message.to_wire()) != message.body():
+            self.violation(
+                INV_IMMUTABLE,
+                f"message {message.uid} no longer encodes to its cached body "
+                "— its shared containers were written to after publish",
+            )
         fate = self.entered.get(message.uid)
         if fate is not None:
             fate.finishes += 1

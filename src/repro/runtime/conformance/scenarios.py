@@ -85,7 +85,7 @@ GATE_RACE_MARKER = "generation.deferred"
 #: (``worker.no-silent-death``); with the fix the ack is a tolerated
 #: no-op (``queue.ack.tolerated`` appears in the trace).
 DECOMMISSION_ACK_SCHEDULE = ScheduleConfig(
-    mode="causal", seed=2, workers=3, messages=12, queue_limit=4
+    mode="causal", seed=0, workers=3, messages=12, queue_limit=4
 )
 DECOMMISSION_ACK_MARKER = "queue.ack.tolerated"
 

@@ -1,14 +1,14 @@
 """End-to-end tracing of the publish→route→apply hot path.
 
 A :class:`Trace` rides inside the Fig 6(b) message envelope (it survives
-the JSON wire round trip of ``Message.copy()``), accumulating one
+the JSON wire round trip and is forked per local delivery), accumulating one
 :class:`Span` per pipeline stage:
 
     publisher.intercept       the whole ORM-intercepted write
     publisher.collect_deps    dependency collection from the controller ctx
     publisher.version_register  version-store counter bumps
     publisher.engine_write    the underlying engine write
-    broker.route              wire-copy + enqueue into one subscriber queue
+    broker.route              delivery + enqueue into one subscriber queue
     queue.dwell               time spent sitting in the durable queue
     subscriber.dep_wait       waiting for dependency counters
     subscriber.apply          applying the operations through the local ORM
@@ -214,6 +214,11 @@ class Trace:
 
     def mark(self, name: str, at: Optional[float] = None) -> None:
         self.marks[name] = trace_now() if at is None else at
+
+    def fork(self) -> "Trace":
+        """An independent continuation: what the wire round trip of one
+        delivery yields (spans are never modified once recorded)."""
+        return Trace(self.app, self.spans, self.marks, self.trace_id, self.origin)
 
     def stages(self) -> List[str]:
         return [span.stage for span in self.spans]

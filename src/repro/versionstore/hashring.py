@@ -41,6 +41,8 @@ class HashRing:
         self._ring = [(p, n) for p, n in self._ring if n is not node]
 
     def node_for(self, key: str) -> Any:
+        if len(self._nodes) == 1:
+            return self._nodes[0]  # nothing to choose: skip the hash
         point = stable_hash(key)
         idx = bisect.bisect_right(self._ring, (point, object())) % len(self._ring)
         return self._ring[idx][1]

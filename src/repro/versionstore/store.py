@@ -12,9 +12,13 @@ the message; after processing, the counter of every (non-external)
 dependency is incremented.
 
 All counter updates run as atomic scripts on Redis-like shards behind a
-consistent-hash ring. Dependency names can be hashed into a fixed space
-for O(1) memory — a 1-entry space degenerates to global ordering, the
-ablation the paper points out.
+consistent-hash ring: one step over one message (register, dependency
+check, post-apply bump) is *one* script per shard owning any of its
+keys, not a round trip per key; inside the script each key is still its
+own ``hget``/``hset``, which is what engine statistics and fault plans
+see. Dependency names can be hashed into a fixed space for O(1) memory —
+a 1-entry space degenerates to global ordering, the ablation the paper
+points out.
 """
 
 from __future__ import annotations
@@ -67,6 +71,20 @@ class ShardedKV:
 
     def eval_on(self, key: str, script) -> Any:
         return self.shard_for(key).eval(script)
+
+    def by_shard(self, steps: List[tuple]) -> Dict[RedisLike, List[tuple]]:
+        """Group script steps (tuples led by their key) by owning shard,
+        in order within a shard; shards come in the order of their
+        *last* step, so the last step given runs last of all."""
+        if len(self.shards) == 1:
+            return {self.shards[0]: steps} if steps else {}
+        groups: Dict[RedisLike, List[tuple]] = {}
+        for step in steps:
+            shard = self.shard_for(step[0])
+            group = groups.pop(shard, [])
+            group.append(step)
+            groups[shard] = group
+        return groups
 
     def entries(self, prefix: str = "") -> Dict[str, Dict[str, Any]]:
         """All hashes under ``prefix`` across every shard (bootstrap bulk
@@ -150,38 +168,44 @@ class PublisherVersionStore:
     def release_locks(self, held: List[threading.Lock]) -> None:
         self.locks.release(held)
 
-    def bump(self, dep: str, is_write: bool) -> int:
-        """Increment ``ops`` (and ``version`` for writes); return the
-        version number to embed in the message."""
+    def _bump(self, store: RedisLike, key: str, is_write: bool) -> int:
+        """Script body for one key: increment ``ops`` (and ``version``
+        for writes); return the version number to embed in the message."""
         if self._bumps is not None:
             self._bumps.increment()
-        key = self._key(self.hasher.hash(dep))
-
-        def script(store: RedisLike) -> int:
-            ops = (store.hget(key, "ops") or 0) + 1
-            store.hset(key, "ops", ops)
-            if is_write:
-                store.hset(key, "version", ops)
-                return ops - 1
-            return store.hget(key, "version") or 0
-
-        return self.kv.eval_on(key, script)
+        ops = (store.hget(key, "ops") or 0) + 1
+        store.hset(key, "ops", ops)
+        if is_write:
+            store.hset(key, "version", ops)
+            return ops - 1
+        return store.hget(key, "version") or 0
 
     def register_operation(
         self, read_deps: Iterable[str], write_deps: Iterable[str]
     ) -> Dict[str, int]:
-        """Bump every dependency; returns {hashed_dep: message_version}.
+        """Bump every dependency, one script per shard; returns
+        {hashed_dep: message_version}.
 
         Write-dep versions win when a name appears as both (hash
         collisions or explicit duplicates).
         """
         versions: Dict[str, int] = {}
+        steps: List[tuple] = []
         for dep in read_deps:
             hashed = self.hasher.hash(dep)
             if hashed not in versions:
-                versions[hashed] = self.bump(dep, is_write=False)
+                versions[hashed] = 0  # claimed; the script fills it in
+                steps.append((self._key(hashed), hashed, False))
         for dep in write_deps:
-            versions[self.hasher.hash(dep)] = self.bump(dep, is_write=True)
+            hashed = self.hasher.hash(dep)
+            steps.append((self._key(hashed), hashed, True))
+        for shard, group in self.kv.by_shard(steps).items():
+
+            def script(store: RedisLike, group: List[tuple] = group) -> None:
+                for key, hashed, is_write in group:
+                    versions[hashed] = self._bump(store, key, is_write)
+
+            shard.eval(script)
         return versions
 
     # -- introspection / bootstrap -------------------------------------------
@@ -269,7 +293,17 @@ class SubscriberVersionStore:
         )
 
     def satisfied(self, dependencies: Dict[str, int]) -> bool:
-        return all(self.ops(dep) >= version for dep, version in dependencies.items())
+        steps = [(self._key(dep), version) for dep, version in dependencies.items()]
+        for shard, group in self.kv.by_shard(steps).items():
+
+            def script(store: RedisLike, group: List[tuple] = group) -> bool:
+                return all(
+                    (store.hget(key, "ops") or 0) >= version for key, version in group
+                )
+
+            if not shard.eval(script):
+                return False
+        return True
 
     def missing(self, dependencies: Dict[str, int]) -> Dict[str, Tuple[int, int]]:
         """Unsatisfied deps -> (required, current); for diagnostics."""
@@ -287,7 +321,8 @@ class SubscriberVersionStore:
     def apply_counts(
         self, counts: Dict[str, int], record_only: bool = False
     ) -> None:
-        """Post-processing bump of each dependency by ``counts[dep]``.
+        """Post-processing bump of each dependency by ``counts[dep]``;
+        the last one (global mode's gate counter) is bumped last.
 
         Coalesced messages carry summed increments, and batched apply
         bumps per message inside the group-commit transaction —
@@ -296,23 +331,22 @@ class SubscriberVersionStore:
         (a suspended scheduler step would deadlock the harness).
         """
         emit = observe_point if record_only else yield_point
-        for dep, amount in counts.items():
-            if amount <= 0:
-                continue
-            emit("counter.bump", dep=dep)
-            if self._applied is not None:
-                self._applied.increment(amount)
-            key = self._key(dep)
+        steps = [(self._key(d), d, n) for d, n in counts.items() if n > 0]
+        for shard, group in self.kv.by_shard(steps).items():
+            for _key, dep, amount in group:
+                emit("counter.bump", dep=dep)
+                if self._applied is not None:
+                    self._applied.increment(amount)
 
-            def script(
-                store: RedisLike, key: str = key, amount: int = amount
-            ) -> int:
-                ops = (store.hget(key, "ops") or 0) + amount
-                store.hset(key, "ops", ops)
-                return ops
+            def script(store: RedisLike, group: List[tuple] = group) -> None:
+                for key, dep, amount in group:
+                    ops = (store.hget(key, "ops") or 0) + amount
+                    store.hset(key, "ops", ops)
+                    # Record-only and inside the script: reported a step
+                    # later, a newer bump's report could overtake it.
+                    observe_point("counter.bumped", dep=dep, value=ops)
 
-            value = self.kv.eval_on(key, script)
-            emit("counter.bumped", dep=dep, value=value)
+            shard.eval(script)
         with self._waiters:
             self._waiters.notify_all()
 

@@ -1,9 +1,12 @@
 """Unit tests for the message broker and subscriber queues."""
 
+import json
+
 import pytest
 
 from repro.broker import Broker, Message, SubscriberQueue
 from repro.errors import BrokerError, QueueDecommissioned
+from repro.runtime.tracing import Trace
 
 
 def make_message(app="pub", op_id=1, deps=None):
@@ -27,7 +30,7 @@ class TestMessage:
 
     def test_copy_is_independent(self):
         msg = make_message()
-        clone = msg.copy()
+        clone = Message.from_json(msg.to_json())
         clone.operations[0]["attributes"]["name"] = "mutated"
         assert msg.operations[0]["attributes"]["name"] == "x"
 
@@ -122,13 +125,45 @@ class TestBrokerRouting:
         assert len(q) == 2
 
     def test_copies_are_isolated_between_queues(self):
+        """Each queue owns its delivery — delivery state, trace, and the
+        one sanctioned body change (``rewrite``) — and shares the
+        immutable body and its encoded form with the others."""
         broker = Broker()
         q1 = broker.bind("sub1", "pub")
         q2 = broker.bind("sub2", "pub")
-        broker.publish(make_message(app="pub"))
+        published = make_message(app="pub", deps={"u1": 3})
+        published.trace = Trace(app="pub", trace_id=published.uid)
+        published.trace.add("publisher.intercept", 1.0, 0.5)
+        broker.publish(published)
         m1 = q1.pop()
-        m1.operations[0]["attributes"]["name"] = "mutated"
-        assert q2.pop().operations[0]["attributes"]["name"] == "x"
+        (m2,) = q2.peek_all()
+        assert m1.uid == m2.uid == published.uid
+        assert len({published.seq, m1.seq, m2.seq}) == 3
+        assert (m1.delivery_count, m2.delivery_count) == (1, 0)
+        assert m1.dwell is not None and m2.dwell is None
+        # The trace forks per delivery: q1's dwell span and ack never
+        # reach q2's or the publisher's.
+        assert m1.trace.stages().count("queue.dwell") == 1
+        assert "queue.dwell" not in m2.trace.stages()
+        assert published.trace.stages() == ["publisher.intercept"]
+        q1.ack(m1)
+        assert m1.trace is None and m2.trace is not None
+        # Body containers and the encoded body are shared, not parsed.
+        assert m1.operations is m2.operations is published.operations
+        assert m1.dependencies is published.dependencies
+        assert m1.body() is m2.body() is published.body()
+        # Coalescing rewrites one delivery; the others keep theirs.
+        m1.rewrite(
+            operations=[dict(m1.operations[0], attributes={"name": "merged"})],
+            dependencies={"u1": 4},
+            external_dependencies={},
+            increments={"u1": 2},
+            coalesced_uids=["pub:99"],
+        )
+        assert m2.operations[0]["attributes"] == {"name": "x"}
+        assert m2.dependencies == {"u1": 3} and m2.increments is None
+        assert m2.body() is published.body() and m1.body() != m2.body()
+        assert json.loads(m1.body())["coalesced_uids"] == ["pub:99"]
 
     def test_backlog_and_subscribers_of(self):
         broker = Broker()

@@ -83,7 +83,7 @@ class TestRegistryReconciliation:
             sub_queue = sub.subscriber.queue
             store_before = sub.subscriber.processed_messages
             for message in captured[:REDELIVERIES]:
-                sub_queue.publish(message.copy())
+                sub_queue.publish(message.delivery())
             assert pool.wait_until_idle(timeout=30)
             deadlocked = pool.deadlocked_messages
 

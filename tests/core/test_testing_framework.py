@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.broker import Message
 from repro.core import Ecosystem
 from repro.core.testing import ModelFactory, PublisherFactoryFile, check_ecosystem
 from repro.databases.document import MongoLike
@@ -79,7 +80,7 @@ class TestPublisherFactoryFile:
         assert op["types"] == ["User"]
         assert set(op["attributes"]) == {"name", "email"}
         # Round-trips through the wire format.
-        assert message.copy().operations == message.operations
+        assert Message.from_json(message.to_json()).operations == message.operations
 
     def test_deliver_runs_subscriber_integration(self, eco):
         """A subscriber test can run without the publisher app running."""

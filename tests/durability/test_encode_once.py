@@ -6,7 +6,8 @@ Each test fails with its half of the mechanism reverted: the
 single-pass ``encode_record`` (format drift), ``Message.rewrite``
 dropping the cached body (stale ``coal`` records), ``from_wire`` not
 trusting foreign bytes (CRC-failing ``pub`` records), the trace staying
-out of the cached body, and the per-publish encode/decode counts.
+out of the cached body, and the per-publish encode/decode counts (one
+encode, and — every queue being local — no decode at all).
 """
 
 from __future__ import annotations
@@ -282,9 +283,10 @@ def test_durable_fanout_encodes_once_per_publish(tmp_path, monkeypatch):
                 docs[0].save()
         for sub in subs:
             assert sub.subscriber.drain() == 1
-        # out + 3 x (pub, apply, ack); every body from the one encode.
+        # out + 3 x (pub, apply, ack); every body from the one encode,
+        # and no local queue parses it back.
         assert eco.metrics.value("durability.wal.appends") - appends == 10
-        assert counts.take() == (1, 3)
+        assert counts.take() == (1, 0)
     for sub in subs:
         assert replicas_in_sync(pub, sub)
 
@@ -297,4 +299,4 @@ def test_plain_fanout_encodes_once_per_publish(monkeypatch):
             PubDoc.create(name=f"doc-{i}", value=i)
         for sub in subs:
             assert sub.subscriber.drain() == 1
-        assert counts.take() == (1, 3)
+        assert counts.take() == (1, 0)

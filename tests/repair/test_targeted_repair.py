@@ -10,6 +10,7 @@ no decommission, no full re-bootstrap.
 
 import pytest
 
+from repro.broker import Message
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
@@ -153,7 +154,7 @@ class TestLossRepair:
         assert message.dependencies           # carries version counters
         assert message.generation == pub.current_generation()
         # Wire round trip preserves the flag.
-        assert message.copy().repair is True
+        assert Message.from_json(message.to_json()).repair is True
 
     def test_batching_splits_large_divergence(self, eco):
         pub, sub, users = build_pair(eco, objects=12)

@@ -83,7 +83,7 @@ class TestMergeArithmetic:
     def test_merged_message_survives_the_wire(self):
         survivor = write(deps={"k": 2})
         merge_into(survivor, write(deps={"k": 3}))
-        copied = survivor.copy()
+        copied = Message.from_json(survivor.to_json())
         assert copied.counter_increments() == {"k": 2}
         assert copied.coalesced_uids == survivor.coalesced_uids
 

@@ -135,7 +135,7 @@ class TestPublisherAlgorithm:
 
         def worker():
             for _ in range(100):
-                store.bump("obj", is_write=True)
+                store.register_operation([], ["obj"])
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
