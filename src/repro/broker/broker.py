@@ -168,12 +168,16 @@ class Broker:
     def publish(self, message: Message) -> None:
         """Fan the message out to every bound subscriber queue.
 
-        The message is serialised *once* per publish — which is also what
-        refuses a non-serialisable payload here, in the publisher's stack
-        frame. Each local queue receives its own :meth:`Message.delivery`:
-        delivery state and trace are per queue, the (immutable) body and
-        its encoded form are shared, so no queue parses anything and the
-        WAL records a delivery rides in never encode it again.
+        The message is serialised only where bytes are consumed: for the
+        ``out`` record when durability is attached, for the forwarder when
+        a target queue lives on another shard — at most once per publish,
+        and not at all when every queue is local and nothing is logged (a
+        non-serialisable value was already refused where the body was
+        built, ``core.marshal.wire_value``). Each local queue receives its
+        own :meth:`Message.delivery`: delivery state and trace are per
+        queue, the (immutable) body and the cell its encoded form lands in
+        are shared, so no queue parses anything and the WAL records a
+        delivery rides in never encode it again.
 
         Under a shard placement, queues owned by other shards receive the
         wire payload via the forwarder instead of a local enqueue.
@@ -181,8 +185,8 @@ class Broker:
         payload: Optional[str] = None
         if self.durability is not None:
             # The one encode of this publish: the ``out`` record, every
-            # delivery and their ``pub``/``apply`` records all reuse
-            # the body cached here.
+            # delivery's ``pub``/``apply`` records and the forwarder all
+            # reuse the body this fills the shared cell with.
             payload = message.to_json()
             # Logged before fan-out: the publisher's version store is
             # already bumped, so the record carries the counter state a
@@ -226,8 +230,6 @@ class Broker:
                         app=message.app,
                     )
                 continue
-            if payload is None:
-                payload = message.to_json()
             if message.trace is None:
                 queue.publish(message.delivery())
             else:

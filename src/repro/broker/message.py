@@ -2,22 +2,25 @@
 
 A message carries every write of one publisher operation (or one
 transaction), its dependency map, a timestamp and the publisher's
-generation number. The payload is JSON-serialisable end to end: every
-publish encodes it (:meth:`Message.to_json`), which is what refuses a
-non-serialisable value in the publisher's own stack frame.
+generation number. The payload is JSON-serialisable end to end, which
+is settled where the body is built (``core.marshal.wire_value`` refuses
+any other value), not by encoding it.
 
-A message is encoded **once** and is **immutable after publish**:
-:meth:`Message.body` caches the canonical JSON of its wire dict, which
-the forwarder to another shard and every WAL record about the message
-reuse. JSON is parsed only across a process boundary
-(:meth:`Message.from_json`: ``Broker.deliver_remote`` and restore); the
-queues of one process each get a :meth:`Message.delivery`, sharing the
-body containers and the cached body and owning only delivery state.
-Sound because body fields are never assigned or mutated in place —
-:meth:`Message.rewrite` (coalescing), the one sanctioned change,
-replaces one delivery's containers and drops its cache — and because
-both edges copy: ``core.marshal`` builds the body in fresh containers,
-the subscriber hands applications copies of its mutable values. Payload
+A message is encoded **at most once**, on first use, and is **immutable
+after publish**: :meth:`Message.body` is the canonical JSON of its wire
+dict, built when the first consumer of bytes asks — a WAL record about
+the message or the forwarder to another shard — and kept in a cell that
+every delivery of the publish shares, so whoever asks first fills it
+for all. A message nobody logs or ships is never serialised. JSON is
+parsed only across a process boundary (:meth:`Message.from_json`:
+``Broker.deliver_remote`` and restore); the queues of one process each
+get a :meth:`Message.delivery`, sharing the body containers and the
+body cell and owning only delivery state. Sound because body fields are
+never assigned or mutated in place — :meth:`Message.rewrite`
+(coalescing), the one sanctioned change, replaces one delivery's
+containers and gives it an empty cell of its own — and because both
+edges copy: ``core.marshal`` builds the body in fresh containers, the
+subscriber hands applications copies of its mutable values. Payload
 dicts must have string keys and read in key order everywhere: the
 canonical form sorts them and ``core.marshal`` builds them sorted, so a
 local delivery reads exactly as the wire round trip would.
@@ -116,8 +119,9 @@ class Message:
         #: runtime state of one queue's copy, never serialised.
         self.enqueued_at: Optional[float] = None
         self.dwell: Optional[float] = None
-        #: Cached :meth:`body`; ``None`` until first needed.
-        self._body: Optional[str] = None
+        #: One-slot cell holding :meth:`body`, ``None`` until the first
+        #: consumer asks; shared by every :meth:`delivery`.
+        self._body: List[Optional[str]] = [None]
 
     def to_wire(self) -> Dict[str, Any]:
         """The wire payload as a dict, trace excluded (traces are runtime
@@ -146,10 +150,12 @@ class Message:
 
     def body(self) -> str:
         """Canonical JSON of :meth:`to_wire`, encoded on first use and
-        cached — what WAL records embed and ``to_json`` extends."""
-        body = self._body
+        kept for every delivery of this publish — what WAL records
+        embed and ``to_json`` extends."""
+        cell = self._body
+        body = cell[0]
         if body is None:
-            body = self._body = canonical_json(self.to_wire())
+            body = cell[0] = canonical_json(self.to_wire())
         return body
 
     def to_json(self) -> str:
@@ -193,7 +199,7 @@ class Message:
 
     def delivery(self) -> "Message":
         """One local queue's delivery of this message: it shares the
-        body containers and the cached body (immutable after publish)
+        body containers and the body cell (immutable after publish)
         and owns what a queue writes — ``seq``, delivery count, dwell
         bookkeeping and a fork of the trace."""
         clone = Message.__new__(Message)
@@ -224,7 +230,7 @@ class Message:
         self.external_dependencies = external_dependencies
         self.increments = increments
         self.coalesced_uids = coalesced_uids
-        self._body = None
+        self._body = [None]
 
     def counter_increments(self) -> Dict[str, int]:
         """Per-dependency counter bumps on apply: the plain §4.2 rule

@@ -8,7 +8,10 @@ by calling their getters on a hydrated instance.
 Marshalling is where a message's body is made: every queue of this
 process shares it unparsed (``Message.delivery``), so it is built in
 fresh containers, in the shape the JSON wire round trip would have
-given it — dict keys sorted, tuples as lists.
+given it — dict keys sorted, tuples as lists. It is also where a value
+JSON cannot carry is refused: a message whose queues are all local is
+never encoded, so :func:`wire_value`, which visits every published
+value anyway, applies the encoder's accept/reject rule itself.
 """
 
 from __future__ import annotations
@@ -21,14 +24,21 @@ from repro.broker.message import Message
 def wire_value(value: Any) -> Any:
     """``value`` as the wire delivers it, in containers of its own:
     dicts in key order (keys must be strings — JSON would sort other
-    keys and then stringify them), tuples as lists; scalars as is."""
+    keys and then stringify them), tuples as lists; scalars as is.
+    Raises ``TypeError`` for anything ``canonical_json`` would refuse
+    (a set, bytes, a ``Decimal``, a ``datetime``, any other object)."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):
             raise TypeError(f"payload dict keys must be strings: {value!r}")
         return {key: wire_value(value[key]) for key in sorted(value)}
     if isinstance(value, (list, tuple)):
         return [wire_value(item) for item in value]
-    return value
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable: "
+        f"{value!r}"
+    )
 
 
 def marshal_attributes(

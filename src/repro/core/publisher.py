@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.delivery import GLOBAL, GLOBAL_OBJECT, WEAK
 from repro.core.dependencies import dep_name
-from repro.core.marshal import build_message, marshal_operation
+from repro.core.marshal import build_message, marshal_operation, wire_value
 from repro.errors import DecoratorViolation, FaultInjected
 from repro.orm.mapper import ReadEvent, Row, WriteIntent
 from repro.runtime.tracing import (
@@ -108,6 +108,13 @@ class SynapsePublisher:
                 f"{service.name!r} decorates {model_cls.__name__} and may not "
                 f"{intent.kind} its instances (§3.1)"
             )
+        # A value the wire cannot carry is refused here, before the
+        # engine write and the version bump: afterwards the row and the
+        # counter would stand with no message to carry them, and every
+        # causal subscriber would wait on that version for ever.
+        for name in pub_fields:
+            if name in intent.attrs:
+                wire_value(intent.attrs[name])
 
         txn = self._current_transaction(model_cls)
         if txn is not None:

@@ -30,9 +30,8 @@ from repro.core.delivery import (
 from repro.core.dependencies import dep_name
 from repro.core.marshal import wire_value
 from repro.errors import QueueDecommissioned, SubscriptionError
-from repro.orm.associations import snake_case
 from repro.orm.callbacks import run_callbacks
-from repro.orm.model import pluralize
+from repro.orm.model import table_for_type
 from repro.runtime.interleave import observe_point, yield_point
 from repro.runtime.tracing import (
     STAGE_APPLY,
@@ -54,10 +53,6 @@ class SubscriptionSpec:
     fields: Dict[str, str]
     mode: str
     observer: bool = False
-
-
-def table_for_type(type_name: str) -> str:
-    return pluralize(snake_case(type_name))
 
 
 def _by_seq(message: Message) -> int:

@@ -7,6 +7,7 @@ model callbacks fire before/after every operation.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Any, Dict, List, Optional, Type
 
@@ -29,6 +30,14 @@ def pluralize(word: str) -> str:
     if word.endswith(("s", "x", "z", "ch", "sh")):
         return word + "es"
     return word + "s"
+
+
+@functools.lru_cache(maxsize=1024)
+def table_for_type(type_name: str) -> str:
+    """Table of the model named ``type_name``: a pure function of the
+    name that every write, read and apply asks for, so it is computed
+    once per name."""
+    return pluralize(snake_case(type_name))
 
 
 class ModelMeta(type):
@@ -56,6 +65,9 @@ class ModelMeta(type):
         cls._fields = fields
         cls._virtual_fields = virtuals
         cls._callbacks = collect_callbacks(namespace, bases)
+        # The model classes of the MRO, root excluded (it comes last):
+        # what :meth:`Model.type_chain` names, walked once per class.
+        cls._lineage = tuple(k for k in cls.__mro__ if isinstance(k, ModelMeta))[:-1]
         return cls
 
 
@@ -123,7 +135,7 @@ class Model(metaclass=ModelMeta):
 
     @classmethod
     def table_name(cls) -> str:
-        return pluralize(snake_case(cls.__name__))
+        return table_for_type(cls.__name__)
 
     @classmethod
     def persisted_fields(cls) -> Dict[str, Field]:
@@ -132,14 +144,9 @@ class Model(metaclass=ModelMeta):
     @classmethod
     def type_chain(cls) -> List[str]:
         """Class names from this model up to (excluding) Model — the
-        inheritance tree marshalled for polymorphic subscribers (§4.1)."""
-        chain = []
-        for klass in cls.__mro__:
-            if klass is Model:
-                break
-            if issubclass(klass, Model) and klass is not Model:
-                chain.append(klass.__name__)
-        return chain
+        inheritance tree marshalled for polymorphic subscribers (§4.1).
+        A fresh list each call: it becomes part of a message body."""
+        return [klass.__name__ for klass in cls._lineage]
 
     @classmethod
     def _mapper(cls) -> Mapper:

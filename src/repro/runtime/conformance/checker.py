@@ -40,9 +40,11 @@ Invariant identifiers (stable, used by tests and the CLI):
   older than the key's last invalidation (no cached read is staler
   than an applied write), and at quiescence every derived read model
   equals a from-scratch recomputation over the base rows.
-- ``body.immutable`` — a finished message still encodes to its cached
-  body: nothing (an application callback above all) wrote into the
-  containers every local queue and every redelivery share.
+- ``body.immutable`` — a finished message still encodes to what it
+  encoded to when it entered the queue (the checker's own reference —
+  the product may never have encoded it): nothing, an application
+  callback above all, wrote into the containers every local queue and
+  every redelivery share.
 """
 
 from __future__ import annotations
@@ -114,6 +116,10 @@ class DeliveryChecker:
         self.tolerated_acks = 0
         self.tolerated_nacks = 0
         self.queue_decommissioned = False
+        #: delivery seq -> canonical JSON of the message as it entered
+        #: the queue (or was last merged into, or first popped when the
+        #: publish was not observed): INV_IMMUTABLE's reference.
+        self._reference: Dict[int, str] = {}
         #: Set by the harness when the schedule runs with views: the
         #: quiescent aggregate check compares incremental vs recomputed.
         self.views: Optional[Any] = None
@@ -153,12 +159,16 @@ class DeliveryChecker:
     def _on_queue_published(self, info: Dict[str, Any]) -> None:
         message = info["message"]
         self.entered.setdefault(message.uid, _MessageFate(message))
+        self._reference[message.seq] = canonical_json(message.to_wire())
 
     def _on_queue_decommissioned(self, info: Dict[str, Any]) -> None:
         self.queue_decommissioned = True
 
     def _on_queue_popped(self, info: Dict[str, Any]) -> None:
-        self.in_flight[info["message"].uid] = info["message"]
+        message = info["message"]
+        self.in_flight[message.uid] = message
+        if message.seq not in self._reference:  # restored, or bound late
+            self._reference[message.seq] = canonical_json(message.to_wire())
 
     def _on_queue_acked(self, info: Dict[str, Any]) -> None:
         self.in_flight.pop(info["message"].uid, None)
@@ -200,6 +210,7 @@ class DeliveryChecker:
         message, survivor = info["message"], info["into"]
         self.entered.setdefault(message.uid, _MessageFate(message))
         self.coalesced_into[message.uid] = survivor.uid
+        self._reference[survivor.seq] = canonical_json(survivor.to_wire())
 
     # -- read path (views + cache) --------------------------------------------
 
@@ -281,11 +292,13 @@ class DeliveryChecker:
 
     def _on_msg_finished(self, info: Dict[str, Any]) -> None:
         message = info["message"]
-        if canonical_json(message.to_wire()) != message.body():
+        reference = self._reference.pop(message.seq, None)
+        if reference is not None and canonical_json(message.to_wire()) != reference:
             self.violation(
                 INV_IMMUTABLE,
-                f"message {message.uid} no longer encodes to its cached body "
-                "— its shared containers were written to after publish",
+                f"message {message.uid} no longer encodes as it did when it "
+                "was queued — its shared containers were written to after "
+                "publish",
             )
         fate = self.entered.get(message.uid)
         if fate is not None:

@@ -92,10 +92,12 @@ def test_one_subscribers_mutation_never_reaches_another():
     assert queued.operations[0]["attributes"]["tags"] == ["b"]
 
 
-def body_immutable_scenario():
+def body_immutable_scenario(listen_from):
     """Directed scenario for ``body.immutable``: a subscriber callback
     appends to a list *nested* in a replicated attribute while the
-    conformance checker listens; returns the checker's violations."""
+    conformance checker listens — from before the publish, or only
+    from the pop (a restored backlog); returns the checker's
+    violations."""
     eco = Ecosystem()
     pub = eco.service("pub", database=MongoLike("pub-db"))
 
@@ -113,15 +115,18 @@ def body_immutable_scenario():
         def tag(self):
             self.meta["tags"].append("seen")
 
-    with pub.controller():
-        PubDoc.create(meta={"tags": ["a"]})
     checker = DeliveryChecker(sub.subscriber)
 
     def hook(label, info, pause):
         checker.on_event(-1, "drain", label, info)
 
-    install_hook(hook)
+    if listen_from == "publish":
+        install_hook(hook)
     try:
+        with pub.controller():
+            PubDoc.create(meta={"tags": ["a"]})
+        if listen_from == "pop":
+            install_hook(hook)
         assert sub.subscriber.drain() == 1
     finally:
         uninstall_hook(hook)
@@ -129,15 +134,31 @@ def body_immutable_scenario():
 
 
 def test_checker_catches_a_write_into_the_shared_body():
-    """The checker re-encodes every finished message against its cached
-    body: silent with the boundary copy, fires with it reverted."""
-    assert body_immutable_scenario() == []
-    with mock.patch("repro.core.subscriber.wire_value", lambda value: value):
-        violations = body_immutable_scenario()
-    assert [v.invariant for v in violations] == [INV_IMMUTABLE]
+    """The checker re-encodes every finished message against the
+    reference it took itself when the message was queued (nothing is
+    logged or shipped here, so the product never encoded it): silent
+    with the boundary copy, fires with it reverted."""
+    for listen_from in ("publish", "pop"):
+        assert body_immutable_scenario(listen_from) == []
+        with mock.patch("repro.core.subscriber.wire_value", lambda value: value):
+            violations = body_immutable_scenario(listen_from)
+        assert [v.invariant for v in violations] == [INV_IMMUTABLE]
 
 
 # -- no JSON parse without a process boundary ----------------------------------
+
+def publish_update_drain(pub, PubDoc, subs):
+    """A create and an update, applied and acked at every subscriber."""
+    with pub.controller():
+        doc = PubDoc.create(tags=["a"])
+    with pub.controller():
+        doc.tags = ["b"]
+        doc.save()
+    for sub, SubDoc in subs.values():
+        assert sub.subscriber.drain() == 2
+        assert SubDoc.find(doc.id).tags[0] == "b"
+        assert sub.subscriber.queue.stats()["acked"] == 2
+
 
 def test_in_process_publish_apply_ack_never_parses_json():
     pub, PubDoc, subs = tagging_pipeline(["sub_a", "sub_b", "sub_c"])
@@ -146,15 +167,18 @@ def test_in_process_publish_apply_ack_never_parses_json():
     ), mock.patch.object(
         Message, "from_wire", side_effect=AssertionError("rebuilt a local delivery")
     ):
-        with pub.controller():
-            doc = PubDoc.create(tags=["a"])
-        with pub.controller():
-            doc.tags = ["b"]
-            doc.save()
-        for sub, SubDoc in subs.values():
-            assert sub.subscriber.drain() == 2
-            assert SubDoc.find(doc.id).tags[0] == "b"
-            assert sub.subscriber.queue.stats()["acked"] == 2
+        publish_update_drain(pub, PubDoc, subs)
+
+
+def test_in_process_publish_apply_ack_never_encodes_json():
+    """Nothing logs or ships these messages, so nothing may serialise
+    them: not the publish, not the apply, not the ack."""
+    pub, PubDoc, subs = tagging_pipeline(["sub_a", "sub_b", "sub_c"])
+    refuse = AssertionError("encoded a message nobody ships or logs")
+    with mock.patch.object(Message, "to_json", side_effect=refuse), \
+            mock.patch.object(Message, "body", side_effect=refuse), \
+            mock.patch("repro.broker.message.canonical_json", side_effect=refuse):
+        publish_update_drain(pub, PubDoc, subs)
 
 
 # -- a local delivery reads as the wire round trip would -----------------------

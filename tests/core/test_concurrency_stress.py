@@ -44,6 +44,18 @@ def build(eco):
         sub.registry["User"], sub.registry["Post"]
 
 
+def stall_report(sub):
+    """What a pool that failed to go idle was waiting on: the unmet
+    dependency counters of the queued messages as ``(required, seen)``,
+    the queue's accounting, and the deliveries popped but never acked."""
+    queue = sub.subscriber.queue
+    return {
+        "stuck_dependencies": sub.subscriber.stuck_dependencies(),
+        "queue": queue.stats(),
+        "unacked": [message.uid for message in queue.peek_unacked()],
+    }
+
+
 class TestConcurrentPipeline:
     def test_concurrent_publishers_and_workers(self):
         eco = Ecosystem()
@@ -69,7 +81,7 @@ class TestConcurrentPipeline:
                 t.start()
             for t in threads:
                 t.join()
-            assert pool.wait_until_idle(timeout=30)
+            assert pool.wait_until_idle(timeout=30), stall_report(sub)
         assert errors == []
         # Everything arrived, exactly once.
         assert SubPost.count() == 8 * 25
@@ -98,7 +110,7 @@ class TestConcurrentPipeline:
         for t in threads:
             t.join()
         with SubscriberWorkerPool(sub, workers=4, wait_timeout=0.5) as pool:
-            assert pool.wait_until_idle(timeout=30)
+            assert pool.wait_until_idle(timeout=30), stall_report(sub)
         assert SubUser.find(target.id).version == User.find(target.id).version
 
     def test_sharded_version_store_under_threads(self):

@@ -1,13 +1,16 @@
-"""Encode-once invariants: a published message is serialised exactly
-once, and those bytes are what the broker fan-out and every WAL record
-reuse — without changing a byte on disk.
+"""Encode-at-most-once invariants: a published message is serialised
+on first use — by the WAL or the forwarder to another shard, never by a
+local queue — and those bytes are what every later consumer reuses,
+without changing a byte on disk.
 
 Each test fails with its half of the mechanism reverted: the
 single-pass ``encode_record`` (format drift), ``Message.rewrite``
 dropping the cached body (stale ``coal`` records), ``from_wire`` not
 trusting foreign bytes (CRC-failing ``pub`` records), the trace staying
-out of the cached body, and the per-publish encode/decode counts (one
-encode, and — every queue being local — no decode at all).
+out of the cached body, the body cell every delivery of one publish
+shares, and the per-publish encode/decode counts (no encode when
+nothing is logged or shipped, one otherwise, and — every queue being
+local — no decode at all).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import json
 import types
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -236,7 +240,7 @@ def test_traced_message_logs_no_trace_and_times_its_appends(tmp_path):
     assert stages.count(STAGE_WAL) == 4
 
 
-# -- the count guard: one encode per publish, whatever the fan-out ------------
+# -- the count guards: at most one encode per publish, on first use ------------
 
 class CodecCounts:
     """Counts message-body encodes and message decodes by shimming the
@@ -269,6 +273,17 @@ class CodecCounts:
 FANOUT = ("sub_a", "sub_b", "sub_c")
 
 
+def place_remotely(eco, *remote):
+    """Put the queues named ``remote`` on another shard; returns the
+    list the forwarder appends ``(subscriber, payload)`` to."""
+    shipped = []
+    eco.broker.attach_placement(
+        lambda sub: sub not in remote,
+        lambda sub, payload: shipped.append((sub, payload)),
+    )
+    return shipped
+
+
 def test_durable_fanout_encodes_once_per_publish(tmp_path, monkeypatch):
     eco, pub, subs, manager, PubDoc = build_pipeline(tmp_path, FANOUT)
     counts = CodecCounts(monkeypatch)
@@ -283,15 +298,17 @@ def test_durable_fanout_encodes_once_per_publish(tmp_path, monkeypatch):
                 docs[0].save()
         for sub in subs:
             assert sub.subscriber.drain() == 1
-        # out + 3 x (pub, apply, ack); every body from the one encode,
-        # and no local queue parses it back.
+        # out + 3 x (pub, apply, ack); every body from the one encode
+        # (the ``out`` record's), and no local queue parses it back.
         assert eco.metrics.value("durability.wal.appends") - appends == 10
         assert counts.take() == (1, 0)
     for sub in subs:
         assert replicas_in_sync(pub, sub)
 
 
-def test_plain_fanout_encodes_once_per_publish(monkeypatch):
+def test_plain_fanout_never_encodes(monkeypatch):
+    """Every queue local, nothing logged: nobody reads bytes, so none
+    are made — publish, apply and ack included."""
     eco, pub, subs, _, PubDoc = build_pipeline(None, FANOUT)
     counts = CodecCounts(monkeypatch)
     for i in range(3):
@@ -299,4 +316,95 @@ def test_plain_fanout_encodes_once_per_publish(monkeypatch):
             PubDoc.create(name=f"doc-{i}", value=i)
         for sub in subs:
             assert sub.subscriber.drain() == 1
-        assert counts.take() == (1, 0)
+        assert counts.take() == (0, 0)
+
+
+@pytest.mark.parametrize("durable", [False, True])
+@pytest.mark.parametrize("remote", [("sub_c",), ("sub_b", "sub_c")])
+def test_remote_targets_share_the_one_encode(tmp_path, monkeypatch, durable, remote):
+    """The forwarder is the other consumer of bytes: one encode however
+    many queues are remote, and still one when the WAL asked first."""
+    eco, pub, subs, _, PubDoc = build_pipeline(
+        tmp_path if durable else None, FANOUT
+    )
+    shipped = place_remotely(eco, *remote)
+    counts = CodecCounts(monkeypatch)
+    with pub.controller():
+        PubDoc.create(name="doc", value=1)
+    assert counts.take() == (1, 0)
+    assert [sub for sub, _ in shipped] == list(remote)
+    assert len({payload for _, payload in shipped}) == 1
+    (local,) = subs[0].subscriber.queue.peek_all()
+    assert shipped[0][1] == local.body()
+    assert subs[0].subscriber.drain() == 1
+    assert counts.take() == (0, 0)
+
+
+def test_coalesce_with_wal_reencodes_the_survivor_once_per_merge(
+    tmp_path, monkeypatch
+):
+    eco, pub, (sub,), manager, PubDoc = build_pipeline(
+        tmp_path, mode="weak", flow=FlowConfig(capacity=64)
+    )
+    counts = CodecCounts(monkeypatch)
+    with pub.controller():
+        doc = PubDoc.create(name="doc", value=0)
+    assert counts.take() == (1, 0)
+    for value in (1, 2):
+        with pub.controller():
+            doc.value = value
+            doc.save()
+        # The absorbed message's ``out`` record, then the ``coal``
+        # record of the survivor ``rewrite`` handed an empty cell.
+        assert counts.take() == (2, 0)
+    assert eco.metrics.value("flow.sub.coalesced") == 2
+    assert sub.subscriber.drain() == 1  # pub/apply/ack reuse the coal body
+    assert counts.take() == (0, 0)
+
+
+# -- the shared cell: whoever asks first fills it for every delivery ------------
+
+def test_first_body_fills_the_cell_for_every_delivery(monkeypatch):
+    eco, pub, subs, _, PubDoc = build_pipeline(None, FANOUT)
+    counts = CodecCounts(monkeypatch)
+    with mock.patch.object(
+        eco.broker, "publish", wraps=eco.broker.publish
+    ) as publish:
+        with pub.controller():
+            PubDoc.create(name="doc", value=1)
+    (published,), _ = publish.call_args
+    m1, m2, m3 = (sub.subscriber.queue.peek_all()[0] for sub in subs)
+    assert counts.take() == (0, 0)
+    body = m2.body()  # any one delivery: say the middle queue's
+    assert counts.take() == (1, 0)
+    assert m1.body() is body and m3.body() is body
+    assert published.body() is body
+    assert m1.delivery().body() is body  # a redelivery made later, too
+    assert counts.take() == (0, 0)
+    assert json.loads(body) == plain(m1.to_wire())
+
+
+def test_rewrite_on_one_queue_leaves_the_others_body_alone(monkeypatch):
+    """Coalescing rewrites one queue's survivor: it gets an empty cell
+    of its own, the deliveries still sharing the old one keep theirs."""
+    eco, pub, (sub_a, sub_b), _, PubDoc = build_pipeline(
+        None, ("sub_a", "sub_b"), mode="weak", flow=FlowConfig(capacity=64)
+    )
+    with pub.controller():
+        doc = PubDoc.create(name="doc", value=0)
+    (first_a,) = sub_a.subscriber.queue.peek_all()
+    (first_b,) = sub_b.subscriber.queue.peek_all()
+    before = first_b.body()
+    assert first_a.body() is before
+    assert sub_b.subscriber.drain() == 1  # only sub_a still has it queued
+    with pub.controller():
+        doc.value = 9
+        doc.save()
+    assert eco.metrics.value("flow.sub_a.coalesced") == 1
+    assert eco.metrics.value("flow.sub_b.coalesced") == 0
+    assert sub_a.subscriber.queue.peek_all() == [first_a]
+    assert first_b.body() is before
+    merged = json.loads(first_a.body())
+    assert merged["operations"][0]["attributes"]["value"] == 9
+    assert merged == plain(first_a.to_wire())
+    assert json.loads(before)["operations"][0]["attributes"]["value"] == 0

@@ -240,6 +240,61 @@ class TestTypeChain:
         bind_model(Dog, MongoLike("db"))
         assert Dog.type_chain() == ["Dog", "Animal"]
 
+    def test_chain_is_walked_once_per_class_and_handed_out_fresh(self):
+        class Mixin:
+            pass
+
+        class Animal(Model):
+            name = Field(str)
+
+        class Dog(Mixin, Animal):
+            pass
+
+        assert Model.type_chain() == []
+        assert Animal._lineage == (Animal,)
+        assert Dog._lineage == (Dog, Animal)  # its own entry, no mixin
+        chain = Dog.type_chain()
+        chain.append("written-into-a-message-body")
+        assert Dog.type_chain() == ["Dog", "Animal"]
+        assert Animal.type_chain() == ["Animal"]
+        # ``Service.model(name=...)`` renames a class after creation.
+        Animal.__name__ = "Creature"
+        assert Dog.type_chain() == ["Dog", "Creature"]
+
+
+class TestTableName:
+    def test_computed_once_per_name(self, monkeypatch):
+        import repro.orm.model as model_mod
+
+        calls = []
+        model_mod.table_for_type.cache_clear()
+        monkeypatch.setattr(
+            model_mod, "snake_case",
+            lambda name: calls.append(name) or name.lower(),
+        )
+
+        class Zebra(Model):
+            pass
+
+        class Quagga(Zebra):
+            pass
+
+        for _ in range(3):
+            assert Zebra.table_name() == "zebras"
+            assert Quagga.table_name() == "quaggas"  # a subclass: its own
+            assert model_mod.table_for_type("Zebra") == "zebras"
+        assert calls == ["Zebra", "Quagga"]
+        Quagga.__name__ = "Okapi"  # renamed by ``Service.model(name=...)``
+        assert Quagga.table_name() == "okapis"
+        assert Zebra.table_name() == "zebras"
+
+    def test_irregular_plurals(self):
+        from repro.orm.model import table_for_type
+
+        assert table_for_type("ACLEntry") == "a_c_l_entries"
+        assert table_for_type("Box") == "boxes"
+        assert table_for_type("Day") == "days"
+
 
 class TestReadOnlyGuard:
     def test_readonly_fields_rejected(self, user_cls):
