@@ -9,17 +9,21 @@ the per-vendor delta (the variant subclasses).
 The paper's argument is that support code stays small, so the same file
 tracks the size of the whole tree: code lines per package under
 ``src/repro`` (``python benchmarks/bench_table3_loc.py`` prints just
-that table and writes nothing).
+that table and writes nothing; ``--max-total N`` also exits 1 when the
+total exceeds ``N`` — CI pins ``N`` at the last merged total, so the
+number can only go down).
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import inspect
 import io
 import os
+import sys
 import tokenize
-from typing import Dict
+from typing import Dict, Optional
 
 from benchmarks.common import emit, format_table
 from repro.databases.columnar.engine import CassandraLike
@@ -80,12 +84,12 @@ def package_code_lines(root: str = _PACKAGE_ROOT) -> Dict[str, int]:
     return out
 
 
-def package_table() -> list:
+def package_table(counts: Optional[Dict[str, int]] = None) -> list:
     return format_table(
         "Code lines per package under src/repro "
         "(non-blank, non-comment, docstrings excluded)",
         ["package", "code lines"],
-        [[name, count] for name, count in package_code_lines().items()],
+        [[name, count] for name, count in (counts or package_code_lines()).items()],
     )
 
 
@@ -132,5 +136,22 @@ def test_table3_support_code_size(benchmark):
                        (engine_mappers.RelationalMapper, MongoLike)])
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--max-total", type=int, metavar="N",
+        help="exit 1 when src/repro holds more than N code lines",
+    )
+    args = parser.parse_args(argv)
+    counts = package_code_lines()
+    print("\n".join(package_table(counts)))
+    total = counts["total"]
+    if args.max_total is not None and total > args.max_total:
+        print(f"FAIL: {total} code lines under src/repro, over the "
+              f"--max-total of {args.max_total}", file=sys.stderr)
+        return 1
+    return 0
+
+
 if __name__ == "__main__":  # pragma: no cover - prints the tracked number
-    print("\n".join(package_table()))
+    sys.exit(main())

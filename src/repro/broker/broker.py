@@ -219,49 +219,27 @@ class Broker:
                 delay = max(delay, queue.flow.publish_delay())
         if delay > 0:
             time.sleep(delay)
+        traced = message.trace is not None
         for sub, queue in local:
             if self._should_drop():
-                self._dropped.increment()
-                if self.recorder is not None:
-                    self.recorder.record_event(
-                        "broker.drop",
-                        queue=queue.name,
-                        uid=message.uid,
-                        app=message.app,
-                    )
+                self._record_drop(sub, message)
                 continue
-            if message.trace is None:
-                queue.publish(message.delivery())
-            else:
-                start = trace_now()
-                copy = message.delivery()
-                queue.publish(copy)
-                if copy.trace is not None:
-                    copy.trace.add(STAGE_ROUTE, start, trace_now() - start)
-            self._routed.increment()
+            start = trace_now() if traced else 0.0
+            self._enqueue(queue, message.delivery(), start)
         for sub in remote:
             if self._should_drop():
-                self._dropped.increment()
-                if self.recorder is not None:
-                    self.recorder.record_event(
-                        "broker.drop",
-                        queue=sub,
-                        uid=message.uid,
-                        app=message.app,
-                    )
+                self._record_drop(sub, message)
                 continue
             if payload is None:
                 payload = message.to_json()
-            if message.trace is None:
-                forwarder(sub, payload)
-            else:
+            start = trace_now() if traced else 0.0
+            forwarder(sub, payload)
+            if traced:
                 # The wire copy was serialized before this span exists,
                 # so the forward span stays origin-local: the subscriber
                 # shard finishes the trace, and this shard keeps the
                 # publisher half (intercept/route/forward) as a partial
                 # for cross-shard assembly (``trace_fetch``).
-                start = trace_now()
-                forwarder(sub, payload)
                 message.trace.add(STAGE_FORWARD, start, trace_now() - start)
                 if self.tracer is not None:
                     self.tracer.record_partial(message.trace)
@@ -279,10 +257,15 @@ class Broker:
             if delay > 0:
                 time.sleep(delay)
         start = trace_now()
-        copy = Message.from_json(payload)
-        queue.publish(copy)
-        if copy.trace is not None:
-            copy.trace.add(STAGE_ROUTE, start, trace_now() - start)
+        self._enqueue(queue, Message.from_json(payload), start)
+
+    def _enqueue(self, queue: SubscriberQueue, delivery: Message, start: float) -> None:
+        """Hand one queue its delivery; the route span of a traced one
+        runs from ``start`` (taken before the delivery was made, so it
+        covers the copy or the decode) to the end of the enqueue."""
+        queue.publish(delivery)
+        if delivery.trace is not None:
+            delivery.trace.add(STAGE_ROUTE, start, trace_now() - start)
         self._routed.increment()
 
     # -- fault injection -----------------------------------------------------------
@@ -298,11 +281,23 @@ class Broker:
             self._rng = random.Random(seed)
 
     def _should_drop(self) -> bool:
-        with self._lock:
-            if self._drop_next > 0:
-                self._drop_next -= 1
-                return True
+        if self._drop_next:  # peeked unlocked: no armed drop, no lock
+            with self._lock:
+                if self._drop_next > 0:
+                    self._drop_next -= 1
+                    return True
         return self.loss_probability > 0 and self._rng.random() < self.loss_probability
+
+    def _record_drop(self, subscriber_app: str, message: Message) -> None:
+        """Count a lost routing and name it in the flight recorder."""
+        self._dropped.increment()
+        if self.recorder is not None:
+            self.recorder.record_event(
+                "broker.drop",
+                queue=subscriber_app,
+                uid=message.uid,
+                app=message.app,
+            )
 
     # -- introspection ----------------------------------------------------------
 

@@ -1,33 +1,54 @@
 """The Synapse publisher: interception, dependency versioning, 2PC (§4.2).
 
-Implements the ORM interceptor protocol. For every write of a published
-model it:
+Paper §4.2 gives the publisher one algorithm, and this module holds it
+once, in :meth:`SynapsePublisher._prepare`:
 
-1. computes write dependencies (the object itself first, then the user
-   session object under causal mode, then the global object under global
-   mode) and read dependencies (implicit controller reads, the chained
-   previous write, explicit ``add_read_deps``);
-2. acquires locks on the write dependencies;
-3. bumps the version-store counters (``ops``/``version``) obtaining the
-   message version of each dependency;
-4. performs the engine write and reads the written row back;
-5. releases the locks and publishes the Fig 6(b) message.
+1. collect dependencies from the controller context — write
+   dependencies (the written objects first, then the user session object
+   under causal mode, then the global object under global mode) and read
+   dependencies (implicit controller reads, the chained previous write,
+   explicit ``add_read_deps``) — :meth:`_collect_dependencies`;
+2. acquire locks on the write dependencies;
+3. perform the engine write and read the written row back;
+4. marshal the operations (virtual getters run here; a value the wire
+   cannot carry is refused *before* any counter moves);
+5. bump the version-store counters (``ops``/``version``), obtaining the
+   message version of each dependency — :meth:`_register_with_recovery`,
+   which bumps the publisher's generation and resumes with fresh
+   counters when the version store crashed mid-algorithm (§4.4);
+6. release the locks, build the Fig 6(b) message, stop the overhead
+   clock and attach the sampled trace;
+7. ship: broker fan-out, ``publisher.<app>.published``, and the chained
+   ``prev_write_dep`` of the controller context.
 
-Writes inside a DB transaction are deferred and combined into a single
-message published through two-phase-commit hooks on the transaction, so
-commit + version bumps + publish are atomic (§4.2 "Transactions"). A
-version-store crash mid-algorithm bumps the publisher's generation
-number and resumes with fresh counters (§4.4).
+A single write is a transaction of one. The four front-ends differ only
+in what they hand that algorithm (the table is in
+``docs/architecture.md``):
 
-Dependency collection from the controller context is shared between the
-immediate and transactional paths (:meth:`_collect_dependencies`), and
-both paths are instrumented: span-per-stage tracing when the ecosystem
-tracer is on, counters/histograms in the ecosystem metrics registry
-always (``publisher.<app>.overhead``, ``publisher.<app>.published``).
+- **ORM write** (:meth:`write`): the one written row, the current
+  controller context, locks around the engine write, ships now;
+- **ORM write inside** ``database.begin()``: every write of the
+  transaction combined into one message, the context captured at the
+  first write, no publisher locks (the engine holds the rows until
+  commit), prepared in the transaction's prepare phase and shipped from
+  ``on_commit`` — commit + version bumps + publish are atomic (§4.2
+  "Transactions");
+- **CDC ingest** (:meth:`ingest_cdc`): one committed outbox entry, no
+  context, no engine write, a ``uid``/``cdc`` pair derived from the
+  outbox sequence;
+- **repair** (:meth:`publish_repair`): a batch of divergent rows, no
+  context and no dependency collection at all, ``repair=True``.
+
+All of it is instrumented in the one place: span-per-stage tracing when
+the ecosystem tracer is on, counters/histograms in the ecosystem metrics
+registry always (``publisher.<app>.overhead``, which covers the engine
+write on the ORM-write path only, and ``publisher.<app>.published``;
+repair traffic is counted under ``repair.*`` instead).
 """
 
 from __future__ import annotations
 
+from itertools import starmap
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.delivery import GLOBAL, GLOBAL_OBJECT, WEAK
@@ -40,6 +61,7 @@ from repro.runtime.tracing import (
     STAGE_ENGINE_WRITE,
     STAGE_INTERCEPT,
     STAGE_REGISTER,
+    STAGE_REPAIR_PUBLISH,
     SpanLog,
     Trace,
     activate_trace,
@@ -58,14 +80,20 @@ def _dedupe(deps: List[str], exclude: List[str]) -> List[str]:
     return out
 
 
-class _TxnBatch:
-    """Writes accumulated within one DB transaction."""
+#: One write handed to the publisher algorithm: ``(kind, model class,
+#: row, published fields)``.
+Operation = Tuple[str, type, Row, List[str]]
 
-    def __init__(self) -> None:
-        self.ops: List[Tuple[str, type, Row, List[str]]] = []
-        self.message = None
-        self.first_write_dep: Optional[str] = None
-        self.ctx = None
+
+class _TxnBatch:
+    """Writes accumulated within one DB transaction, the controller
+    context of the first, and — between the two commit phases — the ship
+    step of their one message."""
+
+    def __init__(self, ctx: Any) -> None:
+        self.ops: List[Operation] = []
+        self.ctx = ctx
+        self.ship: Optional[Callable[[], Any]] = None
 
 
 class SynapsePublisher:
@@ -118,8 +146,24 @@ class SynapsePublisher:
 
         txn = self._current_transaction(model_cls)
         if txn is not None:
-            return self._transactional_write(txn, intent, perform, model_cls, pub_fields)
-        return self._immediate_write(intent, perform, model_cls, pub_fields)
+            # Writes inside a DB transaction are combined into one message
+            # published through 2PC hooks on the transaction, so commit +
+            # version bumps + publish are atomic (§4.2 "Transactions").
+            row = perform()
+            batch: Optional[_TxnBatch] = getattr(txn, "_synapse_batch", None)
+            if batch is None:
+                batch = txn._synapse_batch = _TxnBatch(service._controllers.current())
+                txn.on_prepare.append(self._prepare_transaction)
+                txn.on_commit.append(self._commit_transaction)
+            batch.ops.append((intent.kind, model_cls, dict(row), pub_fields))
+            return row
+        # A single write is a transaction of one, whose engine write runs
+        # inside the algorithm (under the locks) and fills in the row.
+        ops: List[Operation] = [
+            (intent.kind, model_cls, {"id": intent.row_id}, pub_fields)
+        ]
+        self._prepare(ops, service._controllers.current(), perform)()
+        return ops[0][2]
 
     def read(self, event: ReadEvent) -> None:
         """Register read dependencies for rows returned to the app."""
@@ -144,7 +188,7 @@ class SynapsePublisher:
                 ctx.record_local_read(dep_name(service.name, table, row["id"]))
 
     # ------------------------------------------------------------------
-    # Dependency collection (shared by both write paths)
+    # Dependency collection
     # ------------------------------------------------------------------
 
     def _collect_dependencies(
@@ -188,86 +232,131 @@ class SynapsePublisher:
         return read_deps, external
 
     # ------------------------------------------------------------------
-    # Immediate (non-transactional) path
+    # The §4.2 publisher algorithm — the only copy
     # ------------------------------------------------------------------
 
-    def _immediate_write(
+    def _prepare(
         self,
-        intent: WriteIntent,
-        perform: Callable[[], Row],
-        model_cls: type,
-        pub_fields: List[str],
-    ) -> Row:
+        ops: List[Operation],
+        ctx: Any = None,
+        perform: Optional[Callable[[], Row]] = None,
+        locked: bool = True,
+        repair: bool = False,
+        uid: Optional[str] = None,
+        cdc: Optional[int] = None,
+    ) -> Callable[[], Any]:
+        """Everything up to a built, versioned message; returns the ship
+        step (broker fan-out and what follows it), which the caller runs
+        now or hands to the transaction's commit phase.
+
+        ``perform`` is the engine write of the one operation in ``ops``
+        (whose row is then a stub holding the id, if known); it runs
+        under the write-dependency locks and its row replaces the stub.
+        """
         service = self.service
         clock = service.ecosystem.clock
-        trace = service.ecosystem.tracer.begin_log()
-        intercept_start = trace_now() if trace is not None else 0.0
+        tracer = service.ecosystem.tracer
+        trace = tracer.begin_log()
+        span_start = trace_now() if trace is not None else 0.0
         start = clock.monotonic()
-        mode = service.delivery_mode
-        ctx = service._controllers.current()
-        table = model_cls.table_name()
 
-        obj_dep: Optional[str] = None
-        write_deps: List[str] = []
-        if intent.row_id is not None:
-            obj_dep = dep_name(service.name, table, intent.row_id)
-            write_deps.append(obj_dep)
-        read_deps, external = self._collect_dependencies(ctx, mode, write_deps, trace)
-
+        shared_deps: List[str] = []
+        read_deps: List[str] = []
+        external: Dict[str, int] = {}
+        if not repair:
+            # A repair re-states objects: the subscriber fast-forwards
+            # their counters only, so a session or ``__global__`` bump
+            # here would be a version no repair apply ever releases.
+            read_deps, external = self._collect_dependencies(
+                ctx, service.delivery_mode, shared_deps, trace
+            )
         store = service.publisher_version_store
-        locks = store.acquire_write_locks(write_deps)
+        written: List[str] = []
+        for _kind, model_cls, row, _fields in ops:
+            if row["id"] is not None:
+                written.append(dep_name(service.name, model_cls.table_name(), row["id"]))
+        locks = store.acquire_write_locks(written + shared_deps) if locked else []
         try:
-            if trace is not None:
-                write_start = trace_now()
+            if perform is not None:
+                kind, model_cls, _stub, fields = ops[0]
+                write_start = trace_now() if trace is not None else 0.0
                 row = perform()
-                trace.add(STAGE_ENGINE_WRITE, write_start, trace_now() - write_start)
-            else:
-                row = perform()
-            if obj_dep is None:
-                obj_dep = dep_name(service.name, table, row["id"])
-                write_deps.insert(0, obj_dep)
+                if trace is not None:
+                    trace.add(
+                        STAGE_ENGINE_WRITE, write_start, trace_now() - write_start
+                    )
+                ops[0] = (kind, model_cls, row, fields)
+                if not written:
+                    # An auto-id create learns its object dependency from
+                    # the engine write; it still goes first.
+                    written = [dep_name(service.name, model_cls.table_name(), row["id"])]
             # Each object is one write dependency even when it plays two
             # roles (e.g. the session user updating itself), and an object
             # both read and written is only a write dependency (Fig 8: W4
             # reads the post it updates, read_deps stay empty).
-            write_deps = _dedupe(write_deps, exclude=[])
+            write_deps = _dedupe(written + shared_deps, exclude=[])
             read_deps = _dedupe(read_deps, exclude=write_deps)
+            # Marshal before the bump: a virtual attribute whose value the
+            # wire cannot carry raises here, with every counter where it
+            # was — a bumped version with no message to carry it would
+            # stall every causal subscriber on that object for ever.
+            operations = list(starmap(marshal_operation, ops))
             versions = self._register_with_recovery(read_deps, write_deps, trace)
         finally:
             store.release_locks(locks)
 
-        operation = marshal_operation(intent.kind, model_cls, row, pub_fields)
         message = build_message(
             app=service.name,
-            operations=[operation],
+            operations=operations,
             dependencies=versions,
             published_at=clock.now(),
             generation=service.current_generation(),
             external_dependencies=external,
+            repair=repair,
+            uid=uid,
+            cdc=cdc,
         )
         # Publish-time work done; stop the overhead clock before the
         # (broker-side) fan-out which the paper attributes to the fabric.
         elapsed = clock.monotonic() - start
         if trace is not None:
-            trace.add(STAGE_INTERCEPT, intercept_start, trace_now() - intercept_start)
+            stage = STAGE_REPAIR_PUBLISH if repair else STAGE_INTERCEPT
+            trace.add(stage, span_start, trace_now() - span_start)
             # Head-based sampling decides here (the uid now exists):
             # unsampled messages ship with no trace at all, and only a
             # sampled one pays for real Trace/Span objects.
-            service.ecosystem.tracer.attach_log(service.name, trace, message)
-        if message.trace is not None:
-            with activate_trace(message.trace):
+            tracer.attach_log(service.name, trace, message)
+        if not repair:  # repair traffic keeps its own accounting (``repair.*``)
+            if message.trace is not None:
+                with activate_trace(message.trace):
+                    self.overhead.record(elapsed)
+            else:
                 self.overhead.record(elapsed)
-        else:
-            self.overhead.record(elapsed)
-        service.broker.publish(message)
-        self._published.increment()
-        if ctx is not None:
-            ctx.note_write(obj_dep)
-        return row
+
+        def ship() -> Any:
+            service.broker.publish(message)
+            if not repair:
+                self._published.increment()
+            if ctx is not None:
+                ctx.note_write(write_deps[0])
+            return message
+
+        return ship
 
     # ------------------------------------------------------------------
-    # CDC ingest seam (transactional-outbox front-end)
+    # Front-ends beside the ORM write: 2PC, CDC ingest, repair
     # ------------------------------------------------------------------
+
+    def _prepare_transaction(self, txn: Any) -> None:
+        """2PC phase one: bump versions and build the combined message.
+        The engine holds locks on the written rows until commit, so the
+        publisher takes none of its own (§4.2 optimisation)."""
+        batch: _TxnBatch = txn._synapse_batch
+        batch.ship = self._prepare(batch.ops, batch.ctx, locked=False)
+
+    def _commit_transaction(self, txn: Any) -> None:
+        """2PC phase two: the local commit succeeded — publish."""
+        txn._synapse_batch.ship()
 
     def ingest_cdc(
         self, kind: str, model_cls: type, row: Row, cdc_seq: int
@@ -277,11 +366,10 @@ class SynapsePublisher:
         The second intercept front-end (§7's admitted gap): the row was
         written by ``raw_write`` *bypassing* the ORM, committed together
         with its outbox record, and is now being tailed by the CDC
-        poller. From here on the write takes the exact pipeline of an
-        ORM write — dependency collection, version-store registration,
-        marshalling, tracing, broker fan-out — minus the engine write
-        (already durable) and minus controller context (raw sessions
-        run outside controllers, so causal reads don't chain).
+        poller. From here on the write *is* an ORM write — the same
+        :meth:`_prepare` — minus the engine write (already durable) and
+        minus controller context (raw sessions run outside controllers,
+        so causal reads don't chain).
 
         The message uid is derived from the outbox sequence
         (``<app>:cdc:<seq>``), stable across crash-replay republishes so
@@ -289,131 +377,17 @@ class SynapsePublisher:
         exactly-once.
         """
         service = self.service
-        clock = service.ecosystem.clock
-        trace = service.ecosystem.tracer.begin_log()
-        intercept_start = trace_now() if trace is not None else 0.0
-        start = clock.monotonic()
-        mode = service.delivery_mode
-        table = model_cls.table_name()
-
-        obj_dep = dep_name(service.name, table, row["id"])
-        write_deps: List[str] = [obj_dep]
-        read_deps, external = self._collect_dependencies(
-            None, mode, write_deps, trace
-        )
-
-        store = service.publisher_version_store
-        locks = store.acquire_write_locks(write_deps)
-        try:
-            write_deps = _dedupe(write_deps, exclude=[])
-            read_deps = _dedupe(read_deps, exclude=write_deps)
-            versions = self._register_with_recovery(read_deps, write_deps, trace)
-        finally:
-            store.release_locks(locks)
-
-        pub_fields = service.published_fields_for(model_cls)
-        operation = marshal_operation(kind, model_cls, row, pub_fields or [])
-        message = build_message(
-            app=service.name,
-            operations=[operation],
-            dependencies=versions,
-            published_at=clock.now(),
-            generation=service.current_generation(),
-            external_dependencies=external,
+        fields = service.published_fields_for(model_cls) or []
+        return self._prepare(
+            [(kind, model_cls, row, fields)],
             uid=f"{service.name}:cdc:{cdc_seq}",
             cdc=cdc_seq,
-        )
-        elapsed = clock.monotonic() - start
-        if trace is not None:
-            trace.add(STAGE_INTERCEPT, intercept_start, trace_now() - intercept_start)
-            service.ecosystem.tracer.attach_log(service.name, trace, message)
-        if message.trace is not None:
-            with activate_trace(message.trace):
-                self.overhead.record(elapsed)
-        else:
-            self.overhead.record(elapsed)
-        service.broker.publish(message)
-        self._published.increment()
-        return message
+        )()
 
-    # ------------------------------------------------------------------
-    # Transactional path (2PC, §4.2)
-    # ------------------------------------------------------------------
-
-    def _transactional_write(
-        self,
-        txn: Any,
-        intent: WriteIntent,
-        perform: Callable[[], Row],
-        model_cls: type,
-        pub_fields: List[str],
-    ) -> Row:
-        # The engine already holds locks on written rows until commit, so
-        # the publisher skips its own write-dep locks (§4.2 optimisation).
-        row = perform()
-        batch: Optional[_TxnBatch] = getattr(txn, "_synapse_batch", None)
-        if batch is None:
-            batch = _TxnBatch()
-            batch.ctx = self.service._controllers.current()
-            txn._synapse_batch = batch
-            txn.on_prepare.append(self._prepare_transaction)
-            txn.on_commit.append(self._commit_transaction)
-        batch.ops.append((intent.kind, model_cls, dict(row), pub_fields))
-        return row
-
-    def _prepare_transaction(self, txn: Any) -> None:
-        """2PC phase one: bump versions and build the combined message."""
-        service = self.service
-        clock = service.ecosystem.clock
-        trace = service.ecosystem.tracer.begin_log()
-        intercept_start = trace_now() if trace is not None else 0.0
-        start = clock.monotonic()
-        batch: _TxnBatch = txn._synapse_batch
-        mode = service.delivery_mode
-        ctx = batch.ctx
-
-        write_deps: List[str] = []
-        for _kind, model_cls, row, _fields in batch.ops:
-            dep = dep_name(service.name, model_cls.table_name(), row["id"])
-            if dep not in write_deps:
-                write_deps.append(dep)
-        batch.first_write_dep = write_deps[0] if write_deps else None
-        read_deps, external = self._collect_dependencies(ctx, mode, write_deps, trace)
-
-        write_deps = _dedupe(write_deps, exclude=[])
-        read_deps = _dedupe(read_deps, exclude=write_deps)
-        versions = self._register_with_recovery(read_deps, write_deps, trace)
-        operations = [
-            marshal_operation(kind, model_cls, row, fields)
-            for kind, model_cls, row, fields in batch.ops
-        ]
-        batch.message = build_message(
-            app=service.name,
-            operations=operations,
-            dependencies=versions,
-            published_at=clock.now(),
-            generation=service.current_generation(),
-            external_dependencies=external,
-        )
-        elapsed = clock.monotonic() - start
-        if trace is not None:
-            trace.add(STAGE_INTERCEPT, intercept_start, trace_now() - intercept_start)
-            service.ecosystem.tracer.attach_log(service.name, trace, batch.message)
-        if batch.message.trace is not None:
-            with activate_trace(batch.message.trace):
-                self.overhead.record(elapsed)
-        else:
-            self.overhead.record(elapsed)
-
-    def _commit_transaction(self, txn: Any) -> None:
-        """2PC phase two: the local commit succeeded — publish."""
-        batch: _TxnBatch = txn._synapse_batch
-        if batch.message is None:
-            return
-        self.service.broker.publish(batch.message)
-        self._published.increment()
-        if batch.ctx is not None and batch.first_write_dep is not None:
-            batch.ctx.note_write(batch.first_write_dep)
+    def publish_repair(self, ops: List[Operation]) -> Any:
+        """Re-publish ``ops`` — rows as the publisher holds them now — as
+        one ``repair=True`` message (:mod:`repro.repair.repairer`)."""
+        return self._prepare(ops, repair=True)()
 
     # ------------------------------------------------------------------
     # Version-store failure recovery (§4.4)

@@ -4,9 +4,10 @@ The paper's §6.5 remedy for lost write-messages is a queue decommission
 followed by a full §4.4 re-bootstrap — O(dataset) to heal what may be a
 handful of lost messages. Targeted repair instead walks an audit
 report's divergent ids and re-publishes exactly those objects through
-the normal publisher machinery: write-dep locks, version-store counter
-bumps, the Fig 6(b) wire format and broker fan-out, so repair traffic
-is ordinary (versioned, ordered, traced) pub/sub traffic.
+the one publisher path (``SynapsePublisher.publish_repair``): write-dep
+locks, version-store counter bumps, the Fig 6(b) wire format, sampled
+tracing and broker fan-out, so repair traffic is ordinary (versioned,
+ordered, traced) pub/sub traffic.
 
 Repair messages are flagged ``repair=True``. The subscriber applies
 them with fresh-or-discard semantics and *always* fast-forwards each
@@ -22,11 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.dependencies import dep_name
-from repro.core.marshal import build_message, marshal_operation
 from repro.errors import SynapseError
 from repro.repair.auditor import AuditReport, ReplicationAuditor
-from repro.runtime.tracing import STAGE_REPAIR_PUBLISH, trace_now
 
 #: Divergent objects batched per repair message. Small enough that one
 #: repair message stays comparable to ordinary transactional messages,
@@ -155,58 +153,22 @@ def publish_repairs(
     pub_fields = publisher_service.published_fields_for(model_cls)
     if pub_fields is None:
         return summary
-    clock = publisher_service.ecosystem.clock
-    tracer = publisher_service.ecosystem.tracer
-    store = publisher_service.publisher_version_store
-    table = model_cls.table_name()
     mapper = model_cls.__mapper__
     repaired: List[Any] = []
 
     for start in range(0, len(divergent_ids), batch_size):
-        batch = divergent_ids[start:start + batch_size]
-        operations: List[Dict[str, Any]] = []
-        write_deps: List[str] = []
-        for row_id in batch:
+        ops = []
+        for row_id in divergent_ids[start:start + batch_size]:
             row = mapper._do_find(row_id)
             if row is None:
                 # The publisher no longer holds it: the subscriber's copy
-                # is a ghost — repair it away with a delete.
-                operations.append({
-                    "operation": "delete",
-                    "types": model_cls.type_chain(),
-                    "id": row_id,
-                    "attributes": {},
-                })
+                # is a ghost — repair it away with a bare delete.
+                ops.append(("delete", model_cls, {"id": row_id}, []))
                 summary["deletes_published"] += 1
             else:
-                operations.append(
-                    marshal_operation("update", model_cls, row, pub_fields)
-                )
-            write_deps.append(dep_name(publisher_service.name, table, row_id))
+                ops.append(("update", model_cls, row, pub_fields))
             repaired.append(row_id)
-
-        trace = tracer.begin(publisher_service.name)
-        publish_start = trace_now() if trace is not None else 0.0
-        locks = store.acquire_write_locks(write_deps)
-        try:
-            versions = publisher_service.publisher._register_with_recovery(
-                [], write_deps, trace
-            )
-        finally:
-            store.release_locks(locks)
-        message = build_message(
-            app=publisher_service.name,
-            operations=operations,
-            dependencies=versions,
-            published_at=clock.now(),
-            generation=publisher_service.current_generation(),
-            repair=True,
-        )
-        if trace is not None:
-            trace.add(STAGE_REPAIR_PUBLISH, publish_start,
-                      trace_now() - publish_start)
-            message.trace = trace
-        publisher_service.broker.publish(message)
+        publisher_service.publisher.publish_repair(ops)
         summary["messages_published"] += 1
     summary["ids"] = repaired
     return summary

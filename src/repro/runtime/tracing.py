@@ -325,8 +325,8 @@ class Tracer:
         self.enabled = False
 
     def begin(self, app: str) -> Optional[Trace]:
-        """Start a trace for one message — None when tracing is off,
-        which is the entire hot-path cost of the facility."""
+        """Start a standalone trace no message carries (an audit) — None
+        when tracing is off. Messages use :meth:`begin_log`."""
         if not self.enabled:
             return None
         return Trace(app=app)
@@ -362,18 +362,6 @@ class Tracer:
             return False
         bucket = zlib.crc32(f"{self.seed}:{uid}".encode("utf-8")) % SAMPLE_BUCKETS
         return bucket < int(rate * SAMPLE_BUCKETS)
-
-    def attach(self, trace: Optional[Trace], message: Any) -> bool:
-        """Attach ``trace`` to ``message`` iff its uid is sampled.
-
-        The trace adopts the message uid as its id (exemplars then link
-        straight to the message); an unsampled message ships with no
-        trace, so the subscriber side pays nothing for it."""
-        if trace is None or not self.sampled(message.uid):
-            return False
-        trace.trace_id = message.uid
-        message.trace = trace
-        return True
 
     def record(self, trace: Trace) -> None:
         """A subscriber finished applying a traced message."""

@@ -207,3 +207,104 @@ def test_refusal_does_not_depend_on_anyone_encoding():
             with pub.controller():
                 doc.update(tags=[object()])
         assert sub.subscriber.drain() == 1
+
+
+# -- a refused virtual attribute moves no counter ------------------------------
+#
+# A virtual attribute has no value to check before the write: its getter
+# runs when the operation is marshalled. Every front-end marshals before
+# it bumps the version store, so the refusal leaves every counter where
+# it was (these failed when the bump came first: the version moved with
+# no message to carry it and the next write wedged every causal
+# subscriber on ``stuck_dependencies() == {dep: (2, 1)}``).
+
+BAD_VIRTUALS = {
+    "datetime": datetime.datetime(2015, 4, 21),
+    "set": {"a", "b"},
+}
+
+
+def stamped_pair(engine, bad):
+    """``stamp`` is virtual: the upper-cased name, or — for the name
+    ``"bad"`` — a value the wire cannot carry."""
+    eco = Ecosystem()
+    pub = eco.service("pub", database=engine("pub-db"), delivery_mode="causal")
+
+    @pub.model(publish=["name", "stamp"], name="Doc")
+    class PubDoc(Model):
+        name = Field(str)
+        stamp = VirtualField(
+            getter=lambda self: bad if self.name == "bad" else self.name.upper()
+        )
+
+    sub = eco.service("sub", database=MongoLike("sub-db"))
+
+    @sub.model(
+        subscribe={"from": "pub", "fields": ["name", "stamp"], "mode": "causal"},
+        name="Doc",
+    )
+    class SubDoc(Model):
+        name = Field(str)
+        stamp = Field(str)
+
+    return eco, pub, sub, PubDoc, SubDoc
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_VIRTUALS))
+@pytest.mark.parametrize(
+    "engine, transactional",
+    [(MongoLike, False), (TokuMXLike, False), (TokuMXLike, True)],
+    ids=["mongo-immediate", "tokumx-immediate", "tokumx-transaction"],
+)
+def test_refused_virtual_attribute_moves_no_counter(engine, transactional, bad):
+    eco, pub, sub, PubDoc, SubDoc = stamped_pair(engine, BAD_VIRTUALS[bad])
+    with pub.controller():
+        doc = PubDoc.create(name="first")
+    assert sub.subscriber.drain() == 1
+    store = pub.publisher_version_store
+    dep = dep_name("pub", "docs", doc.id)
+    before = store.current(dep)
+    assert before == (1, 1)
+    published = pub.publisher.messages_published
+
+    with pytest.raises(TypeError, match=bad):
+        with pub.controller():
+            if transactional:
+                with pub.database.begin():
+                    doc.update(name="bad")
+            else:
+                doc.update(name="bad")
+
+    # Immediate: the row is written (the getter could only run on it);
+    # 2PC: the failed prepare rolled the transaction back.
+    assert PubDoc.find(doc.id).name == ("first" if transactional else "bad")
+    assert store.current(dep) == before
+    assert pub.publisher.messages_published == published
+    assert not len(sub.subscriber.queue)
+
+    with pub.controller():
+        PubDoc.find(doc.id).update(name="second")
+    assert sub.subscriber.drain() == 1
+    replica = SubDoc.find(doc.id)
+    assert (replica.name, replica.stamp) == ("second", "SECOND")
+    assert sub.subscriber.stuck_dependencies() == {}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_VIRTUALS))
+def test_refused_virtual_attribute_on_cdc_ingest_moves_no_counter(bad):
+    """The CDC twin: every retried poll of the entry raises again, and
+    none of them bumps (the tail staying stuck behind such an entry is
+    declared in docs/cdc.md)."""
+    eco, pub, sub, PubDoc, _ = stamped_pair(MongoLike, BAD_VIRTUALS[bad])
+    pub.enable_outbox()
+    row = pub.raw_session().insert(PubDoc, {"name": "bad"})
+    store = pub.publisher_version_store
+    dep = dep_name("pub", "docs", row["id"])
+    before = store.current(dep)
+    for _poll in range(2):
+        with pytest.raises(TypeError, match=bad):
+            pub.cdc_poller.poll()
+        assert store.current(dep) == before
+    assert pub.cdc_poller.cursor == 0
+    assert pub.publisher.messages_published == 0
+    assert not len(sub.subscriber.queue)

@@ -50,19 +50,21 @@ def _allowlisted(rel_path: str) -> bool:
     )
 
 
-def iter_violations():
+def _source_lines():
     for dirpath, _dirnames, filenames in os.walk(SRC_ROOT):
         for filename in sorted(filenames):
-            if not filename.endswith(".py"):
-                continue
-            path = os.path.join(dirpath, filename)
-            rel_path = os.path.relpath(path, SRC_ROOT).replace(os.sep, "/")
-            if _allowlisted(rel_path):
-                continue
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if SHORTCUT.search(line):
-                        yield f"{rel_path}:{lineno}: {line.strip()}"
+            if filename.endswith(".py"):
+                path = os.path.join(dirpath, filename)
+                rel_path = os.path.relpath(path, SRC_ROOT).replace(os.sep, "/")
+                with open(path, encoding="utf-8") as fh:
+                    for lineno, line in enumerate(fh, start=1):
+                        yield rel_path, lineno, line
+
+
+def iter_violations():
+    for rel_path, lineno, line in _source_lines():
+        if not _allowlisted(rel_path) and SHORTCUT.search(line):
+            yield f"{rel_path}:{lineno}: {line.strip()}"
 
 
 def test_no_cross_service_object_shortcuts():
@@ -81,3 +83,95 @@ def test_allowlist_entries_exist():
         assert os.path.exists(os.path.join(SRC_ROOT, rel_path)), rel_path
     for prefix in ALLOWLIST_DIRS:
         assert os.path.isdir(os.path.join(SRC_ROOT, prefix)), prefix
+
+
+# -- the one publish path -------------------------------------------------------
+#
+# ``SynapsePublisher._prepare`` is the only implementation of the §4.2
+# publisher algorithm (collect → lock → write → marshal → bump → build →
+# ship). A second caller of any of its steps is a second copy of it
+# starting to grow, so each step may be *called* only from the modules
+# listed here — same allowlist + stale-allowlist style as above.
+
+#: Calls, not definitions.
+BUILD_MESSAGE = r"(?<!def )\bbuild_message\("
+BROKER_PUBLISH = r"\.broker\.publish\("
+REGISTER_OPERATION = r"(?<!def )\bregister_operation\("
+
+#: call pattern -> modules (relative to ``repro``) that may contain it.
+PUBLISH_STEPS = {
+    BUILD_MESSAGE: ("core/publisher.py", "core/testing.py"),
+    BROKER_PUBLISH: ("core/publisher.py",),
+    REGISTER_OPERATION: ("core/publisher.py",),
+}
+
+#: A ``_``-prefixed attribute of a service's SynapsePublisher.
+PUBLISHER_INTERNAL = re.compile(r"\bpublisher\._(?!_)")
+
+#: (module, pattern, exact number of sites the module holds).
+SINGLE_SITES = (
+    ("core/publisher.py", BUILD_MESSAGE, 1),
+    ("core/publisher.py", BROKER_PUBLISH, 1),
+    ("broker/broker.py", r'"broker\.drop"', 1),
+    ("broker/broker.py", r"\.add\(STAGE_ROUTE\b", 1),
+)
+
+
+def test_publish_steps_are_called_from_the_publisher_only():
+    violations = [
+        f"{rel_path}:{lineno}: {line.strip()}"
+        for rel_path, lineno, line in _source_lines()
+        for pattern, allowed in PUBLISH_STEPS.items()
+        if rel_path not in allowed and re.search(pattern, line)
+    ]
+    assert violations == [], (
+        "a step of the publisher algorithm is called outside "
+        "SynapsePublisher — hand the write to the publisher instead "
+        "(write / ingest_cdc / publish_repair):\n" + "\n".join(violations)
+    )
+
+
+def test_publisher_internals_stay_inside_core():
+    violations = [
+        f"{rel_path}:{lineno}: {line.strip()}"
+        for rel_path, lineno, line in _source_lines()
+        if not rel_path.startswith("core/") and PUBLISHER_INTERNAL.search(line)
+    ]
+    assert violations == [], "\n".join(violations)
+
+
+def test_version_bump_has_one_caller():
+    """``register_operation`` runs from ``_register_with_recovery`` (the
+    §4.4 retry wrapper) and nowhere else, so marshal-before-bump is a
+    property of the one function that calls *that*."""
+    import ast
+
+    with open(os.path.join(SRC_ROOT, "core/publisher.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    callers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "register_operation"
+    }
+    assert callers == {"_register_with_recovery"}
+
+
+def test_one_site_per_step():
+    for rel_path, pattern, expected in SINGLE_SITES:
+        with open(os.path.join(SRC_ROOT, rel_path), encoding="utf-8") as fh:
+            found = len(re.findall(pattern, fh.read()))
+        assert found == expected, (rel_path, pattern, found)
+
+
+def test_publish_allowlist_entries_exist_and_are_used():
+    """A stale entry would silently widen the rule."""
+    lines = list(_source_lines())
+    for pattern, allowed in PUBLISH_STEPS.items():
+        for rel_path in allowed:
+            assert any(
+                path == rel_path and re.search(pattern, line)
+                for path, _lineno, line in lines
+            ), (pattern, rel_path)
