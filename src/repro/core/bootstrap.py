@@ -68,7 +68,7 @@ def bootstrap_subscriber(
                 continue
             dumped_ids = set()
             for operation, row_id in zip(dump["operations"], dump["ids"]):
-                subscriber._apply_operation(app, operation)
+                subscriber.apply_operation(app, operation)
                 dumped_ids.add(row_id)
                 applied += 1
             # Anti-entropy: drop local rows the publisher no longer has
@@ -91,7 +91,7 @@ def bootstrap_subscriber(
                             "id": local_row["id"],
                             "attributes": {},
                         }
-                        subscriber._apply_operation(app, ghost_op)
+                        subscriber.apply_operation(app, ghost_op)
 
     # Step 3 — process everything queued during the bulk phases.
     subscriber.drain()

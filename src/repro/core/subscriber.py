@@ -8,6 +8,16 @@ the dependency counters, and ack.
 
 Weak mode never waits: it applies fresh updates and discards stale ones.
 During bootstrap every message is handled with weak semantics (§3.2).
+
+A subscription is read in one place. :class:`SubscriptionSpec` owns the
+field map in both directions — ``hydrate`` (remote → local, through the
+model, so ``as:`` renames and virtual setters run) and ``project``
+(local → remote, what the audit digest hashes). The per-message step —
+land the operations, move the counters, remember the uid — is
+:meth:`SynapseSubscriber._land` + :meth:`SynapseSubscriber._count`;
+the live apply and WAL replay (:meth:`SynapseSubscriber.replay_apply`)
+both run it and differ in the persist step they hand it: ``_save``
+(through the ORM) or ``_store_raw`` (mapper storage writes).
 """
 
 from __future__ import annotations
@@ -16,7 +26,8 @@ import threading
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.broker.message import Message
 from repro.core.delivery import (
@@ -28,7 +39,7 @@ from repro.core.delivery import (
     effective_dependencies,
 )
 from repro.core.dependencies import dep_name
-from repro.core.marshal import wire_value
+from repro.core.marshal import marshal_attributes, wire_value
 from repro.errors import QueueDecommissioned, SubscriptionError
 from repro.orm.callbacks import run_callbacks
 from repro.orm.model import table_for_type
@@ -54,6 +65,43 @@ class SubscriptionSpec:
     mode: str
     observer: bool = False
 
+    def hydrate(self, operation: Dict[str, Any]) -> Any:
+        """Remote → local: the model instance a wire operation
+        describes — the stored row (or a new record under the
+        operation's id) with every subscribed attribute the operation
+        carries written *through the model*, so a renamed attribute
+        lands on its local name and a virtual one runs its setter
+        (§3.1). Deleting a persisted row writes nothing first. The body
+        is shared by every local queue and every redelivery: the
+        instance gets its list/dict values as private copies."""
+        instance = self.model_cls.find_or_initialize(operation["id"])
+        if self.observer or operation["operation"] != "delete":
+            attributes = operation["attributes"]
+            for remote, local in self.fields.items():
+                if remote in attributes:
+                    setattr(instance, local, wire_value(attributes[remote]))
+        return instance
+
+    @cached_property
+    def readable(self) -> Dict[str, str]:
+        """The part of the field map that can be read back: a virtual
+        local attribute with a setter but no getter has no way back to
+        the publisher's value, so it is not audited."""
+        virtuals = self.model_cls._virtual_fields
+        return {
+            remote: local
+            for remote, local in self.fields.items()
+            if local not in virtuals or virtuals[local].readable_on(self.model_cls)
+        }
+
+    def project(self, row: Dict[str, Any]) -> Dict[str, Any]:
+        """Local → remote: a stored row under the publisher's attribute
+        names, read through the model (virtual getters run) exactly as
+        the publisher marshals its own side."""
+        readable = self.readable
+        values = marshal_attributes(self.model_cls, row, readable.values())
+        return {remote: values[local] for remote, local in readable.items()}
+
 
 def _by_seq(message: Message) -> int:
     return message.seq
@@ -62,6 +110,20 @@ def _by_seq(message: Message) -> int:
 #: The scope of an apply that needs neither an active trace nor an
 #: engine transaction around it.
 _PLAIN = nullcontext()
+
+#: :meth:`SynapseSubscriber._land` stage -> the interleave event the live
+#: apply emits for it, per fresh-or-discard delivery class.
+_WEAK_EVENTS = {
+    "claim": "apply.weak.claim",
+    "discarded": "apply.weak.discarded",
+    "fresh": "apply.weak",
+}
+_REPAIR_EVENTS = {"fresh": "apply.repair"}
+
+
+def _untold(stage: str, dep: str, version: int) -> None:
+    """Nobody listens: an ordered apply has no per-object decisions,
+    and WAL replay reports none."""
 
 
 class SynapseSubscriber:
@@ -287,7 +349,7 @@ class SynapseSubscriber:
         if chained:
             messages = sorted(messages, key=_by_seq)
         for message in messages:
-            if self._already_applied(message.uid):
+            if self.has_applied(message.uid):
                 self._duplicates.increment()
                 yield_point("dedup.duplicate", message=message)
                 done.append(message)  # redelivered duplicate: safe to ack again
@@ -297,8 +359,7 @@ class SynapseSubscriber:
                 # heal counter deficits that would make waiting eternal) and
                 # bypasses the generation gate, which could itself be
                 # deadlocked behind the very divergence being repaired.
-                with activate_trace(message.trace):
-                    self._apply_repair(message)
+                self._apply_one(message, weak=False)
                 done.append(message)
                 continue
             if not self._generation_ready(message):
@@ -398,25 +459,46 @@ class SynapseSubscriber:
         the interleave events to observe-only: the group-commit
         transaction may hold the engine mutex. Counter bumps interleave
         per message, so in-batch dependents see their deps land before
-        their own apply event. Returns {hashed object dep: operation}
-        for the writes a weak apply actually ran, None when every
-        operation ran — the redo set for rollback recovery."""
+        their own apply event. Returns :meth:`_land`'s redo set for
+        rollback recovery."""
         # Traced message: make the trace the thread's current trace so an
         # over-threshold histogram observation anywhere in the apply path
         # captures this message's uid as its exemplar.
         with activate_trace(message.trace) if message.trace is not None else _PLAIN:
-            written = None
-            if weak:
-                written = self._apply_weak(message, record_only)
+            emit = observe_point if record_only else yield_point
+            ordered = not (weak or message.repair)
+            if ordered:
+                emit("apply", message=message)
+                tell = _untold
+                # Atomically when the local engine supports transactions:
+                # a multi-write publisher transaction then lands as one
+                # subscriber transaction (§4.2).
+                several = len(message.operations) > 1
+                scope = (
+                    self._group_commit()
+                    if several and self._can_group_commit() else _PLAIN
+                )
             else:
-                (observe_point if record_only else yield_point)("apply", message=message)
-                start = trace_now()
-                self._apply_all(message)
+                tell = self._teller(message, emit)
+                scope = _PLAIN
+            start = trace_now()
+            with scope:
+                written = self._land(message, weak, self._save, tell)
+            if message.repair:
+                self._repaired.increment(len(written))
+            if not weak:
                 elapsed = trace_now() - start
                 self.apply_time.record(elapsed)
                 if message.trace is not None:
                     message.trace.add(STAGE_APPLY, start, elapsed)
-            self._finish(message, record_only, bump=not weak)
+            self._count(message, ordered, record_only)
+            self._processed.increment()
+            emit("msg.finished", message=message)
+            monitor = getattr(self.service.ecosystem, "monitor", None)
+            if monitor is not None:
+                monitor.observe_applied(self.service.name, message)
+            if message.trace is not None:
+                self.service.ecosystem.tracer.record(message.trace)
             return written
 
     def _redo_after_rollback(
@@ -440,7 +522,7 @@ class SynapseSubscriber:
                 batch_bumps[dep] = batch_bumps.get(dep, 0) + amount
         for message, written in completed:
             increments = message.counter_increments()
-            redo = self._object_deps(message) if written is None else written
+            redo = self.object_deps(message) if written is None else written
             for hashed, operation in redo.items():
                 version = message.dependencies.get(hashed, 0)
                 ceiling = version + batch_bumps.get(
@@ -450,24 +532,23 @@ class SynapseSubscriber:
                     with self._object_lock(hashed):
                         if self.service.subscriber_version_store.ops(hashed) > ceiling:
                             continue
-                        self._apply_operation(message.app, operation)
+                        self.apply_operation(message.app, operation)
                 except Exception:
                     # A redo that fails again must not abandon the
                     # remaining redos, and above all must not escape to
                     # the worker loop: every completed message is
-                    # already _finish'ed (deduped, counters bumped), so
+                    # already counted (deduped, counters bumped), so
                     # a batch-wide nack would have its redelivery
                     # dedup-skip while the rolled-back engine write —
                     # and every redo after this one — is silently lost.
                     # Count it and let anti-entropy repair the object.
                     self._redo_failed.increment()
 
-    def _finish(
-        self, message: Message, record_only: bool = False, bump: bool = False
-    ) -> None:
-        """Common bookkeeping once a message's writes have landed
-        (``record_only`` as in :meth:`_apply_one`). ``bump`` increments
-        every own-app dependency; externals are never bumped."""
+    def _count(self, message: Message, bump: bool, record_only: bool = False) -> None:
+        """Move the counters and remember the uid once a message's
+        writes have landed (``record_only`` as in :meth:`_apply_one`).
+        ``bump`` increments every own-app dependency; externals are
+        never bumped."""
         durability = getattr(self.service.ecosystem, "durability", None)
         if durability is not None:
             # Before the bump: the bump is what releases a dependent
@@ -491,24 +572,6 @@ class SynapseSubscriber:
                 increments, record_only
             )
         self._mark_applied(message.uid)
-        self._processed.increment()
-        emit = observe_point if record_only else yield_point
-        emit("msg.finished", message=message)
-        monitor = getattr(self.service.ecosystem, "monitor", None)
-        if monitor is not None:
-            monitor.observe_applied(self.service.name, message)
-        if message.trace is not None:
-            self.service.ecosystem.tracer.record(message.trace)
-
-    def _apply_all(self, message: Message) -> None:
-        """Apply every operation of one message, atomically when the
-        local engine supports transactions — a multi-write publisher
-        transaction then lands as one subscriber transaction (§4.2)."""
-        operations = message.operations
-        several = len(operations) > 1
-        with self._group_commit() if several and self._can_group_commit() else _PLAIN:
-            for operation in operations:
-                self._apply_operation(message.app, operation)
 
     def _can_group_commit(self) -> bool:
         db = self.service.database
@@ -547,12 +610,23 @@ class SynapseSubscriber:
         """Give up waiting for a late/lost dependency and apply anyway
         (the configurable-timeout semantics recommended in §6.5: causal
         is timeout=∞, weak is timeout=0, this is anything in between)."""
-        if not self._already_applied(message.uid):
+        if not self.has_applied(message.uid):
             self._apply_one(message, weak=False)
 
-    def _already_applied(self, uid: str) -> bool:
+    def has_applied(self, uid: str) -> bool:
+        """Is ``uid`` in the at-least-once dedup window?"""
         with self._applied_lock:
             return uid in self._applied_uid_set
+
+    def applied_uids(self) -> List[str]:
+        """The dedup window, oldest first (what a snapshot carries)."""
+        with self._applied_lock:
+            return list(self._applied_uids)
+
+    def restore_applied(self, uids: List[str]) -> None:
+        """Re-enter a snapshot's dedup window."""
+        for uid in uids:
+            self._mark_applied(uid)
 
     def _mark_applied(self, uid: str) -> None:
         with self._applied_lock:
@@ -572,7 +646,7 @@ class SynapseSubscriber:
                 self._object_locks[hashed_dep] = lock
             return lock
 
-    def _object_deps(self, message: Message) -> Dict[str, Dict[str, Any]]:
+    def object_deps(self, message: Message) -> Dict[str, Dict[str, Any]]:
         """hashed object dep -> operation, for the written objects."""
         hasher = self.service.ecosystem.hasher
         out: Dict[str, Dict[str, Any]] = {}
@@ -582,70 +656,85 @@ class SynapseSubscriber:
             out[hashed] = operation
         return out
 
-    def _apply_repair(self, message: Message) -> None:
-        """Anti-entropy repair (``repro.repair``): per object, apply the
-        publisher's current state unless the local replica is already
-        ahead, then *fast-forward* the object's dependency counter to
-        the carried version — unlike :meth:`_apply_weak`'s plain
-        fast-forward-on-apply, the counter heals even for stale-skipped
-        objects, so increments lost with dropped messages (§6.5) stop
-        deadlocking causal delivery without a re-bootstrap."""
-        start = trace_now()
-        store = self.service.subscriber_version_store
-        for hashed, operation in self._object_deps(message).items():
-            version = message.dependencies.get(hashed, 0)
-            with self._object_lock(hashed):
-                if store.is_stale(hashed, version):
-                    self._stale.increment()
-                else:
-                    observe_point(
-                        "apply.repair", message=message, dep=hashed,
-                        version=version,
-                    )
-                    self._apply_operation(message.app, operation)
-                    self._repaired.increment()
-                store.fast_forward(hashed, version)
-        elapsed = trace_now() - start
-        self.apply_time.record(elapsed)
-        if message.trace is not None:
-            message.trace.add(STAGE_APPLY, start, elapsed)
-        self._finish(message)
+    def _land(
+        self,
+        message: Message,
+        weak: bool,
+        persist: Callable[[SubscriptionSpec, str, Any], None],
+        tell: Callable[..., None] = _untold,
+    ) -> Optional[Dict[str, Dict[str, Any]]]:
+        """Land one message's operations — the per-class half of the
+        subscriber algorithm (§4.2), run by the live apply and by WAL
+        replay alike. ``persist(spec, kind, instance)`` is how a
+        hydrated instance reaches the engine; ``tell(stage, dep,
+        version)`` hears each per-object decision.
 
-    def _apply_weak(
-        self, message: Message, record_only: bool
-    ) -> Dict[str, Dict[str, Any]]:
-        """Weak delivery: apply fresh operations, discard stale ones, and
-        fast-forward per-object counters (§3.2, §4.2). Returns
-        {hashed dep: operation} for the operations actually applied."""
+        An ordered message lands every operation; returns None. Weak
+        delivery (§3.2) and anti-entropy repair (``repro.repair``) are
+        fresh-or-discard per written object: apply unless the local
+        replica is already ahead, then fast-forward the object's
+        counter — a repair message heals it to the carried version even
+        when the object was stale-skipped, so increments lost with
+        dropped messages (§6.5) stop deadlocking causal delivery
+        without a re-bootstrap. Returns {hashed dep: operation} for the
+        operations actually applied."""
+        if not (weak or message.repair):
+            for operation in message.operations:
+                self._land_operation(message.app, operation, persist)
+            return None
         store = self.service.subscriber_version_store
-        claim = observe_point if record_only else yield_point
         increments = message.counter_increments()
         applied: Dict[str, Dict[str, Any]] = {}
-        for hashed, operation in self._object_deps(message).items():
+        for hashed, operation in self.object_deps(message).items():
             version = message.dependencies.get(hashed, 0)
-            claim(
-                "apply.weak.claim", message=message, dep=hashed, version=version
-            )
+            tell("claim", hashed, version)
             with self._object_lock(hashed):
                 if store.is_stale(hashed, version):
-                    self._stale.increment()
-                    observe_point(
-                        "apply.weak.discarded", message=message, dep=hashed,
-                        version=version,
-                    )
-                    continue
-                observe_point(
-                    "apply.weak", message=message, dep=hashed, version=version
-                )
-                self._apply_operation(message.app, operation)
+                    tell("discarded", hashed, version)
+                    if not message.repair:
+                        continue
+                else:
+                    tell("fresh", hashed, version)
+                    self._land_operation(message.app, operation, persist)
+                    applied[hashed] = operation
                 # A coalesced message stands in for several publisher
                 # bumps: fast-forward past all of them, or the lag audit
                 # would report a phantom per-merge counter deficit.
                 store.fast_forward(
                     hashed, version + max(0, increments.get(hashed, 1) - 1)
                 )
-                applied[hashed] = operation
         return applied
+
+    def _teller(self, message: Message, claim: Callable[..., None]) -> Callable[..., None]:
+        """What the live apply does on hearing :meth:`_land`'s
+        decisions about a weak or repair message: count the discards
+        and emit the interleave events — through ``claim`` (which may
+        pause) for the claim, made before the object lock is taken,
+        record-only for the ones made under it."""
+        events = _REPAIR_EVENTS if message.repair else _WEAK_EVENTS
+
+        def tell(stage: str, dep: str, version: int) -> None:
+            if stage == "discarded":
+                self._stale.increment()
+            label = events.get(stage)
+            if label is not None:
+                (claim if stage == "claim" else observe_point)(
+                    label, message=message, dep=dep, version=version
+                )
+
+        return tell
+
+    def replay_apply(self, message: Message) -> None:
+        """Restore: land one logged apply again — the live step with
+        the raw persist. No callbacks (every cascade they produced is
+        already its own log record), no write the publisher intercepts,
+        no view hook (views rebuild after restore), no interleave event
+        of this module, no subscriber metric; bootstrap-forced-weak
+        applies bumped like ordered ones, so only the configured mode
+        decides ``weak``."""
+        weak = self.app_modes.get(message.app, WEAK) == WEAK
+        self._land(message, weak, self._store_raw)
+        self._count(message, bump=not (weak or message.repair))
 
     def _generation_ready(self, message: Message) -> bool:
         """Handle publisher generation bumps (§4.4): older-generation
@@ -675,14 +764,19 @@ class SynapseSubscriber:
         yield_point(
             "generation.flush", app=message.app, generation=message.generation
         )
-        self._flush_app_dependencies(message.app)
-        self.generations[message.app] = message.generation
+        self.enter_generation(message.app, message.generation)
         durability = getattr(self.service.ecosystem, "durability", None)
         if durability is not None:
             durability.log_gen(
                 self.service.name, message.app, message.generation
             )
         return True
+
+    def enter_generation(self, app: str, generation: int) -> None:
+        """Flush ``app``'s dependency counters and adopt its new
+        generation (live gate and ``gen`` record replay)."""
+        self._flush_app_dependencies(app)
+        self.generations[app] = generation
 
     def _flush_app_dependencies(self, app: str) -> None:
         store = self.service.subscriber_version_store
@@ -704,23 +798,30 @@ class SynapseSubscriber:
             store.flush()  # hashed space: cannot tell apps apart
 
     # ------------------------------------------------------------------
-    # Applying operations through the local ORM
+    # Landing one operation: one hydrate step, two persists
     # ------------------------------------------------------------------
 
-    def _apply_operation(self, app: str, operation: Dict[str, Any]) -> None:
+    def _land_operation(
+        self,
+        app: str,
+        operation: Dict[str, Any],
+        persist: Callable[[SubscriptionSpec, str, Any], None],
+    ) -> None:
         spec = self.spec_for(app, operation["types"])
         if spec is None:
             return  # this service does not subscribe to the model
+        with spec.model_cls._suspend_readonly_guard():
+            persist(spec, operation["operation"], spec.hydrate(operation))
+
+    def apply_operation(self, app: str, operation: Dict[str, Any]) -> None:
+        """Apply one wire operation through the local ORM (bootstrap's
+        bulk phase, rollback redo)."""
+        self._land_operation(app, operation, self._save)
+
+    def _save(self, spec: SubscriptionSpec, kind: str, instance: Any) -> None:
+        """The live persist: ``save()``/``destroy()`` as a remote apply
+        — callbacks fire, the interceptor sees the write."""
         model_cls = spec.model_cls
-        kind = operation["operation"]
-        attributes = operation["attributes"]
-        # The body is shared by every local queue and every redelivery:
-        # the application gets its list/dict values as private copies.
-        attrs = {
-            local: wire_value(attributes[remote])
-            for remote, local in spec.fields.items()
-            if remote in attributes
-        }
         service = self.service
         # Read-path hook (docs/read_path.md): views need the row state
         # around the write — raw mapper reads, so neither capture fires
@@ -735,40 +836,39 @@ class SynapseSubscriber:
         )
         old_row = None
         if track and views.needs_old_row(model_cls.__name__):
-            old_row = model_cls.__mapper__._do_find(operation["id"])
-        with service.applying_remote_scope(model_cls.__name__, operation["id"]), \
-                model_cls._suspend_readonly_guard():
+            old_row = model_cls.__mapper__._do_find(instance.id)
+        with service.applying_remote_scope(model_cls.__name__, instance.id):
             if spec.observer:
-                self._apply_to_observer(model_cls, kind, operation, attrs)
-            elif kind == "delete":
-                row = model_cls.__mapper__.find(operation["id"])
-                if row is not None:
-                    model_cls.from_row(row).destroy()
-            else:
-                instance = model_cls.find_or_initialize(operation["id"])
-                for name, value in attrs.items():
-                    setattr(instance, name, value)
+                self._notify_observer(kind, instance)
+            elif kind != "delete":
                 instance.save()
+            elif not instance.new_record:
+                instance.destroy()
         if track:
-            new_row = model_cls.__mapper__._do_find(operation["id"])
-            views.on_applied(
-                model_cls.__name__, operation["id"], old_row, new_row
-            )
+            new_row = model_cls.__mapper__._do_find(instance.id)
+            views.on_applied(model_cls.__name__, instance.id, old_row, new_row)
 
     @staticmethod
-    def _apply_to_observer(
-        model_cls: type, kind: str, operation: Dict[str, Any], attrs: Dict[str, Any]
-    ) -> None:
-        """Observers are never persisted: hydrate and fire callbacks."""
-        instance = model_cls.__new__(model_cls)
-        instance._attributes = {
-            name: f.default_value() for name, f in model_cls._fields.items()
-        }
-        instance._changed = set()
+    def _store_raw(spec: SubscriptionSpec, kind: str, instance: Any) -> None:
+        """The restore persist: the instance's persisted attributes
+        written at the mapper's storage layer."""
+        mapper = spec.model_cls.__mapper__
+        if spec.observer or mapper is None or mapper.db is None:
+            return  # observers persist nothing
+        if kind == "delete":
+            if not instance.new_record:
+                mapper._do_delete(instance.id)
+        elif instance.new_record:
+            mapper._do_insert(instance.to_attributes())
+        else:
+            attrs = instance.to_attributes()
+            del attrs["id"]
+            mapper._do_update(instance.id, attrs)
+
+    @staticmethod
+    def _notify_observer(kind: str, instance: Any) -> None:
+        """Observers are never persisted: fire the callbacks."""
         instance._new_record = kind == "create"
-        instance._attributes["id"] = operation["id"]
-        for name, value in attrs.items():
-            setattr(instance, name, value)
         if kind == "create":
             run_callbacks(instance, "before_create")
             instance._new_record = False

@@ -33,10 +33,14 @@ the WAL tail past its pin with at-least-once dedup (the snapshot's
 applied-uid window plus in-replay queue membership), re-inject the
 surviving pending messages into the real queues, and advance the
 process-wide message sequence past every restored uid so new publishes
-cannot collide into the dedup window. Replay applies operations at the
-raw engine level — no callbacks, no publisher interception — because
-every cascade a callback produced in the original run is already in the
-log as its own records; re-firing it would double-publish.
+cannot collide into the dedup window. An ``apply`` record re-lands its
+message through the subscriber's own per-message step
+(``SynapseSubscriber.replay_apply``) with a raw persist — the
+subscription's field map is read there and nowhere here; no callbacks,
+no publisher interception, because every cascade a callback produced in
+the original run is already in the log as its own records and re-firing
+it would double-publish. What the tail cannot bring back (columns a
+callback computed, unpublished columns) is tabled in docs/durability.md.
 
 If the log is unrecoverable (mid-log corruption, missing segment, newer
 wire version) restore keeps the snapshot state, reports
@@ -52,7 +56,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.broker.message import Message
-from repro.core.delivery import WEAK
 from repro.durability.datadir import snapshot_dir, wal_dir
 from repro.durability.snapshot import SnapshotStore
 from repro.durability.wal import (
@@ -357,13 +360,11 @@ class DurabilityManager:
                 if mapper is None or mapper.db is None:
                     continue  # ephemerals/observers persist nothing
                 models[model_name] = mapper._do_where({}, None, None)
-            with sub._applied_lock:
-                applied = list(sub._applied_uids)
             state["services"][service.name] = {
                 "pvs": pvs_state,
                 "svs": service.subscriber_version_store.snapshot(),
                 "sub_generations": dict(sub.generations),
-                "applied_uids": applied,
+                "applied_uids": sub.applied_uids(),
                 "bootstrapping": sub.bootstrapping,
                 "models": models,
             }
@@ -513,8 +514,9 @@ class DurabilityManager:
             ).items():
                 if generation > sub.generations.get(app, 1):
                     sub.generations[app] = generation
-            for uid in svc_state.get("applied_uids", []):
-                sub._mark_applied(uid)
+            applied = svc_state.get("applied_uids", [])
+            sub.restore_applied(applied)
+            for uid in applied:
                 seq = _uid_seq(uid)
                 if seq is not None:
                     max_seq = max(max_seq, seq)
@@ -637,18 +639,17 @@ class DurabilityManager:
             if seq is not None:
                 max_seq = seq
             service = eco.local_service(rec["svc"])
-            if service is not None and not service.subscriber._already_applied(
+            if service is not None and not service.subscriber.has_applied(
                 message.uid
             ):
-                self._replay_apply(service, message)
+                service.subscriber.replay_apply(message)
                 report.applied += 1
         elif kind == "gen":
             service = eco.local_service(rec["svc"])
             if service is not None:
                 sub = service.subscriber
                 if rec["g"] > sub.generations.get(rec["app"], 1):
-                    sub._flush_app_dependencies(rec["app"])
-                    sub.generations[rec["app"]] = rec["g"]
+                    sub.enter_generation(rec["app"], rec["g"])
         elif kind == "pubgen":
             service = eco.local_service(rec["app"])
             if service is not None and rec["g"] > eco.generations.current(
@@ -695,7 +696,7 @@ class DurabilityManager:
         """Replay one ``obx`` record: restore the raw-written data row
         and the outbox row itself (dedup by ``id == seq`` — snapshots
         may already carry both)."""
-        from repro.cdc.outbox import OUTBOX_MODEL_NAME, entry_row
+        from repro.cdc.outbox import entry_row
 
         model_cls = service.registry.get(entry.get("model", ""))
         if model_cls is not None:
@@ -707,15 +708,8 @@ class DurabilityManager:
                 else:
                     row = entry_row(entry)
                     _raw_upsert(mapper, model_cls, entry["row_id"], row)
-        outbox_cls = service.registry.get(OUTBOX_MODEL_NAME)
-        if outbox_cls is not None:
-            outbox_mapper = outbox_cls.__mapper__
-            if (
-                outbox_mapper is not None
-                and outbox_mapper.db is not None
-                and outbox_mapper._do_find(entry["id"]) is None
-            ):
-                outbox_mapper._do_insert(dict(entry))
+        if service.outbox is not None:
+            service.outbox.restore_entry(entry)
 
     def _uid_applied(self, queue_name: str, uid: str) -> bool:
         """Was this uid already applied by the queue's subscriber? The
@@ -723,46 +717,14 @@ class DurabilityManager:
         service = self.ecosystem.local_service(queue_name)
         if service is None:
             return False
-        return service.subscriber._already_applied(uid)
-
-    def _replay_apply(self, service: Any, message: Message) -> None:
-        """Re-run one subscriber apply from its log record, mirroring
-        ``SynapseSubscriber._apply_one`` minus gating — raw engine writes
-        plus the exact counter arithmetic of each delivery class."""
-        sub = service.subscriber
-        store = service.subscriber_version_store
-        object_deps = sub._object_deps(message)
-        if message.repair:
-            for hashed, operation in object_deps.items():
-                version = message.dependencies.get(hashed, 0)
-                if not store.is_stale(hashed, version):
-                    self._raw_apply_operation(service, message.app, operation)
-                store.fast_forward(hashed, version)
-        else:
-            # Bootstrap-forced-weak applies (mode != WEAK) bump exactly
-            # like the ordered path, so only true weak mode differs.
-            mode = sub.app_modes.get(message.app, WEAK)
-            if mode == WEAK:
-                increments = message.counter_increments()
-                for hashed, operation in object_deps.items():
-                    version = message.dependencies.get(hashed, 0)
-                    if store.is_stale(hashed, version):
-                        continue
-                    self._raw_apply_operation(service, message.app, operation)
-                    store.fast_forward(
-                        hashed,
-                        version + max(0, increments.get(hashed, 1) - 1),
-                    )
-            else:
-                for operation in message.operations:
-                    self._raw_apply_operation(service, message.app, operation)
-                store.apply_counts(message.counter_increments())
-        sub._mark_applied(message.uid)
+        return service.subscriber.has_applied(uid)
 
     def _replay_publisher_rows(self, service: Any, message: Message) -> None:
         """Re-apply an ``out`` record's operations to the publisher's
-        own rows (published attributes only — snapshots carry the full
-        rows; the tail can only restore what rode the wire)."""
+        own rows: published *persisted* attributes only — snapshots
+        carry the full rows, the tail can only restore what rode the
+        wire, and a published virtual attribute is computed, not
+        stored."""
         for operation in message.operations:
             model_cls = None
             for type_name in operation["types"]:
@@ -778,35 +740,12 @@ class DurabilityManager:
                 if mapper._do_find(operation["id"]) is not None:
                     mapper._do_delete(operation["id"])
             else:
-                row = dict(operation["attributes"])
-                row["id"] = operation["id"]
+                row = {
+                    name: value
+                    for name, value in operation["attributes"].items()
+                    if name in model_cls._fields
+                }
                 _raw_upsert(mapper, model_cls, operation["id"], row)
-
-    def _raw_apply_operation(
-        self, service: Any, app: str, operation: Dict[str, Any]
-    ) -> None:
-        """Subscriber-side raw apply: the engine effect of
-        ``SynapseSubscriber._apply_operation`` without callbacks or
-        interception (the cascades they'd fire are already separate log
-        records)."""
-        sub = service.subscriber
-        spec = sub.spec_for(app, operation["types"])
-        if spec is None or spec.observer:
-            return
-        mapper = spec.model_cls.__mapper__
-        if mapper is None or mapper.db is None:
-            return
-        if operation["operation"] == "delete":
-            if mapper._do_find(operation["id"]) is not None:
-                mapper._do_delete(operation["id"])
-            return
-        attrs = {
-            local: operation["attributes"][remote]
-            for remote, local in spec.fields.items()
-            if remote in operation["attributes"]
-        }
-        attrs["id"] = operation["id"]
-        _raw_upsert(mapper, spec.model_cls, operation["id"], attrs)
 
     def close(self) -> None:
         self.wal.close()

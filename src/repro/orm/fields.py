@@ -70,6 +70,10 @@ class VirtualField:
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
 
+    def readable_on(self, owner: type) -> bool:
+        """Whether instances of ``owner`` can read this attribute."""
+        return self.getter is not None or hasattr(owner, f"{self.name}_get")
+
     def _resolve_getter(self, instance: Any) -> Optional[Callable]:
         if self.getter is not None:
             return lambda: self.getter(instance)

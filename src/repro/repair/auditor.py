@@ -263,7 +263,7 @@ class ReplicationAuditor:
         # serializes its digest; only hashes cross the service boundary.
         pub_digest = service.ecosystem.control.model_digest(
             app, spec.model_name,
-            remote_fields=list(spec.fields), leaves=self.leaves,
+            remote_fields=list(spec.readable), leaves=self.leaves,
         )
         sub_digest = subscriber_model_digest(service, spec, leaves=self.leaves)
         if trace is not None:
@@ -296,17 +296,6 @@ class ReplicationAuditor:
             1 for other in self.service.subscriber.specs.values()
             if other.model_cls is spec.model_cls
         ) > 1
-
-
-def _digest_pair(service: Any, spec: Any, leaves: int = DEFAULT_LEAVES):
-    """(publisher digest, subscriber digest) for one spec — test helper."""
-    return (
-        service.ecosystem.control.model_digest(
-            spec.from_app, spec.model_name,
-            remote_fields=list(spec.fields), leaves=leaves,
-        ),
-        subscriber_model_digest(service, spec, leaves=leaves),
-    )
 
 
 # Re-exported for callers that only need the dataclass names.

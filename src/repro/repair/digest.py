@@ -4,8 +4,10 @@ Divergence detection must work *across* engines — a relational publisher
 replicated into document, graph or search subscribers (the
 heterogeneous-store norm) — so rows are hashed at the ORM/mapper level
 where Synapse already lives: each side projects its raw storage rows
-onto the *subscribed remote attribute names* and the values are
-normalised through the same JSON round trip the wire format uses. Two
+onto the *subscribed remote attribute names* through its model (the
+publisher by ``marshal_attributes``, the subscriber by its
+subscription's ``project``) and the values are normalised through the
+same JSON round trip the wire format uses. Two
 replicas that hold the same logical state therefore hash identically no
 matter which engine stores them.
 
@@ -286,21 +288,22 @@ def subscriber_model_digest(
     leaves: int = DEFAULT_LEAVES,
 ) -> Optional[ModelDigest]:
     """Digest of a subscriber's replica, projected back onto the remote
-    attribute names via the subscription's field map — so a renamed
-    (``as:``) attribute still hashes against its publisher name."""
+    attribute names by the subscription itself (``spec.project``) — so
+    a renamed (``as:``) attribute hashes against its publisher name and
+    a virtual one through its getter. ``spec.readable`` is what both
+    sides are compared on: a virtual local attribute with no getter is
+    not audited."""
     model_cls = spec.model_cls
     if spec.observer or model_cls.__mapper__ is None or model_cls.__mapper__.db is None:
         return None
-    fields = sorted(spec.fields)
     hashes: Dict[Any, str] = {}
     rows = _raw_rows(model_cls)
     for row in rows:
-        projection = {remote: row.get(local) for remote, local in spec.fields.items()}
-        hashes[row["id"]] = row_digest(projection)
+        hashes[row["id"]] = row_digest(spec.project(row))
     return ModelDigest(
         app=service.name,
         model_name=spec.model_name,
-        fields=fields,
+        fields=sorted(spec.readable),
         tree=MerkleTree(hashes, leaves=leaves),
         built_from=len(rows),
     )

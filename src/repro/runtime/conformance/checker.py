@@ -261,7 +261,7 @@ class DeliveryChecker:
             or self.subscriber.bootstrapping
         ):
             return
-        object_deps = set(self.subscriber._object_deps(message))
+        object_deps = set(self.subscriber.object_deps(message))
         required = dict(
             effective_dependencies(message.dependencies, mode, object_deps)
         )

@@ -481,31 +481,39 @@ def flow_coalesce_safety_scenario() -> List[Violation]:
 def _durability_scenario_eco(data_dir: str, fsync: str) -> Tuple[Any, ...]:
     """A two-service causal pipeline with durability armed into
     ``data_dir`` — the fixture every crash scenario builds twice: once
-    to wound, once to restore."""
+    to wound, once to restore. The subscription is *mapped* (§3.1): one
+    attribute renamed, one published virtual — what restore and the
+    audit must read the way the live apply does."""
     from repro.core import Ecosystem
     from repro.databases.document import MongoLike
     from repro.databases.relational import PostgresLike
-    from repro.orm import Field, Model
+    from repro.orm import Field, Model, VirtualField
 
     eco = Ecosystem()
     pub = eco.service(
         "pub", database=MongoLike("pub-db"), delivery_mode="causal"
     )
 
-    @pub.model(publish=["name", "value"], name="Doc")
+    @pub.model(publish=["name", "value", "shout"], name="Doc")
     class PubDoc(Model):
         name = Field(str)
         value = Field(int, default=0)
+        shout = VirtualField(getter=lambda doc: doc.name.upper())
 
     sub = eco.service("sub", database=PostgresLike("sub-db"))
 
     @sub.model(
-        subscribe={"from": "pub", "fields": ["name", "value"], "mode": "causal"},
+        subscribe={
+            "from": "pub",
+            "fields": {"name": "title", "value": "value", "shout": "shout"},
+            "mode": "causal",
+        },
         name="Doc",
     )
     class SubDoc(Model):
-        name = Field(str)
+        title = Field(str)
         value = Field(int, default=0)
+        shout = Field(str)
 
     manager = eco.enable_durability(data_dir=data_dir, fsync=fsync, group_max=4)
     return eco, pub, sub, manager, PubDoc

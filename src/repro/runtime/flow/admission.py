@@ -48,6 +48,14 @@ from repro.runtime.flow.coalesce import (
 )
 from repro.runtime.flow.config import FlowConfig
 
+#: Credits refill to ``HIGH_WATERMARK x capacity`` whenever the queue
+#: drains below ``LOW_WATERMARK x capacity``.
+HIGH_WATERMARK = 0.75
+LOW_WATERMARK = 0.5
+#: How far back from the tail of the queue the causal/global safety
+#: scan will look for the coalesce candidate before giving up.
+COALESCE_WINDOW = 32
+
 #: Admission verdicts.
 ADMIT = "admit"
 SHED = "shed"
@@ -77,8 +85,8 @@ class QueueFlow:
         self._mode_of = mode_of
         self._recorder = recorder
         if self.capacity is not None:
-            self.high = max(1, int(self.capacity * config.high_watermark))
-            self.low = int(self.capacity * config.low_watermark)
+            self.high = max(1, int(self.capacity * HIGH_WATERMARK))
+            self.low = int(self.capacity * LOW_WATERMARK)
         else:
             self.high = self.low = 0
         self.credits = self.high
@@ -269,7 +277,7 @@ class QueueFlow:
                 found = True
                 break
             scanned += 1
-            if scanned > self.config.coalesce_window:
+            if scanned > COALESCE_WINDOW:
                 return False
             if union_conflicts(candidate, queued, raised):
                 return False

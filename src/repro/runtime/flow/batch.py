@@ -20,6 +20,12 @@ import threading
 
 from repro.runtime.flow.config import FlowConfig
 
+#: AIMD: the batch size grows by ``AIMD_INCREASE`` after a full clean
+#: batch and shrinks to ``AIMD_DECREASE`` of itself when dependency
+#: retries or apply errors dominate.
+AIMD_INCREASE = 2
+AIMD_DECREASE = 0.5
+
 
 class BatchSizer:
     """Thread-safe AIMD controller shared by a pool's workers."""
@@ -40,11 +46,11 @@ class BatchSizer:
         with self._lock:
             if failed and failed * 2 >= max(1, popped):
                 self._current = max(
-                    config.batch_min, int(self._current * config.aimd_decrease)
+                    config.batch_min, int(self._current * AIMD_DECREASE)
                 )
             elif failed == 0 and popped >= self._current:
                 self._current = min(
-                    config.batch_max, self._current + config.aimd_increase
+                    config.batch_max, self._current + AIMD_INCREASE
                 )
             return self._current
 
@@ -58,7 +64,7 @@ class BatchSizer:
         with self._lock:
             if pressure > 1.0:
                 self._current = min(
-                    config.batch_max, self._current + config.aimd_increase
+                    config.batch_max, self._current + AIMD_INCREASE
                 )
             elif pressure < 0.25 and self._current > config.batch_min:
                 self._current -= 1

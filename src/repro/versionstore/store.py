@@ -274,24 +274,6 @@ class SubscriberVersionStore:
                 out[hashed_dep] = behind
         return out
 
-    def lag_behind(
-        self,
-        publisher_snapshot: Dict[str, int],
-        forgive: Optional[Dict[str, int]] = None,
-    ) -> int:
-        """Sum of per-dependency counter deficits vs a publisher
-        snapshot: how many operation increments this store has not seen.
-        Zero means every dependency is at (or past) the publisher's
-        watermark; a persistent positive value with an empty queue is
-        the §6.5 loss signature. ``forgive`` subtracts per-key deficits
-        that are known to be deliberate — flow-control shedding tracked
-        by ``QueueFlow.reconcile_shed`` — so backpressure does not read
-        as loss."""
-        return sum(
-            max(0, behind - (forgive.get(dep, 0) if forgive else 0))
-            for dep, behind in self.deficits(publisher_snapshot).items()
-        )
-
     def satisfied(self, dependencies: Dict[str, int]) -> bool:
         steps = [(self._key(dep), version) for dep, version in dependencies.items()]
         for shard, group in self.kv.by_shard(steps).items():

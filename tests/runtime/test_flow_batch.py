@@ -15,8 +15,7 @@ from repro.runtime.workers import SubscriberWorkerPool
 
 class TestBatchSizer:
     def _sizer(self, **kwargs):
-        defaults = dict(batch_min=1, batch_max=16, aimd_increase=2,
-                        aimd_decrease=0.5)
+        defaults = dict(batch_min=1, batch_max=16)
         defaults.update(kwargs)
         return BatchSizer(FlowConfig(**defaults))
 

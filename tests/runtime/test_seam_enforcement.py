@@ -175,3 +175,79 @@ def test_publish_allowlist_entries_exist_and_are_used():
                 path == rel_path and re.search(pattern, line)
                 for path, _lineno, line in lines
             ), (pattern, rel_path)
+
+
+# -- the one reading of a subscription ----------------------------------------
+#
+# A subscription's field map is the contract between two schemas (§3.1)
+# and ``core/subscriber.py`` is its only interpreter: ``hydrate`` (remote
+# → local, run by the live apply, bootstrap and WAL replay) and
+# ``project`` (local → remote, what the audit digest hashes). The
+# per-message step (land the operations, move the counters, remember the
+# uid) lives there too; restore, repair and the conformance checker call
+# the subscriber's public surface.
+
+#: A ``_``-prefixed attribute of a service's SynapseSubscriber.
+SUBSCRIBER_INTERNAL = re.compile(r"\b(?:sub|subscriber)\._(?!_)")
+
+#: Iterating a spec's remote -> local map (``_fields`` is the ORM's).
+FIELD_MAP = r"(?<!_)\bfields\.items\(\)"
+FIELD_MAP_READERS = ("core/subscriber.py",)
+
+#: The deleted mirrors of the subscriber algorithm.
+MIRRORS = re.compile(r"_replay_apply|_raw_apply_operation")
+
+
+def test_subscriber_internals_stay_inside_core():
+    violations = [
+        f"{rel_path}:{lineno}: {line.strip()}"
+        for rel_path, lineno, line in _source_lines()
+        if not rel_path.startswith("core/") and SUBSCRIBER_INTERNAL.search(line)
+    ]
+    assert violations == [], (
+        "a module outside core/ reaches into SynapseSubscriber — use its "
+        "public surface (replay_apply / has_applied / applied_uids / "
+        "restore_applied / enter_generation / object_deps):\n"
+        + "\n".join(violations)
+    )
+
+
+def test_field_map_is_read_in_one_module():
+    readers = {
+        rel_path
+        for rel_path, _lineno, line in _source_lines()
+        if re.search(FIELD_MAP, line)
+    }
+    # Equality, so a stale entry fails as loudly as a second reader.
+    assert readers == set(FIELD_MAP_READERS), (
+        "a subscription's field map is interpreted by SubscriptionSpec "
+        "(hydrate / project) only"
+    )
+
+
+def test_no_mirror_of_the_subscriber_algorithm():
+    violations = [
+        f"{rel_path}:{lineno}: {line.strip()}"
+        for rel_path, lineno, line in _source_lines()
+        if MIRRORS.search(line)
+    ]
+    assert violations == [], "\n".join(violations)
+
+
+def test_counter_arithmetic_exists_once():
+    """The repair / weak / ordered arithmetic is ``_land`` + ``_count``:
+    one freshness check, one fast-forward, one bump — for the live apply
+    and for replay."""
+    for pattern, expected in (
+        (r"\.is_stale\(", 1),
+        (r"\.fast_forward\(", 1),
+        (r"\.apply_counts\(", 1),
+    ):
+        found = [
+            f"{rel_path}:{lineno}"
+            for rel_path, lineno, line in _source_lines()
+            if not rel_path.startswith("versionstore/") and re.search(pattern, line)
+        ]
+        assert len(found) == expected and found[0].startswith(
+            "core/subscriber.py"
+        ), (pattern, found)
