@@ -175,7 +175,7 @@ def test_read_path_speedup():
     assert speedup >= 10, (
         f"cached reads only {speedup:.1f}x faster than direct scans"
     )
-    # Reads between writes hit; only post-invalidation reads miss.
+    # The apply path writes rows and aggregates through: reads hit.
     assert hit_rate > 0.9
 
 

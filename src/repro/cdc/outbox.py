@@ -19,8 +19,23 @@ Atomicity per engine family:
 
 Sequencing: the outbox sequence is allocated *inside* the engine's
 critical section (the transaction mutex or the operation lock), so
-sequence order equals commit order and the poller's cursor can never
-pass an entry that has not committed yet.
+sequence order equals commit order.
+
+What the poller may read, per engine family:
+
+- engines without transactions: an entry is inserted last, under the
+  operation lock, so a visible entry is a committed one and the tail is
+  read as it stands.
+- engines with transactions write to storage at once and undo on
+  rollback, so an entry is *visible* before it is *committed*. The tail
+  is therefore read inside the engine's own commit critical section (a
+  read-only ``db.begin()``, which waits out any open transaction): the
+  poller's cursor can never pass an entry that has not committed, or
+  publish one that then aborts. A poll from a thread that is itself
+  inside an open transaction reads nothing — it cannot wait for itself.
+  :meth:`OutboxTable.backlog` counts visible entries, committed or not
+  (an open transaction's appends are in flight), so the tail is never
+  reported idle over them.
 
 On-disk row format (version ``OUTBOX_VERSION``; golden-pinned in
 ``tests/cdc/test_outbox.py``)::
@@ -141,7 +156,19 @@ class OutboxTable:
     def pending(
         self, after_seq: int, limit: Optional[int] = None
     ) -> List[Dict[str, Any]]:
-        """Entries past the cursor, in commit (= sequence) order."""
+        """Committed entries past the cursor, in commit (= sequence)
+        order (module docstring: what the poller may read)."""
+        db = self.service.database
+        if not db.supports_transactions:
+            return self._tail(after_seq, limit)
+        if db.current_transaction() is not None:
+            return []
+        with db.begin():
+            return self._tail(after_seq, limit)
+
+    def _tail(
+        self, after_seq: int, limit: Optional[int] = None
+    ) -> List[Dict[str, Any]]:
         rows = [
             row
             for row in self.mapper._do_where({}, None, None)
@@ -151,7 +178,9 @@ class OutboxTable:
         return rows[:limit] if limit is not None else rows
 
     def backlog(self, after_seq: int) -> int:
-        return len(self.pending(after_seq))
+        """Entries no poll has published yet, the ones an open
+        transaction has appended included: they are in flight."""
+        return len(self._tail(after_seq))
 
     # -- the write path ----------------------------------------------------
 

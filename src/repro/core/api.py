@@ -472,8 +472,7 @@ class Service:
     # Read side: derived views + cache tier (docs/read_path.md)
     # ------------------------------------------------------------------
 
-    def enable_views(self, cache: Optional[Any] = None,
-                     kv: Optional[Any] = None) -> Any:
+    def enable_views(self, cache: Optional[Any] = None) -> Any:
         """Switch on the subscriber-side read path for this service and
         return its :class:`~repro.views.ViewManager`.
 
@@ -485,7 +484,7 @@ class Service:
         if self.views is None:
             from repro.views import ViewManager
 
-            self.views = ViewManager(self, cache=cache, kv=kv)
+            self.views = ViewManager(self, cache=cache)
         return self.views
 
     # ------------------------------------------------------------------

@@ -589,7 +589,7 @@ class SynapseSubscriber:
 
         Views buffer the whole group commit and fold once after it
         lands, so each derived aggregate updates — and each cache key
-        invalidates — once per commit, never mid-transaction."""
+        is written — once per commit, never mid-transaction."""
         views = self.service.views
         if views is not None:
             views.begin_batch()

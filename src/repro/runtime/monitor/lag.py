@@ -223,6 +223,9 @@ class LagMonitor:
         self.default_slo = default_slo or LinkSLO()
         self._slos: Dict[Tuple[str, str], LinkSLO] = {}
         self._windows: Dict[Tuple[str, str], SlidingWindow] = {}
+        #: link -> (window, lag histogram, dwell histogram): what every
+        #: apply on the link records into, resolved once per SLO.
+        self._instruments: Dict[Tuple[str, str], Tuple[Any, Any, Any]] = {}
         self._breached: Dict[Tuple[str, str], bool] = {}
         self._lock = threading.Lock()
 
@@ -234,6 +237,7 @@ class LagMonitor:
         with self._lock:
             self._slos[link] = slo
             self._windows.pop(link, None)  # window size may have changed
+            self._instruments.pop(link, None)
         self._lag_histogram(publisher, subscriber).exemplar_threshold = slo.p99_lag
         return slo
 
@@ -269,14 +273,26 @@ class LagMonitor:
         lag = self.ecosystem.clock.now() - message.published_at
         if lag < 0:
             lag = 0.0
-        publisher = message.app
-        self._window_for(publisher, subscriber_name).record(lag)
-        self._lag_histogram(publisher, subscriber_name).record(lag)
+        link = (message.app, subscriber_name)
+        window, lag_histogram, dwell_histogram = (
+            self._instruments.get(link) or self._resolve(link)
+        )
+        window.record(lag)
+        lag_histogram.record(lag)
         dwell = getattr(message, "dwell", None)
         if dwell is not None:
-            self.ecosystem.metrics.histogram(
-                _link_metric(publisher, subscriber_name, "dwell")
-            ).record(dwell)
+            dwell_histogram.record(dwell)
+
+    def _resolve(self, link: Tuple[str, str]) -> Tuple[Any, Any, Any]:
+        window = self._window_for(*link)
+        dwell = self.ecosystem.metrics.histogram(_link_metric(*link, "dwell"))
+        instruments = (window, self._lag_histogram(*link), dwell)
+        with self._lock:
+            # A set_slo that raced this resolve has already dropped the
+            # window: keep only a triple that holds the current one.
+            if self._windows.get(link) is window:
+                self._instruments[link] = instruments
+        return instruments
 
     def link_pressure(self, subscriber_name: str) -> float:
         """Cheap AIMD signal for the flow-control batch sizer: the worst

@@ -9,15 +9,16 @@ fronted by a versioned cache:
    transition into the views; after the workload, each incremental
    state must equal a from-scratch recomputation over the base rows
    (the ``INV_VIEW`` identity).
-2. **Cache freshness**: a cold read misses and fills; a repeat read
-   hits; a write that rides the replication stream invalidates the key
-   so the next read sees the new value. No cached read may be staler
-   than an already-applied write.
+2. **Cache freshness**: every fold writes the views it touched
+   through, so reads hit; a write that rides the replication stream
+   moves the key's watermark and installs the new value at it, so the
+   next read sees it. No cached read may be staler than an
+   already-applied write.
 3. **Restore rebuild**: a kill-and-restart over the same WAL directory
    rebuilds the views from the restored base rows and flushes the
    cache; the rebuilt aggregates must match pre-crash.
 
-Exit 0 iff every aggregate matches recomputation, the hit/invalidate
+Exit 0 iff every aggregate matches recomputation, the hit/write-through
 sequence behaves, and the post-restore rebuild is value-identical.
 """
 
@@ -111,16 +112,15 @@ def _run_demo(args: List[str], writes: int, data_dir: str) -> int:
     if not _check_invariant(sub.views):
         return 1
 
-    # Phase 2: cache behavior — miss, hit, invalidate-on-write.
+    # Phase 2: cache behavior — warm hits, write-through on write.
     views = sub.views
-    views.read("karma")  # cold: miss + fill
-    views.read("karma")  # warm: hit
+    views.read("karma")  # the last fold wrote it through: hit
     hits_before = views.cache.stats()["hits"]
     with pub.controller():
         posts[0].score += 1000
         posts[0].save()
     sub.subscriber.drain()
-    fresh = views.read("karma")  # invalidated by the apply: miss again
+    fresh = views.read("karma")  # the apply wrote the new sum through
     expected = sum(range(writes)) + 1000
     stats = views.cache.stats()
     print(

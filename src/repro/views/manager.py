@@ -1,23 +1,28 @@
 """The per-service view manager: maintains declared read models in the
-subscriber apply path and drives cache invalidation.
+subscriber apply path and keeps the cache tier at the applied frontier.
 
 The subscriber calls :meth:`on_applied` with the engine row transition
 of every write it lands (old row state, new row state — captured
 around the actual engine write, so coalesced messages contribute
 exactly one transition to the merged attributes). Outside a batch the
 transition folds into the view states immediately and the affected
-cache keys are invalidated in the same step. Inside a batch (the
+cache keys are written in the same step. Inside a batch (the
 group-commit path, or a multi-operation message applied as one engine
 transaction) transitions are buffered per thread and folded once on
-:meth:`commit_batch` — views update and the cache invalidates *once
+:meth:`commit_batch` — views update and the cache is written *once
 per batch*, after the engine transaction committed, and an aborted
 batch simply drops its buffer (the engine rolled back; the rows never
 changed, so neither may the views).
 
-View state lives in memory behind the manager lock and is mirrored to
-a Redis-like KV engine (``view:<name>`` hashes) on every fold, so the
-read path can serve aggregates off the KV tier with cache-aside
-semantics (:meth:`read` / :meth:`read_row`). On crash restore the
+View state lives in memory behind the manager lock. A fold writes each
+touched view's served value through to the cache **while it holds that
+lock**: two folds may touch the same aggregate, and the later fold's
+value must be the one the cache ends up holding (rows are ordered per
+object by the delivery mode; aggregates are ordered by nothing but this
+lock). Lock order is manager → cache KV; a reader never holds the cache
+lock while its loader runs, so there is no cycle. A view read therefore
+misses only after :meth:`ReplicatedCache.flush` (restore,
+:meth:`rebuild`) and then loads :meth:`peek`. On crash restore the
 states are rebuilt deterministically from the restored base rows
 (:meth:`rebuild`) — the WAL replays raw engine writes without firing
 this hook, and a full recompute is both simpler and self-auditing.
@@ -26,7 +31,7 @@ this hook, and a full recompute is both simpler and self-auditing.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.views.cache import ReplicatedCache
 from repro.views.specs import ViewSpec
@@ -35,18 +40,17 @@ from repro.views.specs import ViewSpec
 class ViewManager:
     """Derived read models + cache tier for one subscribing service."""
 
-    def __init__(self, service: Any, cache: Optional[ReplicatedCache] = None,
-                 kv=None) -> None:
-        from repro.databases.kv import RedisLike
-
+    def __init__(
+        self, service: Any, cache: Optional[ReplicatedCache] = None
+    ) -> None:
         self.service = service
         metrics = service.ecosystem.metrics
         self.cache = cache if cache is not None else ReplicatedCache(
             service.name, metrics=metrics
         )
-        #: KV engine mirroring each view's state for tiered reads.
-        self.kv = kv if kv is not None else RedisLike(f"{service.name}-views")
         self._specs: Dict[str, ViewSpec] = {}
+        #: view name -> (cache key, miss loader), built once per declare.
+        self._view_reads: Dict[str, Tuple[str, Callable[[], Any]]] = {}
         #: model name -> specs over it (the apply-path dispatch index).
         self._by_model: Dict[str, List[ViewSpec]] = {}
         self._states: Dict[str, Dict[str, Any]] = {}
@@ -70,8 +74,11 @@ class ViewManager:
             self._specs[spec.name] = spec
             self._by_model.setdefault(spec.model, []).append(spec)
             self._states[spec.name] = spec.recompute(self._rows(spec.model))
-            self._mirror(spec)
-        self.cache.invalidate(ReplicatedCache.view_key(spec.name))
+            self._view_reads[spec.name] = (
+                ReplicatedCache.view_key(spec.name),
+                lambda: self.peek(spec.name),
+            )
+            self._write_view_through(spec)
         return spec
 
     def specs(self) -> List[ViewSpec]:
@@ -94,7 +101,7 @@ class ViewManager:
         new_row: Optional[Dict[str, Any]],
     ) -> None:
         """One landed engine write. Inside a batch: buffered; outside:
-        folded and invalidated immediately."""
+        folded and written to the cache immediately."""
         self._applied.increment()
         buffer = getattr(self._tls, "buffer", None)
         if buffer is not None:
@@ -113,8 +120,8 @@ class ViewManager:
         self._tls.depth = depth + 1
 
     def commit_batch(self) -> None:
-        """Fold the buffered transitions and invalidate each affected
-        cache key exactly once."""
+        """Fold the buffered transitions and write each affected cache
+        key exactly once."""
         depth = getattr(self._tls, "depth", 0)
         if depth <= 0:
             return
@@ -139,9 +146,6 @@ class ViewManager:
             return
         self._tls.buffer = None
 
-    def in_batch(self) -> bool:
-        return getattr(self._tls, "depth", 0) > 0
-
     # -- folding -------------------------------------------------------------
 
     def _fold(
@@ -158,32 +162,30 @@ class ViewManager:
                 # Last transition per key wins within the batch.
                 row_writes[ReplicatedCache.row_key(model, row_id)] = new_row
             for spec in touched_views.values():
-                self._mirror(spec)
+                self._write_view_through(spec)
         self._folds.increment(len(transitions))
-        # Invalidation outside the state lock (the cache has its own
-        # atomic scripts); once per key per fold. Deletes invalidate,
-        # surviving rows write through their final state.
+        # Rows go outside the state lock (the delivery mode already
+        # orders the writes of one object); once per key per fold.
+        # Deletes invalidate, surviving rows write through their final
+        # state.
         for key, new_row in row_writes.items():
             if new_row is None:
                 self.cache.invalidate(key)
             else:
                 self.cache.write_through(key, dict(new_row))
-        for name in touched_views:
-            self.cache.invalidate(ReplicatedCache.view_key(name))
 
-    def _mirror(self, spec: ViewSpec) -> None:
-        """Mirror one view's served value into the KV tier."""
-        self.kv.set(f"view:{spec.name}", spec.read(self._states[spec.name]))
+    def _write_view_through(self, spec: ViewSpec) -> None:
+        """Install one view's served value in the cache. Caller holds
+        the state lock — that is what orders two folds of one view."""
+        self.cache.write_through(
+            self._view_reads[spec.name][0], spec.read(self._states[spec.name])
+        )
 
     # -- read side -----------------------------------------------------------
 
     def read(self, name: str) -> Any:
         """Cache-aside read of one view's served value."""
-        spec = self._specs[name]
-        value, _ = self.cache.read(
-            ReplicatedCache.view_key(name),
-            lambda: self.kv.get(f"view:{spec.name}"),
-        )
+        value, _ = self.cache.read(*self._view_reads[name])
         return value
 
     def read_row(self, model: str, row_id: Any) -> Optional[Dict[str, Any]]:
@@ -224,7 +226,6 @@ class ViewManager:
         with self._lock:
             for name, spec in self._specs.items():
                 self._states[name] = spec.recompute(self._rows(spec.model))
-                self._mirror(spec)
             count = len(self._specs)
         self.cache.flush()
         self._rebuilds.increment()
@@ -252,11 +253,3 @@ class ViewManager:
         if mapper is None:
             return None
         return mapper._do_find(row_id)
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            views = {
-                name: spec.read(self._states[name])
-                for name, spec in self._specs.items()
-            }
-        return {"views": views, "cache": self.cache.stats()}

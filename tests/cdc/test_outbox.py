@@ -9,6 +9,7 @@ the exact shape is pinned here as a literal dict.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.cdc import (
     entry_row,
 )
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike
+from repro.databases.document import MongoLike, TokuMXLike
 from repro.databases.relational import PostgresLike
 from repro.errors import CdcError
 from repro.orm import Field, Model
@@ -176,6 +177,74 @@ class TestAtomicity:
         assert [note["id"] for note in notes] == [row["id"]]
         assert outbox_rows(pub) == []
         assert eco.cdc.idle()
+
+
+class TestCommittedTail:
+    """On a transactional engine an entry is visible before it is
+    committed; the poller may only ever read committed ones."""
+
+    @pytest.mark.parametrize("engine", [PostgresLike, TokuMXLike])
+    @pytest.mark.parametrize("outcome", ["abort", "commit"])
+    def test_poll_waits_out_an_open_transaction(self, engine, outcome):
+        eco, pub, sub, PubDoc, SubDoc = build_pipeline(pub_db=engine("pub-db"))
+        probe = eco.broker.bind("probe", "pub")
+        opened, release = threading.Event(), threading.Event()
+        polled = []
+
+        def writer():
+            raw = pub.raw_session()
+            try:
+                with pub.database.begin():
+                    raw.insert(PubDoc, {"name": "first", "value": 1})
+                    raw.insert(PubDoc, {"name": "second", "value": 2})
+                    opened.set()
+                    assert release.wait(5.0)
+                    if outcome == "abort":
+                        raise RuntimeError("abort")
+            except RuntimeError:
+                pass
+
+        writing = threading.Thread(target=writer)
+        polling = threading.Thread(
+            target=lambda: polled.append(eco.cdc.poll_all())
+        )
+        writing.start()
+        assert opened.wait(5.0)
+        polling.start()
+        polling.join(0.2)
+        read_early = not polling.is_alive()
+        release.set()
+        writing.join(5.0)
+        polling.join(5.0)
+        assert not writing.is_alive() and not polling.is_alive()
+        assert not read_early  # the poll waited for the transaction
+
+        eco.drain_all()
+        uids = [message.uid for message in probe.pop_many(10, timeout=0.0)]
+        names = sorted(
+            row["name"] for row in SubDoc.__mapper__._do_where({}, None, None)
+        )
+        if outcome == "abort":
+            assert polled == [0] and pub.cdc_poller.cursor == 0
+            assert uids == [] and names == []
+            assert outbox_rows(pub) == []
+        else:
+            assert polled == [2] and pub.cdc_poller.cursor == 2
+            assert uids == ["pub:cdc:1", "pub:cdc:2"]
+            assert names == ["first", "second"]
+
+    def test_poll_inside_own_transaction_publishes_nothing(self):
+        eco, pub, sub, PubDoc, SubDoc = build_pipeline(
+            pub_db=PostgresLike("pub-db")
+        )
+        with pub.database.begin():
+            pub.raw_session().insert(PubDoc, {"name": "a", "value": 1})
+            assert pub.cdc_poller.poll() == 0
+            assert pub.cdc_poller.cursor == 0
+            assert not pub.cdc_poller.idle()  # in flight, not absent
+        assert eco.drain_all() == 2  # one poll, one apply
+        assert pub.cdc_poller.idle()
+        assert len(SubDoc.__mapper__._do_where({}, None, None)) == 1
 
 
 class TestRawSession:

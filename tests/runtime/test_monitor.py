@@ -162,6 +162,41 @@ class TestSLOEdges:
         assert histogram.count == 1
         assert histogram.total() == pytest.approx(0.25)
 
+    def test_set_slo_after_traffic_takes_effect_on_the_next_apply(self):
+        """The hot path keeps a link's window and histograms resolved;
+        a new SLO must drop them — new window size, new threshold."""
+        eco, clock, pub, sub, User = virtual_eco()
+        monitor = eco.monitor
+        for _ in range(5):
+            monitor.observe_applied("sub", stub(clock, lag=0.1))
+        assert monitor.health().link("pub", "sub").samples == 5
+        monitor.set_slo("pub", "sub", LinkSLO(p99_lag=0.05, window=2))
+        for lag in (0.2, 0.3, 0.4):
+            monitor.observe_applied("sub", stub(clock, lag=lag))
+        link = monitor.health().link("pub", "sub")
+        assert link.samples == 2  # the new window, holding the last two
+        assert link.p99 == pytest.approx(0.4)
+        assert "p99_lag" in link.reasons
+        histogram = eco.metrics.histogram("monitor.pub_to_sub.lag")
+        assert histogram.exemplar_threshold == 0.05
+        assert histogram.count == 8  # one instrument across both SLOs
+
+    def test_hot_path_records_into_the_registrys_own_instruments(self):
+        """Readers by name and ``MetricsRegistry.reset`` must see — and
+        reset — the very histograms the resolved hot path records into."""
+        eco, clock, pub, sub, User = virtual_eco()
+        dwell = eco.metrics.histogram("monitor.pub_to_sub.dwell")
+        lag = eco.metrics.histogram("monitor.pub_to_sub.lag")
+        eco.monitor.observe_applied("sub", stub(clock, lag=0.1, dwell=0.25))
+        assert (lag.count, dwell.count) == (1, 1)
+        eco.metrics.reset()
+        assert (lag.count, dwell.count) == (0, 0)
+        eco.monitor.observe_applied("sub", stub(clock, lag=0.1, dwell=0.5))
+        assert (lag.count, dwell.count) == (1, 1)
+        assert eco.metrics.histogram(
+            "monitor.pub_to_sub.dwell"
+        ).total() == pytest.approx(0.5)
+
     def test_negative_clock_skew_clamps_to_zero(self):
         eco, clock, pub, sub, User = virtual_eco()
         eco.monitor.observe_applied("sub", stub(clock, lag=-3.0))

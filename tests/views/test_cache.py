@@ -69,6 +69,7 @@ class TestMidLoadRace:
         value, hit = cache.read("k", racing_loader)
         assert (value, hit) == ("before", False)
         assert metrics.value("cache.svc.stale_fills") == 1
+        assert cache.kv.get("c:k") == {"ver": 1, "v": 0, "value": "before"}
         # The stored entry is below the watermark: it must NOT be served.
         value, hit = cache.read("k", lambda: backing["v"])
         assert (value, hit) == ("after", False)
@@ -103,6 +104,38 @@ class TestMidLoadRace:
         assert not errors
 
 
+class TestOneSlotPerKey:
+    """One fact — is the stored entry at the key's watermark — is one
+    KV value, so answering it is one KV read."""
+
+    @staticmethod
+    def kv_ops(cache):
+        return cache.kv.stats.reads, cache.kv.stats.writes
+
+    def test_hit_is_one_read_and_write_through_one_read_one_write(self):
+        cache, _ = make_cache()
+        reads, writes = self.kv_ops(cache)
+        cache.write_through("k", "v")
+        assert self.kv_ops(cache) == (reads + 1, writes + 1)
+        assert cache.read("k", lambda: 1 / 0) == ("v", True)
+        assert self.kv_ops(cache) == (reads + 2, writes + 1)
+        cache.invalidate("k")
+        assert self.kv_ops(cache) == (reads + 3, writes + 2)
+
+    def test_invalidate_drops_the_dead_value(self):
+        cache, _ = make_cache()
+        for i in range(20):
+            key = ReplicatedCache.row_key("Doc", i)
+            cache.write_through(key, {"id": i, "body": "x" * 100})
+            assert cache.read(key, lambda: 1 / 0)[1]
+            cache.invalidate(key)
+        assert cache.stats()["entries"] == 0
+        assert cache.kv.dbsize() == 20
+        assert all(
+            cache.kv.get(key) == {"ver": 2} for key in cache.kv.keys()
+        )
+
+
 class TestPlumbing:
     def test_key_builders(self):
         assert ReplicatedCache.row_key("Doc", 7) == "row:Doc:7"
@@ -120,4 +153,4 @@ class TestPlumbing:
         kv = RedisLike("shared")
         cache = ReplicatedCache("svc", kv=kv)
         cache.write_through("k", "v")
-        assert kv.get("val:k")["value"] == "v"
+        assert kv.get("c:k") == {"ver": 1, "v": 1, "value": "v"}

@@ -22,14 +22,14 @@ from repro.runtime.flow import FlowConfig
 from repro.views import CountView, FeedView, SumView, TopKView
 
 
-def build_pipeline(mode="causal", flow=None, data_dir=None):
+def build_pipeline(mode="causal", flow=None, data_dir=None, pub_db=None):
     eco = Ecosystem()
     if flow is not None:
         eco.enable_flow(flow)
     if data_dir is not None:
         eco.enable_durability(data_dir=data_dir, snapshot_every=10_000)
     pub = eco.service(
-        "pub", database=MongoLike("pub-db"), delivery_mode=mode
+        "pub", database=pub_db or MongoLike("pub-db"), delivery_mode=mode
     )
 
     @pub.model(publish=["author", "score"], name="Post")
@@ -98,8 +98,8 @@ class TestApplyPathMaintenance:
             post.score = 50
             post.save()
         sub.subscriber.drain()
-        # The apply invalidated the view key: this read must miss and
-        # see the post-write aggregate, never the cached 1.
+        # The fold moved the view key's watermark and installed the
+        # post-write aggregate at it: never the cached 1.
         assert sub.views.read("karma") == 50
         assert eco.metrics.value("cache.sub.hits") >= 1
 
