@@ -9,7 +9,7 @@ Commands:
         run a small publisher->subscriber scenario and print the
         MetricsRegistry snapshot; with --trace, run it with the WAL on
         (fsync off, scratch dir) and also print the per-stage spans of
-        one end-to-end traced message, wal.append included
+        one end-to-end traced message, wal.append/wal.flush included
     conformance [--seeds N] [--mode causal|global|weak] [--crash]
                 [--seed K --faults F --generation-bump --queue-limit Q]
         deterministic delivery-semantics conformance: directed race
@@ -107,7 +107,8 @@ def _metrics_command(with_trace: bool) -> int:
     with contextlib.ExitStack() as stack:
         if with_trace:
             # Durability on (fsync off, scratch dir) so the trace shows
-            # the wal.append spans next to the stages they sit inside.
+            # the wal.append spans next to the stages they sit inside,
+            # and the wal.flush span of each step's one write.
             data_dir = stack.enter_context(tempfile.TemporaryDirectory())
             stack.callback(eco.enable_durability(data_dir=data_dir).close)
         with pub.controller():

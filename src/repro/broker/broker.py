@@ -9,7 +9,7 @@ import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.broker.message import Message
-from repro.broker.queue import SubscriberQueue
+from repro.broker.queue import NO_STEP, SubscriberQueue
 from repro.errors import BrokerError
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.tracing import STAGE_FORWARD, STAGE_ROUTE, trace_now
@@ -183,49 +183,56 @@ class Broker:
         wire payload via the forwarder instead of a local enqueue.
         """
         payload: Optional[str] = None
-        if self.durability is not None:
-            # The one encode of this publish: the ``out`` record, every
-            # delivery's ``pub``/``apply`` records and the forwarder all
-            # reuse the body this fills the shared cell with.
-            payload = message.to_json()
-            # Logged before fan-out: the publisher's version store is
-            # already bumped, so the record carries the counter state a
-            # restored process must resume publishing from.
-            self.durability.log_out(message)
-            if message.trace is not None:
-                # The trace just gained the record's ``wal.append`` span;
-                # splice it onto the cached body again below.
-                payload = None
-        with self._lock:
-            targets = [
-                (sub, self._queues[sub])
-                for sub, pubs in self._bindings.items()
-                if message.app in pubs and sub in self._queues
-            ]
-            placement = self._placement
-        if placement is not None:
-            is_local, forwarder = placement
-            local = [(sub, queue) for sub, queue in targets if is_local(sub)]
-            remote = [sub for sub, _ in targets if not is_local(sub)]
-        else:
-            local, remote = targets, []
-        # Graduated backpressure, stage one: stall the publishing thread
-        # while a target queue is out of admission credits ("slow before
-        # shed before kill"). Off unless the flow config sets a delay.
-        # Remote queues exercise admission on their owning shard instead.
-        delay = 0.0
-        for _, queue in local:
-            if queue.flow is not None:
-                delay = max(delay, queue.flow.publish_delay())
-        if delay > 0:
-            time.sleep(delay)
-        traced = message.trace is not None
-        for sub, queue in local:
-            if self._should_drop():
-                self._record_drop(sub, message)
-                continue
-            start = trace_now() if traced else 0.0
-            self._enqueue(queue, message.delivery(), start)
+        # One WAL step (nothing without durability): the ``out`` record
+        # and every local queue's ``pub`` reach the kernel in one write
+        # when the block ends — before the caller is answered, and
+        # before anything is handed to the forwarder below.
+        with getattr(self.durability, "step", NO_STEP):
+            if self.durability is not None:
+                # The one encode of this publish: the ``out`` record,
+                # every delivery's ``pub``/``apply`` records and the
+                # forwarder all reuse the body this fills the shared
+                # cell with.
+                payload = message.to_json()
+                # Logged before fan-out: the publisher's version store
+                # is already bumped, so the record carries the counter
+                # state a restored process must resume publishing from.
+                self.durability.log_out(message)
+                if message.trace is not None:
+                    # The trace just gained the record's ``wal.append``
+                    # span; splice it onto the cached body again below.
+                    payload = None
+            with self._lock:
+                targets = [
+                    (sub, self._queues[sub])
+                    for sub, pubs in self._bindings.items()
+                    if message.app in pubs and sub in self._queues
+                ]
+                placement = self._placement
+            if placement is not None:
+                is_local, forwarder = placement
+                local = [(sub, queue) for sub, queue in targets if is_local(sub)]
+                remote = [sub for sub, _ in targets if not is_local(sub)]
+            else:
+                local, remote = targets, []
+            # Graduated backpressure, stage one: stall the publishing
+            # thread while a target queue is out of admission credits
+            # ("slow before shed before kill"). Off unless the flow
+            # config sets a delay. Remote queues exercise admission on
+            # their owning shard instead.
+            delay = 0.0
+            for _, queue in local:
+                if queue.flow is not None:
+                    delay = max(delay, queue.flow.publish_delay())
+            if delay > 0:
+                time.sleep(delay)
+            traced = message.trace is not None
+            for sub, queue in local:
+                if self._should_drop():
+                    self._record_drop(sub, message)
+                    continue
+                start = trace_now() if traced else 0.0
+                self._enqueue(queue, message.delivery(), start)
         for sub in remote:
             if self._should_drop():
                 self._record_drop(sub, message)

@@ -5,12 +5,18 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional
 
 from repro.broker.message import Message
 from repro.errors import BrokerError, QueueDecommissioned
 from repro.runtime.interleave import yield_point
 from repro.runtime.tracing import MARK_ACKED, MARK_ENQUEUED, STAGE_DWELL, trace_now
+
+
+#: What ``with`` enters where a WAL step would be when no
+#: DurabilityManager is attached.
+NO_STEP = nullcontext()
 
 
 class SubscriberQueue:
@@ -44,6 +50,14 @@ class SubscriberQueue:
         #: ``Ecosystem.enable_durability`` is on. Log hooks run under
         #: ``self._lock`` so WAL order equals queue-mutation order.
         self.durability = None
+
+    @property
+    def step(self):
+        """``with queue.step:`` around the applies of what was popped
+        and the acks that settle them: the attached manager's WAL step
+        (their records reach the kernel in one write when it ends),
+        nothing without one."""
+        return getattr(self.durability, "step", NO_STEP)
 
     # -- broker side ---------------------------------------------------------
 

@@ -266,16 +266,20 @@ class SynapseSubscriber:
             progress = False
             pending.sort(key=_by_seq)
             remaining: List[Message] = []
-            for start in range(0, len(pending), limit):
-                chunk = pending[start:start + limit]
-                done, retry, _errors = self.process_batch(chunk)
-                for message in done:
-                    queue.ack(message)
-                    processed += 1
-                    progress = True
-                remaining.extend(retry)
-                if flow is not None:
-                    flow.batch_size.record(len(chunk))
+            # One WAL step (nothing without durability): the ``apply``
+            # records of what this round popped and the acks that settle
+            # it reach the kernel in one write when the block ends.
+            with queue.step:
+                for start in range(0, len(pending), limit):
+                    chunk = pending[start:start + limit]
+                    done, retry, _errors = self.process_batch(chunk)
+                    for message in done:
+                        queue.ack(message)
+                        processed += 1
+                        progress = True
+                    remaining.extend(retry)
+                    if flow is not None:
+                        flow.batch_size.record(len(chunk))
             pending = remaining
             if not progress and not len(queue):
                 break

@@ -29,14 +29,12 @@ callables by reference.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import tempfile
 from typing import Any, Dict, Optional
 
-from repro.errors import TransportError, TransportTimeout
-from repro.runtime.transport.shard import ShardRunner, _shard_main
+from repro.runtime.transport.shard import ShardRunner
 
 #: shard -> services. Subscribers live opposite their publisher, so both
 #: the replication stream and the audit digests cross processes.
@@ -164,104 +162,42 @@ def recover_verify(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
 # -- phase A: the crash run ----------------------------------------------------
 
 
-def _recv(conn: Any, shard: str, expected: str, timeout: float) -> Any:
-    if not conn.poll(timeout):
-        raise TransportTimeout(
-            f"shard {shard!r} sent no {expected!r} within {timeout:.0f}s"
-        )
-    try:
-        frame = conn.recv()
-    except EOFError as exc:
-        raise TransportError(f"shard {shard!r} died") from exc
-    if frame[0] == "error":
-        raise TransportError(f"shard {shard!r} failed: {frame[1]}")
-    if frame[0] != expected:
-        raise TransportError(
-            f"shard {shard!r} answered {frame[0]!r}, expected {expected!r}"
-        )
-    return frame[1] if len(frame) > 1 else None
-
-
 def _run_crash_phase(
     data_dir: str, timeout: float
 ) -> Dict[str, Any]:
-    """Drive :func:`_shard_main` workers through the crash: survivor's
-    workload, victim's workload ending in SIGKILL, survivor checkpoint.
-
-    This is :meth:`ShardRunner.run` minus the assumption that every
-    shard answers: the victim's silence (EOF / exitcode ``-SIGKILL``)
-    is the expected outcome, not a transport error."""
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX hosts
-        ctx = multiprocessing.get_context("spawn")
-    shards = sorted(RECOVER_PLACEMENT)
+    """Drive a :class:`ShardRunner` through the crash, phase by phase:
+    survivor's workload, victim's workload ending in SIGKILL, survivor
+    checkpoint. The victim's death (exitcode ``-SIGKILL``) is the
+    expected outcome, not a transport error."""
     victim = RECOVER_VICTIM
-    survivor = next(name for name in shards if name != victim)
+    survivor = next(name for name in RECOVER_PLACEMENT if name != victim)
     os.environ[RECOVER_KILL_ENV] = victim
-
-    peer_conns: Dict[str, Dict[str, Any]] = {name: {} for name in shards}
-    for i, a in enumerate(shards):
-        for b in shards[i + 1:]:
-            end_a, end_b = ctx.Pipe()
-            peer_conns[a][b] = end_a
-            peer_conns[b][a] = end_b
-    command: Dict[str, Any] = {}
-    processes: Dict[str, Any] = {}
-    for name in shards:
-        parent_end, child_end = ctx.Pipe()
-        command[name] = parent_end
-        processes[name] = ctx.Process(
-            target=_shard_main,
-            name=f"recover-{name}",
-            args=(name, build_recover_ecosystem, RECOVER_PLACEMENT,
-                  recover_scenario, None, child_end, peer_conns[name],
-                  data_dir),
-        )
+    runner = ShardRunner(
+        build_recover_ecosystem,
+        RECOVER_PLACEMENT,
+        scenario=recover_scenario,
+        timeout=timeout,
+        durability_dir=data_dir,
+    )
     killed = False
     survivor_scenario: Dict[str, Any] = {}
     survivor_stats: Dict[str, Any] = {}
     try:
-        for name in shards:
-            processes[name].start()
-        for name in shards:
-            for conn in peer_conns[name].values():
-                conn.close()
-        for name in shards:
-            _recv(command[name], name, "ready", timeout)
+        runner.start()
         # Survivor first: its forwarded messages reach the victim's
         # queue — and therefore the victim's WAL — while it still lives.
-        command[survivor].send(("run",))
-        survivor_scenario = _recv(
-            command[survivor], survivor, "scenario_done", timeout
-        )
+        survivor_scenario = runner.run_scenarios([survivor])[survivor]
         # The victim publishes its own workload and kills itself.
-        command[victim].send(("run",))
-        processes[victim].join(timeout=timeout)
-        killed = processes[victim].exitcode == -signal.SIGKILL
+        killed = runner.run_to_death(victim) == -signal.SIGKILL
         # Let the survivor's link thread finish consuming whatever the
         # victim managed to push into the pipe before dying: the shared
         # quiesce helper polls the cluster health_report from inside the
         # survivor, degrading to counter-stability for the dead peer.
-        command[survivor].send(("quiesce", timeout))
-        quiesced = _recv(
-            command[survivor], survivor, "quiesced", timeout + 10.0
-        )
-        if not quiesced["quiesced"]:
-            raise TransportTimeout(
-                f"survivor {survivor!r} did not quiesce after the crash"
-            )
-        command[survivor].send(("finish",))
-        survivor_stats = _recv(command[survivor], survivor, "result", timeout)
-        processes[survivor].join(timeout=timeout)
+        runner.quiesce(survivor)
+        survivor_stats = runner.finish([survivor])[survivor]
     finally:
         os.environ.pop(RECOVER_KILL_ENV, None)
-        for process in processes.values():
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        for conn in command.values():
-            conn.close()
+        runner.close()
     return {
         "victim": victim,
         "killed": killed,

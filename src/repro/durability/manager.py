@@ -4,7 +4,10 @@
 per process and attaches it to the broker (which hands it to every
 subscriber queue, existing and future). The pipeline then logs each
 durable state transition as one WAL record, appended *inside* the lock
-that orders the transition, so WAL order equals effect order:
+that orders the transition, so WAL order equals effect order (the
+records of the hot path go to the WAL as text ``durability.wal``'s
+layouts made of them, the rest as dicts; ``_append`` is the one place
+that skips logging while a restore replays):
 
 =========  =============================================================
 ``out``    publisher routed a message (captures the post-bump publisher
@@ -27,6 +30,23 @@ that orders the transition, so WAL order equals effect order:
            cursor as ``cur``, making cursor-advance atomic with the
            publisher-counter capture
 =========  =============================================================
+
+**Steps.** Under fsync ``off`` the pipeline brackets its three
+multi-record units with ``with manager.step:`` — ``Broker.publish``
+from the ``out`` record to its last local enqueue; the applies of what
+was popped and the acks that settle them, per round of
+``SynapseSubscriber.drain`` and per batch of
+``SubscriberWorkerPool._run``. Records logged by a thread inside a
+step wait in the WAL's buffer, and the end of the step — of every step,
+nested ones too — writes the whole buffer in one ``write``: before the
+step's caller is answered, and (the publish step ends there) before
+anything is handed to a forwarder. A record logged outside any step is
+written at once, and any write takes every thread's buffered lines, so
+the file is always a prefix of append order. Every engine being
+in-memory, a process killed mid-step is indistinguishable from one
+killed a few microseconds earlier, at the previous step's end:
+what it had applied or acked but not written is redelivered and deduped
+after restart. ``interval`` and ``always`` ignore steps.
 
 :meth:`restore` is ARIES-lite: load the latest valid snapshot, replay
 the WAL tail past its pin with at-least-once dedup (the snapshot's
@@ -52,10 +72,13 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.broker.message import Message
+from repro.durability import wal
 from repro.durability.datadir import snapshot_dir, wal_dir
 from repro.durability.snapshot import SnapshotStore
 from repro.durability.wal import (
@@ -65,13 +88,17 @@ from repro.durability.wal import (
     SegmentedWAL,
 )
 from repro.errors import WALCorrupt
-from repro.runtime.tracing import STAGE_WAL, trace_now
+from repro.runtime.tracing import STAGE_WAL, STAGE_WAL_FLUSH, trace_now
 
 
-def _uid_seq(uid: str) -> Optional[int]:
-    """The numeric tail of a default ``app:seq`` uid, else None."""
+def _uid_seq(uid: str) -> int:
+    """The numeric tail of a default ``app:seq`` uid, else 0."""
     _, _, tail = uid.rpartition(":")
-    return int(tail) if tail.isdigit() else None
+    return int(tail) if tail.isdigit() else 0
+
+
+def _queue_counters() -> Dict[str, int]:
+    return {"published": 0, "acked": 0}
 
 
 @dataclass
@@ -90,6 +117,36 @@ class RestoreReport:
     #: Services whose queues/state may be behind after an unrecoverable
     #: log — the bootstrap/repair worklist.
     stale_services: List[str] = field(default_factory=list)
+
+
+class _Step(threading.local):
+    """``with manager.step:`` — one step of the pipeline (module
+    docstring, "Steps"): under fsync ``off`` the records the thread logs
+    inside it wait in the WAL's buffer and reach the kernel in one
+    write when it ends. One object serves every thread, and steps nest:
+    the open count is the thread's own."""
+
+    depth = 0
+    #: The last traced message the thread logged inside its open step:
+    #: the ``wal.flush`` span of the write that ends the step goes there.
+    trace = None
+
+    def __init__(self, wal: SegmentedWAL) -> None:
+        self._wal = wal
+
+    def __enter__(self) -> None:
+        self.depth += 1
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.depth -= 1
+        trace = self.trace
+        if trace is None:
+            self._wal.flush()
+            return
+        self.trace = None
+        start = trace_now()
+        if self._wal.flush():
+            trace.add(STAGE_WAL_FLUSH, start, trace_now() - start)
 
 
 class DurabilityManager:
@@ -121,6 +178,7 @@ class DurabilityManager:
         #: Auto-snapshot cadence in WAL appends; None = explicit only.
         self.snapshot_every = snapshot_every
         self._appends_since_snapshot = 0
+        self.step = _Step(self.wal)
         #: True while :meth:`restore` runs: every log hook is a no-op so
         #: replayed effects are not re-logged.
         self._restoring = False
@@ -137,27 +195,27 @@ class DurabilityManager:
 
     # -- logging hooks (called by queue/broker/subscriber, see module doc) --
 
-    @property
-    def restoring(self) -> bool:
-        return self._restoring
-
     def _append(
-        self,
-        rec: Dict[str, Any],
-        message: Optional[Message] = None,
-        body: Optional[str] = None,
+        self, rec: Union[Dict[str, Any], str], message: Optional[Message] = None
     ) -> None:
-        """Append one record. ``message`` is the message the record is
-        about (its append is timed into the message's trace when it has
-        one); ``body`` is that message's cached canonical body, which
-        becomes the record's ``m`` field without being encoded again."""
+        """Append one record — a dict, or the text one of ``wal``'s
+        layouts made of it — unless :meth:`restore` is running.
+        ``message`` is the message the record is about: its append is
+        timed into the message's trace when it has one, and that trace
+        is where the write of the step it belongs to will show."""
+        if self._restoring:
+            return
+        step = self.step
+        held = step.depth > 0
         trace = message.trace if message is not None else None
         if trace is None:
-            self.wal.append(rec, body)
+            self.wal.append(rec, hold=held)
         else:
             start = trace_now()
-            self.wal.append(rec, body)
+            self.wal.append(rec, hold=held)
             trace.add(STAGE_WAL, start, trace_now() - start)
+            if held:
+                step.trace = trace
         self._appends_since_snapshot += 1
 
     def log_out(self, message: Message) -> None:
@@ -178,24 +236,20 @@ class DurabilityManager:
                 pvs.kv.hget(key, "ops") or 0,
                 pvs.kv.hget(key, "version") or 0,
             ]
-        rec = {"t": "out", "app": message.app, "vs": counters}
-        if message.cdc is not None:
-            # Piggybacked cursor: advancing past this outbox entry is
-            # atomic with capturing the counters its publish bumped —
-            # a crash can never leave the counters durable but the
-            # cursor behind (which would republish and double-bump).
-            rec["cur"] = message.cdc
-        self._append(rec, message, message.body())
+        # A CDC publish piggybacks its outbox cursor (``cur``): advancing
+        # past the entry is atomic with capturing the counters its
+        # publish bumped — a crash can never leave the counters durable
+        # but the cursor behind (which would republish and double-bump).
+        self._append(
+            wal.out_record(message.app, message.body(), counters, message.cdc),
+            message,
+        )
         self.maybe_snapshot()
 
     def log_pub(self, queue_name: str, message: Message) -> None:
-        if self._restoring:
-            return
-        self._append({"t": "pub", "q": queue_name}, message, message.body())
+        self._append(wal.pub_record(queue_name, message.body()), message)
 
     def log_coal(self, queue_name: str, survivor: Message) -> None:
-        if self._restoring:
-            return
         # ``absorbed`` lists every uid the survivor has merged so far.
         # Replay must drop those from pending: an absorbed message whose
         # ``pub`` record is also in the log would otherwise be
@@ -203,9 +257,11 @@ class DurabilityManager:
         # the survivor already merged (dep-wait wedges or double-applied
         # counter bumps under causal/global delivery).
         self._append(
-            {"t": "coal", "q": queue_name, "uid": survivor.uid,
-             "absorbed": survivor.coalesced_uids},
-            survivor, survivor.body(),
+            wal.coal_record(
+                queue_name, survivor.uid, survivor.coalesced_uids,
+                survivor.body(),
+            ),
+            survivor,
         )
 
     def log_shed(self, queue_name: str, message: Message, flow: Any) -> None:
@@ -221,12 +277,6 @@ class DurabilityManager:
         makes WAL order equal ledger-mutation order."""
         if self._restoring:
             return
-        if flow is None:
-            self._append(
-                {"t": "shed", "q": queue_name, "app": message.app,
-                 "ledger": {}}
-            )
-            return
         with flow._shed_lock:
             ledger = dict(flow._shed_deficits.get(message.app, {}))
             self._append(
@@ -240,8 +290,6 @@ class DurabilityManager:
         original publish order, resurrecting the exact chain-head-buried
         ordering the rotation had already fixed — the restored workers
         would have to rediscover every defer before draining."""
-        if self._restoring:
-            return
         self._append(
             {"t": "defer", "q": queue_name, "uid": message.uid}, message
         )
@@ -251,51 +299,39 @@ class DurabilityManager:
             return
         if self.wal.injector is not None:
             self.wal.injector.fire("before-ack")
-        self._append({"t": "ack", "q": queue_name, "uid": message.uid}, message)
+        self._append(wal.ack_record(queue_name, message.uid), message)
 
     def log_decom(self, queue_name: str) -> None:
-        if self._restoring:
-            return
         self._append({"t": "decom", "q": queue_name})
 
     def log_recom(self, queue_name: str) -> None:
-        if self._restoring:
-            return
         self._append({"t": "recom", "q": queue_name})
 
     def log_apply(self, service_name: str, message: Message) -> None:
         if self._restoring:
-            return
+            return  # a replayed apply: do not encode its body for nothing
         self._append(
-            {"t": "apply", "svc": service_name, "uid": message.uid},
-            message, message.body(),
+            wal.apply_record(service_name, message.uid, message.body()),
+            message,
         )
 
     def log_gen(self, service_name: str, app: str, generation: int) -> None:
-        if self._restoring:
-            return
         self._append(
             {"t": "gen", "svc": service_name, "app": app, "g": generation}
         )
 
     def log_pubgen(self, app: str, generation: int) -> None:
-        if self._restoring:
-            return
         self._append({"t": "pubgen", "app": app, "g": generation})
 
     def log_outbox(self, service_name: str, entry: Dict[str, Any]) -> None:
         """A raw write committed its data row + outbox entry. The entry
         carries everything replay needs to restore both."""
-        if self._restoring:
-            return
         self._append({"t": "obx", "svc": service_name, "e": dict(entry)})
 
     def log_cdc_cursor(self, service_name: str, cursor: int) -> None:
         """CDC poller batch checkpoint — keeps an idle tail's position
         durable across compaction even when no piggybacked ``out``
         record follows."""
-        if self._restoring:
-            return
         self._append({"t": "cdc", "svc": service_name, "cur": cursor})
 
     # -- snapshot ------------------------------------------------------------
@@ -392,7 +428,7 @@ class DurabilityManager:
             start = None
             #: queue -> uid -> payload dict, in queue order.
             pending: Dict[str, Dict[str, Any]] = {}
-            stats: Dict[str, Dict[str, int]] = {}
+            stats: Dict[str, Dict[str, int]] = defaultdict(_queue_counters)
             decommissioned: Dict[str, bool] = {}
             shed: Dict[str, Dict[str, Dict[str, int]]] = {}
             max_seq = 0
@@ -426,32 +462,26 @@ class DurabilityManager:
             # publish: flow admission must not re-shed differently than
             # the run being restored did).
             broker = self.ecosystem.broker
+            for queue_name, dead in decommissioned.items():
+                if dead:  # restored below even with nothing pending
+                    pending.setdefault(queue_name, {})
             for queue_name, entries in pending.items():
                 queue = broker.queue_for(queue_name)
-                messages = []
-                for payload in entries.values():
-                    message = Message.from_wire(payload)
-                    seq = _uid_seq(message.uid)
-                    if seq is not None:
-                        max_seq = max(max_seq, seq)
-                    messages.append(message)
-                queue_stats = stats.get(queue_name, {})
+                messages = [
+                    Message.from_wire(payload) for payload in entries.values()
+                ]
+                max_seq = max(
+                    max_seq, max((_uid_seq(m.uid) for m in messages), default=0)
+                )
                 queue.restore_state(
                     messages,
-                    published=queue_stats.get("published", 0),
-                    acked=queue_stats.get("acked", 0),
+                    published=stats[queue_name]["published"],
+                    acked=stats[queue_name]["acked"],
                     decommissioned=decommissioned.get(queue_name, False),
                 )
                 if queue.flow is not None and queue_name in shed:
                     queue.flow.restore_shed(shed[queue_name])
                 report.requeued += len(messages)
-            for queue_name, dead in decommissioned.items():
-                if dead and queue_name not in pending:
-                    broker.queue_for(queue_name).restore_state(
-                        [], published=stats.get(queue_name, {}).get("published", 0),
-                        acked=stats.get(queue_name, {}).get("acked", 0),
-                        decommissioned=True,
-                    )
             self._requeued.increment(report.requeued)
             self._restored_applies.increment(report.applied)
             _advance_message_seq(max_seq)
@@ -516,10 +546,7 @@ class DurabilityManager:
                     sub.generations[app] = generation
             applied = svc_state.get("applied_uids", [])
             sub.restore_applied(applied)
-            for uid in applied:
-                seq = _uid_seq(uid)
-                if seq is not None:
-                    max_seq = max(max_seq, seq)
+            max_seq = max(max_seq, max(map(_uid_seq, applied), default=0))
             sub.bootstrapping = bool(svc_state.get("bootstrapping", False))
             self._restore_rows(service, svc_state.get("models", {}))
         for queue_name, queue_state in snapshot.get("queues", {}).items():
@@ -580,17 +607,12 @@ class DurabilityManager:
         if kind == "pub":
             payload = rec["m"]
             uid = payload["uid"]
-            seq = _uid_seq(uid)
-            if seq is not None:
-                max_seq = seq
+            max_seq = _uid_seq(uid)
             queue_name = rec["q"]
             entries = pending.setdefault(queue_name, {})
             if uid not in entries and not self._uid_applied(queue_name, uid):
                 entries[uid] = payload
-                counters = stats.setdefault(
-                    queue_name, {"published": 0, "acked": 0}
-                )
-                counters["published"] = counters.get("published", 0) + 1
+                stats[queue_name]["published"] += 1
         elif kind == "coal":
             entries = pending.get(rec["q"], {})
             if rec["uid"] in entries:
@@ -603,12 +625,8 @@ class DurabilityManager:
                 if absorbed_uid == rec["uid"]:
                     continue
                 if entries.pop(absorbed_uid, None) is not None:
-                    counters = stats.setdefault(
-                        rec["q"], {"published": 0, "acked": 0}
-                    )
-                    counters["published"] = max(
-                        0, counters.get("published", 0) - 1
-                    )
+                    counters = stats[rec["q"]]
+                    counters["published"] = max(0, counters["published"] - 1)
         elif kind == "defer":
             entries = pending.get(rec["q"], {})
             payload = entries.pop(rec["uid"], None)
@@ -621,10 +639,7 @@ class DurabilityManager:
         elif kind == "ack":
             entries = pending.get(rec["q"], {})
             if entries.pop(rec["uid"], None) is not None:
-                counters = stats.setdefault(
-                    rec["q"], {"published": 0, "acked": 0}
-                )
-                counters["acked"] = counters.get("acked", 0) + 1
+                stats[rec["q"]]["acked"] += 1
         elif kind == "decom":
             decommissioned[rec["q"]] = True
             pending.pop(rec["q"], None)
@@ -635,9 +650,7 @@ class DurabilityManager:
             shed.pop(rec["q"], None)
         elif kind == "apply":
             message = Message.from_wire(rec["m"])
-            seq = _uid_seq(message.uid)
-            if seq is not None:
-                max_seq = seq
+            max_seq = _uid_seq(message.uid)
             service = eco.local_service(rec["svc"])
             if service is not None and not service.subscriber.has_applied(
                 message.uid
@@ -661,9 +674,7 @@ class DurabilityManager:
             service = eco.local_service(rec["app"])
             if service is not None:
                 message = Message.from_wire(rec["m"])
-                seq = _uid_seq(message.uid)
-                if seq is not None:
-                    max_seq = seq
+                max_seq = _uid_seq(message.uid)
                 pvs = service.publisher_version_store
                 for hashed, (ops, version) in rec.get("vs", {}).items():
                     _pvs_fast_forward(pvs, hashed, ops, version)

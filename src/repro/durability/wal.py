@@ -3,24 +3,43 @@
 Append-only JSON-lines segments: every line is one envelope
 ``{"crc":<crc32>,"rec":{...},"v":WAL_WIRE_VERSION}`` whose CRC is
 computed over the canonical JSON of ``rec`` alone — a flipped bit in a
-record body, not just a torn line, is detected on replay. A record that
-carries a message takes the message's already-encoded canonical body
-and splices it in as its ``m`` field, so the writer CRCs the bytes it
-produced instead of encoding the message again. Segments rotate at a
-fixed record count so snapshot compaction can reclaim whole files below
-the snapshot's pin.
+record body, not just a torn line, is detected on replay. This module
+is the only one that knows the format. A record reaches
+:func:`encode_record` as a dict — the generic path: the rare control
+records, and the reference the rest is tested against — or, for the
+five record types that carry a message or ride in every delivery
+(``out``, ``pub``, ``coal``, ``apply``, ``ack``), as text one of the
+literal layouts below already made of it: the keys as constant text in
+canonical order around the message's cached body, so nothing on the hot
+path builds a JSON encoder. Either way the line is byte for byte what
+``canonical_json`` of the envelope yields. Segments rotate at a fixed
+record count so snapshot compaction can reclaim whole files below the
+snapshot's pin.
 
-Three fsync policies model the real durability/throughput trade:
+There is one append path: a line joins the buffer, and one place
+(``_flush_buffer_locked``) writes the *whole* buffer in one ``write``,
+so the file is always a prefix of append order. The three fsync
+policies differ only in when that happens and whether it fsyncs:
 
-- ``off``: records reach the OS file immediately, no fsync — a process
-  crash loses nothing (the kernel holds the bytes), a host crash may.
-- ``always``: write + flush + fsync per record — nothing is ever lost,
+- ``off``: written at once, no fsync — unless the appender says
+  ``hold`` (the record belongs to a step of the pipeline,
+  ``DurabilityManager.step``), in which case it waits for the
+  :meth:`~SegmentedWAL.flush` that ends the step. The step's caller is
+  answered only after that, so a process crash loses no publish whose
+  ``save()`` returned and no settled ack (the kernel holds the bytes);
+  a host crash may.
+- ``always``: written and fsynced per record — nothing is ever lost,
   at per-record fsync cost.
-- ``interval`` (group commit): records accumulate in an in-memory
-  buffer and hit the file in one write + fsync per sync point (every
-  ``group_max`` records, or an explicit :meth:`sync`). A crash between
-  sync points genuinely loses the buffered tail — exactly the window
-  the ``before-fsync`` crash scenario exercises.
+- ``interval`` (group commit): written and fsynced every ``group_max``
+  records, or at an explicit :meth:`~SegmentedWAL.sync`. A crash
+  between sync points genuinely loses the buffered tail — exactly the
+  window the ``before-fsync`` crash scenario exercises.
+
+A failed write is fail-stop: the first ``OSError`` from a segment
+open/write/flush/fsync takes the position back over the lines that did
+not reach the file, emits a ``durability.io_error`` anomaly and raises
+:class:`~repro.errors.WALWriteFailed`; every later append raises it
+again without touching the file.
 
 Replay verifies version and CRC per record. A malformed *final* record
 of the *final* segment is a torn tail — the partial line is truncated
@@ -36,10 +55,13 @@ import json
 import os
 import threading
 import zlib
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.broker.message import canonical_json
-from repro.errors import DurabilityError, WALCorrupt
+from repro.errors import DurabilityError, WALCorrupt, WALWriteFailed
+from repro.runtime.metrics import MetricsRegistry
 
 #: On-disk WAL schema version. Bump when a record changes meaning;
 #: replay refuses records from a *newer* schema instead of misreading.
@@ -109,17 +131,25 @@ def record_crc(rec: Dict[str, Any]) -> int:
     return _crc(canonical_json(rec))
 
 
-def encode_record(rec: Dict[str, Any], body: Optional[str] = None) -> str:
+def encode_record(
+    rec: Union[Dict[str, Any], str], body: Optional[str] = None
+) -> str:
     """One WAL line (without the newline): exactly what
     ``canonical_json({"v": ..., "crc": record_crc(rec), "rec": rec})``
     yields, in one pass.
 
-    ``body`` is the canonical JSON of the record's ``m`` field, already
-    encoded by the caller (``rec`` then must not carry ``m`` itself):
-    only the small header around it is dumped here, in two halves so the
-    body lands at ``m``'s sorted position.
+    ``rec`` is the record as a dict, or — from one of the layouts below
+    — its canonical JSON already laid out, which only gets its CRC and
+    envelope here. ``body`` (with a dict) is the canonical JSON of the
+    record's ``m`` field, already encoded by the caller (``rec`` then
+    must not carry ``m`` itself): only the small header around it is
+    dumped here, in two halves so the body lands at ``m``'s sorted
+    position. The dict forms are the reference the layouts are tested
+    against, and what the rare control records take.
     """
-    if body is None:
+    if isinstance(rec, str):
+        inner = rec
+    elif body is None:
         inner = canonical_json(rec)
     else:
         if "m" in rec:
@@ -132,6 +162,61 @@ def encode_record(rec: Dict[str, Any], body: Optional[str] = None) -> str:
             "," + canonical_json(tail)[1:] if tail else "}",
         ))
     return f'{{"crc":{_crc(inner)},"rec":{inner},"v":{WAL_WIRE_VERSION}}}'
+
+
+# -- literal layouts of the hot record types ----------------------------------
+#
+# Ten records per published message (one ``out``; a ``pub``, an ``apply``
+# and an ``ack`` per subscriber) made the generic header dump the largest
+# part of an append. Each layout below writes its record's keys as
+# constant text in canonical (sorted) order around the message's cached
+# body; a queue, service or app name is quoted once and remembered, a
+# uid is quoted per record. What they return is what ``canonical_json``
+# of the equivalent dict returns — byte for byte, the all-record-types
+# property in tests/durability/test_step_write.py holds them to it —
+# and goes to :func:`encode_record` in place of the dict.
+
+_name = lru_cache(maxsize=1024)(_quote)
+
+
+def out_record(
+    app: str, body: str, counters: Dict[str, List[int]],
+    cursor: Optional[int] = None,
+) -> str:
+    """``{"t": "out", "app", "m", "vs"}``, plus ``cur`` for a CDC publish."""
+    cur = "" if cursor is None else f'"cur":{canonical_json(cursor)},'
+    return (
+        f'{{"app":{_name(app)},{cur}"m":{body},"t":"out",'
+        f'"vs":{canonical_json(counters)}}}'
+    )
+
+
+def pub_record(queue_name: str, body: str) -> str:
+    """``{"t": "pub", "q", "m"}``."""
+    return f'{{"m":{body},"q":{_name(queue_name)},"t":"pub"}}'
+
+
+def coal_record(
+    queue_name: str, uid: str, absorbed: List[str], body: str
+) -> str:
+    """``{"t": "coal", "q", "uid", "absorbed", "m"}``."""
+    return (
+        f'{{"absorbed":{canonical_json(absorbed)},"m":{body},'
+        f'"q":{_name(queue_name)},"t":"coal","uid":{_quote(uid)}}}'
+    )
+
+
+def apply_record(service_name: str, uid: str, body: str) -> str:
+    """``{"t": "apply", "svc", "uid", "m"}``."""
+    return (
+        f'{{"m":{body},"svc":{_name(service_name)},"t":"apply",'
+        f'"uid":{_quote(uid)}}}'
+    )
+
+
+def ack_record(queue_name: str, uid: str) -> str:
+    """``{"t": "ack", "q", "uid"}``."""
+    return f'{{"q":{_name(queue_name)},"t":"ack","uid":{_quote(uid)}}}'
 
 
 def decode_record(line: str) -> Dict[str, Any]:
@@ -198,16 +283,21 @@ class SegmentedWAL:
         self.injector: Optional[CrashInjector] = None
         self._lock = threading.Lock()
         self._fh = None
-        self._buffer: List[str] = []  # group-commit tail (interval policy)
+        #: Lines appended but not yet written, in append order: the
+        #: group-commit tail (``interval``) or what ``append(hold=True)``
+        #: left for :meth:`flush` (``off``). Any write takes all of it.
+        self._buffer: List[str] = []
+        #: Set by the first failed segment write; the log is fail-stop
+        #: from then on (:meth:`_fail_locked`).
+        self._failed: Optional[WALWriteFailed] = None
         os.makedirs(dirpath, exist_ok=True)
-        self._appends = metrics.counter("durability.wal.appends") \
-            if metrics is not None else None
-        self._fsyncs = metrics.counter("durability.wal.fsyncs") \
-            if metrics is not None else None
-        self._segments_gauge = metrics.gauge("durability.wal.segments") \
-            if metrics is not None else None
-        self._bytes_gauge = metrics.gauge("durability.wal.bytes") \
-            if metrics is not None else None
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._appends = metrics.counter("durability.wal.appends")
+        self._flushes = metrics.counter("durability.wal.flushes")
+        self._fsyncs = metrics.counter("durability.wal.fsyncs")
+        self._segments_gauge = metrics.gauge("durability.wal.segments")
+        self._bytes_gauge = metrics.gauge("durability.wal.bytes")
         existing = self.segment_ids()
         if existing:
             self._segment = existing[-1]
@@ -244,8 +334,6 @@ class SegmentedWAL:
         truncation, compaction). Appends and rotation keep both gauges
         fresh incrementally: a listdir plus a stat per segment on every
         rotation would make a long log between snapshots quadratic."""
-        if self._segments_gauge is None:
-            return
         ids = self.segment_ids()
         self._total_segments = len(ids)
         self._segments_gauge.set(len(ids))
@@ -257,27 +345,19 @@ class SegmentedWAL:
         self._total_bytes = total
         self._bytes_gauge.set(total)
 
-    def _track_written(self, byte_count: int) -> None:
-        """Callers pass ``len(text)``: WAL lines are pure ASCII
-        (``canonical_json`` escapes everything else), so characters
-        written equal bytes written."""
-        if self._bytes_gauge is not None:
-            self._total_bytes += byte_count
-            self._bytes_gauge.set(self._total_bytes)
-
     def _handle(self):
         if self._fh is None:
             created = not os.path.exists(self.segment_path(self._segment))
             self._fh = open(
                 self.segment_path(self._segment), "a", encoding="utf-8"
             )
-            if created and self._segments_gauge is not None:
+            if created:
                 self._total_segments += 1
                 self._segments_gauge.set(self._total_segments)
         return self._fh
 
     def _rotate_locked(self) -> None:
-        self._flush_buffer_locked(do_fsync=self.fsync != FSYNC_OFF)
+        self._flush_buffer_locked()
         if self._fh is not None:
             self._fh.close()
             self._fh = None
@@ -287,62 +367,119 @@ class SegmentedWAL:
     # -- appending -----------------------------------------------------------
 
     def append(
-        self, rec: Dict[str, Any], body: Optional[str] = None
+        self, rec: Union[Dict[str, Any], str], hold: bool = False
     ) -> Tuple[int, int]:
-        """Durably append one record; returns its position. ``body`` is
-        the record's pre-encoded ``m`` field (see :func:`encode_record`)."""
-        line = encode_record(rec, body)
+        """Append one record (a dict, or a layout's text: see
+        :func:`encode_record`); returns its position. The line joins
+        the buffer, which is written at once — except under
+        ``interval`` (when the group is full) and, under ``off``, when
+        the caller says ``hold``: the record is one of a step's, and the
+        caller will :meth:`flush` when the step ends."""
+        line = encode_record(rec)
         with self._lock:
+            if self._failed is not None:
+                raise self._failed
             if self._segment_count >= self.segment_records:
                 self._rotate_locked()
             position = (self._segment, self._segment_count)
             self._segment_count += 1
-            if self._appends is not None:
-                self._appends.increment()
-            if self.fsync == FSYNC_INTERVAL:
-                self._buffer.append(line)
-                if len(self._buffer) >= self.group_max:
-                    if self.injector is not None:
-                        self.injector.fire("before-fsync")
-                    self._flush_buffer_locked(do_fsync=True)
-            else:
-                fh = self._handle()
-                fh.write(line + "\n")
-                fh.flush()
-                self._track_written(len(line) + 1)
-                if self.fsync == FSYNC_ALWAYS:
-                    os.fsync(fh.fileno())
-                    if self._fsyncs is not None:
-                        self._fsyncs.increment()
+            self._appends.increment()
+            self._buffer.append(line)
+            if len(self._buffer) >= self.group_max:
+                if self.fsync == FSYNC_INTERVAL and self.injector is not None:
+                    self.injector.fire("before-fsync")
+                self._flush_buffer_locked()
+            elif self.fsync == FSYNC_ALWAYS or (
+                self.fsync == FSYNC_OFF and not hold
+            ):
+                self._flush_buffer_locked()
         if self.injector is not None:
             self.injector.fire("after-append")
         return position
 
-    def _flush_buffer_locked(self, do_fsync: bool) -> None:
+    def flush(self) -> bool:
+        """Under ``off``, write what held appends left in the buffer —
+        every thread's lines, so the file stays a prefix of append
+        order. True when this call wrote something."""
+        if self.fsync != FSYNC_OFF or not self._buffer:
+            return False
+        with self._lock:
+            return self._flush_buffer_locked()
+
+    def _flush_buffer_locked(self) -> bool:
+        """The one place that writes: the whole buffer in one ``write``,
+        fsynced unless the policy is ``off``."""
         if not self._buffer:
-            return
-        fh = self._handle()
+            return False
         data = "\n".join(self._buffer) + "\n"
-        fh.write(data)
-        fh.flush()
-        self._track_written(len(data))
-        if do_fsync:
-            os.fsync(fh.fileno())
-            if self._fsyncs is not None:
-                self._fsyncs.increment()
+        try:
+            fh = self._handle()
+            fh.write(data)
+            fh.flush()
+            if self.fsync != FSYNC_OFF:
+                self._fsync_locked(fh)
+        except OSError as exc:
+            self._fail_locked(exc)
         self._buffer.clear()
+        # WAL lines are pure ASCII (everything else is escaped), so
+        # characters written equal bytes written.
+        self._total_bytes += len(data)
+        self._bytes_gauge.set(self._total_bytes)
+        self._flushes.increment()
+        return True
+
+    def _fsync_locked(self, fh) -> None:
+        os.fsync(fh.fileno())
+        self._fsyncs.increment()
+
+    def _fail_locked(self, exc: OSError) -> None:
+        """Fail-stop on the first ``OSError`` of a segment open, write,
+        flush or fsync (a full disk): take the position back over the
+        lines that did not reach the file, say so, and refuse every
+        later append with the same error — appending behind a hole
+        would make the log lie. The process restarts from the surviving
+        prefix; effects it never logged are redelivered and deduped.
+        (Closing the handle may still push out part of the failed
+        write: a torn tail replay forgives, or whole lines that only
+        lengthen the prefix.)"""
+        lost = len(self._buffer)
+        self._segment_count -= lost
+        self._buffer.clear()
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            try:
+                fh.close()
+            except OSError:
+                pass
+        self._failed = WALWriteFailed(
+            f"WAL segment {self._segment} write failed ({exc}); "
+            f"{lost} record(s) not logged, the log is closed"
+        )
+        if self.recorder is not None:
+            self.recorder.anomaly(
+                "durability.io_error",
+                segment=self._segment,
+                errno=exc.errno,
+                error=str(exc),
+                lost=lost,
+            )
+        raise self._failed from exc
 
     def sync(self) -> None:
-        """Force the group-commit buffer (and the OS cache) to disk —
-        the write barrier snapshots take before pinning a position."""
+        """Force the buffer (and the OS cache) to disk — the write
+        barrier snapshots take before pinning a position."""
         with self._lock:
+            if self._failed is not None:
+                raise self._failed
             if self.injector is not None and self._buffer:
                 self.injector.fire("before-fsync")
-            self._flush_buffer_locked(do_fsync=True)
-            if self._fh is not None and self.fsync != FSYNC_ALWAYS:
-                os.fsync(self._fh.fileno())
-                if self._fsyncs is not None:
-                    self._fsyncs.increment()
+            self._flush_buffer_locked()
+            if self._fh is not None and self.fsync == FSYNC_OFF:
+                # The other two policies fsync every write they make.
+                try:
+                    self._fsync_locked(self._fh)
+                except OSError as exc:
+                    self._fail_locked(exc)
         self._update_gauges()
 
     def position(self) -> Tuple[int, int]:
@@ -353,7 +490,7 @@ class SegmentedWAL:
 
     def close(self) -> None:
         with self._lock:
-            self._flush_buffer_locked(do_fsync=self.fsync != FSYNC_OFF)
+            self._flush_buffer_locked()
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None

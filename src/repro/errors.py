@@ -140,6 +140,13 @@ class WALCorrupt(DurabilityError):
     bootstrap/repair."""
 
 
+class WALWriteFailed(DurabilityError):
+    """A segment write, flush or fsync failed (a full disk, an I/O
+    error). The log is fail-stop: this and every later append raise, so
+    nothing more is published or acked as durable; restart the process
+    over the surviving prefix."""
+
+
 # --------------------------------------------------------------------------
 # Control-plane transport errors
 # --------------------------------------------------------------------------

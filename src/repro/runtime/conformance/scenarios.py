@@ -609,8 +609,9 @@ def durability_crash_point_scenario(
 
 def _durability_kill_child(data_dir: str, conn: Any) -> None:
     """Child half of the kill-restart scenario: WAL with a *hard*
-    injector armed, so the Nth append SIGKILLs this process mid-write.
-    Anything sent over ``conn`` is a failure diagnostic — a healthy run
+    injector armed, so the Nth append SIGKILLs this process inside a
+    publish step. Every publish that returns is reported over ``conn``;
+    anything else sent there is a failure diagnostic — a healthy run
     dies before reaching it."""
     from repro.durability.wal import CrashInjector
 
@@ -624,6 +625,7 @@ def _durability_kill_child(data_dir: str, conn: Any) -> None:
         for i in range(64):
             with pub.controller():
                 doc_cls.create(name=f"kill-{i}", value=i)
+            conn.send(("returned", i + 1))
         conn.send(("survived", None))
     except Exception as exc:  # pragma: no cover - diagnostics only
         try:
@@ -639,8 +641,11 @@ def durability_kill_restart_scenario(timeout: float = 30.0) -> List[Violation]:
     No ``finally`` blocks run in the child, no buffers get the chance
     to flush politely — exactly the failure the WAL exists for. The
     parent verifies the death was really ``-SIGKILL`` (a clean exit
-    means the injector never fired), then restores, drains, and audits
-    the replicas to digest-equality."""
+    means the injector never fired) and that the orphaned log is whole
+    lines (the kill lands inside a publish step, whose records reach
+    the file in one write or not at all), then restores — every publish
+    that had returned must come back — drains, and audits the replicas
+    to digest-equality."""
     import multiprocessing
     import shutil
     import signal
@@ -648,6 +653,11 @@ def durability_kill_restart_scenario(timeout: float = 30.0) -> List[Violation]:
 
     data_dir = tempfile.mkdtemp(prefix="repro-conf-kill-")
     violations: List[Violation] = []
+
+    def violated(text: str) -> List[Violation]:
+        violations.append(Violation(INV_DURABLE, text))
+        return violations
+
     manager = None
     try:
         ctx = multiprocessing.get_context("fork")
@@ -663,61 +673,59 @@ def durability_kill_restart_scenario(timeout: float = 30.0) -> List[Violation]:
         if process.is_alive():
             process.terminate()
             process.join(5.0)
-            violations.append(
-                Violation(
-                    INV_DURABLE,
-                    f"kill-restart child hung past {timeout:.0f}s instead "
-                    "of dying at its crash point",
-                )
+            return violated(
+                f"kill-restart child hung past {timeout:.0f}s instead "
+                "of dying at its crash point"
             )
-            return violations
+        returned, frame = 0, None
+        try:
+            while parent_conn.poll(0):
+                frame = parent_conn.recv()
+                if frame[0] == "returned":
+                    returned = frame[1]
+        except EOFError:
+            pass
         if process.exitcode != -signal.SIGKILL:
-            detail = ""
-            if parent_conn.poll(0):
-                try:
-                    detail = f" ({parent_conn.recv()})"
-                except EOFError:
-                    pass
-            violations.append(
-                Violation(
-                    INV_DURABLE,
-                    f"child exited {process.exitcode} instead of dying by "
-                    f"SIGKILL{detail}",
-                )
+            detail = "" if frame is None else f" ({frame})"
+            return violated(
+                f"child exited {process.exitcode} instead of dying by "
+                f"SIGKILL{detail}"
             )
-            return violations
 
-        eco, pub, sub, manager, _ = _durability_scenario_eco(data_dir, "off")
+        eco, pub, sub, manager, doc_cls = _durability_scenario_eco(
+            data_dir, "off"
+        )
         report = manager.restore()
         if report.unrecoverable:
-            violations.append(
-                Violation(
-                    INV_DURABLE,
-                    f"restore after SIGKILL reported unrecoverable: "
-                    f"{report.error}",
-                )
+            return violated(
+                f"restore after SIGKILL reported unrecoverable: "
+                f"{report.error}"
             )
-            return violations
+        if eco.recorder.events("durability.torn_tail"):
+            violated(
+                "SIGKILL left a torn line: a step reaches the file as "
+                "whole lines, in one write, or not at all"
+            )
+        if doc_cls.count() < returned:
+            # fsync ``off``'s promise: a publish whose save() returned
+            # is in the kernel, whatever happens to the process.
+            violated(
+                f"{returned} publishes had returned before the "
+                f"SIGKILL, restore brought back {doc_cls.count()}"
+            )
         if not report.replayed and report.snapshot_id is None:
-            violations.append(
-                Violation(
-                    INV_DURABLE,
-                    "restore after SIGKILL recovered nothing: no snapshot "
-                    "and an empty WAL tail",
-                )
+            return violated(
+                "restore after SIGKILL recovered nothing: no snapshot "
+                "and an empty WAL tail"
             )
-            return violations
         sub.subscriber.drain()
         audit = sub.audit_replication()
         if not audit.in_sync:
             result = sub.repair_replication(report=audit)
             if not result.verified_in_sync:
-                violations.append(
-                    Violation(
-                        INV_DURABLE,
-                        "replicas still divergent after SIGKILL, restore "
-                        f"(replayed={report.replayed}) and targeted repair",
-                    )
+                violated(
+                    "replicas still divergent after SIGKILL, restore "
+                    f"(replayed={report.replayed}) and targeted repair"
                 )
     finally:
         if manager is not None:
@@ -892,13 +900,16 @@ def cdc_kill_restart_scenario(
                 )
             )
             return violations
+        returned, frame = 0, None
+        try:
+            while parent_conn.poll(0):
+                frame = parent_conn.recv()
+                if frame[0] == "returned":
+                    returned = frame[1]
+        except EOFError:
+            pass
         if process.exitcode != -signal.SIGKILL:
-            detail = ""
-            if parent_conn.poll(0):
-                try:
-                    detail = f" ({parent_conn.recv()})"
-                except EOFError:
-                    pass
+            detail = "" if frame is None else f" ({frame})"
             violations.append(
                 Violation(
                     INV_CDC,

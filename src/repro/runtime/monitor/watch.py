@@ -132,6 +132,7 @@ def _render_round(eco: Any, round_no: int) -> List[str]:
     lines.append(
         "  durability: "
         f"appends={_durability('wal.appends')} "
+        f"flushes={_durability('wal.flushes')} "
         f"fsyncs={_durability('wal.fsyncs')} "
         f"segments={_durability('wal.segments')} "
         f"bytes={_durability('wal.bytes')} "

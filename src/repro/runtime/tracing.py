@@ -14,7 +14,11 @@ the JSON wire round trip and is forked per local delivery), accumulating one
     subscriber.apply          applying the operations through the local ORM
     wal.append                one WAL record about the message (durability
                               on: ``out``, then ``pub``/``apply``/``ack``
-                              per queue copy), encode + write
+                              per queue copy): encode + buffer, and the
+                              write when the record is not part of a step
+    wal.flush                 the one write of a step's records (fsync
+                              ``off``), on the last traced message the
+                              step logged
 
 plus point-in-time marks (``queue.enqueued``, ``subscriber.ack``). The
 per-ecosystem :class:`Tracer` is the on/off switch and the sink finished
@@ -61,9 +65,13 @@ STAGE_APPLY = "subscriber.apply"
 #: Group-commit window of the flow-control batched apply: one span per
 #: batched message, covering the whole batch transaction it rode in.
 STAGE_BATCH = "subscriber.batch_apply"
-#: One durability WAL append about the message (encode + write, plus the
-#: fsync under ``always``). Nested inside whichever stage logged it.
+#: One durability WAL append about the message (encode + buffer; outside
+#: a step also the write, plus the fsync under ``always``). Nested
+#: inside whichever stage logged it.
 STAGE_WAL = "wal.append"
+#: The write that ends a step (``DurabilityManager.step``): every record
+#: buffered since the last one, in one ``write``.
+STAGE_WAL_FLUSH = "wal.flush"
 
 MARK_ENQUEUED = "queue.enqueued"
 MARK_ACKED = "subscriber.ack"
@@ -88,6 +96,7 @@ PIPELINE_STAGES = (
     STAGE_APPLY,
     STAGE_BATCH,
     STAGE_WAL,
+    STAGE_WAL_FLUSH,
     STAGE_AUDIT_DIGEST,
     STAGE_AUDIT_DIFF,
     STAGE_REPAIR_PUBLISH,

@@ -324,14 +324,25 @@ class ShardRunner:
         for name in shards:
             self._recv(self._command[name], name, "ready")
 
-    def run_scenarios(self) -> Dict[str, Any]:
-        """Run the scenario concurrently on every shard; collect results."""
-        for name in self.shards:
+    def run_scenarios(self, shards: Optional[List[str]] = None) -> Dict[str, Any]:
+        """Run the scenario concurrently on every shard (or on
+        ``shards`` only — a crash phase sequences them); collect
+        results."""
+        names = self.shards if shards is None else shards
+        for name in names:
             self._command[name].send(("run",))
         return {
             name: self._recv(self._command[name], name, "scenario_done")
-            for name in self.shards
+            for name in names
         }
+
+    def run_to_death(self, shard: str) -> Optional[int]:
+        """Run the scenario on one shard that is expected not to survive
+        it (a crash phase's victim); returns the process's exit code,
+        None if it outlives the timeout."""
+        self._command[shard].send(("run",))
+        self._processes[shard].join(timeout=self.timeout)
+        return self._processes[shard].exitcode
 
     def quiesce(self, shard: Optional[str] = None) -> int:
         """Drain the whole mesh: delegate to one shard's
@@ -374,15 +385,17 @@ class ShardRunner:
             for name in self.shards
         }
 
-    def finish(self) -> Dict[str, Any]:
-        """Final drain + per-shard stats; shard processes exit after."""
-        for name in self.shards:
+    def finish(self, shards: Optional[List[str]] = None) -> Dict[str, Any]:
+        """Final drain + per-shard stats; shard processes exit after.
+        ``shards`` names the ones still alive after a crash phase."""
+        names = self.shards if shards is None else shards
+        for name in names:
             self._command[name].send(("finish",))
         stats = {
             name: self._recv(self._command[name], name, "result")
-            for name in self.shards
+            for name in names
         }
-        for name in self.shards:
+        for name in names:
             self._processes[name].join(timeout=self.timeout)
         return stats
 

@@ -198,56 +198,60 @@ class SubscriberWorkerPool:
             with self._active_lock:
                 self._active += 1
             try:
-                # First deliveries probe without blocking: when the
-                # queue holds out-of-order messages, burning the full
-                # dependency wait on each pop serialises chain-head
-                # discovery at wait_timeout per pop (with every worker
-                # parked, nothing progresses at all). A fast defer
-                # scans the queue in one cheap rotation instead;
-                # redeliveries block as before so an in-flight
-                # predecessor still satisfies us without another round
-                # trip through the queue.
-                first = all(message.delivery_count <= 1 for message in batch)
-                try:
-                    done, retry, errors = subscriber.process_batch(
-                        batch, wait_timeout=0.0 if first else self.wait_timeout
-                    )
-                except Exception:
-                    # process_batch contains apply errors itself; this
-                    # guards the verification phase. A transient fault
-                    # (or poisonous payload) must not kill the worker:
-                    # nack everything and let redelivery retry.
-                    done, retry, errors = [], batch, 1
-                if errors:
-                    self._apply_errors.increment(errors)
-                    self._reg_apply_errors.increment(errors)
-                try:
-                    # A batch that applied nothing and raised nothing
-                    # stalled purely on dependency waits: its missing
-                    # predecessors are behind it in the queue. Rotate
-                    # such batches to the back (defer) so the chain
-                    # head surfaces — nacking to the front would re-pop
-                    # the same messages while the predecessor starves.
-                    # Partially-applied batches made progress and retry
-                    # at the front.
-                    stalled = not done and not errors
-                    for message in done:
-                        queue.ack(message)
-                    for message in retry:
-                        if message.delivery_count >= self.max_deliveries:
-                            self._give_up(subscriber, queue, message)
-                        elif stalled:
-                            queue.defer(message)
-                        else:
-                            queue.nack(message)
-                except QueueDecommissioned:
-                    # The queue died while these deliveries were in
-                    # flight (their ack/nack is a tolerated no-op).
-                    # Route the decommission like the pop path does
-                    # instead of letting the exception kill the worker
-                    # silently.
-                    self._on_decommission()
-                    return
+                # One WAL step (nothing without durability): the batch's
+                # ``apply`` records and the acks that settle it reach the
+                # kernel in one write when the block ends.
+                with queue.step:
+                    # First deliveries probe without blocking: when the
+                    # queue holds out-of-order messages, burning the full
+                    # dependency wait on each pop serialises chain-head
+                    # discovery at wait_timeout per pop (with every worker
+                    # parked, nothing progresses at all). A fast defer
+                    # scans the queue in one cheap rotation instead;
+                    # redeliveries block as before so an in-flight
+                    # predecessor still satisfies us without another round
+                    # trip through the queue.
+                    first = all(message.delivery_count <= 1 for message in batch)
+                    try:
+                        done, retry, errors = subscriber.process_batch(
+                            batch, wait_timeout=0.0 if first else self.wait_timeout
+                        )
+                    except Exception:
+                        # process_batch contains apply errors itself; this
+                        # guards the verification phase. A transient fault
+                        # (or poisonous payload) must not kill the worker:
+                        # nack everything and let redelivery retry.
+                        done, retry, errors = [], batch, 1
+                    if errors:
+                        self._apply_errors.increment(errors)
+                        self._reg_apply_errors.increment(errors)
+                    try:
+                        # A batch that applied nothing and raised nothing
+                        # stalled purely on dependency waits: its missing
+                        # predecessors are behind it in the queue. Rotate
+                        # such batches to the back (defer) so the chain
+                        # head surfaces — nacking to the front would re-pop
+                        # the same messages while the predecessor starves.
+                        # Partially-applied batches made progress and retry
+                        # at the front.
+                        stalled = not done and not errors
+                        for message in done:
+                            queue.ack(message)
+                        for message in retry:
+                            if message.delivery_count >= self.max_deliveries:
+                                self._give_up(subscriber, queue, message)
+                            elif stalled:
+                                queue.defer(message)
+                            else:
+                                queue.nack(message)
+                    except QueueDecommissioned:
+                        # The queue died while these deliveries were in
+                        # flight (their ack/nack is a tolerated no-op).
+                        # Route the decommission like the pop path does
+                        # instead of letting the exception kill the worker
+                        # silently.
+                        self._on_decommission()
+                        return
                 if flow is not None:
                     flow.batch_size.record(len(batch))
                 if sizer is not None:
