@@ -98,7 +98,7 @@ def run_once(rate) -> float:
         elapsed = time.perf_counter() - start
     finally:
         gc.enable()
-    assert recv_sub.subscriber.processed_messages == WRITES
+    assert receiver.metrics.value(f"subscriber.{recv_sub.name}.processed") == WRITES
     return elapsed
 
 

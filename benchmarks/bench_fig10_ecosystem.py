@@ -40,8 +40,8 @@ def run_ecosystem(workers_per_service: int):
         total_elapsed = time.perf_counter() - start
 
     processed = sum(
-        service.subscriber.processed_messages
-        for service in ct.eco.services.values()
+        ct.eco.metrics.value(f"subscriber.{name}.processed")
+        for name in ct.eco.services
     )
     published = sum(
         service.publisher.messages_published

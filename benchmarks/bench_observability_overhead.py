@@ -65,7 +65,7 @@ def run_once(rate) -> float:
         elapsed = time.perf_counter() - start
     finally:
         gc.enable()
-    assert sub.subscriber.processed_messages == WRITES
+    assert eco.metrics.value("subscriber.sub.processed") == WRITES
     return elapsed
 
 

@@ -76,33 +76,25 @@ Commands:
 from __future__ import annotations
 
 import contextlib
+import importlib
+import os
 import sys
 import tempfile
+from typing import Callable, Dict, List
+
+from repro.core.tools import flags
 
 
-def _metrics_command(with_trace: bool) -> int:
+def _metrics_command(args: List[str]) -> int:
     """Drive one publisher write through the full pipeline and print the
     registry snapshot (and, with ``--trace``, the per-stage spans)."""
-    from repro.core import Ecosystem
-    from repro.databases.document import MongoLike
-    from repro.databases.relational import PostgresLike
-    from repro.orm import Field, Model
+    from repro.apps import build_replicated_pair
     from repro.runtime.tracing import format_trace
 
-    eco = Ecosystem()
+    with_trace = "--trace" in args
+    eco, pub, sub, User = build_replicated_pair(model="User")
     if with_trace:
         eco.enable_tracing()
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name"], name="User")
-    class User(Model):
-        name = Field(str)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="User")
-    class SubUser(Model):
-        name = Field(str)
 
     with contextlib.ExitStack() as stack:
         if with_trace:
@@ -137,30 +129,17 @@ def _metrics_command(with_trace: bool) -> int:
     return 0
 
 
-def _repair_demo(objects: int, lose: int) -> int:
+def _repair_command(args: List[str]) -> int:
     """§6.5 in miniature: lose write-messages under causal delivery,
     watch the subscriber wedge, then audit + targeted-repair it back to
     digest-equality without decommissioning anything."""
-    from repro.core import Ecosystem
-    from repro.databases.document import MongoLike
-    from repro.databases.relational import PostgresLike
-    from repro.orm import Field, Model
+    from repro.apps import build_replicated_pair
 
-    eco = Ecosystem()
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name", "score"], name="User")
-    class User(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "score"]}, name="User")
-    class SubUser(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
+    opts = flags(args, objects=40, lose=3)
+    objects, lose = opts["objects"], opts["lose"]
+    eco, pub, sub, User = build_replicated_pair(
+        fields={"name": str, "score": int}, model="User"
+    )
     users = []
     with pub.controller():
         for i in range(objects):
@@ -169,40 +148,33 @@ def _repair_demo(objects: int, lose: int) -> int:
     print(f"replicated {objects} objects; injecting loss of {lose} messages...")
 
     eco.broker.drop_next(lose)
-    with pub.controller():
-        for user in users[:lose]:
-            user.score += 1000
-            user.save()
-    # Follow-up writes to the same objects: their messages depend on the
-    # lost increments and wedge the causal queue (§6.5 deadlock).
-    with pub.controller():
-        for user in users[:lose]:
-            user.score += 1000
-            user.save()
+    # The second wave writes the same objects again: its messages depend
+    # on the lost increments and wedge the causal queue (§6.5 deadlock).
+    for _wave in range(2):
+        with pub.controller():
+            for user in users[:lose]:
+                user.score += 1000
+                user.save()
     sub.subscriber.drain()
 
-    report = sub.audit_replication()
-    for line in report.summary_lines():
+    result = sub.repair_replication()
+    for line in result.audit.summary_lines():
         print(line)
-    if report.in_sync:
+    if result.audit.in_sync:
         print("nothing to repair — loss injection did not diverge replicas")
         return 1
-
     print()
-    result = sub.repair_replication(report=report)
     for line in result.summary_lines():
         print(line)
 
     print()
-    snapshot = eco.metrics.snapshot()
     print("repair.* metrics:")
-    for name, value in snapshot.items():
-        if name.startswith("repair."):
-            rendered = (
-                f"count={value['count']} mean={value['mean'] * 1000:.3f}ms"
-                if isinstance(value, dict) else str(value)
-            )
-            print(f"  {name:<40} {rendered}")
+    for name, value in eco.metrics.snapshot("repair.").items():
+        rendered = (
+            f"count={value['count']} mean={value['mean'] * 1000:.3f}ms"
+            if isinstance(value, dict) else str(value)
+        )
+        print(f"  {name:<40} {rendered}")
     stats = eco.broker.queue_stats("sub")["sub"]
     print(
         f"queue after repair: queued={stats['queued']} "
@@ -218,111 +190,96 @@ def _repair_demo(objects: int, lose: int) -> int:
     return 0
 
 
+def _version_command(args: List[str]) -> int:
+    import repro
+
+    print(repro.__version__)
+    return 0
+
+
+_EXAMPLES = {
+    "quickstart": "examples.quickstart",
+    "social": "examples.social_ecosystem",
+    "crowdtap": "examples.crowdtap_microservices",
+    "migration": "examples.live_migration",
+    "analytics": "examples.analytics_pipeline",
+    "fig8": "examples.fig8_walkthrough",
+}
+
+
+def _demo_command(args: List[str]) -> int:
+    name = args[0] if args else "quickstart"
+    module_name = _EXAMPLES.get(name)
+    if module_name is None:
+        print(f"unknown demo {name!r}; options: {sorted(_EXAMPLES)}")
+        return 1
+    # Examples live next to the repo root, not inside the package.
+    repo_root = os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    )
+    sys.path.insert(0, repo_root)
+    try:
+        module = importlib.import_module(module_name)
+    except ModuleNotFoundError:
+        print("examples/ not found — run from a source checkout")
+        return 1
+    module.main()
+    return 0
+
+
+def _topology_command(args: List[str]) -> int:
+    from repro.core.tools import describe_ecosystem, to_dot
+
+    if args and args[0] == "crowdtap":
+        from repro.apps.crowdtap import build_crowdtap_ecosystem as build
+    else:
+        from repro.apps import build_social_ecosystem as build
+    eco = build().eco
+    print(to_dot(eco) if "--dot" in args else describe_ecosystem(eco))
+    return 0
+
+
+def _lazy(module: str, name: str) -> Callable[[List[str]], int]:
+    """``module.name``, imported only when the command runs."""
+    return lambda args: getattr(importlib.import_module(module), name)(args)
+
+
+#: command -> its ``handler(args) -> exit code``. The module docstring
+#: above is the reference for what each one does.
+COMMANDS: Dict[str, Callable[[List[str]], int]] = {
+    "demo": _demo_command,
+    "topology": _topology_command,
+    "metrics": _metrics_command,
+    "conformance": _lazy("repro.runtime.conformance.cli", "conformance_command"),
+    "watch": _lazy("repro.runtime.monitor.watch", "watch_command"),
+    "trace": _lazy("repro.runtime.transport.demo", "trace_command"),
+    "flow": _lazy("repro.runtime.flow.demo", "flow_command"),
+    "views": _lazy("repro.views.demo", "views_command"),
+    "shard": _lazy("repro.runtime.transport.demo", "shard_command"),
+    "recover": _lazy("repro.durability.demo", "recover_command"),
+    "saga": _lazy("repro.cdc.demo", "saga_command"),
+    "repair": _repair_command,
+    "version": _version_command,
+}
+
+#: Commands that are a scripted demo and nothing else (yet).
+DEMO_ONLY = frozenset({"flow", "views", "shard", "recover", "saga", "repair"})
+
+
 def main(argv: list) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
         return 0
     command, args = argv[0], argv[1:]
-    if command == "version":
-        import repro
-
-        print(repro.__version__)
-        return 0
-    if command == "demo":
-        scenarios = {
-            "quickstart": "examples.quickstart",
-            "social": "examples.social_ecosystem",
-            "crowdtap": "examples.crowdtap_microservices",
-            "migration": "examples.live_migration",
-            "analytics": "examples.analytics_pipeline",
-            "fig8": "examples.fig8_walkthrough",
-        }
-        name = args[0] if args else "quickstart"
-        module_name = scenarios.get(name)
-        if module_name is None:
-            print(f"unknown demo {name!r}; options: {sorted(scenarios)}")
-            return 1
-        # Examples live next to the repo root, not inside the package.
-        import importlib
-        import os
-
-        repo_root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        sys.path.insert(0, repo_root)
-        try:
-            module = importlib.import_module(module_name)
-        except ModuleNotFoundError:
-            print("examples/ not found — run from a source checkout")
-            return 1
-        module.main()
-        return 0
-    if command == "metrics":
-        return _metrics_command("--trace" in args)
-    if command == "watch":
-        from repro.runtime.monitor.watch import watch_command
-
-        return watch_command(args)
-    if command == "trace":
-        from repro.runtime.transport.demo import trace_command
-
-        return trace_command(args)
-    if command == "conformance":
-        from repro.runtime.conformance.cli import conformance_command
-
-        return conformance_command(args)
-    if command == "flow":
-        from repro.runtime.flow.demo import flow_command
-
-        return flow_command(args)
-    if command == "views":
-        from repro.views.demo import views_command
-
-        return views_command(args)
-    if command == "shard":
-        from repro.runtime.transport.demo import shard_command
-
-        return shard_command(args)
-    if command == "recover":
-        from repro.durability.demo import recover_command
-
-        return recover_command(args)
-    if command == "saga":
-        from repro.cdc.demo import saga_command
-
-        return saga_command(args)
-    if command == "repair":
-        def _flag(name: str, default: int) -> int:
-            if name in args:
-                return int(args[args.index(name) + 1])
-            return default
-
-        if "--demo" not in args:
-            print("the repair command currently only supports --demo")
-            return 1
-        return _repair_demo(
-            objects=_flag("--objects", 40), lose=_flag("--lose", 3)
-        )
-    if command == "topology":
-        from repro.core.tools import describe_ecosystem, to_dot
-
-        which = args[0] if args else "social"
-        if which == "crowdtap":
-            from repro.apps.crowdtap import build_crowdtap_ecosystem
-
-            eco = build_crowdtap_ecosystem().eco
-        else:
-            from repro.apps import build_social_ecosystem
-
-            eco = build_social_ecosystem().eco
-        if "--dot" in args:
-            print(to_dot(eco))
-        else:
-            print(describe_ecosystem(eco))
-        return 0
-    print(f"unknown command {command!r}")
-    print(__doc__)
-    return 1
+    handler = COMMANDS.get(command)
+    if handler is None:
+        print(f"unknown command {command!r}")
+        print(__doc__)
+        return 1
+    if command in DEMO_ONLY and "--demo" not in args:
+        print(f"the {command} command currently only supports --demo")
+        return 1
+    return handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - thin shim

@@ -73,14 +73,6 @@ class Broker:
         self._dropped = self.metrics.counter("broker.dropped")
         self._routed = self.metrics.counter("broker.routed")
 
-    @property
-    def dropped_messages(self) -> int:
-        return self._dropped.value
-
-    @property
-    def total_routed(self) -> int:
-        return self._routed.value
-
     # -- publisher metadata ("publisher files") ------------------------------
 
     def register_publication(
@@ -153,9 +145,6 @@ class Broker:
         with self._lock:
             self._bindings.setdefault(subscriber_app, set()).add(publisher_app)
         return queue
-
-    def bindings_of(self, subscriber_app: str) -> Set[str]:
-        return set(self._bindings.get(subscriber_app, set()))
 
     def subscribers_of(self, publisher_app: str) -> List[str]:
         with self._lock:

@@ -19,27 +19,12 @@ from repro.cdc.saga import (
     run_saga,
     run_sagas,
 )
-
-
-def _int_flag(args: List[str], name: str, default: int) -> int:
-    if name in args:
-        return int(args[args.index(name) + 1])
-    return default
-
-
-def _str_flag(args: List[str], name: str, default: str) -> str:
-    if name in args:
-        return args[args.index(name) + 1]
-    return default
+from repro.core.tools import flags
 
 
 def saga_command(args: List[str]) -> int:
-    if "--demo" not in args:
-        print("the saga command currently only supports --demo")
-        return 1
-    count = _int_flag(args, "--sagas", 6)
-    mode = _str_flag(args, "--mode", "causal")
-    seed = _int_flag(args, "--seed", 0)
+    opts = flags(args, sagas=6, mode="causal", seed=0)
+    count, mode, seed = opts["sagas"], opts["mode"], opts["seed"]
 
     saga = build_saga_ecosystem(mode=mode, seed=seed)
     eco = saga.eco
@@ -86,25 +71,17 @@ def saga_command(args: List[str]) -> int:
     eco.broker.drop_next(1)
     run_saga(saga, index=count, qty=3, approved=True)
     eco.drain_all()
-    divergent = {}
-    for svc in saga.subscribing_services():
-        report = svc.audit_replication()
-        if not report.in_sync:
-            divergent[svc] = report
-    if not divergent:
+    repairs = [svc.repair_replication() for svc in saga.subscribing_services()]
+    detected = [result for result in repairs if not result.audit.in_sync]
+    if not detected:
         print("FAILED: injected loss did not diverge any replica")
         return 1
-    healed = True
-    for svc, report in divergent.items():
+    for result in detected:
         print(
-            f"  {svc.name}: {report.divergent_total} divergent objects "
-            "detected, repairing..."
+            f"  {result.subscriber}: {result.audit.divergent_total} divergent "
+            f"objects detected, {result.objects_repaired} repaired"
         )
-        result = svc.repair_replication(report=report)
-        if not result.verified_in_sync:
-            healed = False
-            print(f"  {svc.name}: FAILED to heal")
-    if not healed:
+    if not all(result.verified_in_sync for result in repairs):
         print("FAILED: divergence survived targeted repair")
         return 1
     problems = check_saga_invariant(saga)

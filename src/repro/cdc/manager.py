@@ -35,9 +35,6 @@ class CdcManager:
             self.pollers[service.name] = poller
         return poller
 
-    def poller_for(self, service_name: str) -> Optional[CdcPoller]:
-        return self.pollers.get(service_name)
-
     # -- quiescence surface ------------------------------------------------
 
     def poll_all(self, max_entries: Optional[int] = None) -> int:

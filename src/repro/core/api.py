@@ -516,10 +516,6 @@ class Service:
     # Remote-application guard (subscriber persisting remote updates)
     # ------------------------------------------------------------------
 
-    @property
-    def applying_remote(self) -> bool:
-        return bool(getattr(self._remote_state, "targets", None))
-
     def is_applying_target(self, model_name: str, row_id: Any) -> bool:
         """True (once) when the subscriber engine is persisting this very
         object from a remote update. The token is one-shot: only the
@@ -608,14 +604,15 @@ class Service:
         the same counters (and more) under their hierarchical names.
         """
         queue = self.subscriber.queue
+        counted = self.ecosystem.metrics.value
         return {
             "service": self.name,
             "delivery_mode": self.delivery_mode,
             "messages_published": self.publisher.messages_published,
             "publish_overhead_mean_ms": self.publisher.overhead.mean() * 1000,
-            "messages_processed": self.subscriber.processed_messages,
-            "stale_discarded": self.subscriber.discarded_stale,
-            "duplicates_ignored": self.subscriber.duplicate_messages,
+            "messages_processed": counted(f"subscriber.{self.name}.processed"),
+            "stale_discarded": counted(f"subscriber.{self.name}.stale_discarded"),
+            "duplicates_ignored": counted(f"subscriber.{self.name}.duplicates"),
             "dep_wait_mean_ms": self.subscriber.dep_wait.mean() * 1000,
             "apply_mean_ms": self.subscriber.apply_time.mean() * 1000,
             "queue_depth": len(queue) if queue is not None else 0,

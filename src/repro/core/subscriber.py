@@ -40,7 +40,7 @@ from repro.core.delivery import (
 )
 from repro.core.dependencies import dep_name
 from repro.core.marshal import marshal_attributes, wire_value
-from repro.errors import QueueDecommissioned, SubscriptionError
+from repro.errors import DurabilityError, QueueDecommissioned, SubscriptionError
 from repro.orm.callbacks import run_callbacks
 from repro.orm.model import table_for_type
 from repro.runtime.interleave import observe_point, yield_point
@@ -171,20 +171,6 @@ class SynapseSubscriber:
         # older version on top of a newer one.
         self._object_locks: Dict[str, threading.Lock] = {}
         self._object_locks_guard = threading.Lock()
-
-    # -- migrated ad-hoc counters (registry-backed, read-only views) -------
-
-    @property
-    def processed_messages(self) -> int:
-        return self._processed.value
-
-    @property
-    def discarded_stale(self) -> int:
-        return self._stale.value
-
-    @property
-    def duplicate_messages(self) -> int:
-        return self._duplicates.value
 
     # ------------------------------------------------------------------
     # Registration
@@ -426,6 +412,11 @@ class SynapseSubscriber:
                     completed.append(
                         (message, self._apply_one(message, weak, record_only=several))
                     )
+        except DurabilityError:
+            # Not an apply error to count and retry: the log is
+            # fail-stop, so this process's memory is abandoned and the
+            # WAL prefix is the truth. Out of here, untouched.
+            raise
         except Exception as exc:
             # The first failure ends the batch: later members may have
             # been admitted against the bumps of the one that failed.

@@ -1,8 +1,23 @@
-"""Operator tooling: ecosystem topology description (the Fig 10/11 view)."""
+"""Operator tooling: ecosystem topology description (the Fig 10/11 view)
+and the CLI's flag reader."""
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Dict, List
+
+
+def flags(args: List[str], **defaults: Any) -> Dict[str, Any]:
+    """Value-taking CLI flags by keyword: ``flags(args, writes=20,
+    queue_limit=None)`` reads ``--writes N`` and ``--queue-limit Q``.
+    A given flag is coerced to the type of its default (left a string
+    under a ``None`` default); an absent one is its default."""
+    out = dict(defaults)
+    for key, default in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        if flag in args:
+            value = args[args.index(flag) + 1]
+            out[key] = value if default is None else type(default)(value)
+    return out
 
 
 def describe_ecosystem(ecosystem: Any) -> str:

@@ -99,9 +99,6 @@ class GraphDatabase(Database):
             node = self._nodes.get(node_id)
             return dict(node) if node is not None else None
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._nodes
-
     def find_nodes(
         self, label: str, properties: Optional[Props] = None
     ) -> List[Props]:

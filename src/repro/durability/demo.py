@@ -24,7 +24,8 @@ healthy iff the victim was really SIGKILLed, its restore replayed and
 requeued work, and every final audit is digest-equal.
 
 Everything is module-level so the process start methods can pickle the
-callables by reference.
+callables by reference; a run's parameters reach the worker processes
+bound onto them with :func:`functools.partial`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,11 @@ from __future__ import annotations
 import os
 import signal
 import tempfile
+from functools import partial
 from typing import Any, Dict, Optional
 
+from repro.core.tools import flags
+from repro.runtime.transport.demo import audit_owned_subscribers
 from repro.runtime.transport.shard import ShardRunner
 
 #: shard -> services. Subscribers live opposite their publisher, so both
@@ -48,49 +52,28 @@ RECOVER_VICTIM = "beta"
 
 RECOVER_PUBLISHER = {"alpha": "pub0", "beta": "pub1"}
 
-#: Workload size / kill-switch knobs (environment so they reach the
-#: worker processes across fork).
-RECOVER_OPS_ENV = "REPRO_RECOVER_OPS"
-RECOVER_KILL_ENV = "REPRO_RECOVER_KILL"
-
 
 def build_recover_ecosystem() -> Any:
     """Two publisher/subscriber pairs; every shard rebuilds the full
     topology and narrows ownership (declarations are code)."""
+    from repro.apps import build_replicated_pair
     from repro.core import Ecosystem
-    from repro.databases.document import MongoLike
-    from repro.databases.relational import PostgresLike
-    from repro.orm import Field, Model
 
     ecosystem = Ecosystem()
     for pub_name, sub_name in (("pub0", "sub0"), ("pub1", "sub1")):
-        pub = ecosystem.service(
-            pub_name, database=MongoLike(f"{pub_name}-db"),
-            delivery_mode="causal",
+        build_replicated_pair(
+            ecosystem, {"name": str, "score": int}, "Item",
+            pub=pub_name, sub=sub_name,
         )
-
-        @pub.model(publish=["name", "score"], name="Item")
-        class Item(Model):
-            name = Field(str)
-            score = Field(int, default=0)
-
-        sub = ecosystem.service(
-            sub_name, database=PostgresLike(f"{sub_name}-db")
-        )
-
-        @sub.model(subscribe={"from": pub_name, "fields": ["name", "score"],
-                              "mode": "causal"}, name="Item")
-        class SubItem(Model):
-            name = Field(str)
-            score = Field(int, default=0)
-
     return ecosystem
 
 
-def recover_scenario(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
-    """Publish this shard's workload; the designated victim then SIGKILLs
-    itself mid-traffic, leaving its backlog only in the WAL."""
-    operations = int(os.environ.get(RECOVER_OPS_ENV, "24"))
+def recover_scenario(
+    ecosystem: Any, shard_name: str, operations: int = 24,
+    victim: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Publish this shard's workload; the shard named ``victim`` then
+    SIGKILLs itself mid-traffic, leaving its backlog only in the WAL."""
     pub_name = RECOVER_PUBLISHER[shard_name]
     service = ecosystem.local_service(pub_name)
     Item = service.registry["Item"]
@@ -106,7 +89,7 @@ def recover_scenario(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
             item.score += 100
             item.save()
 
-    if os.environ.get(RECOVER_KILL_ENV, "") == shard_name:
+    if shard_name == victim:
         # The point of the demo: a real, unhandled kill — no atexit, no
         # flush hooks, no goodbye to the parent. Everything this shard
         # still owes (its undrained subscriber queue, its publisher's
@@ -121,49 +104,32 @@ def recover_scenario(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
 
 
 def recover_converge(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
-    """Phase B per-shard convergence: drain the restored backlog, audit
-    against the remote publisher, and heal anything that died in a pipe
-    with targeted repair (the §6.5 remedy) so the mesh can quiesce."""
-    from repro.repair.repairer import repair_subscriber
-
+    """Phase B per-shard convergence: drain the restored backlog, then
+    audit against the remote publisher and heal anything that died in a
+    pipe with targeted repair (the §6.5 remedy) so the mesh can quiesce."""
     results: Dict[str, Any] = {}
     for service in ecosystem.local_services():
         if not service.subscriber.specs:
             continue
         service.subscriber.drain()
-        report = service.audit_replication()
-        repaired = 0
-        if not report.in_sync:
-            repaired = repair_subscriber(service).objects_repaired
+        result = service.repair_replication()
         results[service.name] = {
-            "in_sync_before_repair": report.in_sync,
-            "objects_repaired": repaired,
+            "in_sync_before_repair": result.audit.in_sync,
+            "objects_repaired": result.objects_repaired,
         }
     return results
 
 
 def recover_verify(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
     """Final cross-process Merkle audit of every owned replica."""
-    from repro.repair.auditor import ReplicationAuditor
-
-    audits: Dict[str, Any] = {}
-    for service in ecosystem.local_services():
-        if not service.subscriber.specs:
-            continue
-        report = ReplicationAuditor(service).audit()
-        audits[service.name] = {
-            "in_sync": report.in_sync,
-            "divergent": report.divergent_total,
-            "rows": service.registry["Item"].count(),
-        }
-    return {"audits": audits}
+    return {"audits": audit_owned_subscribers(ecosystem)}
 
 
 # -- phase A: the crash run ----------------------------------------------------
 
 
 def _run_crash_phase(
-    data_dir: str, timeout: float
+    data_dir: str, operations: int, timeout: float
 ) -> Dict[str, Any]:
     """Drive a :class:`ShardRunner` through the crash, phase by phase:
     survivor's workload, victim's workload ending in SIGKILL, survivor
@@ -171,11 +137,12 @@ def _run_crash_phase(
     expected outcome, not a transport error."""
     victim = RECOVER_VICTIM
     survivor = next(name for name in RECOVER_PLACEMENT if name != victim)
-    os.environ[RECOVER_KILL_ENV] = victim
     runner = ShardRunner(
         build_recover_ecosystem,
         RECOVER_PLACEMENT,
-        scenario=recover_scenario,
+        scenario=partial(
+            recover_scenario, operations=operations, victim=victim
+        ),
         timeout=timeout,
         durability_dir=data_dir,
     )
@@ -196,7 +163,6 @@ def _run_crash_phase(
         runner.quiesce(survivor)
         survivor_stats = runner.finish([survivor])[survivor]
     finally:
-        os.environ.pop(RECOVER_KILL_ENV, None)
         runner.close()
     return {
         "victim": victim,
@@ -218,8 +184,7 @@ def run_recover_demo(
     """Phase A (crash) then phase B (restart over the same data dir)."""
     if data_dir is None:
         data_dir = tempfile.mkdtemp(prefix="repro-recover-")
-    os.environ[RECOVER_OPS_ENV] = str(operations)
-    crash = _run_crash_phase(data_dir, timeout)
+    crash = _run_crash_phase(data_dir, operations, timeout)
     runner = ShardRunner(
         build_recover_ecosystem,
         RECOVER_PLACEMENT,
@@ -257,22 +222,12 @@ def recover_healthy(outcome: Dict[str, Any]) -> bool:
 
 def recover_command(args: Any) -> int:
     """``python -m repro recover --demo [--operations N] [--timeout S]``."""
-    if "--demo" not in args:
-        print("the recover command currently only supports --demo")
-        return 1
-
-    def _flag(name: str, default: float) -> float:
-        if name in args:
-            return float(args[args.index(name) + 1])
-        return default
-
-    operations = int(_flag("--operations", 24))
-    timeout = _flag("--timeout", 60.0)
+    opts = flags(args, operations=24, timeout=60.0)
     print(
-        f"phase A: 2 shards, durability on, {operations} writes per "
+        f"phase A: 2 shards, durability on, {opts['operations']} writes per "
         f"publisher; SIGKILL {RECOVER_VICTIM!r} mid-traffic..."
     )
-    outcome = run_recover_demo(operations=operations, timeout=timeout)
+    outcome = run_recover_demo(**opts)
     crash = outcome["crash"]
     print(
         f"  victim {crash['victim']!r} killed: {crash['killed']} "
@@ -301,7 +256,7 @@ def recover_command(args: Any) -> int:
         for name, audit in sorted(shard["verify"]["audits"].items()):
             state = "in sync" if audit["in_sync"] \
                 else f"{audit['divergent']} divergent"
-            print(f"    audit {name}: {state} (rows={audit['rows']})")
+            print(f"    audit {name}: {state} (rows={audit['rows']['Item']})")
     print(
         f"  quiesced after {outcome['restart']['quiesce_polls']} polls in "
         f"{outcome['restart']['elapsed']:.2f}s"

@@ -64,10 +64,6 @@ class RecordNotFound(ORMError):
     """``find`` could not locate a record by primary key."""
 
 
-class ValidationError(ORMError):
-    """A model-level validation rejected the record."""
-
-
 class ReadOnlyAttributeError(ORMError):
     """Attempted write to an attribute owned by another service."""
 
@@ -82,10 +78,6 @@ class BrokerError(ReproError):
 
 class QueueDecommissioned(BrokerError):
     """The subscriber queue exceeded its limit and was killed (§4.4)."""
-
-
-class MessageLost(BrokerError):
-    """Fault injection dropped a message in transit (§6.5)."""
 
 
 # --------------------------------------------------------------------------
@@ -110,10 +102,6 @@ class DecoratorViolation(SynapseError):
 
 class DeliveryModeError(SynapseError):
     """Subscriber requested stronger semantics than its publisher offers."""
-
-
-class DependencyDeadlock(SynapseError):
-    """A subscriber waited past its timeout for a missing dependency."""
 
 
 class MigrationError(SynapseError):

@@ -129,10 +129,6 @@ class MerkleTree:
     def total_objects(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
-    def bucket_ids(self, leaf_index: int) -> List[Any]:
-        bucket = self._buckets.get(leaf_index, {})
-        return [row_id for row_id, _ in bucket.values()]
-
     def has(self, row_id: Any) -> bool:
         """Whether this replica holds ``row_id`` (multi-publisher audits
         must ignore rows owned by a different publisher)."""

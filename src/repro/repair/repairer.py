@@ -83,11 +83,18 @@ def repair_subscriber(
     batch_size: int = REPAIR_BATCH_SIZE,
 ) -> RepairResult:
     """Audit (unless ``report`` is given), re-publish divergent objects,
-    drain the subscriber, and re-audit to verify digest equality."""
+    drain the subscriber, and re-audit to verify digest equality. An
+    audit that finds nothing divergent is its own verification."""
     auditor = ReplicationAuditor(service)
     if report is None:
         report = auditor.audit(publisher_name)
     result = RepairResult(subscriber=service.name, audit=report)
+    if report.in_sync:
+        # Nothing diverged, so no repair runs: no second audit, no
+        # ``repair.run`` event in the postmortem timeline.
+        if reaudit:
+            result.verification = report
+        return result
     registry = service.ecosystem.metrics
 
     control = service.ecosystem.control

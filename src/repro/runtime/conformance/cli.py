@@ -17,9 +17,10 @@ Two shapes:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.delivery import CAUSAL, GLOBAL, WEAK
+from repro.core.tools import flags
 from repro.runtime.conformance.harness import (
     ScheduleConfig,
     ScheduleResult,
@@ -27,18 +28,6 @@ from repro.runtime.conformance.harness import (
     run_schedule,
 )
 from repro.runtime.conformance.scenarios import run_directed_scenarios
-
-
-def _int_flag(args: List[str], name: str, default: Optional[int]) -> Optional[int]:
-    if name in args:
-        return int(args[args.index(name) + 1])
-    return default
-
-
-def _str_flag(args: List[str], name: str, default: Optional[str]) -> Optional[str]:
-    if name in args:
-        return args[args.index(name) + 1]
-    return default
 
 
 def _report_failure(result: ScheduleResult) -> None:
@@ -49,22 +38,24 @@ def _report_failure(result: ScheduleResult) -> None:
 
 
 def conformance_command(args: List[str]) -> int:
-    mode = _str_flag(args, "--mode", None)
-    seed = _int_flag(args, "--seed", None)
+    opts = flags(
+        args, mode=None, seed=None, seeds=50, workers=3, messages=10,
+        faults=0, queue_limit=None, hash_space=None,
+    )
+    for key in ("seed", "queue_limit", "hash_space"):
+        if opts[key] is not None:
+            opts[key] = int(opts[key])
+    mode, seed, seeds = opts.pop("mode"), opts.pop("seed"), opts.pop("seeds")
     base = ScheduleConfig(
         mode=mode or CAUSAL,
         seed=seed or 0,
-        workers=_int_flag(args, "--workers", 3),
-        messages=_int_flag(args, "--messages", 10),
         crash_recovery="--crash" in args,
-        faults=_int_flag(args, "--faults", 0),
         generation_bump="--generation-bump" in args,
-        queue_limit=_int_flag(args, "--queue-limit", None),
-        hash_space=_int_flag(args, "--hash-space", None),
         flow="--flow" in args,
         durability="--durability" in args,
         views="--views" in args,
         cdc="--cdc" in args,
+        **opts,
     )
 
     if seed is not None:
@@ -98,7 +89,6 @@ def conformance_command(args: List[str]) -> int:
         else:
             print(f"  ok   {name}")
 
-    seeds = _int_flag(args, "--seeds", 50)
     modes = [mode] if mode else [CAUSAL, GLOBAL, WEAK]
     configs = default_matrix(seeds, modes=modes, base=base)
     print(

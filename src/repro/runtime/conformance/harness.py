@@ -225,41 +225,19 @@ class ConformanceHarness:
     def _make_ecosystem(self) -> Tuple[Any, Any, Any, Any]:
         """Build one instance of the schedule's topology (the restore-
         equivalence check rebuilds it to restore into)."""
+        from repro.apps import build_replicated_pair
         from repro.core import Ecosystem
-        from repro.databases.document import MongoLike
-        from repro.databases.relational import PostgresLike
-        from repro.orm import Field, Model
         from repro.versionstore import DependencyHasher
 
         config = self.config
-        eco = Ecosystem(
-            queue_limit=config.queue_limit,
-            seed=config.seed,
-            hasher=DependencyHasher(config.hash_space),
+        eco, pub, sub, doc_cls = build_replicated_pair(
+            Ecosystem(
+                queue_limit=config.queue_limit,
+                seed=config.seed,
+                hasher=DependencyHasher(config.hash_space),
+            ),
+            {"name": str, "value": int}, mode=config.mode,
         )
-        pub = eco.service(
-            "pub", database=MongoLike("pub-db"), delivery_mode=config.mode
-        )
-
-        @pub.model(publish=["name", "value"], name="Doc")
-        class PubDoc(Model):
-            name = Field(str)
-            value = Field(int, default=0)
-
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-        @sub.model(
-            subscribe={
-                "from": "pub",
-                "fields": ["name", "value"],
-                "mode": config.mode,
-            },
-            name="Doc",
-        )
-        class SubDoc(Model):
-            name = Field(str)
-            value = Field(int, default=0)
-
         if config.flow:
             from repro.runtime.flow import FlowConfig
 
@@ -276,7 +254,7 @@ class ConformanceHarness:
             views.declare(TopKView("top", "Doc", "value", k=3))
         if config.cdc:
             pub.enable_outbox()
-        return eco, pub, sub, PubDoc
+        return eco, pub, sub, doc_cls
 
     def _build_ecosystem(self) -> None:
         self.eco, self.pub, self.sub, self.doc_cls = self._make_ecosystem()

@@ -47,7 +47,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from repro.broker.message import Message
 from repro.broker.queue import SubscriberQueue
@@ -194,10 +196,11 @@ def fleet_idle_deadline_scenario(
     """``wait_until_idle(timeout=T)`` against greedy pools on a fake
     clock: total elapsed time must stay at ``T``, not inflate to
     ``settle_rounds × pools × T`` (24x at the defaults)."""
+    from repro.core import Ecosystem
     from repro.runtime import workers as workers_mod
 
     clock = _FakeClock()
-    fleet = workers_mod.WorkerFleet.__new__(workers_mod.WorkerFleet)
+    fleet = workers_mod.WorkerFleet(Ecosystem())
     fleet.pools = [_GreedyPool(clock) for _ in range(pools)]
     real_time = workers_mod.time
     workers_mod.time = clock  # type: ignore[assignment]
@@ -249,23 +252,12 @@ def drain_leak_scenario(queue_limit: int = 4) -> List[Violation]:
     account for every message drain had already popped: each must come
     back via a nack (tolerated on the dead queue) instead of leaking as
     a phantom in-flight delivery."""
+    from repro.apps import build_replicated_pair
     from repro.core import Ecosystem
-    from repro.databases.document import MongoLike
-    from repro.databases.relational import PostgresLike
-    from repro.orm import Field, Model
 
-    eco = Ecosystem(queue_limit=queue_limit)
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name"], name="Doc")
-    class PubDoc(Model):
-        name = Field(str)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="Doc")
-    class SubDoc(Model):
-        name = Field(str)
+    eco, pub, sub, PubDoc = build_replicated_pair(
+        Ecosystem(queue_limit=queue_limit)
+    )
 
     # Two deliveries drain will pop and hold: unsatisfiable causal
     # updates (their create message is dropped, so their dependency
@@ -344,32 +336,16 @@ def flow_coalesce_safety_scenario() -> List[Violation]:
     itself). The conservative union check refuses any overlap. After
     each phase the scenario drains and asserts the coalesced stream
     converges to the final payload with nothing left queued."""
+    from repro.apps import build_replicated_pair
     from repro.core import Ecosystem
-    from repro.databases.document import MongoLike
-    from repro.databases.relational import PostgresLike
-    from repro.orm import Field, Model
     from repro.runtime.flow import FlowConfig
 
     eco = Ecosystem()
     eco.enable_flow(FlowConfig(batch_max=4))
-    pub = eco.service(
-        "pub", database=MongoLike("pub-db"), delivery_mode="causal"
+    eco, pub, sub, PubDoc = build_replicated_pair(
+        eco, {"name": str, "value": int}
     )
-
-    @pub.model(publish=["name", "value"], name="Doc")
-    class PubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(
-        subscribe={"from": "pub", "fields": ["name", "value"], "mode": "causal"},
-        name="Doc",
-    )
-    class SubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
+    SubDoc = sub.registry["Doc"]
 
     queue = sub.subscriber.queue
     violations: List[Violation] = []
@@ -519,113 +495,26 @@ def _durability_scenario_eco(data_dir: str, fsync: str) -> Tuple[Any, ...]:
     return eco, pub, sub, manager, PubDoc
 
 
-def durability_crash_point_scenario(
-    point: str, writes: int = 8
-) -> List[Violation]:
-    """Crash at one WAL crash point, then prove restore convergence.
+def _cdc_scenario_eco(data_dir: str) -> Tuple[Any, ...]:
+    """The durability fixture with the publisher's CDC front-end armed:
+    raw writes go through the transactional outbox and the poller tails
+    them into the ordinary publisher path."""
+    fixture = _durability_scenario_eco(data_dir, "off")
+    fixture[1].enable_outbox()
+    return fixture
 
-    Ecosystem A publishes causal writes (and, for ``before-ack``,
-    drains) with a :class:`CrashInjector` armed at ``point``; the
-    injected :class:`SimulatedCrash` abandons it mid-flight — unacked
-    deliveries popped, file handle open, no clean close or snapshot.
-    ``before-fsync`` runs the ``interval`` policy and then drops the
-    unsynced group-commit buffer, modelling the real loss window.
-    Ecosystem B restores over the same data dir; the replicas must
-    converge to digest-equality (directly, or via targeted repair for
-    the writes the loss window genuinely discarded)."""
-    import shutil
-    import tempfile
 
-    from repro.durability.wal import (
-        FSYNC_INTERVAL,
-        FSYNC_OFF,
-        CrashInjector,
-        SimulatedCrash,
-    )
-
-    fsync = FSYNC_INTERVAL if point == "before-fsync" else FSYNC_OFF
-    after = 1 if point == "before-fsync" else 3
-    data_dir = tempfile.mkdtemp(prefix="repro-conf-crash-")
-    violations: List[Violation] = []
-    manager_b = None
+def _wound_in_child(
+    build: Callable[[str], Tuple[Any, ...]], wound: Callable[..., None],
+    data_dir: str, conn: Any,
+) -> None:
+    """Child half of a kill-restart scenario: build the fixture and run a
+    ``wound`` armed with a *hard* injector, which SIGKILLs this process
+    mid-step. Each publish the wound reports as returned is a frame on
+    ``conn``; anything else sent there is a failure diagnostic — a
+    healthy run dies before reaching it."""
     try:
-        eco_a, pub_a, sub_a, manager_a, doc_cls = _durability_scenario_eco(
-            data_dir, fsync
-        )
-        manager_a.wal.injector = CrashInjector(point, after_records=after)
-        crashed = False
-        try:
-            for i in range(writes):
-                with pub_a.controller():
-                    doc_cls.create(name=f"doc-{i}", value=i)
-            sub_a.subscriber.drain()
-        except SimulatedCrash:
-            crashed = True
-        if not crashed:
-            violations.append(
-                Violation(
-                    INV_DURABLE,
-                    f"crash injector at {point!r} never fired — the "
-                    "scenario exercised nothing",
-                )
-            )
-            return violations
-        manager_a.wal.injector = None
-        lost = manager_a.wal.drop_buffered_tail()
-        # Ecosystem A is abandoned unclosed: that is what a crash means.
-
-        eco_b, pub_b, sub_b, manager_b, _ = _durability_scenario_eco(
-            data_dir, fsync
-        )
-        report = manager_b.restore()
-        if report.unrecoverable:
-            violations.append(
-                Violation(
-                    INV_DURABLE,
-                    f"restore after a {point!r} crash reported "
-                    f"unrecoverable: {report.error}",
-                )
-            )
-            return violations
-        sub_b.subscriber.drain()
-        audit = sub_b.audit_replication()
-        if not audit.in_sync:
-            result = sub_b.repair_replication(report=audit)
-            if not result.verified_in_sync:
-                violations.append(
-                    Violation(
-                        INV_DURABLE,
-                        f"replicas still divergent after a {point!r} crash, "
-                        f"restore (replayed={report.replayed}, "
-                        f"lost={lost} buffered records) and targeted repair",
-                    )
-                )
-    finally:
-        if manager_b is not None:
-            manager_b.close()
-        shutil.rmtree(data_dir, ignore_errors=True)
-    return violations
-
-
-def _durability_kill_child(data_dir: str, conn: Any) -> None:
-    """Child half of the kill-restart scenario: WAL with a *hard*
-    injector armed, so the Nth append SIGKILLs this process inside a
-    publish step. Every publish that returns is reported over ``conn``;
-    anything else sent there is a failure diagnostic — a healthy run
-    dies before reaching it."""
-    from repro.durability.wal import CrashInjector
-
-    try:
-        eco, pub, sub, manager, doc_cls = _durability_scenario_eco(
-            data_dir, "off"
-        )
-        manager.wal.injector = CrashInjector(
-            "after-append", after_records=9, hard=True
-        )
-        for i in range(64):
-            with pub.controller():
-                doc_cls.create(name=f"kill-{i}", value=i)
-            conn.send(("returned", i + 1))
+        wound(build(data_dir), lambda count: conn.send(("returned", count)))
         conn.send(("survived", None))
     except Exception as exc:  # pragma: no cover - diagnostics only
         try:
@@ -634,99 +523,120 @@ def _durability_kill_child(data_dir: str, conn: Any) -> None:
             pass
 
 
-def durability_kill_restart_scenario(timeout: float = 30.0) -> List[Violation]:
-    """The uncatchable crash: a child process dies by genuine SIGKILL
-    mid-append, and the parent restores from the orphaned data dir.
-
-    No ``finally`` blocks run in the child, no buffers get the chance
-    to flush politely — exactly the failure the WAL exists for. The
-    parent verifies the death was really ``-SIGKILL`` (a clean exit
-    means the injector never fired) and that the orphaned log is whole
-    lines (the kill lands inside a publish step, whose records reach
-    the file in one write or not at all), then restores — every publish
-    that had returned must come back — drains, and audits the replicas
-    to digest-equality."""
+def _wound_by_sigkill(
+    build: Callable[[str], Tuple[Any, ...]], wound: Callable[..., None],
+    data_dir: str, timeout: float,
+) -> Tuple[Optional[str], int]:
+    """Parent half: fork the child, insist it died by genuine
+    ``-SIGKILL`` (a clean exit means the injector never fired), and read
+    its frames. Returns ``(problem or None, publishes that returned)``."""
     import multiprocessing
-    import shutil
     import signal
+
+    ctx = multiprocessing.get_context("fork")
+    parent_conn, child_conn = ctx.Pipe()
+    process = ctx.Process(
+        target=_wound_in_child, args=(build, wound, data_dir, child_conn),
+        name="conformance-kill-child",
+    )
+    process.start()
+    child_conn.close()
+    process.join(timeout)
+    if process.is_alive():
+        process.terminate()
+        process.join(5.0)
+        return (
+            f"kill-restart child hung past {timeout:.0f}s instead of "
+            "dying at its crash point"
+        ), 0
+    returned, frame = 0, None
+    try:
+        while parent_conn.poll(0):
+            frame = parent_conn.recv()
+            if frame[0] == "returned":
+                returned = frame[1]
+    except EOFError:
+        pass
+    if process.exitcode != -signal.SIGKILL:
+        detail = "" if frame is None else f" ({frame})"
+        return (
+            f"child exited {process.exitcode} instead of dying by "
+            f"SIGKILL{detail}"
+        ), returned
+    return None, returned
+
+
+def _crash_then_restore(
+    invariant: str,
+    crash: str,
+    build: Callable[[str], Tuple[Any, ...]],
+    wound: Callable[..., None],
+    claims: Callable[..., Iterable[str]] = lambda *_: (),
+    kill_timeout: Optional[float] = None,
+) -> List[Violation]:
+    """The §4.4 recovery ladder every crash scenario climbs.
+
+    ``build(data_dir)`` declares the pipeline — twice: a first
+    incarnation for ``wound(fixture, returned)`` to drive into its crash
+    (a :class:`SimulatedCrash` in this process, which then also loses
+    the unsynced group-commit buffer; with ``kill_timeout``, a genuine
+    SIGKILL in a forked child), abandoned unclosed because that is what
+    a crash means; and a second, restored over the same data dir. The
+    restore must be recoverable, and after one drain and at most one
+    targeted repair the replicas must be digest-equal. ``claims(fixture,
+    report, returned)`` then yields whatever else that crash must not
+    have cost. Violations carry ``invariant``; ``crash`` names the wound
+    in their text."""
+    import shutil
     import tempfile
 
-    data_dir = tempfile.mkdtemp(prefix="repro-conf-kill-")
+    from repro.durability.wal import SimulatedCrash
+
+    data_dir = tempfile.mkdtemp(prefix="repro-conf-crash-")
     violations: List[Violation] = []
 
     def violated(text: str) -> List[Violation]:
-        violations.append(Violation(INV_DURABLE, text))
+        violations.append(Violation(invariant, text))
         return violations
 
     manager = None
     try:
-        ctx = multiprocessing.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(
-            target=_durability_kill_child,
-            args=(data_dir, child_conn),
-            name="conformance-kill-child",
-        )
-        process.start()
-        child_conn.close()
-        process.join(timeout)
-        if process.is_alive():
-            process.terminate()
-            process.join(5.0)
-            return violated(
-                f"kill-restart child hung past {timeout:.0f}s instead "
-                "of dying at its crash point"
+        lost = returned = 0
+        if kill_timeout is not None:
+            problem, returned = _wound_by_sigkill(
+                build, wound, data_dir, kill_timeout
             )
-        returned, frame = 0, None
-        try:
-            while parent_conn.poll(0):
-                frame = parent_conn.recv()
-                if frame[0] == "returned":
-                    returned = frame[1]
-        except EOFError:
-            pass
-        if process.exitcode != -signal.SIGKILL:
-            detail = "" if frame is None else f" ({frame})"
-            return violated(
-                f"child exited {process.exitcode} instead of dying by "
-                f"SIGKILL{detail}"
-            )
-
-        eco, pub, sub, manager, doc_cls = _durability_scenario_eco(
-            data_dir, "off"
-        )
+            if problem is not None:
+                return violated(problem)
+        else:
+            wounded = build(data_dir)
+            try:
+                wound(wounded, None)
+            except SimulatedCrash:
+                wal = wounded[3].wal
+                wal.injector = None
+                lost = wal.drop_buffered_tail()
+            else:
+                return violated(
+                    f"the injector for {crash} never fired — the "
+                    "scenario exercised nothing"
+                )
+        fixture = eco, _pub, sub, manager, _doc_cls = build(data_dir)
         report = manager.restore()
         if report.unrecoverable:
             return violated(
-                f"restore after SIGKILL reported unrecoverable: "
+                f"restore after {crash} reported unrecoverable: "
                 f"{report.error}"
             )
-        if eco.recorder.events("durability.torn_tail"):
+        eco.drain_all()
+        if not sub.repair_replication().verified_in_sync:
             violated(
-                "SIGKILL left a torn line: a step reaches the file as "
-                "whole lines, in one write, or not at all"
+                f"replicas still divergent after {crash}, restore "
+                f"(replayed={report.replayed}, lost={lost} buffered "
+                "records) and targeted repair"
             )
-        if doc_cls.count() < returned:
-            # fsync ``off``'s promise: a publish whose save() returned
-            # is in the kernel, whatever happens to the process.
-            violated(
-                f"{returned} publishes had returned before the "
-                f"SIGKILL, restore brought back {doc_cls.count()}"
-            )
-        if not report.replayed and report.snapshot_id is None:
-            return violated(
-                "restore after SIGKILL recovered nothing: no snapshot "
-                "and an empty WAL tail"
-            )
-        sub.subscriber.drain()
-        audit = sub.audit_replication()
-        if not audit.in_sync:
-            result = sub.repair_replication(report=audit)
-            if not result.verified_in_sync:
-                violated(
-                    "replicas still divergent after SIGKILL, restore "
-                    f"(replayed={report.replayed}) and targeted repair"
-                )
+        for problem in claims(fixture, report, returned):
+            violated(problem)
     finally:
         if manager is not None:
             manager.close()
@@ -734,15 +644,123 @@ def durability_kill_restart_scenario(timeout: float = 30.0) -> List[Violation]:
     return violations
 
 
-def _cdc_scenario_eco(data_dir: str) -> Tuple[Any, ...]:
-    """The durability fixture with the publisher's CDC front-end armed:
-    raw writes go through the transactional outbox and the poller tails
-    them into the ordinary publisher path."""
-    eco, pub, sub, manager, doc_cls = _durability_scenario_eco(
-        data_dir, "off"
+def durability_crash_point_scenario(
+    point: str, writes: int = 8
+) -> List[Violation]:
+    """Crash at one WAL crash point, then prove restore convergence.
+
+    The first incarnation publishes causal writes (and, for
+    ``before-ack``, drains) with a :class:`CrashInjector` armed at
+    ``point``; the injected :class:`SimulatedCrash` abandons it
+    mid-flight — unacked deliveries popped, file handle open, no clean
+    close or snapshot. ``before-fsync`` runs the ``interval`` policy, so
+    dropping the unsynced group-commit buffer models the real loss
+    window. The replicas must converge to digest-equality (directly, or
+    via targeted repair for the writes the loss window genuinely
+    discarded)."""
+    from repro.durability.wal import FSYNC_INTERVAL, FSYNC_OFF, CrashInjector
+
+    fsync = FSYNC_INTERVAL if point == "before-fsync" else FSYNC_OFF
+    after = 1 if point == "before-fsync" else 3
+
+    def wound(fixture: Tuple[Any, ...], returned: Any) -> None:
+        _eco, pub, sub, manager, doc_cls = fixture
+        manager.wal.injector = CrashInjector(point, after_records=after)
+        for i in range(writes):
+            with pub.controller():
+                doc_cls.create(name=f"doc-{i}", value=i)
+        sub.subscriber.drain()
+
+    return _crash_then_restore(
+        INV_DURABLE, f"a {point!r} crash",
+        lambda data_dir: _durability_scenario_eco(data_dir, fsync),
+        wound,
     )
-    pub.enable_outbox()
-    return eco, pub, sub, manager, doc_cls
+
+
+def durability_kill_restart_scenario(timeout: float = 30.0) -> List[Violation]:
+    """The uncatchable crash: a child process dies by genuine SIGKILL
+    mid-append, and the parent restores from the orphaned data dir.
+
+    No ``finally`` blocks run in the child, no buffers get the chance
+    to flush politely — exactly the failure the WAL exists for. The
+    orphaned log must be whole lines (the kill lands inside a publish
+    step, whose records reach the file in one write or not at all) and
+    every publish that had returned must come back."""
+    from repro.durability.wal import CrashInjector
+
+    def wound(fixture: Tuple[Any, ...], returned: Any) -> None:
+        _eco, pub, _sub, manager, doc_cls = fixture
+        manager.wal.injector = CrashInjector(
+            "after-append", after_records=9, hard=True
+        )
+        for i in range(64):
+            with pub.controller():
+                doc_cls.create(name=f"kill-{i}", value=i)
+            returned(i + 1)
+
+    def claims(
+        fixture: Tuple[Any, ...], report: Any, returned: int
+    ) -> Iterator[str]:
+        eco, _pub, _sub, _manager, doc_cls = fixture
+        if eco.recorder.events("durability.torn_tail"):
+            yield (
+                "SIGKILL left a torn line: a step reaches the file as "
+                "whole lines, in one write, or not at all"
+            )
+        if doc_cls.count() < returned:
+            # fsync ``off``'s promise: a publish whose save() returned
+            # is in the kernel, whatever happens to the process.
+            yield (
+                f"{returned} publishes had returned before the SIGKILL, "
+                f"restore brought back {doc_cls.count()}"
+            )
+        if not report.replayed and report.snapshot_id is None:
+            yield (
+                "restore after SIGKILL recovered nothing: no snapshot "
+                "and an empty WAL tail"
+            )
+
+    return _crash_then_restore(
+        INV_DURABLE, "SIGKILL",
+        lambda data_dir: _durability_scenario_eco(data_dir, "off"),
+        wound, claims, kill_timeout=timeout,
+    )
+
+
+def _cdc_claims(writes: int, crash: str) -> Callable[..., Iterator[str]]:
+    """What a poller crash must not cost: the restored poller re-tails
+    the outbox to its end, and every committed raw write is a row on
+    both sides."""
+
+    def claims(
+        fixture: Tuple[Any, ...], report: Any, returned: int
+    ) -> Iterator[str]:
+        _eco, pub, sub, _manager, doc_cls = fixture
+        poller = pub.cdc_poller
+        if not poller.idle():
+            yield (
+                f"{poller.backlog()} outbox entries still unpublished "
+                f"after restore from {crash} (cursor={poller.cursor})"
+            )
+        for side, rows in (
+            ("publisher", doc_cls.count()),
+            ("subscriber", sub.registry["Doc"].count()),
+        ):
+            if rows != writes:
+                yield (
+                    f"{side} holds {rows}/{writes} raw-written rows "
+                    f"after {crash} and restore"
+                )
+
+    return claims
+
+
+def _raw_writes(fixture: Tuple[Any, ...], writes: int) -> None:
+    _eco, pub, _sub, _manager, doc_cls = fixture
+    raw = pub.raw_session()
+    for i in range(writes):
+        raw.insert(doc_cls, {"name": f"cdc-{i}", "value": i})
 
 
 def cdc_poll_crash_scenario(point: str, writes: int = 8) -> List[Violation]:
@@ -756,112 +774,19 @@ def cdc_poll_crash_scenario(point: str, writes: int = 8) -> List[Violation]:
     crashes once the checkpoint record is durable. In every case the
     restored ecosystem must drain to digest-equal replicas with the
     cursor caught up to the outbox tail."""
-    import shutil
-    import tempfile
-
     from repro.cdc import PollCrash
-    from repro.durability.wal import SimulatedCrash
 
     after = 1 if point == "after-checkpoint" else 3
-    data_dir = tempfile.mkdtemp(prefix="repro-conf-cdc-")
-    violations: List[Violation] = []
-    manager_b = None
-    try:
-        eco_a, pub_a, sub_a, manager_a, doc_cls = _cdc_scenario_eco(data_dir)
-        raw = pub_a.raw_session()
-        for i in range(writes):
-            raw.insert(doc_cls, {"name": f"cdc-{i}", "value": i})
-        pub_a.cdc_poller.injector = PollCrash(point, after=after)
-        crashed = False
-        try:
-            eco_a.cdc.poll_all()
-        except SimulatedCrash:
-            crashed = True
-        if not crashed:
-            violations.append(
-                Violation(
-                    INV_CDC,
-                    f"poll crash injector at {point!r} never fired — the "
-                    "scenario exercised nothing",
-                )
-            )
-            return violations
-        manager_a.wal.drop_buffered_tail()
-        # Ecosystem A is abandoned unclosed, cursor checkpoint possibly
-        # missing: that is what a poller crash means.
+    crash = f"a {point!r} poll crash"
 
-        eco_b, pub_b, sub_b, manager_b, _ = _cdc_scenario_eco(data_dir)
-        report = manager_b.restore()
-        if report.unrecoverable:
-            violations.append(
-                Violation(
-                    INV_CDC,
-                    f"restore after a {point!r} poll crash reported "
-                    f"unrecoverable: {report.error}",
-                )
-            )
-            return violations
-        eco_b.drain_all()
-        poller_b = pub_b.cdc_poller
-        if not poller_b.idle():
-            violations.append(
-                Violation(
-                    INV_CDC,
-                    f"{poller_b.backlog()} outbox entries still unpublished "
-                    f"after restore from a {point!r} poll crash "
-                    f"(cursor={poller_b.cursor})",
-                )
-            )
-        audit = sub_b.audit_replication()
-        if not audit.in_sync:
-            result = sub_b.repair_replication(report=audit)
-            if not result.verified_in_sync:
-                violations.append(
-                    Violation(
-                        INV_CDC,
-                        f"replicas still divergent after a {point!r} poll "
-                        f"crash, restore (replayed={report.replayed}) and "
-                        "targeted repair",
-                    )
-                )
-        sub_mapper = sub_b.registry.get("Doc").__mapper__
-        sub_rows = len(sub_mapper._do_where({}, None, None))
-        if sub_rows != writes:
-            violations.append(
-                Violation(
-                    INV_CDC,
-                    f"subscriber holds {sub_rows}/{writes} raw-written rows "
-                    f"after a {point!r} poll crash and restore",
-                )
-            )
-    finally:
-        if manager_b is not None:
-            manager_b.close()
-        shutil.rmtree(data_dir, ignore_errors=True)
-    return violations
+    def wound(fixture: Tuple[Any, ...], returned: Any) -> None:
+        _raw_writes(fixture, writes)
+        fixture[1].cdc_poller.injector = PollCrash(point, after=after)
+        fixture[0].cdc.poll_all()
 
-
-def _cdc_kill_child(data_dir: str, conn: Any) -> None:
-    """Child half of the CDC kill-restart scenario: raw-write a batch,
-    then tail it with a *hard* poll injector armed — the Nth publish
-    SIGKILLs this process mid-tail."""
-    from repro.cdc import PollCrash
-
-    try:
-        eco, pub, sub, manager, doc_cls = _cdc_scenario_eco(data_dir)
-        raw = pub.raw_session()
-        for i in range(16):
-            raw.insert(doc_cls, {"name": f"kill-{i}", "value": i})
-        pub.cdc_poller.injector = PollCrash(
-            "after-publish", after=5, hard=True
-        )
-        eco.cdc.poll_all()
-        conn.send(("survived", None))
-    except Exception as exc:  # pragma: no cover - diagnostics only
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
+    return _crash_then_restore(
+        INV_CDC, crash, _cdc_scenario_eco, wound, _cdc_claims(writes, crash)
+    )
 
 
 def cdc_kill_restart_scenario(
@@ -870,103 +795,19 @@ def cdc_kill_restart_scenario(
     """The acceptance crash: SIGKILL the process hosting the CDC poller
     mid-tail, restore over the same data dir, and prove digest-equal
     replicas with zero lost outbox entries."""
-    import multiprocessing
-    import shutil
-    import signal
-    import tempfile
+    from repro.cdc import PollCrash
 
-    data_dir = tempfile.mkdtemp(prefix="repro-conf-cdc-kill-")
-    violations: List[Violation] = []
-    manager = None
-    try:
-        ctx = multiprocessing.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(
-            target=_cdc_kill_child,
-            args=(data_dir, child_conn),
-            name="conformance-cdc-kill-child",
+    def wound(fixture: Tuple[Any, ...], returned: Any) -> None:
+        _raw_writes(fixture, writes)
+        fixture[1].cdc_poller.injector = PollCrash(
+            "after-publish", after=5, hard=True
         )
-        process.start()
-        child_conn.close()
-        process.join(timeout)
-        if process.is_alive():
-            process.terminate()
-            process.join(5.0)
-            violations.append(
-                Violation(
-                    INV_CDC,
-                    f"cdc kill-restart child hung past {timeout:.0f}s "
-                    "instead of dying at its poll crash point",
-                )
-            )
-            return violations
-        returned, frame = 0, None
-        try:
-            while parent_conn.poll(0):
-                frame = parent_conn.recv()
-                if frame[0] == "returned":
-                    returned = frame[1]
-        except EOFError:
-            pass
-        if process.exitcode != -signal.SIGKILL:
-            detail = "" if frame is None else f" ({frame})"
-            violations.append(
-                Violation(
-                    INV_CDC,
-                    f"cdc child exited {process.exitcode} instead of dying "
-                    f"by SIGKILL{detail}",
-                )
-            )
-            return violations
+        fixture[0].cdc.poll_all()
 
-        eco, pub, sub, manager, _ = _cdc_scenario_eco(data_dir)
-        report = manager.restore()
-        if report.unrecoverable:
-            violations.append(
-                Violation(
-                    INV_CDC,
-                    f"restore after poller SIGKILL reported unrecoverable: "
-                    f"{report.error}",
-                )
-            )
-            return violations
-        eco.drain_all()
-        pub_mapper = pub.registry.get("Doc").__mapper__
-        pub_rows = len(pub_mapper._do_where({}, None, None))
-        if pub_rows != writes:
-            violations.append(
-                Violation(
-                    INV_CDC,
-                    f"{writes - pub_rows} raw writes lost to the poller "
-                    f"SIGKILL: publisher holds {pub_rows}/{writes} rows "
-                    "after restore",
-                )
-            )
-        if not pub.cdc_poller.idle():
-            violations.append(
-                Violation(
-                    INV_CDC,
-                    f"{pub.cdc_poller.backlog()} outbox entries still "
-                    "unpublished after restore from poller SIGKILL",
-                )
-            )
-        audit = sub.audit_replication()
-        if not audit.in_sync:
-            result = sub.repair_replication(report=audit)
-            if not result.verified_in_sync:
-                violations.append(
-                    Violation(
-                        INV_CDC,
-                        "replicas still divergent after poller SIGKILL, "
-                        f"restore (replayed={report.replayed}) and targeted "
-                        "repair",
-                    )
-                )
-    finally:
-        if manager is not None:
-            manager.close()
-        shutil.rmtree(data_dir, ignore_errors=True)
-    return violations
+    return _crash_then_restore(
+        INV_CDC, "poller SIGKILL", _cdc_scenario_eco, wound,
+        _cdc_claims(writes, "poller SIGKILL"), kill_timeout=timeout,
+    )
 
 
 def run_directed_scenarios() -> Dict[str, List[Violation]]:

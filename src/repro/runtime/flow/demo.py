@@ -22,44 +22,20 @@ from __future__ import annotations
 from typing import List
 
 
-def _flag(args: List[str], name: str, default: int) -> int:
-    if name in args:
-        return int(args[args.index(name) + 1])
-    return default
-
-
 def flow_command(args: List[str]) -> int:
-    if "--demo" not in args:
-        print("the flow command currently only supports --demo")
-        return 1
-    writes = _flag(args, "--writes", 200)
-    queue_limit = _flag(args, "--queue-limit", 64)
-
+    from repro.apps import build_replicated_pair
     from repro.core import Ecosystem
-    from repro.databases.document import MongoLike
-    from repro.databases.relational import PostgresLike
-    from repro.orm import Field, Model
+    from repro.core.tools import flags
     from repro.runtime.flow import FlowConfig
 
+    opts = flags(args, writes=200, queue_limit=64)
+    writes, queue_limit = opts["writes"], opts["queue_limit"]
     eco = Ecosystem(queue_limit=queue_limit)
     eco.enable_flow(FlowConfig(batch_max=8))
-    pub = eco.service("pub", database=MongoLike("pub-db"), delivery_mode="weak")
-
-    @pub.model(publish=["name", "score"], name="Item")
-    class Item(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(
-        subscribe={"from": "pub", "fields": ["name", "score"], "mode": "weak"},
-        name="Item",
+    eco, pub, sub, Item = build_replicated_pair(
+        eco, {"name": str, "score": int}, "Item", mode="weak"
     )
-    class SubItem(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
+    SubItem = sub.registry["Item"]
     queue = sub.subscriber.queue
     flow = queue.flow
 

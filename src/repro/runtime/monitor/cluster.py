@@ -60,7 +60,7 @@ from repro.runtime.tracing import (
     STAGE_ROUTE,
     trace_now,
 )
-from repro.runtime.transport.envelopes import ControlRequest, ControlResponse
+from repro.runtime.transport.handler import OpTable
 
 #: Control-plane name of a shard's cluster pseudo-service. The prefix
 #: cannot collide with real services (service names are identifiers).
@@ -86,74 +86,17 @@ CRITICAL_CHAIN = (
 )
 
 
+def _health_switches(params: Dict[str, Any]) -> Dict[str, bool]:
+    """The two switches of a ``health_report`` op, local or federated."""
+    return {
+        "drain": bool(params.get("drain", False)),
+        "evaluate": bool(params.get("evaluate", True)),
+    }
+
+
 def shard_service(shard_name: str) -> str:
     """The control-plane address of ``shard_name``'s cluster handler."""
     return SHARD_SERVICE_PREFIX + shard_name
-
-
-class ClusterHandler:
-    """Answers a peer's (or the local loopback's) cluster federation ops
-    against one :class:`ClusterPlane` — same shape as the per-service
-    :class:`~repro.runtime.transport.handler.ControlPlaneHandler`."""
-
-    def __init__(self, cluster: "ClusterPlane") -> None:
-        self.cluster = cluster
-        self._ops: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-            "ping": self._op_ping,
-            "clock_probe": self._op_clock_probe,
-            "metrics_dump": self._op_metrics_dump,
-            "health_report": self._op_health_report,
-            "trace_ids": self._op_trace_ids,
-            "trace_fetch": self._op_trace_fetch,
-            "flight_dump": self._op_flight_dump,
-        }
-
-    def handle(self, request: ControlRequest) -> ControlResponse:
-        op = self._ops.get(request.op)
-        if op is None:
-            return ControlResponse.failure(
-                request.request_id,
-                "UnknownOperation",
-                f"shard {self.cluster.shard_name!r} has no cluster op "
-                f"{request.op!r}",
-            )
-        try:
-            return ControlResponse.success(request, op(request.params))
-        except Exception as exc:  # structured error, never a raw traceback
-            return ControlResponse.failure(
-                request.request_id, type(exc).__name__, str(exc)
-            )
-
-    # -- ops (always local: federation happens in ClusterPlane) -------------
-
-    def _op_ping(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return {"shard": self.cluster.shard_name, "pong": True}
-
-    def _op_clock_probe(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """The peer's span clock, read as late as possible: the requester
-        brackets the call with its own clock and takes the RTT midpoint."""
-        return {"shard": self.cluster.shard_name, "now": trace_now()}
-
-    def _op_metrics_dump(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return self.cluster.local_metrics()
-
-    def _op_health_report(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return self.cluster.local_health(
-            drain=bool(params.get("drain", False)),
-            evaluate=bool(params.get("evaluate", True)),
-        )
-
-    def _op_trace_ids(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return self.cluster.local_trace_ids()
-
-    def _op_trace_fetch(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return self.cluster.local_trace_spans(params["uid"])
-
-    def _op_flight_dump(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        path = self.cluster.dump_incident(
-            params["incident"], params.get("reason", "peer-incident")
-        )
-        return {"shard": self.cluster.shard_name, "path": path}
 
 
 class ClusterPlane:
@@ -192,6 +135,36 @@ class ClusterPlane:
         self._lock = threading.Lock()
         self._incident_seq = 0
         self._broadcasting = threading.local()
+        #: What this shard answers its peers and its own loopback:
+        #: always local — federation is the asker's job.
+        self._peer_ops = OpTable(f"shard {shard_name!r} cluster", {
+            "ping": lambda p: {"shard": shard_name, "pong": True},
+            # The peer's span clock, read as late as possible: the
+            # requester brackets the call with its own clock and takes
+            # the RTT midpoint.
+            "clock_probe": lambda p: {"shard": shard_name, "now": trace_now()},
+            "metrics_dump": lambda p: self.local_metrics(),
+            "health_report": lambda p: self.local_health(**_health_switches(p)),
+            "trace_ids": lambda p: self.local_trace_ids(),
+            "trace_fetch": lambda p: self.local_trace_spans(p["uid"]),
+            "flight_dump": lambda p: {
+                "shard": shard_name,
+                "path": self.dump_incident(
+                    p["incident"], p.get("reason", "peer-incident")
+                ),
+            },
+        })
+        #: Federated ops by name, for parent-CLI commands relayed by the
+        #: shard worker (``ShardRunner.cluster_request``).
+        self._federated_ops = OpTable("cluster", {
+            "metrics_dump": lambda p: self.metrics_dump(),
+            "health_report": lambda p: self.health_report(**_health_switches(p)),
+            "trace_ids": lambda p: self.trace_ids(),
+            "trace_fetch": lambda p: self.fetch_trace(p["uid"]),
+            "offsets": lambda p: {
+                "shard": shard_name, "offsets": self.estimate_offsets(),
+            },
+        })
 
     # -- wiring --------------------------------------------------------------
 
@@ -200,7 +173,7 @@ class ClusterPlane:
         plane and hand it to the ecosystem (peer routes are added by the
         shard worker alongside the per-service routes)."""
         self.ecosystem.control.register_handler(
-            shard_service(self.shard_name), ClusterHandler(self)
+            shard_service(self.shard_name), self._peer_ops
         )
         self.ecosystem.cluster = self
         self.ecosystem.recorder.incident_sink = self.broadcast_incident
@@ -392,29 +365,8 @@ class ClusterPlane:
         )
 
     def serve(self, op: str, params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Entry point for parent-CLI commands relayed by the shard
-        worker (``ShardRunner.cluster_request``): federated ops by name."""
-        params = params or {}
-        if op == "metrics_dump":
-            return self.metrics_dump()
-        if op == "health_report":
-            return self.health_report(
-                drain=bool(params.get("drain", False)),
-                evaluate=bool(params.get("evaluate", True)),
-            )
-        if op == "trace_ids":
-            return self.trace_ids()
-        if op == "trace_fetch":
-            return self.fetch_trace(params["uid"])
-        if op == "offsets":
-            return {
-                "shard": self.shard_name,
-                "offsets": self.estimate_offsets(),
-            }
-        raise ControlPlaneError(
-            f"unknown cluster op {op!r}", error_type="UnknownOperation",
-            op=op,
-        )
+        """One federated op by name (``ShardRunner.cluster_request``)."""
+        return self._federated_ops.call(op, params or {})
 
     # -- correlated postmortems ----------------------------------------------
 
@@ -628,6 +580,7 @@ def cluster_quiesce(
     :class:`TransportTimeout` if the deadline passes first.
     """
     cluster: Optional[ClusterPlane] = getattr(ecosystem, "cluster", None)
+    solo = ClusterPlane(ecosystem, "solo") if cluster is None else None
     deadline = time.monotonic() + timeout
     stable = 0
     last: Optional[Tuple] = None
@@ -637,22 +590,8 @@ def cluster_quiesce(
         states: List[Dict[str, Any]] = []
         dead: List[str] = []
         if cluster is None:
-            # Single-process ecosystem: drain locally, no counters to
-            # balance. With CDC enabled the outbox tail is drained
-            # first and counts against idleness like queue backlog.
-            cdc = getattr(ecosystem, "cdc", None)
-            if cdc is not None:
-                cdc.poll_all()
-            for service in ecosystem.local_services():
-                service.subscriber.drain()
-            broker = ecosystem.broker
-            backlog = sum(broker.backlog().values())
-            in_flight = sum(broker.in_flight().values())
-            outbox = cdc.backlog() if cdc is not None else 0
-            states.append({
-                "idle": int(backlog == 0 and in_flight == 0 and outbox == 0),
-                "sent": 0, "received": 0,
-            })
+            # Single-process: the plane with no peers, asked directly.
+            states = [solo.local_idle_state(drain=True)]
         else:
             report = cluster.health_report(drain=True, evaluate=False)
             dead = list(report["missing"])

@@ -26,19 +26,18 @@ import json
 import time
 from typing import Any, Dict, List, Tuple
 
+from repro.core.tools import flags
 from repro.runtime.monitor.export import to_json, to_prometheus
 from repro.runtime.monitor.lag import LinkSLO
 
 
 def _build_demo_ecosystem() -> Tuple[Any, Any, Any, type]:
-    from repro.core import Ecosystem
-    from repro.databases.document import MongoLike
-    from repro.databases.relational import PostgresLike
-    from repro.orm import Field, Model
-
-    from repro.runtime.flow import FlowConfig
-
     import tempfile
+
+    from repro.apps import build_replicated_pair
+    from repro.core import Ecosystem
+    from repro.runtime.flow import FlowConfig
+    from repro.views import CountView, SumView
 
     eco = Ecosystem()
     # Production posture: always-on tracing, every message sampled (the
@@ -52,23 +51,11 @@ def _build_demo_ecosystem() -> Tuple[Any, Any, Any, type]:
         data_dir=tempfile.mkdtemp(prefix="repro-watch-"), snapshot_every=256
     )
     eco.monitor.set_slo("pub", "sub", LinkSLO(p99_lag=0.5, stall_after=5.0))
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name", "score"], name="Item")
-    class Item(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "score"]}, name="Item")
-    class SubItem(Model):
-        name = Field(str)
-        score = Field(int, default=0)
+    eco, pub, sub, Item = build_replicated_pair(
+        eco, {"name": str, "score": int}, "Item"
+    )
 
     # Read path on: the views/cache row below then shows live counters.
-    from repro.views import CountView, SumView
-
     views = sub.enable_views()
     views.declare(CountView("item_count", "Item"))
     views.declare(SumView("score_total", "Item", "score"))
@@ -80,10 +67,14 @@ def _build_demo_ecosystem() -> Tuple[Any, Any, Any, type]:
     return eco, pub, sub, Item
 
 
-def _flag_value(args: List[str], name: str, default: float) -> float:
-    if name in args:
-        return float(args[args.index(name) + 1])
-    return default
+def _sum(snapshot: Dict[str, Any], prefix: str, suffix: str) -> int:
+    """Total of the registry's ``<prefix>…<suffix>`` counters/gauges."""
+    return sum(
+        int(value)
+        for name, value in snapshot.items()
+        if name.startswith(prefix) and name.endswith(suffix)
+        and isinstance(value, (int, float))
+    )
 
 
 def _render_round(eco: Any, round_no: int) -> List[str]:
@@ -92,26 +83,12 @@ def _render_round(eco: Any, round_no: int) -> List[str]:
     lines = [f"== replication health · round {round_no} =="]
     for link in report.links:
         lines.append("  " + link.summary_line())
-    applied = sum(
-        value
-        for name, value in snapshot.items()
-        if name.startswith("subscriber.") and name.endswith(".processed")
-        and isinstance(value, int)
-    )
     lines.append(
         "  throughput: "
         f"routed={eco.metrics.value('broker.routed')} "
         f"dropped={eco.metrics.value('broker.dropped')} "
-        f"applied={applied}"
+        f"applied={_sum(snapshot, 'subscriber.', '.processed')}"
     )
-    def _flow_sum(suffix: str) -> int:
-        return sum(
-            int(value)
-            for name, value in snapshot.items()
-            if name.startswith("flow.") and name.endswith(suffix)
-            and isinstance(value, (int, float))
-        )
-
     batch_counts = sum(
         value["count"]
         for name, value in snapshot.items()
@@ -120,51 +97,38 @@ def _render_round(eco: Any, round_no: int) -> List[str]:
     )
     lines.append(
         "  flow: "
-        f"credits={_flow_sum('.credits')} "
-        f"shed={_flow_sum('.shed')} "
-        f"coalesced={_flow_sum('.coalesced')} "
+        f"credits={_sum(snapshot, 'flow.', '.credits')} "
+        f"shed={_sum(snapshot, 'flow.', '.shed')} "
+        f"coalesced={_sum(snapshot, 'flow.', '.coalesced')} "
         f"batches={int(batch_counts)}"
     )
-    def _durability(suffix: str) -> int:
-        value = snapshot.get(f"durability.{suffix}", 0)
-        return int(value) if isinstance(value, (int, float)) else 0
-
     lines.append(
         "  durability: "
-        f"appends={_durability('wal.appends')} "
-        f"flushes={_durability('wal.flushes')} "
-        f"fsyncs={_durability('wal.fsyncs')} "
-        f"segments={_durability('wal.segments')} "
-        f"bytes={_durability('wal.bytes')} "
-        f"snapshots={_durability('snapshot.count')}"
+        f"appends={_sum(snapshot, 'durability.', 'wal.appends')} "
+        f"flushes={_sum(snapshot, 'durability.', 'wal.flushes')} "
+        f"fsyncs={_sum(snapshot, 'durability.', 'wal.fsyncs')} "
+        f"segments={_sum(snapshot, 'durability.', 'wal.segments')} "
+        f"bytes={_sum(snapshot, 'durability.', 'wal.bytes')} "
+        f"snapshots={_sum(snapshot, 'durability.', 'snapshot.count')}"
     )
-    def _prefixed_sum(prefix: str, suffix: str) -> int:
-        return sum(
-            int(value)
-            for name, value in snapshot.items()
-            if name.startswith(prefix) and name.endswith(suffix)
-            and isinstance(value, (int, float))
-        )
-
     lines.append(
         "  views: "
-        f"applied={_prefixed_sum('views.', '.applied')} "
-        f"folds={_prefixed_sum('views.', '.folds')} "
-        f"rebuilds={_prefixed_sum('views.', '.rebuilds')}"
+        f"applied={_sum(snapshot, 'views.', '.applied')} "
+        f"folds={_sum(snapshot, 'views.', '.folds')} "
+        f"rebuilds={_sum(snapshot, 'views.', '.rebuilds')}"
     )
     lines.append(
         "  cache: "
-        f"hits={_prefixed_sum('cache.', '.hits')} "
-        f"misses={_prefixed_sum('cache.', '.misses')} "
-        f"invalidations={_prefixed_sum('cache.', '.invalidations')} "
-        f"write_through={_prefixed_sum('cache.', '.write_throughs')}"
+        f"hits={_sum(snapshot, 'cache.', '.hits')} "
+        f"misses={_sum(snapshot, 'cache.', '.misses')} "
+        f"invalidations={_sum(snapshot, 'cache.', '.invalidations')} "
+        f"write_through={_sum(snapshot, 'cache.', '.write_throughs')}"
     )
-    cdc = getattr(eco, "cdc", None)
     lines.append(
         "  cdc: "
-        f"appended={_prefixed_sum('cdc.', '.appended')} "
-        f"published={_prefixed_sum('cdc.', '.published')} "
-        f"outbox_lag={cdc.backlog() if cdc is not None else 0}"
+        f"appended={_sum(snapshot, 'cdc.', '.appended')} "
+        f"published={_sum(snapshot, 'cdc.', '.published')} "
+        f"outbox_lag={eco.cdc.backlog()}"
     )
     anomalies = eco.recorder.anomalies()
     lines.append(
@@ -195,16 +159,11 @@ def _render_cluster_round(
             )
     for shard in sorted(metrics["shards"]):
         snapshot = metrics["shards"][shard]["metrics"]
-        applied = sum(
-            value for name, value in snapshot.items()
-            if name.startswith("subscriber.") and name.endswith(".processed")
-            and isinstance(value, int)
-        )
         lines.append(
             f"  [{shard}] throughput: "
             f"routed={snapshot.get('broker.routed', 0)} "
             f"dropped={snapshot.get('broker.dropped', 0)} "
-            f"applied={applied}"
+            f"applied={_sum(snapshot, 'subscriber.', '.processed')}"
         )
     for shard in sorted(set(health["missing"]) | set(metrics["missing"])):
         lines.append(f"  [{shard}] UNREACHABLE (no report this round)")
@@ -221,21 +180,18 @@ def _cluster_watch(
     printed here crossed the control plane as a ``health_report`` /
     ``metrics_dump`` federation op, shard label attached at the source.
     """
-    import os
+    from functools import partial
 
     from repro.runtime.transport.demo import (
         DEMO_PLACEMENT,
-        OPS_ENV,
-        TRACE_ENV,
         build_demo_ecosystem,
         demo_scenario,
     )
     from repro.runtime.transport.shard import ShardRunner
 
-    os.environ[OPS_ENV] = str(writes)
-    os.environ[TRACE_ENV] = "1.0"
     runner = ShardRunner(
-        build_demo_ecosystem, DEMO_PLACEMENT, scenario=demo_scenario
+        partial(build_demo_ecosystem, trace_sample=1.0), DEMO_PLACEMENT,
+        scenario=partial(demo_scenario, operations=writes),
     )
     round_no = 0
     try:
@@ -271,15 +227,14 @@ def _cluster_watch(
     except BrokenPipeError:  # pragma: no cover - `watch ... | head` exit
         return 0
     finally:
-        os.environ.pop(TRACE_ENV, None)
         runner.close()
 
 
 def watch_command(args: List[str]) -> int:
-    once = "--once" in args
-    rounds = int(_flag_value(args, "--rounds", 1 if once else 0))
-    interval = _flag_value(args, "--interval", 1.0)
-    writes = int(_flag_value(args, "--writes", 20))
+    opts = flags(
+        args, rounds=1 if "--once" in args else 0, interval=1.0, writes=20
+    )
+    rounds, interval, writes = opts["rounds"], opts["interval"], opts["writes"]
     as_json = "--json" in args
     with_prometheus = "--prometheus" in args
 

@@ -17,14 +17,16 @@ then deliberately loses one mirror row and heals it with a cross-process
 targeted repair (§6.5 over a pipe).
 
 Everything here is module-level so the spawn start method can pickle the
-callables by reference.
+callables by reference; a run's parameters reach the worker processes
+bound onto them with :func:`functools.partial`.
 """
 
 from __future__ import annotations
 
-import os
+from functools import partial
 from typing import Any, Dict, Optional
 
+from repro.core.tools import flags
 from repro.runtime.transport.shard import ShardRunner
 
 #: shard -> services it owns. The mirrors are deliberately placed on the
@@ -34,17 +36,6 @@ DEMO_PLACEMENT = {
     "shard0": ["social0", "feed0", "mirror1"],
     "shard1": ["social1", "feed1", "mirror0"],
 }
-
-#: Workload size knob (environment so it reaches the worker processes).
-OPS_ENV = "REPRO_SHARD_OPS"
-
-#: Trace sample rate for the demo shards ("1.0" = every message carries
-#: its trace across the wire; unset/0 = tracing off).
-TRACE_ENV = "REPRO_SHARD_TRACE"
-
-#: Name of the shard that injects an impossible SLO during verify (the
-#: correlated-postmortem demo: its breach dump pulls every peer's too).
-BREACH_ENV = "REPRO_SHARD_BREACH"
 
 
 def _subscribe_social(ecosystem: Any, name: str, from_app: str) -> Any:
@@ -77,8 +68,10 @@ def _subscribe_social(ecosystem: Any, name: str, from_app: str) -> Any:
     return service
 
 
-def build_demo_ecosystem() -> Any:
-    """Every shard rebuilds this full topology, then narrows ownership."""
+def build_demo_ecosystem(trace_sample: float = 0.0) -> Any:
+    """Every shard rebuilds this full topology, then narrows ownership.
+    ``trace_sample`` 1.0 makes every message carry its trace across the
+    wire; 0 leaves tracing off."""
     from repro.core import Ecosystem
     from repro.workloads import build_social_publisher
 
@@ -89,9 +82,8 @@ def build_demo_ecosystem() -> Any:
     _subscribe_social(ecosystem, "feed1", "social1")
     _subscribe_social(ecosystem, "mirror0", "social0")
     _subscribe_social(ecosystem, "mirror1", "social1")
-    sample_rate = float(os.environ.get(TRACE_ENV, "0") or 0.0)
-    if sample_rate > 0.0:
-        ecosystem.enable_tracing(sample_rate=sample_rate)
+    if trace_sample > 0.0:
+        ecosystem.enable_tracing(sample_rate=trace_sample)
     return ecosystem
 
 
@@ -99,11 +91,12 @@ def _publisher_of(shard_name: str) -> str:
     return "social0" if shard_name == "shard0" else "social1"
 
 
-def demo_scenario(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
+def demo_scenario(
+    ecosystem: Any, shard_name: str, operations: int = 60
+) -> Dict[str, Any]:
     """Run the social workload on this shard's publisher."""
     from repro.workloads import SocialWorkload
 
-    operations = int(os.environ.get(OPS_ENV, "60"))
     name = _publisher_of(shard_name)
     service = ecosystem.local_service(name)
     workload = SocialWorkload(
@@ -159,29 +152,37 @@ def inject_lag_breach(ecosystem: Any) -> Dict[str, Any]:
     }
 
 
-def demo_verify(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
-    """Audit every owned subscriber, then lose-and-repair one mirror row
-    across the process boundary."""
-    from repro.repair.auditor import ReplicationAuditor
-    from repro.repair.repairer import repair_subscriber
-
-    breach: Optional[Dict[str, Any]] = None
-    if os.environ.get(BREACH_ENV) == shard_name:
-        breach = inject_lag_breach(ecosystem)
-
+def audit_owned_subscribers(ecosystem: Any) -> Dict[str, Dict[str, Any]]:
+    """Audit every subscriber this shard owns against its publishers —
+    remote ones answer with their Merkle digests over the control plane
+    — and count the replica rows of each subscribed model."""
     audits: Dict[str, Dict[str, Any]] = {}
     for service in ecosystem.local_services():
         if not service.subscriber.specs:
             continue
-        report = ReplicationAuditor(service).audit()
+        report = service.audit_replication()
         audits[service.name] = {
             "in_sync": report.in_sync,
             "divergent": report.divergent_total,
             "rows": {
                 model: service.registry[model].count()
-                for model in ("User", "Post", "Comment")
+                for _app, model in sorted(service.subscriber.specs)
             },
         }
+    return audits
+
+
+def demo_verify(
+    ecosystem: Any, shard_name: str, breach_shard: Optional[str] = None
+) -> Dict[str, Any]:
+    """Audit every owned subscriber, then lose-and-repair one mirror row
+    across the process boundary. ``breach_shard`` names the shard that
+    first injects an impossible SLO (the correlated-postmortem demo: its
+    breach dump pulls every peer's too)."""
+    breach: Optional[Dict[str, Any]] = None
+    if breach_shard == shard_name:
+        breach = inject_lag_breach(ecosystem)
+    audits = audit_owned_subscribers(ecosystem)
 
     # The mirror's publisher lives on the other shard: the audit above
     # already exchanged digests over the pipe; now lose a replicated row
@@ -193,7 +194,7 @@ def demo_verify(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
     posts = mirror.registry["Post"].all()
     if posts:
         mirror.registry["Post"].__mapper__._do_delete(posts[0].id)
-        result = repair_subscriber(mirror)
+        result = mirror.repair_replication()
         repair_summary.update(
             ran=True,
             divergent=result.audit.divergent_total,
@@ -206,13 +207,6 @@ def demo_verify(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
     return out
 
 
-def _set_env(name: str, value: Optional[str]) -> None:
-    if value is None:
-        os.environ.pop(name, None)
-    else:
-        os.environ[name] = value
-
-
 def run_demo(
     operations: int = 60,
     timeout: float = 60.0,
@@ -221,22 +215,14 @@ def run_demo(
     incident_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Build the runner and drive the full 2-shard demo."""
-    os.environ[OPS_ENV] = str(operations)
-    _set_env(TRACE_ENV, None if trace_sample is None else str(trace_sample))
-    _set_env(BREACH_ENV, breach_shard)
-    try:
-        runner = ShardRunner(
-            build_demo_ecosystem,
-            DEMO_PLACEMENT,
-            scenario=demo_scenario,
-            verify=demo_verify,
-            timeout=timeout,
-            incident_dir=incident_dir,
-        )
-        return runner.run()
-    finally:
-        _set_env(TRACE_ENV, None)
-        _set_env(BREACH_ENV, None)
+    return ShardRunner(
+        partial(build_demo_ecosystem, trace_sample=trace_sample or 0.0),
+        DEMO_PLACEMENT,
+        scenario=partial(demo_scenario, operations=operations),
+        verify=partial(demo_verify, breach_shard=breach_shard),
+        timeout=timeout,
+        incident_dir=incident_dir,
+    ).run()
 
 
 def run_trace_demo(
@@ -248,12 +234,10 @@ def run_trace_demo(
     cross-shard trace (the requested ``uid``, else the first uid that
     both shards hold spans for). Returns the assembled dict, or None
     when no trace matched."""
-    os.environ[OPS_ENV] = str(operations)
-    _set_env(TRACE_ENV, "1.0")
     runner = ShardRunner(
-        build_demo_ecosystem,
+        partial(build_demo_ecosystem, trace_sample=1.0),
         DEMO_PLACEMENT,
-        scenario=demo_scenario,
+        scenario=partial(demo_scenario, operations=operations),
         timeout=timeout,
     )
     try:
@@ -275,7 +259,6 @@ def run_trace_demo(
         runner.finish()
         return assembled
     finally:
-        _set_env(TRACE_ENV, None)
         runner.close()
 
 
@@ -300,16 +283,9 @@ def trace_command(args: Any) -> int:
             continue
         uid = arg
         break
-
-    def _flag(name: str, default: float) -> float:
-        if name in args:
-            return float(args[args.index(name) + 1])
-        return default
-
-    operations = int(_flag("--operations", 40))
-    timeout = _flag("--timeout", 60.0)
-    assembled = run_trace_demo(uid=uid, operations=operations,
-                               timeout=timeout)
+    assembled = run_trace_demo(
+        uid=uid, **flags(args, operations=40, timeout=60.0)
+    )
     if assembled is None:
         print("no sampled traces were recorded by either shard")
         return 1
@@ -323,22 +299,12 @@ def trace_command(args: Any) -> int:
 
 def shard_command(args: Any) -> int:
     """``python -m repro shard --demo [--operations N] [--timeout S]``."""
-    if "--demo" not in args:
-        print("the shard command currently only supports --demo")
-        return 1
-
-    def _flag(name: str, default: float) -> float:
-        if name in args:
-            return float(args[args.index(name) + 1])
-        return default
-
-    operations = int(_flag("--operations", 60))
-    timeout = _flag("--timeout", 60.0)
+    opts = flags(args, operations=60, timeout=60.0)
     print(
-        f"2-shard social ecosystem: {operations} operations per shard, "
-        "mirrors subscribed across the process boundary"
+        f"2-shard social ecosystem: {opts['operations']} operations per "
+        "shard, mirrors subscribed across the process boundary"
     )
-    outcome = run_demo(operations=operations, timeout=timeout)
+    outcome = run_demo(**opts)
     for shard_name in sorted(outcome["shards"]):
         shard = outcome["shards"][shard_name]
         scenario = shard.get("scenario") or {}

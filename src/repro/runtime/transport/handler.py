@@ -17,15 +17,56 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict
 
+from repro.errors import ControlPlaneError
 from repro.runtime.transport.envelopes import ControlRequest, ControlResponse
 
 
-class ControlPlaneHandler:
+class OpTable:
+    """Named ops, each ``params dict -> JSON-serializable dict``, and the
+    one dispatch over them. ``owner`` says whose ops they are in the
+    unknown-op error."""
+
+    def __init__(
+        self, owner: str,
+        ops: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]],
+    ) -> None:
+        self.owner = owner
+        self._ops = ops
+
+    def _unknown(self, op: str) -> str:
+        return f"unknown {self.owner} op {op!r}"
+
+    def call(self, op: str, params: Dict[str, Any]) -> Dict[str, Any]:
+        """Run ``op`` for an in-process caller; its errors propagate."""
+        if op not in self._ops:
+            raise ControlPlaneError(
+                self._unknown(op), error_type="UnknownOperation", op=op
+            )
+        return self._ops[op](params)
+
+    def handle(self, request: ControlRequest) -> ControlResponse:
+        """Run ``request.op`` for a peer: a structured error, never a
+        raw traceback."""
+        if request.op not in self._ops:
+            return ControlResponse.failure(
+                request.request_id, "UnknownOperation", self._unknown(request.op)
+            )
+        try:
+            return ControlResponse.success(
+                request, self._ops[request.op](request.params)
+            )
+        except Exception as exc:
+            return ControlResponse.failure(
+                request.request_id, type(exc).__name__, str(exc)
+            )
+
+
+class ControlPlaneHandler(OpTable):
     """Answers control-plane requests against one local service."""
 
     def __init__(self, service: Any) -> None:
         self.service = service
-        self._ops: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
+        super().__init__(f"service {service.name!r}", {
             "ping": self._op_ping,
             "generation": self._op_generation,
             "watermarks": self._op_watermarks,
@@ -35,22 +76,7 @@ class ControlPlaneHandler:
             "model_schema": self._op_model_schema,
             "publish_repairs": self._op_publish_repairs,
             "outbox_lag": self._op_outbox_lag,
-        }
-
-    def handle(self, request: ControlRequest) -> ControlResponse:
-        op = self._ops.get(request.op)
-        if op is None:
-            return ControlResponse.failure(
-                request.request_id,
-                "UnknownOperation",
-                f"service {self.service.name!r} has no op {request.op!r}",
-            )
-        try:
-            return ControlResponse.success(request, op(request.params))
-        except Exception as exc:  # structured error, never a raw traceback
-            return ControlResponse.failure(
-                request.request_id, type(exc).__name__, str(exc)
-            )
+        })
 
     # -- ops -----------------------------------------------------------------
 

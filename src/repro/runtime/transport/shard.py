@@ -194,8 +194,8 @@ def _shard_main(
                 command_conn.send(("result", {
                     "shard": shard_name,
                     "owned": sorted(owned),
-                    "routed": ecosystem.broker.total_routed,
-                    "dropped": ecosystem.broker.dropped_messages,
+                    "routed": ecosystem.metrics.value("broker.routed"),
+                    "dropped": ecosystem.metrics.value("broker.dropped"),
                     "forwarded": sum(l.data_sent for l in links.values()),
                     "delivered": sum(l.data_received for l in links.values()),
                     "anomalies": len(ecosystem.recorder.anomalies()),

@@ -14,7 +14,7 @@ import threading
 import time
 from typing import Any, Callable, List, Optional
 
-from repro.errors import QueueDecommissioned
+from repro.errors import DurabilityError, QueueDecommissioned
 from repro.runtime.flow.batch import BatchSizer
 from repro.runtime.metrics import Counter
 
@@ -66,7 +66,7 @@ class WorkerFleet:
         """
         deadline = time.monotonic() + timeout
         while True:
-            cdc = self._cdc_manager()
+            cdc = self.ecosystem.cdc
             if cdc is not None:
                 cdc.poll_all()
             for _ in range(settle_rounds):
@@ -78,12 +78,6 @@ class WorkerFleet:
                 return True
             if time.monotonic() >= deadline:
                 return False
-
-    def _cdc_manager(self) -> Optional[Any]:
-        # getattr-tolerant: directed scenarios build bare fleets via
-        # ``__new__`` with only ``pools`` populated.
-        ecosystem = getattr(self, "ecosystem", None)
-        return getattr(ecosystem, "cdc", None)
 
     def __enter__(self) -> "WorkerFleet":
         return self.start()
@@ -123,29 +117,18 @@ class SubscriberWorkerPool:
         # completion (replacing the old 5 ms busy-poll in
         # :meth:`wait_until_idle`).
         self._idle = threading.Condition(self._active_lock)
-        # Local counters keep per-pool semantics (a fresh pool starts at
-        # zero); the ecosystem registry accumulates across pools.
-        self._deadlocked = Counter()
-        self._apply_errors = Counter()
+        # Registry counters: they accumulate across this service's pools.
         registry = service.ecosystem.metrics
-        self._reg_deadlocked = registry.counter(f"workers.{service.name}.deadlocked")
-        self._reg_apply_errors = registry.counter(f"workers.{service.name}.apply_errors")
+        self._deadlocked = registry.counter(f"workers.{service.name}.deadlocked")
+        #: Messages whose apply raised (DB fault, bad payload): they are
+        #: nacked and retried until the delivery budget runs out.
+        self._apply_errors = registry.counter(f"workers.{service.name}.apply_errors")
         self._recorder = getattr(service.ecosystem, "recorder", None)
         # Flow control: the pool's workers share one AIMD batch sizer;
         # without it every batch is one message.
         controller = getattr(service.ecosystem, "flow", None)
         self._sizer = None if controller is None else BatchSizer(controller.config)
         self._batches = Counter()
-
-    @property
-    def deadlocked_messages(self) -> int:
-        return self._deadlocked.value
-
-    @property
-    def apply_errors(self) -> int:
-        """Messages whose apply raised (DB fault, bad payload): they are
-        nacked and retried until the delivery budget runs out."""
-        return self._apply_errors.value
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -216,6 +199,8 @@ class SubscriberWorkerPool:
                         done, retry, errors = subscriber.process_batch(
                             batch, wait_timeout=0.0 if first else self.wait_timeout
                         )
+                    except DurabilityError:
+                        raise
                     except Exception:
                         # process_batch contains apply errors itself; this
                         # guards the verification phase. A transient fault
@@ -224,7 +209,6 @@ class SubscriberWorkerPool:
                         done, retry, errors = [], batch, 1
                     if errors:
                         self._apply_errors.increment(errors)
-                        self._reg_apply_errors.increment(errors)
                     try:
                         # A batch that applied nothing and raised nothing
                         # stalled purely on dependency waits: its missing
@@ -263,6 +247,12 @@ class SubscriberWorkerPool:
                         sizer.observe_pressure(
                             monitor.link_pressure(self.service.name)
                         )
+            except DurabilityError as exc:
+                # From an apply's record, an ack's, or the write that
+                # ends the step: the log is fail-stop, nothing settled
+                # after it is durable, so the pool is finished.
+                self._on_fatal(exc)
+                return
             finally:
                 with self._idle:
                     self._active -= 1
@@ -273,13 +263,27 @@ class SubscriberWorkerPool:
         if self.on_deadlock is not None:
             self.on_deadlock(self.service)
 
+    def _on_fatal(self, error: DurabilityError) -> None:
+        """The WAL failed under a worker. Like a decommission this ends
+        the pool — every worker stops popping — and the owner hears of
+        it once, from the worker that hit it first: restart the process
+        over the surviving log prefix (docs/durability.md)."""
+        with self._active_lock:
+            first = not self._stop.is_set()
+            self._stop.set()
+        if first:
+            self._record_anomaly(
+                "worker.fatal", error=f"{type(error).__name__}: {error}"
+            )
+            if self.on_deadlock is not None:
+                self.on_deadlock(self.service)
+
     def _give_up(self, subscriber: Any, queue: Any, message: Any) -> None:
         """Give-up timeout reached (§6.5): drop or weak-apply, then ack."""
         if self.give_up_action == "apply":
             subscriber.force_apply(message)
         queue.ack(message)
         self._deadlocked.increment()
-        self._reg_deadlocked.increment()
         self._record_anomaly(
             "worker.deadlock",
             uid=message.uid,

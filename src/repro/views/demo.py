@@ -27,37 +27,16 @@ from __future__ import annotations
 from typing import List
 
 
-def _flag(args: List[str], name: str, default: int) -> int:
-    if name in args:
-        return int(args[args.index(name) + 1])
-    return default
-
-
 def _build(data_dir: str):
+    from repro.apps import build_replicated_pair
     from repro.core import Ecosystem
-    from repro.databases.document import MongoLike
-    from repro.databases.relational import PostgresLike
-    from repro.orm import Field, Model
     from repro.views import CountView, FeedView, SumView, TopKView
 
     eco = Ecosystem()
     eco.enable_durability(data_dir=data_dir, snapshot_every=10_000)
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["author", "score"], name="Post")
-    class Post(Model):
-        author = Field(str)
-        score = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(
-        subscribe={"from": "pub", "fields": ["author", "score"]}, name="Post"
+    eco, pub, sub, Post = build_replicated_pair(
+        eco, {"author": str, "score": int}, "Post"
     )
-    class SubPost(Model):
-        author = Field(str)
-        score = Field(int, default=0)
-
     views = sub.enable_views()
     views.declare(CountView("posts", "Post"))
     views.declare(SumView("karma", "Post", "score"))
@@ -80,22 +59,19 @@ def _check_invariant(views) -> bool:
 
 
 def views_command(args: List[str]) -> int:
-    if "--demo" not in args:
-        print("the views command currently only supports --demo")
-        return 1
-    writes = _flag(args, "--writes", 30)
-
     import shutil
     import tempfile
 
+    from repro.core.tools import flags
+
     data_dir = tempfile.mkdtemp(prefix="repro-views-")
     try:
-        return _run_demo(args, writes, data_dir)
+        return _run_demo(flags(args, writes=30)["writes"], data_dir)
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
 
 
-def _run_demo(args: List[str], writes: int, data_dir: str) -> int:
+def _run_demo(writes: int, data_dir: str) -> int:
     eco, pub, sub, post_cls = _build(data_dir)
     authors = ["ada", "bob", "cyd"]
 

@@ -200,7 +200,7 @@ class TestFaultInjection:
         broker.publish(make_message(app="pub"))
         broker.publish(make_message(app="pub"))
         assert len(q) == 1
-        assert broker.dropped_messages == 1
+        assert broker.metrics.value("broker.dropped") == 1
 
     def test_loss_probability_deterministic_with_seed(self):
         broker = Broker(seed=42)
@@ -209,7 +209,7 @@ class TestFaultInjection:
         for i in range(100):
             broker.publish(make_message(app="pub", op_id=i))
         assert 20 < len(q) < 80
-        assert len(q) + broker.dropped_messages == 100
+        assert len(q) + broker.metrics.value("broker.dropped") == 100
 
 
 class TestQueueStats:

@@ -274,7 +274,7 @@ class TestWeakMode:
         assert sub.subscriber.process_message(m1)
         assert sub.subscriber.process_message(m2)
         assert SUser.find(user.id).name == "v3"
-        assert sub.subscriber.discarded_stale == 2
+        assert eco.metrics.value("subscriber.sub.stale_discarded") == 2
 
     def test_weak_subscriber_tolerates_message_loss(self):
         """The §6.5 scenario: weak subscribers keep making progress."""

@@ -81,11 +81,11 @@ class TestRegistryReconciliation:
                 probe.ack(message)
                 captured.append(message)
             sub_queue = sub.subscriber.queue
-            store_before = sub.subscriber.processed_messages
+            store_before = eco.metrics.value("subscriber.sub.processed")
             for message in captured[:REDELIVERIES]:
                 sub_queue.publish(message.delivery())
             assert pool.wait_until_idle(timeout=30)
-            deadlocked = pool.deadlocked_messages
+            deadlocked = eco.metrics.value("workers.sub.deadlocked")
 
         assert errors == []
         metrics = eco.metrics

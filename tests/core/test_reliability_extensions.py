@@ -45,7 +45,7 @@ class TestAtLeastOnceDedup:
         redelivered = queue.pop()
         assert redelivered.uid == message.uid
         assert sub.subscriber.process_message(redelivered)
-        assert sub.subscriber.duplicate_messages == 1
+        assert eco.metrics.value("subscriber.sub.duplicates") == 1
         # Counters were incremented exactly once: a follow-up update with
         # the expected dependency version applies cleanly.
         queue.ack(redelivered)
@@ -85,7 +85,7 @@ class TestGiveUpTimeout:
             assert pool.wait_until_idle(timeout=10)
         # The blocked v3 was force-applied after the timeout.
         assert SubUser.find(user.id).name == "v3"
-        assert pool.deadlocked_messages >= 1
+        assert eco.metrics.value("workers.sub.deadlocked") >= 1
 
     def test_invalid_action_rejected(self, eco):
         pub, User, sub, SubUser = build(eco)
@@ -99,7 +99,7 @@ class TestGiveUpTimeout:
         sub.subscriber.force_apply(message)
         sub.subscriber.force_apply(message)
         assert SubUser.count() == 1
-        assert sub.subscriber.processed_messages == 1
+        assert eco.metrics.value("subscriber.sub.processed") == 1
 
 
 class TestMultiObjectUnrolling:

@@ -22,6 +22,7 @@ import pytest
 import repro.durability.wal as wal_mod
 from repro.durability.wal import SegmentedWAL, decode_record
 from repro.errors import DurabilityError, WALWriteFailed
+from repro.runtime.workers import SubscriberWorkerPool
 
 from .test_step_write import build_pipeline, lines_on_disk
 
@@ -189,5 +190,49 @@ def test_full_disk_at_a_step_end_refuses_publishes_and_restores(
     with pub_b.controller():
         PubDoc_b.create(name="after", value=4)
     assert sub_b.subscriber.drain() == 1
+    assert sub_b.audit_replication().in_sync
+    manager_b.close()
+
+
+def test_full_disk_under_a_worker_pool_is_fatal_not_an_apply_error(
+    tmp_path, disk
+):
+    """A WAL failure under a pool is fail-stop, not an apply error: it
+    used to be counted, nacked and retried until a later ack raised the
+    same error out of the worker loop — threads dying one by one with no
+    callback, ``wait_until_idle`` left to time out."""
+    eco, pub, (sub,), manager, PubDoc = build_pipeline(tmp_path)
+    with pub.controller():
+        for i in range(6):
+            PubDoc.create(name=f"doc-{i}", value=i)
+    on_disk = len(lines_on_disk(manager))
+
+    disk["writes_left"] = 0
+    told = []
+    pool = SubscriberWorkerPool(
+        sub, workers=2, wait_timeout=0.05, on_deadlock=told.append
+    )
+    with pool:
+        workers = list(pool._threads)
+        for worker in workers:
+            worker.join(timeout=10)
+        assert not any(worker.is_alive() for worker in workers)
+    assert told == [sub]  # once, whichever worker hit it first
+    fatal = eco.recorder.events("worker.fatal")
+    assert len(fatal) == 1 and fatal[0].data["service"] == "sub"
+    assert fatal[0].data["error"].startswith("WALWriteFailed")
+    assert eco.metrics.value("workers.sub.apply_errors") == 0
+    assert len(lines_on_disk(manager)) == on_disk
+
+    # The drain path says the same thing the same way.
+    with pytest.raises(WALWriteFailed):
+        sub.subscriber.drain()
+
+    # The process is abandoned; its successor restores the prefix.
+    disk["writes_left"] = 10 ** 9
+    eco_b, pub_b, (sub_b,), manager_b, PubDoc_b = build_pipeline(tmp_path)
+    report = manager_b.restore()
+    assert not report.unrecoverable, report.error
+    assert sub_b.subscriber.drain() == 6
     assert sub_b.audit_replication().in_sync
     manager_b.close()

@@ -237,7 +237,7 @@ class TestProcessBatch:
         redelivered = queue.pop_many(8)
         done2, retry2, errors2 = sub.subscriber.process_batch(redelivered)
         assert (len(done2), len(retry2), errors2) == (1, 0, 0)
-        assert sub.subscriber.duplicate_messages == 1
+        assert eco.metrics.value("subscriber.sub.duplicates") == 1
 
 
 class TestBatchedWorkerPool:
@@ -260,7 +260,7 @@ class TestBatchedWorkerPool:
         for doc in docs:
             assert SubDoc.__mapper__.find(doc.id) is not None
         assert eco.metrics.snapshot("flow.")["flow.sub.batch_size"]["count"] > 0
-        assert pool.deadlocked_messages == 0
+        assert eco.metrics.value("workers.sub.deadlocked") == 0
 
     def test_flow_disabled_pool_keeps_single_message_loop(self):
         eco, pub, sub, Doc, SubDoc = build_ecosystem(flow=False)

@@ -251,3 +251,160 @@ def test_counter_arithmetic_exists_once():
         assert len(found) == expected and found[0].startswith(
             "core/subscriber.py"
         ), (pattern, found)
+
+
+# -- a scenario is a script, not a subsystem ------------------------------------
+#
+# Scenario code (the conformance scenarios, the ``demo.py`` modules,
+# ``watch`` and ``__main__``) shares three pieces: the replicated-pair
+# builder in ``apps/pair.py``, the crash-then-restore skeleton private
+# to ``conformance/scenarios.py``, and the product's own converge step
+# (``drain_all()``; ``repair_replication().verified_in_sync``). Each
+# rule below fails when a hand-built copy is pasted back.
+
+REPO_ROOT = os.path.dirname(os.path.dirname(SRC_ROOT))
+
+#: A document-store ``…pub…-db`` or relational ``…sub…-db`` engine being
+#: constructed, literal or f-string: the pair being declared by hand.
+PAIR_DECLARED = r'(MongoLike|PostgresLike)\(f?"[^"]*(pub|sub)[^"]*-db"\)'
+PAIR_BUILDER = "apps/pair.py"
+#: Renames + a published virtual: the one fixture that *is* different.
+MAPPED_FIXTURE = "runtime/conformance/scenarios.py"
+
+#: module -> how many ``.restore()`` calls it makes (``durability/``
+#: defines the method and has no reason to call it).
+RESTORE_CALLERS = {
+    "runtime/transport/shard.py": 1,
+    "runtime/conformance/harness.py": 1,
+    "runtime/conformance/scenarios.py": 1,
+    "views/demo.py": 1,
+}
+
+
+def _scenario_modules():
+    return sorted({
+        rel_path for rel_path, _lineno, _line in _source_lines()
+        if rel_path.endswith("/demo.py") or rel_path.endswith("/watch.py")
+    })
+
+
+def test_the_replicated_pair_is_declared_in_one_module():
+    sites = [
+        (rel_path, match.group(0))
+        for rel_path, _lineno, line in _source_lines()
+        for match in re.finditer(PAIR_DECLARED, line)
+    ]
+    assert {rel_path for rel_path, _ in sites} == {PAIR_BUILDER, MAPPED_FIXTURE}, (
+        "declare a publisher -> replica pair with "
+        "repro.apps.build_replicated_pair:\n"
+        + "\n".join(f"{rel_path}: {text}" for rel_path, text in sites)
+    )
+    # One of each engine per module: the builder's, the mapped fixture's.
+    assert len(sites) == 4, sites
+
+
+def test_restore_is_called_from_the_skeletons_only():
+    import ast
+
+    calls = {}
+    for dirpath, _dirnames, filenames in os.walk(SRC_ROOT):
+        for filename in filenames:
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            found = sum(
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "restore"
+                and not node.args and not node.keywords
+                for node in ast.walk(tree)
+            )
+            if found:
+                rel_path = os.path.relpath(path, SRC_ROOT).replace(os.sep, "/")
+                calls[rel_path] = found
+    # Equality, so a stale entry fails as loudly as a new caller.
+    assert calls == RESTORE_CALLERS, (
+        "an ecosystem is restored by hand — a crash scenario belongs on "
+        "conformance/scenarios.py's skeleton"
+    )
+
+
+def test_scenarios_and_demos_spell_no_repair_ladder():
+    """audit -> if not in_sync -> repair(report=...) -> verified is what
+    ``repair_replication()`` already does."""
+    scripts = _scenario_modules() + [MAPPED_FIXTURE, "__main__.py"]
+    violations = [
+        f"{rel_path}:{lineno}: {line.strip()}"
+        for rel_path, lineno, line in _source_lines()
+        if rel_path in scripts
+        and re.search(r"repair_replication\(\s*report=|repair_subscriber\(", line)
+    ]
+    assert violations == [], "\n".join(violations)
+
+
+def test_the_sigkill_child_block_exists_once():
+    found = [
+        f"{rel_path}:{lineno}"
+        for rel_path, lineno, line in _source_lines()
+        if rel_path.startswith("runtime/conformance/")
+        and re.search(r"exitcode != -signal\.SIGKILL|get_context\(\"fork\"\)", line)
+    ]
+    assert len(found) == 2 and all(
+        site.startswith(MAPPED_FIXTURE) for site in found
+    ), found
+
+
+def test_demo_parameters_do_not_travel_through_the_environment():
+    modules = _scenario_modules()
+    assert len(modules) == 6, modules  # five demo.py + monitor/watch.py
+    violations = [
+        f"{rel_path}:{lineno}: {line.strip()}"
+        for rel_path, lineno, line in _source_lines()
+        if rel_path in modules and re.search(r"\benviron\b|\bgetenv\b", line)
+    ]
+    assert violations == [], (
+        "bind demo parameters onto the module-level callables with "
+        "functools.partial:\n" + "\n".join(violations)
+    )
+    # The deleted knobs are not mentioned anywhere a reader would look
+    # (spelled in halves so this file does not match itself).
+    knobs = re.compile("REPRO_" + "SHARD_|REPRO_" + "RECOVER_")
+    mentions = []
+    for top in ("src", "tests", "benchmarks", "examples", "docs", ".github",
+                ".claude", "README.md"):
+        root = os.path.join(REPO_ROOT, top)
+        paths = [root] if os.path.isfile(root) else [
+            os.path.join(dirpath, filename)
+            for dirpath, _dirnames, filenames in os.walk(root)
+            for filename in filenames
+            if filename.endswith((".py", ".md", ".yml", ".json"))
+        ]
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                if knobs.search(fh.read()):
+                    mentions.append(os.path.relpath(path, REPO_ROOT))
+    assert mentions == []
+
+
+def test_cli_flags_have_one_reader():
+    """``repro.core.tools.flags`` — no private ``_flag`` parser."""
+    violations = [
+        f"{rel_path}:{lineno}: {line.strip()}"
+        for rel_path, lineno, line in _source_lines()
+        if re.search(r"def _(int_|str_)?flag(_value)?\(", line)
+    ]
+    assert violations == [], "\n".join(violations)
+
+
+def test_command_table_docstring_and_readme_agree():
+    import repro.__main__ as cli
+
+    table = set(cli.COMMANDS)
+    assert cli.DEMO_ONLY <= table
+    documented = set(re.findall(r"^    (\w+)", cli.__doc__, flags=re.M))
+    assert documented == table
+    readme = os.path.join(REPO_ROOT, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        toured = set(re.findall(r"`python -m repro (\w+)", fh.read()))
+    assert toured == table

@@ -35,7 +35,7 @@ class TestApplyFaults:
             User.create(name=f"u{i}")
         with SubscriberWorkerPool(sub, workers=2, wait_timeout=0.05) as pool:
             assert pool.wait_until_idle(timeout=20)
-            assert pool.apply_errors >= 1
+            assert eco.metrics.value("workers.sub.apply_errors") >= 1
         assert SubUser.count() == 10
 
     def test_worker_threads_survive_faults(self):
@@ -61,7 +61,7 @@ class TestApplyFaults:
                                     max_deliveries=3)
         with pool:
             assert pool.wait_until_idle(timeout=20)
-        assert pool.deadlocked_messages == 1
+        assert eco.metrics.value("workers.sub.deadlocked") == 1
         sub.database.faults.down = False
         # Queue is clear; later traffic flows.
         User.create(name="fresh")
