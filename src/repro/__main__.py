@@ -12,10 +12,13 @@ Commands:
         one end-to-end traced message, wal.append/wal.flush included
     conformance [--seeds N] [--mode causal|global|weak] [--crash]
                 [--seed K --faults F --generation-bump --queue-limit Q]
+                [--find MARKER]
         deterministic delivery-semantics conformance: directed race
         scenarios plus a seeded-schedule sweep over the real
-        queue/subscriber/version-store code; with --seed K, replay one
-        schedule and dump its violations and trace tail
+        queue/worker-step/subscriber/version-store code; with --seed K,
+        replay one schedule and dump its violations and trace tail;
+        with --find MARKER, print the replay line of the first of
+        --seeds N whose run is clean and whose trace holds that event
     watch [--once] [--rounds N] [--interval S] [--writes N]
           [--prometheus] [--json] [--cluster]
         live replication-health console over a demo two-service

@@ -41,7 +41,6 @@ from repro.runtime.conformance.harness import (
     default_matrix,
     replay_twice,
     run_schedule,
-    sweep,
 )
 from repro.runtime.conformance.scheduler import (
     InterleavingScheduler,
@@ -59,7 +58,6 @@ __all__ = [
     "default_matrix",
     "replay_twice",
     "run_schedule",
-    "sweep",
     "INV_ALO",
     "INV_CAUSAL",
     "INV_DEDUP",

@@ -184,6 +184,10 @@ class DeliveryChecker:
         self.tolerated_nacks += 1
         self.in_flight.pop(info["message"].uid, None)
 
+    # A deferred delivery is back in the queue, exactly as a nacked one.
+    _on_queue_deferred = _on_queue_nacked
+    _on_queue_defer_tolerated = _on_queue_nack_tolerated
+
     def _on_queue_requeued(self, info: Dict[str, Any]) -> None:
         # Crash recovery returned every unacked delivery to the queue.
         self.in_flight.clear()

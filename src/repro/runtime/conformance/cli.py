@@ -1,6 +1,6 @@
 """``python -m repro conformance`` — the delivery-semantics smoke sweep.
 
-Two shapes:
+Three shapes:
 
 - ``conformance --seeds N [--mode M]`` — run the directed scenarios,
   then sweep N seeds per delivery mode (each seed once plain, once
@@ -13,6 +13,11 @@ Two shapes:
 - ``conformance --seed K --mode M [--crash --flow --durability ...]`` —
   replay one schedule and dump its violations and trace tail. This is
   the line the sweep prints when something fails.
+- ``conformance --find MARKER [--seeds N] [--mode M --flow ...]`` —
+  search the first N seeds of the schedule shape the other flags
+  describe for one that runs clean and whose trace contains the event
+  ``MARKER`` (:func:`~repro.runtime.conformance.scenarios.find_schedule`),
+  and print its replay line; exits 1 saying what no seed met.
 """
 
 from __future__ import annotations
@@ -27,25 +32,29 @@ from repro.runtime.conformance.harness import (
     default_matrix,
     run_schedule,
 )
-from repro.runtime.conformance.scenarios import run_directed_scenarios
+from repro.runtime.conformance.scenarios import (
+    find_schedule,
+    run_directed_scenarios,
+)
 
 
 def _report_failure(result: ScheduleResult) -> None:
     print(f"FAIL {result.config.describe()} ({result.steps} steps)")
     for violation in result.violations:
         print(f"  {violation}")
-    print(f"  replay: {result.replay_command()}")
+    print(f"  replay: {result.config.replay_command()}")
 
 
 def conformance_command(args: List[str]) -> int:
     opts = flags(
         args, mode=None, seed=None, seeds=50, workers=3, messages=10,
-        faults=0, queue_limit=None, hash_space=None,
+        faults=0, queue_limit=None, hash_space=None, find=None,
     )
     for key in ("seed", "queue_limit", "hash_space"):
         if opts[key] is not None:
             opts[key] = int(opts[key])
     mode, seed, seeds = opts.pop("mode"), opts.pop("seed"), opts.pop("seeds")
+    marker = opts.pop("find")
     base = ScheduleConfig(
         mode=mode or CAUSAL,
         seed=seed or 0,
@@ -57,6 +66,15 @@ def conformance_command(args: List[str]) -> int:
         cdc="--cdc" in args,
         **opts,
     )
+
+    if marker is not None:
+        try:
+            found = find_schedule(base, marker, seeds=range(seeds))
+        except LookupError as exc:
+            print(exc)
+            return 1
+        print(f"{marker}: {found.replay_command()}")
+        return 0
 
     if seed is not None:
         # Single-schedule replay: full detail.

@@ -34,6 +34,7 @@ from repro.runtime.conformance.scheduler import (
     SchedulerStuck,
 )
 from repro.runtime.interleave import observe_point, yield_point
+from repro.runtime.workers import SubscriberWorkerPool
 
 #: Invariant name for schedules that never quiesce (wedged scheduler).
 INV_QUIESCENCE = "schedule.quiescence"
@@ -83,26 +84,39 @@ class ScheduleConfig:
     cdc: bool = False
     max_steps: int = 50_000
 
-    def describe(self) -> str:
-        extras = []
+    def switches(self) -> List[str]:
+        """The CLI flags that tell this schedule from the plain one of
+        its mode, seed and size."""
+        out = []
         if self.crash_recovery:
-            extras.append("crash")
+            out.append("--crash")
         if self.faults:
-            extras.append(f"faults={self.faults}")
+            out.append(f"--faults {self.faults}")
         if self.generation_bump:
-            extras.append("genbump")
+            out.append("--generation-bump")
         if self.queue_limit is not None:
-            extras.append(f"qlimit={self.queue_limit}")
-        if self.flow:
-            extras.append("flow")
-        if self.durability:
-            extras.append("durability")
-        if self.views:
-            extras.append("views")
-        if self.cdc:
-            extras.append("cdc")
-        suffix = f" [{','.join(extras)}]" if extras else ""
+            out.append(f"--queue-limit {self.queue_limit}")
+        if self.hash_space is not None:
+            out.append(f"--hash-space {self.hash_space}")
+        out.extend(
+            f"--{name}" for name in ("flow", "durability", "views", "cdc")
+            if getattr(self, name)
+        )
+        return out
+
+    def describe(self) -> str:
+        switches = self.switches()
+        suffix = f" [{' '.join(switches)}]" if switches else ""
         return f"mode={self.mode} seed={self.seed}{suffix}"
+
+    def replay_command(self) -> str:
+        """The CLI line that replays exactly this schedule."""
+        return " ".join([
+            "python -m repro conformance",
+            f"--mode {self.mode} --seed {self.seed}",
+            f"--workers {self.workers} --messages {self.messages}",
+            *self.switches(),
+        ])
 
 
 @dataclass
@@ -118,35 +132,6 @@ class ScheduleResult:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def replay_command(self) -> str:
-        """The CLI line that replays exactly this schedule."""
-        parts = [
-            "python -m repro conformance",
-            f"--mode {self.config.mode}",
-            f"--seed {self.config.seed}",
-            f"--workers {self.config.workers}",
-            f"--messages {self.config.messages}",
-        ]
-        if self.config.crash_recovery:
-            parts.append("--crash")
-        if self.config.faults:
-            parts.append(f"--faults {self.config.faults}")
-        if self.config.generation_bump:
-            parts.append("--generation-bump")
-        if self.config.queue_limit is not None:
-            parts.append(f"--queue-limit {self.config.queue_limit}")
-        if self.config.hash_space is not None:
-            parts.append(f"--hash-space {self.config.hash_space}")
-        if self.config.flow:
-            parts.append("--flow")
-        if self.config.durability:
-            parts.append("--durability")
-        if self.config.views:
-            parts.append("--views")
-        if self.config.cdc:
-            parts.append("--cdc")
-        return " ".join(parts)
 
 
 def _build_script(config: ScheduleConfig, rng: random.Random) -> List[Tuple]:
@@ -208,6 +193,12 @@ class ConformanceHarness:
         self._aliases: Dict[str, str] = {}
         self.trace_lines: List[str] = []
         self._build_ecosystem()
+        # The virtual workers run the production worker step; no threads
+        # (the scheduler owns them) and no blocking dependency wait.
+        self.pool = SubscriberWorkerPool(
+            self.sub, workers=0, wait_timeout=0.0,
+            max_deliveries=config.max_deliveries,
+        )
         self.checker = DeliveryChecker(self.sub.subscriber)
         if config.views:
             self.checker.views = self.sub.views
@@ -415,13 +406,18 @@ class ConformanceHarness:
 
     def _subscriber_loop(self, wid: str, abandon_after: Optional[int] = None) -> None:
         """One virtual pool worker: ``pop_many`` a batch (one message
-        unless the schedule has flow on), verify and apply it through
-        ``process_batch``, settle every delivery. A crash worker
-        (``abandon_after``) abandons whatever it popped — what a real
-        pool worker dying mid-batch leaves behind."""
-        subscriber = self.sub.subscriber
-        queue = subscriber.queue
-        limit = subscriber.batch_limit
+        unless the schedule has flow on), then the production worker
+        step — ``SubscriberWorkerPool.process`` and ``.settle`` inside
+        one ``queue.step``. A crash worker (``abandon_after``) leaves
+        the step without settling — what a real pool worker dying
+        mid-batch leaves behind.
+
+        The pop size stays the fixed ``batch_limit``: the pool's AIMD
+        sizer reads wall-clock lag, which would break byte-identical
+        replay."""
+        pool = self.pool
+        queue = self.sub.subscriber.queue
+        limit = self.sub.subscriber.batch_limit
         handled = 0
         while True:
             try:
@@ -436,44 +432,30 @@ class ConformanceHarness:
                         observe_point("worker.drained", worker=wid)
                         return
                     continue
-                done, retry, errors = subscriber.process_batch(
-                    batch, wait_timeout=0.0
-                )
-                if errors:
-                    # No schedule injects engine faults: an apply that
-                    # raised is a bug, not something to retry quietly.
-                    self.checker.violation(
-                        INV_WORKER,
-                        f"worker {wid}: {errors} apply error(s) in a batch "
-                        f"of {len(batch)}",
-                    )
-                handled += len(batch)
-                if abandon_after is not None and handled >= abandon_after:
-                    # Simulated worker crash: exit without ack/nack; the
-                    # deliveries stay in the unacked table until recovery
-                    # calls requeue_unacked().
-                    for message in batch:
-                        self.crashed_uids.add(message.uid)
-                        observe_point("worker.crashed", worker=wid, message=message)
-                    return
-                for message in done:
-                    queue.ack(message)
-                for message in retry:
-                    if message.delivery_count >= self.config.max_deliveries:
-                        # §6.5 give-up semantics: a dependency that will
-                        # never arrive (dropped message) must not wedge the
-                        # worker forever.
-                        observe_point("worker.gave_up", worker=wid, message=message)
-                        queue.ack(message)
-                    else:
-                        queue.nack(message)
-            except QueueDecommissioned:
-                # Ack/nack of a delivery the decommission cleared: the
-                # fixed queue tolerates the ack; a decommission raised
-                # from a nested pop path lands here and the worker exits
-                # cleanly instead of dying silently.
-                observe_point("worker.decommissioned", worker=wid)
-                return
+                with queue.step:
+                    done, retry, errors = pool.process(batch)
+                    if errors:
+                        # No schedule injects engine faults: an apply that
+                        # raised is a bug, not something to retry quietly.
+                        self.checker.violation(
+                            INV_WORKER,
+                            f"worker {wid}: {errors} apply error(s) in a "
+                            f"batch of {len(batch)}",
+                        )
+                    handled += len(batch)
+                    if abandon_after is not None and handled >= abandon_after:
+                        # Simulated worker crash: the deliveries stay in
+                        # the unacked table until recovery calls
+                        # requeue_unacked().
+                        for message in batch:
+                            self.crashed_uids.add(message.uid)
+                            observe_point(
+                                "worker.crashed", worker=wid, message=message
+                            )
+                        return
+                    if not pool.settle(done, retry, errors):
+                        observe_point("worker.decommissioned", worker=wid)
+                        return
             except Exception as exc:  # noqa: BLE001 — the invariant itself
                 self.checker.violation(
                     INV_WORKER,
@@ -554,12 +536,9 @@ class ConformanceHarness:
         if config.cdc:
             self.scheduler.add_worker("cdc", lambda: self._cdc_loop("cdc"))
 
-        stuck: Optional[SchedulerStuck] = None
         try:
             self.scheduler.run()
-        except SchedulerStuck as exc:
-            stuck = exc
-        if stuck is not None:
+        except SchedulerStuck as stuck:
             self.checker.violations.append(
                 Violation(INV_QUIESCENCE, str(stuck), step=self.scheduler.steps)
             )
@@ -643,83 +622,28 @@ def default_matrix(
     seeds, and a flow × crash-recovery variant on another slice (a
     worker dies holding a partially applied batch; ``requeue_unacked``
     plus dedup must absorb it)."""
-    base = base or ScheduleConfig()
+    # Every variant starts from the same plain schedule: whatever
+    # subsystem switches ``base`` carries, a variant turns on its own.
+    plain = replace(
+        base or ScheduleConfig(), faults=0, crash_recovery=False, flow=False,
+        durability=False, views=False, cdc=False,
+    )
     configs: List[ScheduleConfig] = []
     for mode in modes or [CAUSAL, GLOBAL, WEAK]:
         for seed in range(seeds):
             faults = 1 if seed % 4 == 3 else 0
+            variants: List[Dict[str, Any]] = [
+                {"faults": faults},
+                {"crash_recovery": True},
+                {"flow": True, "faults": faults},
+                {"durability": True, "faults": faults},
+                {"views": True, "flow": True},
+                {"cdc": True},
+            ]
             if seed % 4 == 1:
-                configs.append(
-                    replace(
-                        base,
-                        mode=mode,
-                        seed=seed,
-                        flow=True,
-                        crash_recovery=True,
-                        faults=0,
-                    )
-                )
-            configs.append(
-                replace(base, mode=mode, seed=seed, faults=faults)
-            )
-            configs.append(
-                replace(
-                    base,
-                    mode=mode,
-                    seed=seed,
-                    crash_recovery=True,
-                    faults=0,
-                )
-            )
-            configs.append(
-                replace(
-                    base,
-                    mode=mode,
-                    seed=seed,
-                    flow=True,
-                    faults=faults,
-                    crash_recovery=False,
-                )
-            )
-            configs.append(
-                replace(
-                    base,
-                    mode=mode,
-                    seed=seed,
-                    durability=True,
-                    faults=faults,
-                    crash_recovery=False,
-                    flow=False,
-                )
-            )
-            configs.append(
-                replace(
-                    base,
-                    mode=mode,
-                    seed=seed,
-                    views=True,
-                    flow=True,
-                    faults=0,
-                    crash_recovery=False,
-                    durability=False,
-                )
-            )
-            configs.append(
-                replace(
-                    base,
-                    mode=mode,
-                    seed=seed,
-                    cdc=True,
-                    faults=0,
-                    crash_recovery=False,
-                    flow=False,
-                    durability=False,
-                    views=False,
-                )
+                variants.insert(0, {"flow": True, "crash_recovery": True})
+            configs.extend(
+                replace(plain, mode=mode, seed=seed, **variant)
+                for variant in variants
             )
     return configs
-
-
-def sweep(configs: List[ScheduleConfig]) -> List[ScheduleResult]:
-    """Run every config; results in input order."""
-    return [run_schedule(config) for config in configs]

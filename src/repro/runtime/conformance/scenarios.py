@@ -36,17 +36,18 @@ reports checker violations under the same stable invariant names:
   prove a restore re-tails the outbox to digest-equal replicas with
   zero lost raw writes.
 
-The module also pins the *committed schedules* for the two interleaving
-races (generation gate vs in-flight deliveries; ack after
-decommission): seeds found by reverting each fix and sweeping, kept
-here so the regression tests replay exactly the schedule that exposes
-the race window.
+The module also pins the two *committed races* (generation gate vs
+in-flight deliveries; ack after decommission) — each as a base config
+and the trace marker of its race window, which :func:`find_schedule`
+turns into a seed on demand: a seed is an index into one particular
+dealing of the yield points and rots whenever a PR moves one.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
@@ -63,31 +64,35 @@ from repro.runtime.conformance.checker import (
     INV_POP,
     Violation,
 )
-from repro.runtime.conformance.harness import ScheduleConfig
+from repro.runtime.conformance.harness import ScheduleConfig, run_schedule
 from repro.runtime.interleave import install_hook, uninstall_hook
 
-# -- committed schedules for the interleaving races --------------------------
+# -- committed races ---------------------------------------------------------
 #
-# Found by reverting the fix under test and sweeping seeds until the
-# checker flagged the race, then re-verified green with the fix in
-# place. The regression tests assert both directions *and* that the
-# trace actually enters the race window (the marker event), so the
-# schedules cannot silently rot into not exercising the bug.
+# A race is committed as its base config and the event that marks its
+# window, never as a seed. The regression tests search for a seed that
+# runs clean, enters the window, *and* violates with the fix reverted
+# (``find_schedule(..., accept=...)``), so a schedule cannot silently rot
+# into not exercising the bug. To see what the search finds today:
+#
+#     python -m repro conformance --find generation.deferred --generation-bump
+#     python -m repro conformance --find queue.ack.tolerated \
+#         --messages 12 --queue-limit 4
 
 #: Generation gate vs in-flight deliveries: with ``peek_unacked``
-#: blinded, this schedule flushes the app's counters while an older-
+#: blinded, such a schedule flushes the app's counters while an older-
 #: generation delivery is popped-but-unacked (``generation.flush-safety``).
 GATE_RACE_SCHEDULE = ScheduleConfig(
-    mode="causal", seed=1, workers=3, messages=10, generation_bump=True
+    mode="causal", workers=3, messages=10, generation_bump=True
 )
 GATE_RACE_MARKER = "generation.deferred"
 
-#: Ack after decommission: with the legacy strict ``ack``, this
+#: Ack after decommission: with the legacy strict ``ack``, such a
 #: schedule kills a worker mid-message when the queue overflows
 #: (``worker.no-silent-death``); with the fix the ack is a tolerated
 #: no-op (``queue.ack.tolerated`` appears in the trace).
 DECOMMISSION_ACK_SCHEDULE = ScheduleConfig(
-    mode="causal", seed=0, workers=3, messages=12, queue_limit=4
+    mode="causal", workers=3, messages=12, queue_limit=4
 )
 DECOMMISSION_ACK_MARKER = "queue.ack.tolerated"
 
@@ -95,6 +100,42 @@ DECOMMISSION_ACK_MARKER = "queue.ack.tolerated"
 def trace_has(trace: List[str], marker: str) -> bool:
     """Does any normalized trace line contain the given event label?"""
     return any(marker in line for line in trace)
+
+
+def find_schedule(
+    base_config: ScheduleConfig,
+    marker: str,
+    seeds: Iterable[int] = range(60),
+    accept: Optional[Callable[[ScheduleConfig], bool]] = None,
+) -> ScheduleConfig:
+    """``base_config`` at the first of ``seeds`` whose run is clean,
+    whose trace contains ``marker``, and for which ``accept(config)``
+    holds (the regression tests pass "violates with the fix reverted").
+    Raises :class:`LookupError` naming the first of the three conditions
+    that no seed met."""
+    clean = marked = 0
+    for seed in seeds:
+        config = replace(base_config, seed=seed)
+        result = run_schedule(config)
+        if not result.ok:
+            continue
+        clean += 1
+        if not trace_has(result.trace, marker):
+            continue
+        marked += 1
+        if accept is None or accept(config):
+            return config
+    if not clean:
+        unmet = "none ran clean"
+    elif not marked:
+        unmet = f"{clean} ran clean, none of them reached {marker!r}"
+    else:
+        unmet = (
+            f"{marked} ran clean and reached {marker!r}, none of them was "
+            "accepted"
+        )
+    shape = " ".join([f"--mode {base_config.mode}", *base_config.switches()])
+    raise LookupError(f"no schedule for [{shape}] in seeds {seeds!r}: {unmet}")
 
 
 def _plain_message(app: str = "pub") -> Message:

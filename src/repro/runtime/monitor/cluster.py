@@ -196,14 +196,9 @@ class ClusterPlane:
         }
 
     def local_idle_state(self, drain: bool = False) -> Dict[str, int]:
-        cdc = getattr(self.ecosystem, "cdc", None)
         if drain:
-            if cdc is not None:
-                # Tail outboxes first: a raw write the poller has not
-                # published yet is in-flight work, not idleness.
-                cdc.poll_all()
-            for service in self.ecosystem.local_services():
-                service.subscriber.drain()
+            self.ecosystem.drain_all()
+        cdc = getattr(self.ecosystem, "cdc", None)
         broker = self.ecosystem.broker
         backlog = sum(broker.backlog().values())
         in_flight = sum(broker.in_flight().values())

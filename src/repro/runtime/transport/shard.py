@@ -58,11 +58,6 @@ __all__ = [
 ]
 
 
-def _drain_local(ecosystem: Any) -> None:
-    for service in ecosystem.local_services():
-        service.subscriber.drain()
-
-
 def _shard_main(
     shard_name: str,
     builder: Callable[[], Any],
@@ -153,11 +148,8 @@ def _shard_main(
             kind = frame[0]
             if kind == "run":
                 result = scenario(ecosystem, shard_name) if scenario else {}
-                _drain_local(ecosystem)
+                ecosystem.drain_all()
                 command_conn.send(("scenario_done", result))
-            elif kind == "idle?":
-                _drain_local(ecosystem)
-                command_conn.send(("idle", cluster.local_idle_state()))
             elif kind == "quiesce":
                 # Mesh-wide quiescence driven from inside this shard:
                 # peers drain as part of answering health_report ops.
@@ -184,7 +176,7 @@ def _shard_main(
                 result = verify(ecosystem, shard_name) if verify else {}
                 command_conn.send(("verified", result))
             elif kind == "finish":
-                _drain_local(ecosystem)
+                ecosystem.drain_all()
                 if durability is not None:
                     # Clean shutdown: checkpoint so the next incarnation
                     # restores from a snapshot instead of a full replay.

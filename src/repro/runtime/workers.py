@@ -2,20 +2,24 @@
 
 "Messages in the queue are processed in parallel by multiple subscriber
 workers per application" (§4). Each worker pops a batch — one message,
-unless flow control sizes it larger — waits (up to a timeout) for its
-dependencies, applies it and acks. A message that exceeds the retry
-budget triggers the deadlock callback — production Synapse rebootstraps
-the subscriber at that point (§6.5).
+unless flow control sizes it larger — and runs the worker step on it:
+:meth:`SubscriberWorkerPool.process` (wait, up to a timeout, for its
+dependencies and apply) then :meth:`SubscriberWorkerPool.settle` (ack,
+nack, defer or give up). A message that exceeds the retry budget
+triggers the deadlock callback — production Synapse rebootstraps the
+subscriber at that point (§6.5). The conformance harness schedules the
+same two halves (docs/delivery_semantics.md, "The worker step").
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import DurabilityError, QueueDecommissioned
 from repro.runtime.flow.batch import BatchSizer
+from repro.runtime.interleave import observe_point
 from repro.runtime.metrics import Counter
 
 
@@ -154,15 +158,81 @@ class SubscriberWorkerPool:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-    # -- main loop ---------------------------------------------------------------
+    # -- the worker step -------------------------------------------------------
+    #
+    # What happens to a popped batch: ``process`` then ``settle``, inside
+    # one ``with queue.step:``. The pool's threads and the conformance
+    # harness's virtual workers run these same two halves; a simulated
+    # worker crash is ``process``, then leaving the step without
+    # ``settle``.
+
+    def process(self, batch: List[Any]) -> Tuple[List[Any], List[Any], int]:
+        """Verify and apply a popped batch; returns ``process_batch``'s
+        ``(done, retry, errors)`` for :meth:`settle`.
+
+        First deliveries probe without blocking: when the queue holds
+        out-of-order messages, burning the full dependency wait on each
+        pop serialises chain-head discovery at ``wait_timeout`` per pop
+        (with every worker parked, nothing progresses at all). A fast
+        defer scans the queue in one cheap rotation instead;
+        redeliveries block as before so an in-flight predecessor still
+        satisfies us without another round trip through the queue."""
+        first = all(message.delivery_count <= 1 for message in batch)
+        try:
+            done, retry, errors = self.service.subscriber.process_batch(
+                batch, wait_timeout=0.0 if first else self.wait_timeout
+            )
+        except DurabilityError:
+            raise
+        except Exception:
+            # process_batch contains apply errors itself; this guards the
+            # verification phase. A transient fault (or poisonous
+            # payload) must not kill the worker: retry everything.
+            done, retry, errors = [], batch, 1
+        if errors:
+            self._apply_errors.increment(errors)
+        return done, retry, errors
+
+    def settle(self, done: List[Any], retry: List[Any], errors: int) -> bool:
+        """Return every delivery of a processed batch to the queue: ack
+        what applied; give up (§6.5) on what is over its delivery
+        budget; retry the rest. False when the queue was decommissioned
+        under the batch (routed to ``on_deadlock``; the worker is
+        finished). A ``DurabilityError`` passes through.
+
+        A batch that applied nothing and raised nothing stalled purely
+        on dependency waits: its missing predecessors are behind it in
+        the queue. Such a batch is *deferred* — rotated to the back so
+        the chain head surfaces; nacking it to the front would re-pop
+        the same messages while the predecessor starves. A batch that
+        made progress, or failed, is nacked and retries at the front."""
+        queue = self.service.subscriber.queue
+        stalled = not done and not errors
+        try:
+            for message in done:
+                queue.ack(message)
+            for message in retry:
+                if message.delivery_count >= self.max_deliveries:
+                    self._give_up(message)
+                elif stalled:
+                    queue.defer(message)
+                else:
+                    queue.nack(message)
+        except QueueDecommissioned:
+            # The queue died while these deliveries were in flight (their
+            # ack/nack is a tolerated no-op). Route the decommission like
+            # the pop path does instead of letting the exception kill the
+            # worker silently.
+            self._on_decommission()
+            return False
+        return True
 
     def _run(self) -> None:
-        """Drain up to the batch size in one lock round-trip,
-        verify/apply via ``process_batch``, settle every delivery, then
-        feed the outcome — and, periodically, the LagMonitor's link
-        pressure — back into the sizer."""
-        subscriber = self.service.subscriber
-        queue = subscriber.queue
+        """One pool thread: pop up to the batch size in one lock
+        round-trip, run the worker step, then feed the outcome — and,
+        periodically, the LagMonitor's link pressure — back into the
+        sizer."""
+        queue = self.service.subscriber.queue
         if queue is None:
             return
         sizer = self._sizer
@@ -185,56 +255,8 @@ class SubscriberWorkerPool:
                 # ``apply`` records and the acks that settle it reach the
                 # kernel in one write when the block ends.
                 with queue.step:
-                    # First deliveries probe without blocking: when the
-                    # queue holds out-of-order messages, burning the full
-                    # dependency wait on each pop serialises chain-head
-                    # discovery at wait_timeout per pop (with every worker
-                    # parked, nothing progresses at all). A fast defer
-                    # scans the queue in one cheap rotation instead;
-                    # redeliveries block as before so an in-flight
-                    # predecessor still satisfies us without another round
-                    # trip through the queue.
-                    first = all(message.delivery_count <= 1 for message in batch)
-                    try:
-                        done, retry, errors = subscriber.process_batch(
-                            batch, wait_timeout=0.0 if first else self.wait_timeout
-                        )
-                    except DurabilityError:
-                        raise
-                    except Exception:
-                        # process_batch contains apply errors itself; this
-                        # guards the verification phase. A transient fault
-                        # (or poisonous payload) must not kill the worker:
-                        # nack everything and let redelivery retry.
-                        done, retry, errors = [], batch, 1
-                    if errors:
-                        self._apply_errors.increment(errors)
-                    try:
-                        # A batch that applied nothing and raised nothing
-                        # stalled purely on dependency waits: its missing
-                        # predecessors are behind it in the queue. Rotate
-                        # such batches to the back (defer) so the chain
-                        # head surfaces — nacking to the front would re-pop
-                        # the same messages while the predecessor starves.
-                        # Partially-applied batches made progress and retry
-                        # at the front.
-                        stalled = not done and not errors
-                        for message in done:
-                            queue.ack(message)
-                        for message in retry:
-                            if message.delivery_count >= self.max_deliveries:
-                                self._give_up(subscriber, queue, message)
-                            elif stalled:
-                                queue.defer(message)
-                            else:
-                                queue.nack(message)
-                    except QueueDecommissioned:
-                        # The queue died while these deliveries were in
-                        # flight (their ack/nack is a tolerated no-op).
-                        # Route the decommission like the pop path does
-                        # instead of letting the exception kill the worker
-                        # silently.
-                        self._on_decommission()
+                    done, retry, errors = self.process(batch)
+                    if not self.settle(done, retry, errors):
                         return
                 if flow is not None:
                     flow.batch_size.record(len(batch))
@@ -278,11 +300,15 @@ class SubscriberWorkerPool:
             if self.on_deadlock is not None:
                 self.on_deadlock(self.service)
 
-    def _give_up(self, subscriber: Any, queue: Any, message: Any) -> None:
+    def _give_up(self, message: Any) -> None:
         """Give-up timeout reached (§6.5): drop or weak-apply, then ack."""
+        subscriber = self.service.subscriber
+        # Record-only: the conformance checker's accounting of a message
+        # that will never apply.
+        observe_point("worker.gave_up", message=message)
         if self.give_up_action == "apply":
             subscriber.force_apply(message)
-        queue.ack(message)
+        subscriber.queue.ack(message)
         self._deadlocked.increment()
         self._record_anomaly(
             "worker.deadlock",

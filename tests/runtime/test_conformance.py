@@ -6,6 +6,8 @@ import threading
 import time
 from unittest import mock
 
+import pytest
+
 from repro.broker.queue import SubscriberQueue
 from repro.core.subscriber import SynapseSubscriber
 from repro.errors import BrokerError, QueueDecommissioned
@@ -27,6 +29,7 @@ from repro.runtime.conformance.scenarios import (
     GATE_RACE_MARKER,
     GATE_RACE_SCHEDULE,
     drain_leak_scenario,
+    find_schedule,
     fleet_idle_deadline_scenario,
     pop_deadline_scenario,
     trace_has,
@@ -208,6 +211,50 @@ class TestFlowCrashSchedules:
         assert {c.seed for c in sliced} == {1, 5}
 
 
+class TestSweepRunsTheProductionWorkerStep:
+    """What scheduling ``SubscriberWorkerPool.process``/``settle``
+    (instead of a copy that nacked) buys, asserted over the CI matrix's
+    first 20 seeds: stalled batches rotate, the rotation is logged and
+    replayed by the restore-equivalence check, and the give-up is the
+    pool's own."""
+
+    @pytest.fixture(scope="class")
+    def swept(self):
+        from repro.durability.manager import DurabilityManager
+
+        replayed_defers = []
+        replay_record = DurabilityManager._replay_record
+
+        def spy_replay(self, rec, *args):
+            if rec.get("t") == "defer":
+                replayed_defers.append(rec["uid"])
+            return replay_record(self, rec, *args)
+
+        with mock.patch.object(
+            DurabilityManager, "_replay_record", spy_replay
+        ), mock.patch.object(
+            workers_mod.SubscriberWorkerPool, "_give_up", autospec=True,
+            side_effect=workers_mod.SubscriberWorkerPool._give_up,
+        ) as give_up:
+            results = [run_schedule(config) for config in default_matrix(20)]
+        return results, replayed_defers, give_up.call_count
+
+    def test_every_schedule_is_clean(self, swept):
+        failed = [r.config.describe() for r in swept[0] if not r.ok]
+        assert failed == []
+
+    def test_stalled_batches_are_deferred(self, swept):
+        assert any(trace_has(r.trace, "queue.deferred") for r in swept[0])
+
+    def test_a_logged_defer_is_replayed_by_restore_equivalence(self, swept):
+        assert swept[1]
+
+    def test_give_up_is_the_pools(self, swept):
+        results, _defers, give_ups = swept
+        assert give_ups > 0
+        assert give_ups == sum(r.stats["gave_up"] for r in results)
+
+
 class TestWalApplyOrder:
     """Regression: the ``apply`` WAL record used to be appended after the
     counter bump that releases dependents, so a dependent's record could
@@ -225,26 +272,31 @@ class TestGateRaceSchedule:
     """Generation gate vs in-flight deliveries (fix: ``peek_unacked``)."""
 
     def test_fixed_gate_defers_and_schedule_is_clean(self):
-        result = run_schedule(GATE_RACE_SCHEDULE)
-        assert result.ok, [str(v) for v in result.violations]
-        # The schedule provably enters the race window: the gate had to
-        # defer behind an older-generation delivery.
-        assert trace_has(result.trace, GATE_RACE_MARKER)
+        # A seed that runs clean and provably enters the race window:
+        # the gate had to defer behind an older-generation delivery.
+        find_schedule(GATE_RACE_SCHEDULE, GATE_RACE_MARKER)
 
     def test_reverting_peek_unacked_breaks_flush_safety(self):
-        with mock.patch.object(SubscriberQueue, "peek_unacked", lambda self: []):
-            result = run_schedule(GATE_RACE_SCHEDULE)
-        assert INV_GATE in invariants(result.violations)
+        def violates_reverted(config):
+            with mock.patch.object(
+                SubscriberQueue, "peek_unacked", lambda self: []
+            ):
+                result = run_schedule(config)
+            return INV_GATE in invariants(result.violations)
+
+        find_schedule(
+            GATE_RACE_SCHEDULE, GATE_RACE_MARKER, accept=violates_reverted
+        )
 
 
 class TestDecommissionAckSchedule:
     """Ack of a cleared delivery on a dead queue (fix: tolerated no-op)."""
 
     def test_fixed_ack_is_tolerated_and_schedule_is_clean(self):
-        result = run_schedule(DECOMMISSION_ACK_SCHEDULE)
-        assert result.ok, [str(v) for v in result.violations]
-        assert trace_has(result.trace, DECOMMISSION_ACK_MARKER)
-        assert result.stats["tolerated_acks"] > 0
+        config = find_schedule(
+            DECOMMISSION_ACK_SCHEDULE, DECOMMISSION_ACK_MARKER
+        )
+        assert run_schedule(config).stats["tolerated_acks"] > 0
 
     def test_reverting_to_strict_ack_kills_workers(self):
         def legacy_ack(self, message):
@@ -256,9 +308,44 @@ class TestDecommissionAckSchedule:
                 self.total_acked += 1
             yield_point("queue.acked", queue=self.name, message=message)
 
-        with mock.patch.object(SubscriberQueue, "ack", legacy_ack):
-            result = run_schedule(DECOMMISSION_ACK_SCHEDULE)
-        assert INV_WORKER in invariants(result.violations)
+        def violates_reverted(config):
+            with mock.patch.object(SubscriberQueue, "ack", legacy_ack):
+                result = run_schedule(config)
+            return INV_WORKER in invariants(result.violations)
+
+        find_schedule(
+            DECOMMISSION_ACK_SCHEDULE, DECOMMISSION_ACK_MARKER,
+            accept=violates_reverted,
+        )
+
+
+class TestFindSchedule:
+    """A failing search names the first condition no seed met."""
+
+    def test_no_clean_seed(self):
+        with mock.patch.object(
+            SubscriberQueue, "ack", side_effect=BrokerError("every ack fails")
+        ), pytest.raises(LookupError, match="none ran clean"):
+            find_schedule(ScheduleConfig(), "queue.acked", seeds=range(2))
+
+    def test_no_seed_reaches_the_marker(self):
+        with pytest.raises(LookupError, match="none of them reached 'no.such'"):
+            find_schedule(ScheduleConfig(), "no.such", seeds=range(2))
+
+    def test_no_seed_accepted(self):
+        with pytest.raises(LookupError, match="none of them was accepted"):
+            find_schedule(
+                ScheduleConfig(), "queue.acked", seeds=range(2),
+                accept=lambda config: False,
+            )
+
+    def test_cli_prints_the_replay_line_or_what_was_unmet(self, capsys):
+        from repro.runtime.conformance.cli import conformance_command
+
+        assert conformance_command(["--find", "queue.deferred", "--seeds", "20"]) == 0
+        assert "--seed " in capsys.readouterr().out
+        assert conformance_command(["--find", "no.such", "--seeds", "2"]) == 1
+        assert "none of them reached" in capsys.readouterr().out
 
 
 class TestPopDeadlineScenario:

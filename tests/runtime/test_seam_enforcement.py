@@ -408,3 +408,48 @@ def test_command_table_docstring_and_readme_agree():
     with open(readme, encoding="utf-8") as fh:
         toured = set(re.findall(r"`python -m repro (\w+)", fh.read()))
     assert toured == table
+
+
+# -- the one worker step ------------------------------------------------------
+#
+# What happens to a popped batch lives in ``SubscriberWorkerPool.process``
+# and ``.settle`` (``runtime/workers.py``); the pool's threads and the
+# conformance harness's virtual workers both run them. ``drain`` is the
+# deliberate second consumer: it holds what it could not apply and
+# re-queues once at the end.
+
+#: method -> the (module, function) sites that may call it.
+WORKER_STEP_CALLERS = {
+    "defer": {("runtime/workers.py", "settle")},
+    "_give_up": {("runtime/workers.py", "settle")},
+    "nack": {("runtime/workers.py", "settle"), ("core/subscriber.py", "drain")},
+    "process_batch": {
+        ("runtime/workers.py", "process"), ("core/subscriber.py", "drain"),
+    },
+}
+
+
+def test_the_worker_step_has_one_implementation():
+    import ast
+
+    callers = {method: set() for method in WORKER_STEP_CALLERS}
+    for dirpath, _dirnames, filenames in os.walk(SRC_ROOT):
+        for filename in filenames:
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            rel_path = os.path.relpath(path, SRC_ROOT).replace(os.sep, "/")
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    method = getattr(getattr(node, "func", None), "attr", None)
+                    if isinstance(node, ast.Call) and method in callers:
+                        callers[method].add((rel_path, function.name))
+    # Equality, so a stale entry fails as loudly as a third copy.
+    assert callers == WORKER_STEP_CALLERS, (
+        "a popped batch is settled outside SubscriberWorkerPool — run "
+        "pool.process(batch) and pool.settle(...) inside one queue.step"
+    )

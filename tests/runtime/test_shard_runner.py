@@ -85,3 +85,47 @@ class TestShardRunnerContract:
         stats = result["shards"]["shard0"]["stats"]
         assert stats["forwarded"] == 0 and stats["delivered"] == 0
         assert stats["routed"] > 0 and stats["dropped"] == 0
+
+
+def build_outboxed_pair():
+    from repro.apps import build_replicated_pair
+
+    eco, pub, _sub, _doc = build_replicated_pair()
+    pub.enable_outbox()
+    return eco
+
+
+def raw_writes_only(ecosystem, shard_name):
+    pub = ecosystem.local_service("pub")
+    raw = pub.raw_session()
+    for i in range(3):
+        raw.insert(pub.registry["Doc"], {"name": f"raw-{i}"})
+    return {"writes": 3}
+
+
+def outbox_and_replica(ecosystem, shard_name):
+    return {
+        "backlog": ecosystem.local_service("pub").cdc_poller.backlog(),
+        "rows": ecosystem.local_service("sub").registry["Doc"].count(),
+    }
+
+
+class TestShardQuiescesItsOutbox:
+    """Regression: a shard's post-scenario drain ran the subscribers
+    but never tailed an outbox, so ``run_scenarios`` reported done over
+    raw writes no poller had published."""
+
+    def test_raw_writes_are_replicated_when_the_scenario_returns(self):
+        runner = ShardRunner(
+            build_outboxed_pair, {"solo": ["pub", "sub"]},
+            scenario=raw_writes_only, verify=outbox_and_replica,
+            timeout=60.0,
+        )
+        try:
+            runner.start()
+            runner.run_scenarios()
+            seen = runner.run_verify()["solo"]
+            runner.finish()
+        finally:
+            runner.close()
+        assert seen == {"backlog": 0, "rows": 3}
