@@ -71,12 +71,12 @@ def build_pair():
     receiver, _, recv_sub, _ = build_full()
     origin.owned_services = {"pub"}
     receiver.owned_services = {"sub"}
-    origin.broker.attach_placement(
+    origin.broker.attach(placement=(
         lambda sub_name: sub_name != "sub",
         lambda sub_name, payload: receiver.broker.deliver_remote(
             sub_name, payload
         ),
-    )
+    ))
     return origin, receiver, pub, recv_sub, User
 
 

@@ -6,13 +6,23 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.broker.message import Message
-from repro.broker.queue import NO_STEP, SubscriberQueue
+from repro.broker.queue import SubscriberQueue
+from repro.durability.manager import DURABILITY_OFF
 from repro.errors import BrokerError
+from repro.runtime.flow.admission import FLOW_OFF
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.tracing import STAGE_FORWARD, STAGE_ROUTE, trace_now
+from repro.runtime.monitor.recorder import FlightRecorder
+from repro.runtime.tracing import STAGE_FORWARD, STAGE_ROUTE, Tracer, trace_now
+
+#: An unsharded broker's placement: every queue is drained in this
+#: process, so nothing is ever handed to a forwarder.
+EVERY_QUEUE_LOCAL = (lambda subscriber_app: True, None)
+
+#: What :meth:`Broker.attach` swaps in.
+PARTS = ("flow", "durability", "placement")
 
 
 class Broker:
@@ -33,6 +43,8 @@ class Broker:
         default_queue_limit: Optional[int] = None,
         seed: int = 0,
         metrics: Optional[MetricsRegistry] = None,
+        recorder: Optional[FlightRecorder] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self._queues: Dict[str, SubscriberQueue] = {}
         #: subscriber app -> set of publisher apps it listens to
@@ -45,29 +57,23 @@ class Broker:
         self._rng = random.Random(seed)
         self.loss_probability = 0.0
         self._drop_next = 0
-        #: Shared with the owning ecosystem (an ecosystem adopting a
-        #: pre-built broker adopts this registry).
+        #: The owning ecosystem's registry and observers.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Flight recorder (bound by the owning ecosystem): every dropped
-        #: routing gets a structured event so a postmortem dump names the
-        #: exact lost message (§6.5).
-        self.recorder = None
-        #: Tracer (bound by the owning ecosystem): traced messages bound
-        #: for remote shards leave their origin-side spans here as a
-        #: partial trace before the wire copy departs.
-        self.tracer = None
-        #: FlowController (bound via :meth:`attach_flow` when the owning
-        #: ecosystem enables flow control): every queue gets per-queue
-        #: admission credits and a coalescing index.
-        self.flow = None
-        #: Shard seam (bound via :meth:`attach_placement` by the shard
-        #: runtime): ``(is_local, forwarder)``. ``None`` means every
-        #: subscriber queue is drained in this process.
-        self._placement = None
-        #: DurabilityManager (bound via :meth:`attach_durability` when
-        #: the owning ecosystem enables durability): publishes and queue
-        #: transitions are logged to the write-ahead log.
-        self.durability = None
+        #: Every dropped routing gets a structured event here, so a
+        #: postmortem dump names the exact lost message (§6.5).
+        self.recorder = recorder or FlightRecorder()
+        #: Traced messages bound for remote shards leave their
+        #: origin-side spans here as a partial trace before the wire
+        #: copy departs.
+        self.tracer = tracer or Tracer()
+        #: What every queue is wired to, each in its off form until
+        #: :meth:`attach` swaps in the on form: the flow controller
+        #: (per-queue admission credits and a coalescing index), the log
+        #: (publishes and queue transitions go to the write-ahead log)
+        #: and the shard seam ``(is_local, forwarder)``.
+        self.flow = FLOW_OFF
+        self.durability = DURABILITY_OFF
+        self.placement = EVERY_QUEUE_LOCAL
         # Registry-backed atomic counters: concurrent publishers used to
         # bump plain ints outside self._lock and lose increments.
         self._dropped = self.metrics.counter("broker.dropped")
@@ -107,37 +113,39 @@ class Broker:
                 queue = SubscriberQueue(
                     subscriber_app, max_size=self._default_queue_limit
                 )
-                if self.flow is not None:
-                    queue.flow = self.flow.for_queue(queue)
-                queue.durability = self.durability
+                self._wire(queue)
                 self._queues[subscriber_app] = queue
             return queue
 
-    def attach_flow(self, controller) -> None:
-        """Enable flow control: give every queue (existing and future)
-        its per-queue admission/coalescing state."""
+    def attach(self, **parts: Any) -> None:
+        """Swap a subsystem's on form in: ``flow=`` a FlowController,
+        ``durability=`` a DurabilityManager (every publish then leaves an
+        ``out`` record), ``placement=`` an ``(is_local, forwarder)`` pair
+        — ``is_local(subscriber_app)`` says whether that queue is drained
+        on this shard, ``forwarder(subscriber_app, payload_json)`` ships
+        the wire payload to the owning shard, whose :meth:`deliver_remote`
+        enqueues it there (so flow admission and routing spans run where
+        the queue is drained). Every queue, existing and future, is wired
+        to what is attached."""
+        unknown = sorted(set(parts) - set(PARTS))
+        if unknown:
+            raise TypeError(f"Broker.attach() cannot attach {unknown}")
         with self._lock:
-            self.flow = controller
+            for name, part in parts.items():
+                setattr(self, name, part)
             for queue in self._queues.values():
-                queue.flow = controller.for_queue(queue)
+                self._wire(queue)
 
-    def attach_durability(self, manager) -> None:
-        """Enable durability logging: every queue (existing and future)
-        logs its state transitions through ``manager``, and every
-        publish leaves an ``out`` record."""
-        with self._lock:
-            self.durability = manager
-            for queue in self._queues.values():
-                queue.durability = manager
+    def _wire(self, queue: SubscriberQueue) -> None:
+        queue.flow = self.flow.for_queue(queue)
+        queue.durability = self.durability
 
-    def attach_placement(self, is_local, forwarder) -> None:
-        """Shard seam: ``is_local(subscriber_app)`` says whether that
-        queue is drained on this shard; ``forwarder(subscriber_app,
-        payload_json)`` ships the wire payload to the owning shard, whose
-        :meth:`deliver_remote` enqueues it there (so flow admission and
-        routing spans run where the queue is actually drained)."""
+    def local_queues(self) -> List[SubscriberQueue]:
+        """The queues drained in this process: all of them, unless a
+        shard placement says otherwise."""
         with self._lock:
-            self._placement = (is_local, forwarder)
+            is_local = self.placement[0]
+            return [queue for name, queue in self._queues.items() if is_local(name)]
 
     def bind(self, subscriber_app: str, publisher_app: str) -> SubscriberQueue:
         """Subscribe ``subscriber_app``'s queue to ``publisher_app``."""
@@ -158,8 +166,8 @@ class Broker:
         """Fan the message out to every bound subscriber queue.
 
         The message is serialised only where bytes are consumed: for the
-        ``out`` record when durability is attached, for the forwarder when
-        a target queue lives on another shard — at most once per publish,
+        ``out`` record when durability is on, for the forwarder when a
+        target queue lives on another shard — at most once per publish,
         and not at all when every queue is local and nothing is logged (a
         non-serialisable value was already refused where the body was
         built, ``core.marshal.wire_value``). Each local queue receives its
@@ -171,39 +179,32 @@ class Broker:
         Under a shard placement, queues owned by other shards receive the
         wire payload via the forwarder instead of a local enqueue.
         """
-        payload: Optional[str] = None
         # One WAL step (nothing without durability): the ``out`` record
         # and every local queue's ``pub`` reach the kernel in one write
         # when the block ends — before the caller is answered, and
         # before anything is handed to the forwarder below.
-        with getattr(self.durability, "step", NO_STEP):
-            if self.durability is not None:
-                # The one encode of this publish: the ``out`` record,
-                # every delivery's ``pub``/``apply`` records and the
-                # forwarder all reuse the body this fills the shared
-                # cell with.
-                payload = message.to_json()
-                # Logged before fan-out: the publisher's version store
-                # is already bumped, so the record carries the counter
-                # state a restored process must resume publishing from.
-                self.durability.log_out(message)
-                if message.trace is not None:
-                    # The trace just gained the record's ``wal.append``
-                    # span; splice it onto the cached body again below.
-                    payload = None
+        with self.durability.step:
+            # Logged before fan-out: the publisher's version store is
+            # already bumped, so the record carries the counter state a
+            # restored process must resume publishing from. Its encode is
+            # the one encode of this publish: every delivery's
+            # ``pub``/``apply`` records and the forwarder reuse the body
+            # it fills the shared cell with.
+            self.durability.log_out(message)
             with self._lock:
                 targets = [
                     (sub, self._queues[sub])
                     for sub, pubs in self._bindings.items()
                     if message.app in pubs and sub in self._queues
                 ]
-                placement = self._placement
-            if placement is not None:
-                is_local, forwarder = placement
-                local = [(sub, queue) for sub, queue in targets if is_local(sub)]
-                remote = [sub for sub, _ in targets if not is_local(sub)]
-            else:
-                local, remote = targets, []
+                is_local, forwarder = self.placement
+            local: List[Tuple[str, SubscriberQueue]] = []
+            remote: List[str] = []
+            for sub, queue in targets:
+                if is_local(sub):
+                    local.append((sub, queue))
+                else:
+                    remote.append(sub)
             # Graduated backpressure, stage one: stall the publishing
             # thread while a target queue is out of admission credits
             # ("slow before shed before kill"). Off unless the flow
@@ -211,8 +212,7 @@ class Broker:
             # their owning shard instead.
             delay = 0.0
             for _, queue in local:
-                if queue.flow is not None:
-                    delay = max(delay, queue.flow.publish_delay())
+                delay = max(delay, queue.flow.publish_delay())
             if delay > 0:
                 time.sleep(delay)
             traced = message.trace is not None
@@ -222,6 +222,7 @@ class Broker:
                     continue
                 start = trace_now() if traced else 0.0
                 self._enqueue(queue, message.delivery(), start)
+        payload: Optional[str] = None
         for sub in remote:
             if self._should_drop():
                 self._record_drop(sub, message)
@@ -237,8 +238,7 @@ class Broker:
                 # publisher half (intercept/route/forward) as a partial
                 # for cross-shard assembly (``trace_fetch``).
                 message.trace.add(STAGE_FORWARD, start, trace_now() - start)
-                if self.tracer is not None:
-                    self.tracer.record_partial(message.trace)
+                self.tracer.record_partial(message.trace)
 
     def deliver_remote(self, subscriber_app: str, payload: str) -> None:
         """Enqueue a wire payload forwarded from another shard.
@@ -248,10 +248,9 @@ class Broker:
         the queue is drained.
         """
         queue = self.queue_for(subscriber_app)
-        if queue.flow is not None:
-            delay = queue.flow.publish_delay()
-            if delay > 0:
-                time.sleep(delay)
+        delay = queue.flow.publish_delay()
+        if delay > 0:
+            time.sleep(delay)
         start = trace_now()
         self._enqueue(queue, Message.from_json(payload), start)
 
@@ -287,13 +286,9 @@ class Broker:
     def _record_drop(self, subscriber_app: str, message: Message) -> None:
         """Count a lost routing and name it in the flight recorder."""
         self._dropped.increment()
-        if self.recorder is not None:
-            self.recorder.record_event(
-                "broker.drop",
-                queue=subscriber_app,
-                uid=message.uid,
-                app=message.app,
-            )
+        self.recorder.record_event(
+            "broker.drop", queue=subscriber_app, uid=message.uid, app=message.app
+        )
 
     # -- introspection ----------------------------------------------------------
 

@@ -5,18 +5,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import nullcontext
 from typing import Any, Dict, List, Optional
 
 from repro.broker.message import Message
+from repro.durability.manager import DURABILITY_OFF
 from repro.errors import BrokerError, QueueDecommissioned
+from repro.runtime.flow.admission import FLOW_OFF
 from repro.runtime.interleave import yield_point
 from repro.runtime.tracing import MARK_ACKED, MARK_ENQUEUED, STAGE_DWELL, trace_now
-
-
-#: What ``with`` enters where a WAL step would be when no
-#: DurabilityManager is attached.
-NO_STEP = nullcontext()
 
 
 class SubscriberQueue:
@@ -42,22 +38,21 @@ class SubscriberQueue:
         self.decommissioned = False
         self.total_published = 0
         self.total_acked = 0
-        #: Per-queue flow state (admission credits + coalescing index),
-        #: attached by the broker when ``Ecosystem.enable_flow`` is on.
+        #: Per-queue flow state (admission credits + coalescing index):
+        #: ``FLOW_OFF`` until the broker wires in the flow controller's.
         #: Its hooks are called under ``self._lock`` and never suspend.
-        self.flow = None
-        #: DurabilityManager, attached by the broker when
-        #: ``Ecosystem.enable_durability`` is on. Log hooks run under
+        self.flow = FLOW_OFF
+        #: The log the broker wires in (``DURABILITY_OFF``, a null sink,
+        #: until durability is enabled). Log hooks run under
         #: ``self._lock`` so WAL order equals queue-mutation order.
-        self.durability = None
+        self.durability = DURABILITY_OFF
 
     @property
     def step(self):
         """``with queue.step:`` around the applies of what was popped
-        and the acks that settle them: the attached manager's WAL step
-        (their records reach the kernel in one write when it ends),
-        nothing without one."""
-        return getattr(self.durability, "step", NO_STEP)
+        and the acks that settle them: the log's step (with a WAL their
+        records reach the kernel in one write when it ends)."""
+        return self.durability.step
 
     # -- broker side ---------------------------------------------------------
 
@@ -65,18 +60,17 @@ class SubscriberQueue:
         yield_point("queue.publish", queue=self.name, message=message)
         outcome, killed, survivor = "published", False, None
         with self._lock:
+            flow, log = self.flow, self.durability
             if self.decommissioned:
                 outcome = "dropped"
-            elif self.flow is not None and (
-                survivor := self.flow.coalesce(self._items, self._unacked, message)
+            elif (
+                survivor := flow.coalesce(self._items, self._unacked, message)
             ) is not None:
                 outcome = "coalesced"
-            elif (
-                self.flow is not None
-                and self.flow.admit(message, len(self._items) + len(self._unacked))
-                == "shed"
-            ):
+                log.log_coal(self.name, survivor)
+            elif flow.admit(message, len(self._items) + len(self._unacked)) == "shed":
                 outcome = "shed"
+                log.log_shed(self.name, message, flow)
             else:
                 # Dwell is measured for every message (the lag monitor
                 # needs it), not just traced ones.
@@ -84,8 +78,7 @@ class SubscriberQueue:
                 if message.trace is not None:
                     message.trace.mark(MARK_ENQUEUED)
                 self._items.append(message)
-                if self.flow is not None:
-                    self.flow.register(message)
+                flow.register(message)
                 self.total_published += 1
                 killed = (
                     self.max_size is not None and len(self._items) > self.max_size
@@ -94,22 +87,15 @@ class SubscriberQueue:
                     self._items.clear()
                     self._unacked.clear()
                     self.decommissioned = True
-                    if self.flow is not None:
-                        self.flow.reset()
+                    flow.reset()
                     # Everyone must notice the decommission, not just
                     # one worker — the single wake-one case is below.
                     self._available.notify_all()
                 else:
                     self._available.notify()
-            if self.durability is not None:
-                if outcome == "published":
-                    self.durability.log_pub(self.name, message)
-                    if killed:
-                        self.durability.log_decom(self.name)
-                elif outcome == "coalesced":
-                    self.durability.log_coal(self.name, survivor)
-                elif outcome == "shed":
-                    self.durability.log_shed(self.name, message, self.flow)
+                log.log_pub(self.name, message)
+                if killed:
+                    log.log_decom(self.name)
         if outcome == "dropped":
             yield_point("queue.drop.decommissioned", queue=self.name, message=message)
             return
@@ -131,10 +117,8 @@ class SubscriberQueue:
             self.decommissioned = False
             self._items.clear()
             self._unacked.clear()
-            if self.flow is not None:
-                self.flow.reset()
-            if self.durability is not None:
-                self.durability.log_recom(self.name)
+            self.flow.reset()
+            self.durability.log_recom(self.name)
             self._available.notify_all()
 
     # -- subscriber side -----------------------------------------------------
@@ -186,8 +170,7 @@ class SubscriberQueue:
         message = self._items.popleft()
         message.delivery_count += 1
         self._unacked[message.seq] = message
-        if self.flow is not None:
-            self.flow.on_pop(message)
+        self.flow.on_pop(message)
         if message.enqueued_at is not None:
             message.dwell = trace_now() - message.enqueued_at
         if message.trace is not None:
@@ -234,8 +217,7 @@ class SubscriberQueue:
             else:
                 del self._unacked[message.seq]
                 self.total_acked += 1
-                if self.durability is not None:
-                    self.durability.log_ack(self.name, message)
+                self.durability.log_ack(self.name, message)
                 if message.trace is not None:
                     message.trace.mark(MARK_ACKED)
                     # The subscriber already handed the finished trace to
@@ -287,12 +269,11 @@ class SubscriberQueue:
                 if message.trace is not None:
                     message.trace.mark(MARK_ENQUEUED)
                 self._items.append(message)
-                if self.durability is not None:
-                    # The rotation is durable state: restore rebuilds the
-                    # queue from pub records (original publish order), so
-                    # an unlogged defer would resurrect the chain-head-
-                    # buried ordering this rotation just fixed.
-                    self.durability.log_defer(self.name, message)
+                # The rotation is durable state: restore rebuilds the
+                # queue from pub records (original publish order), so an
+                # unlogged defer would resurrect the chain-head-buried
+                # ordering this rotation just fixed.
+                self.durability.log_defer(self.name, message)
                 self._available.notify()
         if tolerated:
             yield_point("queue.defer.tolerated", queue=self.name, message=message)
@@ -371,8 +352,7 @@ class SubscriberQueue:
             for message in messages:
                 message.enqueued_at = trace_now()
                 self._items.append(message)
-                if self.flow is not None:
-                    self.flow.register(message)
+                self.flow.register(message)
             self.total_published = published
             self.total_acked = acked
             self.decommissioned = decommissioned

@@ -283,9 +283,7 @@ class OutboxTable:
         in-memory, so a crash before the poll would otherwise lose the
         raw write entirely) and the appended counter."""
         self._appended.increment()
-        durability = self.service.ecosystem.durability
-        if durability is not None:
-            durability.log_outbox(self.service.name, entry)
+        self.service.ecosystem.durability.log_outbox(self.service.name, entry)
 
     def restore_entry(self, entry: Dict[str, Any]) -> None:
         """WAL-replay upsert of one outbox row (dedup by ``id == seq``)."""

@@ -27,7 +27,7 @@ stable uids makes a kill -9 mid-tail effectively exactly-once.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.cdc.outbox import OutboxTable, check_entry_version, entry_row
 from repro.durability.wal import SimulatedCrash
@@ -133,9 +133,9 @@ class CdcPoller:
         return published
 
     def _checkpoint(self) -> None:
-        durability = self.service.ecosystem.durability
-        if durability is not None:
-            durability.log_cdc_cursor(self.service.name, self.cursor)
+        self.service.ecosystem.durability.log_cdc_cursor(
+            self.service.name, self.cursor
+        )
 
     def adopt_cursor(self, cursor: int) -> None:
         """Restore-time: never move backwards (a replayed piggyback may

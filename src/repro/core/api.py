@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Union
 
 from repro.broker import Broker
+from repro.cdc import CdcManager
 from repro.clock import Clock, DEFAULT_CLOCK
 from repro.core.delivery import CAUSAL, rank, validate_mode
 from repro.core.dependencies import ControllerStack, controller_scope
@@ -40,9 +41,11 @@ from repro.core.observer import NonPersistedMapper
 from repro.core.publisher import SynapsePublisher
 from repro.core.subscriber import SubscriptionSpec, SynapseSubscriber
 from repro.databases.kv import RedisLike
+from repro.durability import DURABILITY_OFF
 from repro.errors import DecoratorViolation, PublicationError, SynapseError
 from repro.orm.mapper import mapper_for
 from repro.orm.model import Model, bind_model
+from repro.runtime.flow import FLOW_OFF
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.monitor import FlightRecorder, LagMonitor
 from repro.runtime.tracing import Tracer
@@ -60,7 +63,6 @@ class Ecosystem:
 
     def __init__(
         self,
-        broker: Optional[Broker] = None,
         clock: Optional[Clock] = None,
         hasher: Optional[DependencyHasher] = None,
         queue_limit: Optional[int] = None,
@@ -69,18 +71,8 @@ class Ecosystem:
         tracer: Optional[Tracer] = None,
         recorder: Optional[FlightRecorder] = None,
     ) -> None:
-        # One metrics registry per ecosystem; a pre-built broker brings
-        # its own registry and the ecosystem adopts it so ``broker.*``
-        # counters land in the same snapshot as everything else.
-        if metrics is not None:
-            self.metrics = metrics
-        elif broker is not None:
-            self.metrics = broker.metrics
-        else:
-            self.metrics = MetricsRegistry()
-        self.broker = broker or Broker(
-            default_queue_limit=queue_limit, seed=seed, metrics=self.metrics
-        )
+        #: One metrics registry per ecosystem.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.clock = clock or DEFAULT_CLOCK
         self.hasher = hasher or DependencyHasher()
         self.generations = GenerationAuthority()
@@ -93,19 +85,21 @@ class Ecosystem:
         self.recorder = recorder or FlightRecorder(clock=self.clock)
         self.recorder.registry = self.metrics
         self.tracer.sink = self.recorder.record_trace
-        self.broker.recorder = self.recorder
-        self.broker.tracer = self.tracer
+        self.broker = Broker(
+            default_queue_limit=queue_limit, seed=seed, metrics=self.metrics,
+            recorder=self.recorder, tracer=self.tracer,
+        )
         #: Per-link lag SLOs and the ``eco.monitor.health()`` report.
         self.monitor = LagMonitor(self)
-        #: FlowController once :meth:`enable_flow` has run; None means
-        #: no admission, no coalescing, and apply batches of one.
-        self.flow = None
-        #: DurabilityManager once :meth:`enable_durability` has run;
-        #: None keeps the in-memory-only pipeline byte-for-byte.
-        self.durability = None
-        #: CdcManager once :meth:`enable_cdc` has run (or the first
-        #: ``Service.enable_outbox``); None means no raw-write front-end.
-        self.cdc = None
+        #: Every subsystem is always here; "disabled" is its off form,
+        #: which the matching ``enable_*`` replaces. Flow control off
+        #: admits everything, coalesces nothing and applies one message
+        #: at a time; durability off is a null sink; CDC off is a
+        #: manager with no pollers (``Service.enable_outbox`` registers
+        #: one).
+        self.flow = FLOW_OFF
+        self.durability = DURABILITY_OFF
+        self.cdc = CdcManager(self)
         self.services: Dict[str, Service] = {}
         #: Control plane: every cross-service interaction that is not a
         #: broker write-message (bootstrap snapshots, digest exchange,
@@ -172,7 +166,7 @@ class Ecosystem:
             recorder=self.recorder,
         )
         self.flow = controller
-        self.broker.attach_flow(controller)
+        self.broker.attach(flow=controller)
         return controller
 
     def enable_durability(
@@ -216,7 +210,7 @@ class Ecosystem:
             snapshot_every=snapshot_every,
         )
         self.durability = manager
-        self.broker.attach_durability(manager)
+        self.broker.attach(durability=manager)
         if self.recorder.dump_dir is None:
             self.recorder.dump_dir = flight_dir(path)
             _os.makedirs(self.recorder.dump_dir, exist_ok=True)
@@ -229,10 +223,6 @@ class Ecosystem:
         Services opt in per-service with ``enable_outbox()`` /
         ``raw_session()``; the manager tails every registered outbox
         into the ordinary publisher path. Idempotent."""
-        if self.cdc is None:
-            from repro.cdc import CdcManager
-
-            self.cdc = CdcManager(self)
         return self.cdc
 
     def service(self, name: str, **kwargs: Any) -> "Service":
@@ -245,16 +235,13 @@ class Ecosystem:
 
     def drain_all(self, max_rounds: int = 100) -> int:
         """Run every locally-owned subscriber until this process is
-        quiescent — decorator cascades can need several rounds. With
-        CDC enabled, each round first tails the outboxes: a raw write
-        followed immediately by ``drain_all`` must land at subscribers,
-        and the process is not quiescent while an outbox tail is
-        non-empty."""
+        quiescent — decorator cascades can need several rounds. Each
+        round first tails the outboxes: a raw write followed immediately
+        by ``drain_all`` must land at subscribers, and the process is
+        not quiescent while an outbox tail is non-empty."""
         total = 0
         for _ in range(max_rounds):
-            progressed = 0
-            if self.cdc is not None:
-                progressed += self.cdc.poll_all()
+            progressed = self.cdc.poll_all()
             for service in self.local_services():
                 progressed += service.subscriber.drain()
             total += progressed
@@ -564,8 +551,7 @@ class Service:
         for shard in self.publisher_version_store.kv.shards:
             shard.restart()
             shard.flushall()
-        if self.ecosystem.durability is not None:
-            self.ecosystem.durability.log_pubgen(self.name, generation)
+        self.ecosystem.durability.log_pubgen(self.name, generation)
         return generation
 
     # ------------------------------------------------------------------

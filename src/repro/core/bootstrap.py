@@ -101,9 +101,7 @@ def bootstrap_subscriber(
     # state without per-message records), so checkpoint the finished
     # state: a crash mid-bootstrap re-enters bootstrap, a crash after
     # this snapshot restores the bootstrapped replica.
-    durability = getattr(service.ecosystem, "durability", None)
-    if durability is not None:
-        durability.snapshot()
+    service.ecosystem.durability.snapshot()
     return applied
 
 

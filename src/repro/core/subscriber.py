@@ -219,10 +219,9 @@ class SynapseSubscriber:
 
     @property
     def batch_limit(self) -> int:
-        """The most deliveries one apply call is handed: 1, unless the
-        ecosystem has flow control — then its ``batch_max``."""
-        controller = getattr(self.service.ecosystem, "flow", None)
-        return 1 if controller is None else controller.config.batch_max
+        """The most deliveries one apply call is handed: the flow
+        controller's ``batch_max`` (1 with flow control off)."""
+        return self.service.ecosystem.flow.config.batch_max
 
     def drain(self, max_rounds: int = 1000) -> int:
         """Process queued messages until quiescent; returns the number
@@ -272,8 +271,7 @@ class SynapseSubscriber:
                         processed += 1
                         progress = True
                     remaining.extend(retry)
-                    if flow is not None:
-                        flow.batch_size.record(len(chunk))
+                    flow.batch_size.record(len(chunk))
             pending = remaining
             if not progress and not len(queue):
                 break
@@ -497,9 +495,7 @@ class SynapseSubscriber:
             self._count(message, ordered, record_only)
             self._processed.increment()
             emit("msg.finished", message=message)
-            monitor = getattr(self.service.ecosystem, "monitor", None)
-            if monitor is not None:
-                monitor.observe_applied(self.service.name, message)
+            self.service.ecosystem.monitor.observe_applied(self.service.name, message)
             if message.trace is not None:
                 self.service.ecosystem.tracer.record(message.trace)
             return written
@@ -552,12 +548,10 @@ class SynapseSubscriber:
         writes have landed (``record_only`` as in :meth:`_apply_one`).
         ``bump`` increments every own-app dependency; externals are
         never bumped."""
-        durability = getattr(self.service.ecosystem, "durability", None)
-        if durability is not None:
-            # Before the bump: the bump is what releases a dependent
-            # message, and a dependent's record overtaking this one
-            # would make replay land the older write last.
-            durability.log_apply(self.service.name, message)
+        # Logged before the bump: the bump is what releases a dependent
+        # message, and a dependent's record overtaking this one would
+        # make replay land the older write last.
+        self.service.ecosystem.durability.log_apply(self.service.name, message)
         if bump:
             increments = message.counter_increments()
             if self.app_modes.get(message.app) == GLOBAL:
@@ -768,11 +762,9 @@ class SynapseSubscriber:
             "generation.flush", app=message.app, generation=message.generation
         )
         self.enter_generation(message.app, message.generation)
-        durability = getattr(self.service.ecosystem, "durability", None)
-        if durability is not None:
-            durability.log_gen(
-                self.service.name, message.app, message.generation
-            )
+        self.service.ecosystem.durability.log_gen(
+            self.service.name, message.app, message.generation
+        )
         return True
 
     def enter_generation(self, app: str, generation: int) -> None:

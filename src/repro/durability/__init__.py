@@ -1,8 +1,9 @@
 """Durability subsystem: segmented WAL, snapshots, kill-and-restart
 recovery (docs/durability.md).
 
-Off by default — an ecosystem without ``enable_durability`` runs the
-exact pre-durability pipeline. Enabled, every durable state transition
+Off by default: until ``enable_durability`` the ecosystem's log is
+:data:`DURABILITY_OFF`, a null sink every hook logs into for nothing.
+Enabled, every durable state transition
 (publish, coalesce, shed, ack, apply, generation bump) is logged to an
 append-only segmented WAL, periodically checkpointed into a snapshot
 that pins the WAL position it covers, and :meth:`DurabilityManager.
@@ -18,7 +19,12 @@ from repro.durability.datadir import (
     snapshot_dir,
     wal_dir,
 )
-from repro.durability.manager import DurabilityManager, RestoreReport
+from repro.durability.manager import (
+    DURABILITY_OFF,
+    DurabilityManager,
+    DurabilityOff,
+    RestoreReport,
+)
 from repro.durability.snapshot import SNAPSHOT_VERSION, SnapshotStore, build_manifest
 from repro.durability.wal import (
     FSYNC_ALWAYS,
@@ -37,7 +43,9 @@ __all__ = [
     "DATA_DIR_ENV",
     "DEFAULT_DATA_DIR",
     "CrashInjector",
+    "DURABILITY_OFF",
     "DurabilityManager",
+    "DurabilityOff",
     "FSYNC_ALWAYS",
     "FSYNC_INTERVAL",
     "FSYNC_OFF",

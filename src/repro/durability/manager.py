@@ -2,7 +2,9 @@
 
 ``Ecosystem.enable_durability`` builds one :class:`DurabilityManager`
 per process and attaches it to the broker (which hands it to every
-subscriber queue, existing and future). The pipeline then logs each
+subscriber queue, existing and future) in place of
+:data:`DURABILITY_OFF`, the null sink the same hooks log into while
+durability is off. The pipeline then logs each
 durable state transition as one WAL record, appended *inside* the lock
 that orders the transition, so WAL order equals effect order (the
 records of the hot path go to the WAL as text ``durability.wal``'s
@@ -74,6 +76,7 @@ import itertools
 import os
 import threading
 from collections import defaultdict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -149,6 +152,26 @@ class _Step(threading.local):
             trace.add(STAGE_WAL_FLUSH, start, trace_now() - start)
 
 
+class DurabilityOff:
+    """Durability off: ``eco.durability`` until ``enable_durability``,
+    and every queue's log under it. Each hook the pipeline logs through
+    does nothing, a step is a ``nullcontext`` and a snapshot saves
+    nothing. Not a :class:`DurabilityManager`: it owns no
+    ``durability.*`` instrument."""
+
+    step = nullcontext()
+
+    def _nothing(self, *args: Any) -> None:
+        pass
+
+    log_out = log_pub = log_coal = log_shed = log_defer = log_ack = _nothing
+    log_decom = log_recom = log_apply = log_gen = log_pubgen = _nothing
+    log_outbox = log_cdc_cursor = snapshot = close = _nothing
+
+
+DURABILITY_OFF = DurabilityOff()
+
+
 class DurabilityManager:
     """Per-process durability: one WAL + snapshot store for the
     ecosystem's local queues, version stores and engine rows."""
@@ -165,7 +188,7 @@ class DurabilityManager:
         self.ecosystem = ecosystem
         self.data_dir = data_dir
         os.makedirs(data_dir, exist_ok=True)
-        recorder = getattr(ecosystem, "recorder", None)
+        recorder = ecosystem.recorder
         self.wal = SegmentedWAL(
             wal_dir(data_dir),
             fsync=fsync,
@@ -268,21 +291,19 @@ class DurabilityManager:
         """Post-state of the shed-deficit ledger for the message's app —
         an idempotent replace on replay.
 
-        The append happens *inside* ``flow._shed_lock``: snapshotting
-        the ledger under the lock but appending after releasing it lets
-        a concurrent ledger writer (another shed, or an audit thread's
-        ``reconcile_shed`` trim) slip its own record in between, so two
-        records land in inverted order and last-writer-wins replay
-        restores the stale ledger. Holding the lock across the append
-        makes WAL order equal ledger-mutation order."""
+        The append happens *inside* the ledger's lock
+        (``QueueFlow.with_ledger``): snapshotting the ledger under the
+        lock but appending after releasing it lets a concurrent ledger
+        writer (another shed, or an audit thread's ``reconcile_shed``
+        trim) slip its own record in between, so two records land in
+        inverted order and last-writer-wins replay restores the stale
+        ledger. Holding the lock across the append makes WAL order equal
+        ledger-mutation order."""
         if self._restoring:
             return
-        with flow._shed_lock:
-            ledger = dict(flow._shed_deficits.get(message.app, {}))
-            self._append(
-                {"t": "shed", "q": queue_name, "app": message.app,
-                 "ledger": ledger}
-            )
+        flow.with_ledger(message.app, lambda ledger: self._append(
+            {"t": "shed", "q": queue_name, "app": message.app, "ledger": ledger}
+        ))
 
     def log_defer(self, queue_name: str, message: Message) -> None:
         """A worker rotated a dependency-stalled delivery to the back of
@@ -365,15 +386,6 @@ class DurabilityManager:
         self._snap_count.increment()
         return snapshot_id
 
-    def _local_queues(self) -> List[Any]:
-        broker = self.ecosystem.broker
-        placement = getattr(broker, "_placement", None)
-        queues = list(broker._queues.values())
-        if placement is None:
-            return queues
-        is_local, _ = placement
-        return [queue for queue in queues if is_local(queue.name)]
-
     def _capture_state(self) -> Dict[str, Any]:
         eco = self.ecosystem
         state: Dict[str, Any] = {
@@ -404,14 +416,13 @@ class DurabilityManager:
                 "bootstrapping": sub.bootstrapping,
                 "models": models,
             }
-        for queue in self._local_queues():
+        for queue in eco.broker.local_queues():
             durable = queue.durable_state()
-            flow = queue.flow
-            durable["shed"] = flow.shed_ledger() if flow is not None else {}
+            durable["shed"] = queue.flow.shed_ledger()
             state["queues"][queue.name] = durable
-        cdc = getattr(eco, "cdc", None)
-        if cdc is not None:
-            state["cdc"] = cdc.cursors()
+        cursors = eco.cdc.cursors()
+        if cursors:
+            state["cdc"] = cursors
         return state
 
     # -- restore -------------------------------------------------------------
@@ -479,7 +490,7 @@ class DurabilityManager:
                     acked=stats[queue_name]["acked"],
                     decommissioned=decommissioned.get(queue_name, False),
                 )
-                if queue.flow is not None and queue_name in shed:
+                if queue_name in shed:
                     queue.flow.restore_shed(shed[queue_name])
                 report.requeued += len(messages)
             self._requeued.increment(report.requeued)
@@ -497,10 +508,8 @@ class DurabilityManager:
             # CDC pollers resume from the restored cursors, and each
             # outbox re-derives its next sequence from the restored
             # rows so new raw writes cannot collide with replayed ones.
-            cdc = getattr(self.ecosystem, "cdc", None)
-            if cdc is not None:
-                cdc.adopt_cursors(self.cdc_cursors)
-                cdc.resync()
+            self.ecosystem.cdc.adopt_cursors(self.cdc_cursors)
+            self.ecosystem.cdc.resync()
             if replay_error is not None:
                 report.unrecoverable = True
                 report.error = str(replay_error)
@@ -508,11 +517,9 @@ class DurabilityManager:
                     service.name for service in self.ecosystem.local_services()
                 )
                 self._unrecoverable.increment()
-                recorder = getattr(self.ecosystem, "recorder", None)
-                if recorder is not None:
-                    recorder.anomaly(
-                        "durability.unrecoverable", error=str(replay_error)
-                    )
+                self.ecosystem.recorder.anomaly(
+                    "durability.unrecoverable", error=str(replay_error)
+                )
         finally:
             self._restoring = False
         return report

@@ -19,6 +19,7 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import DurabilityError
+from repro.runtime.monitor.recorder import FlightRecorder
 
 #: On-disk snapshot schema version; loaders refuse *newer* snapshots
 #: instead of misreading them.
@@ -56,7 +57,7 @@ class SnapshotStore:
 
     def __init__(self, dirpath: str, recorder: Optional[Any] = None) -> None:
         self.dir = dirpath
-        self.recorder = recorder
+        self.recorder = recorder or FlightRecorder()
         os.makedirs(dirpath, exist_ok=True)
 
     def ids(self) -> List[int]:
@@ -116,12 +117,11 @@ class SnapshotStore:
             except DurabilityError:
                 raise
             except Exception as exc:
-                if self.recorder is not None:
-                    self.recorder.anomaly(
-                        "durability.snapshot_invalid",
-                        snapshot=snapshot_id,
-                        error=str(exc),
-                    )
+                self.recorder.anomaly(
+                    "durability.snapshot_invalid",
+                    snapshot=snapshot_id,
+                    error=str(exc),
+                )
                 continue
             return payload
         return None

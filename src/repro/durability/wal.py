@@ -62,6 +62,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 from repro.broker.message import canonical_json
 from repro.errors import DurabilityError, WALCorrupt, WALWriteFailed
 from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.monitor.recorder import FlightRecorder
 
 #: On-disk WAL schema version. Bump when a record changes meaning;
 #: replay refuses records from a *newer* schema instead of misreading.
@@ -279,7 +280,7 @@ class SegmentedWAL:
         self.fsync = fsync
         self.segment_records = max(1, segment_records)
         self.group_max = max(1, group_max)
-        self.recorder = recorder
+        self.recorder = recorder or FlightRecorder()
         self.injector: Optional[CrashInjector] = None
         self._lock = threading.Lock()
         self._fh = None
@@ -455,14 +456,13 @@ class SegmentedWAL:
             f"WAL segment {self._segment} write failed ({exc}); "
             f"{lost} record(s) not logged, the log is closed"
         )
-        if self.recorder is not None:
-            self.recorder.anomaly(
-                "durability.io_error",
-                segment=self._segment,
-                errno=exc.errno,
-                error=str(exc),
-                lost=lost,
-            )
+        self.recorder.anomaly(
+            "durability.io_error",
+            segment=self._segment,
+            errno=exc.errno,
+            error=str(exc),
+            lost=lost,
+        )
         raise self._failed from exc
 
     def sync(self) -> None:
@@ -558,13 +558,12 @@ class SegmentedWAL:
         with self._lock:
             if segment_id == self._segment:
                 self._segment_count = line_no
-        if self.recorder is not None:
-            self.recorder.anomaly(
-                "durability.torn_tail",
-                segment=segment_id,
-                record=line_no,
-                truncated_at=good_bytes,
-            )
+        self.recorder.anomaly(
+            "durability.torn_tail",
+            segment=segment_id,
+            record=line_no,
+            truncated_at=good_bytes,
+        )
         self._update_gauges()
 
     # -- compaction ----------------------------------------------------------

@@ -205,14 +205,13 @@ class ReplicationAuditor:
         self._audit_time.record(report.elapsed)
         if trace is not None:
             tracer.record(trace)
-        recorder = getattr(service.ecosystem, "recorder", None)
-        if recorder is not None and report.divergent_total:
+        if report.divergent_total:
             # Suspected loss (idle queues + persistent divergence) is the
             # §6.5 signature: an anomaly, so the evidence gets dumped.
             # Divergence with traffic still in transit is ordinary lag.
             kind = "audit.suspected_loss" if report.suspected_loss \
                 else "audit.divergence"
-            recorder.record_event(
+            service.ecosystem.recorder.record_event(
                 kind,
                 severity="anomaly" if report.suspected_loss else "info",
                 subscriber=service.name,
@@ -247,7 +246,7 @@ class ReplicationAuditor:
             # still unhealed) and keep it out of the loss signal.
             forgiven: Dict[str, int] = {}
             queue = service.subscriber.queue
-            if queue is not None and queue.flow is not None:
+            if queue is not None:
                 forgiven = queue.flow.reconcile_shed(app, deficits)
             report.shed_deficit = sum(forgiven.values())
             report.version_lag = sum(

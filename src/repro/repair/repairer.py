@@ -124,16 +124,14 @@ def repair_subscriber(
     service.subscriber.drain()
     if reaudit:
         result.verification = auditor.audit(publisher_name)
-    recorder = getattr(service.ecosystem, "recorder", None)
-    if recorder is not None:
-        recorder.record_event(
-            "repair.run",
-            subscriber=service.name,
-            objects_repaired=result.objects_repaired,
-            messages_published=result.messages_published,
-            deletes_published=result.deletes_published,
-            verified_in_sync=result.verified_in_sync,
-        )
+    service.ecosystem.recorder.record_event(
+        "repair.run",
+        subscriber=service.name,
+        objects_repaired=result.objects_repaired,
+        messages_published=result.messages_published,
+        deletes_published=result.deletes_published,
+        verified_in_sync=result.verified_in_sync,
+    )
     return result
 
 

@@ -314,8 +314,7 @@ class ConformanceHarness:
     def _cleanup_durability(self) -> None:
         import shutil
 
-        if self.eco.durability is not None:
-            self.eco.durability.close()
+        self.eco.durability.close()
         if self._durability_dir is not None:
             shutil.rmtree(self._durability_dir, ignore_errors=True)
             self._durability_dir = None
@@ -557,16 +556,14 @@ class ConformanceHarness:
         # A broken delivery invariant is an anomaly by definition: feed
         # the ecosystem's flight recorder so a failing seed leaves the
         # same JSONL evidence as a production incident.
-        recorder = getattr(self.eco, "recorder", None)
-        if recorder is not None:
-            for violation in violations:
-                recorder.anomaly(
-                    "conformance.violation",
-                    invariant=violation.invariant,
-                    detail=violation.detail,
-                    step=violation.step,
-                    schedule=config.describe(),
-                )
+        for violation in violations:
+            self.eco.recorder.anomaly(
+                "conformance.violation",
+                invariant=violation.invariant,
+                detail=violation.detail,
+                step=violation.step,
+                schedule=config.describe(),
+            )
         queue = self.sub.subscriber.queue
         stats = {
             "script_ops": len(self.script),

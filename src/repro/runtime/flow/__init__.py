@@ -1,7 +1,9 @@
 """Flow control for the publish→route→apply pipeline.
 
 Three cooperating pieces, enabled together via
-``Ecosystem.enable_flow``:
+``Ecosystem.enable_flow`` (until then ``eco.flow`` is :data:`FLOW_OFF`,
+which admits everything, coalesces nothing and applies one message at a
+time):
 
 - :mod:`repro.runtime.flow.admission` — credit-based graduated
   backpressure in front of the §4.4 kill cliff (shed weak publishes,
@@ -17,11 +19,13 @@ See ``docs/flow_control.md`` for the full design.
 
 from repro.runtime.flow.admission import (
     ADMIT,
+    FLOW_OFF,
     SHED,
     STATE_OPEN,
     STATE_SHEDDING,
     STATE_THROTTLED,
     FlowController,
+    FlowOff,
     QueueFlow,
 )
 from repro.runtime.flow.batch import BatchSizer
@@ -36,6 +40,7 @@ from repro.runtime.flow.config import FlowConfig
 
 __all__ = [
     "ADMIT",
+    "FLOW_OFF",
     "SHED",
     "STATE_OPEN",
     "STATE_SHEDDING",
@@ -43,6 +48,7 @@ __all__ = [
     "BatchSizer",
     "FlowConfig",
     "FlowController",
+    "FlowOff",
     "QueueFlow",
     "coalesce_key",
     "counter_increments",

@@ -31,15 +31,20 @@ All mutating entry points are called by ``SubscriberQueue`` under its
 own lock, so ``QueueFlow`` needs no locking of its own; it must never
 call a suspending yield point (the queue emits those after releasing
 the lock, based on the verdicts returned here).
+
+Flow control off is :data:`FLOW_OFF`, not an absent controller: every
+queue's flow state is that one object, which admits everything,
+coalesces nothing and sizes every apply batch at one message.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.broker.message import Message
 from repro.core.delivery import WEAK
+from repro.runtime.flow.batch import BatchSizer
 from repro.runtime.flow.coalesce import (
     coalesce_key,
     merge_into,
@@ -47,6 +52,7 @@ from repro.runtime.flow.coalesce import (
     union_conflicts,
 )
 from repro.runtime.flow.config import FlowConfig
+from repro.runtime.monitor.recorder import FlightRecorder
 
 #: Credits refill to ``HIGH_WATERMARK x capacity`` whenever the queue
 #: drains below ``LOW_WATERMARK x capacity``.
@@ -83,7 +89,7 @@ class QueueFlow:
         self.config = config
         self.capacity = config.capacity if config.capacity is not None else capacity
         self._mode_of = mode_of
-        self._recorder = recorder
+        self._recorder = recorder or FlightRecorder()
         if self.capacity is not None:
             self.high = max(1, int(self.capacity * HIGH_WATERMARK))
             self.low = int(self.capacity * LOW_WATERMARK)
@@ -200,6 +206,13 @@ class QueueFlow:
                 for app, ledger in self._shed_deficits.items()
             }
 
+    def with_ledger(self, app: str, write: Callable[[Dict[str, int]], Any]) -> None:
+        """Hand ``write`` a copy of ``app``'s ledger *while holding the
+        ledger lock*, so whatever ``write`` records (the WAL's ``shed``
+        record) is ordered with every other ledger mutation."""
+        with self._shed_lock:
+            write(dict(self._shed_deficits.get(app, {})))
+
     def restore_shed(self, ledgers: Dict[str, Dict[str, int]]) -> None:
         """Adopt a restored shed-deficit ledger (crash recovery) —
         replacing wholesale: the WAL logs post-state ledgers."""
@@ -221,8 +234,6 @@ class QueueFlow:
         if state == self.state:
             return
         previous, self.state = self.state, state
-        if self._recorder is None:
-            return
         if state == STATE_SHEDDING:
             self._recorder.anomaly(
                 "flow.shedding", queue=self.name, credits=self.credits
@@ -329,9 +340,8 @@ class FlowController:
         self._queues: Dict[str, QueueFlow] = {}
 
     def for_queue(self, queue) -> QueueFlow:
-        flow = self._queues.get(queue.name)
-        if flow is None:
-            flow = QueueFlow(
+        if queue.name not in self._queues:
+            self._queues[queue.name] = QueueFlow(
                 queue.name,
                 queue.max_size,
                 self.config,
@@ -339,8 +349,57 @@ class FlowController:
                 self.mode_of,
                 self.recorder,
             )
-            self._queues[queue.name] = flow
-        return flow
+        return self._queues[queue.name]
 
     def queues(self) -> Dict[str, QueueFlow]:
         return dict(self._queues)
+
+    def sizer(self, pressure: Callable[[], float]) -> BatchSizer:
+        """A worker pool's AIMD batch sizer; ``pressure`` reads the
+        pool's link pressure (``LagMonitor.link_pressure``)."""
+        return BatchSizer(self.config, pressure)
+
+
+class _NoSamples:
+    """The ``batch_size`` histogram of flow off: records nothing."""
+
+    def record(self, value: float) -> None:
+        pass
+
+
+class FlowOff:
+    """Flow control off: the controller an ecosystem has until
+    ``enable_flow``, every queue's flow state under it (``for_queue``
+    answers this one object) and every pool's batch sizer. Infinite
+    credit, nothing coalesced, nothing shed, nothing measured, and an
+    apply batch of one message. Not a :class:`QueueFlow`: nothing here
+    owns a ``flow.*`` instrument."""
+
+    config = FlowConfig(batch_max=1)
+    capacity = None
+    current = 1
+    batch_size = _NoSamples()
+
+    def _itself(self, *args: Any) -> "FlowOff":
+        return self
+
+    for_queue = sizer = _itself
+
+    def admit(self, message: Message, depth: int) -> str:
+        return ADMIT
+
+    def publish_delay(self) -> float:
+        return 0.0
+
+    def _nothing(self, *args: Any) -> None:
+        return None
+
+    coalesce = register = on_pop = reset = restore_shed = after_batch = _nothing
+
+    def _owed_nothing(self, *args: Any) -> Dict[str, Any]:
+        return {}
+
+    shed_ledger = reconcile_shed = _owed_nothing
+
+
+FLOW_OFF = FlowOff()

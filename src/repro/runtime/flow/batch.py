@@ -17,23 +17,29 @@ is healthy. The sizer moves it with two signals:
 from __future__ import annotations
 
 import threading
+from typing import Callable
 
 from repro.runtime.flow.config import FlowConfig
+from repro.runtime.metrics import Counter
 
 #: AIMD: the batch size grows by ``AIMD_INCREASE`` after a full clean
 #: batch and shrinks to ``AIMD_DECREASE`` of itself when dependency
 #: retries or apply errors dominate.
 AIMD_INCREASE = 2
 AIMD_DECREASE = 0.5
+#: Every how many batches a pool's sizer reads its link pressure.
+PRESSURE_EVERY = 32
 
 
 class BatchSizer:
     """Thread-safe AIMD controller shared by a pool's workers."""
 
-    def __init__(self, config: FlowConfig) -> None:
+    def __init__(self, config: FlowConfig, pressure: Callable[[], float]) -> None:
         self.config = config
         self._current = config.batch_min
         self._lock = threading.Lock()
+        self._pressure = pressure
+        self._batches = Counter()
 
     @property
     def current(self) -> int:
@@ -69,3 +75,10 @@ class BatchSizer:
             elif pressure < 0.25 and self._current > config.batch_min:
                 self._current -= 1
             return self._current
+
+    def after_batch(self, popped: int, applied: int, failed: int) -> None:
+        """A pool worker settled a batch: feed its outcome, and every
+        ``PRESSURE_EVERY``-th batch the link pressure."""
+        self.on_batch(popped, applied, failed)
+        if self._batches.increment() % PRESSURE_EVERY == 0:
+            self.observe_pressure(self._pressure())

@@ -198,11 +198,10 @@ class ClusterPlane:
     def local_idle_state(self, drain: bool = False) -> Dict[str, int]:
         if drain:
             self.ecosystem.drain_all()
-        cdc = getattr(self.ecosystem, "cdc", None)
         broker = self.ecosystem.broker
         backlog = sum(broker.backlog().values())
         in_flight = sum(broker.in_flight().values())
-        outbox = cdc.backlog() if cdc is not None else 0
+        outbox = self.ecosystem.cdc.backlog()
         return {
             "idle": int(backlog == 0 and in_flight == 0 and outbox == 0),
             "backlog": backlog,

@@ -326,7 +326,7 @@ class LagMonitor:
         ``slo.recovered`` recorder events on transitions."""
         now = self.ecosystem.clock.now()
         report = HealthReport(at=now)
-        recorder = getattr(self.ecosystem, "recorder", None)
+        recorder = self.ecosystem.recorder
         for publisher, subscriber in self.links():
             entry = self._evaluate_link(publisher, subscriber, now)
             report.links.append(entry)
@@ -334,12 +334,10 @@ class LagMonitor:
             was_breached = self._breached.get(link, False)
             if entry.breached and not was_breached:
                 self._breached[link] = True
-                if recorder is not None:
-                    recorder.anomaly("slo.breach", **entry.to_dict())
+                recorder.anomaly("slo.breach", **entry.to_dict())
             elif not entry.breached and was_breached:
                 self._breached[link] = False
-                if recorder is not None:
-                    recorder.record_event("slo.recovered", **entry.to_dict())
+                recorder.record_event("slo.recovered", **entry.to_dict())
         return report
 
     def _evaluate_link(
@@ -361,7 +359,7 @@ class LagMonitor:
             queue = service.subscriber.queue
             if queue is not None:
                 flow = queue.flow
-                if flow is not None and flow.capacity is not None:
+                if flow.capacity is not None:
                     entry.backpressure = flow.state
                     entry.credits = flow.credits
                 oldest = 0.0
@@ -387,7 +385,7 @@ class LagMonitor:
                 # ledger (trimming what repair has healed since) and
                 # report the remainder separately.
                 forgiven: Dict[str, int] = {}
-                if queue is not None and queue.flow is not None:
+                if queue is not None:
                     forgiven = queue.flow.reconcile_shed(publisher, deficits)
                 entry.shed_deficit = sum(forgiven.values())
                 entry.version_lag = sum(

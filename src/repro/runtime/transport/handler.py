@@ -94,11 +94,9 @@ class ControlPlaneHandler(OpTable):
         """Unpublished CDC outbox entries on this publisher. The auditor
         folds this into in-transit lag: a committed raw write whose entry
         the poller has not tailed yet is late, not lost (docs/cdc.md)."""
-        cdc = getattr(self.service.ecosystem, "cdc", None)
-        pending = (
-            cdc.outbox_pending(self.service.name) if cdc is not None else 0
-        )
-        return {"pending": pending}
+        return {
+            "pending": self.service.ecosystem.cdc.outbox_pending(self.service.name)
+        }
 
     def _op_bootstrap_snapshot(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Bootstrap step 1 payload: counters plus the generation the

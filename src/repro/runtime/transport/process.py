@@ -10,7 +10,11 @@ requesters. :class:`ProcessTransport` adapts a link to the
 Fault behaviour is structured, never a hang: a request that exceeds its
 deadline raises :class:`TransportTimeout`; a request to (or in flight
 toward) a dead peer raises :class:`TransportError`. Both paths emit a
-flight-recorder event so postmortems see the control plane stall.
+flight-recorder event so postmortems see the control plane stall. A
+reader that dies on an exception (a data sink refusing a payload, say a
+``WALWriteFailed`` from the enqueue) marks the link dead and records a
+``transport.reader_failed`` anomaly carrying it, so the next request
+fails at once instead of waiting out its deadline.
 
 Frames are small tuples whose payloads are the JSON wire strings of the
 envelopes / messages — the pipe carries text, not Python objects, so the
@@ -23,6 +27,7 @@ import threading
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import TransportError, TransportTimeout
+from repro.runtime.monitor.recorder import FlightRecorder
 from repro.runtime.transport.envelopes import ControlRequest, ControlResponse
 
 FRAME_CTRL_REQ = "ctrl_req"
@@ -52,11 +57,12 @@ class PeerLink:
     ) -> None:
         self.conn = conn
         self.name = name
-        self.recorder = recorder
+        self.recorder = recorder or FlightRecorder()
         #: request JSON -> response JSON, run on a per-request thread.
         self._dispatch = dispatch
-        #: (subscriber_app, message JSON) -> enqueue locally.
-        self._data_sink = data_sink
+        #: (subscriber_app, message JSON) -> enqueue locally; a link that
+        #: carries control traffic only drops data frames.
+        self._data_sink = data_sink or (lambda subscriber_app, payload: None)
         self._send_lock = threading.Lock()
         self._pending: Dict[str, _PendingReply] = {}
         self._pending_lock = threading.Lock()
@@ -115,13 +121,28 @@ class PeerLink:
         self.send((FRAME_DATA, subscriber_app, payload))
 
     def _read_loop(self) -> None:
+        """Demultiplex frames until the pipe closes or a stop frame
+        arrives. However the reader ends — an exception from the data
+        sink included — the link is dead afterwards."""
+        try:
+            self._read_frames()
+        except Exception as exc:
+            self.recorder.anomaly(
+                "transport.reader_failed",
+                link=self.name,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        finally:
+            self._mark_dead()
+
+    def _read_frames(self) -> None:
         while True:
             try:
                 frame = self.conn.recv()
             except (EOFError, OSError, ValueError, TypeError):
                 # TypeError: CPython's Connection raises it when the
                 # handle is closed out from under a blocked recv.
-                break
+                return
             kind = frame[0]
             if kind == FRAME_CTRL_REQ:
                 # Serve off the reader thread: a handler may itself
@@ -144,11 +165,9 @@ class PeerLink:
                     slot.event.set()
             elif kind == FRAME_DATA:
                 self.data_received += 1
-                if self._data_sink is not None:
-                    self._data_sink(frame[1], frame[2])
+                self._data_sink(frame[1], frame[2])
             elif kind == FRAME_STOP:
-                break
-        self._mark_dead()
+                return
 
     def _serve_request(self, request_json: str) -> None:
         try:
@@ -194,15 +213,14 @@ class PeerLink:
         return slot.response
 
     def _record(self, kind: str, envelope: ControlRequest, **data: Any) -> None:
-        if self.recorder is not None:
-            self.recorder.anomaly(
-                kind,
-                link=self.name,
-                service=envelope.service,
-                op=envelope.op,
-                request_id=envelope.request_id,
-                **data,
-            )
+        self.recorder.anomaly(
+            kind,
+            link=self.name,
+            service=envelope.service,
+            op=envelope.op,
+            request_id=envelope.request_id,
+            **data,
+        )
 
 
 class ProcessTransport:

@@ -7,7 +7,7 @@ subset of the ecosystem's services, and the two sanctioned seams are the
 only things that cross the boundary —
 
 - data plane: the broker forwards wire payloads for queues owned by
-  other shards (:meth:`~repro.broker.broker.Broker.attach_placement` /
+  other shards (:meth:`~repro.broker.broker.Broker.attach` /
   :meth:`~repro.broker.broker.Broker.deliver_remote`);
 - control plane: each shard answers its peers' control requests over a
   :class:`~repro.runtime.transport.process.ProcessTransport`.
@@ -117,19 +117,17 @@ def _shard_main(
             ecosystem.control.add_route(
                 shard_service(peer), ProcessTransport(links[peer])
             )
-        ecosystem.broker.attach_placement(
+        ecosystem.broker.attach(placement=(
             lambda sub: owner_of.get(sub, shard_name) == shard_name,
             lambda sub, payload: links[owner_of[sub]].send_data(sub, payload),
-        )
+        ))
         # Durability: each shard logs to its own WAL directory (the
         # crash unit is the process), and restores whatever a previous
         # incarnation of this shard left behind before accepting work.
-        durability = None
         restored: Optional[Dict[str, Any]] = None
         if durability_dir is not None:
             shard_dir = os.path.join(durability_dir, shard_name)
-            durability = ecosystem.enable_durability(data_dir=shard_dir)
-            report = durability.restore()
+            report = ecosystem.enable_durability(data_dir=shard_dir).restore()
             restored = {
                 "snapshot_id": report.snapshot_id,
                 "replayed": report.replayed,
@@ -177,12 +175,10 @@ def _shard_main(
                 command_conn.send(("verified", result))
             elif kind == "finish":
                 ecosystem.drain_all()
-                if durability is not None:
-                    # Clean shutdown: checkpoint so the next incarnation
-                    # restores from a snapshot instead of a full replay.
-                    durability.snapshot()
-                    durability.close()
-                    durability = None
+                # Clean shutdown: checkpoint so the next incarnation
+                # restores from a snapshot instead of a full replay.
+                ecosystem.durability.snapshot()
+                ecosystem.durability.close()
                 command_conn.send(("result", {
                     "shard": shard_name,
                     "owned": sorted(owned),

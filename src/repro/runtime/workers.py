@@ -1,8 +1,9 @@
 """Threaded subscriber worker pools.
 
 "Messages in the queue are processed in parallel by multiple subscriber
-workers per application" (§4). Each worker pops a batch — one message,
-unless flow control sizes it larger — and runs the worker step on it:
+workers per application" (§4). Each worker pops a batch — as many
+messages as the flow controller's sizer says, one with flow control
+off — and runs the worker step on it:
 :meth:`SubscriberWorkerPool.process` (wait, up to a timeout, for its
 dependencies and apply) then :meth:`SubscriberWorkerPool.settle` (ack,
 nack, defer or give up). A message that exceeds the retry budget
@@ -18,9 +19,7 @@ import time
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import DurabilityError, QueueDecommissioned
-from repro.runtime.flow.batch import BatchSizer
 from repro.runtime.interleave import observe_point
-from repro.runtime.metrics import Counter
 
 
 class WorkerFleet:
@@ -62,23 +61,22 @@ class WorkerFleet:
         would let a busy fleet block for ``settle_rounds × pools ×
         timeout`` — 24x the caller's stated patience at the defaults.
 
-        With CDC enabled, idle additionally requires every outbox tail
-        to be empty: a raw write whose entry the poller has not yet
-        published is in-flight work, and reporting idle over it would
-        let callers observe a missing replica row. Each pass tails the
-        outboxes first, then re-checks after the pools settle.
+        Idle additionally requires every outbox tail to be empty: a raw
+        write whose entry the poller has not yet published is in-flight
+        work, and reporting idle over it would let callers observe a
+        missing replica row. Each pass tails the outboxes first, then
+        re-checks after the pools settle.
         """
         deadline = time.monotonic() + timeout
+        cdc = self.ecosystem.cdc
         while True:
-            cdc = self.ecosystem.cdc
-            if cdc is not None:
-                cdc.poll_all()
+            cdc.poll_all()
             for _ in range(settle_rounds):
                 for pool in self.pools:
                     remaining = deadline - time.monotonic()
                     if not pool.wait_until_idle(timeout=max(0.0, remaining)):
                         return False
-            if cdc is None or cdc.idle():
+            if cdc.idle():
                 return True
             if time.monotonic() >= deadline:
                 return False
@@ -127,12 +125,12 @@ class SubscriberWorkerPool:
         #: Messages whose apply raised (DB fault, bad payload): they are
         #: nacked and retried until the delivery budget runs out.
         self._apply_errors = registry.counter(f"workers.{service.name}.apply_errors")
-        self._recorder = getattr(service.ecosystem, "recorder", None)
-        # Flow control: the pool's workers share one AIMD batch sizer;
-        # without it every batch is one message.
-        controller = getattr(service.ecosystem, "flow", None)
-        self._sizer = None if controller is None else BatchSizer(controller.config)
-        self._batches = Counter()
+        # The pool's workers share one batch sizer: AIMD under flow
+        # control, fed the link's pressure; one message per batch off.
+        monitor = service.ecosystem.monitor
+        self._sizer = service.ecosystem.flow.sizer(
+            lambda: monitor.link_pressure(service.name)
+        )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -229,20 +227,16 @@ class SubscriberWorkerPool:
 
     def _run(self) -> None:
         """One pool thread: pop up to the batch size in one lock
-        round-trip, run the worker step, then feed the outcome — and,
-        periodically, the LagMonitor's link pressure — back into the
-        sizer."""
+        round-trip, run the worker step, then feed the outcome back into
+        the sizer."""
         queue = self.service.subscriber.queue
         if queue is None:
             return
         sizer = self._sizer
         flow = queue.flow
-        monitor = getattr(self.service.ecosystem, "monitor", None)
         while not self._stop.is_set():
             try:
-                batch = queue.pop_many(
-                    1 if sizer is None else sizer.current, timeout=0.05
-                )
+                batch = queue.pop_many(sizer.current, timeout=0.05)
             except QueueDecommissioned:
                 self._on_decommission()
                 return
@@ -258,17 +252,8 @@ class SubscriberWorkerPool:
                     done, retry, errors = self.process(batch)
                     if not self.settle(done, retry, errors):
                         return
-                if flow is not None:
-                    flow.batch_size.record(len(batch))
-                if sizer is not None:
-                    sizer.on_batch(
-                        popped=len(batch), applied=len(done),
-                        failed=len(retry) + errors,
-                    )
-                    if self._batches.increment() % 32 == 0 and monitor is not None:
-                        sizer.observe_pressure(
-                            monitor.link_pressure(self.service.name)
-                        )
+                flow.batch_size.record(len(batch))
+                sizer.after_batch(len(batch), len(done), len(retry) + errors)
             except DurabilityError as exc:
                 # From an apply's record, an ack's, or the write that
                 # ends the step: the log is fail-stop, nothing settled
@@ -323,8 +308,9 @@ class SubscriberWorkerPool:
     def _record_anomaly(self, kind: str, **data: Any) -> None:
         """Flight-recorder hook: give-ups and decommissions are exactly
         the §6.5 events a postmortem needs frozen."""
-        if self._recorder is not None:
-            self._recorder.anomaly(kind, service=self.service.name, **data)
+        self.service.ecosystem.recorder.anomaly(
+            kind, service=self.service.name, **data
+        )
 
     # -- synchronisation -----------------------------------------------------------
 

@@ -277,10 +277,10 @@ def place_remotely(eco, *remote):
     """Put the queues named ``remote`` on another shard; returns the
     list the forwarder appends ``(subscriber, payload)`` to."""
     shipped = []
-    eco.broker.attach_placement(
+    eco.broker.attach(placement=(
         lambda sub: sub not in remote,
         lambda sub, payload: shipped.append((sub, payload)),
-    )
+    ))
     return shipped
 
 

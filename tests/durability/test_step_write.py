@@ -388,7 +388,7 @@ def test_forwarder_finds_the_out_record_in_the_file(tmp_path):
         ]
         forwarded.append((subscriber, on_disk))
 
-    eco.broker.attach_placement(lambda sub: sub != "far", forwarder)
+    eco.broker.attach(placement=(lambda sub: sub != "far", forwarder))
     with pub.controller():
         PubDoc.create(name="plain")
     # Nested in a step somebody else holds open (a callback's publish

@@ -26,7 +26,6 @@ from repro.runtime.tracing import (
     STAGE_FORWARD,
     STAGE_INTERCEPT,
     STAGE_ROUTE,
-    Trace,
     trace_now,
 )
 
@@ -310,10 +309,10 @@ class TestUnsampledMessagesStayAllocationFree:
         receiver, _, receiver_sub, _ = _build_pair_ecosystem()
         origin.owned_services = {"pub"}
         receiver.owned_services = {"sub"}
-        origin.broker.attach_placement(
+        origin.broker.attach(placement=(
             lambda sub: sub != "sub",
             lambda sub, payload: receiver.broker.deliver_remote(sub, payload),
-        )
+        ))
         # Tracing ON but nothing wins the draw: rate 0 makes every
         # message unsampled while keeping the tracer (and its SpanLog
         # path) fully enabled.
@@ -347,10 +346,10 @@ class TestUnsampledMessagesStayAllocationFree:
         receiver, _, receiver_sub, _ = _build_pair_ecosystem()
         origin.owned_services = {"pub"}
         receiver.owned_services = {"sub"}
-        origin.broker.attach_placement(
+        origin.broker.attach(placement=(
             lambda sub: sub != "sub",
             lambda sub, payload: receiver.broker.deliver_remote(sub, payload),
-        )
+        ))
         origin.enable_tracing(sample_rate=1.0)
         receiver.enable_tracing(sample_rate=1.0)
         with origin_pub.controller():

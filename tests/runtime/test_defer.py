@@ -21,7 +21,7 @@ from repro.core.subscriber import SynapseSubscriber
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
-from repro.runtime.flow import FlowConfig
+from repro.runtime.flow import BatchSizer, FlowConfig
 from repro.runtime.workers import SubscriberWorkerPool
 from repro.versionstore.store import SubscriberVersionStore
 
@@ -115,7 +115,7 @@ class TestWorkerStallRotation:
         pool = SubscriberWorkerPool(
             sub, workers=3, wait_timeout=0.1, max_deliveries=10_000
         )
-        assert pool._sizer is None
+        assert pool._sizer is eco.flow  # FLOW_OFF: one message a batch
         with pool:
             assert pool.wait_until_idle(timeout=20)
         assert eco.metrics.value("workers.sub.deadlocked") == 0
@@ -134,7 +134,7 @@ class TestWorkerStallRotation:
         pool = SubscriberWorkerPool(
             sub, workers=3, wait_timeout=0.1, max_deliveries=10_000
         )
-        assert pool._sizer is not None
+        assert isinstance(pool._sizer, BatchSizer)
         with pool:
             assert pool.wait_until_idle(timeout=20)
         assert eco.metrics.value("workers.sub.deadlocked") == 0
@@ -173,7 +173,7 @@ class TestWorkerStallRotation:
             pool = SubscriberWorkerPool(
                 sub, workers=2, wait_timeout=0.1, max_deliveries=10_000
             )
-            assert pool._sizer is not None
+            assert isinstance(pool._sizer, BatchSizer)
             with pool:
                 assert pool.wait_until_idle(timeout=20)
         assert blocked_on_first == []

@@ -17,7 +17,7 @@ class TestBatchSizer:
     def _sizer(self, **kwargs):
         defaults = dict(batch_min=1, batch_max=16)
         defaults.update(kwargs)
-        return BatchSizer(FlowConfig(**defaults))
+        return BatchSizer(FlowConfig(**defaults), pressure=lambda: 0.0)
 
     def test_starts_at_batch_min(self):
         assert self._sizer(batch_min=3).current == 3
@@ -62,6 +62,15 @@ class TestBatchSizer:
         for _ in range(10):
             sizer.observe_pressure(0.0)
         assert sizer.current == 1  # floors at batch_min
+
+    def test_a_pool_batch_reads_link_pressure_every_32nd_time(self):
+        reads = []
+        sizer = BatchSizer(
+            FlowConfig(batch_max=16), pressure=lambda: reads.append(1) or 2.0
+        )
+        for _ in range(64):
+            sizer.after_batch(popped=0, applied=0, failed=0)
+        assert len(reads) == 2 and sizer.current == 5
 
 
 def build_ecosystem(mode="causal", flow=True, coalesce=False, batch_max=8,
@@ -254,7 +263,7 @@ class TestBatchedWorkerPool:
         pool = SubscriberWorkerPool(
             sub, workers=3, wait_timeout=0.1, max_deliveries=10_000
         )
-        assert pool._sizer is not None  # batches sized by AIMD
+        assert isinstance(pool._sizer, BatchSizer)  # batches sized by AIMD
         with pool:
             assert pool.wait_until_idle(timeout=10)
         for doc in docs:
@@ -265,7 +274,7 @@ class TestBatchedWorkerPool:
     def test_flow_disabled_pool_keeps_single_message_loop(self):
         eco, pub, sub, Doc, SubDoc = build_ecosystem(flow=False)
         pool = SubscriberWorkerPool(sub, workers=2)
-        assert pool._sizer is None
+        assert pool._sizer is eco.flow  # FLOW_OFF: one message a batch
         with pub.controller():
             doc = Doc.create(name="d")
         with pool:

@@ -453,3 +453,142 @@ def test_the_worker_step_has_one_implementation():
         "a popped batch is settled outside SubscriberWorkerPool — run "
         "pool.process(batch) and pool.settle(...) inside one queue.step"
     )
+
+
+# -- off is a configuration, not a code path -------------------------------------
+#
+# Flow control, the WAL, CDC, the shard placement, the observers and a
+# pool's batch sizer are always attached; "disabled" is an object that
+# does nothing (``FLOW_OFF``, ``DURABILITY_OFF``, a CDC manager with no
+# pollers, ``EVERY_QUEUE_LOCAL``, a recorder nobody reads). So no hook
+# asks whether one is there, and no subsystem reads another's privates
+# to find out what it holds.
+
+#: What a presence check would be about, by the name it reads (leading
+#: underscores ignored).
+ATTACHMENTS = {
+    "flow", "durability", "cdc", "recorder", "monitor", "tracer",
+    "placement", "sizer",
+}
+
+#: A ``_``-prefixed attribute of the broker or of a queue's flow state.
+BROKER_OR_FLOW_INTERNAL = re.compile(r"\b(?:broker|flow)\._(?!_)")
+
+
+def _names_attachment(node) -> bool:
+    import ast
+
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        # A message's own fields (``message.cdc``) are data.
+        if isinstance(node.value, ast.Name) and node.value.id == "message":
+            return False
+        name = node.attr
+    else:
+        return False
+    return name.lstrip("_") in ATTACHMENTS
+
+
+def _none_defaulted(function) -> set:
+    args = function.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += list(zip(args.kwonlyargs, args.kw_defaults))
+    return {
+        arg.arg for arg, default in pairs
+        if getattr(default, "value", 0) is None
+    }
+
+
+def presence_checks(tree) -> list:
+    """Line numbers of every ``x is (not) None`` on an attachment and
+    every three-argument ``getattr`` that reads or probes one. Exempt:
+    the ``Message`` class's own fields, and a ``None``-defaulted argument
+    of a module-level (pure) function, ``to_json(monitor=None)``."""
+    import ast
+
+    found = []
+
+    def visit(node, exempt):
+        if isinstance(node, ast.ClassDef) and node.name == "Message":
+            return
+        if isinstance(node, ast.FunctionDef) and node in tree.body:
+            exempt = _none_defaulted(node)
+        if isinstance(node, ast.Compare) and all(
+            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
+        ):
+            operands = [node.left, *node.comparators]
+            if any(getattr(o, "value", 0) is None for o in operands) and any(
+                _names_attachment(o) and getattr(o, "id", None) not in exempt
+                for o in operands
+            ):
+                found.append(node.lineno)
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "getattr"
+            and len(node.args) == 3
+            and (
+                _names_attachment(node.args[0])
+                or str(getattr(node.args[1], "value", "")).lstrip("_") in ATTACHMENTS
+            )
+        ):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, exempt)
+
+    visit(tree, set())
+    return found
+
+
+def test_presence_check_finder_knows_every_spelling():
+    import ast
+
+    snippet = "\n".join([
+        "if self.flow is not None: pass",
+        "if queue.durability is None: pass",
+        "recorder = getattr(eco, 'recorder', None)",
+        "with getattr(self.durability, 'step', NO_STEP): pass",
+        "if None is self._sizer: pass",
+        "if message.cdc is None: pass",
+        "if flow.capacity is not None: pass",
+        "def to_json(registry, monitor=None):",
+        "    return monitor is not None",
+    ])
+    assert presence_checks(ast.parse(snippet)) == [1, 2, 3, 4, 5]
+
+
+def test_no_hook_asks_whether_a_subsystem_is_attached():
+    import ast
+
+    violations = []
+    for dirpath, _dirnames, filenames in os.walk(SRC_ROOT):
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            rel_path = os.path.relpath(path, SRC_ROOT).replace(os.sep, "/")
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read()
+            violations += [
+                f"{rel_path}:{lineno}: {lines.splitlines()[lineno - 1].strip()}"
+                for lineno in presence_checks(ast.parse(lines))
+            ]
+    assert violations == [], (
+        "a hook asks whether a subsystem is there — every subsystem is "
+        "always attached; give it an off form that does nothing instead:\n"
+        + "\n".join(violations)
+    )
+
+
+def test_broker_and_flow_internals_stay_home():
+    """The durability manager snapshots queues and shed ledgers through
+    their owners (``Broker.local_queues``, ``QueueFlow.shed_ledger`` /
+    ``with_ledger``), never through their private fields."""
+    violations = [
+        f"{rel_path}:{lineno}: {line.strip()}"
+        for rel_path, lineno, line in _source_lines()
+        if not rel_path.startswith(("broker/", "runtime/flow/"))
+        and BROKER_OR_FLOW_INTERNAL.search(line)
+    ]
+    assert violations == [], "\n".join(violations)

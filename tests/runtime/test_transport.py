@@ -18,6 +18,7 @@ from repro.errors import (
     TransportError,
     TransportSerializationError,
     TransportTimeout,
+    WALWriteFailed,
 )
 from repro.orm import Field, Model
 from repro.repair.digest import ModelDigest, publisher_model_digest
@@ -105,9 +106,9 @@ def _echo_dispatch(request_json: str) -> str:
     return ControlResponse.success(request, {"echo": request.op}).to_json()
 
 
-def _link_pair(dispatch_b=_echo_dispatch, recorder=None):
+def _link_pair(dispatch_b=_echo_dispatch, recorder=None, data_sink=None):
     conn_a, conn_b = multiprocessing.Pipe()
-    link_a = PeerLink(conn_a, dispatch=_echo_dispatch,
+    link_a = PeerLink(conn_a, dispatch=_echo_dispatch, data_sink=data_sink,
                       recorder=recorder, name="a->b").start()
     link_b = PeerLink(conn_b, dispatch=dispatch_b, name="b->a").start()
     return link_a, link_b
@@ -185,6 +186,33 @@ class TestProcessTransportFaults:
         link_a.close()
         assert not thread.is_alive(), "requester hung on a dead link"
         assert errors and not isinstance(errors[0], TransportTimeout)
+
+    def test_a_failing_data_sink_kills_the_link_loudly(self):
+        """A payload the receiving shard cannot enqueue (a WAL write
+        failure there, say) ends the reader: the link is dead and says
+        why, and the next request fails at once instead of waiting out
+        its deadline with nobody left to read the reply."""
+        recorder = FlightRecorder()
+
+        def full_disk(subscriber_app: str, payload: str) -> None:
+            raise WALWriteFailed("WAL segment 1 write failed (ENOSPC)")
+
+        link_a, link_b = _link_pair(recorder=recorder, data_sink=full_disk)
+        try:
+            link_b.send_data("sub", "{}")
+            assert link_a.dead.wait(5.0), "reader died without marking the link"
+            start = time.monotonic()
+            with pytest.raises(TransportError) as excinfo:
+                link_a.request(ControlRequest("svc", "ping"), timeout=5.0)
+            assert not isinstance(excinfo.value, TransportTimeout)
+            assert time.monotonic() - start < 1.0
+            failed = recorder.events("transport.reader_failed")
+            assert len(failed) == 1
+            assert failed[0].data["link"] == "a->b"
+            assert "WALWriteFailed" in failed[0].data["error"]
+        finally:
+            link_a.close()
+            link_b.close()
 
     def test_dispatcher_survives_garbage_frames(self, eco):
         dispatch = make_dispatcher(eco.control)

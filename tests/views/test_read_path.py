@@ -5,8 +5,6 @@ rebuilding them, and the INV_VIEW conformance variant."""
 
 import tempfile
 
-import pytest
-
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
