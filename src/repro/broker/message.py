@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import BrokerError
 from repro.runtime.tracing import Trace
@@ -231,6 +231,19 @@ class Message:
         self.increments = increments
         self.coalesced_uids = coalesced_uids
         self._body = [None]
+
+    @staticmethod
+    def advance_sequence(uids: Iterable[str]) -> None:
+        """Restore: move the process-wide sequence past every default
+        ``app:seq`` uid in ``uids``. A fresh process restarts it at 1,
+        and a new publish whose uid collided with a restored one would
+        be silently dedup-skipped by its subscriber."""
+        global _seq
+        tails = (uid.rpartition(":")[2] for uid in uids)
+        high = max((int(tail) for tail in tails if tail.isdigit()), default=0)
+        if high > 0:
+            with _seq_lock:
+                _seq = itertools.count(max(next(_seq), high + 1))
 
     def counter_increments(self) -> Dict[str, int]:
         """Per-dependency counter bumps on apply: the plain §4.2 rule

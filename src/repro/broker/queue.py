@@ -5,7 +5,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.broker.message import Message
 from repro.durability.manager import DURABILITY_OFF
@@ -13,6 +14,19 @@ from repro.errors import BrokerError, QueueDecommissioned
 from repro.runtime.flow.admission import FLOW_OFF
 from repro.runtime.interleave import yield_point
 from repro.runtime.tracing import MARK_ACKED, MARK_ENQUEUED, STAGE_DWELL, trace_now
+
+
+@dataclass
+class _Restored:
+    """One queue as a restore rebuilds it — from its snapshot section,
+    then its tail records — until it is re-injected."""
+
+    #: uid -> wire payload, in queue order.
+    pending: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    published: int = 0
+    acked: int = 0
+    decommissioned: bool = False
+    shed: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
 class SubscriberQueue:
@@ -46,6 +60,8 @@ class SubscriberQueue:
         #: until durability is enabled). Log hooks run under
         #: ``self._lock`` so WAL order equals queue-mutation order.
         self.durability = DURABILITY_OFF
+        #: What a running restore has rebuilt of this queue so far.
+        self._restored: Optional[_Restored] = None
 
     @property
     def step(self):
@@ -319,33 +335,88 @@ class SubscriberQueue:
                 "decommissioned": int(self.decommissioned),
             }
 
+    # -- durability (docs/durability.md, "Restore") -------------------------------
+
     def durable_state(self) -> Dict[str, Any]:
-        """Snapshot payload for the durability subsystem: every message
-        still owed to the subscriber as a wire payload dict (in-flight
-        deliveries first, in seq order — the :meth:`requeue_unacked`
-        ordering a crash produces), plus the lifetime counters."""
+        """This queue's section of a snapshot: every message still owed
+        to the subscriber as a wire payload dict (in-flight deliveries
+        first, in seq order — the :meth:`requeue_unacked` ordering a
+        crash produces), the lifetime counters and the shed ledger."""
         with self._lock:
             owed = sorted(self._unacked.values(), key=lambda m: m.seq)
             owed.extend(self._items)
-            return {
+            state = {
                 "pending": [message.to_wire() for message in owed],
                 "decommissioned": self.decommissioned,
                 "published": self.total_published,
                 "acked": self.total_acked,
             }
+        state["shed"] = self.flow.shed_ledger()
+        return state
 
-    def restore_state(
-        self,
-        messages: List[Message],
-        published: int,
-        acked: int,
-        decommissioned: bool,
-    ) -> None:
-        """Re-inject restored messages directly (crash recovery).
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        """Restore, first step: start from this queue's snapshot section
+        (:meth:`durable_state`). The tail's records follow
+        (:meth:`replay`), then :meth:`end_restore`."""
+        self._restored = _Restored(
+            pending={payload["uid"]: payload for payload in state.get("pending", [])},
+            published=state.get("published", 0),
+            acked=state.get("acked", 0),
+            decommissioned=bool(state.get("decommissioned", False)),
+            shed={app: dict(ledger) for app, ledger in (state.get("shed") or {}).items()},
+        )
 
-        Bypasses :meth:`publish` deliberately: admission control must
-        not re-shed or re-coalesce a backlog the original run already
-        admitted — restore reproduces state, it does not re-decide."""
+    def replay(self, rec: Dict[str, Any], applied: Callable[[str], bool]) -> None:
+        """Restore: apply one tail record about this queue (``pub``,
+        ``coal``, ``defer``, ``ack``, ``shed``, ``decom``, ``recom``) to
+        what the restore has rebuilt so far. ``applied(uid)`` says
+        whether the subscriber has already applied a message: a replayed
+        ``pub`` of one is not owed again (at-least-once dedup)."""
+        restored = self._restored
+        if restored is None:
+            restored = self._restored = _Restored()
+        pending, kind = restored.pending, rec["t"]
+        if kind == "pub":
+            uid = rec["m"]["uid"]
+            if uid not in pending and not applied(uid):
+                pending[uid] = rec["m"]
+                restored.published += 1
+        elif kind == "coal":
+            if rec["uid"] in pending:
+                pending[rec["uid"]] = rec["m"]
+            # Absorbed messages ride inside the survivor now; one still
+            # pending (its own ``pub`` replayed earlier) would be
+            # re-injected beside it, carrying increments the survivor
+            # already merged.
+            for uid in rec.get("absorbed", []):
+                if uid != rec["uid"] and pending.pop(uid, None) is not None:
+                    restored.published = max(0, restored.published - 1)
+        elif kind == "defer":
+            # To the back: re-injection follows insertion order.
+            if rec["uid"] in pending:
+                pending[rec["uid"]] = pending.pop(rec["uid"])
+        elif kind == "ack":
+            if pending.pop(rec["uid"], None) is not None:
+                restored.acked += 1
+        elif kind == "shed":
+            # Post-state ledgers: last writer wins.
+            restored.shed[rec["app"]] = dict(rec["ledger"])
+        elif kind in ("decom", "recom"):
+            restored.decommissioned = kind == "decom"
+            pending.clear()
+            restored.shed.clear()
+
+    def end_restore(self) -> List[Message]:
+        """Restore, last step: re-inject what the restore rebuilt
+        (nothing if it never reached this queue) and return the
+        requeued messages. Bypasses :meth:`publish` deliberately:
+        admission control must not re-shed or re-coalesce a backlog the
+        original run already admitted — restore reproduces state, it
+        does not re-decide."""
+        restored, self._restored = self._restored, None
+        if restored is None:
+            return []
+        messages = [Message.from_wire(payload) for payload in restored.pending.values()]
         with self._lock:
             self._items.clear()
             self._unacked.clear()
@@ -353,10 +424,12 @@ class SubscriberQueue:
                 message.enqueued_at = trace_now()
                 self._items.append(message)
                 self.flow.register(message)
-            self.total_published = published
-            self.total_acked = acked
-            self.decommissioned = decommissioned
+            self.total_published = restored.published
+            self.total_acked = restored.acked
+            self.decommissioned = restored.decommissioned
             self._available.notify_all()
+        self.flow.restore_shed(restored.shed)
+        return messages
 
     def peek_all(self) -> List[Message]:
         with self._lock:

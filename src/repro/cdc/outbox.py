@@ -285,10 +285,19 @@ class OutboxTable:
         self._appended.increment()
         self.service.ecosystem.durability.log_outbox(self.service.name, entry)
 
-    def restore_entry(self, entry: Dict[str, Any]) -> None:
-        """WAL-replay upsert of one outbox row (dedup by ``id == seq``)."""
-        if self.mapper._do_find(entry["id"]) is None:
-            self.mapper._do_insert(dict(entry))
+    def replay(self, entry: Dict[str, Any]) -> None:
+        """Restore: one ``obx`` record brings back the raw-written data
+        row and the outbox row itself — raw upserts keyed by id
+        (``id == seq`` for the outbox row), so a snapshot that already
+        carries both changes nothing."""
+        model_cls = self.service.registry.get(entry.get("model", ""))
+        if model_cls is not None:
+            mapper = model_cls.__mapper__
+            if entry["kind"] == "delete":
+                mapper.delete_raw(entry["row_id"])
+            else:
+                mapper.upsert_raw(entry["row_id"], entry_row(entry))
+        self.mapper.upsert_raw(entry["id"], entry)
         with self._seq_lock:
             self._next_seq = max(self._next_seq, entry["seq"] + 1)
 

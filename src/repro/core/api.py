@@ -182,7 +182,8 @@ class Ecosystem:
 
         Every durable state transition is appended to a segmented WAL
         under ``data_dir`` (default: ``$REPRO_DATA_DIR`` or
-        ``./repro-data``), checkpointed into snapshots every
+        ``./repro-data``), checkpointed into a snapshot at the end of
+        the first publish step, drain round or pool batch after each
         ``snapshot_every`` appends (None = explicit snapshots only),
         and ``eco.durability.restore()`` rebuilds the process after a
         crash. ``fsync`` is ``off`` / ``interval`` (group commit) /
@@ -553,6 +554,59 @@ class Service:
             shard.flushall()
         self.ecosystem.durability.log_pubgen(self.name, generation)
         return generation
+
+    def replay_pubgen(self, generation: int) -> None:
+        """Restore: a logged generation bump (``pubgen``) — the fresh
+        counters it started from, unless the restored state is already
+        at or past it."""
+        if generation > self.current_generation():
+            self.publisher_version_store.flush()
+        self.ecosystem.generations.restore_all({self.name: generation})
+
+    # ------------------------------------------------------------------
+    # Durability (docs/durability.md, "Restore")
+    # ------------------------------------------------------------------
+
+    def _stored_models(self) -> Dict[str, Any]:
+        """Model name -> mapper, for every model an engine stores."""
+        return {
+            name: model_cls.__mapper__
+            for name, model_cls in sorted(self.registry.items())
+            if model_cls.__mapper__ is not None and model_cls.__mapper__.db is not None
+        }
+
+    def durable_state(self) -> Dict[str, Any]:
+        """This service's section of a snapshot: both version stores,
+        the subscriber's generations, dedup window and bootstrap flag,
+        and the rows of every stored model (the outbox's included)."""
+        return {
+            "pvs": self.publisher_version_store.durable_state(),
+            "svs": self.subscriber_version_store.snapshot(),
+            **self.subscriber.durable_state(),
+            "models": {
+                name: mapper._do_where({}, None, None)
+                for name, mapper in self._stored_models().items()
+            },
+        }
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        """Adopt a snapshot section (:meth:`durable_state`): counters
+        set-to-max, and each stored model's rows made exactly the
+        snapshot's by raw writes."""
+        self.publisher_version_store.restore_counters(state.get("pvs", {}))
+        self.subscriber_version_store.bulk_load(state.get("svs", {}))
+        self.subscriber.restore_state(state)
+        stored = self._stored_models()
+        for name, rows in state.get("models", {}).items():
+            mapper = stored.get(name)
+            if mapper is None:
+                continue
+            wanted = {row["id"]: row for row in rows}
+            for row in mapper._do_where({}, None, None):
+                if row["id"] not in wanted:
+                    mapper.delete_raw(row["id"])
+            for row_id, row in wanted.items():
+                mapper.upsert_raw(row_id, row)
 
     # ------------------------------------------------------------------
     # Anti-entropy surface (replica audits + targeted repair)

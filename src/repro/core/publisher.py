@@ -389,6 +389,37 @@ class SynapsePublisher:
         one ``repair=True`` message (:mod:`repro.repair.repairer`)."""
         return self._prepare(ops, repair=True)()
 
+    def replay_out(self, message: Any, counters: Dict[str, List[int]]) -> None:
+        """Restore: one logged publish (an ``out`` record) brings back
+        the version-store counters it left and the published
+        *persisted* attributes of this service's own rows — a snapshot
+        carries whole rows, the tail only what rode the wire, and a
+        published virtual attribute is computed, not stored. A CDC
+        publish leaves the rows alone: they come back from its ``obx``
+        record, which sits at commit position, while the ``out`` record
+        is appended at poll time and can carry attributes a raw update
+        committed in between has already overwritten."""
+        self.service.publisher_version_store.restore_counters(counters)
+        if message.cdc is not None:
+            return
+        registry = self.service.registry
+        for operation in message.operations:
+            model_cls = next(
+                (registry[name] for name in operation["types"] if name in registry),
+                None,
+            )
+            if model_cls is None:
+                continue
+            mapper = model_cls.__mapper__
+            if operation["operation"] == "delete":
+                mapper.delete_raw(operation["id"])
+            else:
+                mapper.upsert_raw(operation["id"], {
+                    name: value
+                    for name, value in operation["attributes"].items()
+                    if name in model_cls._fields
+                })
+
     # ------------------------------------------------------------------
     # Version-store failure recovery (§4.4)
     # ------------------------------------------------------------------

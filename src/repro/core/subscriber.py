@@ -620,10 +620,24 @@ class SynapseSubscriber:
         with self._applied_lock:
             return list(self._applied_uids)
 
-    def restore_applied(self, uids: List[str]) -> None:
-        """Re-enter a snapshot's dedup window."""
-        for uid in uids:
+    def durable_state(self) -> Dict[str, Any]:
+        """This subscriber's part of its service's snapshot section."""
+        return {
+            "sub_generations": dict(self.generations),
+            "applied_uids": self.applied_uids(),
+            "bootstrapping": self.bootstrapping,
+        }
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        """Adopt a snapshot's generations (set-to-max, no flush: the
+        counters come from the same snapshot), dedup window and
+        bootstrap flag."""
+        for app, generation in state.get("sub_generations", {}).items():
+            if generation > self.generations.get(app, 1):
+                self.generations[app] = generation
+        for uid in state.get("applied_uids", []):
             self._mark_applied(uid)
+        self.bootstrapping = bool(state.get("bootstrapping", False))
 
     def _mark_applied(self, uid: str) -> None:
         with self._applied_lock:
@@ -721,17 +735,21 @@ class SynapseSubscriber:
 
         return tell
 
-    def replay_apply(self, message: Message) -> None:
+    def replay_apply(self, message: Message) -> bool:
         """Restore: land one logged apply again — the live step with
-        the raw persist. No callbacks (every cascade they produced is
-        already its own log record), no write the publisher intercepts,
-        no view hook (views rebuild after restore), no interleave event
-        of this module, no subscriber metric; bootstrap-forced-weak
-        applies bumped like ordered ones, so only the configured mode
-        decides ``weak``."""
+        the raw persist — unless its uid is already in the dedup
+        window; True when it landed. No callbacks (every cascade they
+        produced is already its own log record), no write the publisher
+        intercepts, no view hook (views rebuild after restore), no
+        interleave event of this module, no subscriber metric;
+        bootstrap-forced-weak applies bumped like ordered ones, so only
+        the configured mode decides ``weak``."""
+        if self.has_applied(message.uid):
+            return False
         weak = self.app_modes.get(message.app, WEAK) == WEAK
         self._land(message, weak, self._store_raw)
         self._count(message, bump=not (weak or message.repair))
+        return True
 
     def _generation_ready(self, message: Message) -> bool:
         """Handle publisher generation bumps (§4.4): older-generation
@@ -768,8 +786,11 @@ class SynapseSubscriber:
         return True
 
     def enter_generation(self, app: str, generation: int) -> None:
-        """Flush ``app``'s dependency counters and adopt its new
-        generation (live gate and ``gen`` record replay)."""
+        """Flush ``app``'s dependency counters and adopt a newer
+        generation (live gate and ``gen`` record replay); an older or
+        equal one changes nothing."""
+        if generation <= self.generations.get(app, 1):
+            return
         self._flush_app_dependencies(app)
         self.generations[app] = generation
 
@@ -846,19 +867,13 @@ class SynapseSubscriber:
     @staticmethod
     def _store_raw(spec: SubscriptionSpec, kind: str, instance: Any) -> None:
         """The restore persist: the instance's persisted attributes
-        written at the mapper's storage layer."""
+        written at the mapper's storage layer (an observer's mapper
+        stores nothing)."""
         mapper = spec.model_cls.__mapper__
-        if spec.observer or mapper is None or mapper.db is None:
-            return  # observers persist nothing
         if kind == "delete":
-            if not instance.new_record:
-                mapper._do_delete(instance.id)
-        elif instance.new_record:
-            mapper._do_insert(instance.to_attributes())
+            mapper.delete_raw(instance.id)
         else:
-            attrs = instance.to_attributes()
-            del attrs["id"]
-            mapper._do_update(instance.id, attrs)
+            mapper.upsert_raw(instance.id, instance.to_attributes())
 
     @staticmethod
     def _notify_observer(kind: str, instance: Any) -> None:

@@ -4,34 +4,13 @@
 per process and attaches it to the broker (which hands it to every
 subscriber queue, existing and future) in place of
 :data:`DURABILITY_OFF`, the null sink the same hooks log into while
-durability is off. The pipeline then logs each
-durable state transition as one WAL record, appended *inside* the lock
+durability is off. The pipeline then logs each durable state transition
+as one WAL record through a ``log_*`` hook, appended *inside* the lock
 that orders the transition, so WAL order equals effect order (the
 records of the hot path go to the WAL as text ``durability.wal``'s
 layouts made of them, the rest as dicts; ``_append`` is the one place
-that skips logging while a restore replays):
-
-=========  =============================================================
-``out``    publisher routed a message (captures the post-bump publisher
-           version-store counters for the message's dependency keys)
-``pub``    a queue admitted a message (payload, trace dropped)
-``coal``   flow control merged a publish into a queued survivor
-           (post-merge survivor payload — idempotent replace)
-``shed``   flow control shed a weak publish (post-state deficit ledger)
-``defer``  a worker rotated a dependency-stalled delivery to the back
-``ack``    a delivery completed
-``decom``  the queue hit its §4.4 kill cliff / ``recom`` recommission
-``apply``  a subscriber finished applying a message
-``gen``    subscriber flushed counters for a publisher generation bump
-``pubgen`` publisher generation bump (version-store death, §4.4)
-``obx``    a raw write committed a transactional-outbox entry (engines
-           are in-memory: without this a crash before the CDC poll
-           would lose the raw write entirely)
-``cdc``    CDC poller cursor checkpoint (end of each poll batch); the
-           ``out`` record of every CDC publish also piggybacks the
-           cursor as ``cur``, making cursor-advance atomic with the
-           publisher-counter capture
-=========  =============================================================
+that skips logging while a restore replays). The record types, and the
+owner that replays each, are tabled in docs/durability.md ("Restore").
 
 **Steps.** Under fsync ``off`` the pipeline brackets its three
 multi-record units with ``with manager.step:`` — ``Broker.publish``
@@ -48,21 +27,22 @@ the file is always a prefix of append order. Every engine being
 in-memory, a process killed mid-step is indistinguishable from one
 killed a few microseconds earlier, at the previous step's end:
 what it had applied or acked but not written is redelivered and deduped
-after restart. ``interval`` and ``always`` ignore steps.
+after restart. ``interval`` and ``always`` ignore steps. The clean end
+of an outermost step holds no lock, so that is where the
+``snapshot_every`` cadence is checked.
 
-:meth:`restore` is ARIES-lite: load the latest valid snapshot, replay
-the WAL tail past its pin with at-least-once dedup (the snapshot's
-applied-uid window plus in-replay queue membership), re-inject the
-surviving pending messages into the real queues, and advance the
-process-wide message sequence past every restored uid so new publishes
-cannot collide into the dedup window. An ``apply`` record re-lands its
-message through the subscriber's own per-message step
-(``SynapseSubscriber.replay_apply``) with a raw persist — the
-subscription's field map is read there and nowhere here; no callbacks,
-no publisher interception, because every cascade a callback produced in
-the original run is already in the log as its own records and re-firing
-it would double-publish. What the tail cannot bring back (columns a
-callback computed, unpublished columns) is tabled in docs/durability.md.
+**What the manager keeps** is what belongs to the log: the hooks, the
+step, the snapshot store and its cadence, and :meth:`restore`, which is
+ARIES-lite — load the latest valid snapshot and hand each section to
+its owner, replay the WAL tail past its pin handing each record to its
+owner by type (the queue dedups a replayed ``pub`` against its
+subscriber's applied-uid window; an ``apply`` re-lands through the
+subscriber's own step with a raw persist, no callbacks), let every
+queue re-inject what it rebuilt, and move the process-wide message
+sequence past every restored uid so new publishes cannot collide into
+the dedup window. No queue, version-store or row logic lives here. What
+the tail cannot bring back (columns a callback computed, unpublished
+columns) is tabled in docs/durability.md.
 
 If the log is unrecoverable (mid-log corruption, missing segment, newer
 wire version) restore keeps the snapshot state, reports
@@ -72,10 +52,8 @@ pre-durability recovery ladder (docs/recovery.md).
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
-from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -94,14 +72,8 @@ from repro.errors import WALCorrupt
 from repro.runtime.tracing import STAGE_WAL, STAGE_WAL_FLUSH, trace_now
 
 
-def _uid_seq(uid: str) -> int:
-    """The numeric tail of a default ``app:seq`` uid, else 0."""
-    _, _, tail = uid.rpartition(":")
-    return int(tail) if tail.isdigit() else 0
-
-
-def _queue_counters() -> Dict[str, int]:
-    return {"published": 0, "acked": 0}
+def _never(uid: str) -> bool:
+    return False
 
 
 @dataclass
@@ -134,22 +106,26 @@ class _Step(threading.local):
     #: the ``wal.flush`` span of the write that ends the step goes there.
     trace = None
 
-    def __init__(self, wal: SegmentedWAL) -> None:
-        self._wal = wal
+    def __init__(self, manager: "DurabilityManager") -> None:
+        self._manager = manager
+        self._wal = manager.wal
 
     def __enter__(self) -> None:
         self.depth += 1
 
-    def __exit__(self, *exc_info: Any) -> None:
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
         self.depth -= 1
         trace = self.trace
         if trace is None:
             self._wal.flush()
-            return
-        self.trace = None
-        start = trace_now()
-        if self._wal.flush():
-            trace.add(STAGE_WAL_FLUSH, start, trace_now() - start)
+        else:
+            self.trace = None
+            start = trace_now()
+            if self._wal.flush():
+                trace.add(STAGE_WAL_FLUSH, start, trace_now() - start)
+        manager = self._manager
+        if exc_type is None and not self.depth and manager.snapshot_every is not None:
+            manager.maybe_snapshot()
 
 
 class DurabilityOff:
@@ -200,8 +176,10 @@ class DurabilityManager:
         self.snapshots = SnapshotStore(snapshot_dir(data_dir), recorder=recorder)
         #: Auto-snapshot cadence in WAL appends; None = explicit only.
         self.snapshot_every = snapshot_every
-        self._appends_since_snapshot = 0
-        self.step = _Step(self.wal)
+        #: ``wal.appends`` when the last snapshot was taken.
+        self._snapshot_mark = 0
+        self._snapshot_lock = threading.RLock()
+        self.step = _Step(self)
         #: True while :meth:`restore` runs: every log hook is a no-op so
         #: replayed effects are not re-logged.
         self._restoring = False
@@ -233,13 +211,12 @@ class DurabilityManager:
         trace = message.trace if message is not None else None
         if trace is None:
             self.wal.append(rec, hold=held)
-        else:
-            start = trace_now()
-            self.wal.append(rec, hold=held)
-            trace.add(STAGE_WAL, start, trace_now() - start)
-            if held:
-                step.trace = trace
-        self._appends_since_snapshot += 1
+            return
+        start = trace_now()
+        self.wal.append(rec, hold=held)
+        trace.add(STAGE_WAL, start, trace_now() - start)
+        if held:
+            step.trace = trace
 
     def log_out(self, message: Message) -> None:
         """Publisher routed a message: record the payload plus the
@@ -251,14 +228,7 @@ class DurabilityManager:
         service = self.ecosystem.local_service(message.app)
         if service is None:
             return
-        pvs = service.publisher_version_store
-        counters: Dict[str, List[int]] = {}
-        for hashed in message.dependencies:
-            key = pvs._key(hashed)
-            counters[hashed] = [
-                pvs.kv.hget(key, "ops") or 0,
-                pvs.kv.hget(key, "version") or 0,
-            ]
+        counters = service.publisher_version_store.counters(message.dependencies)
         # A CDC publish piggybacks its outbox cursor (``cur``): advancing
         # past the entry is atomic with capturing the counters its
         # publish bumped — a crash can never leave the counters durable
@@ -267,7 +237,6 @@ class DurabilityManager:
             wal.out_record(message.app, message.body(), counters, message.cdc),
             message,
         )
-        self.maybe_snapshot()
 
     def log_pub(self, queue_name: str, message: Message) -> None:
         self._append(wal.pub_record(queue_name, message.body()), message)
@@ -358,15 +327,17 @@ class DurabilityManager:
     # -- snapshot ------------------------------------------------------------
 
     def maybe_snapshot(self) -> Optional[int]:
-        """Take a snapshot when the cadence is due. Only called from
-        lock-free sites (the publisher path): capturing queue state
-        takes each queue's lock, so a snapshot from inside one would
-        deadlock."""
-        if self.snapshot_every is None:
-            return None
-        if self._appends_since_snapshot < self.snapshot_every:
-            return None
-        return self.snapshot()
+        """Take a snapshot once ``snapshot_every`` WAL appends have been
+        made since the last one. Called at the clean end of every
+        outermost step (the publish step, a drain round, a pool batch):
+        capturing a queue takes its lock, so a snapshot may only start
+        where none is held."""
+        with self._snapshot_lock:
+            if self.snapshot_every is None or (
+                self.wal.appends.value - self._snapshot_mark < self.snapshot_every
+            ):
+                return None
+            return self.snapshot()
 
     def snapshot(self, pin: Optional[Tuple[int, int]] = None) -> int:
         """Checkpoint the process's durable state and compact the log.
@@ -375,51 +346,32 @@ class DurabilityManager:
         records racing the capture appear both in the snapshot and the
         tail — replay dedup makes the overlap idempotent. ``pin``
         overrides the position (tests replaying a bounded prefix)."""
-        self.wal.sync()
-        if pin is None:
-            pin = self.wal.position()
-        state = self._capture_state()
-        snapshot_id, _ = self.snapshots.write(state, pin)
-        self.snapshots.compact(snapshot_id)
-        self.wal.compact_below(pin[0])
-        self._appends_since_snapshot = 0
-        self._snap_count.increment()
-        return snapshot_id
+        with self._snapshot_lock:
+            self.wal.sync()
+            if pin is None:
+                pin = self.wal.position()
+            snapshot_id, _ = self.snapshots.write(self.capture_state(), pin)
+            self.snapshots.compact(snapshot_id)
+            self.wal.compact_below(pin[0])
+            self._snapshot_mark = self.wal.appends.value
+            self._snap_count.increment()
+            return snapshot_id
 
-    def _capture_state(self) -> Dict[str, Any]:
+    def capture_state(self) -> Dict[str, Any]:
+        """The process's durable state, one section per owner: what a
+        snapshot holds, and what restore-equivalence compares."""
         eco = self.ecosystem
         state: Dict[str, Any] = {
             "generations": eco.generations.snapshot(),
-            "services": {},
-            "queues": {},
+            "services": {
+                service.name: service.durable_state()
+                for service in eco.local_services()
+            },
+            "queues": {
+                queue.name: queue.durable_state()
+                for queue in eco.broker.local_queues()
+            },
         }
-        for service in eco.local_services():
-            sub = service.subscriber
-            pvs_state: Dict[str, List[int]] = {}
-            for key, fields in service.publisher_version_store.kv.entries(
-                "v:"
-            ).items():
-                pvs_state[key[len("v:"):]] = [
-                    fields.get("ops", 0), fields.get("version", 0)
-                ]
-            models: Dict[str, List[Dict[str, Any]]] = {}
-            for model_name, model_cls in sorted(service.registry.items()):
-                mapper = model_cls.__mapper__
-                if mapper is None or mapper.db is None:
-                    continue  # ephemerals/observers persist nothing
-                models[model_name] = mapper._do_where({}, None, None)
-            state["services"][service.name] = {
-                "pvs": pvs_state,
-                "svs": service.subscriber_version_store.snapshot(),
-                "sub_generations": dict(sub.generations),
-                "applied_uids": sub.applied_uids(),
-                "bootstrapping": sub.bootstrapping,
-                "models": models,
-            }
-        for queue in eco.broker.local_queues():
-            durable = queue.durable_state()
-            durable["shed"] = queue.flow.shed_ledger()
-            state["queues"][queue.name] = durable
         cursors = eco.cdc.cursors()
         if cursors:
             state["cdc"] = cursors
@@ -431,277 +383,83 @@ class DurabilityManager:
         """Rebuild the process's durable state: latest valid snapshot,
         then the WAL tail. ``replay_limit`` bounds replay to the first
         N tail records (crash-point tests replaying every prefix)."""
+        eco = self.ecosystem
         report = RestoreReport()
         self._restoring = True
         self.cdc_cursors = {}
+        # Every uid the restore brings back: new publishes must not
+        # reuse one.
+        uids: List[str] = []
         try:
             snapshot = self.snapshots.load_latest()
             start = None
-            #: queue -> uid -> payload dict, in queue order.
-            pending: Dict[str, Dict[str, Any]] = {}
-            stats: Dict[str, Dict[str, int]] = defaultdict(_queue_counters)
-            decommissioned: Dict[str, bool] = {}
-            shed: Dict[str, Dict[str, Dict[str, int]]] = {}
-            max_seq = 0
             if snapshot is not None:
                 manifest = snapshot["manifest"]
                 report.snapshot_id = manifest["id"]
                 start = (manifest["wal"]["segment"], manifest["wal"]["offset"])
-                max_seq = self._restore_snapshot_state(
-                    snapshot, pending, stats, decommissioned, shed
-                )
+                self._restore_snapshot(snapshot)
             replay_error: Optional[WALCorrupt] = None
-            replayed = 0
             try:
                 for position, rec in self.wal.replay(start=start):
-                    if replay_limit is not None and replayed >= replay_limit:
+                    if replay_limit is not None and report.replayed >= replay_limit:
                         report.position = position
                         break
-                    replayed += 1
-                    max_seq = max(
-                        max_seq,
-                        self._replay_record(
-                            rec, pending, stats, decommissioned, shed, report
-                        ),
-                    )
+                    report.replayed += 1
+                    if "m" in rec:
+                        uids.append(rec["m"]["uid"])
+                    self._replay_record(rec, report)
                     report.position = (position[0], position[1] + 1)
             except WALCorrupt as exc:
                 replay_error = exc
-            report.replayed = replayed
-            self._replayed.increment(replayed)
-            # Re-inject survivors into the real queues (bypassing
-            # publish: flow admission must not re-shed differently than
-            # the run being restored did).
-            broker = self.ecosystem.broker
-            for queue_name, dead in decommissioned.items():
-                if dead:  # restored below even with nothing pending
-                    pending.setdefault(queue_name, {})
-            for queue_name, entries in pending.items():
-                queue = broker.queue_for(queue_name)
-                messages = [
-                    Message.from_wire(payload) for payload in entries.values()
-                ]
-                max_seq = max(
-                    max_seq, max((_uid_seq(m.uid) for m in messages), default=0)
-                )
-                queue.restore_state(
-                    messages,
-                    published=stats[queue_name]["published"],
-                    acked=stats[queue_name]["acked"],
-                    decommissioned=decommissioned.get(queue_name, False),
-                )
-                if queue_name in shed:
-                    queue.flow.restore_shed(shed[queue_name])
-                report.requeued += len(messages)
+            self._replayed.increment(report.replayed)
+            for queue in eco.broker.local_queues():
+                requeued = queue.end_restore()
+                report.requeued += len(requeued)
+                uids.extend(message.uid for message in requeued)
             self._requeued.increment(report.requeued)
             self._restored_applies.increment(report.applied)
-            _advance_message_seq(max_seq)
+            for service in eco.local_services():
+                uids.extend(service.subscriber.applied_uids())
+            Message.advance_sequence(uids)
             # Derived read models are not snapshotted: WAL replay lands
             # raw engine writes without the subscriber's view hook, so
             # any service with declared views rebuilds them from the
             # restored base rows (deterministic, and self-auditing
             # against INV_VIEW).
-            for service in self.ecosystem.local_services():
-                views = getattr(service, "views", None)
-                if views is not None:
-                    views.rebuild()
+            for service in eco.local_services():
+                if service.views is not None:
+                    service.views.rebuild()
             # CDC pollers resume from the restored cursors, and each
             # outbox re-derives its next sequence from the restored
             # rows so new raw writes cannot collide with replayed ones.
-            self.ecosystem.cdc.adopt_cursors(self.cdc_cursors)
-            self.ecosystem.cdc.resync()
+            eco.cdc.adopt_cursors(self.cdc_cursors)
+            eco.cdc.resync()
             if replay_error is not None:
                 report.unrecoverable = True
                 report.error = str(replay_error)
                 report.stale_services = sorted(
-                    service.name for service in self.ecosystem.local_services()
+                    service.name for service in eco.local_services()
                 )
                 self._unrecoverable.increment()
-                self.ecosystem.recorder.anomaly(
+                eco.recorder.anomaly(
                     "durability.unrecoverable", error=str(replay_error)
                 )
         finally:
             self._restoring = False
         return report
 
-    def _restore_snapshot_state(
-        self,
-        snapshot: Dict[str, Any],
-        pending: Dict[str, Dict[str, Any]],
-        stats: Dict[str, Dict[str, int]],
-        decommissioned: Dict[str, bool],
-        shed: Dict[str, Dict[str, Dict[str, int]]],
-    ) -> int:
+    def _restore_snapshot(self, snapshot: Dict[str, Any]) -> None:
+        """Hand each section of a snapshot to its owner."""
         eco = self.ecosystem
-        max_seq = 0
         eco.generations.restore_all(snapshot.get("generations", {}))
-        for name, svc_state in snapshot.get("services", {}).items():
+        for name, state in snapshot.get("services", {}).items():
             service = eco.local_service(name)
-            if service is None:
-                continue
-            pvs = service.publisher_version_store
-            for hashed, (ops, version) in svc_state.get("pvs", {}).items():
-                _pvs_fast_forward(pvs, hashed, ops, version)
-            service.subscriber_version_store.bulk_load(
-                svc_state.get("svs", {})
-            )
-            sub = service.subscriber
-            for app, generation in svc_state.get(
-                "sub_generations", {}
-            ).items():
-                if generation > sub.generations.get(app, 1):
-                    sub.generations[app] = generation
-            applied = svc_state.get("applied_uids", [])
-            sub.restore_applied(applied)
-            max_seq = max(max_seq, max(map(_uid_seq, applied), default=0))
-            sub.bootstrapping = bool(svc_state.get("bootstrapping", False))
-            self._restore_rows(service, svc_state.get("models", {}))
-        for queue_name, queue_state in snapshot.get("queues", {}).items():
-            entries = pending.setdefault(queue_name, {})
-            for payload in queue_state.get("pending", []):
-                entries[payload["uid"]] = payload
-            stats[queue_name] = {
-                "published": queue_state.get("published", 0),
-                "acked": queue_state.get("acked", 0),
-            }
-            decommissioned[queue_name] = bool(
-                queue_state.get("decommissioned", False)
-            )
-            if queue_state.get("shed"):
-                shed[queue_name] = {
-                    app: dict(ledger)
-                    for app, ledger in queue_state["shed"].items()
-                }
-        for svc_name, cursor in snapshot.get("cdc", {}).items():
-            self._advance_cdc_cursor(svc_name, cursor)
-        return max_seq
-
-    def _restore_rows(
-        self, service: Any, models: Dict[str, List[Dict[str, Any]]]
-    ) -> None:
-        """Make each model's engine rows exactly match the snapshot:
-        raw mapper writes — no callbacks, no interception, no
-        read-dependency tracking (mirroring the digest builder's raw
-        reads)."""
-        for model_name, rows in models.items():
-            model_cls = service.registry.get(model_name)
-            if model_cls is None:
-                continue
-            mapper = model_cls.__mapper__
-            if mapper is None or mapper.db is None:
-                continue
-            want = {row["id"]: row for row in rows}
-            for local_row in mapper._do_where({}, None, None):
-                if local_row["id"] not in want:
-                    mapper._do_delete(local_row["id"])
-            for row_id, row in want.items():
-                _raw_upsert(mapper, model_cls, row_id, row)
-
-    # -- tail replay ---------------------------------------------------------
-
-    def _replay_record(
-        self,
-        rec: Dict[str, Any],
-        pending: Dict[str, Dict[str, Any]],
-        stats: Dict[str, Dict[str, int]],
-        decommissioned: Dict[str, bool],
-        shed: Dict[str, Dict[str, Dict[str, int]]],
-        report: RestoreReport,
-    ) -> int:
-        eco = self.ecosystem
-        kind = rec.get("t")
-        max_seq = 0
-        if kind == "pub":
-            payload = rec["m"]
-            uid = payload["uid"]
-            max_seq = _uid_seq(uid)
-            queue_name = rec["q"]
-            entries = pending.setdefault(queue_name, {})
-            if uid not in entries and not self._uid_applied(queue_name, uid):
-                entries[uid] = payload
-                stats[queue_name]["published"] += 1
-        elif kind == "coal":
-            entries = pending.get(rec["q"], {})
-            if rec["uid"] in entries:
-                entries[rec["uid"]] = rec["m"]
-            # Absorbed messages ride inside the survivor now; any of
-            # them still pending (its own ``pub`` record replayed
-            # earlier) would be re-injected as a duplicate carrying
-            # increments the survivor already merged.
-            for absorbed_uid in rec.get("absorbed", []):
-                if absorbed_uid == rec["uid"]:
-                    continue
-                if entries.pop(absorbed_uid, None) is not None:
-                    counters = stats[rec["q"]]
-                    counters["published"] = max(0, counters["published"] - 1)
-        elif kind == "defer":
-            entries = pending.get(rec["q"], {})
-            payload = entries.pop(rec["uid"], None)
-            if payload is not None:
-                # Rotate to the back: pending dicts are insertion-
-                # ordered, and re-injection follows that order.
-                entries[rec["uid"]] = payload
-        elif kind == "shed":
-            shed.setdefault(rec["q"], {})[rec["app"]] = dict(rec["ledger"])
-        elif kind == "ack":
-            entries = pending.get(rec["q"], {})
-            if entries.pop(rec["uid"], None) is not None:
-                stats[rec["q"]]["acked"] += 1
-        elif kind == "decom":
-            decommissioned[rec["q"]] = True
-            pending.pop(rec["q"], None)
-            shed.pop(rec["q"], None)
-        elif kind == "recom":
-            decommissioned[rec["q"]] = False
-            pending.pop(rec["q"], None)
-            shed.pop(rec["q"], None)
-        elif kind == "apply":
-            message = Message.from_wire(rec["m"])
-            max_seq = _uid_seq(message.uid)
-            service = eco.local_service(rec["svc"])
-            if service is not None and not service.subscriber.has_applied(
-                message.uid
-            ):
-                service.subscriber.replay_apply(message)
-                report.applied += 1
-        elif kind == "gen":
-            service = eco.local_service(rec["svc"])
             if service is not None:
-                sub = service.subscriber
-                if rec["g"] > sub.generations.get(rec["app"], 1):
-                    sub.enter_generation(rec["app"], rec["g"])
-        elif kind == "pubgen":
-            service = eco.local_service(rec["app"])
-            if service is not None and rec["g"] > eco.generations.current(
-                rec["app"]
-            ):
-                service.publisher_version_store.kv.flushall()
-            eco.generations.restore_all({rec["app"]: rec["g"]})
-        elif kind == "out":
-            service = eco.local_service(rec["app"])
-            if service is not None:
-                message = Message.from_wire(rec["m"])
-                max_seq = _uid_seq(message.uid)
-                pvs = service.publisher_version_store
-                for hashed, (ops, version) in rec.get("vs", {}).items():
-                    _pvs_fast_forward(pvs, hashed, ops, version)
-                if message.cdc is None:
-                    # CDC messages restore publisher rows from their obx
-                    # records, which sit at *commit* position in the WAL.
-                    # The out record is appended at poll time, so its row
-                    # attributes can be stale by then (a later raw update
-                    # committed between the write and the poll) — replaying
-                    # them here would clobber the newer obx-replayed state.
-                    self._replay_publisher_rows(service, message)
-                if rec.get("cur") is not None:
-                    self._advance_cdc_cursor(rec["app"], rec["cur"])
-        elif kind == "obx":
-            service = eco.local_service(rec["svc"])
-            if service is not None:
-                self._replay_outbox(service, rec["e"])
-        elif kind == "cdc":
-            self._advance_cdc_cursor(rec["svc"], rec["cur"])
-        return max_seq
+                service.restore_state(state)
+        for name, state in snapshot.get("queues", {}).items():
+            eco.broker.queue_for(name).restore_state(state)
+        for name, cursor in snapshot.get("cdc", {}).items():
+            self._advance_cdc_cursor(name, cursor)
 
     def _advance_cdc_cursor(self, service_name: str, cursor: int) -> None:
         """Set-to-max: a replayed piggyback may trail a later checkpoint
@@ -710,107 +468,61 @@ class DurabilityManager:
             self.cdc_cursors.get(service_name, 0), int(cursor)
         )
 
-    def _replay_outbox(self, service: Any, entry: Dict[str, Any]) -> None:
-        """Replay one ``obx`` record: restore the raw-written data row
-        and the outbox row itself (dedup by ``id == seq`` — snapshots
-        may already carry both)."""
-        from repro.cdc.outbox import entry_row
+    # -- tail replay: each record to its owner -------------------------------
+    #
+    # A record about a service this process does not host is skipped.
 
-        model_cls = service.registry.get(entry.get("model", ""))
-        if model_cls is not None:
-            mapper = model_cls.__mapper__
-            if mapper is not None and mapper.db is not None:
-                if entry["kind"] == "delete":
-                    if mapper._do_find(entry["row_id"]) is not None:
-                        mapper._do_delete(entry["row_id"])
-                else:
-                    row = entry_row(entry)
-                    _raw_upsert(mapper, model_cls, entry["row_id"], row)
-        if service.outbox is not None:
-            service.outbox.restore_entry(entry)
+    def _replay_record(self, rec: Dict[str, Any], report: RestoreReport) -> None:
+        """Hand one tail record to its owner, by type."""
+        owner = self._OWNERS.get(rec.get("t"))
+        if owner is not None:
+            owner(self, rec, report)
 
-    def _uid_applied(self, queue_name: str, uid: str) -> bool:
-        """Was this uid already applied by the queue's subscriber? The
-        at-least-once dedup for replayed ``pub`` records."""
-        service = self.ecosystem.local_service(queue_name)
+    def _to_queue(self, rec: Dict[str, Any], report: RestoreReport) -> None:
+        service = self.ecosystem.local_service(rec["q"])
+        applied = service.subscriber.has_applied if service is not None else _never
+        self.ecosystem.broker.queue_for(rec["q"]).replay(rec, applied)
+
+    def _to_subscriber(self, rec: Dict[str, Any], report: RestoreReport) -> None:
+        service = self.ecosystem.local_service(rec["svc"])
         if service is None:
-            return False
-        return service.subscriber.has_applied(uid)
+            return
+        if rec["t"] == "gen":
+            service.subscriber.enter_generation(rec["app"], rec["g"])
+        elif service.subscriber.replay_apply(Message.from_wire(rec["m"])):
+            report.applied += 1
 
-    def _replay_publisher_rows(self, service: Any, message: Message) -> None:
-        """Re-apply an ``out`` record's operations to the publisher's
-        own rows: published *persisted* attributes only — snapshots
-        carry the full rows, the tail can only restore what rode the
-        wire, and a published virtual attribute is computed, not
-        stored."""
-        for operation in message.operations:
-            model_cls = None
-            for type_name in operation["types"]:
-                model_cls = service.registry.get(type_name)
-                if model_cls is not None:
-                    break
-            if model_cls is None:
-                continue
-            mapper = model_cls.__mapper__
-            if mapper is None or mapper.db is None:
-                continue
-            if operation["operation"] == "delete":
-                if mapper._do_find(operation["id"]) is not None:
-                    mapper._do_delete(operation["id"])
-            else:
-                row = {
-                    name: value
-                    for name, value in operation["attributes"].items()
-                    if name in model_cls._fields
-                }
-                _raw_upsert(mapper, model_cls, operation["id"], row)
+    def _to_publisher(self, rec: Dict[str, Any], report: RestoreReport) -> None:
+        service = self.ecosystem.local_service(rec["app"])
+        if service is None:
+            return
+        if rec["t"] == "pubgen":
+            service.replay_pubgen(rec["g"])
+            return
+        service.publisher.replay_out(Message.from_wire(rec["m"]), rec.get("vs", {}))
+        if rec.get("cur") is not None:
+            self._advance_cdc_cursor(rec["app"], rec["cur"])
+
+    def _to_outbox(self, rec: Dict[str, Any], report: RestoreReport) -> None:
+        service = self.ecosystem.local_service(rec["svc"])
+        if service is not None and service.outbox is not None:
+            service.outbox.replay(rec["e"])
+
+    def _to_cursor(self, rec: Dict[str, Any], report: RestoreReport) -> None:
+        self._advance_cdc_cursor(rec["svc"], rec["cur"])
+
+    #: Record type -> the method that hands it to its owner.
+    _OWNERS = {
+        **dict.fromkeys(
+            ("pub", "coal", "defer", "ack", "shed", "decom", "recom"), _to_queue
+        ),
+        "apply": _to_subscriber,
+        "gen": _to_subscriber,
+        "out": _to_publisher,
+        "pubgen": _to_publisher,
+        "obx": _to_outbox,
+        "cdc": _to_cursor,
+    }
 
     def close(self) -> None:
         self.wal.close()
-
-
-def _pvs_fast_forward(pvs: Any, hashed: str, ops: int, version: int) -> None:
-    """Set-to-max restore of one publisher counter pair (replays may
-    revisit keys the snapshot already covered)."""
-    key = pvs._key(hashed)
-
-    def script(store, key=key, ops=ops, version=version):
-        store.hset(key, "ops", max(store.hget(key, "ops") or 0, ops))
-        store.hset(
-            key, "version", max(store.hget(key, "version") or 0, version)
-        )
-
-    pvs.kv.eval_on(key, script)
-
-
-def _raw_upsert(
-    mapper: Any, model_cls: type, row_id: Any, row: Dict[str, Any]
-) -> None:
-    """Insert-or-overwrite one row at the storage layer. Inserts start
-    from field defaults so a partially-published row still carries every
-    column the live apply path would have initialised."""
-    attrs = {k: v for k, v in row.items() if k != "id"}
-    if mapper._do_find(row_id) is None:
-        full = {
-            name: field.default_value()
-            for name, field in model_cls._fields.items()
-        }
-        full.update(attrs)
-        full["id"] = row_id
-        mapper._do_insert(full)
-    else:
-        mapper._do_update(row_id, attrs)
-
-
-def _advance_message_seq(max_seq: int) -> None:
-    """Move the process-wide message sequence past every restored uid:
-    a fresh process restarts the counter at 1, and a new publish whose
-    ``app:seq`` uid collides with a restored one would be silently
-    dedup-skipped by the subscriber."""
-    if max_seq <= 0:
-        return
-    import repro.broker.message as message_mod
-
-    with message_mod._seq_lock:
-        current = next(message_mod._seq)
-        message_mod._seq = itertools.count(max(current, max_seq + 1))

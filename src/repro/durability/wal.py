@@ -294,7 +294,8 @@ class SegmentedWAL:
         os.makedirs(dirpath, exist_ok=True)
         if metrics is None:
             metrics = MetricsRegistry()
-        self._appends = metrics.counter("durability.wal.appends")
+        #: Incremented under the lock; the snapshot cadence counts it.
+        self.appends = metrics.counter("durability.wal.appends")
         self._flushes = metrics.counter("durability.wal.flushes")
         self._fsyncs = metrics.counter("durability.wal.fsyncs")
         self._segments_gauge = metrics.gauge("durability.wal.segments")
@@ -384,7 +385,7 @@ class SegmentedWAL:
                 self._rotate_locked()
             position = (self._segment, self._segment_count)
             self._segment_count += 1
-            self._appends.increment()
+            self.appends.increment()
             self._buffer.append(line)
             if len(self._buffer) >= self.group_max:
                 if self.fsync == FSYNC_INTERVAL and self.injector is not None:

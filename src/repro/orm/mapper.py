@@ -117,6 +117,31 @@ class Mapper:
         # Aggregations are not read dependencies (§4.2).
         return self._do_count(conditions or {})
 
+    # -- raw row writes (snapshot restore and WAL replay) ---------------------
+
+    def upsert_raw(self, row_id: Any, attrs: Row) -> None:
+        """Insert-or-overwrite one row at the storage layer: no
+        interceptor, no callbacks, no read tracking. An insert starts
+        from the model's field defaults, so a partially published row
+        still carries every column the live write path would have
+        initialised. A mapper that stores nothing stores nothing here."""
+        attrs = {name: value for name, value in attrs.items() if name != "id"}
+        if self._do_find(row_id) is not None:
+            self._do_update(row_id, attrs)
+            return
+        row = {
+            name: field.default_value()
+            for name, field in self.model_cls._fields.items()
+        }
+        row.update(attrs)
+        row["id"] = row_id
+        self._do_insert(row)
+
+    def delete_raw(self, row_id: Any) -> None:
+        """Delete one row at the storage layer, if it is there."""
+        if self._do_find(row_id) is not None:
+            self._do_delete(row_id)
+
     # -- storage primitives (per engine) -------------------------------------
 
     def _do_insert(self, attrs: Row) -> Row:

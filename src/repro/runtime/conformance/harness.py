@@ -279,7 +279,7 @@ class ConformanceHarness:
         backlog, shed ledgers, dedup membership."""
         manager = self.eco.durability
         manager.wal.sync()
-        live = self._normalized_durable_state(manager._capture_state())
+        live = self._normalized_durable_state(manager.capture_state())
         eco2, _pub2, _sub2, _doc2 = self._make_ecosystem()
         manager2 = eco2.enable_durability(data_dir=self._durability_dir)
         violations: List[Violation] = []
@@ -295,7 +295,7 @@ class ConformanceHarness:
                 )
                 return violations
             restored = self._normalized_durable_state(
-                manager2._capture_state()
+                manager2.capture_state()
             )
             for section in ("generations", "services", "queues", "cdc"):
                 if restored.get(section) != live.get(section):

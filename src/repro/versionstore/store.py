@@ -216,10 +216,46 @@ class PublisherVersionStore:
 
     def snapshot(self) -> Dict[str, int]:
         """hashed_dep -> ops, the bulk payload of bootstrap step 1 (§4.4)."""
-        out = {}
-        for key, fields in self.kv.entries("v:").items():
-            out[key[len("v:"):]] = fields.get("ops", 0)
+        return {dep: ops for dep, (ops, _version) in self.durable_state().items()}
+
+    # -- durability (docs/durability.md, "Restore") ---------------------------
+
+    def counters(self, hashed_deps: Iterable[str]) -> Dict[str, List[int]]:
+        """hashed_dep -> ``[ops, version]`` of the given keys: the
+        post-bump state an ``out`` record carries."""
+        out: Dict[str, List[int]] = {}
+        for hashed in hashed_deps:
+            key = self._key(hashed)
+            out[hashed] = [
+                self.kv.hget(key, "ops") or 0, self.kv.hget(key, "version") or 0
+            ]
         return out
+
+    def durable_state(self) -> Dict[str, List[int]]:
+        """hashed_dep -> ``[ops, version]`` of every key (a snapshot's)."""
+        return {
+            key[len("v:"):]: [fields.get("ops", 0), fields.get("version", 0)]
+            for key, fields in self.kv.entries("v:").items()
+        }
+
+    def restore_counters(self, counters: Dict[str, List[int]]) -> None:
+        """Adopt ``[ops, version]`` pairs — a snapshot's or an ``out``
+        record's — set-to-max per counter, one script per shard: a
+        replayed tail revisits keys the snapshot already covered."""
+        steps = [
+            (self._key(hashed), ops, version)
+            for hashed, (ops, version) in counters.items()
+        ]
+        for shard, group in self.kv.by_shard(steps).items():
+
+            def script(store: RedisLike, group: List[tuple] = group) -> None:
+                for key, ops, version in group:
+                    store.hset(key, "ops", max(store.hget(key, "ops") or 0, ops))
+                    store.hset(
+                        key, "version", max(store.hget(key, "version") or 0, version)
+                    )
+
+            shard.eval(script)
 
     def watermark(self) -> int:
         """Total operations registered across every dependency — the

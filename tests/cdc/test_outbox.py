@@ -276,9 +276,11 @@ class TestSequenceRecovery:
                                      sort_keys=True),
             "committed_at": 0.0,
         }
-        pub.outbox.restore_entry(dict(entry))
-        pub.outbox.restore_entry(dict(entry))  # replayed twice: PK dedup
+        pub.outbox.replay(dict(entry))
+        pub.outbox.replay(dict(entry))  # replayed twice: PK dedup
         assert len(outbox_rows(pub)) == 1
+        (row,) = PubDoc.__mapper__._do_where({}, None, None)
+        assert (row["id"], row["name"]) == (5, "x")
         # New raw writes allocate past the replayed tail, never colliding.
         pub.raw_session().insert(PubDoc, {"name": "next", "value": 1})
         assert max(e["seq"] for e in outbox_rows(pub)) == 11

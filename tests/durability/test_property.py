@@ -86,7 +86,7 @@ def run_workload(pub, sub, doc_cls, rng, operations=24):
 def normalized_state(manager):
     """Durable state with scheduling-dependent order scrubbed: the
     applied-uid dedup window compares as a set."""
-    state = copy.deepcopy(manager._capture_state())
+    state = copy.deepcopy(manager.capture_state())
     for svc_state in state["services"].values():
         svc_state["applied_uids"] = sorted(svc_state["applied_uids"])
     return state

@@ -175,6 +175,29 @@ class TestRestorePipeline:
                 PubDoc.create(name=f"doc-{i}", value=i)
         assert mgr_a.snapshots.ids(), "cadence never took a snapshot"
 
+    def test_auto_snapshot_cadence_counts_the_subscriber_path(self, tmp_path):
+        """Regression: the cadence was checked only where a publish
+        logged its ``out`` record, so the appends of a drain never took
+        a snapshot — 20 publishes and one drain made 80 appends and 0
+        snapshots under ``snapshot_every=50``, and a process that only
+        subscribes never compacted its log."""
+        eco_a, pub_a, sub_a, mgr_a, PubDoc, _ = build_pipeline(
+            tmp_path, snapshot_every=50
+        )
+        with pub_a.controller():
+            for i in range(20):
+                PubDoc.create(name=f"doc-{i}", value=i)
+        assert mgr_a.snapshots.ids() == []  # 40 appends
+        sub_a.subscriber.drain()
+        assert eco_a.metrics.value("durability.wal.appends") == 80
+        assert mgr_a.snapshots.ids() == [1]
+        assert eco_a.metrics.value("durability.snapshot.count") == 1
+
+        eco_b, pub_b, sub_b, mgr_b, _, _ = build_pipeline(tmp_path)
+        report = mgr_b.restore()
+        assert report.snapshot_id == 1 and report.replayed == 0
+        assert replicas_in_sync(pub_b, sub_b)
+
     def test_unrecoverable_log_keeps_snapshot_and_reports(self, tmp_path):
         eco_a, pub_a, sub_a, mgr_a, PubDoc, _ = build_pipeline(tmp_path)
         with pub_a.controller():

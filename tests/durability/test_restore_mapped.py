@@ -182,8 +182,8 @@ def test_restore_equals_the_live_process(tmp_path, engine, mapping, delivery):
     assert any(row is not None for row in raw_rows(SubDocA).values())
     # Rows of both services, both version stores, generations and the
     # dedup window (in order).
-    state_a = mgr_a._capture_state()["services"]
-    assert mgr_b._capture_state()["services"] == state_a
+    state_a = mgr_a.capture_state()["services"]
+    assert mgr_b.capture_state()["services"] == state_a
     assert state_a["sub"]["applied_uids"]
     assert sub_b.audit_replication().in_sync == sub_a.audit_replication().in_sync
 

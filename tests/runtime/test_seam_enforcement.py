@@ -207,7 +207,7 @@ def test_subscriber_internals_stay_inside_core():
     assert violations == [], (
         "a module outside core/ reaches into SynapseSubscriber — use its "
         "public surface (replay_apply / has_applied / applied_uids / "
-        "restore_applied / enter_generation / object_deps):\n"
+        "durable_state / restore_state / enter_generation / object_deps):\n"
         + "\n".join(violations)
     )
 
@@ -583,8 +583,9 @@ def test_no_hook_asks_whether_a_subsystem_is_attached():
 
 def test_broker_and_flow_internals_stay_home():
     """The durability manager snapshots queues and shed ledgers through
-    their owners (``Broker.local_queues``, ``QueueFlow.shed_ledger`` /
-    ``with_ledger``), never through their private fields."""
+    their owners (``Broker.local_queues``, ``SubscriberQueue
+    .durable_state``, ``QueueFlow.with_ledger``), never through their
+    private fields."""
     violations = [
         f"{rel_path}:{lineno}: {line.strip()}"
         for rel_path, lineno, line in _source_lines()
@@ -592,3 +593,86 @@ def test_broker_and_flow_internals_stay_home():
         and BROKER_OR_FLOW_INTERNAL.search(line)
     ]
     assert violations == [], "\n".join(violations)
+
+
+# -- each component restores itself -------------------------------------------
+#
+# Restore hands each snapshot section and each WAL record to the
+# component that owns the state (the table in docs/durability.md,
+# "Restore"): the queue replays its own records, the version store
+# restores its own counters, the subscriber its generations and dedup
+# window, ``Message`` its sequence. ``durability/`` keeps the log.
+
+#: What ``durability/`` may not touch of another package: version-store
+#: keys and KV, the message sequence, subscriber state by assignment.
+FOREIGN_STATE = re.compile(
+    r"\._key\b|\.kv\.|\b_seq(_lock)?\b"
+    r"|\bgenerations\[[^\]]*\]\s*=(?!=)|\.bootstrapping\s*=(?!=)"
+)
+
+#: Calls of the engine storage primitives (definitions excluded).
+STORAGE_WRITE = re.compile(r"(?<!def )\b_do_(insert|update|delete)\(")
+#: Who may call them: the mapper (its CRUD surface and the one raw
+#: writer), the outbox's live write path, and a demo's injected
+#: divergence.
+STORAGE_WRITERS = {"orm/mapper.py", "cdc/outbox.py", "runtime/transport/demo.py"}
+
+
+def test_durability_touches_no_foreign_state():
+    violations = [
+        f"{rel_path}:{lineno}: {line.strip()}"
+        for rel_path, lineno, line in _source_lines()
+        if rel_path.startswith("durability/") and FOREIGN_STATE.search(line)
+    ]
+    assert violations == [], (
+        "durability/ restores another component's state by hand — give "
+        "the owner a restore method:\n" + "\n".join(violations)
+    )
+
+
+def test_foreign_state_finder_knows_every_spelling():
+    for line in (
+        "key = pvs._key(hashed)", "pvs.kv.flushall()", "next(message_mod._seq)",
+        "with _seq_lock:", "sub.generations[app] = g", "sub.bootstrapping = True",
+    ):
+        assert FOREIGN_STATE.search(line), line
+    for line in ("if sub.generations[app] == g:", "Message.advance_sequence(uids)"):
+        assert not FOREIGN_STATE.search(line), line
+
+
+def test_replay_record_only_dispatches():
+    """``_replay_record(rec, report)`` hands a record to its owner: it
+    takes no per-queue map, and the manager keeps none of the maps the
+    queue's own replay holds."""
+    import ast
+
+    with open(os.path.join(SRC_ROOT, "durability/manager.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    functions = {
+        node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    args = [arg.arg for arg in functions["_replay_record"].args.args]
+    assert args == ["self", "rec", "report"]
+    names = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+    } | {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    assert not names & {"pending", "stats", "decommissioned", "shed", "max_seq"}
+
+
+def test_one_raw_row_writer():
+    """Snapshot restore and every WAL replay write rows through
+    ``Mapper.upsert_raw`` / ``delete_raw``; nothing else spells a
+    find-then-write at the storage layer."""
+    upserts = [
+        f"{rel_path}:{lineno}"
+        for rel_path, lineno, line in _source_lines()
+        if re.search(r"\bdef \w*upsert\w*\(", line)
+    ]
+    assert len(upserts) == 1 and upserts[0].startswith("orm/mapper.py"), upserts
+    writers = {
+        rel_path
+        for rel_path, _lineno, line in _source_lines()
+        if STORAGE_WRITE.search(line)
+    }
+    # Equality, so a stale entry fails as loudly as a new writer.
+    assert writers == STORAGE_WRITERS
