@@ -158,7 +158,7 @@ def _run_crash_phase(
         killed = runner.run_to_death(victim) == -signal.SIGKILL
         # Let the survivor's link thread finish consuming whatever the
         # victim managed to push into the pipe before dying: the shared
-        # quiesce helper polls the cluster health_report from inside the
+        # quiesce helper polls the cluster snapshot from inside the
         # survivor, degrading to counter-stability for the dead peer.
         runner.quiesce(survivor)
         survivor_stats = runner.finish([survivor])[survivor]

@@ -90,8 +90,9 @@ class Gauge:
         self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
+        # Always a float: a snapshot tells a gauge from a counter by it.
         with self._lock:
-            self._value = value
+            self._value = float(value)
 
     def add(self, delta: float = 1.0) -> float:
         with self._lock:
@@ -213,6 +214,7 @@ class Histogram:
     def summary(self) -> Dict[str, float]:
         return {
             "count": self.count,
+            "sum": self.total(),
             "mean": self.mean(),
             "p50": self.percentile(50),
             "p99": self.percentile(99),
@@ -292,21 +294,11 @@ class MetricsRegistry:
             counter = self._counters.get(name)
         return counter.value if counter is not None else 0
 
-    def instruments(self) -> "tuple[Dict[str, Counter], Dict[str, Histogram]]":
-        """(counters, histograms) shallow copies — the exposition layer
-        (``repro.runtime.monitor.export``) needs the raw instruments, not
-        just the summary snapshot. Gauges have their own accessor
-        (:meth:`gauges`) so pre-gauge callers keep the 2-tuple shape."""
-        with self._lock:
-            return dict(self._counters), dict(self._histograms)
-
-    def gauges(self) -> Dict[str, Gauge]:
-        with self._lock:
-            return dict(self._gauges)
-
     def snapshot(self, prefix: str = "") -> Dict[str, Union[int, float, Dict[str, float]]]:
         """Every instrument under ``prefix``, sorted by name. Counters
-        and gauges export their value, histograms their summary dict."""
+        export their ``int`` value, gauges their ``float`` value,
+        histograms their summary dict — the exposition layer reads the
+        instrument kind from that type."""
         with self._lock:
             counters = {n: c for n, c in self._counters.items() if n.startswith(prefix)}
             histograms = {

@@ -7,10 +7,11 @@ Three cooperating pieces, all owned by the :class:`~repro.core.Ecosystem`:
 - :class:`FlightRecorder` (``eco.recorder``) — bounded rings of
   completed traces and structured events; anomalies dump JSONL;
 - the exposition layer — :func:`to_prometheus` / :func:`to_json` over
-  the metrics registry, and the ``python -m repro watch`` console;
+  snapshots, and the ``python -m repro watch`` console;
 - :class:`ClusterPlane` (``eco.cluster``, installed by the shard
   runtime) — the federation layer: cross-shard trace assembly, merged
-  metrics/health with ``shard`` labels, correlated incident dumps.
+  per-shard snapshots (``ClusterPlane.snapshot``), correlated incident
+  dumps.
 """
 
 from repro.runtime.monitor.cluster import (

@@ -22,11 +22,9 @@ the control plane:
   before route) and flags what it moved.
 - **federation ops** — every shard registers a pseudo-service
   ``_shard:<name>`` on the control plane answering ``clock_probe``,
-  ``metrics_dump``, ``health_report``, ``trace_ids``, ``trace_fetch``
-  and ``flight_dump``; any shard (or the parent CLI, via
-  ``ShardRunner.cluster_request``) can pull the whole cluster's metrics,
-  health and traces through one shard. Every per-shard Prometheus
-  rendering carries a ``shard`` label.
+  ``snapshot``, ``trace_ids``, ``trace_fetch`` and ``flight_dump``; any
+  shard (or the parent CLI, via ``ShardRunner.cluster_request``) can
+  pull the whole cluster's snapshots and traces through one shard.
 - **correlated postmortems** — when a shard's FlightRecorder auto-dumps
   an anomaly, its ``incident_sink`` calls :meth:`ClusterPlane.
   broadcast_incident`: the shard dumps its rings into
@@ -86,14 +84,6 @@ CRITICAL_CHAIN = (
 )
 
 
-def _health_switches(params: Dict[str, Any]) -> Dict[str, bool]:
-    """The two switches of a ``health_report`` op, local or federated."""
-    return {
-        "drain": bool(params.get("drain", False)),
-        "evaluate": bool(params.get("evaluate", True)),
-    }
-
-
 def shard_service(shard_name: str) -> str:
     """The control-plane address of ``shard_name``'s cluster handler."""
     return SHARD_SERVICE_PREFIX + shard_name
@@ -143,8 +133,7 @@ class ClusterPlane:
             # requester brackets the call with its own clock and takes
             # the RTT midpoint.
             "clock_probe": lambda p: {"shard": shard_name, "now": trace_now()},
-            "metrics_dump": lambda p: self.local_metrics(),
-            "health_report": lambda p: self.local_health(**_health_switches(p)),
+            "snapshot": lambda p: self.local_snapshot(**p),
             "trace_ids": lambda p: self.local_trace_ids(),
             "trace_fetch": lambda p: self.local_trace_spans(p["uid"]),
             "flight_dump": lambda p: {
@@ -157,8 +146,7 @@ class ClusterPlane:
         #: Federated ops by name, for parent-CLI commands relayed by the
         #: shard worker (``ShardRunner.cluster_request``).
         self._federated_ops = OpTable("cluster", {
-            "metrics_dump": lambda p: self.metrics_dump(),
-            "health_report": lambda p: self.health_report(**_health_switches(p)),
+            "snapshot": lambda p: self.snapshot(**p),
             "trace_ids": lambda p: self.trace_ids(),
             "trace_fetch": lambda p: self.fetch_trace(p["uid"]),
             "offsets": lambda p: {
@@ -184,43 +172,40 @@ class ClusterPlane:
 
     # -- local answers (served to peers and to our own loopback) -------------
 
-    def local_metrics(self) -> Dict[str, Any]:
-        from repro.runtime.monitor.export import to_prometheus
-
-        return {
-            "shard": self.shard_name,
-            "metrics": self.ecosystem.metrics.snapshot(),
-            "prometheus": to_prometheus(
-                self.ecosystem.metrics, labels={"shard": self.shard_name}
-            ),
-        }
-
-    def local_idle_state(self, drain: bool = False) -> Dict[str, int]:
+    def local_snapshot(
+        self, drain: bool = False, evaluate: bool = True
+    ) -> Dict[str, Any]:
+        """This shard's observability snapshot — the one shape every view
+        prints: ``shard``; the idle/forward state (``idle``, ``backlog``,
+        ``in_flight``, ``outbox``, ``sent``, ``received``); ``metrics``
+        (the registry snapshot) and ``exemplars``; ``recorder`` (flight
+        recorder ring counts); and, when ``evaluate``, ``health`` (the SLO
+        evaluation). Quiescence polling passes ``evaluate=False`` so it
+        neither pays for queue scans nor emits breach transitions."""
+        eco = self.ecosystem
         if drain:
-            self.ecosystem.drain_all()
-        broker = self.ecosystem.broker
-        backlog = sum(broker.backlog().values())
-        in_flight = sum(broker.in_flight().values())
-        outbox = self.ecosystem.cdc.backlog()
-        return {
+            eco.drain_all()
+        backlog = sum(eco.broker.backlog().values())
+        in_flight = sum(eco.broker.in_flight().values())
+        outbox = eco.cdc.backlog()
+        out: Dict[str, Any] = {
+            "shard": self.shard_name,
             "idle": int(backlog == 0 and in_flight == 0 and outbox == 0),
             "backlog": backlog,
             "in_flight": in_flight,
             "outbox": outbox,
             "sent": sum(link.data_sent for link in self.links.values()),
             "received": sum(link.data_received for link in self.links.values()),
+            "metrics": eco.metrics.snapshot(),
+            "exemplars": eco.metrics.exemplars(),
+            "recorder": {
+                "traces": len(eco.recorder.traces()),
+                "events": len(eco.recorder.events()),
+                "anomalies": len(eco.recorder.anomalies()),
+            },
         }
-
-    def local_health(
-        self, drain: bool = False, evaluate: bool = True
-    ) -> Dict[str, Any]:
-        """Idle/forward-counter state plus (optionally) the full SLO
-        evaluation. Quiescence polling passes ``evaluate=False`` so it
-        neither pays for queue scans nor emits breach transitions."""
-        out: Dict[str, Any] = {"shard": self.shard_name}
-        out.update(self.local_idle_state(drain=drain))
         if evaluate:
-            out["health"] = self.ecosystem.monitor.health().to_dict()
+            out["health"] = eco.monitor.health().to_dict()
         return out
 
     def local_trace_ids(self) -> Dict[str, Any]:
@@ -332,15 +317,13 @@ class ClusterPlane:
                 missing.append(shard)
         return results, missing
 
-    def metrics_dump(self) -> Dict[str, Any]:
-        results, missing = self._federate("metrics_dump")
-        return {"shards": results, "missing": missing}
-
-    def health_report(
+    def snapshot(
         self, drain: bool = False, evaluate: bool = True
     ) -> Dict[str, Any]:
+        """Every shard's :meth:`local_snapshot` — ``{"shards": {name:
+        snapshot}, "missing": [...]}``, the report every view prints."""
         results, missing = self._federate(
-            "health_report", drain=drain, evaluate=evaluate
+            "snapshot", drain=drain, evaluate=evaluate
         )
         return {"shards": results, "missing": missing}
 
@@ -561,11 +544,11 @@ def format_assembled_trace(assembled: Dict[str, Any]) -> List[str]:
 def cluster_quiesce(
     ecosystem: Any, timeout: float = 30.0, poll_interval: float = 0.02
 ) -> int:
-    """Drain the whole mesh from inside one shard: poll every shard's
-    ``health_report`` (with ``drain=True``, so each shard drains its own
-    queues as part of answering) until all reachable shards are idle and
-    the forwarded-payload counters balance, stable across
-    :data:`QUIESCENT_POLLS` consecutive polls.
+    """Drain the whole mesh from inside one shard: poll the installed
+    plane's federated ``snapshot`` (with ``drain=True``, so each shard
+    drains its own queues as part of answering) until all reachable
+    shards are idle and the forwarded-payload counters balance, stable
+    across :data:`QUIESCENT_POLLS` consecutive polls.
 
     When a peer is unreachable (a crash-recovery phase kills shards on
     purpose), sent==received can never balance — the dead shard's
@@ -573,28 +556,19 @@ def cluster_quiesce(
     being idle with stable counters. Returns the number of polls; raises
     :class:`TransportTimeout` if the deadline passes first.
     """
-    cluster: Optional[ClusterPlane] = getattr(ecosystem, "cluster", None)
-    solo = ClusterPlane(ecosystem, "solo") if cluster is None else None
     deadline = time.monotonic() + timeout
     stable = 0
     last: Optional[Tuple] = None
     polls = 0
     while time.monotonic() < deadline:
         polls += 1
-        states: List[Dict[str, Any]] = []
-        dead: List[str] = []
-        if cluster is None:
-            # Single-process: the plane with no peers, asked directly.
-            states = [solo.local_idle_state(drain=True)]
-        else:
-            report = cluster.health_report(drain=True, evaluate=False)
-            dead = list(report["missing"])
-            states = list(report["shards"].values())
+        report = ecosystem.cluster.snapshot(drain=True, evaluate=False)
+        dead = report["missing"]
+        states = list(report["shards"].values())
         if states and all(state["idle"] for state in states):
             sent = sum(state["sent"] for state in states)
             received = sum(state["received"] for state in states)
-            settled = (sent == received) if not dead else True
-            if settled:
+            if sent == received or dead:
                 key = (sent, received, tuple(sorted(dead)))
                 stable = stable + 1 if last == key else 1
                 last = key

@@ -1,9 +1,9 @@
-"""Registry exposition: Prometheus text format and JSON.
+"""Snapshot exposition: Prometheus text format and JSON.
 
-Counters export as ``counter`` samples, gauges as ``gauge`` samples,
-histograms as ``summary`` families (``{quantile="0.5"|"0.99"}`` +
-``_sum`` + ``_count``), all
-under the ``repro_`` prefix with dots mangled to underscores — e.g.
+Both printers read snapshots, never the live registry. Counters
+export as ``counter`` samples, gauges as ``gauge`` samples, histograms
+as ``summary`` families (``{quantile="0.5"|"0.99"}`` + ``_sum`` +
+``_count``), all under the ``repro_`` prefix with dots mangled to underscores — e.g.
 ``subscriber.sub.dep_wait`` becomes ``repro_subscriber_sub_dep_wait``.
 Mangling is a pure function of the registry name, so exposition names
 are stable across snapshots and processes.
@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional
 #: Every exported sample name starts with this.
 PREFIX = "repro_"
 
-_QUANTILES = (("0.5", 50), ("0.99", 99))
+_QUANTILES = (("0.5", "p50"), ("0.99", "p99"))
 
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
@@ -107,39 +107,37 @@ def _parse_labels(raw: str) -> Dict[str, str]:
     return labels
 
 
-def to_prometheus(registry: Any, labels: Optional[Dict[str, str]] = None) -> str:
-    """Render every instrument of ``registry`` in Prometheus text format.
+def to_prometheus(
+    metrics: Dict[str, Any], labels: Optional[Dict[str, str]] = None
+) -> str:
+    """Render one ``MetricsRegistry.snapshot()`` in Prometheus text format.
 
-    ``labels`` (e.g. ``{"shard": "shard0"}``) are attached to every
-    sample — the cluster watch view merges per-shard registries into one
-    exposition this way — escaped per the format, so hostile names
-    cannot corrupt the exposition.
+    The instrument kind is the snapshot value's type: an ``int`` is a
+    counter, a ``float`` a gauge, a summary dict a histogram. Families
+    come out counters first, then gauges, then summaries, each sorted by
+    name. ``labels`` (e.g. ``{"shard": "shard0"}``) are attached to
+    every sample, escaped per the format, so hostile names cannot
+    corrupt the exposition.
     """
-    suffix = format_labels(labels or {})
+    labels = labels or {}
+    suffix = format_labels(labels)
     lines = []
-    counters, histograms = registry.instruments()
-    gauges = registry.gauges() if hasattr(registry, "gauges") else {}
-    for name in sorted(counters):
+    ordered = sorted(metrics.items(), key=lambda item: (
+        isinstance(item[1], dict), isinstance(item[1], float), item[0],
+    ))
+    for name, value in ordered:
         sample = mangle(name)
-        lines.append(f"# TYPE {sample} counter")
-        lines.append(f"{sample}{suffix} {counters[name].value}")
-    for name in sorted(gauges):
-        sample = mangle(name)
-        lines.append(f"# TYPE {sample} gauge")
-        lines.append(f"{sample}{suffix} {gauges[name].value:.9g}")
-    for name in sorted(histograms):
-        histogram = histograms[name]
-        sample = mangle(name)
-        lines.append(f"# TYPE {sample} summary")
-        for quantile, p in _QUANTILES:
-            quantile_labels = format_labels(
-                dict(labels or {}, quantile=quantile)
-            )
-            lines.append(
-                f"{sample}{quantile_labels} {histogram.percentile(p):.9g}"
-            )
-        lines.append(f"{sample}_sum{suffix} {histogram.total():.9g}")
-        lines.append(f"{sample}_count{suffix} {histogram.count}")
+        if isinstance(value, dict):
+            lines.append(f"# TYPE {sample} summary")
+            for quantile, key in _QUANTILES:
+                quantile_labels = format_labels(dict(labels, quantile=quantile))
+                lines.append(f"{sample}{quantile_labels} {value[key]:.9g}")
+            lines.append(f"{sample}_sum{suffix} {value['sum']:.9g}")
+            lines.append(f"{sample}_count{suffix} {value['count']}")
+        elif isinstance(value, float):
+            lines += [f"# TYPE {sample} gauge", f"{sample}{suffix} {value:.9g}"]
+        else:
+            lines += [f"# TYPE {sample} counter", f"{sample}{suffix} {value}"]
     return "\n".join(lines) + "\n"
 
 
@@ -197,14 +195,8 @@ def parse_prometheus(text: str) -> Dict[str, Any]:
     return out
 
 
-def to_json(registry: Any, monitor: Any = None) -> str:
-    """JSON exposition: the full snapshot, exemplars, and (when a
-    :class:`~repro.runtime.monitor.lag.LagMonitor` is given) the health
-    report — one document for dashboards and the ``watch`` CLI."""
-    payload: Dict[str, Any] = {
-        "metrics": registry.snapshot(),
-        "exemplars": registry.exemplars(),
-    }
-    if monitor is not None:
-        payload["health"] = monitor.health().to_dict()
-    return json.dumps(payload, indent=2, sort_keys=True)
+def to_json(report: Dict[str, Any]) -> str:
+    """JSON exposition of an observability report — ``{"shards": {name:
+    snapshot}, "missing": [...]}`` as ``ClusterPlane.snapshot`` returns
+    it, plus whatever the caller adds (``watch`` adds ``round``)."""
+    return json.dumps(report, indent=2, sort_keys=True)

@@ -158,20 +158,25 @@ class LinkHealth:
         }
 
     def summary_line(self) -> str:
-        tag = self.status.upper()
-        if self.reasons:
-            tag += f" ({','.join(self.reasons)})"
-        line = (
-            f"{self.publisher} -> {self.subscriber}: "
-            f"p50={self.p50 * 1000:.1f}ms p99={self.p99 * 1000:.1f}ms "
-            f"burn={self.burn_rate:.2f} queued={self.queued} "
-            f"in_flight={self.in_flight} vlag={self.version_lag}"
-        )
-        if self.shed_deficit:
-            line += f" shed={self.shed_deficit}"
-        if self.backpressure:
-            line += f" bp={self.backpressure}/{self.credits}"
-        return line + f" [{tag}]"
+        return format_link(self.to_dict())
+
+
+def format_link(link: Dict[str, Any]) -> str:
+    """One console line for a link, from its :meth:`LinkHealth.to_dict`."""
+    tag = link["status"].upper()
+    if link["reasons"]:
+        tag += f" ({','.join(link['reasons'])})"
+    line = (
+        f"{link['publisher']} -> {link['subscriber']}: "
+        f"p50={link['p50'] * 1000:.1f}ms p99={link['p99'] * 1000:.1f}ms "
+        f"burn={link['burn_rate']:.2f} queued={link['queued']} "
+        f"in_flight={link['in_flight']} vlag={link['version_lag']}"
+    )
+    if link["shed_deficit"]:
+        line += f" shed={link['shed_deficit']}"
+    if link["backpressure"]:
+        line += f" bp={link['backpressure']}/{link['credits']}"
+    return line + f" [{tag}]"
 
 
 @dataclass

@@ -147,7 +147,7 @@ class PeerLink:
             if kind == FRAME_CTRL_REQ:
                 # Serve off the reader thread: a handler may itself
                 # issue a control request back to this peer (e.g. a
-                # federated health_report whose SLO evaluation reads the
+                # federated snapshot whose SLO evaluation reads the
                 # publisher's watermarks), and its response can only be
                 # demultiplexed here — serving inline would deadlock.
                 threading.Thread(

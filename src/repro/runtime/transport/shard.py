@@ -150,7 +150,7 @@ def _shard_main(
                 command_conn.send(("scenario_done", result))
             elif kind == "quiesce":
                 # Mesh-wide quiescence driven from inside this shard:
-                # peers drain as part of answering health_report ops.
+                # peers drain as part of answering snapshot ops.
                 quiesce_timeout = frame[1] if len(frame) > 1 else 30.0
                 try:
                     polls = cluster_quiesce(ecosystem, timeout=quiesce_timeout)
@@ -335,7 +335,7 @@ class ShardRunner:
     def quiesce(self, shard: Optional[str] = None) -> int:
         """Drain the whole mesh: delegate to one shard's
         :func:`~repro.runtime.monitor.cluster.cluster_quiesce` (every
-        other shard drains while answering its ``health_report`` ops).
+        other shard drains while answering its ``snapshot`` ops).
         ``shard`` defaults to the first; a crash phase targets a
         survivor explicitly. Returns the number of polls."""
         target = shard if shard is not None else self.shards[0]
@@ -352,8 +352,8 @@ class ShardRunner:
 
     def cluster_request(self, op: str, shard: Optional[str] = None,
                         **params: Any) -> Dict[str, Any]:
-        """Relay one federated observability op (``metrics_dump``,
-        ``health_report``, ``trace_ids``, ``trace_fetch``, ``offsets``)
+        """Relay one federated observability op (``snapshot``,
+        ``trace_ids``, ``trace_fetch``, ``offsets``)
         through ``shard`` (default: the first) and return its answer."""
         target = shard if shard is not None else self.shards[0]
         self._command[target].send(("cluster", op, params))

@@ -87,10 +87,51 @@ class TestCLI:
         import json
 
         assert main(["watch", "--once", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["health"]["links"][0]["status"] == "ok"
+        shard = json.loads(capsys.readouterr().out)["shards"]["solo"]
+        assert shard["health"]["links"][0]["status"] == "ok"
         # 20 ORM writes plus the round's writes//5 = 4 raw CDC writes.
-        assert payload["metrics"]["broker.routed"] == 24
+        assert shard["metrics"]["broker.routed"] == 24
+
+    def test_watch_json_has_one_shape_in_process_and_cluster(self, capsys):
+        import json
+
+        reports = []
+        for extra in ([], ["--cluster"]):
+            assert main(["watch", "--once", "--json", *extra]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        solo, cluster = reports
+        assert set(solo) == set(cluster) == {"round", "shards", "missing"}
+        assert list(solo["shards"]) == ["solo"]
+        assert sorted(cluster["shards"]) == ["shard0", "shard1"]
+        keys = set(solo["shards"]["solo"])
+        assert "exemplars" in keys and "health" in keys
+        for name, shard in cluster["shards"].items():
+            assert set(shard) == keys, name
+
+    def test_watch_console_rows_match_in_process_and_cluster(self, capsys):
+        import re
+
+        def rows(out):
+            """{shard: [row name, ...]} of one console round."""
+            found = {}
+            for line in out.splitlines()[1:]:
+                match = re.match(r"  \[(\w+)\] (.+?)[:=]", line)
+                assert match, line
+                found.setdefault(match.group(1), []).append(match.group(2))
+            return found
+
+        assert main(["watch", "--once"]) == 0
+        solo = rows(capsys.readouterr().out)
+        assert main(["watch", "--cluster", "--once"]) == 0
+        cluster = rows(capsys.readouterr().out)
+        expected = [
+            "idle", "throughput", "flow", "durability", "views", "cache",
+            "cdc", "flight recorder",
+        ]
+        assert list(solo) == ["solo"]
+        assert sorted(cluster) == ["shard0", "shard1"]
+        for shard in (*solo.values(), *cluster.values()):
+            assert [row for row in shard if row in expected] == expected
 
     def test_help_mentions_repair_and_watch(self, capsys):
         assert main(["--help"]) == 0

@@ -20,6 +20,7 @@ from repro.runtime.monitor.cluster import (
     shard_service,
 )
 from repro.runtime.monitor.export import parse_prometheus
+from repro.runtime.monitor.watch import render_prometheus
 from repro.runtime.tracing import (
     STAGE_APPLY,
     STAGE_DWELL,
@@ -73,26 +74,27 @@ class TestLoopbackFederation:
         assert eco.control.known(shard_service("solo"))
 
     def test_metrics_dump_carries_shard_label(self, eco):
-        dump = eco.cluster.metrics_dump()
+        dump = eco.cluster.snapshot()
         assert dump["missing"] == []
         entry = dump["shards"]["solo"]
         assert entry["metrics"]["broker.routed"] == 4
-        parsed = parse_prometheus(entry["prometheus"])
+        text = render_prometheus(dump)
+        parsed = parse_prometheus(text)
         assert parsed['repro_broker_routed{shard="solo"}'] == 4
         # Every non-comment sample line carries the shard label.
-        for line in entry["prometheus"].splitlines():
+        for line in text.splitlines():
             if line and not line.startswith("#"):
                 assert 'shard="solo"' in line, line
 
     def test_health_report_federates_and_reports_idle(self, eco):
-        report = eco.cluster.health_report(drain=True)
+        report = eco.cluster.snapshot(drain=True)
         assert report["missing"] == []
         state = report["shards"]["solo"]
         assert state["idle"] == 1
         assert state["health"]["links"], "SLO evaluation missing"
 
     def test_health_report_evaluate_false_skips_slo_scan(self, eco):
-        report = eco.cluster.health_report(drain=True, evaluate=False)
+        report = eco.cluster.snapshot(drain=True, evaluate=False)
         assert "health" not in report["shards"]["solo"]
 
     def test_trace_ids_and_fetch_round_trip(self, eco):
@@ -143,7 +145,7 @@ class TestMissingShards:
         assert "missing-hop: ghost" in rendered
 
     def test_health_report_lists_dead_peer_as_missing(self, eco):
-        report = eco.cluster.health_report()
+        report = eco.cluster.snapshot()
         assert report["missing"] == ["ghost"]
         assert "solo" in report["shards"]
 
