@@ -13,6 +13,7 @@ from repro.broker.queue import SubscriberQueue
 from repro.durability.manager import DURABILITY_OFF
 from repro.errors import BrokerError
 from repro.runtime.flow.admission import FLOW_OFF
+from repro.runtime.interleave import PUBLISHER_ROUTED, emit
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.monitor.recorder import FlightRecorder
 from repro.runtime.tracing import STAGE_FORWARD, STAGE_ROUTE, Tracer, trace_now
@@ -190,7 +191,7 @@ class Broker:
             # the one encode of this publish: every delivery's
             # ``pub``/``apply`` records and the forwarder reuse the body
             # it fills the shared cell with.
-            self.durability.log_out(message)
+            emit(self.durability, PUBLISHER_ROUTED, message)
             with self._lock:
                 targets = [
                     (sub, self._queues[sub])

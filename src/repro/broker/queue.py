@@ -12,7 +12,10 @@ from repro.broker.message import Message
 from repro.durability.manager import DURABILITY_OFF
 from repro.errors import BrokerError, QueueDecommissioned
 from repro.runtime.flow.admission import FLOW_OFF
-from repro.runtime.interleave import yield_point
+from repro.runtime.interleave import (
+    QUEUE_ACKED, QUEUE_COALESCED, QUEUE_DECOMMISSIONED, QUEUE_DEFERRED,
+    QUEUE_PUBLISHED, QUEUE_RECOMMISSIONED, QUEUE_SHED, emit, yield_point,
+)
 from repro.runtime.tracing import MARK_ACKED, MARK_ENQUEUED, STAGE_DWELL, trace_now
 
 
@@ -37,9 +40,11 @@ class SubscriberQueue:
     for redelivery. When the backlog exceeds ``max_size`` the queue is
     killed and the subscriber must re-bootstrap (§4.4).
 
-    The ``yield_point`` calls mark the interleaving boundaries driven by
-    the deterministic conformance harness; they are no-ops in production
-    and always sit *outside* ``self._lock``.
+    Each durable transition is one ``emit`` under ``self._lock`` (the
+    log's record and the conformance event); the ``yield_point`` calls
+    mark the interleaving boundaries driven by the deterministic
+    conformance harness, are no-ops in production and always sit
+    *outside* ``self._lock`` (``repro.runtime.interleave``).
     """
 
     def __init__(self, name: str, max_size: Optional[int] = None) -> None:
@@ -57,7 +62,7 @@ class SubscriberQueue:
         #: Its hooks are called under ``self._lock`` and never suspend.
         self.flow = FLOW_OFF
         #: The log the broker wires in (``DURABILITY_OFF``, a null sink,
-        #: until durability is enabled). Log hooks run under
+        #: until durability is enabled). Transitions are emitted under
         #: ``self._lock`` so WAL order equals queue-mutation order.
         self.durability = DURABILITY_OFF
         #: What a running restore has rebuilt of this queue so far.
@@ -74,19 +79,17 @@ class SubscriberQueue:
 
     def publish(self, message: Message) -> None:
         yield_point("queue.publish", queue=self.name, message=message)
-        outcome, killed, survivor = "published", False, None
+        dropped = killed = False
         with self._lock:
             flow, log = self.flow, self.durability
             if self.decommissioned:
-                outcome = "dropped"
+                dropped = True
             elif (
                 survivor := flow.coalesce(self._items, self._unacked, message)
             ) is not None:
-                outcome = "coalesced"
-                log.log_coal(self.name, survivor)
+                emit(log, QUEUE_COALESCED, self.name, message, survivor)
             elif flow.admit(message, len(self._items) + len(self._unacked)) == "shed":
-                outcome = "shed"
-                log.log_shed(self.name, message, flow)
+                emit(log, QUEUE_SHED, self.name, message, flow)
             else:
                 # Dwell is measured for every message (the lag monitor
                 # needs it), not just traced ones.
@@ -109,23 +112,15 @@ class SubscriberQueue:
                     self._available.notify_all()
                 else:
                     self._available.notify()
-                log.log_pub(self.name, message)
+                emit(log, QUEUE_PUBLISHED, self.name, message)
                 if killed:
-                    log.log_decom(self.name)
-        if outcome == "dropped":
+                    emit(log, QUEUE_DECOMMISSIONED, self.name)
+        if dropped:
             yield_point("queue.drop.decommissioned", queue=self.name, message=message)
             return
-        if outcome == "coalesced":
-            yield_point(
-                "queue.coalesced", queue=self.name, message=message, into=survivor
-            )
-            return
-        if outcome == "shed":
-            yield_point("queue.shed", queue=self.name, message=message)
-            return
-        yield_point("queue.published", queue=self.name, message=message)
+        yield_point()
         if killed:
-            yield_point("queue.decommissioned", queue=self.name)
+            yield_point()
 
     def recommission(self) -> None:
         """Bring a killed queue back (start of a partial bootstrap)."""
@@ -134,7 +129,7 @@ class SubscriberQueue:
             self._items.clear()
             self._unacked.clear()
             self.flow.reset()
-            self.durability.log_recom(self.name)
+            emit(self.durability, QUEUE_RECOMMISSIONED, self.name)
             self._available.notify_all()
 
     # -- subscriber side -----------------------------------------------------
@@ -233,7 +228,7 @@ class SubscriberQueue:
             else:
                 del self._unacked[message.seq]
                 self.total_acked += 1
-                self.durability.log_ack(self.name, message)
+                emit(self.durability, QUEUE_ACKED, self.name, message)
                 if message.trace is not None:
                     message.trace.mark(MARK_ACKED)
                     # The subscriber already handed the finished trace to
@@ -244,7 +239,7 @@ class SubscriberQueue:
         if tolerated:
             yield_point("queue.ack.tolerated", queue=self.name, message=message)
         else:
-            yield_point("queue.acked", queue=self.name, message=message)
+            yield_point()
 
     def nack(self, message: Message) -> None:
         """Return an unacked message to the front of the queue."""
@@ -289,12 +284,12 @@ class SubscriberQueue:
                 # queue from pub records (original publish order), so an
                 # unlogged defer would resurrect the chain-head-buried
                 # ordering this rotation just fixed.
-                self.durability.log_defer(self.name, message)
+                emit(self.durability, QUEUE_DEFERRED, self.name, message)
                 self._available.notify()
         if tolerated:
             yield_point("queue.defer.tolerated", queue=self.name, message=message)
         else:
-            yield_point("queue.deferred", queue=self.name, message=message)
+            yield_point()
 
     def requeue_unacked(self) -> int:
         """Crash recovery: everything in flight goes back on the queue."""

@@ -60,6 +60,7 @@ from repro.errors import CdcError
 from repro.orm.fields import Field
 from repro.orm.mapper import mapper_for
 from repro.orm.model import Model, bind_model
+from repro.runtime.interleave import OUTBOX_COMMITTED, emit
 
 #: Outbox row format version. Bump when a field changes meaning; the
 #: poller refuses rows from a newer version instead of misreading them.
@@ -283,7 +284,7 @@ class OutboxTable:
         in-memory, so a crash before the poll would otherwise lose the
         raw write entirely) and the appended counter."""
         self._appended.increment()
-        self.service.ecosystem.durability.log_outbox(self.service.name, entry)
+        emit(self.service.ecosystem.durability, OUTBOX_COMMITTED, self.service, entry)
 
     def replay(self, entry: Dict[str, Any]) -> None:
         """Restore: one ``obx`` record brings back the raw-written data

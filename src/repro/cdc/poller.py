@@ -32,6 +32,7 @@ from typing import Any, Optional
 from repro.cdc.outbox import OutboxTable, check_entry_version, entry_row
 from repro.durability.wal import SimulatedCrash
 from repro.errors import CdcError
+from repro.runtime.interleave import CDC_CURSOR_ADVANCED, emit
 
 
 class PollCrash:
@@ -127,15 +128,12 @@ class CdcPoller:
                 )
         if published:
             self._published.increment(published)
-            self._checkpoint()
+            # Checkpoint: keeps an idle tail's position durable across
+            # compaction even when no piggybacked ``out`` record follows.
+            emit(self.service.ecosystem.durability, CDC_CURSOR_ADVANCED, self.service, self.cursor)
         if self.injector is not None:
             self.injector.fire("after-checkpoint")
         return published
-
-    def _checkpoint(self) -> None:
-        self.service.ecosystem.durability.log_cdc_cursor(
-            self.service.name, self.cursor
-        )
 
     def adopt_cursor(self, cursor: int) -> None:
         """Restore-time: never move backwards (a replayed piggyback may

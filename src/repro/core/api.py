@@ -46,6 +46,7 @@ from repro.errors import DecoratorViolation, PublicationError, SynapseError
 from repro.orm.mapper import mapper_for
 from repro.orm.model import Model, bind_model
 from repro.runtime.flow import FLOW_OFF
+from repro.runtime.interleave import PUBLISHER_GENERATION_BUMPED, emit
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.monitor import FlightRecorder, LagMonitor
 from repro.runtime.tracing import Tracer
@@ -552,7 +553,7 @@ class Service:
         for shard in self.publisher_version_store.kv.shards:
             shard.restart()
             shard.flushall()
-        self.ecosystem.durability.log_pubgen(self.name, generation)
+        emit(self.ecosystem.durability, PUBLISHER_GENERATION_BUMPED, self.name, generation)
         return generation
 
     def replay_pubgen(self, generation: int) -> None:

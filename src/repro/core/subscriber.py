@@ -43,7 +43,9 @@ from repro.core.marshal import marshal_attributes, wire_value
 from repro.errors import DurabilityError, QueueDecommissioned, SubscriptionError
 from repro.orm.callbacks import run_callbacks
 from repro.orm.model import table_for_type
-from repro.runtime.interleave import observe_point, yield_point
+from repro.runtime.interleave import (
+    GENERATION_FLUSH, SUBSCRIBER_APPLIED, emit, observe_point, record_only, yield_point,
+)
 from repro.runtime.tracing import (
     STAGE_APPLY,
     STAGE_BATCH,
@@ -326,10 +328,10 @@ class SynapseSubscriber:
         chains (e.g. consecutive writes by the same session user) land
         together. One admitted message applies exactly as it would
         alone. Several apply in one engine transaction (group commit)
-        when the local engine supports transactions; inside it,
-        interleave events are record-only — the batch is one atomic
-        step, and a suspended scheduler step while holding the engine
-        mutex would deadlock the conformance harness.
+        when the local engine supports transactions; several applied
+        together run in an ``interleave.record_only`` scope — the batch
+        is one atomic step, and a suspended scheduler step while holding
+        the engine mutex would deadlock the conformance harness.
         """
         done: List[Message] = []
         retry: List[Message] = []
@@ -413,11 +415,10 @@ class SynapseSubscriber:
         completed: List[Tuple[Message, Optional[Dict[str, Any]]]] = []
         errors, failure = 0, None
         try:
-            with self._group_commit() if grouped else _PLAIN:
+            with self._group_commit() if grouped else _PLAIN, \
+                    record_only() if several else _PLAIN:
                 for message, weak in ready:
-                    completed.append(
-                        (message, self._apply_one(message, weak, record_only=several))
-                    )
+                    completed.append((message, self._apply_one(message, weak)))
         except DurabilityError:
             # Not an apply error to count and retry: the log is
             # fail-stop, so this process's memory is abandoned and the
@@ -453,23 +454,20 @@ class SynapseSubscriber:
         trace.add(STAGE_DEP_WAIT, wait_start, waited)
 
     def _apply_one(
-        self, message: Message, weak: bool, record_only: bool = False
+        self, message: Message, weak: bool
     ) -> Optional[Dict[str, Dict[str, Any]]]:
-        """Apply one admitted message: engine writes, counter bumps,
-        bookkeeping. ``record_only=True`` (inside a batch) downgrades
-        the interleave events to observe-only: the group-commit
-        transaction may hold the engine mutex. Counter bumps interleave
-        per message, so in-batch dependents see their deps land before
-        their own apply event. Returns :meth:`_land`'s redo set for
-        rollback recovery."""
+        """Apply one admitted message: engine writes, the ``apply``
+        record, counter bumps, bookkeeping. Counter bumps interleave per
+        message, so in-batch dependents see their deps land before their
+        own apply event. Returns :meth:`_land`'s redo set for rollback
+        recovery."""
         # Traced message: make the trace the thread's current trace so an
         # over-threshold histogram observation anywhere in the apply path
         # captures this message's uid as its exemplar.
         with activate_trace(message.trace) if message.trace is not None else _PLAIN:
-            emit = observe_point if record_only else yield_point
             ordered = not (weak or message.repair)
             if ordered:
-                emit("apply", message=message)
+                yield_point("apply", message=message)
                 tell = _untold
                 # Atomically when the local engine supports transactions:
                 # a multi-write publisher transaction then lands as one
@@ -480,7 +478,7 @@ class SynapseSubscriber:
                     if several and self._can_group_commit() else _PLAIN
                 )
             else:
-                tell = self._teller(message, emit)
+                tell = self._teller(message)
                 scope = _PLAIN
             start = trace_now()
             with scope:
@@ -492,9 +490,13 @@ class SynapseSubscriber:
                 self.apply_time.record(elapsed)
                 if message.trace is not None:
                     message.trace.add(STAGE_APPLY, start, elapsed)
-            self._count(message, ordered, record_only)
+            # Logged before the bump: the bump is what releases a
+            # dependent message, and a dependent's record overtaking this
+            # one would make replay land the older write last.
+            emit(self.service.ecosystem.durability, SUBSCRIBER_APPLIED, self.service, message)
+            self._count(message, ordered)
             self._processed.increment()
-            emit("msg.finished", message=message)
+            yield_point("msg.finished", message=message)
             self.service.ecosystem.monitor.observe_applied(self.service.name, message)
             if message.trace is not None:
                 self.service.ecosystem.tracer.record(message.trace)
@@ -543,15 +545,10 @@ class SynapseSubscriber:
                     # Count it and let anti-entropy repair the object.
                     self._redo_failed.increment()
 
-    def _count(self, message: Message, bump: bool, record_only: bool = False) -> None:
+    def _count(self, message: Message, bump: bool) -> None:
         """Move the counters and remember the uid once a message's
-        writes have landed (``record_only`` as in :meth:`_apply_one`).
-        ``bump`` increments every own-app dependency; externals are
-        never bumped."""
-        # Logged before the bump: the bump is what releases a dependent
-        # message, and a dependent's record overtaking this one would
-        # make replay land the older write last.
-        self.service.ecosystem.durability.log_apply(self.service.name, message)
+        writes have landed. ``bump`` increments every own-app
+        dependency; externals are never bumped."""
         if bump:
             increments = message.counter_increments()
             if self.app_modes.get(message.app) == GLOBAL:
@@ -565,9 +562,7 @@ class SynapseSubscriber:
                 if gate in increments:
                     increments = dict(increments)
                     increments[gate] = increments.pop(gate)
-            self.service.subscriber_version_store.apply_counts(
-                increments, record_only
-            )
+            self.service.subscriber_version_store.apply_counts(increments)
         self._mark_applied(message.uid)
 
     def _can_group_commit(self) -> bool:
@@ -716,12 +711,12 @@ class SynapseSubscriber:
                 )
         return applied
 
-    def _teller(self, message: Message, claim: Callable[..., None]) -> Callable[..., None]:
+    def _teller(self, message: Message) -> Callable[..., None]:
         """What the live apply does on hearing :meth:`_land`'s
         decisions about a weak or repair message: count the discards
-        and emit the interleave events — through ``claim`` (which may
-        pause) for the claim, made before the object lock is taken,
-        record-only for the ones made under it."""
+        and emit the interleave events — a yield point for the claim,
+        made before the object lock is taken, record-only for the ones
+        made under it."""
         events = _REPAIR_EVENTS if message.repair else _WEAK_EVENTS
 
         def tell(stage: str, dep: str, version: int) -> None:
@@ -729,7 +724,7 @@ class SynapseSubscriber:
                 self._stale.increment()
             label = events.get(stage)
             if label is not None:
-                (claim if stage == "claim" else observe_point)(
+                (yield_point if stage == "claim" else observe_point)(
                     label, message=message, dep=dep, version=version
                 )
 
@@ -776,13 +771,12 @@ class SynapseSubscriber:
                         blocked_on=queued,
                     )
                     return False
-        yield_point(
-            "generation.flush", app=message.app, generation=message.generation
-        )
+        # Announced ahead of the pause and the flush: replaying a
+        # ``gen`` record performs the flush the gate has decided on.
+        log = self.service.ecosystem.durability
+        emit(log, GENERATION_FLUSH, self.service, message.app, message.generation)
+        yield_point()
         self.enter_generation(message.app, message.generation)
-        self.service.ecosystem.durability.log_gen(
-            self.service.name, message.app, message.generation
-        )
         return True
 
     def enter_generation(self, app: str, generation: int) -> None:

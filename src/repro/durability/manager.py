@@ -1,16 +1,19 @@
-"""The durability manager: WAL logging hooks, snapshots, and restore.
+"""The durability manager: the WAL sink, snapshots, and restore.
 
 ``Ecosystem.enable_durability`` builds one :class:`DurabilityManager`
 per process and attaches it to the broker (which hands it to every
 subscriber queue, existing and future) in place of
-:data:`DURABILITY_OFF`, the null sink the same hooks log into while
-durability is off. The pipeline then logs each durable state transition
-as one WAL record through a ``log_*`` hook, appended *inside* the lock
-that orders the transition, so WAL order equals effect order (the
-records of the hot path go to the WAL as text ``durability.wal``'s
-layouts made of them, the rest as dicts; ``_append`` is the one place
-that skips logging while a restore replays). The record types, and the
-owner that replays each, are tabled in docs/durability.md ("Restore").
+:data:`DURABILITY_OFF`, the null sink the pipeline logs into while
+durability is off. The pipeline announces each durable state
+transition once, with ``interleave.emit`` *inside* the lock that orders
+it, and :meth:`DurabilityManager.log_transition` — the log's one sink —
+appends it as one WAL record, so WAL order equals effect order. The
+transition's row in ``interleave.TRANSITIONS`` names its record type
+and its restore owner; ``wal.LAYOUTS`` lays the record out (the hot
+records as literal text, the rest as dicts; the sink is the one place
+that skips logging while a restore replays). The record types,
+and the owner that replays each, are tabled in docs/durability.md
+("Restore").
 
 **Steps.** Under fsync ``off`` the pipeline brackets its three
 multi-record units with ``with manager.step:`` — ``Broker.publish``
@@ -31,7 +34,7 @@ after restart. ``interval`` and ``always`` ignore steps. The clean end
 of an outermost step holds no lock, so that is where the
 ``snapshot_every`` cadence is checked.
 
-**What the manager keeps** is what belongs to the log: the hooks, the
+**What the manager keeps** is what belongs to the log: the sink, the
 step, the snapshot store and its cadence, and :meth:`restore`, which is
 ARIES-lite — load the latest valid snapshot and hand each section to
 its owner, replay the WAL tail past its pin handing each record to its
@@ -69,6 +72,7 @@ from repro.durability.wal import (
     SegmentedWAL,
 )
 from repro.errors import WALCorrupt
+from repro.runtime.interleave import TRANSITIONS, Transition
 from repro.runtime.tracing import STAGE_WAL, STAGE_WAL_FLUSH, trace_now
 
 
@@ -130,7 +134,7 @@ class _Step(threading.local):
 
 class DurabilityOff:
     """Durability off: ``eco.durability`` until ``enable_durability``,
-    and every queue's log under it. Each hook the pipeline logs through
+    and every queue's log under it. The sink the pipeline logs through
     does nothing, a step is a ``nullcontext`` and a snapshot saves
     nothing. Not a :class:`DurabilityManager`: it owns no
     ``durability.*`` instrument."""
@@ -140,9 +144,7 @@ class DurabilityOff:
     def _nothing(self, *args: Any) -> None:
         pass
 
-    log_out = log_pub = log_coal = log_shed = log_defer = log_ack = _nothing
-    log_decom = log_recom = log_apply = log_gen = log_pubgen = _nothing
-    log_outbox = log_cdc_cursor = snapshot = close = _nothing
+    log_transition = snapshot = close = _nothing
 
 
 DURABILITY_OFF = DurabilityOff()
@@ -180,7 +182,7 @@ class DurabilityManager:
         self._snapshot_mark = 0
         self._snapshot_lock = threading.RLock()
         self.step = _Step(self)
-        #: True while :meth:`restore` runs: every log hook is a no-op so
+        #: True while :meth:`restore` runs: the sink is a no-op so
         #: replayed effects are not re-logged.
         self._restoring = False
         #: Restored CDC poller cursors (service -> outbox seq), built
@@ -194,18 +196,16 @@ class DurabilityManager:
         self._restored_applies = metrics.counter("durability.restore.applied")
         self._unrecoverable = metrics.counter("durability.unrecoverable")
 
-    # -- logging hooks (called by queue/broker/subscriber, see module doc) --
+    # -- the sink (called through interleave.emit, see module doc) ----------
 
     def _append(
         self, rec: Union[Dict[str, Any], str], message: Optional[Message] = None
     ) -> None:
         """Append one record — a dict, or the text one of ``wal``'s
-        layouts made of it — unless :meth:`restore` is running.
-        ``message`` is the message the record is about: its append is
-        timed into the message's trace when it has one, and that trace
-        is where the write of the step it belongs to will show."""
-        if self._restoring:
-            return
+        layouts made of it. ``message`` is the message the record is
+        about: its append is timed into the message's trace when it has
+        one, and that trace is where the write of the step it belongs to
+        will show."""
         step = self.step
         held = step.depth > 0
         trace = message.trace if message is not None else None
@@ -218,111 +218,49 @@ class DurabilityManager:
         if held:
             step.trace = trace
 
-    def log_out(self, message: Message) -> None:
-        """Publisher routed a message: record the payload plus the
-        post-bump publisher version-store counters of its dependency
-        keys, so replay restores both the outbound intent and the
-        counter state new publishes will continue from."""
+    def log_transition(
+        self, transition: Transition, fields: Tuple[Any, ...]
+    ) -> None:
+        """The log's one sink: append ``transition``'s WAL record, laid
+        out by ``wal.LAYOUTS`` from its fields. ``interleave.emit``
+        calls it inside the lock that orders the transition. When the
+        last field is a message, the record is about it (its trace times
+        the append)."""
         if self._restoring:
+            return  # a replayed effect: do not encode its body for nothing
+        kind = transition.record
+        message = fields[-1] if isinstance(fields[-1], Message) else None
+        if kind == "out":
+            # The payload plus the post-bump publisher version-store
+            # counters of its dependency keys: replay restores both the
+            # outbound intent and the counter state new publishes will
+            # continue from. A CDC publish piggybacks its outbox cursor
+            # (``cur``): advancing past the entry is atomic with
+            # capturing the counters its publish bumped — a crash can
+            # never leave the counters durable but the cursor behind
+            # (which would republish and double-bump).
+            service = self.ecosystem.local_service(message.app)
+            if service is None:
+                return
+            fields += (service.publisher_version_store.counters(message.dependencies),)
+        elif kind == "shed":
+            # The post-state of the app's shed-deficit ledger, an
+            # idempotent replace on replay, appended *inside* the
+            # ledger's lock (``QueueFlow.with_ledger``): snapshotting the
+            # ledger under the lock but appending after releasing it lets
+            # a concurrent ledger writer (another shed, or an audit
+            # thread's ``reconcile_shed`` trim) slip its own record in
+            # between, and last-writer-wins replay restores the stale
+            # ledger. Holding the lock makes WAL order equal ledger-
+            # mutation order.
+            queue, dropped, flow = fields
+            flow.with_ledger(dropped.app, lambda ledger: self._append(
+                wal.LAYOUTS[kind](queue, dropped, ledger)
+            ))
             return
-        service = self.ecosystem.local_service(message.app)
-        if service is None:
-            return
-        counters = service.publisher_version_store.counters(message.dependencies)
-        # A CDC publish piggybacks its outbox cursor (``cur``): advancing
-        # past the entry is atomic with capturing the counters its
-        # publish bumped — a crash can never leave the counters durable
-        # but the cursor behind (which would republish and double-bump).
-        self._append(
-            wal.out_record(message.app, message.body(), counters, message.cdc),
-            message,
-        )
-
-    def log_pub(self, queue_name: str, message: Message) -> None:
-        self._append(wal.pub_record(queue_name, message.body()), message)
-
-    def log_coal(self, queue_name: str, survivor: Message) -> None:
-        # ``absorbed`` lists every uid the survivor has merged so far.
-        # Replay must drop those from pending: an absorbed message whose
-        # ``pub`` record is also in the log would otherwise be
-        # re-injected on every restore, carrying dependency increments
-        # the survivor already merged (dep-wait wedges or double-applied
-        # counter bumps under causal/global delivery).
-        self._append(
-            wal.coal_record(
-                queue_name, survivor.uid, survivor.coalesced_uids,
-                survivor.body(),
-            ),
-            survivor,
-        )
-
-    def log_shed(self, queue_name: str, message: Message, flow: Any) -> None:
-        """Post-state of the shed-deficit ledger for the message's app —
-        an idempotent replace on replay.
-
-        The append happens *inside* the ledger's lock
-        (``QueueFlow.with_ledger``): snapshotting the ledger under the
-        lock but appending after releasing it lets a concurrent ledger
-        writer (another shed, or an audit thread's ``reconcile_shed``
-        trim) slip its own record in between, so two records land in
-        inverted order and last-writer-wins replay restores the stale
-        ledger. Holding the lock across the append makes WAL order equal
-        ledger-mutation order."""
-        if self._restoring:
-            return
-        flow.with_ledger(message.app, lambda ledger: self._append(
-            {"t": "shed", "q": queue_name, "app": message.app, "ledger": ledger}
-        ))
-
-    def log_defer(self, queue_name: str, message: Message) -> None:
-        """A worker rotated a dependency-stalled delivery to the back of
-        the queue. Without this record restore rebuilds the queue in
-        original publish order, resurrecting the exact chain-head-buried
-        ordering the rotation had already fixed — the restored workers
-        would have to rediscover every defer before draining."""
-        self._append(
-            {"t": "defer", "q": queue_name, "uid": message.uid}, message
-        )
-
-    def log_ack(self, queue_name: str, message: Message) -> None:
-        if self._restoring:
-            return
-        if self.wal.injector is not None:
+        elif kind == "ack" and self.wal.injector is not None:
             self.wal.injector.fire("before-ack")
-        self._append(wal.ack_record(queue_name, message.uid), message)
-
-    def log_decom(self, queue_name: str) -> None:
-        self._append({"t": "decom", "q": queue_name})
-
-    def log_recom(self, queue_name: str) -> None:
-        self._append({"t": "recom", "q": queue_name})
-
-    def log_apply(self, service_name: str, message: Message) -> None:
-        if self._restoring:
-            return  # a replayed apply: do not encode its body for nothing
-        self._append(
-            wal.apply_record(service_name, message.uid, message.body()),
-            message,
-        )
-
-    def log_gen(self, service_name: str, app: str, generation: int) -> None:
-        self._append(
-            {"t": "gen", "svc": service_name, "app": app, "g": generation}
-        )
-
-    def log_pubgen(self, app: str, generation: int) -> None:
-        self._append({"t": "pubgen", "app": app, "g": generation})
-
-    def log_outbox(self, service_name: str, entry: Dict[str, Any]) -> None:
-        """A raw write committed its data row + outbox entry. The entry
-        carries everything replay needs to restore both."""
-        self._append({"t": "obx", "svc": service_name, "e": dict(entry)})
-
-    def log_cdc_cursor(self, service_name: str, cursor: int) -> None:
-        """CDC poller batch checkpoint — keeps an idle tail's position
-        durable across compaction even when no piggybacked ``out``
-        record follows."""
-        self._append({"t": "cdc", "svc": service_name, "cur": cursor})
+        self._append(wal.LAYOUTS[kind](*fields), message)
 
     # -- snapshot ------------------------------------------------------------
 
@@ -511,18 +449,13 @@ class DurabilityManager:
     def _to_cursor(self, rec: Dict[str, Any], report: RestoreReport) -> None:
         self._advance_cdc_cursor(rec["svc"], rec["cur"])
 
-    #: Record type -> the method that hands it to its owner.
-    _OWNERS = {
-        **dict.fromkeys(
-            ("pub", "coal", "defer", "ack", "shed", "decom", "recom"), _to_queue
-        ),
-        "apply": _to_subscriber,
-        "gen": _to_subscriber,
-        "out": _to_publisher,
-        "pubgen": _to_publisher,
-        "obx": _to_outbox,
-        "cdc": _to_cursor,
-    }
-
     def close(self) -> None:
         self.wal.close()
+
+
+#: Record type -> the method that hands it to its owner: ``_to_<owner>``
+#: of the transition that writes it.
+DurabilityManager._OWNERS = {
+    transition.record: getattr(DurabilityManager, "_to_" + transition.owner)
+    for transition in TRANSITIONS
+}

@@ -11,10 +11,11 @@ five record types that carry a message or ride in every delivery
 (``out``, ``pub``, ``coal``, ``apply``, ``ack``), as text one of the
 literal layouts below already made of it: the keys as constant text in
 canonical order around the message's cached body, so nothing on the hot
-path builds a JSON encoder. Either way the line is byte for byte what
-``canonical_json`` of the envelope yields. Segments rotate at a fixed
-record count so snapshot compaction can reclaim whole files below the
-snapshot's pin.
+path builds a JSON encoder. :data:`LAYOUTS` picks each record type's
+form from the fields of the transition that writes it. Either way the
+line is byte for byte what ``canonical_json`` of the envelope yields.
+Segments rotate at a fixed record count so snapshot compaction can
+reclaim whole files below the snapshot's pin.
 
 There is one append path: a line joins the buffer, and one place
 (``_flush_buffer_locked``) writes the *whole* buffer in one ``write``,
@@ -218,6 +219,28 @@ def apply_record(service_name: str, uid: str, body: str) -> str:
 def ack_record(queue_name: str, uid: str) -> str:
     """``{"t": "ack", "q", "uid"}``."""
     return f'{{"q":{_name(queue_name)},"t":"ack","uid":{_quote(uid)}}}'
+
+
+#: Record type -> its layout over the fields of the transition that
+#: writes it (``repro.runtime.interleave.TRANSITIONS``; ``q`` a queue
+#: name, ``svc`` a service): the text or the dict the log appends.
+#: ``DurabilityManager.log_transition`` hands ``out`` the post-bump
+#: counters too, and ``shed`` the ledger in place of the flow state.
+LAYOUTS = {
+    "out": lambda message, counters: out_record(message.app, message.body(), counters, message.cdc),
+    "pub": lambda q, message: pub_record(q, message.body()),
+    "coal": lambda q, _, into: coal_record(q, into.uid, into.coalesced_uids, into.body()),
+    "shed": lambda q, message, ledger: {"t": "shed", "q": q, "app": message.app, "ledger": ledger},
+    "defer": lambda q, message: {"t": "defer", "q": q, "uid": message.uid},
+    "ack": lambda q, message: ack_record(q, message.uid),
+    "decom": lambda q: {"t": "decom", "q": q},
+    "recom": lambda q: {"t": "recom", "q": q},
+    "apply": lambda svc, message: apply_record(svc.name, message.uid, message.body()),
+    "gen": lambda svc, app, g: {"t": "gen", "svc": svc.name, "app": app, "g": g},
+    "pubgen": lambda app, g: {"t": "pubgen", "app": app, "g": g},
+    "obx": lambda svc, entry: {"t": "obx", "svc": svc.name, "e": dict(entry)},
+    "cdc": lambda svc, cursor: {"t": "cdc", "svc": svc.name, "cur": cursor},
+}
 
 
 def decode_record(line: str) -> Dict[str, Any]:

@@ -1,7 +1,9 @@
 """Delivery-semantics checker: the §3.2 invariants, asserted per event.
 
 The checker subscribes to the scheduler's event stream (every
-``yield_point``/``observe_point`` on the hot path) and maintains its own
+``emit``/``yield_point``/``observe_point`` on the hot path; a durable
+transition arrives under its ``interleave.TRANSITIONS`` name) and
+maintains its own
 model of what a correct execution may do. It is deliberately
 independent of the code under test: e.g. the causal invariant is
 re-checked *at apply time* from the version store, so a racing

@@ -93,12 +93,13 @@ class InterleavingScheduler:
 
     # -- event hook (runs on worker threads) ---------------------------------
 
-    def _hook(self, label: str, info: Dict[str, Any], pause: bool) -> None:
+    def _hook(self, label: Optional[str], info: Dict[str, Any], pause: bool) -> None:
         with self._ident_lock:
             slot = self._by_ident.get(threading.get_ident())
         if slot is None:
             return  # not one of ours (e.g. the controlling thread)
-        self._record(slot.name, label, info)
+        if label is not None:  # None: a bare pause after an emit
+            self._record(slot.name, label, info)
         if pause:
             self._pause(slot)
 

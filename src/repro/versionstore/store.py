@@ -336,23 +336,20 @@ class SubscriberVersionStore:
         """Post-processing increment of every (non-external) dependency."""
         self.apply_counts({dep: 1 for dep in dependencies})
 
-    def apply_counts(
-        self, counts: Dict[str, int], record_only: bool = False
-    ) -> None:
+    def apply_counts(self, counts: Dict[str, int]) -> None:
         """Post-processing bump of each dependency by ``counts[dep]``;
         the last one (global mode's gate counter) is bumped last.
 
         Coalesced messages carry summed increments, and batched apply
-        bumps per message inside the group-commit transaction —
-        ``record_only=True`` downgrades the interleave events to
-        observe-only because the caller holds the engine mutex there
-        (a suspended scheduler step would deadlock the harness).
+        bumps per message inside the group-commit transaction, in an
+        ``interleave.record_only`` scope: the caller holds the engine
+        mutex there (a suspended scheduler step would deadlock the
+        harness).
         """
-        emit = observe_point if record_only else yield_point
         steps = [(self._key(d), d, n) for d, n in counts.items() if n > 0]
         for shard, group in self.kv.by_shard(steps).items():
             for _key, dep, amount in group:
-                emit("counter.bump", dep=dep)
+                yield_point("counter.bump", dep=dep)
                 if self._applied is not None:
                     self._applied.increment(amount)
 

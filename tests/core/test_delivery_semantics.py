@@ -228,9 +228,9 @@ class TestGlobalMode:
         bumped = []
         apply_counts = store.apply_counts
 
-        def recording(counts, record_only=False):
+        def recording(counts):
             bumped.append(list(counts))
-            apply_counts(counts, record_only)
+            apply_counts(counts)
 
         store.apply_counts = recording
         user = User.create(name="a")

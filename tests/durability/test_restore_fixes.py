@@ -5,7 +5,7 @@
    the log must not be re-injected on restore (its dependency
    increments already ride inside the survivor; re-delivery wedges
    causal delivery on versions nobody will ever bump again).
-2. ``log_shed`` appends *inside* ``flow._shed_lock`` — snapshotting the
+2. a ``shed`` record is appended *inside* ``flow._shed_lock`` — snapshotting the
    ledger under the lock but appending after releasing it lets a
    concurrent ledger writer append first, and last-writer-wins replay
    then restores the stale ledger.
@@ -29,6 +29,12 @@ from repro.orm import Field, Model
 from repro.repair.digest import publisher_model_digest, subscriber_model_digest
 from repro.runtime.flow import FlowConfig
 from repro.runtime.flow.coalesce import merge_into
+from repro.runtime.interleave import (
+    QUEUE_ACKED,
+    QUEUE_COALESCED,
+    QUEUE_PUBLISHED,
+    QUEUE_SHED,
+)
 
 
 def build_pipeline(data_dir, mode="causal", flow=None):
@@ -95,11 +101,11 @@ class TestCoalescedAbsorbedReplay:
             app="pub", operations=[update_op(9)], dependencies={hashed: 2},
             published_at=0.0,
         )
-        mgr_a.log_pub("sub", survivor)
-        mgr_a.log_pub("sub", absorbed)
+        mgr_a.log_transition(QUEUE_PUBLISHED, ("sub", survivor))
+        mgr_a.log_transition(QUEUE_PUBLISHED, ("sub", absorbed))
         merge_into(survivor, absorbed)
-        mgr_a.log_coal("sub", survivor)
-        mgr_a.log_ack("sub", survivor)
+        mgr_a.log_transition(QUEUE_COALESCED, ("sub", absorbed, survivor))
+        mgr_a.log_transition(QUEUE_ACKED, ("sub", survivor))
         mgr_a.wal.sync()
         # Crash: the process stops existing.
 
@@ -197,7 +203,7 @@ class TestShedLedgerAppendOrdering:
         pending = Message(
             app="pub", operations=[], dependencies={}, published_at=0.0
         )
-        mgr_a.log_pub("sub", pending)
+        mgr_a.log_transition(QUEUE_PUBLISHED, ("sub", pending))
 
         probe = _ProbedShedLock(victim_exit_no=2)
         flow._shed_lock = probe
@@ -205,7 +211,7 @@ class TestShedLedgerAppendOrdering:
         def first_shed():
             probe.victim = threading.get_ident()
             flow._record_shed(shed_a)  # probe exit #1
-            mgr_a.log_shed("sub", shed_a, flow)  # exit #2: park here
+            mgr_a.log_transition(QUEUE_SHED, ("sub", shed_a, flow))  # exit #2: park here
 
         thread = threading.Thread(target=first_shed)
         thread.start()
@@ -213,7 +219,7 @@ class TestShedLedgerAppendOrdering:
         # Interleaved writer: records its deficit and appends while the
         # first shed is parked between snapshot and (reverted) append.
         flow._record_shed(shed_b)
-        mgr_a.log_shed("sub", shed_b, flow)
+        mgr_a.log_transition(QUEUE_SHED, ("sub", shed_b, flow))
         probe.resume.set()
         thread.join(timeout=5)
         assert not thread.is_alive()

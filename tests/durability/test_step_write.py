@@ -48,6 +48,7 @@ from repro.durability.wal import (
 from repro.orm import Field, Model
 from repro.runtime.conformance.scenarios import durability_kill_restart_scenario
 from repro.runtime.flow import FlowConfig
+from repro.runtime.interleave import QUEUE_RECOMMISSIONED
 from repro.runtime.tracing import STAGE_WAL_FLUSH
 
 
@@ -124,7 +125,7 @@ ALL_RECORD_TYPES = {
 
 def drive_every_record_type(data_dir, pub_name, sub_name):
     """One pipeline through flow control, CDC, a generation bump and a
-    decommission/recommission: every ``log_*`` hook fires."""
+    decommission/recommission: every durable transition is logged."""
     eco, pub, (sub,), manager, PubDoc = build_pipeline(
         data_dir, pub_name, (sub_name,), mode="weak",
         flow=FlowConfig(capacity=6),
@@ -264,7 +265,7 @@ def test_a_long_step_is_written_a_group_at_a_time(tmp_path):
     eco, pub, (sub,), manager, PubDoc = build_pipeline(tmp_path, group_max=4)
     with manager.step:
         for logged in range(1, 10):
-            manager.log_recom("sub")
+            manager.log_transition(QUEUE_RECOMMISSIONED, ("sub",))
             assert len(lines_on_disk(manager)) == logged // 4 * 4
     assert len(lines_on_disk(manager)) == 9
 

@@ -27,6 +27,7 @@ from repro.durability.wal import (
     record_crc,
 )
 from repro.errors import DurabilityError, WALCorrupt
+from repro.runtime.interleave import QUEUE_COALESCED, QUEUE_DEFERRED, QUEUE_SHED
 
 
 class TestWALEnvelopeGolden:
@@ -168,10 +169,10 @@ class TestPipelineRecordGolden:
             dependencies={"h1": 2}, published_at=0.0, uid="pub:2",
         )
         merge_into(survivor, absorbed)
-        manager.log_coal("sub", survivor)
+        manager.log_transition(QUEUE_COALESCED, ("sub", absorbed, survivor))
         flow._record_shed(absorbed)
-        manager.log_shed("sub", absorbed, flow)
-        manager.log_defer("sub", survivor)
+        manager.log_transition(QUEUE_SHED, ("sub", absorbed, flow))
+        manager.log_transition(QUEUE_DEFERRED, ("sub", survivor))
         manager.close()
         path = manager.wal.segment_path(1)
         with open(path, "r", encoding="utf-8") as fh:

@@ -37,7 +37,7 @@ from repro.runtime.conformance.scenarios import (
     pop_deadline_scenario,
     trace_has,
 )
-from repro.runtime.interleave import hook_installed, yield_point
+from repro.runtime.interleave import SUBSCRIBER_APPLIED, hook_installed, yield_point
 
 
 def invariants(violations):
@@ -268,23 +268,24 @@ def violates_with_the_apply_record_after_the_bump(config):
     counter bump that releases dependents, as before the fix. Since the
     bump became one script per shard, the window needs that pause: a
     record appended right after the bump shows nothing on seeds 0-59."""
-    log_apply = DurabilityManager.log_apply
+    log_transition = DurabilityManager.log_transition
     held, finished = {}, set()
 
-    def hold(self, service_name, message):
-        if message.uid in finished:
-            log_apply(self, service_name, message)
+    def hold(self, transition, fields):
+        message = fields[-1]
+        if transition is not SUBSCRIBER_APPLIED or message.uid in finished:
+            log_transition(self, transition, fields)
         else:
-            held[message.uid] = (self, service_name, message)
+            held[message.uid] = (self, transition, fields)
 
-    def finish_then_log(label, **fields):
+    def finish_then_log(label=None, **fields):
         yield_point(label, **fields)
         if label == "msg.finished":
             finished.add(fields["message"].uid)
             if fields["message"].uid in held:
-                log_apply(*held.pop(fields["message"].uid))
+                log_transition(*held.pop(fields["message"].uid))
 
-    with mock.patch.object(DurabilityManager, "log_apply", hold), \
+    with mock.patch.object(DurabilityManager, "log_transition", hold), \
             mock.patch.object(subscriber_mod, "yield_point", finish_then_log):
         result = run_schedule(config)
     return INV_DURABLE in invariants(result.violations)

@@ -676,3 +676,114 @@ def test_one_raw_row_writer():
     }
     # Equality, so a stale entry fails as loudly as a new writer.
     assert writers == STORAGE_WRITERS
+
+
+# -- one transition, announced once -------------------------------------------
+#
+# A durable pipeline transition is a row of ``interleave.TRANSITIONS`` and
+# is announced by one ``emit`` inside the lock that orders it: the WAL
+# hears it through the log's one sink (``log_transition``), the
+# conformance checker through the record-only event ``emit`` hands the
+# hook. A per-record ``log_*`` hook, a yield point repeating the
+# transition's label, or a ``record_only`` flag choosing between a pause
+# and a record would be a second announcement of the same step.
+
+#: The one module and function that may call the log's sink.
+SINK_CALLER = ("runtime/interleave.py", "emit")
+
+
+def transition_seam_violations(tree, rel_path: str, names) -> list:
+    """Line numbers of every spelling the rule forbids: a ``def log_*``
+    other than ``log_transition``, a ``.log_*(`` call anywhere but
+    :data:`SINK_CALLER`, a ``yield_point``/``observe_point`` labelled
+    with a transition name (``names``), a ``record_only`` parameter."""
+    import ast
+
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            if node.name.startswith("log_") and node.name != "log_transition":
+                found.append(node.lineno)
+            function = node.name
+        elif isinstance(node, ast.arg) and node.arg == "record_only":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr.startswith("log_"):
+                if (rel_path, function) != SINK_CALLER:
+                    found.append(node.lineno)
+            elif (
+                getattr(func, "id", None) in ("yield_point", "observe_point")
+                and node.args
+                and getattr(node.args[0], "value", None) in names
+            ):
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def _parsed_sources():
+    import ast
+
+    for dirpath, _dirnames, filenames in os.walk(SRC_ROOT):
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                path = os.path.join(dirpath, filename)
+                rel_path = os.path.relpath(path, SRC_ROOT).replace(os.sep, "/")
+                with open(path, encoding="utf-8") as fh:
+                    source = fh.read()
+                yield rel_path, source, ast.parse(source)
+
+
+def test_transition_seam_finder_knows_every_spelling():
+    import ast
+
+    snippet = ast.parse("\n".join([
+        "def log_pub(self, queue_name, message): pass",
+        "def log_transition(self, transition, fields): pass",
+        "self.durability.log_ack(self.name, message)",
+        "def emit(log, transition, *fields):",
+        "    log.log_transition(transition, fields)",
+        "yield_point('queue.acked', queue=name, message=message)",
+        "observe_point('generation.flush', app=app, generation=g)",
+        "yield_point()",
+        "yield_point('queue.ack', queue=name, message=message)",
+        "def apply_counts(self, counts, record_only=False): pass",
+    ]))
+    names = {"queue.acked", "generation.flush"}
+    assert transition_seam_violations(snippet, "runtime/interleave.py", names) == [
+        1, 3, 6, 7, 10,
+    ]
+    assert transition_seam_violations(snippet, "broker/queue.py", names) == [
+        1, 3, 5, 6, 7, 10,
+    ]
+
+
+def test_each_transition_is_announced_once():
+    import ast
+
+    from repro.runtime.interleave import TRANSITIONS
+
+    names = {transition.name for transition in TRANSITIONS}
+    violations, sinks = [], []
+    for rel_path, source, tree in _parsed_sources():
+        lines = source.splitlines()
+        violations += [
+            f"{rel_path}:{lineno}: {lines[lineno - 1].strip()}"
+            for lineno in transition_seam_violations(tree, rel_path, names)
+        ]
+        sinks += [
+            rel_path for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("log_")
+        ]
+    assert violations == [], (
+        "a durable transition is announced twice — one "
+        "emit(log, TRANSITION, *fields) inside the ordering lock, then a "
+        "label-less yield_point() where the thread may switch:\n"
+        + "\n".join(violations)
+    )
+    assert sinks == ["durability/manager.py"]

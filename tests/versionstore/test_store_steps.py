@@ -9,6 +9,8 @@ they saw when each key was its own round trip.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core import Ecosystem
@@ -17,6 +19,7 @@ from repro.databases.document import MongoLike
 from repro.databases.kv import RedisLike
 from repro.errors import FaultInjected
 from repro.orm import Field, Model
+from repro.runtime import interleave
 from repro.runtime.interleave import install_hook, uninstall_hook
 from repro.versionstore import (
     PublisherVersionStore,
@@ -171,7 +174,8 @@ def test_bumped_values_are_reported_from_inside_the_script(record_only):
 
     install_hook(hook)
     try:
-        store.apply_counts({"a": 1, "b": 4}, record_only=record_only)
+        with interleave.record_only() if record_only else nullcontext():
+            store.apply_counts({"a": 1, "b": 4})
     finally:
         uninstall_hook(hook)
     pauses = not record_only
