@@ -77,8 +77,9 @@ class Message:
     ) -> None:
         with _seq_lock:
             self.seq = next(_seq)  # broker-side FIFO tiebreaker
-        #: Stable identity across redeliveries and wire copies, so
-        #: subscribers can deduplicate at-least-once deliveries.
+        #: Stable identity across redeliveries and wire copies: queues
+        #: key acks, coalescing and restore state by it. (Whether a
+        #: delivery was applied is the subscriber counters' question.)
         self.uid = uid if uid is not None else f"{app}:{self.seq}"
         self.app = app
         self.operations = operations
@@ -237,7 +238,7 @@ class Message:
         """Restore: move the process-wide sequence past every default
         ``app:seq`` uid in ``uids``. A fresh process restarts it at 1,
         and a new publish whose uid collided with a restored one would
-        be silently dedup-skipped by its subscriber."""
+        be mistaken for it by the queue's uid-keyed acks."""
         global _seq
         tails = (uid.rpartition(":")[2] for uid in uids)
         high = max((int(tail) for tail in tails if tail.isdigit()), default=0)

@@ -361,19 +361,19 @@ class SubscriberQueue:
             shed={app: dict(ledger) for app, ledger in (state.get("shed") or {}).items()},
         )
 
-    def replay(self, rec: Dict[str, Any], applied: Callable[[str], bool]) -> None:
+    def replay(self, rec: Dict[str, Any], applied: Callable[[Message], bool]) -> None:
         """Restore: apply one tail record about this queue (``pub``,
         ``coal``, ``defer``, ``ack``, ``shed``, ``decom``, ``recom``) to
-        what the restore has rebuilt so far. ``applied(uid)`` says
-        whether the subscriber has already applied a message: a replayed
-        ``pub`` of one is not owed again (at-least-once dedup)."""
+        what the restore has rebuilt so far. ``applied(message)`` is the
+        subscriber's counter rule: a replayed ``pub`` of a message it
+        has already applied is not owed again."""
         restored = self._restored
         if restored is None:
             restored = self._restored = _Restored()
         pending, kind = restored.pending, rec["t"]
         if kind == "pub":
             uid = rec["m"]["uid"]
-            if uid not in pending and not applied(uid):
+            if uid not in pending and not applied(Message.from_wire(rec["m"])):
                 pending[uid] = rec["m"]
                 restored.published += 1
         elif kind == "coal":

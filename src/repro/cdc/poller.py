@@ -12,8 +12,8 @@ Cursor durability has two layers, both through the PR-7 WAL:
    ``cur = <outbox seq>``, so cursor-advance is atomic with the
    publisher-counter capture in one WAL append. A crash *before* that
    append leaves the cursor behind the entry → clean republish under
-   the entry's stable ``<app>:cdc:<seq>`` uid, deduped by the
-   subscriber. A crash *after* it but before queue admission leaves the
+   the entry's stable ``<app>:cdc:<seq>`` uid (nothing was forwarded:
+   the forward waits for the step's write). A crash *after* it but before queue admission leaves the
    cursor past a never-enqueued entry → replica divergence in the same
    accepted window as the ORM path, healed by audit + targeted repair.
 2. **Checkpoint**: each poll batch ends with an explicit

@@ -578,8 +578,11 @@ class Service:
 
     def durable_state(self) -> Dict[str, Any]:
         """This service's section of a snapshot: both version stores,
-        the subscriber's generations, dedup window and bootstrap flag,
-        and the rows of every stored model (the outbox's included)."""
+        the subscriber's generations and bootstrap flag, and the rows of
+        every stored model (the outbox's included). Counters are read
+        before rows, and an apply writes rows before it bumps: a
+        snapshot holding an apply's bump holds its rows too, which is
+        what lets restore skip an overlapping ``apply`` as applied."""
         return {
             "pvs": self.publisher_version_store.durable_state(),
             "svs": self.subscriber_version_store.snapshot(),

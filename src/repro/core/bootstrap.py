@@ -4,7 +4,12 @@ Three steps: (1) the publisher's version-store counters are transferred
 in bulk; (2) every subscribed object is dumped from the publisher's DB
 and applied locally; (3) messages published meanwhile are drained. The
 subscriber runs with weak semantics (``bootstrap_active`` is True) until
-step 3 completes.
+step 3 completes, and step 3 skips what step 1 already counted: a queued
+message whose written objects' counters the transfer moved past its
+versions is acked as a duplicate (its writes are in step 2's dump), not
+applied and bumped a second time. A bootstrap restricted to some
+``models`` therefore transfers only the counters of the objects it
+dumps.
 
 The same procedure serves as the *partial bootstrap* after a queue
 decommission, a subscriber version-store death, or the message-loss
@@ -53,7 +58,9 @@ def bootstrap_subscriber(
         # Step 1 — bulk version transfer, answered by the publisher's
         # control-plane handler (which may live in another process).
         snapshot = control.bootstrap_snapshot(app)
-        service.subscriber_version_store.bulk_load(snapshot["versions"])
+        versions = snapshot["versions"]
+        if models is None:
+            service.subscriber_version_store.bulk_load(versions)
         subscriber.generations[app] = snapshot["generation"]
 
         # Step 2 — bulk data transfer of every subscribed model: the
@@ -71,6 +78,14 @@ def bootstrap_subscriber(
                 subscriber.apply_operation(app, operation)
                 dumped_ids.add(row_id)
                 applied += 1
+            if models is not None:
+                # Step 1 for this model's objects only: a counter the
+                # dump did not deliver the data of would make step 3
+                # skip that object's queued writes.
+                dumped = (subscriber.object_dep(app, op) for op in dump["operations"])
+                service.subscriber_version_store.bulk_load(
+                    {dep: versions[dep] for dep in dumped if dep in versions}
+                )
             # Anti-entropy: drop local rows the publisher no longer has
             # (their delete messages may have been lost — without this, a
             # rebootstrap after the §6.5 incident could leave ghosts).

@@ -372,9 +372,7 @@ class SynapsePublisher:
         so causal reads don't chain).
 
         The message uid is derived from the outbox sequence
-        (``<app>:cdc:<seq>``), stable across crash-replay republishes so
-        subscriber-side dedup makes the at-least-once tail effectively
-        exactly-once.
+        (``<app>:cdc:<seq>``), stable across crash-replay republishes.
         """
         service = self.service
         fields = service.published_fields_for(model_cls) or []

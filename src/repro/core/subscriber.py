@@ -6,6 +6,13 @@ the message's dependencies are satisfied in the local version store
 local ORM (firing the application's active-model callbacks), increment
 the dependency counters, and ack.
 
+"Already applied?" is a counter question, asked of the same counters:
+a message has been applied when every object it writes has a counter
+past the version the message carries for that object
+(:meth:`SynapseSubscriber.applied`). An ordered redelivery is found
+done by the dependency check itself and acked as a duplicate; a weak
+one is discarded object by object.
+
 Weak mode never waits: it applies fresh updates and discards stale ones.
 During bootstrap every message is handled with weak semantics (§3.2).
 
@@ -13,7 +20,7 @@ A subscription is read in one place. :class:`SubscriptionSpec` owns the
 field map in both directions — ``hydrate`` (remote → local, through the
 model, so ``as:`` renames and virtual setters run) and ``project``
 (local → remote, what the audit digest hashes). The per-message step —
-land the operations, move the counters, remember the uid — is
+land the operations, move the counters — is
 :meth:`SynapseSubscriber._land` + :meth:`SynapseSubscriber._count`;
 the live apply and WAL replay (:meth:`SynapseSubscriber.replay_apply`)
 both run it and differ in the persist step they hand it: ``_save``
@@ -22,8 +29,6 @@ both run it and differ in the persist step they hand it: ``_save``
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,6 +58,7 @@ from repro.runtime.tracing import (
     activate_trace,
     trace_now,
 )
+from repro.versionstore.store import DONE, StripedLocks
 
 
 @dataclass
@@ -156,23 +162,13 @@ class SynapseSubscriber:
         #: Time spent applying operations through the local ORM.
         self.apply_time = registry.histogram(f"subscriber.{service.name}.apply")
         self.queue = None
-        # At-least-once deduplication: remember recently-applied message
-        # uids so a redelivery after a missed ack is a no-op (applying
-        # twice would double-increment the dependency counters).
-        # Regression note: the deque/set pair used to be mutated without a
-        # lock; N pool workers marking applied concurrently could pop the
-        # same oldest uid or interleave deque/set updates, leaving the set
-        # out of sync with the deque (phantom or lost dedup entries).
-        self._applied_lock = threading.Lock()
-        self._applied_uids: "deque[str]" = deque(maxlen=4096)
-        self._applied_uid_set: set = set()
         # Per-object serialisation of the weak/repair fresh-or-discard
         # paths: the stale check, the ORM write and the counter
         # fast-forward must be one atomic step per object, or two
         # parallel workers can interleave check-then-apply and land an
-        # older version on top of a newer one.
-        self._object_locks: Dict[str, threading.Lock] = {}
-        self._object_locks_guard = threading.Lock()
+        # older version on top of a newer one. A table of its own, not
+        # the publisher's: a callback under an object stripe may publish.
+        self._object_locks = StripedLocks()
 
     # ------------------------------------------------------------------
     # Registration
@@ -347,11 +343,6 @@ class SynapseSubscriber:
         if chained:
             messages = sorted(messages, key=_by_seq)
         for message in messages:
-            if self.has_applied(message.uid):
-                self._duplicates.increment()
-                yield_point("dedup.duplicate", message=message)
-                done.append(message)  # redelivered duplicate: safe to ack again
-                continue
             if message.repair:
                 # Anti-entropy repair: never waits (the whole point is to
                 # heal counter deficits that would make waiting eternal) and
@@ -365,30 +356,36 @@ class SynapseSubscriber:
                 continue
             mode = self.app_modes.get(message.app, WEAK)
             if mode == WEAK:
-                # Weak never waits, and fast-forwards instead of bumping.
+                # Weak never waits, and fast-forwards instead of bumping;
+                # a redelivery is discarded object by object.
                 ready.append((message, True))
                 continue
             # Bootstrap forces weak semantics (§3.2): apply without
             # waiting, but keep full counter accounting so the configured
-            # mode resumes cleanly once in sync.
-            if not (self.bootstrapping or message.bootstrap):
+            # mode resumes cleanly once in sync — and skip what step 1's
+            # bulk counter transfer already counted.
+            forced = self.bootstrapping or message.bootstrap
+            required: Dict[str, int] = {}
+            if not forced:
                 # Non-weak modes never consult the written-object set.
                 required = effective_dependencies(message.dependencies, mode, ())
                 required.update(message.external_dependencies)
                 yield_point("dep.check", message=message, required=required)
-                wait_start = trace_now()
-                if bumps:
-                    satisfied = all(
-                        store.ops(dep) + bumps.get(dep, 0) >= version
-                        for dep, version in required.items()
-                    )
-                else:
-                    satisfied = store.satisfied(required)
-                if not satisfied:
-                    if blocked is None:
-                        blocked = (len(retry), required)
-                    retry.append(message)
-                    continue
+            wait_start = trace_now()
+            verdict = store.satisfied(required, self._written(message), bumps)
+            if verdict == DONE:
+                # Applied already (a redelivery after a lost ack): ack
+                # it again, bump nothing.
+                self._duplicates.increment()
+                yield_point("dedup.duplicate", message=message)
+                done.append(message)
+                continue
+            if not verdict:
+                if blocked is None:
+                    blocked = (len(retry), required)
+                retry.append(message)
+                continue
+            if not forced:
                 self._record_dep_wait(message, wait_start)
             ready.append((message, False))
             if chained:
@@ -507,8 +504,8 @@ class SynapseSubscriber:
     ) -> None:
         """A mid-batch engine fault rolled back the whole group-commit
         transaction, but the completed prefix already bumped its
-        counters and entered the dedup window — re-processing would
-        dedup-skip it and its engine writes would be lost. Redo just
+        counters — re-processing would find it applied and ack it as a
+        duplicate, and its engine writes would be lost. Redo just
         those writes outside any transaction: applies are idempotent
         upserts, and the per-object freshness check skips objects a
         concurrent fresher apply has already moved past. The ceiling
@@ -530,7 +527,7 @@ class SynapseSubscriber:
                     hashed, increments.get(hashed, 1)
                 )
                 try:
-                    with self._object_lock(hashed):
+                    with self._object_locks.lock_for(hashed):
                         if self.service.subscriber_version_store.ops(hashed) > ceiling:
                             continue
                         self.apply_operation(message.app, operation)
@@ -538,17 +535,17 @@ class SynapseSubscriber:
                     # A redo that fails again must not abandon the
                     # remaining redos, and above all must not escape to
                     # the worker loop: every completed message is
-                    # already counted (deduped, counters bumped), so
-                    # a batch-wide nack would have its redelivery
-                    # dedup-skip while the rolled-back engine write —
+                    # already counted (counters bumped), so a
+                    # batch-wide nack would have its redelivery acked
+                    # as a duplicate while the rolled-back engine write —
                     # and every redo after this one — is silently lost.
                     # Count it and let anti-entropy repair the object.
                     self._redo_failed.increment()
 
     def _count(self, message: Message, bump: bool) -> None:
-        """Move the counters and remember the uid once a message's
-        writes have landed. ``bump`` increments every own-app
-        dependency; externals are never bumped."""
+        """Move the counters once a message's writes have landed.
+        ``bump`` increments every own-app dependency; externals are
+        never bumped."""
         if bump:
             increments = message.counter_increments()
             if self.app_modes.get(message.app) == GLOBAL:
@@ -563,7 +560,6 @@ class SynapseSubscriber:
                     increments = dict(increments)
                     increments[gate] = increments.pop(gate)
             self.service.subscriber_version_store.apply_counts(increments)
-        self._mark_applied(message.uid)
 
     def _can_group_commit(self) -> bool:
         db = self.service.database
@@ -602,65 +598,57 @@ class SynapseSubscriber:
         """Give up waiting for a late/lost dependency and apply anyway
         (the configurable-timeout semantics recommended in §6.5: causal
         is timeout=∞, weak is timeout=0, this is anything in between)."""
-        if not self.has_applied(message.uid):
+        if not self.applied(message):
             self._apply_one(message, weak=False)
 
-    def has_applied(self, uid: str) -> bool:
-        """Is ``uid`` in the at-least-once dedup window?"""
-        with self._applied_lock:
-            return uid in self._applied_uid_set
+    def applied(self, message: Message) -> bool:
+        """Has ``message`` been applied? True when every object it
+        writes has a counter past the version it carries for that
+        object — the dependency check's DONE verdict, asked alone
+        (restore, forced applies). Never for a repair message, whose
+        apply is idempotent."""
+        if message.repair:
+            return False
+        store = self.service.subscriber_version_store
+        return store.satisfied({}, self._written(message)) == DONE
 
-    def applied_uids(self) -> List[str]:
-        """The dedup window, oldest first (what a snapshot carries)."""
-        with self._applied_lock:
-            return list(self._applied_uids)
+    def _written(self, message: Message) -> Dict[str, int]:
+        """hashed object dep -> the version the message carries for it,
+        for the objects it writes."""
+        carried = message.dependencies
+        return {
+            hashed: carried[hashed]
+            for hashed in self.object_deps(message) if hashed in carried
+        }
 
     def durable_state(self) -> Dict[str, Any]:
         """This subscriber's part of its service's snapshot section."""
         return {
             "sub_generations": dict(self.generations),
-            "applied_uids": self.applied_uids(),
             "bootstrapping": self.bootstrapping,
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Adopt a snapshot's generations (set-to-max, no flush: the
-        counters come from the same snapshot), dedup window and
-        bootstrap flag."""
+        counters come from the same snapshot) and bootstrap flag. A v1
+        snapshot's window of applied uids is ignored: the counters
+        already say what was applied."""
         for app, generation in state.get("sub_generations", {}).items():
             if generation > self.generations.get(app, 1):
                 self.generations[app] = generation
-        for uid in state.get("applied_uids", []):
-            self._mark_applied(uid)
         self.bootstrapping = bool(state.get("bootstrapping", False))
-
-    def _mark_applied(self, uid: str) -> None:
-        with self._applied_lock:
-            if uid in self._applied_uid_set:
-                return
-            if len(self._applied_uids) == self._applied_uids.maxlen:
-                oldest = self._applied_uids.popleft()
-                self._applied_uid_set.discard(oldest)
-            self._applied_uids.append(uid)
-            self._applied_uid_set.add(uid)
-
-    def _object_lock(self, hashed_dep: str) -> threading.Lock:
-        with self._object_locks_guard:
-            lock = self._object_locks.get(hashed_dep)
-            if lock is None:
-                lock = threading.Lock()
-                self._object_locks[hashed_dep] = lock
-            return lock
 
     def object_deps(self, message: Message) -> Dict[str, Dict[str, Any]]:
         """hashed object dep -> operation, for the written objects."""
-        hasher = self.service.ecosystem.hasher
-        out: Dict[str, Dict[str, Any]] = {}
-        for operation in message.operations:
-            table = table_for_type(operation["types"][0])
-            hashed = hasher.hash(dep_name(message.app, table, operation["id"]))
-            out[hashed] = operation
-        return out
+        return {
+            self.object_dep(message.app, operation): operation
+            for operation in message.operations
+        }
+
+    def object_dep(self, app: str, operation: Dict[str, Any]) -> str:
+        """The hashed dependency of the object one operation writes."""
+        table = table_for_type(operation["types"][0])
+        return self.service.ecosystem.hasher.hash(dep_name(app, table, operation["id"]))
 
     def _land(
         self,
@@ -694,7 +682,7 @@ class SynapseSubscriber:
         for hashed, operation in self.object_deps(message).items():
             version = message.dependencies.get(hashed, 0)
             tell("claim", hashed, version)
-            with self._object_lock(hashed):
+            with self._object_locks.lock_for(hashed):
                 if store.is_stale(hashed, version):
                     tell("discarded", hashed, version)
                     if not message.repair:
@@ -732,14 +720,14 @@ class SynapseSubscriber:
 
     def replay_apply(self, message: Message) -> bool:
         """Restore: land one logged apply again — the live step with
-        the raw persist — unless its uid is already in the dedup
-        window; True when it landed. No callbacks (every cascade they
+        the raw persist — unless the counters say it is
+        :meth:`applied`; True when it landed. No callbacks (every cascade they
         produced is already its own log record), no write the publisher
         intercepts, no view hook (views rebuild after restore), no
         interleave event of this module, no subscriber metric;
         bootstrap-forced-weak applies bumped like ordered ones, so only
         the configured mode decides ``weak``."""
-        if self.has_applied(message.uid):
+        if self.applied(message):
             return False
         weak = self.app_modes.get(message.app, WEAK) == WEAK
         self._land(message, weak, self._store_raw)

@@ -7,8 +7,8 @@ Enabled, every durable state transition
 (publish, coalesce, shed, ack, apply, generation bump) is logged to an
 append-only segmented WAL, periodically checkpointed into a snapshot
 that pins the WAL position it covers, and :meth:`DurabilityManager.
-restore` rebuilds the process after a ``kill -9`` by replaying the tail
-with at-least-once dedup.
+restore` rebuilds the process after a ``kill -9`` by replaying the tail,
+skipping what the subscriber counters say was applied.
 """
 
 from repro.durability.datadir import (

@@ -29,8 +29,8 @@ written at once, and any write takes every thread's buffered lines, so
 the file is always a prefix of append order. Every engine being
 in-memory, a process killed mid-step is indistinguishable from one
 killed a few microseconds earlier, at the previous step's end:
-what it had applied or acked but not written is redelivered and deduped
-after restart. ``interval`` and ``always`` ignore steps. The clean end
+what it had applied or acked but not written is redelivered after
+restart and found applied by its counters. ``interval`` and ``always`` ignore steps. The clean end
 of an outermost step holds no lock, so that is where the
 ``snapshot_every`` cadence is checked.
 
@@ -38,12 +38,13 @@ of an outermost step holds no lock, so that is where the
 step, the snapshot store and its cadence, and :meth:`restore`, which is
 ARIES-lite — load the latest valid snapshot and hand each section to
 its owner, replay the WAL tail past its pin handing each record to its
-owner by type (the queue dedups a replayed ``pub`` against its
-subscriber's applied-uid window; an ``apply`` re-lands through the
-subscriber's own step with a raw persist, no callbacks), let every
-queue re-inject what it rebuilt, and move the process-wide message
-sequence past every restored uid so new publishes cannot collide into
-the dedup window. No queue, version-store or row logic lives here. What
+owner by type (the queue drops a replayed ``pub`` its subscriber's
+counters say is applied; an ``apply`` re-lands through the
+subscriber's own step with a raw persist, no callbacks, unless the
+counters say the same), let every queue re-inject what it rebuilt, and
+move the process-wide message sequence past every restored uid so new
+publishes cannot reuse one. No queue, version-store or row logic lives
+here. What
 the tail cannot bring back (columns a callback computed, unpublished
 columns) is tabled in docs/durability.md.
 
@@ -76,7 +77,7 @@ from repro.runtime.interleave import TRANSITIONS, Transition
 from repro.runtime.tracing import STAGE_WAL, STAGE_WAL_FLUSH, trace_now
 
 
-def _never(uid: str) -> bool:
+def _never(message: Message) -> bool:
     return False
 
 
@@ -282,7 +283,10 @@ class DurabilityManager:
 
         The WAL is synced and the pin taken *before* state capture, so
         records racing the capture appear both in the snapshot and the
-        tail — replay dedup makes the overlap idempotent. ``pin``
+        tail. The counters make that overlap idempotent: a service's
+        section captures its counters before its rows, so an ``apply``
+        whose bump the snapshot holds has its rows there too, and replay
+        skips it as applied (docs/durability.md). ``pin``
         overrides the position (tests replaying a bounded prefix)."""
         with self._snapshot_lock:
             self.wal.sync()
@@ -356,8 +360,6 @@ class DurabilityManager:
                 uids.extend(message.uid for message in requeued)
             self._requeued.increment(report.requeued)
             self._restored_applies.increment(report.applied)
-            for service in eco.local_services():
-                uids.extend(service.subscriber.applied_uids())
             Message.advance_sequence(uids)
             # Derived read models are not snapshotted: WAL replay lands
             # raw engine writes without the subscriber's view hook, so
@@ -418,7 +420,7 @@ class DurabilityManager:
 
     def _to_queue(self, rec: Dict[str, Any], report: RestoreReport) -> None:
         service = self.ecosystem.local_service(rec["q"])
-        applied = service.subscriber.has_applied if service is not None else _never
+        applied = service.subscriber.applied if service is not None else _never
         self.ecosystem.broker.queue_for(rec["q"]).replay(rec, applied)
 
     def _to_subscriber(self, rec: Dict[str, Any], report: RestoreReport) -> None:

@@ -2,7 +2,7 @@
 
 A snapshot is one JSON file capturing this process's durable state —
 broker queues (pending + unacked + shed-deficit ledgers), version-store
-counter maps, generations, dedup windows and engine rows — plus a
+counter maps, generations and engine rows — plus a
 *manifest* pinning the WAL position it covers. Restore loads the latest
 valid snapshot and replays only the WAL tail past the pin; segments
 wholly below the pin (and older snapshot files) are reclaimed.
@@ -22,8 +22,10 @@ from repro.errors import DurabilityError
 from repro.runtime.monitor.recorder import FlightRecorder
 
 #: On-disk snapshot schema version; loaders refuse *newer* snapshots
-#: instead of misreading them.
-SNAPSHOT_VERSION = 1
+#: instead of misreading them. v2 retires the subscriber's window of
+#: applied message uids (the counters say what was applied); a v1
+#: snapshot still loads and that field of it is ignored.
+SNAPSHOT_VERSION = 2
 
 _PREFIX = "snap-"
 _SUFFIX = ".json"

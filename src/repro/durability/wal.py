@@ -463,7 +463,8 @@ class SegmentedWAL:
         lines that did not reach the file, say so, and refuse every
         later append with the same error — appending behind a hole
         would make the log lie. The process restarts from the surviving
-        prefix; effects it never logged are redelivered and deduped.
+        prefix; effects it never logged are redelivered, and the
+        subscriber counters recognise what was applied.
         (Closing the handle may still push out part of the failed
         write: a torn tail replay forgives, or whole lines that only
         lengthen the prefix.)"""

@@ -25,7 +25,10 @@ Invariant identifiers (stable, used by tests and the CLI):
   while an older-generation message is in flight.
 - ``delivery.at-least-once`` — every message that entered the queue is
   applied or explicitly accounted (give-up, decommission).
-- ``delivery.dedup`` — no message uid is applied more than once.
+- ``delivery.dedup`` — no message lands a write or a counter bump
+  twice, judged on effects: an ordered message finishes once (its
+  redelivery is acked as a duplicate before applying), and a weak or
+  repair message may finish again only with every object discarded.
 - ``worker.no-silent-death`` — no worker dies on an unexpected
   exception from the queue/subscriber layer.
 - ``queue.pop-deadline`` — a blocking pop never returns early on a
@@ -94,6 +97,8 @@ class Violation:
 class _MessageFate:
     message: Any
     finishes: int = 0
+    #: Finishes that landed a write or moved a counter.
+    applies: int = 0
 
 
 class DeliveryChecker:
@@ -139,6 +144,8 @@ class DeliveryChecker:
         self.cache_misses = 0
         self._counter_floor: Dict[str, int] = {}
         self._weak_applied: Dict[str, int] = {}
+        #: uids whose apply in progress landed a fresh weak/repair write.
+        self._landed: set = set()
         self._last_global_version: Optional[int] = None
         self._step = -1
         self._worker = ""
@@ -306,20 +313,31 @@ class DeliveryChecker:
                 "was queued — its shared containers were written to after "
                 "publish",
             )
+        landed = message.uid in self._landed
+        self._landed.discard(message.uid)
         fate = self.entered.get(message.uid)
-        if fate is not None:
-            fate.finishes += 1
-            if fate.finishes > 1:
+        if fate is None:
+            return
+        fate.finishes += 1
+        # An ordered apply always writes and bumps; a fresh-or-discard
+        # one has effects only when some object was fresh.
+        if landed or not (message.repair or self._mode_for(message) == WEAK):
+            fate.applies += 1
+            if fate.applies > 1:
                 self.violation(
                     INV_DEDUP,
-                    f"message {message.uid} applied {fate.finishes} times — "
+                    f"message {message.uid} applied {fate.applies} times — "
                     "at-least-once redelivery must deduplicate",
                 )
 
     def _on_dedup_duplicate(self, info: Dict[str, Any]) -> None:
         self.duplicates += 1
 
+    def _on_apply_repair(self, info: Dict[str, Any]) -> None:
+        self._landed.add(info["message"].uid)
+
     def _on_apply_weak(self, info: Dict[str, Any]) -> None:
+        self._landed.add(info["message"].uid)
         dep, version = info["dep"], info["version"]
         last = self._weak_applied.get(dep)
         if last is not None and version <= last:

@@ -258,28 +258,14 @@ class ConformanceHarness:
 
     # -- durability: restore equivalence --------------------------------------
 
-    @staticmethod
-    def _normalized_durable_state(state: Dict[str, Any]) -> Dict[str, Any]:
-        """Applied-uid *membership* is the durable contract (the dedup
-        check is a set lookup); the deque's order reflects worker
-        scheduling, not state, so normalize it before comparing."""
-        import copy
-
-        state = copy.deepcopy(state)
-        for service_state in state.get("services", {}).values():
-            service_state["applied_uids"] = sorted(
-                service_state.get("applied_uids", [])
-            )
-        return state
-
     def _check_restore_equivalence(self) -> List[Violation]:
         """The durability invariant: a second fresh ecosystem restoring
         from this schedule's WAL must reproduce the live ecosystem's
         durable state exactly — rows, counters, generations, queue
-        backlog, shed ledgers, dedup membership."""
+        backlog, shed ledgers."""
         manager = self.eco.durability
         manager.wal.sync()
-        live = self._normalized_durable_state(manager.capture_state())
+        live = manager.capture_state()
         eco2, _pub2, _sub2, _doc2 = self._make_ecosystem()
         manager2 = eco2.enable_durability(data_dir=self._durability_dir)
         violations: List[Violation] = []
@@ -294,9 +280,7 @@ class ConformanceHarness:
                     )
                 )
                 return violations
-            restored = self._normalized_durable_state(
-                manager2.capture_state()
-            )
+            restored = manager2.capture_state()
             for section in ("generations", "services", "queues", "cdc"):
                 if restored.get(section) != live.get(section):
                     violations.append(
@@ -618,7 +602,7 @@ def default_matrix(
     subscribers), with broker faults folded into a slice of the
     seeds, and a flow × crash-recovery variant on another slice (a
     worker dies holding a partially applied batch; ``requeue_unacked``
-    plus dedup must absorb it)."""
+    plus the subscriber's counter rule must absorb it)."""
     # Every variant starts from the same plain schedule: whatever
     # subsystem switches ``base`` carries, a variant turns on its own.
     plain = replace(

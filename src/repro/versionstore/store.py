@@ -9,7 +9,10 @@ bumps the counters and emits ``version`` for read dependencies and
 Subscriber side, per dependency: a single ``ops`` counter. A message is
 processable once every dependency's stored counter is >= the version in
 the message; after processing, the counter of every (non-external)
-dependency is incremented.
+dependency is incremented. The same counters say whether a message was
+applied already: every object it writes has a counter *past* the
+version it carries (the dependency check's DONE verdict; ``is_stale``
+per object).
 
 All counter updates run as atomic scripts on Redis-like shards behind a
 consistent-hash ring: one step over one message (register, dependency
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
+import zlib
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.databases.kv import RedisLike
@@ -107,27 +111,30 @@ class ShardedKV:
         return sum(shard.dbsize() for shard in self.shards)
 
 
-class _LockTable:
-    """Per-dependency locks, acquired in sorted order (deadlock-free)."""
+#: Locks in one :class:`StripedLocks` table, whatever the key count.
+LOCK_STRIPES = 256
+
+
+class StripedLocks:
+    """A fixed table of locks; a key takes the stripe its CRC picks, so
+    the table never grows with the keys ever locked and two keys sharing
+    a stripe merely serialise. A multi-key acquire takes the distinct
+    stripes in index order (deadlock-free)."""
 
     def __init__(self) -> None:
-        self._locks: Dict[str, threading.Lock] = {}
-        self._guard = threading.Lock()
+        self._stripes = tuple(threading.Lock() for _ in range(LOCK_STRIPES))
 
-    def _lock_for(self, dep: str) -> threading.Lock:
-        with self._guard:
-            lock = self._locks.get(dep)
-            if lock is None:
-                lock = threading.Lock()
-                self._locks[dep] = lock
-            return lock
+    def __len__(self) -> int:
+        return len(self._stripes)
 
-    def acquire(self, deps: Iterable[str]) -> List[threading.Lock]:
-        held = []
-        for dep in sorted(set(deps)):
-            lock = self._lock_for(dep)
+    def lock_for(self, key: str) -> threading.Lock:
+        return self._stripes[zlib.crc32(key.encode()) % LOCK_STRIPES]
+
+    def acquire(self, keys: Iterable[str]) -> List[threading.Lock]:
+        stripes = sorted({zlib.crc32(key.encode()) % LOCK_STRIPES for key in keys})
+        held = [self._stripes[index] for index in stripes]
+        for lock in held:
             lock.acquire()
-            held.append(lock)
         return held
 
     @staticmethod
@@ -148,7 +155,7 @@ class PublisherVersionStore:
     ) -> None:
         self.kv = kv
         self.hasher = hasher or DependencyHasher()
-        self.locks = _LockTable()
+        self.locks = StripedLocks()
         # Counter bumps mirrored into the ecosystem metrics registry.
         self._bumps = (
             metrics.counter(f"versionstore.{owner or 'publisher'}.bumps")
@@ -267,6 +274,10 @@ class PublisherVersionStore:
         self.kv.flushall()
 
 
+#: :meth:`SubscriberVersionStore.satisfied`'s verdicts; WAITING is falsy.
+WAITING, READY, DONE = 0, 1, 2
+
+
 class SubscriberVersionStore:
     """The subscriber's single-counter store."""
 
@@ -310,18 +321,46 @@ class SubscriberVersionStore:
                 out[hashed_dep] = behind
         return out
 
-    def satisfied(self, dependencies: Dict[str, int]) -> bool:
-        steps = [(self._key(dep), version) for dep, version in dependencies.items()]
+    def satisfied(
+        self,
+        dependencies: Dict[str, int],
+        written: Optional[Dict[str, int]] = None,
+        pending: Optional[Dict[str, int]] = None,
+    ) -> int:
+        """The §4.2 check of one message, one script per shard:
+        :data:`WAITING` (falsy) while a ``dependencies`` counter is below
+        its version, else :data:`DONE` when every ``written`` object's
+        counter is already *past* the version the message carries for
+        it — the message has been applied — else :data:`READY`.
+        ``pending`` adds the bumps earlier members of the same batch
+        will make. DONE is exact for an ordered message: it was admitted
+        with each written counter *equal* to its carried version, its
+        apply moved them past, and every later reference to those
+        objects waits for that apply (docs/delivery_semantics.md)."""
+        written = written or {}
+        pending = pending or {}
+        steps = [
+            (self._key(dep), pending.get(dep, 0), dependencies.get(dep), written.get(dep))
+            for dep in {**dependencies, **written}
+        ]
+        applied = bool(written)
         for shard, group in self.kv.by_shard(steps).items():
 
-            def script(store: RedisLike, group: List[tuple] = group) -> bool:
-                return all(
-                    (store.hget(key, "ops") or 0) >= version for key, version in group
-                )
+            def script(store: RedisLike, group: List[tuple] = group) -> Optional[bool]:
+                past = True
+                for key, extra, needed, carried in group:
+                    ops = (store.hget(key, "ops") or 0) + extra
+                    if needed is not None and ops < needed:
+                        return None
+                    if carried is not None and ops <= carried:
+                        past = False
+                return past
 
-            if not shard.eval(script):
-                return False
-        return True
+            past = shard.eval(script)
+            if past is None:
+                return WAITING
+            applied = applied and past
+        return DONE if applied else READY
 
     def missing(self, dependencies: Dict[str, int]) -> Dict[str, Tuple[int, int]]:
         """Unsatisfied deps -> (required, current); for diagnostics."""
@@ -369,7 +408,8 @@ class SubscriberVersionStore:
 
     def is_stale(self, hashed_dep: str, message_version: int) -> bool:
         """Weak delivery: a message older than the applied state is
-        discarded rather than waited for (§3.2)."""
+        discarded rather than waited for (§3.2). The counter-past-version
+        rule :meth:`satisfied` calls DONE, for one object."""
         return message_version < self.ops(hashed_dep)
 
     def fast_forward(self, hashed_dep: str, message_version: int) -> None:

@@ -59,14 +59,6 @@ class TestAtLeastOnceDedup:
         message = sub.subscriber.queue.pop()
         assert Message.from_json(message.to_json()).uid == message.uid
 
-    def test_dedup_window_is_bounded(self, eco):
-        pub, User, sub, SubUser = build(eco)
-        subscriber = sub.subscriber
-        for i in range(subscriber._applied_uids.maxlen + 10):
-            subscriber._mark_applied(f"u{i}")
-        assert len(subscriber._applied_uid_set) == subscriber._applied_uids.maxlen
-        assert "u0" not in subscriber._applied_uid_set
-
 
 class TestGiveUpTimeout:
     def test_apply_action_unblocks_lost_dependency(self, eco):

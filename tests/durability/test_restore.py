@@ -1,6 +1,7 @@
-"""DurabilityManager restore: queues, ledgers, dedup, uid sequencing,
-snapshot compaction and the unrecoverable fallback — each scenario
-wounds one ecosystem and resurrects a second over the same data dir."""
+"""DurabilityManager restore: queues, ledgers, the applied rule, uid
+sequencing, snapshot compaction and the unrecoverable fallback — each
+scenario wounds one ecosystem and resurrects a second over the same data
+dir."""
 
 from __future__ import annotations
 
@@ -84,7 +85,8 @@ class TestRestorePipeline:
 
     def test_applied_uids_deduplicate_replayed_tail(self, tmp_path):
         """apply logged, ack crash-lost: the requeued message must be
-        recognised as already applied, not applied twice."""
+        recognised as already applied by its object's counter — acked
+        as a duplicate, not applied twice."""
         eco_a, pub_a, sub_a, mgr_a, PubDoc, _ = build_pipeline(tmp_path)
         with pub_a.controller():
             doc = PubDoc.create(name="doc", value=1)
@@ -103,10 +105,18 @@ class TestRestorePipeline:
         eco_b, pub_b, sub_b, mgr_b, _, SubDoc = build_pipeline(tmp_path)
         report = mgr_b.restore()
         assert report.requeued == 1  # no ack on record: still pending
+        assert report.applied == 1
+        (requeued,) = sub_b.subscriber.queue.peek_all()
+        assert sub_b.subscriber.applied(requeued)
         sub_b.subscriber.drain()
+        assert eco_b.metrics.value("subscriber.sub.duplicates") == 1
+        assert eco_b.metrics.value("subscriber.sub.processed") == 0
         rows = SubDoc.__mapper__._do_where({}, None, None)
         assert len(rows) == 1 and rows[0]["value"] == 1
         assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.subscriber_version_store.snapshot() == (
+            pub_b.publisher_version_store.snapshot()
+        )
 
     def test_restored_uid_sequence_does_not_collide(self, tmp_path):
         eco_a, pub_a, sub_a, mgr_a, PubDoc, _ = build_pipeline(tmp_path)
@@ -117,7 +127,8 @@ class TestRestorePipeline:
 
         eco_b, pub_b, sub_b, mgr_b, PubDocB, _ = build_pipeline(tmp_path)
         mgr_b.restore()
-        seen = set(sub_b.subscriber._applied_uids)
+        seen = {rec["m"]["uid"] for _, rec in mgr_b.wal.replay() if "m" in rec}
+        assert len(seen) == 4
         with pub_b.controller():
             PubDocB.create(name="fresh", value=9)
         fresh_uid = sub_b.subscriber.queue._items[0].uid
@@ -197,6 +208,65 @@ class TestRestorePipeline:
         report = mgr_b.restore()
         assert report.snapshot_id == 1 and report.replayed == 0
         assert replicas_in_sync(pub_b, sub_b)
+
+    def test_snapshot_captures_counters_before_rows(self, tmp_path, monkeypatch):
+        """The invariant that makes a replayed overlap safe to skip: a
+        service's section reads its subscriber counters before any row,
+        and an apply lands its rows before it bumps, so a snapshot
+        holding an apply's bump holds its rows too."""
+        eco_a, pub_a, sub_a, mgr_a, PubDoc, SubDoc = build_pipeline(tmp_path)
+        with pub_a.controller():
+            PubDoc.create(name="doc", value=1)
+        sub_a.subscriber.drain()
+        reads = []
+        store = sub_a.subscriber_version_store
+        counters = store.snapshot
+        monkeypatch.setattr(
+            store, "snapshot", lambda: reads.append("svs") or counters()
+        )
+        rows = SubDoc.__mapper__._do_where
+        monkeypatch.setattr(
+            SubDoc.__mapper__, "_do_where",
+            lambda *args: reads.append("rows") or rows(*args),
+        )
+        sub_a.durable_state()
+        assert reads == ["svs", "rows"]
+
+    def test_v1_snapshot_window_is_ignored(self, tmp_path):
+        """A snapshot written before the window was retired carries
+        ``applied_uids`` under version 1: it still restores, the field
+        is read and ignored, and nothing applies twice."""
+        eco_a, pub_a, sub_a, mgr_a, PubDoc, _ = build_pipeline(tmp_path)
+        with pub_a.controller():
+            doc = PubDoc.create(name="doc", value=1)
+        sub_a.subscriber.drain()
+        mgr_a.snapshot()
+        (path,) = [
+            mgr_a.snapshots.path(sid) for sid in mgr_a.snapshots.ids()
+        ]
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert payload["manifest"]["snapshot_version"] == 2
+        assert "applied_uids" not in payload["services"]["sub"]
+        payload["manifest"]["snapshot_version"] = 1
+        payload["services"]["sub"]["applied_uids"] = ["pub:1", "pub:bogus"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with pub_a.controller():
+            doc.value = 2
+            doc.save()
+
+        eco_b, pub_b, sub_b, mgr_b, _, SubDoc = build_pipeline(tmp_path)
+        report = mgr_b.restore()
+        assert report.snapshot_id == 1 and not report.unrecoverable
+        assert "applied_uids" not in mgr_b.capture_state()["services"]["sub"]
+        sub_b.subscriber.drain()
+        rows = SubDoc.__mapper__._do_where({}, None, None)
+        assert [row["value"] for row in rows] == [2]
+        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.subscriber_version_store.snapshot() == (
+            pub_b.publisher_version_store.snapshot()
+        )
 
     def test_unrecoverable_log_keeps_snapshot_and_reports(self, tmp_path):
         eco_a, pub_a, sub_a, mgr_a, PubDoc, _ = build_pipeline(tmp_path)

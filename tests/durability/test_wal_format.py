@@ -194,7 +194,7 @@ class TestPipelineRecordGolden:
 class TestSnapshotManifestGolden:
     def test_manifest_exact_shape(self):
         assert build_manifest(3, (2, 17)) == {
-            "snapshot_version": 1,
+            "snapshot_version": 2,
             "id": 3,
             "wal": {"segment": 2, "offset": 17},
         }
@@ -206,7 +206,7 @@ class TestSnapshotManifestGolden:
         with open(path, "r", encoding="utf-8") as fh:
             assert json.load(fh) == {
                 "manifest": {
-                    "snapshot_version": 1,
+                    "snapshot_version": 2,
                     "id": 1,
                     "wal": {"segment": 1, "offset": 5},
                 },

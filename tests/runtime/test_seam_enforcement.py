@@ -183,9 +183,10 @@ def test_publish_allowlist_entries_exist_and_are_used():
 # and ``core/subscriber.py`` is its only interpreter: ``hydrate`` (remote
 # → local, run by the live apply, bootstrap and WAL replay) and
 # ``project`` (local → remote, what the audit digest hashes). The
-# per-message step (land the operations, move the counters, remember the
-# uid) lives there too; restore, repair and the conformance checker call
-# the subscriber's public surface.
+# per-message step (land the operations, move the counters) lives there
+# too; restore, repair and the conformance checker call the subscriber's
+# public surface. "Already applied?" is answered by the counters
+# (``SynapseSubscriber.applied``), never by a remembered set of uids.
 
 #: A ``_``-prefixed attribute of a service's SynapseSubscriber.
 SUBSCRIBER_INTERNAL = re.compile(r"\b(?:sub|subscriber)\._(?!_)")
@@ -197,6 +198,13 @@ FIELD_MAP_READERS = ("core/subscriber.py",)
 #: The deleted mirrors of the subscriber algorithm.
 MIRRORS = re.compile(r"_replay_apply|_raw_apply_operation")
 
+#: A second answer to "already applied?": the retired window's names, or
+#: any ``applied``-named set or deque.
+APPLIED_WINDOW = re.compile(
+    r"\bhas_applied\b|\bapplied_uids?\b"
+    r"|\w*applied\w*\s*(:[^=]*)?=\s*(set|deque)\("
+)
+
 
 def test_subscriber_internals_stay_inside_core():
     violations = [
@@ -206,10 +214,43 @@ def test_subscriber_internals_stay_inside_core():
     ]
     assert violations == [], (
         "a module outside core/ reaches into SynapseSubscriber — use its "
-        "public surface (replay_apply / has_applied / applied_uids / "
-        "durable_state / restore_state / enter_generation / object_deps):\n"
+        "public surface (replay_apply / applied / durable_state / "
+        "restore_state / enter_generation / object_deps):\n"
         + "\n".join(violations)
     )
+
+
+def test_applied_is_a_counter_question():
+    """The subscriber's per-object counters are the one answer to
+    "already applied?" (docs/delivery_semantics.md): no module keeps a
+    uid-keyed applied set or deque beside them."""
+    violations = [
+        f"{rel_path}:{lineno}: {line.strip()}"
+        for rel_path, lineno, line in _source_lines()
+        if APPLIED_WINDOW.search(line)
+    ]
+    assert violations == [], (
+        "a second answer to 'already applied?' — ask "
+        "SynapseSubscriber.applied (the counters) instead:\n"
+        + "\n".join(violations)
+    )
+
+
+def test_applied_window_finder_knows_every_spelling():
+    for line in (
+        "if self.has_applied(message.uid):",
+        "uids.extend(service.subscriber.applied_uids())",
+        'self._applied_uids: "deque[str]" = deque(maxlen=4096)',
+        "self._applied_uid_set: set = set()",
+        "applied = set()",
+    ):
+        assert APPLIED_WINDOW.search(line), line
+    for line in (
+        "if self.applied(message):",
+        "applied: Dict[str, Dict[str, Any]] = {}",
+        "report.applied += 1",
+    ):
+        assert not APPLIED_WINDOW.search(line), line
 
 
 def test_field_map_is_read_in_one_module():

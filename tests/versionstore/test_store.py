@@ -1,6 +1,9 @@
 """Unit tests for version stores: the Fig 8 arithmetic, sharding, hashing."""
 
+import os
+import sys
 import threading
+import time
 
 import pytest
 
@@ -12,6 +15,7 @@ from repro.versionstore import (
     ShardedKV,
     SubscriberVersionStore,
 )
+from repro.versionstore.store import DONE, LOCK_STRIPES, READY, WAITING, StripedLocks
 
 
 def make_kv(n_shards=1):
@@ -212,6 +216,93 @@ class TestSubscriberStore:
         sub_store.apply({"a": 0})
         sub_store.flush()
         assert sub_store.ops("a") == 0
+
+    def test_verdicts_read_written_counters_against_carried_versions(self):
+        """``satisfied(required, written, pending)``: WAITING below a
+        required version, DONE once every written counter is past its
+        carried version, READY in between — on one shard or many."""
+        for shards in (1, 4):
+            store = SubscriberVersionStore(make_kv(shards))
+            message = {"u1": 0, "p1": 0}
+            written = {"p1": 0}
+            assert store.satisfied(message, written) == READY
+            assert store.satisfied({"p1": 1}, written) == WAITING
+            assert not WAITING
+            store.apply(message)  # the message applied
+            assert store.satisfied(message, written) == DONE
+            assert store.satisfied({}, written) == DONE
+            assert store.satisfied({}, {"p1": 1}) == READY
+            # Nothing written: never DONE.
+            assert store.satisfied(message, {}) == READY
+            # An earlier batch member's pending bump counts.
+            assert store.satisfied({"p1": 2}, {"p1": 2}) == WAITING
+            assert store.satisfied({"p1": 2}, {"p1": 2}, {"p1": 1}) == READY
+            assert store.satisfied({"p1": 1}, {"p1": 1}, {"p1": 1}) == DONE
+            # Every written object must be past, not just one.
+            assert store.satisfied({}, {"p1": 0, "c9": 0}) == READY
+
+
+class TestStripedLocks:
+    def test_table_does_not_grow_with_keys(self):
+        table = StripedLocks()
+        assert len(table) == LOCK_STRIPES
+        for i in range(10_000):
+            table.release(table.acquire([f"app/docs/{i}"]))
+            with table.lock_for(f"app/users/{i}"):
+                pass
+        assert len(table) == LOCK_STRIPES
+
+    def test_one_stripe_is_taken_once(self):
+        table = StripedLocks()
+        keys = [f"k{i}" for i in range(3 * LOCK_STRIPES)]  # stripes collide
+        held = table.acquire(keys + keys)
+        assert len(held) == len(set(map(id, held))) <= LOCK_STRIPES
+        table.release(held)
+
+    def test_overlapping_acquires_all_finish(self):
+        """More threads than cores take overlapping key sets (in any
+        order) and read-modify-write a counter per key under them: all
+        finish, and no increment is lost."""
+        table = StripedLocks()
+        keys = [f"obj-{i}" for i in range(40)]
+        counts = dict.fromkeys(keys, 0)
+        workers, rounds = (os.cpu_count() or 1) + 4, 100
+        finished = []
+
+        def worker(offset):
+            for round_ in range(rounds):
+                chosen = {keys[(offset * 7 + round_ + j * 5) % len(keys)] for j in range(4)}
+                held = table.acquire(reversed(sorted(chosen)))
+                for key in chosen:
+                    value = counts[key]
+                    time.sleep(0)
+                    counts[key] = value + 1
+                table.release(held)
+            finished.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == list(range(workers))
+        assert sum(counts.values()) == workers * rounds * 4
+
+    def test_publisher_and_subscriber_tables_are_separate(self):
+        from repro.apps import build_replicated_pair
+
+        _eco, pub, sub, _doc = build_replicated_pair()
+        publisher_table = pub.publisher_version_store.locks
+        subscriber_table = sub.subscriber._object_locks
+        assert isinstance(publisher_table, StripedLocks)
+        assert isinstance(subscriber_table, StripedLocks)
+        assert publisher_table is not subscriber_table
 
 
 class TestSharding:
