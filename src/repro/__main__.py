@@ -40,7 +40,7 @@ Commands:
         flow-control subsystem demo: flood a small bounded queue and
         watch graduated backpressure shed weak publishes before the
         kill cliff, then a hot-object update storm coalesce and drain
-        through batched group-committed applies; exits 0 iff shedding
+        through batched pops of single applies; exits 0 iff shedding
         and coalescing both happened and the queue survived
     views --demo [--writes N]
         subscriber read-path demo: derived read models (count, sum,

@@ -466,9 +466,10 @@ class Service:
         return its :class:`~repro.views.ViewManager`.
 
         Declared views are maintained in the apply path (once per
-        batch under batched apply) and the replicated cache's per-key
-        version watermarks advance with every landed write, so a
-        cached read is never staler than the applied causal frontier.
+        message, a multi-operation one included) and the replicated
+        cache's per-key version watermarks advance with every landed
+        write, so a cached read is never staler than the applied causal
+        frontier.
         Idempotent: a second call returns the same manager."""
         if self.views is None:
             from repro.views import ViewManager

@@ -49,15 +49,9 @@ from repro.errors import DurabilityError, QueueDecommissioned, SubscriptionError
 from repro.orm.callbacks import run_callbacks
 from repro.orm.model import table_for_type
 from repro.runtime.interleave import (
-    GENERATION_FLUSH, SUBSCRIBER_APPLIED, emit, observe_point, record_only, yield_point,
+    GENERATION_FLUSH, SUBSCRIBER_APPLIED, emit, observe_point, yield_point,
 )
-from repro.runtime.tracing import (
-    STAGE_APPLY,
-    STAGE_BATCH,
-    STAGE_DEP_WAIT,
-    activate_trace,
-    trace_now,
-)
+from repro.runtime.tracing import STAGE_APPLY, STAGE_DEP_WAIT, activate_trace, trace_now
 from repro.versionstore.store import DONE, StripedLocks
 
 
@@ -154,9 +148,6 @@ class SynapseSubscriber:
         #: Objects healed by anti-entropy repair messages (targeted
         #: repair instead of a full re-bootstrap).
         self._repaired = registry.counter(f"repair.{service.name}.applied_objects")
-        #: Rollback-recovery redo writes that failed a second time; the
-        #: divergence they leave behind is anti-entropy's to heal.
-        self._redo_failed = registry.counter(f"subscriber.{service.name}.redo_failed")
         #: Time applied messages spent blocked on dependency counters.
         self.dep_wait = registry.histogram(f"subscriber.{service.name}.dep_wait")
         #: Time spent applying operations through the local ORM.
@@ -314,128 +305,103 @@ class SynapseSubscriber:
     def _handle(
         self, messages: List[Message], wait_timeout: float
     ) -> Tuple[List[Message], List[Message], int, Optional[Exception]]:
-        """The subscriber algorithm (§4.2) over one popped batch; a
-        single message is a batch of one. Returns ``process_batch``'s
-        triple plus the exception behind ``errors``.
+        """The subscriber algorithm (§4.2) over one popped batch, one
+        message at a time in ``seq`` order; a single message is a batch
+        of one. Returns ``process_batch``'s triple plus the exception
+        behind ``errors``.
 
-        Each message is classified once, in ``seq`` order. An ordered
-        message is admitted when the store *plus the bumps earlier
-        batch members will make* satisfies it, so in-batch causal
-        chains (e.g. consecutive writes by the same session user) land
-        together. One admitted message applies exactly as it would
-        alone. Several apply in one engine transaction (group commit)
-        when the local engine supports transactions; several applied
-        together run in an ``interleave.record_only`` scope — the batch
-        is one atomic step, and a suspended scheduler step while holding
-        the engine mutex would deadlock the conformance harness.
+        Each message is classified after the members before it have
+        applied, so an in-batch causal chain (e.g. consecutive writes by
+        the same session user) clears in one call against the real
+        counters. The first apply error ends the batch: the failed
+        member and every later one are retried.
         """
         done: List[Message] = []
         retry: List[Message] = []
-        #: (message, weak) — admitted, in apply order.
-        ready: List[Tuple[Message, bool]] = []
-        #: Counter bumps the admitted members will make on apply.
-        bumps: Dict[str, int] = {}
         #: (index in ``retry``, required map) of the first
         #: dependency-stalled message.
         blocked: Optional[Tuple[int, Dict[str, int]]] = None
         store = self.service.subscriber_version_store
-        chained = len(messages) > 1
-        if chained:
+        if len(messages) > 1:
             messages = sorted(messages, key=_by_seq)
-        for message in messages:
+        for position, message in enumerate(messages):
+            weak = False
             if message.repair:
                 # Anti-entropy repair: never waits (the whole point is to
                 # heal counter deficits that would make waiting eternal) and
                 # bypasses the generation gate, which could itself be
                 # deadlocked behind the very divergence being repaired.
-                self._apply_one(message, weak=False)
-                done.append(message)
-                continue
-            if not self._generation_ready(message):
+                pass
+            elif not self._generation_ready(message):
                 retry.append(message)
                 continue
-            mode = self.app_modes.get(message.app, WEAK)
-            if mode == WEAK:
+            elif self.app_modes.get(message.app, WEAK) == WEAK:
                 # Weak never waits, and fast-forwards instead of bumping;
                 # a redelivery is discarded object by object.
-                ready.append((message, True))
-                continue
-            # Bootstrap forces weak semantics (§3.2): apply without
-            # waiting, but keep full counter accounting so the configured
-            # mode resumes cleanly once in sync — and skip what step 1's
-            # bulk counter transfer already counted.
-            forced = self.bootstrapping or message.bootstrap
-            required: Dict[str, int] = {}
-            if not forced:
-                # Non-weak modes never consult the written-object set.
-                required = effective_dependencies(message.dependencies, mode, ())
-                required.update(message.external_dependencies)
-                yield_point("dep.check", message=message, required=required)
-            wait_start = trace_now()
-            verdict = store.satisfied(required, self._written(message), bumps)
-            if verdict == DONE:
-                # Applied already (a redelivery after a lost ack): ack
-                # it again, bump nothing.
-                self._duplicates.increment()
-                yield_point("dedup.duplicate", message=message)
-                done.append(message)
-                continue
-            if not verdict:
-                if blocked is None:
-                    blocked = (len(retry), required)
-                retry.append(message)
-                continue
-            if not forced:
-                self._record_dep_wait(message, wait_start)
-            ready.append((message, False))
-            if chained:
-                for dep, amount in message.counter_increments().items():
-                    bumps[dep] = bumps.get(dep, 0) + amount
+                weak = True
+            else:
+                # Bootstrap forces weak semantics (§3.2): apply without
+                # waiting, but keep full counter accounting so the
+                # configured mode resumes cleanly once in sync — and skip
+                # what step 1's bulk counter transfer already counted.
+                forced = self.bootstrapping or message.bootstrap
+                required: Dict[str, int] = {}
+                if not forced:
+                    # Non-weak modes never consult the written-object set.
+                    mode = self.app_modes[message.app]
+                    required = effective_dependencies(message.dependencies, mode, ())
+                    required.update(message.external_dependencies)
+                    yield_point("dep.check", message=message, required=required)
+                wait_start = trace_now()
+                verdict = store.satisfied(required, self._written(message))
+                if verdict == DONE:
+                    # Applied already (a redelivery after a lost ack): ack
+                    # it again, bump nothing.
+                    self._duplicates.increment()
+                    yield_point("dedup.duplicate", message=message)
+                    done.append(message)
+                    continue
+                if not verdict:
+                    if blocked is None:
+                        blocked = (len(retry), required)
+                    retry.append(message)
+                    continue
+                if not forced:
+                    self._record_dep_wait(message, wait_start)
+            failure = self._try_apply(message, weak)
+            if failure is not None:
+                retry.extend(messages[position:])
+                return done, retry, 1, failure
+            done.append(message)
 
-        if not ready and blocked is not None and wait_timeout > 0:
-            # Nothing applicable right now: block on the first stalled
+        if not done and blocked is not None and wait_timeout > 0:
+            # Nothing done right now: block on the first stalled
             # member's requirements instead of spinning nack/pop rounds
             # that inflate delivery counts into premature give-ups.
             index, required = blocked
             wait_start = trace_now()
             if store.wait_satisfied(required, wait_timeout):
-                self._record_dep_wait(retry[index], wait_start)
-                ready.append((retry.pop(index), False))
+                message = retry.pop(index)
+                self._record_dep_wait(message, wait_start)
+                failure = self._try_apply(message, False)
+                if failure is not None:
+                    retry.append(message)
+                    return done, retry, 1, failure
+                done.append(message)
+        return done, retry, 0, None
 
-        if not ready:
-            return done, retry, 0, None
-        several = len(ready) > 1
-        grouped = several and self._can_group_commit()
-        if several:
-            yield_point("batch.apply", size=len(ready), group_commit=grouped)
-            batch_start = trace_now()
-        completed: List[Tuple[Message, Optional[Dict[str, Any]]]] = []
-        errors, failure = 0, None
+    def _try_apply(self, message: Message, weak: bool) -> Optional[Exception]:
+        """Apply one admitted message; returns its apply error, if any.
+        A ``DurabilityError`` is not one to count and retry: the log is
+        fail-stop, so this process's memory is abandoned and the WAL
+        prefix is the truth. It passes through untouched."""
         try:
-            with self._group_commit() if grouped else _PLAIN, \
-                    record_only() if several else _PLAIN:
-                for message, weak in ready:
-                    completed.append((message, self._apply_one(message, weak)))
+            self._apply_one(message, weak)
         except DurabilityError:
-            # Not an apply error to count and retry: the log is
-            # fail-stop, so this process's memory is abandoned and the
-            # WAL prefix is the truth. Out of here, untouched.
             raise
         except Exception as exc:
-            # The first failure ends the batch: later members may have
-            # been admitted against the bumps of the one that failed.
-            errors, failure = 1, exc
-            retry.extend(message for message, _ in ready[len(completed):])
-            if grouped:
-                self._redo_after_rollback(completed)
-        done.extend(message for message, _ in completed)
-        if several:
-            elapsed = trace_now() - batch_start
-            for message, _ in completed:
-                if message.trace is not None:
-                    message.trace.add(STAGE_BATCH, batch_start, elapsed)
-            yield_point("batch.applied", size=len(completed), retried=len(retry))
-        return done, retry, errors, failure
+            return exc
+        return None
 
     def _record_dep_wait(self, message: Message, wait_start: float) -> None:
         """One ``dep_wait`` sample (and span, when traced) per ordered
@@ -450,14 +416,9 @@ class SynapseSubscriber:
             self.dep_wait.record(waited)
         trace.add(STAGE_DEP_WAIT, wait_start, waited)
 
-    def _apply_one(
-        self, message: Message, weak: bool
-    ) -> Optional[Dict[str, Dict[str, Any]]]:
+    def _apply_one(self, message: Message, weak: bool) -> None:
         """Apply one admitted message: engine writes, the ``apply``
-        record, counter bumps, bookkeeping. Counter bumps interleave per
-        message, so in-batch dependents see their deps land before their
-        own apply event. Returns :meth:`_land`'s redo set for rollback
-        recovery."""
+        record, counter bumps, bookkeeping."""
         # Traced message: make the trace the thread's current trace so an
         # over-threshold histogram observation anywhere in the apply path
         # captures this message's uid as its exemplar.
@@ -497,50 +458,6 @@ class SynapseSubscriber:
             self.service.ecosystem.monitor.observe_applied(self.service.name, message)
             if message.trace is not None:
                 self.service.ecosystem.tracer.record(message.trace)
-            return written
-
-    def _redo_after_rollback(
-        self, completed: List[Tuple[Message, Optional[Dict[str, Dict[str, Any]]]]]
-    ) -> None:
-        """A mid-batch engine fault rolled back the whole group-commit
-        transaction, but the completed prefix already bumped its
-        counters — re-processing would find it applied and ack it as a
-        duplicate, and its engine writes would be lost. Redo just
-        those writes outside any transaction: applies are idempotent
-        upserts, and the per-object freshness check skips objects a
-        concurrent fresher apply has already moved past. The ceiling
-        must budget for *every* completed sibling's bumps on the key —
-        a later batch member's session read-dep bumps the same counter,
-        and counting only the message's own increments would mistake
-        those sibling bumps for a concurrent fresher apply and skip a
-        redo whose write is genuinely lost."""
-        batch_bumps: Dict[str, int] = {}
-        for message, _ in completed:
-            for dep, amount in message.counter_increments().items():
-                batch_bumps[dep] = batch_bumps.get(dep, 0) + amount
-        for message, written in completed:
-            increments = message.counter_increments()
-            redo = self.object_deps(message) if written is None else written
-            for hashed, operation in redo.items():
-                version = message.dependencies.get(hashed, 0)
-                ceiling = version + batch_bumps.get(
-                    hashed, increments.get(hashed, 1)
-                )
-                try:
-                    with self._object_locks.lock_for(hashed):
-                        if self.service.subscriber_version_store.ops(hashed) > ceiling:
-                            continue
-                        self.apply_operation(message.app, operation)
-                except Exception:
-                    # A redo that fails again must not abandon the
-                    # remaining redos, and above all must not escape to
-                    # the worker loop: every completed message is
-                    # already counted (counters bumped), so a
-                    # batch-wide nack would have its redelivery acked
-                    # as a duplicate while the rolled-back engine write —
-                    # and every redo after this one — is silently lost.
-                    # Count it and let anti-entropy repair the object.
-                    self._redo_failed.increment()
 
     def _count(self, message: Message, bump: bool) -> None:
         """Move the counters once a message's writes have landed.
@@ -571,13 +488,12 @@ class SynapseSubscriber:
 
     @contextmanager
     def _group_commit(self):
-        """One engine transaction around the block's writes: a
-        multi-operation message or a multi-message batch. Callers
-        check :meth:`_can_group_commit` first.
+        """One engine transaction around a multi-operation message's
+        writes. Callers check :meth:`_can_group_commit` first.
 
-        Views buffer the whole group commit and fold once after it
+        Views buffer the whole transaction and fold once after it
         lands, so each derived aggregate updates — and each cache key
-        is written — once per commit, never mid-transaction."""
+        is written — once per message, never mid-transaction."""
         views = self.service.views
         if views is not None:
             views.begin_batch()
@@ -586,8 +502,8 @@ class SynapseSubscriber:
                 yield
         except Exception:
             # The engine rolled back: drop the buffered transitions
-            # (a redo re-enters on_applied with fresh post-rollback
-            # row states).
+            # (the retried apply re-enters on_applied with fresh
+            # post-rollback row states).
             if views is not None:
                 views.abort_batch()
             raise
@@ -813,7 +729,7 @@ class SynapseSubscriber:
 
     def apply_operation(self, app: str, operation: Dict[str, Any]) -> None:
         """Apply one wire operation through the local ORM (bootstrap's
-        bulk phase, rollback redo)."""
+        bulk phase)."""
         self._land_operation(app, operation, self._save)
 
     def _save(self, spec: SubscriptionSpec, kind: str, instance: Any) -> None:

@@ -5,7 +5,7 @@ Three shapes:
 - ``conformance --seeds N [--mode M]`` — run the directed scenarios,
   then sweep N seeds per delivery mode (each seed once plain, once
   with crash-recovery, once with flow control — coalescing + batched
-  apply — once with durability — WAL every transition, then prove a
+  pop — once with durability — WAL every transition, then prove a
   fresh restore reproduces the live state — a slice with broker
   faults, and a slice with flow control *and* a crashing worker). This
   is the CI smoke step. Every failing schedule prints

@@ -61,8 +61,8 @@ class ScheduleConfig:
     #: Dependency-hash space (None = full names).
     hash_space: Optional[int] = None
     #: Enable the flow-control subsystem: coalescing at publish, and
-    #: subscriber workers that pop batches of several messages (group
-    #: commit) instead of one.
+    #: subscriber workers that pop batches of several messages instead
+    #: of one (and apply them one at a time).
     flow: bool = False
     #: Enable the durability subsystem: every schedule WALs to a
     #: throwaway data dir, and after quiescence a second fresh
@@ -393,11 +393,8 @@ class ConformanceHarness:
         step — ``SubscriberWorkerPool.process`` and ``.settle`` inside
         one ``queue.step``. A crash worker (``abandon_after``) leaves
         the step without settling — what a real pool worker dying
-        mid-batch leaves behind.
-
-        The pop size stays the fixed ``batch_limit``: the pool's AIMD
-        sizer reads wall-clock lag, which would break byte-identical
-        replay."""
+        mid-batch leaves behind. The pop size is ``batch_limit``, as in
+        a pool thread and ``drain()``."""
         pool = self.pool
         queue = self.sub.subscriber.queue
         limit = self.sub.subscriber.batch_limit
@@ -593,10 +590,10 @@ def default_matrix(
 ) -> List[ScheduleConfig]:
     """The sweep the CI smoke step runs: for every mode and seed, one
     plain schedule, a crash-recovery variant, a flow-control variant
-    (coalescing + batched group-commit apply), a durability variant
+    (coalescing + batched pop), a durability variant
     (WAL everything, then prove restore-equivalence), and a read-path
     variant (views + cache racing a reader worker, with flow on so
-    coalescing and batched apply must preserve invalidation), and a CDC
+    coalescing and batched pops must preserve invalidation), and a CDC
     variant (a seeded slice of the workload bypasses the ORM through
     the transactional outbox, with a poller worker racing the
     subscribers), with broker faults folded into a slice of the

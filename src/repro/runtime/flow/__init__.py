@@ -1,18 +1,19 @@
 """Flow control for the publish→route→apply pipeline.
 
-Three cooperating pieces, enabled together via
+Two cooperating pieces, enabled together via
 ``Ecosystem.enable_flow`` (until then ``eco.flow`` is :data:`FLOW_OFF`,
-which admits everything, coalesces nothing and applies one message at a
+which admits everything, coalesces nothing and pops one message at a
 time):
 
 - :mod:`repro.runtime.flow.admission` — credit-based graduated
   backpressure in front of the §4.4 kill cliff (shed weak publishes,
   throttle stronger modes, kill only as the last resort);
 - :mod:`repro.runtime.flow.coalesce` — semantics-aware collapsing of
-  consecutive queued writes to the same object;
-- :mod:`repro.runtime.flow.batch` — AIMD sizing for the dependency-
-  aware batched apply (``SubscriberQueue.pop_many`` +
-  ``SynapseSubscriber.process_batch``).
+  consecutive queued writes to the same object.
+
+A subscriber pops up to ``FlowConfig.batch_max`` deliveries at once
+(``SubscriberQueue.pop_many``) and applies them one at a time
+(``SynapseSubscriber.process_batch``).
 
 See ``docs/flow_control.md`` for the full design.
 """
@@ -28,7 +29,6 @@ from repro.runtime.flow.admission import (
     FlowOff,
     QueueFlow,
 )
-from repro.runtime.flow.batch import BatchSizer
 from repro.runtime.flow.coalesce import (
     coalesce_key,
     counter_increments,
@@ -45,7 +45,6 @@ __all__ = [
     "STATE_OPEN",
     "STATE_SHEDDING",
     "STATE_THROTTLED",
-    "BatchSizer",
     "FlowConfig",
     "FlowController",
     "FlowOff",

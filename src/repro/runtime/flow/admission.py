@@ -34,7 +34,7 @@ the lock, based on the verdicts returned here).
 
 Flow control off is :data:`FLOW_OFF`, not an absent controller: every
 queue's flow state is that one object, which admits everything,
-coalesces nothing and sizes every apply batch at one message.
+coalesces nothing and pops one message at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.broker.message import Message
 from repro.core.delivery import WEAK
-from repro.runtime.flow.batch import BatchSizer
 from repro.runtime.flow.coalesce import (
     coalesce_key,
     merge_into,
@@ -354,11 +353,6 @@ class FlowController:
     def queues(self) -> Dict[str, QueueFlow]:
         return dict(self._queues)
 
-    def sizer(self, pressure: Callable[[], float]) -> BatchSizer:
-        """A worker pool's AIMD batch sizer; ``pressure`` reads the
-        pool's link pressure (``LagMonitor.link_pressure``)."""
-        return BatchSizer(self.config, pressure)
-
 
 class _NoSamples:
     """The ``batch_size`` histogram of flow off: records nothing."""
@@ -369,21 +363,17 @@ class _NoSamples:
 
 class FlowOff:
     """Flow control off: the controller an ecosystem has until
-    ``enable_flow``, every queue's flow state under it (``for_queue``
-    answers this one object) and every pool's batch sizer. Infinite
-    credit, nothing coalesced, nothing shed, nothing measured, and an
-    apply batch of one message. Not a :class:`QueueFlow`: nothing here
-    owns a ``flow.*`` instrument."""
+    ``enable_flow`` and every queue's flow state under it (``for_queue``
+    answers this one object). Infinite credit, nothing coalesced,
+    nothing shed, nothing measured, and a pop of one message. Not a
+    :class:`QueueFlow`: nothing here owns a ``flow.*`` instrument."""
 
     config = FlowConfig(batch_max=1)
     capacity = None
-    current = 1
     batch_size = _NoSamples()
 
-    def _itself(self, *args: Any) -> "FlowOff":
+    def for_queue(self, queue: Any) -> "FlowOff":
         return self
-
-    for_queue = sizer = _itself
 
     def admit(self, message: Message, depth: int) -> str:
         return ADMIT
@@ -394,7 +384,7 @@ class FlowOff:
     def _nothing(self, *args: Any) -> None:
         return None
 
-    coalesce = register = on_pop = reset = restore_shed = after_batch = _nothing
+    coalesce = register = on_pop = reset = restore_shed = _nothing
 
     def _owed_nothing(self, *args: Any) -> Dict[str, Any]:
         return {}

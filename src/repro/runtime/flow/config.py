@@ -1,7 +1,7 @@
 """Flow-control tunables.
 
 One frozen config object shared by admission control (watermarks,
-credits), coalescing and the batched-apply path. Defaults are chosen so
+credits), coalescing and the batched pop. Defaults are chosen so
 ``FlowConfig()`` is safe everywhere: no throttle sleeps (deterministic
 tests), credit capacity inherited from each queue's ``max_size``.
 """
@@ -35,17 +35,14 @@ class FlowConfig:
 
     coalesce: bool = True
 
-    #: Bounds of the AIMD batch sizer (``batch.py``).
-    batch_min: int = 1
+    #: The most deliveries one pop hands the subscriber (drain, pool
+    #: workers and the conformance harness alike).
     batch_max: int = 16
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if not 1 <= self.batch_min <= self.batch_max:
-            raise ValueError(
-                f"need 1 <= batch_min <= batch_max, got "
-                f"min={self.batch_min} max={self.batch_max}"
-            )
+        if self.batch_max < 1:
+            raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
         if self.throttle_delay < 0:
             raise ValueError(f"throttle_delay must be >= 0, got {self.throttle_delay}")

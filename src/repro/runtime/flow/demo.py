@@ -9,9 +9,10 @@ A weak-mode publisher floods a small bounded queue:
 2. **Recovery**: draining the backlog refills the credits (hysteresis:
    refill only once depth falls under the low watermark) and the
    admission state returns to ``open``.
-3. **Coalescing + batched apply**: a hot-object update storm collapses
-   into a handful of merged messages, which the subscriber drains in
-   group-committed batches via ``pop_many``/``process_batch``.
+3. **Coalescing + batched pop**: a hot-object update storm collapses
+   into a handful of merged messages, which the subscriber pops in
+   batches (``pop_many``) and applies one at a time
+   (``process_batch``).
 
 Exit 0 iff messages were shed, updates coalesced, every surviving
 message applied, and the queue was never decommissioned.
@@ -61,7 +62,7 @@ def flow_command(args: List[str]) -> int:
     drained = sub.subscriber.drain()
     print(f"drained {drained} messages")
 
-    # Phase 2: hot-object update storm (coalescing + batched apply).
+    # Phase 2: hot-object update storm (coalescing + batched pop).
     hot = []
     with pub.controller():
         for i in range(4):
@@ -102,7 +103,7 @@ def flow_command(args: List[str]) -> int:
     if coalesced <= 0:
         failures.append("hot-object updates did not coalesce")
     if batches <= 0:
-        failures.append("no batched applies recorded")
+        failures.append("no batched pops recorded")
     if len(queue):
         failures.append(f"{len(queue)} messages left queued")
     if not converged:
@@ -114,6 +115,6 @@ def flow_command(args: List[str]) -> int:
     print(
         f"OK: shed {shed} under pressure (queue survived), applied "
         f"{survivors} flood survivors, coalesced {coalesced} hot updates, "
-        f"{batches} batched applies, replicas converged"
+        f"{batches} batched pops, replicas converged"
     )
     return 0

@@ -16,14 +16,13 @@ Three calls, each with one lock rule:
   lock would deadlock the next worker that touches the same structure.
   With a label it records an event and pauses; without one — right
   after a transition's ``emit``, which recorded the event — it only
-  pauses. Inside a :func:`record_only` scope it records and does not
-  pause.
+  pauses.
 - :func:`observe_point` records an event and never pauses; it may run
   under any lock.
 
 By default no hook is installed: ``yield_point`` and ``observe_point``
 are one module-global load plus an ``is None`` check, ``emit`` the sink
-call on top — none of them builds a dict or reads the scope.
+call on top — none of them builds a dict.
 
 ``repro.runtime.conformance`` installs a scheduler hook that (a) records
 the event for the delivery-semantics checker and (b) suspends the
@@ -35,8 +34,7 @@ from __future__ import annotations
 
 import threading
 from collections import namedtuple
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 #: One durable pipeline transition: the name the conformance checker
 #: hears it under, its positional fields (the keys of the event's info
@@ -79,14 +77,6 @@ _hook: Optional[Callable[[Optional[str], dict, bool], None]] = None
 _install_lock = threading.Lock()
 
 
-class _Scope(threading.local):
-    #: Open :func:`record_only` scopes of this thread.
-    depth = 0
-
-
-_scope = _Scope()
-
-
 def emit(log: Any, transition: Transition, *fields: Any) -> None:
     """Announce ``transition`` with its positional ``fields``: to the
     log's sink, then — only when a hook is installed — to the hook as a
@@ -104,7 +94,7 @@ def yield_point(label: Optional[str] = None, **info: Any) -> None:
     scheduler is installed. Must only be called with no locks held."""
     hook = _hook
     if hook is not None:
-        hook(label, info, not _scope.depth)
+        hook(label, info, True)
 
 
 def observe_point(label: str, **info: Any) -> None:
@@ -113,20 +103,6 @@ def observe_point(label: str, **info: Any) -> None:
     hook = _hook
     if hook is not None:
         hook(label, info, False)
-
-
-@contextmanager
-def record_only() -> Iterator[None]:
-    """``with record_only():`` — this thread's yield points record their
-    events and do not pause. Several messages applied in one engine
-    transaction are one atomic step, and a scheduler step suspended
-    while the transaction holds the engine mutex would deadlock the
-    harness."""
-    _scope.depth += 1
-    try:
-        yield
-    finally:
-        _scope.depth -= 1
 
 
 def install_hook(hook: Callable[[Optional[str], dict, bool], None]) -> None:

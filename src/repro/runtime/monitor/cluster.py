@@ -50,7 +50,6 @@ from repro.errors import ControlPlaneError, TransportError, TransportTimeout
 from repro.runtime.tracing import (
     PIPELINE_STAGES,
     STAGE_APPLY,
-    STAGE_BATCH,
     STAGE_DEP_WAIT,
     STAGE_DWELL,
     STAGE_FORWARD,
@@ -80,7 +79,6 @@ CRITICAL_CHAIN = (
     STAGE_DWELL,
     STAGE_DEP_WAIT,
     STAGE_APPLY,
-    STAGE_BATCH,
 )
 
 

@@ -62,9 +62,6 @@ STAGE_FORWARD = "transport.forward"
 STAGE_DWELL = "queue.dwell"
 STAGE_DEP_WAIT = "subscriber.dep_wait"
 STAGE_APPLY = "subscriber.apply"
-#: Group-commit window of the flow-control batched apply: one span per
-#: batched message, covering the whole batch transaction it rode in.
-STAGE_BATCH = "subscriber.batch_apply"
 #: One durability WAL append about the message (encode + buffer; outside
 #: a step also the write, plus the fsync under ``always``). Nested
 #: inside whichever stage logged it.
@@ -94,7 +91,6 @@ PIPELINE_STAGES = (
     STAGE_DWELL,
     STAGE_DEP_WAIT,
     STAGE_APPLY,
-    STAGE_BATCH,
     STAGE_WAL,
     STAGE_WAL_FLUSH,
     STAGE_AUDIT_DIGEST,

@@ -1,9 +1,9 @@
 """Threaded subscriber worker pools.
 
 "Messages in the queue are processed in parallel by multiple subscriber
-workers per application" (§4). Each worker pops a batch — as many
-messages as the flow controller's sizer says, one with flow control
-off — and runs the worker step on it:
+workers per application" (§4). Each worker pops a batch — up to the
+subscriber's ``batch_limit``, the flow controller's ``batch_max`` (one
+with flow control off) — and runs the worker step on it:
 :meth:`SubscriberWorkerPool.process` (wait, up to a timeout, for its
 dependencies and apply) then :meth:`SubscriberWorkerPool.settle` (ack,
 nack, defer or give up). A message that exceeds the retry budget
@@ -125,12 +125,6 @@ class SubscriberWorkerPool:
         #: Messages whose apply raised (DB fault, bad payload): they are
         #: nacked and retried until the delivery budget runs out.
         self._apply_errors = registry.counter(f"workers.{service.name}.apply_errors")
-        # The pool's workers share one batch sizer: AIMD under flow
-        # control, fed the link's pressure; one message per batch off.
-        monitor = service.ecosystem.monitor
-        self._sizer = service.ecosystem.flow.sizer(
-            lambda: monitor.link_pressure(service.name)
-        )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -226,17 +220,17 @@ class SubscriberWorkerPool:
         return True
 
     def _run(self) -> None:
-        """One pool thread: pop up to the batch size in one lock
-        round-trip, run the worker step, then feed the outcome back into
-        the sizer."""
-        queue = self.service.subscriber.queue
+        """One pool thread: pop up to ``batch_limit`` deliveries in one
+        lock round-trip, then run the worker step on them."""
+        subscriber = self.service.subscriber
+        queue = subscriber.queue
         if queue is None:
             return
-        sizer = self._sizer
+        limit = subscriber.batch_limit
         flow = queue.flow
         while not self._stop.is_set():
             try:
-                batch = queue.pop_many(sizer.current, timeout=0.05)
+                batch = queue.pop_many(limit, timeout=0.05)
             except QueueDecommissioned:
                 self._on_decommission()
                 return
@@ -253,7 +247,6 @@ class SubscriberWorkerPool:
                     if not self.settle(done, retry, errors):
                         return
                 flow.batch_size.record(len(batch))
-                sizer.after_batch(len(batch), len(done), len(retry) + errors)
             except DurabilityError as exc:
                 # From an apply's record, an ack's, or the write that
                 # ends the step: the log is fail-stop, nothing settled

@@ -325,22 +325,19 @@ class SubscriberVersionStore:
         self,
         dependencies: Dict[str, int],
         written: Optional[Dict[str, int]] = None,
-        pending: Optional[Dict[str, int]] = None,
     ) -> int:
         """The §4.2 check of one message, one script per shard:
         :data:`WAITING` (falsy) while a ``dependencies`` counter is below
         its version, else :data:`DONE` when every ``written`` object's
         counter is already *past* the version the message carries for
-        it — the message has been applied — else :data:`READY`.
-        ``pending`` adds the bumps earlier members of the same batch
-        will make. DONE is exact for an ordered message: it was admitted
-        with each written counter *equal* to its carried version, its
-        apply moved them past, and every later reference to those
-        objects waits for that apply (docs/delivery_semantics.md)."""
+        it — the message has been applied — else :data:`READY`. DONE
+        is exact for an ordered message: it was admitted with each
+        written counter *equal* to its carried version, its apply moved
+        them past, and every later reference to those objects waits for
+        that apply (docs/delivery_semantics.md)."""
         written = written or {}
-        pending = pending or {}
         steps = [
-            (self._key(dep), pending.get(dep, 0), dependencies.get(dep), written.get(dep))
+            (self._key(dep), dependencies.get(dep), written.get(dep))
             for dep in {**dependencies, **written}
         ]
         applied = bool(written)
@@ -348,8 +345,8 @@ class SubscriberVersionStore:
 
             def script(store: RedisLike, group: List[tuple] = group) -> Optional[bool]:
                 past = True
-                for key, extra, needed, carried in group:
-                    ops = (store.hget(key, "ops") or 0) + extra
+                for key, needed, carried in group:
+                    ops = store.hget(key, "ops") or 0
                     if needed is not None and ops < needed:
                         return None
                     if carried is not None and ops <= carried:
@@ -378,13 +375,7 @@ class SubscriberVersionStore:
     def apply_counts(self, counts: Dict[str, int]) -> None:
         """Post-processing bump of each dependency by ``counts[dep]``;
         the last one (global mode's gate counter) is bumped last.
-
-        Coalesced messages carry summed increments, and batched apply
-        bumps per message inside the group-commit transaction, in an
-        ``interleave.record_only`` scope: the caller holds the engine
-        mutex there (a suspended scheduler step would deadlock the
-        harness).
-        """
+        Coalesced messages carry summed increments."""
         steps = [(self._key(d), d, n) for d, n in counts.items() if n > 0]
         for shard, group in self.kv.by_shard(steps).items():
             for _key, dep, amount in group:

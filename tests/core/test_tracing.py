@@ -7,10 +7,10 @@ from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 from repro.runtime.flow import FlowConfig
+from repro.runtime import tracing
 from repro.runtime.tracing import (
     MARK_ACKED,
     STAGE_APPLY,
-    STAGE_BATCH,
     STAGE_COLLECT,
     STAGE_DEP_WAIT,
     STAGE_DWELL,
@@ -82,9 +82,8 @@ class TestTracingEnabled:
             STAGE_DEP_WAIT,
             STAGE_APPLY,
         } <= stages
-        # Applied alone: no group commit to report, and the critical
-        # path ends in the apply.
-        assert STAGE_BATCH not in stages
+        # Every message applies alone: there is no batch stage.
+        assert "subscriber.batch_apply" not in stages
         assert all(span.duration >= 0 for span in trace.spans)
         # The intercept span subsumes collection, registration and the
         # engine write.
@@ -114,8 +113,9 @@ class TestTracingEnabled:
         assert len(traces) == 2
         for trace in traces:
             assert STAGE_DEP_WAIT in trace.stages()
-            # The two share a group commit exactly when flow batches them.
-            assert (STAGE_BATCH in trace.stages()) == flow
+            # Popped together or not, each applied alone: no batch stage.
+            assert "subscriber.batch_apply" not in trace.stages()
+        assert not hasattr(tracing, "STAGE_BATCH")
 
     def test_trace_survives_wire_round_trip(self):
         trace = Trace(app="pub")

@@ -21,7 +21,7 @@ from repro.core.subscriber import SynapseSubscriber
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
-from repro.runtime.flow import BatchSizer, FlowConfig
+from repro.runtime.flow import FlowConfig
 from repro.runtime.workers import SubscriberWorkerPool
 from repro.versionstore.store import SubscriberVersionStore
 
@@ -115,7 +115,7 @@ class TestWorkerStallRotation:
         pool = SubscriberWorkerPool(
             sub, workers=3, wait_timeout=0.1, max_deliveries=10_000
         )
-        assert pool._sizer is eco.flow  # FLOW_OFF: one message a batch
+        assert sub.subscriber.batch_limit == 1  # FLOW_OFF: one message a pop
         with pool:
             assert pool.wait_until_idle(timeout=20)
         assert eco.metrics.value("workers.sub.deadlocked") == 0
@@ -124,7 +124,7 @@ class TestWorkerStallRotation:
 
     def test_deep_chain_drains_with_batched_workers(self):
         """The livelock regression: a 40-deep causal chain, multiple
-        batched workers, and AIMD-shrunk batches used to cycle
+        batched workers, and small batches used to cycle
         pop -> dependency wait -> nack-to-front forever once the chain
         head sank behind nacked later messages. Stall rotation (defer)
         guarantees the head surfaces within one revolution."""
@@ -134,7 +134,7 @@ class TestWorkerStallRotation:
         pool = SubscriberWorkerPool(
             sub, workers=3, wait_timeout=0.1, max_deliveries=10_000
         )
-        assert isinstance(pool._sizer, BatchSizer)
+        assert sub.subscriber.batch_limit == 8
         with pool:
             assert pool.wait_until_idle(timeout=20)
         assert eco.metrics.value("workers.sub.deadlocked") == 0
@@ -173,7 +173,7 @@ class TestWorkerStallRotation:
             pool = SubscriberWorkerPool(
                 sub, workers=2, wait_timeout=0.1, max_deliveries=10_000
             )
-            assert isinstance(pool._sizer, BatchSizer)
+            assert sub.subscriber.batch_limit == 4
             with pool:
                 assert pool.wait_until_idle(timeout=20)
         assert blocked_on_first == []

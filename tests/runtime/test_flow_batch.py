@@ -1,6 +1,7 @@
-"""Dependency-aware batched apply: ``process_batch`` group commit,
-in-batch causal chains, mid-batch fault recovery, the AIMD sizer, and
-the batch-of-one equivalence the single apply funnel rests on."""
+"""A popped batch is a loop of single applies: ``process_batch`` in
+``seq`` order, in-batch causal chains, mid-batch faults, the fixed pop
+size, and the batch-of-one equivalence the single apply funnel rests
+on."""
 
 import random
 
@@ -8,69 +9,9 @@ from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
-from repro.runtime.flow import BatchSizer, FlowConfig
+from repro.runtime.flow import FlowConfig
 from repro.runtime.interleave import install_hook, uninstall_hook
 from repro.runtime.workers import SubscriberWorkerPool
-
-
-class TestBatchSizer:
-    def _sizer(self, **kwargs):
-        defaults = dict(batch_min=1, batch_max=16)
-        defaults.update(kwargs)
-        return BatchSizer(FlowConfig(**defaults), pressure=lambda: 0.0)
-
-    def test_starts_at_batch_min(self):
-        assert self._sizer(batch_min=3).current == 3
-
-    def test_full_clean_batches_grow_additively(self):
-        sizer = self._sizer()
-        assert sizer.on_batch(popped=1, applied=1, failed=0) == 3
-        assert sizer.on_batch(popped=3, applied=3, failed=0) == 5
-        # Partial batch (queue drained): no growth signal.
-        assert sizer.on_batch(popped=2, applied=2, failed=0) == 5
-
-    def test_growth_caps_at_batch_max(self):
-        sizer = self._sizer(batch_max=4)
-        for _ in range(10):
-            sizer.on_batch(popped=sizer.current, applied=sizer.current,
-                           failed=0)
-        assert sizer.current == 4
-
-    def test_failure_dominated_batch_halves(self):
-        sizer = self._sizer()
-        for _ in range(4):
-            sizer.on_batch(popped=sizer.current, applied=sizer.current,
-                           failed=0)
-        grown = sizer.current
-        assert grown > 1
-        assert sizer.on_batch(popped=4, applied=1, failed=3) == max(
-            1, int(grown * 0.5)
-        )
-
-    def test_minor_failures_do_not_shrink(self):
-        sizer = self._sizer()
-        sizer.on_batch(popped=1, applied=1, failed=0)
-        before = sizer.current
-        assert sizer.on_batch(popped=8, applied=7, failed=1) == before
-
-    def test_lag_pressure_grows_and_headroom_decays(self):
-        sizer = self._sizer()
-        assert sizer.observe_pressure(2.0) == 3  # over SLO: drain harder
-        assert sizer.observe_pressure(1.5) == 5
-        assert sizer.observe_pressure(0.5) == 5  # in-band: hold
-        assert sizer.observe_pressure(0.1) == 4  # healthy: decay by one
-        for _ in range(10):
-            sizer.observe_pressure(0.0)
-        assert sizer.current == 1  # floors at batch_min
-
-    def test_a_pool_batch_reads_link_pressure_every_32nd_time(self):
-        reads = []
-        sizer = BatchSizer(
-            FlowConfig(batch_max=16), pressure=lambda: reads.append(1) or 2.0
-        )
-        for _ in range(64):
-            sizer.after_batch(popped=0, applied=0, failed=0)
-        assert len(reads) == 2 and sizer.current == 5
 
 
 def build_ecosystem(mode="causal", flow=True, coalesce=False, batch_max=8,
@@ -97,25 +38,10 @@ def build_ecosystem(mode="causal", flow=True, coalesce=False, batch_max=8,
 
 
 class TestProcessBatch:
-    def test_group_commit_is_one_engine_transaction(self):
-        eco, pub, sub, Doc, SubDoc = build_ecosystem()
-        with pub.controller():
-            docs = [Doc.create(name=f"d{i}") for i in range(6)]
-        batch = sub.subscriber.queue.pop_many(8)
-        assert len(batch) == 6
-        tx_before = sub.database.stats.transactions
-        done, retry, errors = sub.subscriber.process_batch(batch)
-        assert (len(done), len(retry), errors) == (6, 0, 0)
-        assert sub.database.stats.transactions == tx_before + 1
-        for message in done:
-            sub.subscriber.queue.ack(message)
-        for doc in docs:
-            assert SubDoc.__mapper__.find(doc.id) is not None
-
     def test_in_batch_causal_chain_lands_in_one_call(self):
         """Session writes chain each message to the previous one;
-        batches of one need one pass per link, a larger batch verifies
-        against the bumps its earlier members will make."""
+        batches of one need one pass per link, a larger batch classifies
+        each member after the earlier ones applied."""
         eco, pub, sub, Doc, SubDoc = build_ecosystem()
         with pub.controller():
             doc = Doc.create(name="d", score=0)
@@ -141,9 +67,8 @@ class TestProcessBatch:
         assert (len(done), len(retry), errors) == (0, 1, 0)
 
     def test_mid_batch_fault_redoes_completed_prefix(self):
-        """A fault on the Nth apply rolls back the whole group commit;
-        the already-counted prefix must be redone (its counters and
-        dedup entries are final), the rest retried."""
+        """A fault on the Nth apply leaves the applied prefix done and
+        retries the rest; nothing needs redoing."""
         eco, pub, sub, Doc, SubDoc = build_ecosystem()
         with pub.controller():
             docs = [Doc.create(name=f"d{i}") for i in range(4)]
@@ -164,44 +89,33 @@ class TestProcessBatch:
             assert SubDoc.__mapper__.find(doc.id) is not None
         assert sub.audit_replication().in_sync
 
-    def test_redo_failure_does_not_poison_the_batch(self):
-        """If a rollback-recovery redo fails a second time, the other
-        redos must still run and the exception must not escape
-        ``process_batch`` — the completed prefix is already counted and
-        deduped, so a batch-wide nack would silently lose its writes on
-        the dedup-skipping redelivery."""
+    def test_members_apply_alone_and_a_fault_retries_the_rest(self):
+        """A batch is a loop of single applies: four single-operation
+        messages open no engine transaction, and a fault on member 3
+        leaves members 1-2 committed — two engine writes, nothing
+        redone — and retries members 3-4."""
         eco, pub, sub, Doc, SubDoc = build_ecosystem()
         with pub.controller():
             docs = [Doc.create(name=f"d{i}") for i in range(4)]
         batch = sub.subscriber.queue.pop_many(8)
-        # Writes 1-2 land in the transaction, write 3 faults (rollback);
-        # the redo pass then redoes writes 1-2, and the first of those
-        # faults again.
+        assert len(batch) == 4
+        stats = sub.database.stats
+        transactions, writes = stats.transactions, stats.writes
         sub.database.faults.skip_next_writes = 2
-        sub.database.faults.fail_next_writes = 2
+        sub.database.faults.fail_next_writes = 1
         done, retry, errors = sub.subscriber.process_batch(batch)
         assert errors == 1
-        # The completed prefix is done (ackable), never retried.
-        assert len(done) == 2 and len(retry) == 2
-        assert eco.metrics.value("subscriber.sub.redo_failed") == 1
-        # The second redo still ran: its row exists.
-        redone = [d for m in done for d in docs if d.id == m.operations[0]["id"]]
-        assert any(SubDoc.__mapper__.find(d.id) is not None for d in redone)
-        for message in done:
-            sub.subscriber.queue.ack(message)
-        done2, retry2, errors2 = sub.subscriber.process_batch(retry)
-        assert (len(retry2), errors2) == (0, 0)
-        for message in done2:
-            sub.subscriber.queue.ack(message)
-        # The lost redo shows up as divergence for anti-entropy to heal.
-        report = sub.audit_replication()
-        assert not report.in_sync
-        assert sub.repair_replication(report=report).verified_in_sync
+        assert stats.transactions == transactions
+        assert stats.writes == writes + 2
+        in_order = [m.uid for m in sorted(batch, key=lambda m: m.seq)]
+        assert [m.uid for m in done] == in_order[:2]
+        assert [m.uid for m in retry] == in_order[2:]
+        landed = [SubDoc.__mapper__.find(doc.id) is not None for doc in docs]
+        assert landed == [True, True, False, False]
 
     def test_first_failure_ends_a_batch_without_transactions(self):
-        """On an engine without transactions nothing rolls back, so the
-        members after a failed apply must not run: they may have been
-        admitted against the failed member's pending bumps. (Regression:
+        """The members after a failed apply must not run: the batch is
+        retried from the failed member on, in ``seq`` order. (Regression:
         the loop used to carry on, land the chain's last write, and let
         the retried middle write overwrite it.)"""
         eco, pub, sub, Doc, SubDoc = build_ecosystem(sub_db=MongoLike("sub-db"))
@@ -263,7 +177,7 @@ class TestBatchedWorkerPool:
         pool = SubscriberWorkerPool(
             sub, workers=3, wait_timeout=0.1, max_deliveries=10_000
         )
-        assert isinstance(pool._sizer, BatchSizer)  # batches sized by AIMD
+        assert sub.subscriber.batch_limit == 8
         with pool:
             assert pool.wait_until_idle(timeout=10)
         for doc in docs:
@@ -271,10 +185,31 @@ class TestBatchedWorkerPool:
         assert eco.metrics.snapshot("flow.")["flow.sub.batch_size"]["count"] > 0
         assert eco.metrics.value("workers.sub.deadlocked") == 0
 
+    def test_a_pool_pops_batch_limit_like_drain(self):
+        """Under flow control a pool pops ``batch_limit`` deliveries —
+        the ``batch_max`` that ``drain()`` and the conformance harness
+        pop — from its first pop on."""
+        eco, pub, sub, Doc, SubDoc = build_ecosystem(batch_max=8)
+        queue = sub.subscriber.queue
+        asked = []
+        pop_many = queue.pop_many
+
+        def spy(limit, **kwargs):
+            asked.append(limit)
+            return pop_many(limit, **kwargs)
+
+        queue.pop_many = spy
+        with pub.controller():
+            docs = [Doc.create(name=f"d{i}") for i in range(20)]
+        with SubscriberWorkerPool(sub, workers=1, max_deliveries=10_000) as pool:
+            assert pool.wait_until_idle(timeout=10)
+        assert asked and set(asked) == {sub.subscriber.batch_limit} == {8}
+        assert all(SubDoc.__mapper__.find(doc.id) for doc in docs)
+
     def test_flow_disabled_pool_keeps_single_message_loop(self):
         eco, pub, sub, Doc, SubDoc = build_ecosystem(flow=False)
         pool = SubscriberWorkerPool(sub, workers=2)
-        assert pool._sizer is eco.flow  # FLOW_OFF: one message a batch
+        assert sub.subscriber.batch_limit == 1  # FLOW_OFF: one message a pop
         with pub.controller():
             doc = Doc.create(name="d")
         with pool:
@@ -387,13 +322,11 @@ class TestBatchOfOneIsTheSingleMessagePath:
         # Out-of-order delivery really exercised both stall kinds.
         assert registry["subscriber.sub.stale_discarded"] > 0
         assert labels.count("dep.check") > labels.count("apply")
-        assert "batch.apply" not in labels
 
     def test_chunks_of_eight_reach_the_same_state(self):
         rows, counters, registry, _ = self._run(self._one_at_a_time)
-        rows8, counters8, registry8, labels8 = self._run(self._as_batch, chunk=8)
+        rows8, counters8, registry8, _ = self._run(self._as_batch, chunk=8)
         assert (rows8, counters8) == (rows, counters)
         for name in ("subscriber.sub.processed", "subscriber.sub.duplicates",
                      "subscriber.sub.dep_wait", "versionstore.sub.applied"):
             assert registry8[name] == registry[name], name
-        assert "batch.apply" in labels8  # several really applied together

@@ -218,7 +218,7 @@ class TestSubscriberStore:
         assert sub_store.ops("a") == 0
 
     def test_verdicts_read_written_counters_against_carried_versions(self):
-        """``satisfied(required, written, pending)``: WAITING below a
+        """``satisfied(required, written)``: WAITING below a
         required version, DONE once every written counter is past its
         carried version, READY in between — on one shard or many."""
         for shards in (1, 4):
@@ -234,10 +234,7 @@ class TestSubscriberStore:
             assert store.satisfied({}, {"p1": 1}) == READY
             # Nothing written: never DONE.
             assert store.satisfied(message, {}) == READY
-            # An earlier batch member's pending bump counts.
             assert store.satisfied({"p1": 2}, {"p1": 2}) == WAITING
-            assert store.satisfied({"p1": 2}, {"p1": 2}, {"p1": 1}) == READY
-            assert store.satisfied({"p1": 1}, {"p1": 1}, {"p1": 1}) == DONE
             # Every written object must be past, not just one.
             assert store.satisfied({}, {"p1": 0, "c9": 0}) == READY
 

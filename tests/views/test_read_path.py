@@ -1,6 +1,6 @@
 """The read path end to end: views maintained in the subscriber apply
 path over real replication, cache invalidation riding the stream,
-coalescing and group commit preserving the aggregates, restore
+coalescing and multi-operation messages preserving the aggregates, restore
 rebuilding them, and the INV_VIEW conformance variant."""
 
 import tempfile
@@ -137,23 +137,23 @@ class TestCoalescingPreservesViews:
 
 class TestBatchedApplyFoldsOnce:
     def test_group_commit_folds_and_invalidates_once(self):
-        eco, pub, sub, post_cls = build_pipeline(
-            flow=FlowConfig(batch_max=8, throttle_delay=0.0)
-        )
-        with pub.controller():
+        """One publisher transaction of four writes is one message, and
+        it lands as one subscriber transaction with one fold."""
+        eco, pub, sub, post_cls = build_pipeline(pub_db=PostgresLike("pub-db"))
+        with pub.controller(), pub.database.begin():
             for i in range(4):
                 post_cls.create(author="ada", score=i)
         queue = sub.subscriber.queue
         before = sub.views.cache.version("view:posts")
         batch = queue.pop_many(8, timeout=0.0)
-        assert len(batch) == 4
+        assert len(batch) == 1 and len(batch[0].operations) == 4
         done, retry, errors = sub.subscriber.process_batch(batch)
-        assert len(done) == 4 and not retry and not errors
+        assert len(done) == 1 and not retry and not errors
         for message in done:
             queue.ack(message)
         assert eco.metrics.value("views.sub.batch_flushes") == 1
-        # One fold for the whole batch: each view key's watermark
-        # advanced once, not once per message.
+        # One fold for the whole transaction: each view key's watermark
+        # advanced once, not once per write.
         assert sub.views.cache.version("view:posts") == before + 1
         assert sub.views.peek("posts") == 4
         assert_views_match_recompute(sub.views)

@@ -59,17 +59,17 @@ class TestEveryFoldLeavesHits:
         assert sub.views.read("karma") == 42
 
     def test_group_committed_batch(self):
-        eco, pub, sub, post_cls = build_pipeline(
-            flow=FlowConfig(batch_max=8, throttle_delay=0.0)
-        )
-        with pub.controller():
+        """One publisher transaction of four creates: one subscriber
+        transaction, one fold, then every read a hit."""
+        eco, pub, sub, post_cls = build_pipeline(pub_db=PostgresLike("pub-db"))
+        with pub.controller(), pub.database.begin():
             for i in range(4):
                 post_cls.create(author="ada", score=i)
         queue = sub.subscriber.queue
         done, retry, errors = sub.subscriber.process_batch(
             queue.pop_many(8, timeout=0.0)
         )
-        assert len(done) == 4 and not retry and not errors
+        assert len(done) == 1 and not retry and not errors
         assert eco.metrics.value("views.sub.batch_flushes") == 1
         assert_reads_hit_fresh(eco, sub)
 
@@ -94,9 +94,8 @@ class TestEveryFoldLeavesHits:
             for i in range(4):
                 post_cls.create(author="ada", score=i + 1)
         queue = sub.subscriber.queue
-        # Writes 1-2 land in the group commit, write 3 faults: the
-        # engine rolls back, the buffered transitions are dropped and
-        # the completed prefix is redone outside a batch.
+        # Messages 1-2 land and fold, message 3's write faults: it and
+        # message 4 are retried, and nothing folded is undone.
         sub.database.faults.skip_next_writes = 2
         sub.database.faults.fail_next_writes = 1
         done, retry, errors = sub.subscriber.process_batch(
