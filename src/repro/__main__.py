@@ -33,9 +33,9 @@ Commands:
         assembled cross-shard trace (the given uid, else the first uid
         both shards hold spans for): publisher-side intercept/route/
         forward and subscriber-side dwell/apply spans from different
-        OS processes on one normalized timeline, with per-hop transit
-        latency and the critical path; exits 0 iff at least two shards
-        contributed spans
+        OS processes in recorded start order (one host, one clock),
+        with per-hop transit latency and the critical path; exits 0
+        iff at least two shards contributed spans
     flow --demo [--writes N] [--queue-limit Q]
         flow-control subsystem demo: flood a small bounded queue and
         watch graduated backpressure shed weak publishes before the

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.broker.message import Message
@@ -206,16 +205,6 @@ class Broker:
                     local.append((sub, queue))
                 else:
                     remote.append(sub)
-            # Graduated backpressure, stage one: stall the publishing
-            # thread while a target queue is out of admission credits
-            # ("slow before shed before kill"). Off unless the flow
-            # config sets a delay. Remote queues exercise admission on
-            # their owning shard instead.
-            delay = 0.0
-            for _, queue in local:
-                delay = max(delay, queue.flow.publish_delay())
-            if delay > 0:
-                time.sleep(delay)
             traced = message.trace is not None
             for sub, queue in local:
                 if self._should_drop():
@@ -249,9 +238,6 @@ class Broker:
         the queue is drained.
         """
         queue = self.queue_for(subscriber_app)
-        delay = queue.flow.publish_delay()
-        if delay > 0:
-            time.sleep(delay)
         start = trace_now()
         self._enqueue(queue, Message.from_json(payload), start)
 

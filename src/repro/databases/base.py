@@ -14,7 +14,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.clock import Clock, DEFAULT_CLOCK
 from repro.errors import FaultInjected
 
 
@@ -132,19 +131,8 @@ class FaultPlan:
 
 
 class Database:
-    """Base class for every engine.
-
-    Parameters
-    ----------
-    name:
-        Instance name, used in diagnostics and metrics.
-    clock:
-        Time source; benchmarks may substitute a :class:`VirtualClock`.
-    write_cost, read_cost:
-        Optional artificial per-operation service times (seconds) applied
-        via ``clock.sleep``. Zero by default; the Fig 13(b) benchmark sets
-        them from calibrated measurements to model engine speed ratios.
-    """
+    """Base class for every engine; ``name`` labels it in diagnostics
+    and metrics."""
 
     #: Marketing-name of the engine family this instance emulates.
     engine_family: str = "abstract"
@@ -153,17 +141,8 @@ class Database:
     #: Whether multi-statement atomic transactions are supported (§4.2).
     supports_transactions: bool = False
 
-    def __init__(
-        self,
-        name: str,
-        clock: Optional[Clock] = None,
-        write_cost: float = 0.0,
-        read_cost: float = 0.0,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.clock = clock or DEFAULT_CLOCK
-        self.write_cost = write_cost
-        self.read_cost = read_cost
         self.stats = EngineStats()
         self.faults = FaultPlan()
         # Optional mirrors into a shared MetricsRegistry; bound by the
@@ -195,16 +174,12 @@ class Database:
         self.stats.writes += 1
         if self._metric_writes is not None:
             self._metric_writes.increment()
-        if self.write_cost:
-            self.clock.sleep(self.write_cost)
 
     def _charge_read(self) -> None:
         self.faults.check_read()
         self.stats.reads += 1
         if self._metric_reads is not None:
             self._metric_reads.increment()
-        if self.read_cost:
-            self.clock.sleep(self.read_cost)
 
     def enable_query_log(self, capacity: int = 256) -> None:
         from collections import deque

@@ -235,7 +235,7 @@ class ConformanceHarness:
             # Small batches keep schedules short; admission capacity
             # comes from the queue limit (admission stays off on
             # unbounded queues, coalescing/batching still exercise).
-            eco.enable_flow(FlowConfig(batch_max=3, throttle_delay=0.0))
+            eco.enable_flow(FlowConfig(batch_max=3))
         if config.views:
             from repro.views import CountView, SumView, TopKView
 

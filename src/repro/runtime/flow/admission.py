@@ -9,13 +9,12 @@ zone in front of that cliff:
   **low watermark** (hysteresis, so the boundary does not flap).
 - With credits exhausted the queue is *throttled*: publishes in weak
   mode are **shed** (safe for the data — weak subscribers tolerate
-  fresh-or-discard gaps), stronger modes are always admitted but
-  counted, and the broker may stall the publisher for
-  ``throttle_delay`` seconds. Bootstrap and repair messages are never
-  shed (mirroring their ``coalesce_key`` exclusion): shedding repair
-  traffic would starve the very anti-entropy loop that heals
-  shed-induced divergence, and a shed bootstrap message would leave an
-  object unreplicated rather than merely stale.
+  fresh-or-discard gaps) and stronger modes are always admitted but
+  counted; the publisher never stalls. Bootstrap and repair messages
+  are never shed (mirroring their ``coalesce_key`` exclusion):
+  shedding repair traffic would starve the very anti-entropy loop that
+  heals shed-induced divergence, and a shed bootstrap message would
+  leave an object unreplicated rather than merely stale.
 - The publisher bumped its version store before the shed, so every
   shed message leaves a subscriber-side counter deficit until a later
   same-object write fast-forwards past it or anti-entropy repairs it.
@@ -142,7 +141,6 @@ class QueueFlow:
         mode = self._mode_of(message.app) or WEAK
         if (
             mode == WEAK
-            and self.config.shed_weak
             and not message.bootstrap
             and not message.repair
             and message.cdc is None
@@ -219,15 +217,6 @@ class QueueFlow:
             self._shed_deficits = {
                 app: dict(ledger) for app, ledger in ledgers.items()
             }
-
-    def publish_delay(self) -> float:
-        """How long the broker should stall a publish right now —
-        deeper into the red zone means a longer stall."""
-        if self.capacity is None or self.config.throttle_delay <= 0:
-            return 0.0
-        if self.credits >= max(1, self.high // 4):
-            return 0.0
-        return self.config.throttle_delay * (1.0 - self.credits / max(1, self.high))
 
     def _set_state(self, state: str) -> None:
         if state == self.state:
@@ -377,9 +366,6 @@ class FlowOff:
 
     def admit(self, message: Message, depth: int) -> str:
         return ADMIT
-
-    def publish_delay(self) -> float:
-        return 0.0
 
     def _nothing(self, *args: Any) -> None:
         return None

@@ -1,9 +1,8 @@
 """Flow-control tunables.
 
 One frozen config object shared by admission control (watermarks,
-credits), coalescing and the batched pop. Defaults are chosen so
-``FlowConfig()`` is safe everywhere: no throttle sleeps (deterministic
-tests), credit capacity inherited from each queue's ``max_size``.
+credits), coalescing and the batched pop. ``FlowConfig()`` is safe
+everywhere: credit capacity is inherited from each queue's ``max_size``.
 """
 
 from __future__ import annotations
@@ -21,18 +20,12 @@ class FlowConfig:
     below the low one; once they are exhausted the queue is in the
     graduated zone between the high watermark and the §4.4 kill cliff,
     where weak-mode publishes are shed and stronger modes are
-    admitted-but-throttled. ``capacity`` overrides the per-queue
-    ``max_size`` as the credit base; with both unset, admission is
-    disabled (coalescing and batching still run).
+    admitted-but-throttled (counted, never stalled). ``capacity``
+    overrides the per-queue ``max_size`` as the credit base; with both
+    unset, admission is disabled (coalescing and batching still run).
     """
 
     capacity: Optional[int] = None
-    shed_weak: bool = True
-    #: Seconds the broker stalls a publish while a target queue is out
-    #: of credits (scaled by how deep into the red zone it is). 0 keeps
-    #: publishes non-blocking — the default for tests and conformance.
-    throttle_delay: float = 0.0
-
     coalesce: bool = True
 
     #: The most deliveries one pop hands the subscriber (drain, pool
@@ -44,5 +37,3 @@ class FlowConfig:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
         if self.batch_max < 1:
             raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
-        if self.throttle_delay < 0:
-            raise ValueError(f"throttle_delay must be >= 0, got {self.throttle_delay}")

@@ -13,15 +13,12 @@ the control plane:
   dwell→apply spans from different processes into one tree. Control
   requests issued under an active trace carry a ``trace`` context, and
   the serving shard records a ``control.<op>`` span for them.
-- **clock offsets** — spans are stamped with ``trace_now()``, a
-  per-process monotonic clock; the plane estimates each peer's offset
-  with ping-style ``clock_probe`` ops (offset = peer time minus the RTT
-  midpoint, best of several probes) and normalizes remote spans onto the
-  assembling shard's clock. Residual skew can still reorder spans, so
-  assembly clamps them into pipeline-causal order (apply never renders
-  before route) and flags what it moved.
+- **one clock** — spans are stamped with ``trace_now()``, the host's
+  monotonic clock, and every shard is a process on the same host, so
+  assembly places each span at its recorded start: no offset is
+  estimated and no span is moved.
 - **federation ops** — every shard registers a pseudo-service
-  ``_shard:<name>`` on the control plane answering ``clock_probe``,
+  ``_shard:<name>`` on the control plane answering ``ping``,
   ``snapshot``, ``trace_ids``, ``trace_fetch`` and ``flight_dump``; any
   shard (or the parent CLI, via ``ShardRunner.cluster_request``) can
   pull the whole cluster's snapshots and traces through one shard.
@@ -44,18 +41,16 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ControlPlaneError, TransportError, TransportTimeout
 from repro.runtime.tracing import (
-    PIPELINE_STAGES,
     STAGE_APPLY,
     STAGE_DEP_WAIT,
     STAGE_DWELL,
     STAGE_FORWARD,
     STAGE_INTERCEPT,
     STAGE_ROUTE,
-    trace_now,
 )
 from repro.runtime.transport.handler import OpTable
 
@@ -63,19 +58,16 @@ from repro.runtime.transport.handler import OpTable
 #: cannot collide with real services (service names are identifiers).
 SHARD_SERVICE_PREFIX = "_shard:"
 
-#: Ping probes per peer when estimating clock offsets (best RTT wins).
-CLOCK_PROBES = 3
-
 #: Consecutive stable all-idle polls required before the mesh counts as
 #: quiescent (one poll can race a forwarded payload still in a pipe).
 QUIESCENT_POLLS = 2
 
-#: The linear causal chain a cross-shard delivery walks, in order; the
-#: assembled critical path picks the latest-finishing span of each.
+#: The stages a cross-shard delivery walks; the assembled critical path
+#: picks the latest-finishing span of each and lists them by start.
 CRITICAL_CHAIN = (
     STAGE_INTERCEPT,
-    STAGE_ROUTE,
     STAGE_FORWARD,
+    STAGE_ROUTE,
     STAGE_DWELL,
     STAGE_DEP_WAIT,
     STAGE_APPLY,
@@ -113,8 +105,6 @@ class ClusterPlane:
         self.links: Dict[str, Any] = links if links is not None else {}
         self.incident_root = incident_root
         self.op_timeout = op_timeout
-        #: peer shard -> (peer trace clock - local trace clock).
-        self._offsets: Dict[str, float] = {}
         #: trace_id -> spans recorded here for *remote* traces (control
         #: ops served on behalf of another shard's sampled message).
         self._remote_spans: Dict[str, List[Dict[str, Any]]] = {}
@@ -127,10 +117,6 @@ class ClusterPlane:
         #: always local — federation is the asker's job.
         self._peer_ops = OpTable(f"shard {shard_name!r} cluster", {
             "ping": lambda p: {"shard": shard_name, "pong": True},
-            # The peer's span clock, read as late as possible: the
-            # requester brackets the call with its own clock and takes
-            # the RTT midpoint.
-            "clock_probe": lambda p: {"shard": shard_name, "now": trace_now()},
             "snapshot": lambda p: self.local_snapshot(**p),
             "trace_ids": lambda p: self.local_trace_ids(),
             "trace_fetch": lambda p: self.local_trace_spans(p["uid"]),
@@ -147,9 +133,6 @@ class ClusterPlane:
             "snapshot": lambda p: self.snapshot(**p),
             "trace_ids": lambda p: self.trace_ids(),
             "trace_fetch": lambda p: self.fetch_trace(p["uid"]),
-            "offsets": lambda p: {
-                "shard": shard_name, "offsets": self.estimate_offsets(),
-            },
         })
 
     # -- wiring --------------------------------------------------------------
@@ -257,44 +240,6 @@ class ClusterPlane:
                     self._remote_spans.pop(self._remote_order.pop(0), None)
             self._remote_spans.setdefault(trace_id, []).append(entry)
 
-    # -- clock offsets -------------------------------------------------------
-
-    def estimate_offsets(self, probes: int = CLOCK_PROBES) -> Dict[str, float]:
-        """Probe every peer not yet estimated; unreachable peers are
-        skipped (their spans render unnormalized, with a note)."""
-        for peer in self.peers:
-            if peer in self._offsets:
-                continue
-            try:
-                self.probe_offset(peer, probes=probes)
-            except (ControlPlaneError, TransportError):
-                pass
-        return dict(self._offsets)
-
-    def probe_offset(self, peer: str, probes: int = CLOCK_PROBES) -> float:
-        """NTP-style offset estimate: the peer's clock read is assumed to
-        happen at the RTT midpoint; the probe with the smallest RTT bounds
-        the error tightest, so its estimate wins."""
-        best: Optional[Tuple[float, float]] = None
-        for _ in range(max(1, probes)):
-            t0 = trace_now()
-            result = self.ecosystem.control.request(
-                shard_service(peer), "clock_probe", timeout=self.op_timeout
-            )
-            t1 = trace_now()
-            offset = float(result["now"]) - (t0 + t1) / 2.0
-            if best is None or (t1 - t0) < best[0]:
-                best = (t1 - t0, offset)
-        self._offsets[peer] = best[1]
-        return best[1]
-
-    def offset_of(self, shard: str) -> Optional[float]:
-        """Seconds to subtract from ``shard``'s span timestamps to land
-        on this shard's clock; None when never estimated."""
-        if shard in ("", self.shard_name):
-            return 0.0
-        return self._offsets.get(shard)
-
     # -- federation ----------------------------------------------------------
 
     def _federate(
@@ -331,12 +276,10 @@ class ClusterPlane:
 
     def fetch_trace(self, uid: str) -> Dict[str, Any]:
         """Pull every shard's spans for ``uid`` and assemble one tree
-        with normalized timestamps, per-hop latency and a critical path."""
-        self.estimate_offsets()
+        with per-hop latency and a critical path."""
         results, missing = self._federate("trace_fetch", uid=uid)
         return assemble_trace(
-            uid, list(results.values()), missing, self.offset_of,
-            self.shard_name,
+            uid, list(results.values()), missing, self.shard_name
         )
 
     def serve(self, op: str, params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
@@ -401,22 +344,21 @@ def assemble_trace(
     uid: str,
     shard_results: List[Dict[str, Any]],
     missing: List[str],
-    offset_of: Callable[[str], Optional[float]],
     local_shard: str,
 ) -> Dict[str, Any]:
-    """Merge per-shard span sets into one normalized, causally-ordered
-    tree (a plain JSON-ish dict: it crosses the command pipe to the CLI).
+    """Merge per-shard span sets into one tree (a plain JSON-ish dict: it
+    crosses the command pipe to the CLI).
 
-    Steps: dedup (origin partials and finished traces overlap on the
-    publisher-side spans), normalize each span's start onto the
-    assembling shard's clock via ``offset_of``, sort by pipeline stage
-    rank, then clamp starts to be non-decreasing along the rank order —
-    offset estimates carry RTT/2-scale error, and a causally-impossible
-    rendering (apply before route) is worse than a slightly-shifted one.
-    Clamped spans are flagged ``adjusted``.
+    Origin partials and finished traces overlap on the publisher-side
+    spans, so duplicates are dropped; every shard stamps spans from the
+    host's one monotonic clock, so the rest are listed by their recorded
+    start. A hop is one forwarded delivery: from the end of the origin's
+    ``transport.forward`` to the start of the ``broker.route`` it caused
+    on the receiving shard — the k-th forward pairs with the k-th route
+    recorded on a shard that forwarded nothing (the link is FIFO). Its
+    transit is negative when the receiver began routing before the
+    sender's pipe write returned.
     """
-    order = {stage: i for i, stage in enumerate(PIPELINE_STAGES)}
-    control_rank = len(PIPELINE_STAGES)
     seen = set()
     spans: List[Dict[str, Any]] = []
     for result in shard_results:
@@ -436,38 +378,21 @@ def assemble_trace(
                 "start": float(entry["start"]),
                 "duration": float(entry["duration"]),
             })
-    unnormalized = set()
-    for span in spans:
-        offset = offset_of(span["shard"])
-        if offset is None:
-            unnormalized.add(span["shard"])
-        else:
-            span["start"] -= offset
-    spans.sort(key=lambda s: (order.get(s["stage"], control_rank), s["start"]))
-    frontier: Optional[float] = None
-    for span in spans:
-        if span["stage"] not in order:
-            continue  # control.* spans are annotations, not pipeline stages
-        if frontier is not None and span["start"] < frontier:
-            span["start"] = frontier
-            span["adjusted"] = True
-        frontier = span["start"] if frontier is None \
-            else max(frontier, span["start"])
-    # Per-hop transit: the gap between consecutive spans of the timeline
-    # whenever the shard changes hands.
-    timeline = sorted(
-        (s for s in spans if s["stage"] in order), key=lambda s: s["start"]
-    )
-    hops = []
-    for prev, nxt in zip(timeline, timeline[1:]):
-        if prev["shard"] != nxt["shard"]:
-            hops.append({
-                "from": prev["shard"],
-                "to": nxt["shard"],
-                "transit": max(
-                    0.0, nxt["start"] - (prev["start"] + prev["duration"])
-                ),
-            })
+    spans.sort(key=lambda s: s["start"])
+    forwards = [s for s in spans if s["stage"] == STAGE_FORWARD]
+    origins = {s["shard"] for s in forwards}
+    arrivals = [
+        s for s in spans
+        if s["stage"] == STAGE_ROUTE and s["shard"] not in origins
+    ]
+    hops = [
+        {
+            "from": forward["shard"],
+            "to": route["shard"],
+            "transit": route["start"] - (forward["start"] + forward["duration"]),
+        }
+        for forward, route in zip(forwards, arrivals)
+    ]
     critical = []
     for stage in CRITICAL_CHAIN:
         candidates = [s for s in spans if s["stage"] == stage]
@@ -475,11 +400,12 @@ def assemble_trace(
             critical.append(
                 max(candidates, key=lambda s: s["start"] + s["duration"])
             )
+    critical.sort(key=lambda s: s["start"])
     end_to_end = 0.0
     if critical:
         end_to_end = (
             max(s["start"] + s["duration"] for s in critical)
-            - min(s["start"] for s in critical)
+            - critical[0]["start"]
         )
     return {
         "uid": uid,
@@ -488,7 +414,6 @@ def assemble_trace(
         "spans": spans,
         "shards": sorted({s["shard"] for s in spans}),
         "missing": sorted(missing),
-        "unnormalized": sorted(unnormalized),
         "hops": hops,
         "critical_path": [
             {"stage": s["stage"], "shard": s["shard"],
@@ -507,11 +432,10 @@ def format_assembled_trace(assembled: Dict[str, Any]) -> List[str]:
         lines.append("  no shard holds spans for this uid")
     base = min((s["start"] for s in assembled["spans"]), default=0.0)
     for span in assembled["spans"]:
-        flag = "  ~clamped" if span.get("adjusted") else ""
         lines.append(
             f"  [{span['shard']}] {span['stage']:<24} "
             f"+{(span['start'] - base) * 1000:9.3f} ms  "
-            f"{span['duration'] * 1000:9.3f} ms{flag}"
+            f"{span['duration'] * 1000:9.3f} ms"
         )
     for hop in assembled["hops"]:
         lines.append(
@@ -528,11 +452,6 @@ def format_assembled_trace(assembled: Dict[str, Any]) -> List[str]:
         )
     for shard in assembled["missing"]:
         lines.append(f"  missing-hop: {shard} (unreachable during trace_fetch)")
-    for shard in assembled["unnormalized"]:
-        lines.append(
-            f"  note: no clock offset for {shard}; its spans are on its "
-            "own clock"
-        )
     return lines
 
 

@@ -102,9 +102,10 @@ PIPELINE_STAGES = (
 def trace_now() -> float:
     """Timestamp source for spans: always the wall monotonic clock, so
     publisher- and subscriber-side spans are comparable across threads
-    (ecosystem clocks may be virtual). *Not* comparable across processes
-    — the cluster plane estimates per-peer offsets and normalizes spans
-    at assembly time (repro.runtime.monitor.cluster)."""
+    (ecosystem clocks may be virtual). The clock is the host's, so spans
+    from the shard processes of one host compare directly too — trace
+    assembly orders them by start as recorded
+    (repro.runtime.monitor.cluster)."""
     return DEFAULT_CLOCK.monotonic()
 
 

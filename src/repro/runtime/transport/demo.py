@@ -267,7 +267,7 @@ def trace_command(args: Any) -> int:
 
     Drives the 2-shard demo with every message sampled, assembles the
     requested (or first cross-shard) trace from both OS processes, and
-    prints it with normalized timestamps, per-hop transit latency and
+    prints it in recorded start order with per-hop transit latency and
     the critical path. Exit 0 iff spans from at least two shards landed
     in one assembled trace."""
     from repro.runtime.monitor.cluster import format_assembled_trace

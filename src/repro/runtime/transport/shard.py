@@ -82,7 +82,7 @@ def _shard_main(
         }
 
         # The cluster observability plane is installed (handler first)
-        # before any peer link starts: a fast peer may probe our clock
+        # before any peer link starts: a fast peer may send a cluster op
         # the moment its end of the pipe is live.
         links: Dict[str, PeerLink] = {}
         cluster = ClusterPlane(
@@ -353,7 +353,7 @@ class ShardRunner:
     def cluster_request(self, op: str, shard: Optional[str] = None,
                         **params: Any) -> Dict[str, Any]:
         """Relay one federated observability op (``snapshot``,
-        ``trace_ids``, ``trace_fetch``, ``offsets``)
+        ``trace_ids``, ``trace_fetch``)
         through ``shard`` (default: the first) and return its answer."""
         target = shard if shard is not None else self.shards[0]
         self._command[target].send(("cluster", op, params))

@@ -12,7 +12,12 @@ import os
 import pytest
 
 from repro.runtime.monitor import load_dump
-from repro.runtime.tracing import PIPELINE_STAGES, STAGE_APPLY, STAGE_ROUTE
+from repro.runtime.tracing import (
+    PIPELINE_STAGES,
+    STAGE_APPLY,
+    STAGE_FORWARD,
+    STAGE_ROUTE,
+)
 from repro.runtime.transport.demo import run_demo, run_trace_demo
 
 
@@ -43,8 +48,24 @@ class TestCrossShardTrace:
         route_start = min(s["start"] for s in by_stage[STAGE_ROUTE])
         for apply_span in by_stage[STAGE_APPLY]:
             assert apply_span["start"] >= route_start
-        assert assembled["unnormalized"] == []
         assert assembled["end_to_end"] > 0.0
+
+    def test_each_forward_precedes_its_remote_route(self, assembled):
+        # One clock on one host: the k-th forward on the origin starts
+        # before the k-th route on the receiving shard, and every
+        # forwarded delivery is one hop.
+        forwards = [
+            s for s in assembled["spans"] if s["stage"] == STAGE_FORWARD
+        ]
+        origins = {s["shard"] for s in forwards}
+        arrivals = [
+            s for s in assembled["spans"]
+            if s["stage"] == STAGE_ROUTE and s["shard"] not in origins
+        ]
+        assert forwards and len(arrivals) == len(forwards)
+        for forward, route in zip(forwards, arrivals):
+            assert forward["start"] < route["start"]
+        assert len(assembled["hops"]) == len(forwards)
 
     def test_critical_path_crosses_shards(self, assembled):
         path = assembled["critical_path"]

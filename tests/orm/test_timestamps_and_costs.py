@@ -1,11 +1,8 @@
-"""Automatic timestamps and the engines' virtual cost model."""
-
-import pytest
+"""Automatic timestamps and the engines' operation counters."""
 
 from repro.clock import VirtualClock
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model, bind_model
 
 
@@ -62,17 +59,6 @@ class TestAutomaticTimestamps:
 
 
 class TestEngineCostModel:
-    def test_write_and_read_costs_consume_virtual_time(self):
-        clock = VirtualClock()
-        db = PostgresLike("pg", clock=clock, write_cost=0.01, read_cost=0.002)
-        from repro.databases.relational import Column, TableSchema, Text
-
-        db.create_table(TableSchema("t", [Column("x", Text())]))
-        db.insert("t", {"x": "a"})
-        assert clock.now() == pytest.approx(0.01)
-        db.select("t")
-        assert clock.now() == pytest.approx(0.012)
-
     def test_stats_snapshot_and_reset(self):
         db = MongoLike("m")
         db.insert_one("c", {"a": 1})

@@ -3,8 +3,8 @@
 Everything here runs in one interpreter: federation ops go through the
 loopback transport (same JSON round trip as a pipe), peers that do not
 exist exercise the missing-shard degradation, and trace assembly is fed
-synthetic span sets so the clock-normalization and causal-clamp edge
-cases are deterministic.
+synthetic span sets so ordering, hop pairing and the critical path are
+deterministic.
 """
 
 from __future__ import annotations
@@ -23,11 +23,14 @@ from repro.runtime.monitor.export import parse_prometheus
 from repro.runtime.monitor.watch import render_prometheus
 from repro.runtime.tracing import (
     STAGE_APPLY,
+    STAGE_COLLECT,
+    STAGE_DEP_WAIT,
     STAGE_DWELL,
+    STAGE_ENGINE_WRITE,
     STAGE_FORWARD,
     STAGE_INTERCEPT,
+    STAGE_REGISTER,
     STAGE_ROUTE,
-    trace_now,
 )
 
 
@@ -110,12 +113,6 @@ class TestLoopbackFederation:
         with pytest.raises(ControlPlaneError, match="unknown cluster op"):
             eco.cluster.serve("flush_everything")
 
-    def test_cluster_handler_answers_clock_probe(self, eco):
-        before = trace_now()
-        result = eco.control.request(shard_service("solo"), "clock_probe")
-        assert result["shard"] == "solo"
-        assert before <= float(result["now"]) <= trace_now()
-
 
 class TestMissingShards:
     """A dead/unknown peer degrades to a ``missing`` entry — no hang,
@@ -149,39 +146,9 @@ class TestMissingShards:
         assert report["missing"] == ["ghost"]
         assert "solo" in report["shards"]
 
-    def test_offset_estimation_skips_unreachable_peer(self, eco):
-        offsets = eco.cluster.estimate_offsets()
-        assert "ghost" not in offsets
-        assert eco.cluster.offset_of("ghost") is None
-
-
-class TestClockOffsets:
-    def test_probe_offset_uses_rtt_midpoint(self):
-        eco, pub, sub, Doc = _build_pair_ecosystem()
-        cluster = ClusterPlane(eco, "here", peers=("there",)).install()
-
-        skew = 2.5
-
-        class FakePeerHandler:
-            def handle(self, request):
-                from repro.runtime.transport.envelopes import ControlResponse
-
-                return ControlResponse.success(
-                    request, {"shard": "there", "now": trace_now() + skew}
-                )
-
-        eco.control.register_handler(shard_service("there"), FakePeerHandler())
-        offset = cluster.probe_offset("there")
-        # Loopback RTT is microseconds: the midpoint estimate must land
-        # within a loose tolerance of the injected skew.
-        assert abs(offset - skew) < 0.05
-        assert abs(cluster.offset_of("there") - skew) < 0.05
-        assert cluster.offset_of("here") == 0.0
-        assert cluster.offset_of("") == 0.0
-
 
 class TestTraceAssembly:
-    """Synthetic span sets: normalization, causal clamp, dedup, hops."""
+    """Synthetic span sets: recorded order, dedup, hops, critical path."""
 
     @staticmethod
     def _shard_result(shard, spans):
@@ -195,9 +162,9 @@ class TestTraceAssembly:
             ],
         }
 
-    def test_offset_normalization_maps_remote_spans_onto_local_clock(self):
-        # shard1's clock runs 100s ahead; its spans must land *after*
-        # shard0's route on the normalized timeline, in true order.
+    def test_shared_clock_spans_keep_recorded_starts(self):
+        # Both shards stamp spans from the host's one monotonic clock:
+        # shard1's spans land after shard0's forward as recorded.
         results = [
             self._shard_result("shard0", [
                 (STAGE_INTERCEPT, 10.000, 0.001),
@@ -205,61 +172,106 @@ class TestTraceAssembly:
                 (STAGE_FORWARD, 10.004, 0.001),
             ]),
             self._shard_result("shard1", [
-                (STAGE_DWELL, 110.010, 0.004),
-                (STAGE_APPLY, 110.015, 0.002),
+                (STAGE_ROUTE, 10.007, 0.002),
+                (STAGE_DWELL, 10.010, 0.004),
+                (STAGE_APPLY, 10.015, 0.002),
             ]),
         ]
-        offsets = {"shard0": 0.0, "shard1": 100.0}
-        assembled = assemble_trace(
-            "m:1", results, [], offsets.get, "shard0"
-        )
-        by_stage = {s["stage"]: s for s in assembled["spans"]}
-        assert by_stage[STAGE_DWELL]["start"] == pytest.approx(10.010)
-        assert by_stage[STAGE_APPLY]["start"] == pytest.approx(10.015)
-        assert not any(s.get("adjusted") for s in assembled["spans"])
-        assert assembled["unnormalized"] == []
+        assembled = assemble_trace("m:1", results, [], "shard0")
+        assert [(s["shard"], s["stage"], s["start"])
+                for s in assembled["spans"]] == [
+            ("shard0", STAGE_INTERCEPT, 10.000),
+            ("shard0", STAGE_ROUTE, 10.002),
+            ("shard0", STAGE_FORWARD, 10.004),
+            ("shard1", STAGE_ROUTE, 10.007),
+            ("shard1", STAGE_DWELL, 10.010),
+            ("shard1", STAGE_APPLY, 10.015),
+        ]
         # One hop, shard0 -> shard1, with the real transit gap.
         assert [(h["from"], h["to"]) for h in assembled["hops"]] == [
             ("shard0", "shard1")
         ]
+        assert assembled["hops"][0]["transit"] == pytest.approx(0.002)
         assert assembled["end_to_end"] == pytest.approx(10.017 - 10.000)
 
-    def test_causal_clamp_keeps_apply_after_route(self):
-        # A *wrong* offset estimate normalizes the subscriber's spans to
-        # before the publisher even routed. The clamp must restore
-        # pipeline-causal order (apply never renders before route) and
-        # flag what it moved.
-        results = [
-            self._shard_result("shard0", [
-                (STAGE_INTERCEPT, 10.000, 0.001),
-                (STAGE_ROUTE, 10.002, 0.001),
-            ]),
-            self._shard_result("shard1", [
-                (STAGE_DWELL, 9.000, 0.001),
-                (STAGE_APPLY, 9.002, 0.001),
-            ]),
+    def test_fan_out_trace_renders_in_recorded_order(self):
+        # The shape of a real 2-shard demo trace: one local delivery on
+        # the origin and one forwarded to shard1. The engine write runs
+        # before the version register and the forward before shard1's
+        # route; shard1's finished trace repeats the publisher spans it
+        # received on the wire.
+        publisher = [
+            (STAGE_INTERCEPT, 10.000000, 0.000201),
+            (STAGE_COLLECT, 10.000002, 0.000007),
+            (STAGE_ENGINE_WRITE, 10.000020, 0.000042),
+            (STAGE_REGISTER, 10.000089, 0.000053),
         ]
+        shard0 = publisher + [
+            (STAGE_ROUTE, 10.000356, 0.000043),
+            (STAGE_DWELL, 10.000393, 0.007394),
+            (STAGE_FORWARD, 10.000566, 0.000048),
+            (STAGE_DEP_WAIT, 10.007911, 0.000040),
+            (STAGE_APPLY, 10.007974, 0.000105),
+        ]
+        shard1 = [
+            (STAGE_ROUTE, 10.001755, 0.000120),
+            (STAGE_DWELL, 10.001869, 0.015559),
+            (STAGE_DEP_WAIT, 10.017569, 0.000022),
+            (STAGE_APPLY, 10.017606, 0.000084),
+        ]
+        received = self._shard_result("shard1", shard1)
+        received["spans"] += self._shard_result("shard0", publisher)["spans"]
         assembled = assemble_trace(
-            "m:2", results, [], {"shard0": 0.0, "shard1": 0.0}.get, "shard0"
+            "m:6", [self._shard_result("shard0", shard0), received], [],
+            "shard0",
         )
-        by_stage = {s["stage"]: s for s in assembled["spans"]}
-        assert by_stage[STAGE_DWELL]["start"] >= by_stage[STAGE_ROUTE]["start"]
-        assert by_stage[STAGE_APPLY]["start"] >= by_stage[STAGE_ROUTE]["start"]
-        assert by_stage[STAGE_DWELL].get("adjusted") is True
-        rendered = "\n".join(format_assembled_trace(assembled))
-        assert "~clamped" in rendered
+        recorded = {
+            ("shard0", stage): start for stage, start, _ in shard0
+        }
+        recorded.update(
+            {("shard1", stage): start for stage, start, _ in shard1}
+        )
+        spans = assembled["spans"]
+        assert len(spans) == len(recorded)
+        assert {(s["shard"], s["stage"]): s["start"] for s in spans} \
+            == recorded
+        starts = [s["start"] for s in spans]
+        assert starts == sorted(starts)
 
-    def test_unknown_offset_renders_note_instead_of_guessing(self):
-        results = [
-            self._shard_result("shard0", [(STAGE_ROUTE, 1.0, 0.001)]),
-            self._shard_result("shard9", [(STAGE_APPLY, 55.0, 0.001)]),
-        ]
-        assembled = assemble_trace(
-            "m:3", results, [], {"shard0": 0.0}.get, "shard0"
+        forward_end = 10.000566 + 0.000048
+        assert len(assembled["hops"]) == 1
+        hop = assembled["hops"][0]
+        assert (hop["from"], hop["to"]) == ("shard0", "shard1")
+        assert hop["transit"] == pytest.approx(10.001755 - forward_end)
+
+        assert [(e["stage"], e["shard"]) for e in assembled["critical_path"]] \
+            == [
+                (STAGE_INTERCEPT, "shard0"),
+                (STAGE_FORWARD, "shard0"),
+                (STAGE_ROUTE, "shard1"),
+                (STAGE_DWELL, "shard1"),
+                (STAGE_DEP_WAIT, "shard1"),
+                (STAGE_APPLY, "shard1"),
+            ]
+        assert assembled["end_to_end"] == pytest.approx(10.017690 - 10.0)
+
+        rendered = format_assembled_trace(assembled)
+        forward_line = next(
+            i for i, line in enumerate(rendered) if STAGE_FORWARD in line
         )
-        assert assembled["unnormalized"] == ["shard9"]
-        rendered = "\n".join(format_assembled_trace(assembled))
-        assert "no clock offset for shard9" in rendered
+        remote_route_line = next(
+            i for i, line in enumerate(rendered)
+            if "[shard1]" in line and STAGE_ROUTE in line
+        )
+        assert forward_line < remote_route_line
+        assert [line for line in rendered if "hop " in line] == [
+            "  hop shard0 -> shard1: transit 1.141 ms"
+        ]
+        assert rendered[-1].startswith(
+            "  critical path: intercept(shard0) -> forward(shard0) -> "
+            "route(shard1) -> dwell(shard1) -> dep_wait(shard1) -> "
+            "apply(shard1)"
+        )
 
     def test_duplicate_spans_from_partial_and_finished_dedup(self):
         # The origin's partial trace and the finished trace that crossed
@@ -271,9 +283,7 @@ class TestTraceAssembly:
         ]
         # Same (stage, start, duration) but stamped shard0 on both sides.
         results[1]["spans"][0]["shard"] = "shard0"
-        assembled = assemble_trace(
-            "m:4", results, [], lambda s: 0.0, "shard0"
-        )
+        assembled = assemble_trace("m:4", results, [], "shard0")
         assert len(assembled["spans"]) == 1
 
     def test_critical_path_prefers_latest_finishing_span_per_stage(self):
@@ -289,9 +299,7 @@ class TestTraceAssembly:
                 (STAGE_APPLY, 1.050, 0.002),
             ]),
         ]
-        assembled = assemble_trace(
-            "m:5", results, [], lambda s: 0.0, "shard0"
-        )
+        assembled = assemble_trace("m:5", results, [], "shard0")
         apply_entry = [
             e for e in assembled["critical_path"] if e["stage"] == STAGE_APPLY
         ]

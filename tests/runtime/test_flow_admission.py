@@ -37,11 +37,11 @@ def make_message(op_id=1, app="pub", deps=None, **kwargs):
     )
 
 
-def make_flow(capacity=10, modes=None, recorder=None, **config_kwargs):
+def make_flow(capacity=10, modes=None, recorder=None):
     registry = MetricsRegistry()
     modes = modes or {"pub": "weak"}
     flow = QueueFlow(
-        "q", capacity, FlowConfig(**config_kwargs), registry,
+        "q", capacity, FlowConfig(), registry,
         mode_of=modes.get, recorder=recorder,
     )
     return flow, registry
@@ -115,7 +115,6 @@ class TestCredits:
         for depth in range(1000):
             assert flow.admit(make_message(), depth) == ADMIT
         assert registry.value("flow.q.shed") == 0
-        assert flow.publish_delay() == 0.0
 
 
 class TestModes:
@@ -132,12 +131,6 @@ class TestModes:
     def test_unknown_publisher_defaults_to_weak(self):
         flow, _ = make_flow(capacity=10, modes={})
         assert flow.admit(make_message(app="ghost"), flow.high) == SHED
-
-    def test_shed_weak_false_throttles_instead(self):
-        flow, registry = make_flow(capacity=10, shed_weak=False)
-        assert flow.admit(make_message(), flow.high) == ADMIT
-        assert flow.state == STATE_THROTTLED
-        assert registry.value("flow.q.shed") == 0
 
     def test_repair_and_bootstrap_are_never_shed(self):
         """Shedding the recovery traffic would defeat it: repair heals
@@ -203,19 +196,6 @@ class TestRecorderAndDelay:
         assert [kind for kind, _ in recorder.anomalies] == ["flow.shedding"]
         flow.admit(make_message(), flow.low)  # refill: recovered
         assert [kind for kind, _ in recorder.events] == ["flow.recovered"]
-
-    def test_publish_delay_ramps_with_credit_exhaustion(self):
-        flow, _ = make_flow(capacity=10, throttle_delay=0.1)
-        assert flow.publish_delay() == 0.0  # full credits
-        self._exhaust(flow)
-        assert flow.credits == 0
-        assert flow.publish_delay() == 0.1  # fully exhausted: full stall
-        assert flow.publish_delay() <= flow.config.throttle_delay
-
-    def test_zero_throttle_delay_never_stalls(self):
-        flow, _ = make_flow(capacity=10)
-        self._exhaust(flow)
-        assert flow.publish_delay() == 0.0
 
 
 class TestQueueIntegration:

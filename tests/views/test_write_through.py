@@ -88,7 +88,7 @@ class TestEveryFoldLeavesHits:
 
     def test_rollback_redo(self):
         eco, pub, sub, post_cls = build_pipeline(
-            flow=FlowConfig(batch_max=8, throttle_delay=0.0)
+            flow=FlowConfig(batch_max=8)
         )
         with pub.controller():
             for i in range(4):
