@@ -21,6 +21,9 @@ from repro.repair import ReplicationAuditor, repair_subscriber
 
 SIZES = [500, 2000, 8000]
 DIVERGENCE = 20  # lost messages per run, fixed across dataset sizes
+AUDIT_SIZES = [1000, 4000]
+AUDIT_DIVERGENCE = [0, 5, 20]
+AUDIT_REPEATS = 5
 
 
 def build(n_objects: int):
@@ -145,31 +148,39 @@ def test_repair_beats_full_bootstrap(benchmark):
     benchmark(lambda: repair_subscriber(sub, reaudit=False))
 
 
-def test_merkle_detection_scales_with_divergence(benchmark):
-    """Detection work (Merkle nodes compared) tracks divergence size."""
-    size = 4000
+def test_audit_time_tracks_dataset_size(benchmark):
+    """An audit compares two ``{id: row hash}`` maps: its time follows
+    the dataset (every row is read and hashed on both sides), not the
+    divergence, and it finds exactly the lost objects."""
     rows = []
-    nodes_by_div = []
-    for divergence in [1, 5, 20]:
-        eco, pub, sub, users = build(size)
-        lose_messages(eco, users, divergence)
-        auditor = ReplicationAuditor(sub, leaves=256)
-        report = auditor.audit()
-        nodes = sum(m.nodes_compared for m in report.models)
-        assert report.divergent_total == divergence
-        nodes_by_div.append(nodes)
-        rows.append([divergence, nodes, report.divergent_total])
+    elapsed = {}
+    for size in AUDIT_SIZES:
+        for divergence in AUDIT_DIVERGENCE:
+            eco, pub, sub, users = build(size)
+            lose_messages(eco, users, divergence)
+            auditor = ReplicationAuditor(sub)
+            times = []
+            for _ in range(AUDIT_REPEATS):
+                start = time.perf_counter()
+                report = auditor.audit()
+                times.append(time.perf_counter() - start)
+                assert sorted(report.divergent_for("pub", "User")) == sorted(
+                    user.id for user in users[:divergence]
+                )
+            elapsed[size, divergence] = sorted(times)[len(times) // 2]
+            rows.append([size, divergence, report.divergent_total,
+                         f"{elapsed[size, divergence] * 1000:.1f}"])
     emit(format_table(
-        f"Merkle descent cost vs divergence ({size} objects, 256 leaves)",
-        ["divergent objects", "nodes compared", "detected"],
+        f"Audit time vs dataset size (median of {AUDIT_REPEATS})",
+        ["objects", "divergent", "detected", "audit ms"],
         rows,
     ))
-    # Descent work grows with divergence but stays far below a full
-    # 256-leaf comparison per extra divergent object.
-    assert nodes_by_div[0] <= nodes_by_div[-1]
-    assert nodes_by_div[-1] < 400
+    # Divergence does not change the work: at each size the slowest
+    # audit stays within noise of the fastest.
+    for size in AUDIT_SIZES:
+        per_size = [elapsed[size, d] for d in AUDIT_DIVERGENCE]
+        assert max(per_size) < 3 * min(per_size)
 
     eco, pub, sub, users = build(1000)
     lose_messages(eco, users, 5)
-    auditor = ReplicationAuditor(sub, leaves=256)
-    benchmark(auditor.audit)
+    benchmark(ReplicationAuditor(sub).audit)

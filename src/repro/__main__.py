@@ -69,10 +69,10 @@ Commands:
         targeted repair; exits 0 iff converged, balanced and healed
     repair --demo [--objects N] [--lose K]
         reproduce the §6.5 message-loss incident (lost write-messages
-        wedging a causal subscriber), audit replica divergence with
-        Merkle digests, and heal it with targeted repair — no queue
-        decommission, no full re-bootstrap; exits 0 iff the replicas
-        end digest-equal
+        wedging a causal subscriber), audit replica divergence by
+        comparing row-hash digests, and heal it with targeted repair —
+        no queue decommission, no full re-bootstrap; exits 0 iff the
+        replicas end digest-equal
     version
 """
 

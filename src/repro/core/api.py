@@ -619,7 +619,7 @@ class Service:
 
     def audit_replication(self, publisher_name: Optional[str] = None) -> Any:
         """Compare this subscriber's replicas against their publishers:
-        Merkle digests locate divergent objects; broker/version-store
+        row-hash digests locate divergent objects; broker/version-store
         watermarks tell transit lag from §6.5-style loss. Returns an
         :class:`repro.repair.AuditReport`."""
         from repro.repair import ReplicationAuditor

@@ -91,11 +91,7 @@ def bootstrap_subscriber(
             # rebootstrap after the §6.5 incident could leave ghosts).
             # Skipped for multi-publisher models (Fig 3): no single
             # publisher's dump is authoritative for the full row set.
-            multi_publisher = sum(
-                1 for other in subscriber.specs.values()
-                if other.model_cls is spec.model_cls
-            ) > 1
-            if not spec.observer and not multi_publisher \
+            if not spec.observer and not subscriber.is_multi_publisher(spec) \
                     and spec.model_cls.__mapper__ is not None:
                 local_rows = spec.model_cls.__mapper__._do_where({}, None, None)
                 for local_row in local_rows:

@@ -202,6 +202,13 @@ class SynapseSubscriber:
                 return spec
         return None
 
+    def is_multi_publisher(self, spec: SubscriptionSpec) -> bool:
+        """Whether ``spec``'s local model merges several publishers' rows
+        (Fig 3), so no one publisher's replica covers the whole table."""
+        return sum(
+            1 for other in self.specs.values() if other.model_cls is spec.model_cls
+        ) > 1
+
     # ------------------------------------------------------------------
     # Synchronous draining (deterministic execution)
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ Phase B (restart): a standard :class:`ShardRunner` starts fresh
 processes over the *same* data directory. Each shard restores on
 startup — the survivor from its snapshot, the victim by replaying its
 WAL — then drains, audits every replica against the remote publisher's
-Merkle digests over the control plane, heals any message that died
+row-hash digests over the control plane, heals any message that died
 in a pipe with targeted repair (§6.5), and re-audits. The demo is
 healthy iff the victim was really SIGKILLed, its restore replayed and
 requeued work, and every final audit is digest-equal.
@@ -121,7 +121,7 @@ def recover_converge(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
 
 
 def recover_verify(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
-    """Final cross-process Merkle audit of every owned replica."""
+    """Final cross-process digest audit of every owned replica."""
     return {"audits": audit_owned_subscribers(ecosystem)}
 
 

@@ -7,7 +7,7 @@ O(dataset) work to heal what may be a single lost message. This
 subsystem makes divergence *detectable* and *repairable* at fine grain:
 
 - :mod:`repro.repair.digest` computes per-model **replica digests** —
-  Merkle trees keyed by object id over the published-attribute
+  ``{object id: row hash}`` maps over the published-attribute
   projection, built through the per-engine mappers so a relational
   publisher and a document/graph/search subscriber hash identical
   logical rows;
@@ -15,7 +15,7 @@ subsystem makes divergence *detectable* and *repairable* at fine grain:
   publisher vs subscriber digests plus broker and version-store
   watermarks to tell transit *lag* (messages queued or in flight) from
   *loss* (divergence with an idle queue), pinpointing divergent objects
-  by Merkle descent;
+  by comparing the two maps;
 - :mod:`repro.repair.repairer` performs **targeted repair**:
   re-publishing only the divergent objects as ordinary versioned write
   messages through the existing publisher path, so recovery costs
@@ -29,7 +29,6 @@ from repro.repair.auditor import (
     ReplicationAuditor,
 )
 from repro.repair.digest import (
-    MerkleTree,
     ModelDigest,
     publisher_model_digest,
     row_digest,
@@ -40,7 +39,6 @@ from repro.repair.repairer import RepairResult, repair_subscriber
 __all__ = [
     "AuditReport",
     "LagReport",
-    "MerkleTree",
     "ModelAudit",
     "ModelDigest",
     "RepairResult",

@@ -8,8 +8,8 @@ An audit answers two questions per (publisher, subscriber) pair:
    transit is ordinary lag and will heal by draining; divergence with an
    idle queue and a persistent counter deficit is the §6.5 loss
    signature and needs repair.
-2. **Exactly which objects diverge?** Per-model Merkle digests are
-   compared by descent, touching only the differing subtrees.
+2. **Exactly which objects diverge?** Per-model digests — one
+   ``{id: row hash}`` map per side — are compared in one pass.
 
 Audits read raw mapper rows and version-store counters only — they
 never publish, lock, or perturb the pipeline, so a periodic audit is
@@ -22,11 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import SynapseError
-from repro.repair.digest import (
-    DEFAULT_LEAVES,
-    ModelDigest,
-    subscriber_model_digest,
-)
+from repro.repair.digest import ModelDigest, subscriber_model_digest
 from repro.runtime.tracing import STAGE_AUDIT_DIFF, STAGE_AUDIT_DIGEST, trace_now
 
 
@@ -40,10 +36,6 @@ class ModelAudit:
     publisher_objects: int
     subscriber_objects: int
     divergent_ids: List[Any]
-    #: Merkle nodes compared during descent (1 when roots match).
-    nodes_compared: int
-    publisher_root: str
-    subscriber_root: str
 
     @property
     def in_sync(self) -> bool:
@@ -128,8 +120,8 @@ class AuditReport:
             )
             lines.append(
                 f"  {audit.publisher}/{audit.model_name}: "
-                f"{audit.publisher_objects} vs {audit.subscriber_objects} objects, "
-                f"{audit.nodes_compared} merkle nodes compared — {status}"
+                f"{audit.publisher_objects} vs {audit.subscriber_objects} "
+                f"objects — {status}"
             )
         verdict = "replicas digest-equal" if self.in_sync else (
             "suspected LOSS (idle queues, persistent divergence)"
@@ -140,37 +132,16 @@ class AuditReport:
 
 
 class ReplicationAuditor:
-    """Periodic (or on-demand) divergence auditor for one subscriber.
+    """On-demand divergence auditor for one subscriber."""
 
-    ``interval`` (seconds, ecosystem clock) gates :meth:`maybe_audit`
-    for callers that poll from a worker loop; :meth:`audit` always runs.
-    """
-
-    def __init__(self, service: Any, leaves: int = DEFAULT_LEAVES,
-                 interval: Optional[float] = None) -> None:
+    def __init__(self, service: Any) -> None:
         self.service = service
-        self.leaves = leaves
-        self.interval = interval
-        self._last_run: Optional[float] = None
         registry = service.ecosystem.metrics
         self._audits = registry.counter(f"repair.{service.name}.audits")
         self._divergent = registry.counter(f"repair.{service.name}.divergent_objects")
-        self._nodes = registry.counter(f"repair.{service.name}.merkle_nodes_compared")
         self._audit_time = registry.histogram(f"repair.{service.name}.audit_time")
 
     # ------------------------------------------------------------------
-
-    def maybe_audit(self, publisher_name: Optional[str] = None) -> Optional[AuditReport]:
-        """Run an audit if ``interval`` has elapsed since the last one."""
-        clock = self.service.ecosystem.clock
-        now = clock.monotonic()
-        if (
-            self.interval is not None
-            and self._last_run is not None
-            and now - self._last_run < self.interval
-        ):
-            return None
-        return self.audit(publisher_name)
 
     def audit(self, publisher_name: Optional[str] = None) -> AuditReport:
         service = self.service
@@ -178,7 +149,6 @@ class ReplicationAuditor:
         tracer = service.ecosystem.tracer
         trace = tracer.begin(service.name)
         start = clock.monotonic()
-        self._last_run = start
         report = AuditReport(subscriber=service.name)
 
         apps = sorted({spec.from_app for spec in service.subscriber.specs.values()})
@@ -201,7 +171,6 @@ class ReplicationAuditor:
         report.elapsed = clock.monotonic() - start
         self._audits.increment()
         self._divergent.increment(report.divergent_total)
-        self._nodes.increment(sum(m.nodes_compared for m in report.models))
         self._audit_time.record(report.elapsed)
         if trace is not None:
             tracer.record(trace)
@@ -258,43 +227,32 @@ class ReplicationAuditor:
     def _audit_model(self, app: str, spec: Any, trace: Any) -> Optional[ModelAudit]:
         service = self.service
         digest_start = trace_now() if trace is not None else 0.0
-        # Merkle digest exchange: the publisher's handler builds and
-        # serializes its digest; only hashes cross the service boundary.
+        # Digest exchange: the publisher's handler builds and serializes
+        # its digest; only ids and hashes cross the service boundary.
         pub_digest = service.ecosystem.control.model_digest(
-            app, spec.model_name,
-            remote_fields=list(spec.readable), leaves=self.leaves,
+            app, spec.model_name, remote_fields=list(spec.readable),
         )
-        sub_digest = subscriber_model_digest(service, spec, leaves=self.leaves)
+        sub_digest = subscriber_model_digest(service, spec)
         if trace is not None:
             trace.add(STAGE_AUDIT_DIGEST, digest_start, trace_now() - digest_start)
         if pub_digest is None or sub_digest is None:
             return None  # DB-less on either side: nothing to digest
         diff_start = trace_now() if trace is not None else 0.0
-        diff = pub_digest.divergent_ids(sub_digest)
-        divergent = diff.divergent_ids
-        if self._is_multi_publisher(spec):
+        divergent = pub_digest.divergent_ids(sub_digest)
+        if service.subscriber.is_multi_publisher(spec):
             # Fig 3: the local table merges rows from several publishers;
             # rows this publisher does not own are not divergence.
-            divergent = [i for i in divergent if pub_digest.tree.has(i)]
+            divergent = [i for i in divergent if i in pub_digest.objects]
         if trace is not None:
             trace.add(STAGE_AUDIT_DIFF, diff_start, trace_now() - diff_start)
         return ModelAudit(
             publisher=app,
             model_name=spec.model_name,
             fields=pub_digest.fields,
-            publisher_objects=pub_digest.tree.total_objects,
-            subscriber_objects=sub_digest.tree.total_objects,
+            publisher_objects=len(pub_digest.objects),
+            subscriber_objects=len(sub_digest.objects),
             divergent_ids=divergent,
-            nodes_compared=diff.nodes_compared,
-            publisher_root=pub_digest.root,
-            subscriber_root=sub_digest.root,
         )
-
-    def _is_multi_publisher(self, spec: Any) -> bool:
-        return sum(
-            1 for other in self.service.subscriber.specs.values()
-            if other.model_cls is spec.model_cls
-        ) > 1
 
 
 # Re-exported for callers that only need the dataclass names.

@@ -1,7 +1,7 @@
 """Control-plane transport: the only sanctioned path between services.
 
 Data-plane write messages ride the broker (``repro.broker``); everything
-else a cross-service subsystem needs — bootstrap snapshots, Merkle
+else a cross-service subsystem needs — bootstrap snapshots, replica
 digest exchange, repair triggers, generation queries, watermark reads —
 rides typed JSON envelopes through the per-ecosystem
 :class:`ControlPlane`. Two transports answer them:

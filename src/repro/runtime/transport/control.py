@@ -184,19 +184,14 @@ class ControlPlane:
         service_name: str,
         model_name: str,
         remote_fields: Optional[List[str]] = None,
-        leaves: Optional[int] = None,
     ) -> Optional[Any]:
         """The publisher's :class:`~repro.repair.digest.ModelDigest` of one
         model (rebuilt from its wire form), or None when there is nothing
         to digest on that side."""
-        from repro.repair.digest import DEFAULT_LEAVES, ModelDigest
+        from repro.repair.digest import ModelDigest
 
         result = self._request_or_none(
-            service_name,
-            "model_digest",
-            model=model_name,
-            fields=remote_fields,
-            leaves=leaves if leaves is not None else DEFAULT_LEAVES,
+            service_name, "model_digest", model=model_name, fields=remote_fields,
         )
         if result is None or not result.get("found"):
             return None

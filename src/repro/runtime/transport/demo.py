@@ -12,7 +12,7 @@ the control plane are the only things crossing the process boundary:
 Both shards run the §6.3 social workload concurrently, so every publish
 fans out to one local queue and one forwarded cross-shard queue. After
 the mesh quiesces, each shard audits its subscribers — the mirrors'
-Merkle digests come from the remote publisher over the control plane —
+row-hash digests come from the remote publisher over the control plane —
 then deliberately loses one mirror row and heals it with a cross-process
 targeted repair (§6.5 over a pipe).
 
@@ -154,7 +154,7 @@ def inject_lag_breach(ecosystem: Any) -> Dict[str, Any]:
 
 def audit_owned_subscribers(ecosystem: Any) -> Dict[str, Dict[str, Any]]:
     """Audit every subscriber this shard owns against its publishers —
-    remote ones answer with their Merkle digests over the control plane
+    remote ones answer with their row-hash digests over the control plane
     — and count the replica rows of each subscribed model."""
     audits: Dict[str, Dict[str, Any]] = {}
     for service in ecosystem.local_services():

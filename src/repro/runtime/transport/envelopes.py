@@ -1,15 +1,17 @@
 """Typed, JSON-serializable control-plane envelopes.
 
 The data plane (write messages) rides the broker; everything *else* a
-service needs from a peer — bootstrap snapshots, Merkle digest exchange,
+service needs from a peer — bootstrap snapshots, replica digest exchange,
 repair triggers, generation queries, publisher watermark reads — rides
 these envelopes. Both directions are plain JSON end to end, so a request
 can cross a process boundary unchanged and nothing non-serializable can
 leak between services.
 
-``CONTROL_WIRE_VERSION`` gates schema evolution the same way the data
-plane's ``Message.wire_version`` does: a peer refuses an envelope from a
-*newer* schema instead of misreading it.
+``CONTROL_WIRE_VERSION`` is the one schema both ends speak: every
+process of a fleet runs one tree, and envelopes never reach a disk, so a
+peer refuses an envelope of any other version (missing, older or newer)
+instead of misreading it. (``Message.from_wire`` still accepts older
+versions: WAL and snapshot bodies outlive the process that wrote them.)
 """
 
 from __future__ import annotations
@@ -21,15 +23,26 @@ from typing import Any, Dict, Optional
 
 from repro.errors import TransportError, TransportSerializationError
 
-#: Bump when an envelope field changes meaning; receivers reject newer.
-#: v2: requests may carry an optional ``trace`` context (trace_id,
-#: sampled flag, parent span, origin shard) so control-plane work done
-#: on behalf of a traced message joins its trace; v1 envelopes — which
-#: simply omit it — are still accepted.
+#: Bump when an envelope field changes meaning; receivers refuse every
+#: other version. v2: requests may carry an optional ``trace`` context
+#: (trace_id, sampled flag, parent span, origin shard) so control-plane
+#: work done on behalf of a traced message joins its trace.
 CONTROL_WIRE_VERSION = 2
 
 _req_seq = itertools.count(1)
 _req_lock = threading.Lock()
+
+
+def _decode(payload: str) -> Dict[str, Any]:
+    """Parse an envelope, refusing any version but this tree's own."""
+    data = json.loads(payload)
+    version = data.get("wire_version")
+    if version != CONTROL_WIRE_VERSION:
+        raise TransportError(
+            f"control envelope wire_version {version} is not the supported "
+            f"{CONTROL_WIRE_VERSION}"
+        )
+    return data
 
 
 def _encode(payload: Dict[str, Any], what: str) -> str:
@@ -80,13 +93,7 @@ class ControlRequest:
 
     @classmethod
     def from_json(cls, payload: str) -> "ControlRequest":
-        data = json.loads(payload)
-        version = data.get("wire_version", 1)
-        if version > CONTROL_WIRE_VERSION:
-            raise TransportError(
-                f"control envelope wire_version {version} is newer than "
-                f"supported {CONTROL_WIRE_VERSION}"
-            )
+        data = _decode(payload)
         return cls(
             service=data["service"],
             op=data["op"],
@@ -144,13 +151,7 @@ class ControlResponse:
 
     @classmethod
     def from_json(cls, payload: str) -> "ControlResponse":
-        data = json.loads(payload)
-        version = data.get("wire_version", 1)
-        if version > CONTROL_WIRE_VERSION:
-            raise TransportError(
-                f"control envelope wire_version {version} is newer than "
-                f"supported {CONTROL_WIRE_VERSION}"
-            )
+        data = _decode(payload)
         return cls(
             request_id=data["request_id"],
             ok=data["ok"],

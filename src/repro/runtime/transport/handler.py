@@ -129,14 +129,12 @@ class ControlPlaneHandler(OpTable):
         }
 
     def _op_model_digest(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Merkle digest of the authoritative replica of one model."""
-        from repro.repair.digest import DEFAULT_LEAVES, publisher_model_digest
+        """``{id: row hash}`` digest of the authoritative replica of one
+        model."""
+        from repro.repair.digest import publisher_model_digest
 
         digest = publisher_model_digest(
-            self.service,
-            params["model"],
-            remote_fields=params.get("fields"),
-            leaves=params.get("leaves", DEFAULT_LEAVES),
+            self.service, params["model"], remote_fields=params.get("fields"),
         )
         if digest is None:
             return {"found": False, "digest": None}

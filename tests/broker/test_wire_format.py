@@ -142,7 +142,7 @@ class TestControlEnvelopeGolden:
         request = ControlRequest(
             service="social0",
             op="model_digest",
-            params={"model": "Post", "leaves": 64},
+            params={"model": "Post", "fields": ["title"]},
             request_id="cp-9",
         )
         assert json.loads(request.to_json()) == {
@@ -150,7 +150,7 @@ class TestControlEnvelopeGolden:
             "request_id": "cp-9",
             "service": "social0",
             "op": "model_digest",
-            "params": {"model": "Post", "leaves": 64},
+            "params": {"model": "Post", "fields": ["title"]},
         }
 
     def test_request_trace_context_is_conditional(self):
@@ -203,3 +203,17 @@ class TestControlEnvelopeGolden:
         data["wire_version"] = CONTROL_WIRE_VERSION + 1
         with pytest.raises(TransportError, match="wire_version"):
             ControlResponse.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("version", [None, 1])
+    def test_missing_or_older_envelope_version_is_refused(self, version):
+        # Envelopes never reach a disk and every process runs one tree:
+        # there is no older peer to accept, only a misread to avoid.
+        for envelope in (ControlRequest("s", "ping"),
+                         ControlResponse("cp-1", ok=True)):
+            data = json.loads(envelope.to_json())
+            if version is None:
+                del data["wire_version"]
+            else:
+                data["wire_version"] = version
+            with pytest.raises(TransportError, match="wire_version"):
+                type(envelope).from_json(json.dumps(data))

@@ -73,7 +73,7 @@ def replicas_in_sync(pub, sub):
     spec = next(iter(sub.subscriber.specs.values()))
     mine = subscriber_model_digest(sub, spec)
     theirs = publisher_model_digest(pub, "Doc", sorted(spec.fields))
-    return mine.root == theirs.root
+    return mine.objects == theirs.objects
 
 
 def wal_records(manager):

@@ -1,4 +1,6 @@
-"""Merkle replica digests: alignment, descent, cross-engine hashing."""
+"""Replica digests: map comparison, wire form, cross-engine hashing."""
+
+import json
 
 import pytest
 
@@ -8,7 +10,7 @@ from repro.databases.relational import PostgresLike
 from repro.databases.search import ElasticsearchLike
 from repro.orm import Field, Model
 from repro.repair.digest import (
-    MerkleTree,
+    ModelDigest,
     publisher_model_digest,
     row_digest,
     subscriber_model_digest,
@@ -28,49 +30,37 @@ class TestRowDigest:
         assert row_digest({"tags": (1, 2)}) == row_digest({"tags": [1, 2]})
 
 
-class TestMerkleTree:
-    def test_equal_contents_equal_roots(self):
-        a = MerkleTree({i: f"h{i}" for i in range(100)})
-        b = MerkleTree({i: f"h{i}" for i in reversed(range(100))})
-        assert a.root == b.root
-        assert a.diff(b).divergent_ids == []
+def digest(objects, fields=("a",)):
+    return ModelDigest("app", "Doc", list(fields), dict(objects))
+
+
+class TestDigestDiff:
+    def test_equal_contents_in_any_order(self):
+        a = digest({i: f"h{i}" for i in range(100)})
+        b = digest({i: f"h{i}" for i in reversed(range(100))})
+        assert a.objects == b.objects
+        assert a.divergent_ids(b) == []
 
     def test_diff_finds_changed_missing_and_extra(self):
-        a = MerkleTree({1: "a", 2: "b", 3: "c"})
-        b = MerkleTree({1: "a", 2: "X", 4: "d"})
-        assert sorted(a.diff(b).divergent_ids) == [2, 3, 4]
+        a = digest({1: "a", 2: "b", 3: "c"})
+        b = digest({1: "a", 2: "X", 4: "d"})
+        assert sorted(a.divergent_ids(b)) == [2, 3, 4]
 
-    def test_descent_work_scales_with_divergence_not_size(self):
-        """The point of the Merkle structure: one divergent object in a
-        big dataset costs a root-to-leaf walk, not a full scan."""
-        big = {i: f"h{i}" for i in range(5000)}
-        a = MerkleTree(big, leaves=256)
-        changed = dict(big)
-        changed[17] = "MUTATED"
-        b = MerkleTree(changed, leaves=256)
-        diff = a.diff(b)
-        assert diff.divergent_ids == [17]
-        # Tree has 256 leaves + internal levels; a full compare would be
-        # hundreds of nodes. The descent touches one path's fan-outs.
-        assert diff.nodes_compared < 40
-
-    def test_identical_roots_compare_one_node(self):
-        a = MerkleTree({i: "h" for i in range(50)})
-        b = MerkleTree({i: "h" for i in range(50)})
-        assert a.diff(b).nodes_compared == 1
-
-    def test_shape_mismatch_rejected(self):
+    def test_field_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            MerkleTree({1: "a"}, leaves=16).diff(MerkleTree({1: "a"}, leaves=32))
+            digest({1: "a"}, ["a"]).divergent_ids(digest({1: "a"}, ["b"]))
 
-    def test_has(self):
-        tree = MerkleTree({1: "a", "doc-9": "b"})
-        assert tree.has(1)
-        assert tree.has("doc-9")
-        assert not tree.has(2)
+    def test_ids_keep_their_type_over_the_wire(self):
+        rebuilt = ModelDigest.from_dict(
+            json.loads(json.dumps(digest({1: "a", "doc-9": "b"}).to_dict()))
+        )
+        assert 1 in rebuilt.objects
+        assert "doc-9" in rebuilt.objects
+        assert "1" not in rebuilt.objects
+        assert 2 not in rebuilt.objects
 
-    def test_empty_trees_are_equal(self):
-        assert MerkleTree({}).diff(MerkleTree({})).divergent_ids == []
+    def test_empty_digests_are_equal(self):
+        assert digest({}).divergent_ids(digest({})) == []
 
 
 class TestModelDigests:
@@ -110,8 +100,8 @@ class TestModelDigests:
         pub_digest = publisher_model_digest(pub, "User",
                                             remote_fields=list(spec.fields))
         sub_digest = subscriber_model_digest(sub, spec)
-        assert pub_digest.root == sub_digest.root
-        assert pub_digest.divergent_ids(sub_digest).divergent_ids == []
+        assert pub_digest.objects == sub_digest.objects
+        assert pub_digest.divergent_ids(sub_digest) == []
 
     def test_local_mutation_changes_subscriber_digest(self):
         eco, pub, sub = self._ecosystem(PostgresLike("sub-pg"))
@@ -124,8 +114,8 @@ class TestModelDigests:
         pub_digest = publisher_model_digest(pub, "User",
                                             remote_fields=list(spec.fields))
         sub_digest = subscriber_model_digest(sub, spec)
-        assert pub_digest.root != sub_digest.root
-        assert pub_digest.divergent_ids(sub_digest).divergent_ids == [user.id]
+        assert pub_digest.objects != sub_digest.objects
+        assert pub_digest.divergent_ids(sub_digest) == [user.id]
 
     def test_renamed_fields_hash_against_remote_names(self):
         """`fields: {remote: local}` subscriptions compare on the
@@ -151,7 +141,7 @@ class TestModelDigests:
                                             remote_fields=list(spec.fields))
         sub_digest = subscriber_model_digest(sub, spec)
         assert pub_digest.fields == sub_digest.fields == ["name"]
-        assert pub_digest.root == sub_digest.root
+        assert pub_digest.objects == sub_digest.objects
 
     def test_observer_has_no_digest(self):
         eco = Ecosystem()

@@ -93,10 +93,10 @@ class TestLoopbackSeam:
             "pub", "User", remote_fields=["name", "score"]
         )
         assert isinstance(remote, ModelDigest)
-        assert remote.root == local.root
+        assert remote.objects == local.objects
         rebuilt = ModelDigest.from_dict(remote.to_dict())
-        assert rebuilt.root == local.root
-        assert rebuilt.divergent_ids(local).divergent_ids == []
+        assert rebuilt.objects == local.objects
+        assert rebuilt.divergent_ids(local) == []
 
 
 def _echo_dispatch(request_json: str) -> str:
