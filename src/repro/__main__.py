@@ -71,8 +71,9 @@ Commands:
         reproduce the §6.5 message-loss incident (lost write-messages
         wedging a causal subscriber), audit replica divergence by
         comparing row-hash digests, and heal it with targeted repair —
-        no queue decommission, no full re-bootstrap; exits 0 iff the
-        replicas end digest-equal
+        bootstrap's counter-and-row transfer for the divergent ids
+        only: no queue decommission, nothing published; exits 0 iff
+        the replicas end digest-equal
     version
 """
 

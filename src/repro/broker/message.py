@@ -41,10 +41,13 @@ from repro.runtime.tracing import Trace
 #: silently misreading them. v2: the optional ``trace`` dict may carry
 #: per-span ``shard`` tags and a trace ``origin`` (cross-shard tracing);
 #: v3: the optional ``cdc`` int tags messages ingested from a
-#: transactional outbox with their outbox sequence number. v1/v2
-#: payloads — which simply omit the optional fields — are still
-#: accepted.
-WIRE_VERSION = 3
+#: transactional outbox with their outbox sequence number; v4: the
+#: ``bootstrap`` and ``repair`` flags are gone — targeted repair is a
+#: bootstrap transfer, not a message. v1–v3 payloads — which omit the
+#: newer optional fields — are still accepted, except one flagged
+#: ``"repair": true``: replayed as an ordered apply it would count the
+#: wrong counters.
+WIRE_VERSION = 4
 
 _seq = itertools.count(1)
 _seq_lock = threading.Lock()
@@ -66,8 +69,6 @@ class Message:
         dependencies: Dict[str, int],
         published_at: float,
         generation: int = 1,
-        bootstrap: bool = False,
-        repair: bool = False,
         external_dependencies: Optional[Dict[str, int]] = None,
         uid: Optional[str] = None,
         trace: Optional[Trace] = None,
@@ -88,13 +89,6 @@ class Message:
         self.external_dependencies = dict(external_dependencies or {})
         self.published_at = published_at
         self.generation = generation
-        #: Marks messages produced by the bulk phase of a bootstrap (§4.4).
-        self.bootstrap = bootstrap
-        #: Marks anti-entropy repair messages: applied with weak
-        #: fresh-or-discard semantics, and the per-object dependency
-        #: counters are fast-forwarded to the carried versions so a
-        #: counter deficit from lost messages heals without a bootstrap.
-        self.repair = repair
         #: End-to-end trace context; None unless the ecosystem tracer is
         #: enabled. Serialised with the payload so it survives the wire;
         #: forked per local delivery.
@@ -138,8 +132,6 @@ class Message:
             "external_dependencies": self.external_dependencies,
             "published_at": self.published_at,
             "generation": self.generation,
-            "bootstrap": self.bootstrap,
-            "repair": self.repair,
         }
         if self.coalesced_uids:
             payload["coalesced_uids"] = self.coalesced_uids
@@ -178,14 +170,18 @@ class Message:
                 f"message wire_version {version} is newer than supported "
                 f"{WIRE_VERSION}; upgrade this subscriber before the publisher"
             )
+        if data.get("repair"):
+            raise BrokerError(
+                f"message {data.get('uid')!r} is a v{version} repair message, "
+                "which this release does not apply: re-run the repair "
+                "instead (docs/recovery.md)"
+            )
         return cls(
             app=data["app"],
             operations=data["operations"],
             dependencies=data["dependencies"],
             published_at=data["published_at"],
             generation=data.get("generation", 1),
-            bootstrap=data.get("bootstrap", False),
-            repair=data.get("repair", False),
             external_dependencies=data.get("external_dependencies"),
             uid=data.get("uid"),
             trace=Trace.from_dict(data["trace"]) if data.get("trace") else None,

@@ -632,8 +632,8 @@ class Service:
         report: Optional[Any] = None,
         reaudit: bool = True,
     ) -> Any:
-        """Targeted anti-entropy: re-publish only divergent objects as
-        repair messages (O(divergence), no queue decommission, no
+        """Targeted anti-entropy: bootstrap's transfer for the divergent
+        objects only (O(divergence), no queue decommission, no
         re-bootstrap). Returns a :class:`repro.repair.RepairResult`."""
         from repro.repair import repair_subscriber
 

@@ -13,12 +13,13 @@ dumps.
 
 The same procedure serves as the *partial bootstrap* after a queue
 decommission, a subscriber version-store death, or the message-loss
-deadlock of §6.5.
+deadlock of §6.5. Targeted repair (``repro.repair``) is steps 1 and 2
+for an audit's divergent ids only (:func:`transfer_objects`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import SynapseError
 
@@ -114,6 +115,41 @@ def bootstrap_subscriber(
     # this snapshot restores the bootstrapped replica.
     service.ecosystem.durability.snapshot()
     return applied
+
+
+def transfer_objects(
+    service: Any, app: str, model_name: str, ids: List[Any]
+) -> List[Dict[str, Any]]:
+    """Bootstrap steps 1 and 2 for ``ids`` of one model: the publisher
+    reads each object's counter, then its row (a delete when it no
+    longer holds one). Per object, under the subscriber's stripe lock,
+    the operation lands unless the local counter is already past the
+    transferred one, and the counter is raised to it — which releases a
+    causal queue wedged behind a lost message. Returns the operations
+    that landed.
+
+    Like bootstrap, this runs on the subscriber's control path: the
+    transfer sits outside the message order, so a worker applying the
+    same object concurrently could be regressed (docs/recovery.md)."""
+    subscriber = service.subscriber
+    store = service.subscriber_version_store
+    dump = service.ecosystem.control.model_dump(app, model_name, ids=ids)
+    landed: List[Dict[str, Any]] = []
+    if not dump["found"]:
+        return landed
+    versions = dump["versions"]
+    for operation in dump["operations"]:
+        hashed = subscriber.object_dep(app, operation)
+        version = versions.get(hashed, 0)
+        with subscriber._object_locks.lock_for(hashed):
+            if store.ops(hashed) <= version:
+                subscriber.apply_operation(app, operation)
+                landed.append(operation)
+            store.bulk_load({hashed: version})
+    service.ecosystem.metrics.counter(
+        f"repair.{service.name}.applied_objects"
+    ).increment(len(landed))
+    return landed
 
 
 def recover_subscriber_version_store(service: Any) -> int:

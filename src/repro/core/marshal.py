@@ -91,8 +91,6 @@ def build_message(
     published_at: float,
     generation: int,
     external_dependencies: Optional[Dict[str, int]] = None,
-    bootstrap: bool = False,
-    repair: bool = False,
     uid: Optional[str] = None,
     cdc: Optional[int] = None,
 ) -> Message:
@@ -102,8 +100,6 @@ def build_message(
         dependencies=dict(sorted(dependencies.items())),
         published_at=published_at,
         generation=generation,
-        bootstrap=bootstrap,
-        repair=repair,
         external_dependencies=dict(sorted((external_dependencies or {}).items())),
         uid=uid,
         cdc=cdc,

@@ -21,7 +21,7 @@ once, in :meth:`SynapsePublisher._prepare`:
 7. ship: broker fan-out, ``publisher.<app>.published``, and the chained
    ``prev_write_dep`` of the controller context.
 
-A single write is a transaction of one. The four front-ends differ only
+A single write is a transaction of one. The three front-ends differ only
 in what they hand that algorithm (the table is in
 ``docs/architecture.md``):
 
@@ -35,15 +35,12 @@ in what they hand that algorithm (the table is in
   "Transactions");
 - **CDC ingest** (:meth:`ingest_cdc`): one committed outbox entry, no
   context, no engine write, a ``uid``/``cdc`` pair derived from the
-  outbox sequence;
-- **repair** (:meth:`publish_repair`): a batch of divergent rows, no
-  context and no dependency collection at all, ``repair=True``.
+  outbox sequence.
 
 All of it is instrumented in the one place: span-per-stage tracing when
 the ecosystem tracer is on, counters/histograms in the ecosystem metrics
 registry always (``publisher.<app>.overhead``, which covers the engine
-write on the ORM-write path only, and ``publisher.<app>.published``;
-repair traffic is counted under ``repair.*`` instead).
+write on the ORM-write path only, and ``publisher.<app>.published``).
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ from repro.runtime.tracing import (
     STAGE_ENGINE_WRITE,
     STAGE_INTERCEPT,
     STAGE_REGISTER,
-    STAGE_REPAIR_PUBLISH,
     SpanLog,
     Trace,
     activate_trace,
@@ -241,7 +237,6 @@ class SynapsePublisher:
         ctx: Any = None,
         perform: Optional[Callable[[], Row]] = None,
         locked: bool = True,
-        repair: bool = False,
         uid: Optional[str] = None,
         cdc: Optional[int] = None,
     ) -> Callable[[], Any]:
@@ -261,15 +256,9 @@ class SynapsePublisher:
         start = clock.monotonic()
 
         shared_deps: List[str] = []
-        read_deps: List[str] = []
-        external: Dict[str, int] = {}
-        if not repair:
-            # A repair re-states objects: the subscriber fast-forwards
-            # their counters only, so a session or ``__global__`` bump
-            # here would be a version no repair apply ever releases.
-            read_deps, external = self._collect_dependencies(
-                ctx, service.delivery_mode, shared_deps, trace
-            )
+        read_deps, external = self._collect_dependencies(
+            ctx, service.delivery_mode, shared_deps, trace
+        )
         store = service.publisher_version_store
         written: List[str] = []
         for _kind, model_cls, row, _fields in ops:
@@ -312,7 +301,6 @@ class SynapsePublisher:
             published_at=clock.now(),
             generation=service.current_generation(),
             external_dependencies=external,
-            repair=repair,
             uid=uid,
             cdc=cdc,
         )
@@ -320,23 +308,20 @@ class SynapsePublisher:
         # (broker-side) fan-out which the paper attributes to the fabric.
         elapsed = clock.monotonic() - start
         if trace is not None:
-            stage = STAGE_REPAIR_PUBLISH if repair else STAGE_INTERCEPT
-            trace.add(stage, span_start, trace_now() - span_start)
+            trace.add(STAGE_INTERCEPT, span_start, trace_now() - span_start)
             # Head-based sampling decides here (the uid now exists):
             # unsampled messages ship with no trace at all, and only a
             # sampled one pays for real Trace/Span objects.
             tracer.attach_log(service.name, trace, message)
-        if not repair:  # repair traffic keeps its own accounting (``repair.*``)
-            if message.trace is not None:
-                with activate_trace(message.trace):
-                    self.overhead.record(elapsed)
-            else:
+        if message.trace is not None:
+            with activate_trace(message.trace):
                 self.overhead.record(elapsed)
+        else:
+            self.overhead.record(elapsed)
 
         def ship() -> Any:
             service.broker.publish(message)
-            if not repair:
-                self._published.increment()
+            self._published.increment()
             if ctx is not None:
                 ctx.note_write(write_deps[0])
             return message
@@ -344,7 +329,7 @@ class SynapsePublisher:
         return ship
 
     # ------------------------------------------------------------------
-    # Front-ends beside the ORM write: 2PC, CDC ingest, repair
+    # Front-ends beside the ORM write: 2PC, CDC ingest
     # ------------------------------------------------------------------
 
     def _prepare_transaction(self, txn: Any) -> None:
@@ -381,11 +366,6 @@ class SynapsePublisher:
             uid=f"{service.name}:cdc:{cdc_seq}",
             cdc=cdc_seq,
         )()
-
-    def publish_repair(self, ops: List[Operation]) -> Any:
-        """Re-publish ``ops`` — rows as the publisher holds them now — as
-        one ``repair=True`` message (:mod:`repro.repair.repairer`)."""
-        return self._prepare(ops, repair=True)()
 
     def replay_out(self, message: Any, counters: Dict[str, List[int]]) -> None:
         """Restore: one logged publish (an ``out`` record) brings back

@@ -114,13 +114,12 @@ def _by_seq(message: Message) -> int:
 _PLAIN = nullcontext()
 
 #: :meth:`SynapseSubscriber._land` stage -> the interleave event the live
-#: apply emits for it, per fresh-or-discard delivery class.
+#: apply emits for it on a weak (fresh-or-discard) message.
 _WEAK_EVENTS = {
     "claim": "apply.weak.claim",
     "discarded": "apply.weak.discarded",
     "fresh": "apply.weak",
 }
-_REPAIR_EVENTS = {"fresh": "apply.repair"}
 
 
 def _untold(stage: str, dep: str, version: int) -> None:
@@ -145,16 +144,13 @@ class SynapseSubscriber:
         self._processed = registry.counter(f"subscriber.{service.name}.processed")
         self._stale = registry.counter(f"subscriber.{service.name}.stale_discarded")
         self._duplicates = registry.counter(f"subscriber.{service.name}.duplicates")
-        #: Objects healed by anti-entropy repair messages (targeted
-        #: repair instead of a full re-bootstrap).
-        self._repaired = registry.counter(f"repair.{service.name}.applied_objects")
         #: Time applied messages spent blocked on dependency counters.
         self.dep_wait = registry.histogram(f"subscriber.{service.name}.dep_wait")
         #: Time spent applying operations through the local ORM.
         self.apply_time = registry.histogram(f"subscriber.{service.name}.apply")
         self.queue = None
-        # Per-object serialisation of the weak/repair fresh-or-discard
-        # paths: the stale check, the ORM write and the counter
+        # Per-object serialisation of weak applies and targeted repair's
+        # transfer: the stale check, the ORM write and the counter
         # fast-forward must be one atomic step per object, or two
         # parallel workers can interleave check-then-apply and land an
         # older version on top of a newer one. A table of its own, not
@@ -333,13 +329,7 @@ class SynapseSubscriber:
             messages = sorted(messages, key=_by_seq)
         for position, message in enumerate(messages):
             weak = False
-            if message.repair:
-                # Anti-entropy repair: never waits (the whole point is to
-                # heal counter deficits that would make waiting eternal) and
-                # bypasses the generation gate, which could itself be
-                # deadlocked behind the very divergence being repaired.
-                pass
-            elif not self._generation_ready(message):
+            if not self._generation_ready(message):
                 retry.append(message)
                 continue
             elif self.app_modes.get(message.app, WEAK) == WEAK:
@@ -351,7 +341,7 @@ class SynapseSubscriber:
                 # waiting, but keep full counter accounting so the
                 # configured mode resumes cleanly once in sync — and skip
                 # what step 1's bulk counter transfer already counted.
-                forced = self.bootstrapping or message.bootstrap
+                forced = self.bootstrapping
                 required: Dict[str, int] = {}
                 if not forced:
                     # Non-weak modes never consult the written-object set.
@@ -430,8 +420,7 @@ class SynapseSubscriber:
         # over-threshold histogram observation anywhere in the apply path
         # captures this message's uid as its exemplar.
         with activate_trace(message.trace) if message.trace is not None else _PLAIN:
-            ordered = not (weak or message.repair)
-            if ordered:
+            if not weak:
                 yield_point("apply", message=message)
                 tell = _untold
                 # Atomically when the local engine supports transactions:
@@ -447,9 +436,7 @@ class SynapseSubscriber:
                 scope = _PLAIN
             start = trace_now()
             with scope:
-                written = self._land(message, weak, self._save, tell)
-            if message.repair:
-                self._repaired.increment(len(written))
+                self._land(message, weak, self._save, tell)
             if not weak:
                 elapsed = trace_now() - start
                 self.apply_time.record(elapsed)
@@ -459,7 +446,7 @@ class SynapseSubscriber:
             # dependent message, and a dependent's record overtaking this
             # one would make replay land the older write last.
             emit(self.service.ecosystem.durability, SUBSCRIBER_APPLIED, self.service, message)
-            self._count(message, ordered)
+            self._count(message, not weak)
             self._processed.increment()
             yield_point("msg.finished", message=message)
             self.service.ecosystem.monitor.observe_applied(self.service.name, message)
@@ -528,10 +515,7 @@ class SynapseSubscriber:
         """Has ``message`` been applied? True when every object it
         writes has a counter past the version it carries for that
         object — the dependency check's DONE verdict, asked alone
-        (restore, forced applies). Never for a repair message, whose
-        apply is idempotent."""
-        if message.repair:
-            return False
+        (restore, forced applies)."""
         store = self.service.subscriber_version_store
         return store.satisfied({}, self._written(message)) == DONE
 
@@ -579,65 +563,52 @@ class SynapseSubscriber:
         weak: bool,
         persist: Callable[[SubscriptionSpec, str, Any], None],
         tell: Callable[..., None] = _untold,
-    ) -> Optional[Dict[str, Dict[str, Any]]]:
+    ) -> None:
         """Land one message's operations — the per-class half of the
         subscriber algorithm (§4.2), run by the live apply and by WAL
         replay alike. ``persist(spec, kind, instance)`` is how a
         hydrated instance reaches the engine; ``tell(stage, dep,
         version)`` hears each per-object decision.
 
-        An ordered message lands every operation; returns None. Weak
-        delivery (§3.2) and anti-entropy repair (``repro.repair``) are
-        fresh-or-discard per written object: apply unless the local
+        An ordered message lands every operation. Weak delivery (§3.2)
+        is fresh-or-discard per written object: apply unless the local
         replica is already ahead, then fast-forward the object's
-        counter — a repair message heals it to the carried version even
-        when the object was stale-skipped, so increments lost with
-        dropped messages (§6.5) stop deadlocking causal delivery
-        without a re-bootstrap. Returns {hashed dep: operation} for the
-        operations actually applied."""
-        if not (weak or message.repair):
+        counter."""
+        if not weak:
             for operation in message.operations:
                 self._land_operation(message.app, operation, persist)
-            return None
+            return
         store = self.service.subscriber_version_store
         increments = message.counter_increments()
-        applied: Dict[str, Dict[str, Any]] = {}
         for hashed, operation in self.object_deps(message).items():
             version = message.dependencies.get(hashed, 0)
             tell("claim", hashed, version)
             with self._object_locks.lock_for(hashed):
                 if store.is_stale(hashed, version):
                     tell("discarded", hashed, version)
-                    if not message.repair:
-                        continue
-                else:
-                    tell("fresh", hashed, version)
-                    self._land_operation(message.app, operation, persist)
-                    applied[hashed] = operation
+                    continue
+                tell("fresh", hashed, version)
+                self._land_operation(message.app, operation, persist)
                 # A coalesced message stands in for several publisher
                 # bumps: fast-forward past all of them, or the lag audit
                 # would report a phantom per-merge counter deficit.
                 store.fast_forward(
                     hashed, version + max(0, increments.get(hashed, 1) - 1)
                 )
-        return applied
 
     def _teller(self, message: Message) -> Callable[..., None]:
         """What the live apply does on hearing :meth:`_land`'s
-        decisions about a weak or repair message: count the discards
-        and emit the interleave events — a yield point for the claim,
-        made before the object lock is taken, record-only for the ones
-        made under it."""
-        events = _REPAIR_EVENTS if message.repair else _WEAK_EVENTS
+        decisions about a weak message: count the discards and emit
+        the interleave events — a yield point for the claim, made
+        before the object lock is taken, record-only for the ones made
+        under it."""
 
         def tell(stage: str, dep: str, version: int) -> None:
             if stage == "discarded":
                 self._stale.increment()
-            label = events.get(stage)
-            if label is not None:
-                (yield_point if stage == "claim" else observe_point)(
-                    label, message=message, dep=dep, version=version
-                )
+            (yield_point if stage == "claim" else observe_point)(
+                _WEAK_EVENTS[stage], message=message, dep=dep, version=version
+            )
 
         return tell
 
@@ -654,7 +625,7 @@ class SynapseSubscriber:
             return False
         weak = self.app_modes.get(message.app, WEAK) == WEAK
         self._land(message, weak, self._store_raw)
-        self._count(message, bump=not (weak or message.repair))
+        self._count(message, bump=not weak)
         return True
 
     def _generation_ready(self, message: Message) -> bool:

@@ -16,10 +16,10 @@ subsystem makes divergence *detectable* and *repairable* at fine grain:
   watermarks to tell transit *lag* (messages queued or in flight) from
   *loss* (divergence with an idle queue), pinpointing divergent objects
   by comparing the two maps;
-- :mod:`repro.repair.repairer` performs **targeted repair**:
-  re-publishing only the divergent objects as ordinary versioned write
-  messages through the existing publisher path, so recovery costs
-  O(divergence) instead of O(dataset) and no queue is decommissioned.
+- :mod:`repro.repair.repairer` performs **targeted repair**: bootstrap's
+  counter and row transfer for the divergent objects only, so recovery
+  costs O(divergence) instead of O(dataset), no queue is decommissioned
+  and nothing is published.
 """
 
 from repro.repair.auditor import (

@@ -8,7 +8,6 @@ from repro.runtime.metrics import (
     Histogram,
     MetricsRegistry,
     ThroughputMeter,
-    Timer,
 )
 from repro.runtime.monitor import (
     FlightRecorder,
@@ -42,7 +41,6 @@ __all__ = [
     "MetricsRegistry",
     "RecorderEvent",
     "Span",
-    "Timer",
     "ThroughputMeter",
     "Trace",
     "Tracer",

@@ -27,8 +27,8 @@ Invariant identifiers (stable, used by tests and the CLI):
   applied or explicitly accounted (give-up, decommission).
 - ``delivery.dedup`` — no message lands a write or a counter bump
   twice, judged on effects: an ordered message finishes once (its
-  redelivery is acked as a duplicate before applying), and a weak or
-  repair message may finish again only with every object discarded.
+  redelivery is acked as a duplicate before applying), and a weak
+  message may finish again only with every object discarded.
 - ``worker.no-silent-death`` — no worker dies on an unexpected
   exception from the queue/subscriber layer.
 - ``queue.pop-deadline`` — a blocking pop never returns early on a
@@ -144,7 +144,7 @@ class DeliveryChecker:
         self.cache_misses = 0
         self._counter_floor: Dict[str, int] = {}
         self._weak_applied: Dict[str, int] = {}
-        #: uids whose apply in progress landed a fresh weak/repair write.
+        #: uids whose apply in progress landed a fresh weak write.
         self._landed: set = set()
         self._last_global_version: Optional[int] = None
         self._step = -1
@@ -267,12 +267,7 @@ class DeliveryChecker:
         not merely at the subscriber's own earlier check."""
         message = info["message"]
         mode = self._mode_for(message)
-        if (
-            mode == WEAK
-            or message.bootstrap
-            or message.repair
-            or self.subscriber.bootstrapping
-        ):
+        if mode == WEAK or self.subscriber.bootstrapping:
             return
         object_deps = set(self.subscriber.object_deps(message))
         required = dict(
@@ -321,7 +316,7 @@ class DeliveryChecker:
         fate.finishes += 1
         # An ordered apply always writes and bumps; a fresh-or-discard
         # one has effects only when some object was fresh.
-        if landed or not (message.repair or self._mode_for(message) == WEAK):
+        if landed or self._mode_for(message) != WEAK:
             fate.applies += 1
             if fate.applies > 1:
                 self.violation(
@@ -332,9 +327,6 @@ class DeliveryChecker:
 
     def _on_dedup_duplicate(self, info: Dict[str, Any]) -> None:
         self.duplicates += 1
-
-    def _on_apply_repair(self, info: Dict[str, Any]) -> None:
-        self._landed.add(info["message"].uid)
 
     def _on_apply_weak(self, info: Dict[str, Any]) -> None:
         self._landed.add(info["message"].uid)

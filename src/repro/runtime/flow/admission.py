@@ -10,11 +10,8 @@ zone in front of that cliff:
 - With credits exhausted the queue is *throttled*: publishes in weak
   mode are **shed** (safe for the data — weak subscribers tolerate
   fresh-or-discard gaps) and stronger modes are always admitted but
-  counted; the publisher never stalls. Bootstrap and repair messages
-  are never shed (mirroring their ``coalesce_key`` exclusion):
-  shedding repair traffic would starve the very anti-entropy loop that
-  heals shed-induced divergence, and a shed bootstrap message would
-  leave an object unreplicated rather than merely stale.
+  counted; the publisher never stalls. Targeted repair sends no
+  message, so nothing it does can be shed.
 - The publisher bumped its version store before the shed, so every
   shed message leaves a subscriber-side counter deficit until a later
   same-object write fast-forwards past it or anti-entropy repairs it.
@@ -133,18 +130,12 @@ class QueueFlow:
             return ADMIT
         # Credits exhausted (or depth already past the high watermark):
         # the graduated zone between the high watermark and the kill
-        # cliff. Bootstrap/repair traffic is exempt from shedding — it
-        # is the recovery path for earlier sheds. CDC-ingested messages
-        # are likewise exempt: their outbox entry is already durably
-        # committed publisher-side, so shedding one would turn an
-        # acknowledged raw write into silent divergence (docs/cdc.md).
+        # cliff. CDC-ingested messages are exempt from shedding: their
+        # outbox entry is already durably committed publisher-side, so
+        # shedding one would turn an acknowledged raw write into silent
+        # divergence (docs/cdc.md).
         mode = self._mode_of(message.app) or WEAK
-        if (
-            mode == WEAK
-            and not message.bootstrap
-            and not message.repair
-            and message.cdc is None
-        ):
+        if mode == WEAK and message.cdc is None:
             self._set_state(STATE_SHEDDING)
             self.shed.increment()
             self._record_shed(message)

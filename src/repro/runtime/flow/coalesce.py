@@ -38,10 +38,8 @@ from repro.broker.message import Message
 
 def coalesce_key(message: Message) -> Optional[Tuple[str, str, Any]]:
     """Index key for coalescing, or ``None`` if the message is not a
-    candidate (multi-op transactions, deletes, bootstrap/repair traffic
-    keep their own envelope)."""
-    if message.bootstrap or message.repair:
-        return None
+    candidate (multi-op transactions and deletes keep their own
+    envelope)."""
     if len(message.operations) != 1:
         return None
     operation = message.operations[0]

@@ -339,23 +339,6 @@ class MetricsRegistry:
             instrument.reset()
 
 
-class Timer:
-    """``with Timer(histogram):`` records elapsed seconds."""
-
-    def __init__(self, histogram: Histogram, clock: Optional[Clock] = None) -> None:
-        self.histogram = histogram
-        self.clock = clock or DEFAULT_CLOCK
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = self.clock.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.elapsed = self.clock.monotonic() - self._start
-        self.histogram.record(self.elapsed)
-
-
 class ThroughputMeter:
     """Counts events over a wall-clock (or virtual) window."""
 

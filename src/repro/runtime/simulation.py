@@ -70,26 +70,6 @@ class SimResult:
     completion_times: List[float] = field(default_factory=list)
 
 
-class _Engine:
-    """Shared event-driven core."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._events: List[Tuple[float, int]] = []
-        self._counter = itertools.count()
-
-    def schedule(self, at: float) -> None:
-        heapq.heappush(self._events, (at, next(self._counter)))
-
-    def next_time(self) -> Optional[float]:
-        return self._events[0][0] if self._events else None
-
-    def pop(self) -> float:
-        at, _ = heapq.heappop(self._events)
-        self.now = max(self.now, at)
-        return self.now
-
-
 def simulate_subscriber(
     messages: Sequence[SimMessage],
     workers: int,

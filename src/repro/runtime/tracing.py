@@ -74,12 +74,11 @@ MARK_ENQUEUED = "queue.enqueued"
 MARK_ACKED = "subscriber.ack"
 
 # Anti-entropy stages: an audit run records one standalone trace (no
-# message rides along) with digest-build, digest-diff and repair-publish
-# spans, so `python -m repro repair --demo` and tests can see where an
-# audit spends its time.
+# message rides along) with digest-build and digest-diff spans, so
+# `python -m repro repair --demo` and tests can see where an audit
+# spends its time.
 STAGE_AUDIT_DIGEST = "audit.digest"
 STAGE_AUDIT_DIFF = "audit.diff"
-STAGE_REPAIR_PUBLISH = "repair.publish"
 
 PIPELINE_STAGES = (
     STAGE_INTERCEPT,
@@ -95,7 +94,6 @@ PIPELINE_STAGES = (
     STAGE_WAL_FLUSH,
     STAGE_AUDIT_DIGEST,
     STAGE_AUDIT_DIFF,
-    STAGE_REPAIR_PUBLISH,
 )
 
 

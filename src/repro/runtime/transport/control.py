@@ -175,9 +175,14 @@ class ControlPlane:
         """{"versions": {...}, "generation": n} — bootstrap step 1 (§4.4)."""
         return self.request(service_name, "bootstrap_snapshot")
 
-    def model_dump(self, service_name: str, model_name: str) -> Dict[str, Any]:
-        """{"found", "operations", "ids"} — bootstrap step 2 bulk data."""
-        return self.request(service_name, "model_dump", model=model_name)
+    def model_dump(
+        self, service_name: str, model_name: str,
+        ids: Optional[List[Any]] = None,
+    ) -> Dict[str, Any]:
+        """{"found", "operations", "ids"} — bootstrap step 2 bulk data;
+        with ``ids``, steps 1 and 2 for those objects only, plus their
+        counters under ``versions``."""
+        return self.request(service_name, "model_dump", model=model_name, ids=ids)
 
     def model_digest(
         self,
@@ -207,16 +212,3 @@ class ControlPlane:
             return None
         return result["fields"]
 
-    def publish_repairs(
-        self,
-        service_name: str,
-        model_name: str,
-        divergent_ids: List[Any],
-        batch_size: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Ask the publisher to re-publish divergent objects as repair
-        messages; returns {"ids", "messages_published", "deletes_published"}."""
-        params: Dict[str, Any] = {"model": model_name, "ids": divergent_ids}
-        if batch_size is not None:
-            params["batch_size"] = batch_size
-        return self.request(service_name, "publish_repairs", **params)

@@ -186,8 +186,8 @@ def demo_verify(
 
     # The mirror's publisher lives on the other shard: the audit above
     # already exchanged digests over the pipe; now lose a replicated row
-    # locally and let targeted repair heal it — the repair trigger, the
-    # re-published message and the verifying re-audit all cross shards.
+    # locally and let targeted repair heal it — the audit, the transfer
+    # of the divergent row and the verifying re-audit all cross shards.
     mirror_name = "mirror1" if shard_name == "shard0" else "mirror0"
     mirror = ecosystem.local_service(mirror_name)
     repair_summary: Dict[str, Any] = {"mirror": mirror_name, "ran": False}

@@ -74,7 +74,6 @@ class ControlPlaneHandler(OpTable):
             "model_dump": self._op_model_dump,
             "model_digest": self._op_model_digest,
             "model_schema": self._op_model_schema,
-            "publish_repairs": self._op_publish_repairs,
             "outbox_lag": self._op_outbox_lag,
         })
 
@@ -108,7 +107,12 @@ class ControlPlaneHandler(OpTable):
 
     def _op_model_dump(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Bootstrap step 2 payload: every row of one published model,
-        marshaled exactly as a publish would marshal it."""
+        marshaled exactly as a publish would marshal it. With ``ids``,
+        steps 1 and 2 for those objects only (targeted repair): each
+        object's counter is read before its row, as bootstrap reads
+        them, and an id this publisher no longer holds is dumped as a
+        delete."""
+        from repro.core.dependencies import dep_name
         from repro.core.marshal import marshal_operation
 
         service = self.service
@@ -116,16 +120,34 @@ class ControlPlaneHandler(OpTable):
         if model_cls is None or model_cls.__mapper__ is None:
             return {"found": False, "operations": [], "ids": []}
         fields = service.published_fields_for(model_cls)
-        if fields is None or model_cls.__mapper__.db is None:
+        mapper = model_cls.__mapper__
+        if fields is None or mapper.db is None:
             return {"found": False, "operations": [], "ids": []}
-        rows = model_cls.__mapper__._do_where({}, None, None)
-        operations = [
-            marshal_operation("update", model_cls, row, fields) for row in rows
-        ]
+        ids = params.get("ids")
+        if ids is None:
+            rows = mapper._do_where({}, None, None)
+            return {
+                "found": True,
+                "operations": [
+                    marshal_operation("update", model_cls, row, fields)
+                    for row in rows
+                ],
+                "ids": [row["id"] for row in rows],
+            }
+        store = service.publisher_version_store
+        operations, versions = [], {}
+        for row_id in ids:
+            dep = dep_name(service.name, model_cls.table_name(), row_id)
+            ops, _version = store.current(dep)
+            versions[store.hasher.hash(dep)] = ops
+            row = mapper._do_find(row_id)
+            kind = "delete" if row is None else "update"
+            operations.append(marshal_operation(
+                kind, model_cls, row or {"id": row_id}, fields
+            ))
         return {
-            "found": True,
-            "operations": operations,
-            "ids": [row["id"] for row in rows],
+            "found": True, "operations": operations, "ids": list(ids),
+            "versions": versions,
         }
 
     def _op_model_digest(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -151,15 +173,3 @@ class ControlPlaneHandler(OpTable):
             py_type = getattr(field, "py_type", None)
             fields[name] = getattr(py_type, "__name__", None)
         return {"found": True, "fields": fields}
-
-    def _op_publish_repairs(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Repair trigger: re-publish the named divergent objects through
-        this publisher's ordinary pipeline, flagged ``repair=True``."""
-        from repro.repair.repairer import REPAIR_BATCH_SIZE, publish_repairs
-
-        return publish_repairs(
-            self.service,
-            params["model"],
-            params["ids"],
-            batch_size=params.get("batch_size", REPAIR_BATCH_SIZE),
-        )

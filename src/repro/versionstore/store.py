@@ -264,12 +264,6 @@ class PublisherVersionStore:
 
             shard.eval(script)
 
-    def watermark(self) -> int:
-        """Total operations registered across every dependency — the
-        publisher-side high-water mark an auditor compares against the
-        subscriber's :meth:`SubscriberVersionStore.watermark`."""
-        return sum(self.snapshot().values())
-
     def flush(self) -> None:
         self.kv.flushall()
 
@@ -306,10 +300,6 @@ class SubscriberVersionStore:
             for key in shard.keys("s:"):
                 out[key[len("s:"):]] = shard.hget(key, "ops") or 0
         return out
-
-    def watermark(self) -> int:
-        """Total dependency increments seen by this subscriber."""
-        return sum(self.snapshot().values())
 
     def deficits(self, publisher_snapshot: Dict[str, int]) -> Dict[str, int]:
         """Per-dependency counter deficits vs a publisher snapshot:

@@ -235,10 +235,9 @@ rows = st.fixed_dictionaries({
     coalesced=st.lists(st.text(min_size=1, max_size=6), max_size=3),
     cdc=st.none() | st.integers(1, 999),
     traced=st.booleans(),
-    flags=st.tuples(st.booleans(), st.booleans()),
 )
 def test_local_delivery_equals_the_wire_round_trip(
-    rows, kind, deps, externals, increments, coalesced, cdc, traced, flags
+    rows, kind, deps, externals, increments, coalesced, cdc, traced
 ):
     message = build_message(
         app="pub",
@@ -250,8 +249,6 @@ def test_local_delivery_equals_the_wire_round_trip(
         external_dependencies=externals,
         published_at=12.5,
         generation=2,
-        bootstrap=flags[0],
-        repair=flags[1],
         cdc=cdc,
     )
     if increments:  # what a restored coalescing survivor carries

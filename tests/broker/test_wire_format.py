@@ -45,7 +45,7 @@ class TestMessageGolden:
     def test_plain_message_exact_payload(self):
         payload = json.loads(make_message().to_json())
         assert payload == {
-            "wire_version": 3,
+            "wire_version": 4,
             "uid": "pub:41",
             "app": "pub",
             "operations": [{
@@ -58,18 +58,14 @@ class TestMessageGolden:
             "external_dependencies": {},
             "published_at": 123.5,
             "generation": 2,
-            "bootstrap": False,
-            "repair": False,
         }
 
     def test_flags_and_external_deps_serialize(self):
+        # v4: the ``bootstrap``/``repair`` flags are gone from the body.
         payload = json.loads(make_message(
-            bootstrap=True,
-            repair=True,
             external_dependencies={"other/posts/1": 9},
         ).to_json())
-        assert payload["bootstrap"] is True
-        assert payload["repair"] is True
+        assert "bootstrap" not in payload and "repair" not in payload
         assert payload["external_dependencies"] == {"other/posts/1": 9}
 
     def test_coalesce_metadata_exact_payload(self):
@@ -87,8 +83,6 @@ class TestMessageGolden:
 
     def test_round_trip_preserves_everything(self):
         message = make_message(
-            bootstrap=True,
-            repair=True,
             external_dependencies={"other/posts/1": 9},
             coalesced_uids=["pub:39"],
             increments={"pub/users/7": 2},
@@ -101,7 +95,6 @@ class TestMessageGolden:
         assert back.external_dependencies == message.external_dependencies
         assert back.published_at == message.published_at
         assert back.generation == message.generation
-        assert back.bootstrap and back.repair
         assert back.coalesced_uids == ["pub:39"]
         assert back.counter_increments() == {"pub/users/7": 2}
 
@@ -118,12 +111,23 @@ class TestMessageGolden:
 
     def test_older_payloads_still_parse(self):
         # Receivers refuse only *newer* versions: a v1 sender (pre
-        # trace-context shards) or v2 sender (pre CDC front-end) must
-        # interoperate with a v3 receiver.
-        for version in (1, 2):
+        # trace-context shards), v2 sender (pre CDC front-end) or v3
+        # sender (pre flag removal) must interoperate with a v4 receiver.
+        for version in (1, 2, 3):
             data = json.loads(make_message().to_json())
             data["wire_version"] = version
-            assert Message.from_json(json.dumps(data)).uid == "pub:41"
+            data.update(bootstrap=False, repair=False)
+            back = Message.from_json(json.dumps(data))
+            assert back.uid == "pub:41"
+            assert not hasattr(back, "repair") and not hasattr(back, "bootstrap")
+
+    def test_v3_repair_message_is_refused(self):
+        # A v3 WAL or peer may still hold a repair message; applied as
+        # an ordered message it would count the wrong counters.
+        data = json.loads(make_message().to_json())
+        data.update(wire_version=3, bootstrap=False, repair=True)
+        with pytest.raises(BrokerError, match="repair message"):
+            Message.from_json(json.dumps(data))
 
     def test_cdc_field_is_conditional(self):
         # v3: CDC-ingested messages carry the outbox sequence; ORM-path

@@ -47,7 +47,7 @@ class TestCLI:
         assert main(["repair", "--demo"]) == 0
         out = capsys.readouterr().out
         assert "DIVERGED" in out
-        assert "repair.pub.republished" in out
+        assert "repair.sub.applied_objects" in out
         assert "OK: replicas digest-equal, queue intact" in out
 
     def test_repair_demo_with_flags(self, capsys):

@@ -1,11 +1,11 @@
 """One publish path: what every front-end hands it, and what it hands back.
 
 ``SynapsePublisher._prepare`` is the only implementation of the §4.2
-publisher algorithm; an ORM write, an ORM write inside ``begin()``, a
-raw write tailed by the CDC poller and a repair are thin entry points
-over it. The first half checks that they mean the same thing on the
-wire. The second pins the rule picked at each place the four former
-copies of the algorithm had drifted apart.
+publisher algorithm; an ORM write, an ORM write inside ``begin()`` and
+a raw write tailed by the CDC poller are thin entry points over it. The
+first half checks that they mean the same thing on the wire. The second
+pins the rule picked at each place the former copies of the algorithm
+had drifted apart, and that a repair publishes nothing at all.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.runtime.tracing import (
     STAGE_ENGINE_WRITE,
     STAGE_INTERCEPT,
     STAGE_REGISTER,
-    STAGE_REPAIR_PUBLISH,
 )
 
 
@@ -190,47 +189,11 @@ def test_repair_keeps_its_own_accounting():
     overhead_samples = pub.publisher.overhead.count
 
     result = sub.repair_replication()
-    assert result.messages_published == 1
-    assert [m.repair for m in popped(probe)] == [False, True]
+    assert result.landed == 1
+    assert len(popped(probe)) == 1  # the create; the repair sent nothing
     assert pub.publisher.messages_published == published
     assert pub.publisher.overhead.count == overhead_samples
-    assert eco.metrics.snapshot("repair.")["repair.pub.republished"] == 1
-
-
-def test_repair_obeys_head_based_sampling():
-    """A repair message is traced iff its uid wins the draw, like every
-    other message (it used to carry a trace whatever the rate)."""
-    eco, pub, Doc, _User, probe = build_publisher()
-    eco.enable_tracing(sample_rate=0.01, seed=7)
-    sub, SubDoc = add_subscriber(eco, CAUSAL)
-    docs = [Doc.create(name=f"d{i}") for i in range(40)]
-    sub.subscriber.drain()
-    popped(probe)
-    for doc in docs:
-        tamper(SubDoc, doc.id, name="tampered")
-
-    # One object per repair message: forty draws at 1 %.
-    eco.control.publish_repairs("pub", "Doc", [d.id for d in docs], batch_size=1)
-    repairs = popped(probe)
-    assert len(repairs) == 40 and all(m.repair for m in repairs)
-    tracer = eco.tracer
-    assert [m.trace is not None for m in repairs] == [
-        tracer.sampled(m.uid) for m in repairs
-    ]
-    assert not all(m.trace is not None for m in repairs)
-
-
-def test_repair_span_rides_a_sampled_repair_message():
-    eco, pub, Doc, _User, probe = build_publisher()
-    eco.enable_tracing()
-    doc = Doc.create(name="d")
-    popped(probe)
-    eco.control.publish_repairs("pub", "Doc", [doc.id])
-    (repair,) = popped(probe)
-    stages = set(repair.trace.stages())
-    assert {STAGE_REPAIR_PUBLISH, STAGE_REGISTER} <= stages
-    assert not stages & {STAGE_INTERCEPT, STAGE_COLLECT, STAGE_ENGINE_WRITE}
-    assert repair.trace.trace_id == repair.uid
+    assert eco.metrics.snapshot("repair.")["repair.sub.applied_objects"] == 1
 
 
 def test_overhead_covers_the_engine_write_on_the_immediate_path_only():

@@ -174,7 +174,6 @@ def test_foreign_payload_is_logged_canonically(tmp_path):
     foreign = json.dumps(
         {
             "uid": "pub:900",
-            "repair": False,
             "published_at": 12.5,
             "operations": [{
                 "types": ["Doc"], "operation": "create", "id": 41,
@@ -183,7 +182,6 @@ def test_foreign_payload_is_logged_canonically(tmp_path):
             "generation": 1,
             "external_dependencies": {},
             "dependencies": {},
-            "bootstrap": False,
             "app": "pub",
         },
         indent=2,

@@ -99,7 +99,7 @@ def run_weak_stale(eco, pub, sub, PubDoc, SubDoc):
 
 
 def run_repair(eco, pub, sub, PubDoc, SubDoc):
-    """A lost update and a corrupted row, both healed by repair messages."""
+    """A lost update and a corrupted row, both healed by targeted repair."""
     with pub.controller():
         docs = [PubDoc.create(name=f"doc{i}", value=i) for i in range(3)]
     sub.subscriber.drain()
@@ -147,13 +147,16 @@ def raw_rows(model_cls, ids=range(1, 5)):
 
 
 def crash_and_restore(tmp_path, run, **shape):
-    """Live process A, then process B restored from A's WAL tail alone."""
+    """Live process A, then process B restored from A's WAL: the tail
+    alone, or after a repair the checkpoint it took (its transfer
+    bypasses the per-message log) plus the tail."""
     eco_a, pub_a, sub_a, mgr_a, PubDocA, SubDocA = build(tmp_path, **shape)
     run(eco_a, pub_a, sub_a, PubDocA, SubDocA)
     mgr_a.wal.sync()
     eco_b, pub_b, sub_b, mgr_b, PubDocB, SubDocB = build(tmp_path, **shape)
     report = mgr_b.restore()
-    assert not report.unrecoverable and report.snapshot_id is None
+    assert not report.unrecoverable
+    assert (report.snapshot_id is not None) == (run is run_repair)
     return (eco_a, pub_a, sub_a, mgr_a, SubDocA), (eco_b, pub_b, sub_b, mgr_b, SubDocB)
 
 

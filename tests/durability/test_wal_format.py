@@ -115,7 +115,8 @@ class TestPipelineRecordGolden:
         assert set(out) == {"t", "app", "m", "vs"}
         assert out["app"] == "pub"
         # The embedded payload is the golden wire format, trace dropped.
-        assert out["m"]["wire_version"] == 3
+        assert out["m"]["wire_version"] == 4
+        assert "repair" not in out["m"] and "bootstrap" not in out["m"]
         assert "trace" not in out["m"]
         assert all(
             len(pair) == 2 for pair in out["vs"].values()

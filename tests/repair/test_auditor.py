@@ -99,10 +99,10 @@ class TestAudit:
         User.create(name="a")
         sub.subscriber.drain()
         published_before = pub.publisher.messages_published
-        watermark_before = pub.publisher_version_store.watermark()
+        counters_before = pub.publisher_version_store.snapshot()
         ReplicationAuditor(sub).audit()
         assert pub.publisher.messages_published == published_before
-        assert pub.publisher_version_store.watermark() == watermark_before
+        assert pub.publisher_version_store.snapshot() == counters_before
 
     def test_audit_metrics_recorded(self, eco):
         pub, sub = build_pair(eco)

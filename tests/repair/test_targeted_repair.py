@@ -3,14 +3,13 @@
 The acceptance scenario: N write-messages are lost under causal
 delivery, wedging the subscriber (follow-up messages wait forever for
 the lost counter increments). The auditor detects exactly the divergent
-objects; targeted repair re-publishes only those and fast-forwards their
-dependency counters — replicas end digest-equal with the queue intact:
-no decommission, no full re-bootstrap.
+objects; targeted repair transfers only those, with their dependency
+counters — replicas end digest-equal with the queue intact: no
+decommission, no full re-bootstrap.
 """
 
 import pytest
 
-from repro.broker import Message
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
@@ -67,7 +66,7 @@ class TestLossRepair:
         assert sorted(report.divergent_for("pub", "User")) == \
             sorted(u.id for u in lost)
 
-        # 2. Repair: targeted re-publish heals data AND counters.
+        # 2. Repair: the targeted transfer heals data AND counters.
         result = repair_subscriber(sub, report=report)
         assert result.objects_repaired == len(lost)
         assert result.verified_in_sync
@@ -82,16 +81,15 @@ class TestLossRepair:
         assert not sub.bootstrap_active
 
     def test_repair_cost_scales_with_divergence_not_dataset(self, eco):
-        """Only the divergent objects are re-published."""
+        """Only the divergent objects are transferred."""
         pub, sub, users = build_pair(eco, objects=50)
         eco.broker.drop_next(1)
         users[10].update(score=9999)
         sub.subscriber.drain()
         result = repair_subscriber(sub)
         assert result.objects_repaired == 1
-        assert result.messages_published == 1
+        assert result.landed == 1
         snap = eco.metrics.snapshot()
-        assert snap["repair.pub.republished"] == 1
         # The subscriber applied exactly one repaired object, not 50.
         assert snap["repair.sub.applied_objects"] == 1
 
@@ -121,7 +119,7 @@ class TestLossRepair:
         SubUser = sub.registry["User"]
         assert SubUser.__mapper__.find(ghost_id) is not None  # ghost
         result = repair_subscriber(sub)
-        assert result.deletes_published == 1
+        assert result.deletes == 1
         assert result.verified_in_sync
         assert SubUser.__mapper__.find(ghost_id) is None
 
@@ -129,42 +127,41 @@ class TestLossRepair:
         pub, sub, users = build_pair(eco, objects=5)
         result = repair_subscriber(sub)
         assert result.objects_repaired == 0
-        assert result.messages_published == 0
+        assert result.landed == 0
         assert result.verified_in_sync
 
-    def test_repair_messages_are_flagged_and_versioned(self, eco):
-        """Repair traffic is ordinary versioned pub/sub traffic."""
+    def test_heal_sends_nothing_to_another_subscriber(self, eco):
+        """A heal is a transfer to the one replica that diverged: the
+        publisher's counters do not move and a second subscriber of the
+        same publisher is sent nothing."""
         pub, sub, users = build_pair(eco, objects=5)
-        eco.broker.drop_next(1)
-        users[2].update(score=777)
-        sub.subscriber.drain()
+        other = eco.service("other", database=PostgresLike("other-db"))
 
-        seen = []
-        original_publish = eco.broker.publish
+        @other.model(subscribe={"from": "pub", "fields": ["name", "score"]},
+                     name="User")
+        class OtherUser(Model):
+            name = Field(str)
+            score = Field(int, default=0)
 
-        def spy(message):
-            seen.append(message)
-            original_publish(message)
+        SubUser = sub.registry["User"]
+        SubUser.__mapper__._do_update(users[2].id, {"name": "tampered"})
+        counters = pub.publisher_version_store.snapshot()
 
-        eco.broker.publish = spy
-        repair_subscriber(sub)
-        repair_messages = [m for m in seen if m.repair]
-        assert len(repair_messages) == 1
-        message = repair_messages[0]
-        assert message.dependencies           # carries version counters
-        assert message.generation == pub.current_generation()
-        # Wire round trip preserves the flag.
-        assert Message.from_json(message.to_json()).repair is True
+        result = repair_subscriber(sub)
+        assert result.landed == 1 and result.verified_in_sync
+        assert SubUser.find(users[2].id).name == users[2].name
+        assert len(other.subscriber.queue) == 0
+        assert pub.publisher_version_store.snapshot() == counters
 
-    def test_batching_splits_large_divergence(self, eco):
+    def test_large_divergence_heals_in_one_transfer(self, eco):
         pub, sub, users = build_pair(eco, objects=12)
         eco.broker.drop_next(10)
         for user in users[:10]:
             user.update(score=user.score + 500)
         sub.subscriber.drain()
-        result = repair_subscriber(sub, batch_size=4)
+        result = repair_subscriber(sub)
         assert result.objects_repaired == 10
-        assert result.messages_published == 3  # ceil(10/4)
+        assert result.landed == 10
         assert result.verified_in_sync
 
     def test_service_repair_replication_surface(self, eco):
@@ -191,9 +188,8 @@ class TestRepairVsBootstrapSemantics:
         assert SubUser.find(users[6].id).name == users[6].name
 
     def test_stale_repair_discarded_fresh_kept(self, eco):
-        """Repair applies with fresh-or-discard semantics: if the live
-        pipeline already advanced an object past the audit snapshot, the
-        slower repair message must not regress it."""
+        """If the live pipeline already advanced an object past the
+        audit snapshot, the slower repair must not regress it."""
         pub, sub, users = build_pair(eco, objects=5)
         eco.broker.drop_next(1)
         users[0].update(score=100)

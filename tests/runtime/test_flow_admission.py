@@ -132,19 +132,6 @@ class TestModes:
         flow, _ = make_flow(capacity=10, modes={})
         assert flow.admit(make_message(app="ghost"), flow.high) == SHED
 
-    def test_repair_and_bootstrap_are_never_shed(self):
-        """Shedding the recovery traffic would defeat it: repair heals
-        shed-induced deficits, and a shed bootstrap message would leave
-        an object unreplicated rather than merely stale."""
-        flow, registry = make_flow(capacity=10)
-        assert flow.admit(make_message(repair=True), flow.high) == ADMIT
-        assert flow.admit(make_message(bootstrap=True), flow.high) == ADMIT
-        assert registry.value("flow.q.shed") == 0
-        assert registry.value("flow.q.throttled") == 2
-        assert flow.state == STATE_THROTTLED
-        # Plain weak traffic at the same depth still sheds.
-        assert flow.admit(make_message(), flow.high) == SHED
-
 
 class TestShedDeficitLedger:
     """Shedding leaves a deliberate subscriber-side counter deficit

@@ -36,8 +36,6 @@ class TestCoalesceKey:
         assert coalesce_key(write(op_id=7)) == ("pub", "User", 7)
 
     def test_exclusions(self):
-        assert coalesce_key(write(bootstrap=True)) is None
-        assert coalesce_key(write(repair=True)) is None
         assert coalesce_key(write(op="delete")) is None
         multi = write()
         multi.operations = multi.operations * 2

@@ -127,7 +127,7 @@ def test_publish_steps_are_called_from_the_publisher_only():
     assert violations == [], (
         "a step of the publisher algorithm is called outside "
         "SynapsePublisher — hand the write to the publisher instead "
-        "(write / ingest_cdc / publish_repair):\n" + "\n".join(violations)
+        "(write / ingest_cdc):\n" + "\n".join(violations)
     )
 
 

@@ -17,7 +17,7 @@ import os
 import re
 
 import repro
-from repro.core.subscriber import _REPAIR_EVENTS, _WEAK_EVENTS
+from repro.core.subscriber import _WEAK_EVENTS
 from repro.durability import wal
 from repro.durability.manager import DurabilityManager
 from repro.runtime.conformance.checker import DeliveryChecker
@@ -90,7 +90,7 @@ def test_the_restore_table_names_each_transition_its_record_and_owner():
 def _point_labels():
     """Every label a ``yield_point``/``observe_point`` under ``src/``
     is called with, and those the live apply's teller emits by table."""
-    labels = {*_WEAK_EVENTS.values(), *_REPAIR_EVENTS.values()}
+    labels = set(_WEAK_EVENTS.values())
     for dirpath, _dirnames, filenames in os.walk(SRC_ROOT):
         for filename in filenames:
             if not filename.endswith(".py"):
