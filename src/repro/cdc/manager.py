@@ -9,7 +9,6 @@ while any outbox tail is non-empty.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, Optional
 
 from repro.cdc.outbox import OutboxTable
@@ -22,8 +21,6 @@ class CdcManager:
     def __init__(self, ecosystem: Any) -> None:
         self.ecosystem = ecosystem
         self.pollers: Dict[str, CdcPoller] = {}
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
 
     # -- registration ------------------------------------------------------
 
@@ -75,30 +72,3 @@ class CdcManager:
         re-derive every outbox's next sequence from storage."""
         for poller in self.pollers.values():
             poller.outbox.resync()
-
-    # -- optional background tailer ---------------------------------------
-
-    def start(self, interval: float = 0.05) -> "CdcManager":
-        """Run the tail loop in a daemon thread (demos/benchmarks; tests
-        and the conformance harness drive :meth:`poll_all` directly for
-        determinism)."""
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(interval):
-                self.poll_all()
-
-        self._thread = threading.Thread(
-            target=loop, name="cdc-poller", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(5.0)
-        self._thread = None

@@ -2,9 +2,7 @@
 
 The engines differ widely in data model and query surface, so the base
 class deliberately stays small: identity, statistics, fault injection and
-an optional artificial service time used to model relative engine speeds
-in benchmarks (the paper's engines have very different write costs, e.g.
-PostgreSQL saturating at 12k writes/s vs Elasticsearch at 20k in Fig 13b).
+the one engine-wide lock.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Optional
 
 from repro.errors import FaultInjected
 
@@ -27,16 +25,6 @@ class EngineStats:
     scans: int = 0
     index_lookups: int = 0
     transactions: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "deletes": self.deletes,
-            "scans": self.scans,
-            "index_lookups": self.index_lookups,
-            "transactions": self.transactions,
-        }
 
     def reset(self) -> None:
         self.reads = 0

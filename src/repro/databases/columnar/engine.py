@@ -44,8 +44,6 @@ class _Family:
         self.memtable = Memtable()
         self.sstables: List[SSTable] = []
         self.flush_threshold = flush_threshold
-        self.flushes = 0
-        self.compactions = 0
         self._id_seq = itertools.count(1)
 
     def sources_newest_first(self) -> List:
@@ -55,10 +53,8 @@ class _Family:
         if self.memtable.approximate_size() >= self.flush_threshold:
             self.sstables.append(SSTable.from_memtable(self.memtable))
             self.memtable = Memtable()
-            self.flushes += 1
             if len(self.sstables) > 4:
                 self.sstables = [compact(self.sstables)]
-                self.compactions += 1
 
 
 class ColumnarDatabase(Database):
@@ -88,9 +84,6 @@ class ColumnarDatabase(Database):
 
     def has_table(self, name: str) -> bool:
         return name in self._families
-
-    def table_names(self) -> List[str]:
-        return sorted(self._families)
 
     # -- writes ----------------------------------------------------------------
 
@@ -169,23 +162,6 @@ class ColumnarDatabase(Database):
             rows.sort(key=lambda r: str(r.get(family.schema.partition_key)))
             return rows
 
-    def scan_partition(self, table: str, partition: Any) -> List[Row]:
-        """All clustering rows of one partition."""
-        with self._lock:
-            self._charge_read()
-            family = self._family(table)
-            keys = set()
-            for source in family.sources_newest_first():
-                keys.update(k for k in source.cells if k[0] == partition)
-                keys.update(k for k in source.tombstones if k[0] == partition)
-            sources = family.sources_newest_first()
-            rows = []
-            for key in sorted(keys, key=str):
-                row = merge_row(key, sources)
-                if row is not None:
-                    rows.append(row)
-            return rows
-
     def count(self, table: str) -> int:
         return len(self.scan(table))
 
@@ -196,15 +172,6 @@ class ColumnarDatabase(Database):
             return self._families[table]
         except KeyError:
             raise UnknownTableError(f"no column family {table!r}") from None
-
-    def storage_stats(self, table: str) -> Dict[str, int]:
-        family = self._family(table)
-        return {
-            "memtable_size": family.memtable.approximate_size(),
-            "sstables": len(family.sstables),
-            "flushes": family.flushes,
-            "compactions": family.compactions,
-        }
 
 
 class CassandraLike(ColumnarDatabase):

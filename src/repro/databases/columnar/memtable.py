@@ -49,9 +49,6 @@ class SSTable:
     def from_memtable(cls, memtable: Memtable) -> "SSTable":
         return cls(dict(memtable.cells), dict(memtable.tombstones))
 
-    def __len__(self) -> int:
-        return len(self.cells)
-
 
 def merge_row(
     rowkey: Tuple,

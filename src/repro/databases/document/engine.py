@@ -244,12 +244,6 @@ class DocumentDatabase(Database):
             docs = [{k: v for k, v in d.items() if k in keep} for d in docs]
         return docs
 
-    def find_one(
-        self, collection: str, query: Optional[Dict[str, Any]] = None
-    ) -> Optional[Doc]:
-        docs = self.find(collection, query, limit=1)
-        return docs[0] if docs else None
-
     def get(self, collection: str, doc_id: Any) -> Optional[Doc]:
         with self._lock:
             self._charge_read()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.databases.base import Database
 from repro.errors import DatabaseError
@@ -32,8 +32,6 @@ class GraphDatabase(Database):
         self._in: Dict[int, Dict[str, Set[int]]] = {}
         self._edge_props: Dict[Tuple[int, str, int], Props] = {}
         self._id_seq = itertools.count(1)
-        # label -> property -> value -> node ids (exact-match index)
-        self._prop_index: Dict[Tuple[str, str], Dict[Any, Set[int]]] = {}
 
     # -- nodes -----------------------------------------------------------
 
@@ -56,18 +54,14 @@ class GraphDatabase(Database):
             self._nodes[node_id] = props
             self._node_labels[node_id] = label
             self._by_label.setdefault(label, set()).add(node_id)
-            self._index_node(label, node_id, props)
             return dict(props)
 
     def update_node(self, node_id: int, properties: Props) -> Props:
         with self._lock:
             self._charge_write()
             node = self._require_node(node_id)
-            label = self._node_labels[node_id]
-            self._unindex_node(label, node_id, node)
             node.update(properties)
             node["id"] = node_id
-            self._index_node(label, node_id, node)
             return dict(node)
 
     def delete_node(self, node_id: int) -> Optional[Props]:
@@ -80,7 +74,6 @@ class GraphDatabase(Database):
                 return None
             label = self._node_labels.pop(node_id)
             self._by_label[label].discard(node_id)
-            self._unindex_node(label, node_id, node)
             for neighbour_map, reverse in ((self._out, self._in), (self._in, self._out)):
                 for edge_type, neighbours in neighbour_map.pop(node_id, {}).items():
                     for other in neighbours:
@@ -105,22 +98,10 @@ class GraphDatabase(Database):
         """All nodes with the label matching every given property."""
         with self._lock:
             self._charge_read()
-            candidates: Iterable[int]
+            self.stats.scans += 1
             properties = properties or {}
-            indexed = None
-            for key, value in properties.items():
-                table = self._prop_index.get((label, key))
-                if table is not None:
-                    self.stats.index_lookups += 1
-                    indexed = table.get(value, set())
-                    break
-            if indexed is not None:
-                candidates = indexed
-            else:
-                self.stats.scans += 1
-                candidates = self._by_label.get(label, set())
             out = []
-            for node_id in sorted(candidates):
+            for node_id in sorted(self._by_label.get(label, set())):
                 node = self._nodes.get(node_id)
                 if node is None:
                     continue
@@ -132,14 +113,6 @@ class GraphDatabase(Database):
         if label is None:
             return len(self._nodes)
         return len(self._by_label.get(label, ()))
-
-    def create_property_index(self, label: str, prop: str) -> None:
-        with self._lock:
-            table: Dict[Any, Set[int]] = {}
-            for node_id in self._by_label.get(label, set()):
-                value = self._nodes[node_id].get(prop)
-                table.setdefault(value, set()).add(node_id)
-            self._prop_index[(label, prop)] = table
 
     # -- edges -----------------------------------------------------------
 
@@ -181,11 +154,6 @@ class GraphDatabase(Database):
 
     def has_edge(self, src: int, edge_type: str, dst: int) -> bool:
         return dst in self._out.get(src, {}).get(edge_type, set())
-
-    def neighbours(self, node_id: int, edge_type: str) -> Set[int]:
-        with self._lock:
-            self._charge_read()
-            return set(self._out.get(node_id, {}).get(edge_type, set()))
 
     def count_edges(self, edge_type: Optional[str] = None) -> int:
         total = 0
@@ -288,18 +256,6 @@ class GraphDatabase(Database):
         if node is None:
             raise DatabaseError(f"no node {node_id}")
         return node
-
-    def _index_node(self, label: str, node_id: int, props: Props) -> None:
-        for (ilabel, prop), table in self._prop_index.items():
-            if ilabel == label:
-                table.setdefault(props.get(prop), set()).add(node_id)
-
-    def _unindex_node(self, label: str, node_id: int, props: Props) -> None:
-        for (ilabel, prop), table in self._prop_index.items():
-            if ilabel == label:
-                bucket = table.get(props.get(prop))
-                if bucket is not None:
-                    bucket.discard(node_id)
 
 
 class Neo4jLike(GraphDatabase):

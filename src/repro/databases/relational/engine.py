@@ -51,12 +51,6 @@ class RelationalDatabase(Database):
     def has_table(self, name: str) -> bool:
         return name in self._tables
 
-    def table_schema(self, name: str) -> TableSchema:
-        return self._storage(name).schema
-
-    def table_names(self) -> List[str]:
-        return sorted(self._tables)
-
     def add_column(self, table: str, column: Column) -> None:
         """ALTER TABLE ADD COLUMN; existing rows get the column's default."""
         with self._lock:
@@ -272,23 +266,6 @@ class RelationalDatabase(Database):
                 result[alias] = _aggregate(fn, column, bucket)
             out.append(result)
         return out
-
-    def explain(self, table: str, where: Expression = ALWAYS) -> Dict[str, Any]:
-        """Planner introspection: which access path a query would take."""
-        storage = self._storage(table)
-        schema = storage.schema
-        candidates = dict(where.equality_candidates())
-        if PRIMARY_KEY in candidates:
-            return {"access": "primary_key", "column": PRIMARY_KEY}
-        best: Optional[Index] = None
-        for index in schema.indexes.values():
-            if all(column in candidates for column in index.columns):
-                if best is None or len(index.columns) > len(best.columns):
-                    best = index
-        if best is not None:
-            return {"access": "index_lookup", "index": best.name,
-                    "columns": list(best.columns)}
-        return {"access": "full_scan", "rows": len(storage)}
 
     # -------------------------------------------------------------- planner
 

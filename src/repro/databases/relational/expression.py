@@ -6,8 +6,7 @@ against a row and introspect for index-equality candidates.
 
 from __future__ import annotations
 
-import re
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 class Expression:
@@ -24,18 +23,11 @@ class Expression:
         """
         return []
 
-    def columns(self) -> Iterable[str]:
-        """Every column referenced anywhere in the predicate."""
-        return []
-
     def __and__(self, other: "Expression") -> "Expression":
         return And(self, other)
 
     def __or__(self, other: "Expression") -> "Expression":
         return Or(self, other)
-
-    def __invert__(self) -> "Expression":
-        return Not(self)
 
 
 class Always(Expression):
@@ -57,9 +49,6 @@ class _Comparison(Expression):
     def __init__(self, column: str, value: Any) -> None:
         self.column = column
         self.value = value
-
-    def columns(self) -> Iterable[str]:
-        return [self.column]
 
     def __repr__(self) -> str:
         return f"({self.column} {self.op} {self.value!r})"
@@ -123,44 +112,6 @@ class Ge(_Comparison):
         return _comparable(v, self.value) and v >= self.value
 
 
-class In(_Comparison):
-    op = "IN"
-
-    def __init__(self, column: str, value: Iterable[Any]) -> None:
-        super().__init__(column, tuple(value))
-        self._set = set(self.value)
-
-    def matches(self, row: Dict[str, Any]) -> bool:
-        return row.get(self.column) in self._set
-
-
-class Like(_Comparison):
-    """SQL LIKE with ``%`` and ``_`` wildcards."""
-
-    op = "LIKE"
-
-    def __init__(self, column: str, value: str) -> None:
-        super().__init__(column, value)
-        # re.escape leaves % and _ untouched (they are not regex-special).
-        pattern = re.escape(value).replace("%", ".*").replace("_", ".")
-        self._regex = re.compile(f"^{pattern}$", re.IGNORECASE)
-
-    def matches(self, row: Dict[str, Any]) -> bool:
-        v = row.get(self.column)
-        return isinstance(v, str) and bool(self._regex.match(v))
-
-
-class IsNull(Expression):
-    def __init__(self, column: str) -> None:
-        self.column = column
-
-    def matches(self, row: Dict[str, Any]) -> bool:
-        return row.get(self.column) is None
-
-    def columns(self) -> Iterable[str]:
-        return [self.column]
-
-
 class And(Expression):
     def __init__(self, *parts: Expression) -> None:
         self.parts = parts
@@ -174,10 +125,6 @@ class And(Expression):
             out.extend(p.equality_candidates())
         return out
 
-    def columns(self) -> Iterable[str]:
-        for p in self.parts:
-            yield from p.columns()
-
     def __repr__(self) -> str:
         return "(" + " AND ".join(map(repr, self.parts)) + ")"
 
@@ -189,26 +136,8 @@ class Or(Expression):
     def matches(self, row: Dict[str, Any]) -> bool:
         return any(p.matches(row) for p in self.parts)
 
-    def columns(self) -> Iterable[str]:
-        for p in self.parts:
-            yield from p.columns()
-
     def __repr__(self) -> str:
         return "(" + " OR ".join(map(repr, self.parts)) + ")"
-
-
-class Not(Expression):
-    def __init__(self, inner: Expression) -> None:
-        self.inner = inner
-
-    def matches(self, row: Dict[str, Any]) -> bool:
-        return not self.inner.matches(row)
-
-    def columns(self) -> Iterable[str]:
-        return self.inner.columns()
-
-    def __repr__(self) -> str:
-        return f"(NOT {self.inner!r})"
 
 
 class Col:
@@ -235,15 +164,6 @@ class Col:
     def __ge__(self, other: Any) -> Expression:
         return Ge(self.name, other)
 
-    def in_(self, values: Iterable[Any]) -> Expression:
-        return In(self.name, values)
-
-    def like(self, pattern: str) -> Expression:
-        return Like(self.name, pattern)
-
-    def is_null(self) -> Expression:
-        return IsNull(self.name)
-
     __hash__ = None  # type: ignore[assignment]
 
 
@@ -251,12 +171,7 @@ def where_from_dict(conditions: Optional[Dict[str, Any]]) -> Expression:
     """Build a conjunction of equalities from a mapping (Mongo-ish sugar)."""
     if not conditions:
         return ALWAYS
-    parts: List[Expression] = []
-    for column, value in conditions.items():
-        if isinstance(value, (list, tuple, set)):
-            parts.append(In(column, value))
-        else:
-            parts.append(Eq(column, value))
+    parts: List[Expression] = [Eq(column, value) for column, value in conditions.items()]
     if len(parts) == 1:
         return parts[0]
     return And(*parts)

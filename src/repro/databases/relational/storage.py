@@ -144,6 +144,3 @@ class TableStorage:
             row = self.rows.get(row_id)
             if row is not None:
                 yield dict(row)
-
-    def __len__(self) -> int:
-        return len(self.rows)

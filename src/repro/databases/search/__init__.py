@@ -3,7 +3,7 @@ TF-IDF scored queries and aggregations."""
 
 from repro.databases.search.analysis import ANALYZERS, analyze
 from repro.databases.search.engine import ElasticsearchLike, SearchDatabase
-from repro.databases.search.query import Bool, Match, MatchAll, Range, Term
+from repro.databases.search.query import Match, MatchAll, Term
 
 __all__ = [
     "SearchDatabase",
@@ -11,8 +11,6 @@ __all__ = [
     "Term",
     "Match",
     "MatchAll",
-    "Bool",
-    "Range",
     "analyze",
     "ANALYZERS",
 ]

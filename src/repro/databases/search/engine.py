@@ -54,9 +54,6 @@ class _SearchIndex:
     def all_doc_ids(self) -> Set[Any]:
         return set(self.docs)
 
-    def doc(self, doc_id: Any) -> Doc:
-        return self.docs[doc_id]
-
 
 class SearchDatabase(Database):
     """Document indexing plus scored queries and aggregations.

@@ -38,6 +38,3 @@ class InvertedIndex:
 
     def document_frequency(self, term: str) -> int:
         return len(self.postings.get(term, ()))
-
-    def __len__(self) -> int:
-        return len(self.postings)

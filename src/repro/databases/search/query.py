@@ -1,8 +1,8 @@
 """Search query AST with TF-IDF scoring.
 
 Queries evaluate against an index object exposing ``field_index(field)``
-(an :class:`InvertedIndex`), ``all_doc_ids()`` and ``doc(doc_id)``;
-``matches`` returns ``{doc_id: score}``.
+(an :class:`InvertedIndex`), ``field_analyzer(field)`` and
+``all_doc_ids()``; ``matches`` returns ``{doc_id: score}``.
 """
 
 from __future__ import annotations
@@ -59,103 +59,4 @@ class Match(Query):
         for token in analyze(self.text, analyzer):
             for doc_id, score in Term(self.field, token).matches(index).items():
                 scores[doc_id] = scores.get(doc_id, 0.0) + score
-        return scores
-
-
-class Prefix(Query):
-    """Terms starting with the given prefix (autocomplete-style)."""
-
-    def __init__(self, field: str, prefix: str) -> None:
-        self.field = field
-        self.prefix = prefix
-
-    def matches(self, index: Any) -> Dict[Any, float]:
-        inv = index.field_index(self.field)
-        scores: Dict[Any, float] = {}
-        for term in inv.postings:
-            if term.startswith(self.prefix):
-                for doc_id, score in Term(self.field, term).matches(index).items():
-                    scores[doc_id] = scores.get(doc_id, 0.0) + score
-        return scores
-
-
-class Phrase(Query):
-    """All tokens present (conjunctive multi-term match; positional
-    adjacency is not tracked by the index)."""
-
-    def __init__(self, field: str, text: str) -> None:
-        self.field = field
-        self.text = text
-
-    def matches(self, index: Any) -> Dict[Any, float]:
-        analyzer = index.field_analyzer(self.field)
-        tokens = analyze(self.text, analyzer)
-        if not tokens:
-            return {}
-        partials = [Term(self.field, token).matches(index) for token in tokens]
-        shared = set(partials[0])
-        for partial in partials[1:]:
-            shared &= set(partial)
-        return {
-            doc_id: sum(partial[doc_id] for partial in partials)
-            for doc_id in shared
-        }
-
-
-class Range(Query):
-    """Numeric range filter on a stored (non-analysed) field."""
-
-    def __init__(self, field: str, gte: Any = None, lte: Any = None) -> None:
-        self.field = field
-        self.gte = gte
-        self.lte = lte
-
-    def matches(self, index: Any) -> Dict[Any, float]:
-        out: Dict[Any, float] = {}
-        for doc_id in index.all_doc_ids():
-            value = index.doc(doc_id).get(self.field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                continue
-            if self.gte is not None and value < self.gte:
-                continue
-            if self.lte is not None and value > self.lte:
-                continue
-            out[doc_id] = 1.0
-        return out
-
-
-class Bool(Query):
-    """Elasticsearch-style boolean combination.
-
-    - ``must``: all required; scores sum.
-    - ``should``: optional; scores add (and suffice when no ``must``).
-    - ``must_not``: excludes matches.
-    """
-
-    def __init__(self, must=None, should=None, must_not=None) -> None:
-        self.must = list(must or [])
-        self.should = list(should or [])
-        self.must_not = list(must_not or [])
-
-    def matches(self, index: Any) -> Dict[Any, float]:
-        scores: Dict[Any, float] = {}
-        if self.must:
-            candidate_sets = [q.matches(index) for q in self.must]
-            shared = set(candidate_sets[0])
-            for cs in candidate_sets[1:]:
-                shared &= set(cs)
-            for doc_id in shared:
-                scores[doc_id] = sum(cs[doc_id] for cs in candidate_sets)
-        elif self.should:
-            scores = {}
-        else:
-            scores = MatchAll().matches(index)
-        for q in self.should:
-            for doc_id, score in q.matches(index).items():
-                if self.must and doc_id not in scores:
-                    continue
-                scores[doc_id] = scores.get(doc_id, 0.0) + score
-        for q in self.must_not:
-            for doc_id in q.matches(index):
-                scores.pop(doc_id, None)
         return scores

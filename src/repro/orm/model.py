@@ -287,11 +287,6 @@ class Model(metaclass=ModelMeta):
         return cls.where()
 
     @classmethod
-    def first(cls) -> Optional["Model"]:
-        rows = cls._mapper().where({}, limit=1)
-        return cls.from_row(rows[0]) if rows else None
-
-    @classmethod
     def count(cls, **conditions: Any) -> int:
         return cls._mapper().count(conditions)
 

@@ -1,5 +1,5 @@
-"""Analytics extensions: SQL GROUP BY, Mongo pipelines, search prefix/
-phrase queries, graph link features."""
+"""Analytics extensions: SQL GROUP BY and access paths, Mongo pipelines,
+graph link features."""
 
 import pytest
 
@@ -14,8 +14,6 @@ from repro.databases.relational import (
     TableSchema,
     Text,
 )
-from repro.databases.search import ElasticsearchLike
-from repro.databases.search.query import Phrase, Prefix
 from repro.errors import DatabaseError, UnsupportedOperationError
 
 
@@ -69,11 +67,15 @@ class TestRelationalAggregation:
             db.aggregate("orders", aggregates={"x": ("median", "total")})
 
     def test_explain_paths(self, db):
-        assert db.explain("orders", Col("id") == 3)["access"] == "primary_key"
-        plan = db.explain("orders", Col("region") == "us")
-        assert plan == {"access": "index_lookup", "index": "by_region",
-                        "columns": ["region"]}
-        assert db.explain("orders", Col("total") > 5)["access"] == "full_scan"
+        """The access path each ``select`` takes, read off the counters:
+        primary key and index are lookups, anything else scans."""
+        db.stats.reset()
+        assert len(db.select("orders", where=Col("id") == 3)) == 1
+        assert (db.stats.index_lookups, db.stats.scans) == (1, 0)
+        assert len(db.select("orders", where=Col("region") == "us")) == 2
+        assert (db.stats.index_lookups, db.stats.scans) == (2, 0)
+        assert len(db.select("orders", where=Col("total") > 5)) == 2
+        assert (db.stats.index_lookups, db.stats.scans) == (2, 1)
 
 
 class TestDocumentPipeline:
@@ -130,28 +132,6 @@ class TestDocumentPipeline:
         assert db.distinct("events", "kind") == ["click", "search"]
         assert db.distinct("events", "tags") == ["a", "b"]
         assert db.distinct("events", "kind", {"n": {"$gt": 5}}) == ["search"]
-
-
-class TestSearchExtensions:
-    @pytest.fixture
-    def db(self):
-        database = ElasticsearchLike("es")
-        database.create_index("products")
-        database.index_doc("products", {"_id": 1, "name": "coffee grinder deluxe"})
-        database.index_doc("products", {"_id": 2, "name": "coffee maker"})
-        database.index_doc("products", {"_id": 3, "name": "tea kettle"})
-        return database
-
-    def test_prefix_query(self, db):
-        hits = db.search("products", Prefix("name", "coff"))
-        assert {h[0]["_id"] for h in hits} == {1, 2}
-        assert db.search("products", Prefix("name", "zzz")) == []
-
-    def test_phrase_requires_all_tokens(self, db):
-        hits = db.search("products", Phrase("name", "coffee grinder"))
-        assert [h[0]["_id"] for h in hits] == [1]
-        assert db.search("products", Phrase("name", "coffee kettle")) == []
-        assert db.search("products", Phrase("name", "")) == []
 
 
 class TestGraphLinkFeatures:

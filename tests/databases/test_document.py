@@ -106,7 +106,7 @@ class TestEngine:
         db.insert_one("users", {"name": "a", "interests": ["cats", "dogs"]})
         db.insert_one("users", {"name": "b", "address": {"city": "nyc"}})
         assert db.count("users") == 2
-        assert db.find_one("users", {"address.city": "nyc"})["name"] == "b"
+        assert db.find("users", {"address.city": "nyc"})[0]["name"] == "b"
 
     def test_find_sort_limit_projection(self, db):
         for age in [3, 1, 2]:
@@ -138,16 +138,16 @@ class TestEngine:
 
     def test_documents_are_isolated_copies(self, db):
         db.insert_one("users", {"tags": ["a"]})
-        doc = db.find_one("users")
+        (doc,) = db.find("users")
         doc["tags"].append("b")
-        assert db.find_one("users")["tags"] == ["a"]
+        assert db.find("users")[0]["tags"] == ["a"]
 
     def test_index_point_lookup(self, db):
         db.create_index("users", "name")
         db.insert_one("users", {"name": "a"})
         db.insert_one("users", {"name": "b"})
         db.stats.reset()
-        assert db.find_one("users", {"name": "b"})["name"] == "b"
+        assert db.find("users", {"name": "b"})[0]["name"] == "b"
         assert db.stats.index_lookups == 1
         assert db.stats.scans == 0
 
@@ -181,4 +181,18 @@ class TestTransactions:
                 db.update_one("users", {"name": "a"}, {"$set": {"name": "z"}})
                 raise RuntimeError("boom")
         assert db.count("users") == 1
-        assert db.find_one("users")["name"] == "a"
+        assert db.find("users")[0]["name"] == "a"
+
+    def test_tokumx_rollback_restores_a_deleted_document(self):
+        db = TokuMXLike("toku")
+        db.create_index("users", "name")
+        db.insert_one("users", {"name": "a", "n": 1})
+        with pytest.raises(RuntimeError):
+            with db.begin():
+                assert db.delete_one("users", {"name": "a"})["n"] == 1
+                assert db.count("users") == 0
+                raise RuntimeError("boom")
+        assert db.find("users") == [{"_id": 1, "name": "a", "n": 1}]
+        db.stats.reset()
+        assert db.find("users", {"name": "a"})[0]["n"] == 1
+        assert (db.stats.index_lookups, db.stats.scans) == (1, 0)

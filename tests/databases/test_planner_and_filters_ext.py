@@ -14,6 +14,20 @@ from repro.databases.relational import (
 )
 
 
+def planned_index(db, table, where):
+    """Run ``select`` and return the name of the index it read (None for
+    a primary-key lookup or a scan)."""
+    storage = db._storage(table)
+    read = []
+    lookup = storage.ids_for_index_key
+    storage.ids_for_index_key = lambda name, key: read.append(name) or lookup(name, key)
+    try:
+        db.select(table, where=where)
+    finally:
+        del storage.ids_for_index_key
+    return read[0] if read else None
+
+
 class TestCompositeIndexPlanning:
     @pytest.fixture
     def db(self):
@@ -41,13 +55,11 @@ class TestCompositeIndexPlanning:
         return database
 
     def test_widest_index_chosen(self, db):
-        plan = db.explain("events", (Col("tenant") == "acme") & (Col("kind") == "click"))
-        assert plan["index"] == "by_tenant_kind"
-        assert plan["columns"] == ["tenant", "kind"]
+        where = (Col("tenant") == "acme") & (Col("kind") == "click")
+        assert planned_index(db, "events", where) == "by_tenant_kind"
 
     def test_falls_back_to_narrower_index(self, db):
-        plan = db.explain("events", Col("tenant") == "acme")
-        assert plan["index"] == "by_tenant"
+        assert planned_index(db, "events", Col("tenant") == "acme") == "by_tenant"
 
     def test_composite_results_match_scan(self, db):
         where = (Col("tenant") == "acme") & (Col("kind") == "click")
@@ -63,8 +75,9 @@ class TestCompositeIndexPlanning:
 
     def test_partial_composite_match_not_usable(self, db):
         # Only "kind" has an equality: by_tenant_kind cannot serve it.
-        plan = db.explain("events", Col("kind") == "click")
-        assert plan["access"] == "full_scan"
+        db.stats.reset()
+        assert planned_index(db, "events", Col("kind") == "click") is None
+        assert db.stats.scans == 1
 
     def test_index_maintained_through_updates(self, db):
         db.update("events", (Col("tenant") == "acme") & (Col("kind") == "click"),

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.databases.search import (
-    Bool,
     ElasticsearchLike,
     Match,
     MatchAll,
-    Range,
     Term,
     analyze,
 )
@@ -82,28 +80,6 @@ class TestQueries:
         hits = db.search("posts", Match("body", "cats"))
         assert [h[0]["_id"] for h in hits] == [1, 2]
         assert hits[0][1] > hits[1][1]
-
-    def test_bool_must_should_must_not(self, db):
-        db.index_doc("posts", {"_id": 1, "body": "cats dogs"})
-        db.index_doc("posts", {"_id": 2, "body": "cats fish"})
-        db.index_doc("posts", {"_id": 3, "body": "dogs fish"})
-        hits = db.search(
-            "posts",
-            Bool(must=[Match("body", "cats")], must_not=[Match("body", "fish")]),
-        )
-        assert [h[0]["_id"] for h in hits] == [1]
-        hits = db.search(
-            "posts",
-            Bool(should=[Match("body", "cats"), Match("body", "dogs")]),
-        )
-        assert {h[0]["_id"] for h in hits} == {1, 2, 3}
-
-    def test_range_query(self, db):
-        db.index_doc("posts", {"_id": 1, "price": 5})
-        db.index_doc("posts", {"_id": 2, "price": 15})
-        db.index_doc("posts", {"_id": 3, "price": "n/a"})
-        hits = db.search("posts", Range("price", gte=10))
-        assert [h[0]["_id"] for h in hits] == [2]
 
     def test_match_all_and_size(self, db):
         for i in range(5):

@@ -170,6 +170,6 @@ class TestEngineSpecifics:
         db = MongoLike("m")
         Article = make_model(db)
         a = Article.create(title="t", views=1)
-        doc = db.find_one("articles", {"title": "t"})
+        (doc,) = db.find("articles", {"title": "t"})
         assert doc["_id"] == a.id
         assert "id" not in doc

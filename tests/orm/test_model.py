@@ -106,7 +106,6 @@ class TestQueries:
         assert len(user_cls.where(name="b")) == 2
         assert user_cls.count() == 3
         assert user_cls.count(name="b") == 2
-        assert user_cls.first().name == "a"
         assert len(user_cls.all()) == 3
 
     def test_where_order_and_limit(self, user_cls):

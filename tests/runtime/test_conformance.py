@@ -8,13 +8,16 @@ from unittest import mock
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.broker.queue import SubscriberQueue
+from repro.core import Ecosystem
 from repro.core import subscriber as subscriber_mod
 from repro.core.subscriber import SynapseSubscriber
 from repro.durability.manager import DurabilityManager
 from repro.errors import BrokerError, QueueDecommissioned
 from repro.runtime import workers as workers_mod
 from repro.runtime.conformance import (
+    DeliveryChecker,
     INV_GATE,
     INV_IDLE,
     INV_LEAK,
@@ -37,7 +40,14 @@ from repro.runtime.conformance.scenarios import (
     pop_deadline_scenario,
     trace_has,
 )
-from repro.runtime.interleave import SUBSCRIBER_APPLIED, hook_installed, yield_point
+from repro.runtime.interleave import (
+    SUBSCRIBER_APPLIED,
+    hook_installed,
+    install_hook,
+    uninstall_hook,
+    yield_point,
+)
+from repro.versionstore import DependencyHasher
 
 
 def invariants(violations):
@@ -516,3 +526,53 @@ class TestSchedulerHasNoWallClockSleeps:
         elapsed = time.monotonic() - start
         assert result.steps > 50
         assert elapsed < 5.0
+
+
+class TestCheckerSeesRareEvents:
+    """Checker handlers for events the sweep seldom schedules, each event
+    raised through the product path that emits it."""
+
+    @staticmethod
+    def listen(sub):
+        checker = DeliveryChecker(sub.subscriber)
+
+        def hook(label, info, pause):
+            if label is not None:
+                checker.on_event(-1, "test", label, info)
+
+        install_hook(hook)
+        return checker, hook
+
+    def test_nack_and_defer_on_a_dead_queue_are_tolerated(self):
+        eco, pub, sub, Doc = build_replicated_pair()
+        queue = sub.subscriber.queue
+        checker, hook = self.listen(sub)
+        try:
+            Doc.create(name="a")
+            Doc.create(name="b")
+            first, second = queue.pop_many(2)
+            queue.max_size = 0
+            Doc.create(name="c")  # overflows: the queue is decommissioned
+            assert queue.decommissioned
+            queue.nack(first)
+            queue.defer(second)
+        finally:
+            uninstall_hook(hook)
+        assert checker.tolerated_nacks == 2
+        assert checker.in_flight == {}
+
+    def test_a_hashed_store_flush_resets_the_counter_floors(self):
+        eco, pub, sub, Doc = build_replicated_pair(
+            Ecosystem(hasher=DependencyHasher(space=64))
+        )
+        checker, hook = self.listen(sub)
+        try:
+            Doc.create(name="a")
+            assert sub.subscriber.drain() == 1
+            assert checker._counter_floor  # the apply bumped tracked counters
+            # A newer generation in a hashed space flushes the whole store.
+            sub.subscriber.enter_generation("pub", 2)
+        finally:
+            uninstall_hook(hook)
+        assert checker._counter_floor == {}
+        assert checker.violations == []
