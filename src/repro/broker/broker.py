@@ -3,7 +3,6 @@ publisher metadata registry backing Synapse's static checks (§4.5)."""
 
 from __future__ import annotations
 
-import random
 import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -34,14 +33,13 @@ class Broker:
     publishes and its delivery mode, consumed by subscribers for static
     validation (§3.1, §4.5).
 
-    ``loss_probability``/``drop_next`` inject message loss to reproduce
-    the RabbitMQ-upgrade incident of §6.5.
+    ``drop_next`` injects message loss to reproduce the RabbitMQ-upgrade
+    incident of §6.5.
     """
 
     def __init__(
         self,
         default_queue_limit: Optional[int] = None,
-        seed: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         recorder: Optional[FlightRecorder] = None,
         tracer: Optional[Tracer] = None,
@@ -54,8 +52,6 @@ class Broker:
         self._publisher_modes: Dict[str, str] = {}
         self._lock = threading.Lock()
         self._default_queue_limit = default_queue_limit
-        self._rng = random.Random(seed)
-        self.loss_probability = 0.0
         self._drop_next = 0
         #: The owning ecosystem's registry and observers.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -256,19 +252,13 @@ class Broker:
         with self._lock:
             self._drop_next += count
 
-    def reseed(self, seed: int) -> None:
-        """Re-seed the loss RNG so chaos runs are reproducible from any
-        point (fault-injection determinism audit)."""
-        with self._lock:
-            self._rng = random.Random(seed)
-
     def _should_drop(self) -> bool:
         if self._drop_next:  # peeked unlocked: no armed drop, no lock
             with self._lock:
                 if self._drop_next > 0:
                     self._drop_next -= 1
                     return True
-        return self.loss_probability > 0 and self._rng.random() < self.loss_probability
+        return False
 
     def _record_drop(self, subscriber_app: str, message: Message) -> None:
         """Count a lost routing and name it in the flight recorder."""

@@ -26,7 +26,7 @@ def saga_command(args: List[str]) -> int:
     opts = flags(args, sagas=6, mode="causal", seed=0)
     count, mode, seed = opts["sagas"], opts["mode"], opts["seed"]
 
-    saga = build_saga_ecosystem(mode=mode, seed=seed)
+    saga = build_saga_ecosystem(mode=mode)
     eco = saga.eco
     print(
         f"saga demo: {count} sagas, mode={mode}, "

@@ -54,7 +54,7 @@ class SagaEcosystem:
         return [self.order, self.payment, self.inventory]
 
 
-def build_saga_ecosystem(mode: str = "causal", seed: int = 0) -> SagaEcosystem:
+def build_saga_ecosystem(mode: str = "causal") -> SagaEcosystem:
     """Order on a relational store, payment and inventory on document
     stores; every service both publishes its own model and subscribes
     to the others it acts on."""
@@ -63,7 +63,7 @@ def build_saga_ecosystem(mode: str = "causal", seed: int = 0) -> SagaEcosystem:
     from repro.databases.relational import PostgresLike
     from repro.orm import Field, Model
 
-    eco = Ecosystem(seed=seed)
+    eco = Ecosystem()
     order = eco.service(
         "order", database=PostgresLike("order-db"), delivery_mode=mode
     )

@@ -67,7 +67,6 @@ class Ecosystem:
         clock: Optional[Clock] = None,
         hasher: Optional[DependencyHasher] = None,
         queue_limit: Optional[int] = None,
-        seed: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         recorder: Optional[FlightRecorder] = None,
@@ -87,7 +86,7 @@ class Ecosystem:
         self.recorder.registry = self.metrics
         self.tracer.sink = self.recorder.record_trace
         self.broker = Broker(
-            default_queue_limit=queue_limit, seed=seed, metrics=self.metrics,
+            default_queue_limit=queue_limit, metrics=self.metrics,
             recorder=self.recorder, tracer=self.tracer,
         )
         #: Per-link lag SLOs and the ``eco.monitor.health()`` report.

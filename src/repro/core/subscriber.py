@@ -507,7 +507,11 @@ class SynapseSubscriber:
     def force_apply(self, message: Message) -> None:
         """Give up waiting for a late/lost dependency and apply anyway
         (the configurable-timeout semantics recommended in §6.5: causal
-        is timeout=∞, weak is timeout=0, this is anything in between)."""
+        is timeout=∞, weak is timeout=0, this is anything in between).
+        A message of a generation not yet entered is dropped instead:
+        only the §4.4 gate may flush the old generation's counters."""
+        if message.generation > self.generations.get(message.app, 1):
+            return
         if not self.applied(message):
             self._apply_one(message, weak=False)
 
@@ -515,7 +519,12 @@ class SynapseSubscriber:
         """Has ``message`` been applied? True when every object it
         writes has a counter past the version it carries for that
         object — the dependency check's DONE verdict, asked alone
-        (restore, forced applies)."""
+        (restore, forced applies). Never for a message of a generation
+        this subscriber has not entered: the gate flushes before such a
+        message applies, and its versions restart below the old
+        generation's counters."""
+        if message.generation > self.generations.get(message.app, 1):
+            return False
         store = self.service.subscriber_version_store
         return store.satisfied({}, self._written(message)) == DONE
 

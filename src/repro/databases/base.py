@@ -7,7 +7,6 @@ the one engine-wide lock.
 
 from __future__ import annotations
 
-import random
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -37,54 +36,18 @@ class EngineStats:
 
 @dataclass
 class FaultPlan:
-    """Declarative fault injection for an engine.
+    """Armed fault injection for an engine.
 
     ``fail_next_writes`` makes the next N write operations raise
     :class:`FaultInjected` (after letting ``skip_next_writes`` through
-    first); ``down`` fails every operation until cleared.
-
-    Probabilistic faults (``write_fail_probability`` /
-    ``read_fail_probability``) draw from a private RNG that must be
-    seeded explicitly via :meth:`seed` (or
-    :meth:`set_fault_probabilities`) — chaos runs that seed from global
-    state are not reproducible, so an unseeded probabilistic plan is an
-    error rather than a silent ``random.random()``.
+    first); ``down`` fails every operation until cleared. Every fault is
+    armed by a test or scenario, never rolled.
     """
 
     fail_next_writes: int = 0
     skip_next_writes: int = 0
     down: bool = False
-    write_fail_probability: float = 0.0
-    read_fail_probability: float = 0.0
-    _rng: Optional[random.Random] = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def seed(self, seed: int) -> "FaultPlan":
-        """Install a deterministic RNG for the probabilistic faults."""
-        with self._lock:
-            self._rng = random.Random(seed)
-        return self
-
-    def set_fault_probabilities(
-        self,
-        write: float = 0.0,
-        read: float = 0.0,
-        seed: Optional[int] = None,
-    ) -> "FaultPlan":
-        """Configure random faults; a seed is mandatory (explicitly here
-        or through a prior :meth:`seed` call) whenever any probability
-        is non-zero."""
-        if seed is not None:
-            self.seed(seed)
-        with self._lock:
-            if (write > 0 or read > 0) and self._rng is None:
-                raise ValueError(
-                    "probabilistic engine faults need an explicit seed: "
-                    "call FaultPlan.seed(n) or pass seed= here"
-                )
-            self.write_fail_probability = write
-            self.read_fail_probability = read
-        return self
 
     def check_write(self) -> None:
         with self._lock:
@@ -96,26 +59,10 @@ class FaultPlan:
             if self.fail_next_writes > 0:
                 self.fail_next_writes -= 1
                 raise FaultInjected("injected write failure")
-            if self.write_fail_probability > 0:
-                self._check_seeded()
-                if self._rng.random() < self.write_fail_probability:
-                    raise FaultInjected("injected random write failure")
 
     def check_read(self) -> None:
-        with self._lock:
-            if self.down:
-                raise FaultInjected("engine is down")
-            if self.read_fail_probability > 0:
-                self._check_seeded()
-                if self._rng.random() < self.read_fail_probability:
-                    raise FaultInjected("injected random read failure")
-
-    def _check_seeded(self) -> None:
-        if self._rng is None:
-            raise ValueError(
-                "probabilistic engine faults need an explicit seed: "
-                "call FaultPlan.seed(n) first"
-            )
+        if self.down:
+            raise FaultInjected("engine is down")
 
 
 class Database:
@@ -138,9 +85,6 @@ class Database:
         # engine.<name>.reads / engine.<name>.writes.
         self._metric_reads = None
         self._metric_writes = None
-        #: Optional ring buffer of (operation, detail) entries; enable
-        #: with :meth:`enable_query_log` for debugging/tests.
-        self.query_log = None
         # One engine-wide lock keeps each operation atomic under the
         # threaded worker pools; the in-memory ops are far cheaper than the
         # lock hold times real engines exhibit, so this does not distort
@@ -168,15 +112,6 @@ class Database:
         self.stats.reads += 1
         if self._metric_reads is not None:
             self._metric_reads.increment()
-
-    def enable_query_log(self, capacity: int = 256) -> None:
-        from collections import deque
-
-        self.query_log = deque(maxlen=capacity)
-
-    def _log(self, operation: str, detail: str) -> None:
-        if self.query_log is not None:
-            self.query_log.append((operation, detail))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

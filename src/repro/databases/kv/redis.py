@@ -27,7 +27,6 @@ class RedisLike(Database):
     def __init__(self, name: str, **kwargs: Any) -> None:
         super().__init__(name, **kwargs)
         self._data: Dict[str, Any] = {}
-        self._down = False
         self.script_calls = 0
 
     # -- failure model -----------------------------------------------------
@@ -36,43 +35,41 @@ class RedisLike(Database):
         """Lose all state and refuse service until :meth:`restart`."""
         with self._lock:
             self._data.clear()
-            self._down = True
+            self.faults.down = True
 
     def restart(self) -> None:
         with self._lock:
-            self._down = False
+            self.faults.down = False
 
     @property
     def is_down(self) -> bool:
-        return self._down
+        return self.faults.down
 
     def _check_up(self) -> None:
-        if self._down:
+        """Refuse an op that charges no read or write (those check
+        ``faults.down`` themselves)."""
+        if self.faults.down:
             raise FaultInjected(f"redis {self.name!r} is down")
 
     # -- basic ops ------------------------------------------------------------
 
     def get(self, key: str) -> Any:
         with self._lock:
-            self._check_up()
             self._charge_read()
             return self._data.get(key)
 
     def set(self, key: str, value: Any) -> None:
         with self._lock:
-            self._check_up()
             self._charge_write()
             self._data[key] = value
 
     def delete(self, key: str) -> bool:
         with self._lock:
-            self._check_up()
             self._charge_write()
             return self._data.pop(key, None) is not None
 
     def incr(self, key: str, amount: int = 1) -> int:
         with self._lock:
-            self._check_up()
             self._charge_write()
             value = self._data.get(key, 0) + amount
             self._data[key] = value
@@ -87,28 +84,24 @@ class RedisLike(Database):
 
     def hget(self, key: str, field: str) -> Any:
         with self._lock:
-            self._check_up()
             self._charge_read()
             table = self._data.get(key)
             return table.get(field) if isinstance(table, dict) else None
 
     def hset(self, key: str, field: str, value: Any) -> None:
         with self._lock:
-            self._check_up()
             self._charge_write()
             table = self._data.setdefault(key, {})
             table[field] = value
 
     def hgetall(self, key: str) -> Dict[str, Any]:
         with self._lock:
-            self._check_up()
             self._charge_read()
             table = self._data.get(key)
             return dict(table) if isinstance(table, dict) else {}
 
     def hincrby(self, key: str, field: str, amount: int = 1) -> int:
         with self._lock:
-            self._check_up()
             self._charge_write()
             table = self._data.setdefault(key, {})
             table[field] = table.get(field, 0) + amount

@@ -86,7 +86,6 @@ class RelationalDatabase(Database):
         self._check_returning(returning)
         with self._lock:
             self._charge_write()
-            self._log("insert", table)
             storage = self._storage(table)
             row = storage.schema.normalise(dict(values))
             written = storage.insert(row)
@@ -115,7 +114,6 @@ class RelationalDatabase(Database):
         """
         with self._lock:
             self._charge_read()
-            self._log("select", f"{table} WHERE {where!r}")
             storage = self._storage(table)
             rows = list(self._plan(storage, where))
         if order_by is not None:
@@ -172,7 +170,6 @@ class RelationalDatabase(Database):
         self._check_returning(returning)
         with self._lock:
             self._charge_write()
-            self._log("update", f"{table} WHERE {where!r}")
             storage = self._storage(table)
             patch = storage.schema.normalise(dict(values), partial=True)
             patch.pop(PRIMARY_KEY, None)
@@ -195,7 +192,6 @@ class RelationalDatabase(Database):
         self._check_returning(returning)
         with self._lock:
             self._charge_write()
-            self._log("delete", f"{table} WHERE {where!r}")
             self.stats.deletes += 1
             storage = self._storage(table)
             txn = self._txns.current()

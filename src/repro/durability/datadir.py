@@ -45,3 +45,13 @@ def snapshot_dir(data_dir: str) -> str:
 
 def flight_dir(data_dir: str) -> str:
     return os.path.join(data_dir, FLIGHT_SUBDIR)
+
+
+def fsync_dir(path: str) -> None:
+    """Make ``path``'s entries durable: a file created or renamed in it
+    survives a power cut only once its directory is fsynced too."""
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -7,9 +7,10 @@ counter maps, generations and engine rows — plus a
 valid snapshot and replays only the WAL tail past the pin; segments
 wholly below the pin (and older snapshot files) are reclaimed.
 
-Files are written atomically (temp file + ``os.replace``) so a crash
-mid-snapshot leaves the previous snapshot intact, and a half-written
-file is skipped — never trusted — by :meth:`SnapshotStore.load_latest`.
+Files are written atomically (temp file + ``os.replace``, then a
+directory fsync) so a crash mid-snapshot leaves the previous snapshot
+intact, and a half-written file is skipped — never trusted — by
+:meth:`SnapshotStore.load_latest`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.durability.datadir import fsync_dir
 from repro.errors import DurabilityError
 from repro.runtime.monitor.recorder import FlightRecorder
 
@@ -92,6 +94,9 @@ class SnapshotStore:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        # The rename must be durable before compaction removes the
+        # segments and snapshots this one covers.
+        fsync_dir(self.dir)
         return snapshot_id, path
 
     def load_latest(self) -> Optional[Dict[str, Any]]:

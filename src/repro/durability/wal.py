@@ -36,6 +36,9 @@ policies differ only in when that happens and whether it fsyncs:
   between sync points genuinely loses the buffered tail — exactly the
   window the ``before-fsync`` crash scenario exercises.
 
+Under ``always`` and ``interval`` a new segment's directory entry is
+fsynced when the segment is created; ``off`` never syncs the directory.
+
 A failed write is fail-stop: the first ``OSError`` from a segment
 open/write/flush/fsync takes the position back over the lines that did
 not reach the file, emits a ``durability.io_error`` anomaly and raises
@@ -61,6 +64,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.broker.message import canonical_json
+from repro.durability.datadir import fsync_dir
 from repro.errors import DurabilityError, WALCorrupt, WALWriteFailed
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.monitor.recorder import FlightRecorder
@@ -377,6 +381,8 @@ class SegmentedWAL:
                 self.segment_path(self._segment), "a", encoding="utf-8"
             )
             if created:
+                if self.fsync != FSYNC_OFF:
+                    fsync_dir(self.dir)  # the new segment's entry
                 self._total_segments += 1
                 self._segments_gauge.set(self._total_segments)
         return self._fh

@@ -224,7 +224,6 @@ class ConformanceHarness:
         eco, pub, sub, doc_cls = build_replicated_pair(
             Ecosystem(
                 queue_limit=config.queue_limit,
-                seed=config.seed,
                 hasher=DependencyHasher(config.hash_space),
             ),
             {"name": str, "value": int}, mode=config.mode,

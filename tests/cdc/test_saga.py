@@ -15,7 +15,7 @@ from repro.cdc.saga import (
 
 class TestSagaConvergence:
     def test_mixed_sagas_balance_and_converge(self):
-        saga = build_saga_ecosystem(mode="causal", seed=0)
+        saga = build_saga_ecosystem(mode="causal")
         outcomes = run_sagas(saga, 6, seed=0, decline_every=3)
         assert len(outcomes) == 6
         assert sum(1 for o in outcomes if not o.approved) == 2

@@ -192,6 +192,14 @@ class TestFaultPlan:
         with pytest.raises(FaultInjected):
             plan.check_write()
 
+    def test_deterministic_counters_unaffected(self):
+        """The armed fail_next/skip_next counters need no RNG."""
+        plan = FaultPlan(fail_next_writes=1, skip_next_writes=1)
+        plan.check_write()  # skipped
+        with pytest.raises(FaultInjected):
+            plan.check_write()
+        plan.check_write()  # plan exhausted
+
     def test_engine_fault_injection(self):
         db = MongoLike("m")
         db.faults.fail_next_writes = 1

@@ -101,3 +101,17 @@ class TestFailureModel:
         assert kv.get("k") is None
         kv.set("k", 2)
         assert kv.get("k") == 2
+
+    def test_faults_down_refuses_every_op(self, kv):
+        kv.set("k", 1)
+        steps = []
+        kv.faults.down = True
+        assert kv.is_down
+        with pytest.raises(FaultInjected):
+            kv.eval(lambda s: steps.append(s.get("k")))
+        assert steps == [] and kv.script_calls == 0
+        for op in (lambda: kv.keys(), lambda: kv.exists("k"), kv.dbsize, kv.flushall):
+            with pytest.raises(FaultInjected):
+                op()
+        kv.restart()
+        assert kv.get("k") == 1  # flushall refused: nothing wiped

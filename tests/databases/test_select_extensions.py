@@ -1,9 +1,8 @@
-"""SELECT extensions: DISTINCT, multi-column ORDER BY, the query log."""
+"""SELECT extensions: DISTINCT and multi-column ORDER BY."""
 
 import pytest
 
 from repro.databases.relational import (
-    Col,
     Column,
     Integer,
     PostgresLike,
@@ -51,25 +50,3 @@ class TestMultiColumnOrdering:
     def test_single_tuple_still_works(self, db):
         rows = db.select("people", order_by=("age", "asc"))
         assert [r["age"] for r in rows] == [20, 20, 20, 30, 30]
-
-
-class TestQueryLog:
-    def test_disabled_by_default(self, db):
-        db.select("people")
-        assert db.query_log is None
-
-    def test_records_reads_and_writes(self, db):
-        db.enable_query_log()
-        db.select("people", where=Col("city") == "nyc")
-        db.insert("people", {"city": "la", "age": 1})
-        db.update("people", Col("city") == "la", {"age": 2})
-        db.delete("people", Col("city") == "la")
-        ops = [entry[0] for entry in db.query_log]
-        assert ops == ["select", "insert", "update", "delete"]
-        assert "nyc" in db.query_log[0][1]
-
-    def test_ring_buffer_bounded(self, db):
-        db.enable_query_log(capacity=3)
-        for _ in range(10):
-            db.select("people")
-        assert len(db.query_log) == 3
