@@ -47,6 +47,10 @@ class Broker:
         self._queues: Dict[str, SubscriberQueue] = {}
         #: subscriber app -> set of publisher apps it listens to
         self._bindings: Dict[str, Set[str]] = {}
+        #: publisher app -> ``(local [(subscriber app, queue)], remote
+        #: [subscriber app])``: the bindings split by placement, rebuilt
+        #: by :meth:`bind` and :meth:`attach` rather than per publish.
+        self._routes: Dict[str, Tuple[List[Tuple[str, SubscriberQueue]], List[str]]] = {}
         #: publisher app -> model name -> (fields, delivery_mode)
         self._publications: Dict[str, Dict[str, Tuple[List[str], str]]] = {}
         self._publisher_modes: Dict[str, str] = {}
@@ -117,9 +121,10 @@ class Broker:
         """Swap a subsystem's on form in: ``flow=`` a FlowController,
         ``durability=`` a DurabilityManager (every publish then leaves an
         ``out`` record), ``placement=`` an ``(is_local, forwarder)`` pair
-        — ``is_local(subscriber_app)`` says whether that queue is drained
-        on this shard, ``forwarder(subscriber_app, payload_json)`` ships
-        the wire payload to the owning shard, whose :meth:`deliver_remote`
+        — ``is_local(subscriber_app)``, a function of the name alone,
+        says whether that queue is drained on this shard,
+        ``forwarder(subscriber_app, payload_json)`` ships the wire
+        payload to the owning shard, whose :meth:`deliver_remote`
         enqueues it there (so flow admission and routing spans run where
         the queue is drained). Every queue, existing and future, is wired
         to what is attached."""
@@ -131,6 +136,7 @@ class Broker:
                 setattr(self, name, part)
             for queue in self._queues.values():
                 self._wire(queue)
+            self._route_locked()
 
     def _wire(self, queue: SubscriberQueue) -> None:
         queue.flow = self.flow.for_queue(queue)
@@ -148,7 +154,21 @@ class Broker:
         queue = self.queue_for(subscriber_app)
         with self._lock:
             self._bindings.setdefault(subscriber_app, set()).add(publisher_app)
+            self._route_locked()
         return queue
+
+    def _route_locked(self) -> None:
+        """Rebuild :attr:`_routes`; caller holds ``self._lock``."""
+        is_local = self.placement[0]
+        routes: Dict[str, Tuple[List[Tuple[str, SubscriberQueue]], List[str]]] = {}
+        for sub, pubs in self._bindings.items():
+            for app in pubs:
+                local, remote = routes.setdefault(app, ([], []))
+                if is_local(sub):
+                    local.append((sub, self._queues[sub]))
+                else:
+                    remote.append(sub)
+        self._routes = routes
 
     def subscribers_of(self, publisher_app: str) -> List[str]:
         with self._lock:
@@ -188,19 +208,8 @@ class Broker:
             # it fills the shared cell with.
             emit(self.durability, PUBLISHER_ROUTED, message)
             with self._lock:
-                targets = [
-                    (sub, self._queues[sub])
-                    for sub, pubs in self._bindings.items()
-                    if message.app in pubs and sub in self._queues
-                ]
-                is_local, forwarder = self.placement
-            local: List[Tuple[str, SubscriberQueue]] = []
-            remote: List[str] = []
-            for sub, queue in targets:
-                if is_local(sub):
-                    local.append((sub, queue))
-                else:
-                    remote.append(sub)
+                local, remote = self._routes.get(message.app, ((), ()))
+                forwarder = self.placement[1]
             traced = message.trace is not None
             for sub, queue in local:
                 if self._should_drop():

@@ -24,6 +24,16 @@ subscriber hands applications copies of its mutable values. Payload
 dicts must have string keys and read in key order everywhere: the
 canonical form sorts them and ``core.marshal`` builds them sorted, so a
 local delivery reads exactly as the wire round trip would.
+
+Beside the body cell sits the **facts cell** (:meth:`Message.fact`):
+what a subscriber derives from the body alone — the written objects'
+versions, the dependency map weakened to a delivery mode, the counter
+bumps in the order that mode applies them — derived *at most once per
+publish* by the first delivery that asks and shared by every other, as
+the body is encoded at most once. It follows the body's life: shared
+by :meth:`Message.delivery`, emptied by :meth:`Message.rewrite`, and
+empty on a message built by :meth:`Message.from_wire` (restore, the
+wire). A fact is never mutated by whoever reads it.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
 
 from repro.errors import BrokerError
 from repro.runtime.tracing import Trace
@@ -117,6 +127,9 @@ class Message:
         #: One-slot cell holding :meth:`body`, ``None`` until the first
         #: consumer asks; shared by every :meth:`delivery`.
         self._body: List[Optional[str]] = [None]
+        #: The facts cell (:meth:`fact`): key -> derived value, shared
+        #: by every :meth:`delivery` like ``_body``.
+        self._facts: Dict[Hashable, Any] = {}
 
     def to_wire(self) -> Dict[str, Any]:
         """The wire payload as a dict, trace excluded (traces are runtime
@@ -150,6 +163,16 @@ class Message:
         if body is None:
             body = cell[0] = canonical_json(self.to_wire())
         return body
+
+    def fact(self, key: Hashable, derive: Callable[..., Any], *args: Any) -> Any:
+        """The fact ``key`` of this publish: ``derive(self, *args)``,
+        computed by the first delivery that asks and kept for every
+        delivery of the publish. ``key`` must name everything the value
+        depends on besides the body (a delivery mode, say)."""
+        facts = self._facts
+        if key not in facts:
+            facts[key] = derive(self, *args)
+        return facts[key]
 
     def to_json(self) -> str:
         body = self.body()
@@ -198,7 +221,8 @@ class Message:
         """One local queue's delivery of this message: it shares the
         body containers and the body cell (immutable after publish)
         and owns what a queue writes — ``seq``, delivery count, dwell
-        bookkeeping and a fork of the trace."""
+        bookkeeping and a fork of the trace. It shares the facts cell
+        too."""
         clone = Message.__new__(Message)
         clone.__dict__.update(self.__dict__)
         with _seq_lock:
@@ -221,13 +245,15 @@ class Message:
         sanctioned mutation of a published message (flow-control
         coalescing). The arguments must be fresh containers, not the
         old ones edited in place: earlier :meth:`to_wire` dicts (a
-        snapshot being written) still hold the old ones."""
+        snapshot being written) still hold the old ones. The delivery
+        gets empty body and facts cells of its own."""
         self.operations = operations
         self.dependencies = dependencies
         self.external_dependencies = external_dependencies
         self.increments = increments
         self.coalesced_uids = coalesced_uids
         self._body = [None]
+        self._facts = {}
 
     @staticmethod
     def advance_sequence(uids: Iterable[str]) -> None:

@@ -54,6 +54,10 @@ class SubscriberQueue:
         self._unacked: Dict[int, Message] = {}
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
+        #: Poppers blocked on ``_available``, under ``self._lock``: a
+        #: publish with nobody waiting skips the notify. (A popper that
+        #: raises out of its wait leaves it high: a spare notify, no more.)
+        self._waiting = 0
         self.decommissioned = False
         self.total_published = 0
         self.total_acked = 0
@@ -110,7 +114,7 @@ class SubscriberQueue:
                     # Everyone must notice the decommission, not just
                     # one worker — the single wake-one case is below.
                     self._available.notify_all()
-                else:
+                elif self._waiting:
                     self._available.notify()
                 emit(log, QUEUE_PUBLISHED, self.name, message)
                 if killed:
@@ -162,6 +166,7 @@ class SubscriberQueue:
         if self.decommissioned:
             raise QueueDecommissioned(self.name)
         if not self._items and timeout != 0.0:
+            self._waiting += 1
             if timeout is None:
                 while not self._items and not self.decommissioned:
                     self._available.wait()
@@ -172,6 +177,7 @@ class SubscriberQueue:
                     if remaining <= 0:
                         break
                     self._available.wait(remaining)
+            self._waiting -= 1
             if self.decommissioned:
                 raise QueueDecommissioned(self.name)
 

@@ -28,7 +28,6 @@ delivery-mode configuration.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Union
 
 from repro.broker import Broker
@@ -515,24 +514,20 @@ class Service:
         if not targets:
             return False
         for entry in reversed(targets):
-            if (entry["model"], entry["id"]) == (model_name, row_id) \
-                    and not entry["used"]:
-                entry["used"] = True
+            if entry[0] == model_name and entry[1] == row_id and not entry[2]:
+                entry[2] = True
                 return True
         return False
 
-    @contextmanager
-    def applying_remote_scope(self, model_name: Optional[str] = None,
-                              row_id: Any = None):
-        targets = getattr(self._remote_state, "targets", None)
+    def remote_targets(self) -> List[List[Any]]:
+        """This thread's stack of remote-apply tokens, ``[model name,
+        row id, used]``: the subscriber engine pushes one before it
+        persists a remote update and pops it after."""
+        state = self._remote_state
+        targets = getattr(state, "targets", None)
         if targets is None:
-            targets = []
-            self._remote_state.targets = targets
-        targets.append({"model": model_name, "id": row_id, "used": False})
-        try:
-            yield
-        finally:
-            targets.pop()
+            targets = state.targets = []
+        return targets
 
     # ------------------------------------------------------------------
     # Bootstrap & recovery surface (§4.4)

@@ -50,8 +50,10 @@ def effective_dependencies(
     - global: respect everything.
     - causal: drop the global-object dependency.
     - weak: keep only the written objects' own dependencies.
+
+    ``mode`` is one :func:`validate_mode` already passed: a subscription
+    is checked when it is declared, not on every message.
     """
-    validate_mode(mode)
     if mode == GLOBAL:
         return dict(dependencies)
     if mode == CAUSAL:

@@ -29,7 +29,7 @@ both run it and differ in the persist step they hand it: ``_save``
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -79,9 +79,14 @@ class SubscriptionSpec:
         instance = self.model_cls.find_or_initialize(operation["id"])
         if self.observer or operation["operation"] != "delete":
             attributes = operation["attributes"]
+            declared, write_field = self.model_cls._fields, instance._write_attribute
             for remote, local in self.fields.items():
                 if remote in attributes:
-                    setattr(instance, local, wire_value(attributes[remote]))
+                    # A declared field goes straight into the attribute
+                    # table (the read-only guard still applies), a
+                    # virtual one through ``setattr`` and its setter.
+                    write = write_field if local in declared else instance.__setattr__
+                    write(local, wire_value(attributes[remote]))
         return instance
 
     @cached_property
@@ -109,9 +114,13 @@ def _by_seq(message: Message) -> int:
     return message.seq
 
 
-#: The scope of an apply that needs neither an active trace nor an
-#: engine transaction around it.
-_PLAIN = nullcontext()
+def _required(message: Message, mode: str) -> Dict[str, int]:
+    """The counters an ordered ``mode`` delivery waits on: the
+    dependency map weakened to the mode, plus the externals."""
+    required = effective_dependencies(message.dependencies, mode, ())
+    required.update(message.external_dependencies)
+    return required
+
 
 #: :meth:`SynapseSubscriber._land` stage -> the interleave event the live
 #: apply emits for it on a weak (fresh-or-discard) message.
@@ -346,11 +355,10 @@ class SynapseSubscriber:
                 if not forced:
                     # Non-weak modes never consult the written-object set.
                     mode = self.app_modes[message.app]
-                    required = effective_dependencies(message.dependencies, mode, ())
-                    required.update(message.external_dependencies)
+                    required = message.fact(("required", mode), _required, mode)
                     yield_point("dep.check", message=message, required=required)
                 wait_start = trace_now()
-                verdict = store.satisfied(required, self._written(message))
+                verdict = store.satisfied(required, message.fact("written", self._written))
                 if verdict == DONE:
                     # Applied already (a redelivery after a lost ack): ack
                     # it again, bump nothing.
@@ -393,7 +401,15 @@ class SynapseSubscriber:
         fail-stop, so this process's memory is abandoned and the WAL
         prefix is the truth. It passes through untouched."""
         try:
-            self._apply_one(message, weak)
+            if message.trace is None:
+                self._apply_one(message, weak)
+            else:
+                # Traced message: make the trace the thread's current
+                # trace so an over-threshold histogram observation
+                # anywhere in the apply path captures this message's uid
+                # as its exemplar.
+                with activate_trace(message.trace):
+                    self._apply_one(message, weak)
         except DurabilityError:
             raise
         except Exception as exc:
@@ -416,61 +432,60 @@ class SynapseSubscriber:
     def _apply_one(self, message: Message, weak: bool) -> None:
         """Apply one admitted message: engine writes, the ``apply``
         record, counter bumps, bookkeeping."""
-        # Traced message: make the trace the thread's current trace so an
-        # over-threshold histogram observation anywhere in the apply path
-        # captures this message's uid as its exemplar.
-        with activate_trace(message.trace) if message.trace is not None else _PLAIN:
-            if not weak:
-                yield_point("apply", message=message)
-                tell = _untold
+        if weak:
+            self._land(message, True, self._save, self._teller(message))
+        else:
+            yield_point("apply", message=message)
+            start = trace_now()
+            if len(message.operations) > 1 and self._can_group_commit():
                 # Atomically when the local engine supports transactions:
                 # a multi-write publisher transaction then lands as one
                 # subscriber transaction (§4.2).
-                several = len(message.operations) > 1
-                scope = (
-                    self._group_commit()
-                    if several and self._can_group_commit() else _PLAIN
-                )
+                with self._group_commit():
+                    self._land(message, False, self._save)
             else:
-                tell = self._teller(message)
-                scope = _PLAIN
-            start = trace_now()
-            with scope:
-                self._land(message, weak, self._save, tell)
-            if not weak:
-                elapsed = trace_now() - start
-                self.apply_time.record(elapsed)
-                if message.trace is not None:
-                    message.trace.add(STAGE_APPLY, start, elapsed)
-            # Logged before the bump: the bump is what releases a
-            # dependent message, and a dependent's record overtaking this
-            # one would make replay land the older write last.
-            emit(self.service.ecosystem.durability, SUBSCRIBER_APPLIED, self.service, message)
-            self._count(message, not weak)
-            self._processed.increment()
-            yield_point("msg.finished", message=message)
-            self.service.ecosystem.monitor.observe_applied(self.service.name, message)
+                self._land(message, False, self._save)
+            elapsed = trace_now() - start
+            self.apply_time.record(elapsed)
             if message.trace is not None:
-                self.service.ecosystem.tracer.record(message.trace)
+                message.trace.add(STAGE_APPLY, start, elapsed)
+        # Logged before the bump: the bump is what releases a
+        # dependent message, and a dependent's record overtaking this
+        # one would make replay land the older write last.
+        emit(self.service.ecosystem.durability, SUBSCRIBER_APPLIED, self.service, message)
+        self._count(message, not weak)
+        self._processed.increment()
+        yield_point("msg.finished", message=message)
+        self.service.ecosystem.monitor.observe_applied(self.service.name, message)
+        if message.trace is not None:
+            self.service.ecosystem.tracer.record(message.trace)
 
     def _count(self, message: Message, bump: bool) -> None:
         """Move the counters once a message's writes have landed.
         ``bump`` increments every own-app dependency; externals are
         never bumped."""
         if bump:
-            increments = message.counter_increments()
-            if self.app_modes.get(message.app) == GLOBAL:
-                # The global counter is the gate that admits this
-                # message's successor, so it is bumped after the object
-                # counters: once the gate opens, every bump of every
-                # earlier message has landed. The order is set here, not
-                # read off the wire, which carries dependencies in
-                # canonical key order (``__global__`` first).
-                gate = self.service.ecosystem.hasher.hash(GLOBAL_OBJECT)
-                if gate in increments:
-                    increments = dict(increments)
-                    increments[gate] = increments.pop(gate)
-            self.service.subscriber_version_store.apply_counts(increments)
+            mode = self.app_modes.get(message.app)
+            self.service.subscriber_version_store.apply_counts(
+                message.fact(("bumps", mode), self._bump_order, mode)
+            )
+
+    def _bump_order(self, message: Message, mode: Optional[str]) -> Dict[str, int]:
+        """The counter bumps of one apply in ``mode``, in the order they
+        are made."""
+        increments = message.counter_increments()
+        if mode == GLOBAL:
+            # The global counter is the gate that admits this message's
+            # successor, so it is bumped after the object counters: once
+            # the gate opens, every bump of every earlier message has
+            # landed. The order is set here, not read off the wire, which
+            # carries dependencies in canonical key order (``__global__``
+            # first).
+            gate = self.service.ecosystem.hasher.hash(GLOBAL_OBJECT)
+            if gate in increments:
+                increments = dict(increments)
+                increments[gate] = increments.pop(gate)
+        return increments
 
     def _can_group_commit(self) -> bool:
         db = self.service.database
@@ -513,7 +528,9 @@ class SynapseSubscriber:
         if message.generation > self.generations.get(message.app, 1):
             return
         if not self.applied(message):
-            self._apply_one(message, weak=False)
+            failure = self._try_apply(message, weak=False)
+            if failure is not None:
+                raise failure
 
     def applied(self, message: Message) -> bool:
         """Has ``message`` been applied? True when every object it
@@ -526,11 +543,11 @@ class SynapseSubscriber:
         if message.generation > self.generations.get(message.app, 1):
             return False
         store = self.service.subscriber_version_store
-        return store.satisfied({}, self._written(message)) == DONE
+        return store.satisfied({}, message.fact("written", self._written)) == DONE
 
     def _written(self, message: Message) -> Dict[str, int]:
         """hashed object dep -> the version the message carries for it,
-        for the objects it writes."""
+        for the objects it writes: the ``"written"`` fact."""
         carried = message.dependencies
         return {
             hashed: carried[hashed]
@@ -738,13 +755,18 @@ class SynapseSubscriber:
         old_row = None
         if track and views.needs_old_row(model_cls.__name__):
             old_row = model_cls.__mapper__._do_find(instance.id)
-        with service.applying_remote_scope(model_cls.__name__, instance.id):
+        # The one-shot token that keeps this save from republishing.
+        targets = service.remote_targets()
+        targets.append([model_cls.__name__, instance.id, False])
+        try:
             if spec.observer:
                 self._notify_observer(kind, instance)
             elif kind != "delete":
                 instance.save()
             elif not instance.new_record:
                 instance.destroy()
+        finally:
+            targets.pop()
         if track:
             new_row = model_cls.__mapper__._do_find(instance.id)
             views.on_applied(model_cls.__name__, instance.id, old_row, new_row)

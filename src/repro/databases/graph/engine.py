@@ -234,21 +234,6 @@ class GraphDatabase(Database):
                         counts[target] = counts.get(target, 0) + 1
             return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
-    def degree(self, node_id: int, edge_type: str, direction: str = "out") -> int:
-        """Number of incident edges of a type."""
-        with self._lock:
-            self._charge_read()
-            table = self._out if direction == "out" else self._in
-            return len(table.get(node_id, {}).get(edge_type, set()))
-
-    def common_neighbours(self, a: int, b: int, edge_type: str) -> Set[int]:
-        """Mutual neighbours — the classic link-prediction feature."""
-        with self._lock:
-            self._charge_read()
-            na = self._out.get(a, {}).get(edge_type, set())
-            nb = self._out.get(b, {}).get(edge_type, set())
-            return set(na) & set(nb)
-
     # -- internals -----------------------------------------------------------
 
     def _require_node(self, node_id: int) -> Props:

@@ -19,7 +19,7 @@ from repro.errors import FaultInjected
 
 
 class RedisLike(Database):
-    """Strings, counters and hashes, plus atomic scripts."""
+    """Strings and hashes, plus atomic scripts."""
 
     engine_family = "redis"
     supports_returning = True
@@ -68,18 +68,6 @@ class RedisLike(Database):
             self._charge_write()
             return self._data.pop(key, None) is not None
 
-    def incr(self, key: str, amount: int = 1) -> int:
-        with self._lock:
-            self._charge_write()
-            value = self._data.get(key, 0) + amount
-            self._data[key] = value
-            return value
-
-    def exists(self, key: str) -> bool:
-        with self._lock:
-            self._check_up()
-            return key in self._data
-
     # -- hashes ----------------------------------------------------------------
 
     def hget(self, key: str, field: str) -> Any:
@@ -99,13 +87,6 @@ class RedisLike(Database):
             self._charge_read()
             table = self._data.get(key)
             return dict(table) if isinstance(table, dict) else {}
-
-    def hincrby(self, key: str, field: str, amount: int = 1) -> int:
-        with self._lock:
-            self._charge_write()
-            table = self._data.setdefault(key, {})
-            table[field] = table.get(field, 0) + amount
-            return table[field]
 
     # -- atomic scripts ----------------------------------------------------------
 

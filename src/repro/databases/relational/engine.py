@@ -73,12 +73,6 @@ class RelationalDatabase(Database):
             storage.schema.add_index(index)
             storage.rebuild_index(index)
 
-    def drop_index(self, table: str, name: str) -> None:
-        with self._lock:
-            storage = self._storage(table)
-            storage.schema.indexes.pop(name, None)
-            storage.drop_index(name)
-
     # ----------------------------------------------------------------- DML
 
     def insert(self, table: str, values: Row, returning: bool = False) -> Optional[Row]:

@@ -72,9 +72,6 @@ class TableStorage:
             bucket.add(row_id)
         self._indexes[index.name] = table
 
-    def drop_index(self, name: str) -> None:
-        self._indexes.pop(name, None)
-
     # -- row operations ------------------------------------------------------
 
     def insert(self, row: Dict[str, Any]) -> Dict[str, Any]:

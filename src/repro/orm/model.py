@@ -212,6 +212,8 @@ class Model(metaclass=ModelMeta):
     def _touch_timestamps(self) -> None:
         """ActiveRecord-style automatic timestamps: models declaring
         ``created_at``/``updated_at`` fields get them maintained."""
+        if "created_at" not in self._fields and "updated_at" not in self._fields:
+            return
         clock = getattr(getattr(type(self), "_service", None), "ecosystem", None)
         now = clock.clock.now() if clock is not None else _default_now()
         if "created_at" in self._fields and self._new_record \
@@ -237,16 +239,22 @@ class Model(metaclass=ModelMeta):
         return instance
 
     @classmethod
+    def _instance(cls, attributes: Dict[str, Any], new_record: bool) -> "Model":
+        """An instance over ``attributes`` without ``__init__``: no
+        callbacks, nothing marked changed."""
+        instance = cls.__new__(cls)
+        # Private names only, which ``__setattr__`` would let through.
+        instance.__dict__.update(_attributes=attributes, _changed=set(), _new_record=new_record)
+        return instance
+
+    @classmethod
     def from_row(cls, row: Dict[str, Any]) -> "Model":
         """Instantiate from a storage row without firing callbacks."""
-        instance = cls.__new__(cls)
-        instance._attributes = {
-            name: field.default_value() for name, field in cls._fields.items()
+        attributes = {
+            name: row[name] if name in row else field.default_value()
+            for name, field in cls._fields.items()
         }
-        instance._changed = set()
-        instance._new_record = False
-        instance._load_row(row)
-        return instance
+        return cls._instance(attributes, new_record=False)
 
     @classmethod
     def find(cls, row_id: Any) -> "Model":
@@ -266,14 +274,9 @@ class Model(metaclass=ModelMeta):
         row = cls._mapper().find(row_id)
         if row is not None:
             return cls.from_row(row)
-        instance = cls.__new__(cls)
-        instance._attributes = {
-            name: field.default_value() for name, field in cls._fields.items()
-        }
-        instance._attributes["id"] = row_id
-        instance._changed = set()
-        instance._new_record = True
-        return instance
+        attributes = {name: field.default_value() for name, field in cls._fields.items()}
+        attributes["id"] = row_id
+        return cls._instance(attributes, new_record=True)
 
     @classmethod
     def where(cls, **conditions: Any) -> List["Model"]:

@@ -18,7 +18,7 @@ re-audits. Nothing is published: no other subscriber sees a heal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.bootstrap import transfer_objects
 from repro.errors import SynapseError
@@ -40,6 +40,9 @@ class RepairResult:
     audit: Optional[AuditReport] = None
     #: Post-repair audit (None when ``reaudit=False``).
     verification: Optional[AuditReport] = None
+    #: What the queue still waits on after the repair's drain
+    #: (``stuck_dependencies()``: dep -> (required, current)).
+    stuck: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
     @property
     def objects_repaired(self) -> int:
@@ -47,7 +50,14 @@ class RepairResult:
 
     @property
     def verified_in_sync(self) -> bool:
-        return self.verification is not None and self.verification.in_sync
+        """Digest-equal replicas, no counter deficit and nothing left
+        waiting: the next write lands by a drain alone. Equal rows over
+        a wedged queue are not a heal."""
+        verification = self.verification
+        return (
+            verification is not None and verification.in_sync and not self.stuck
+            and not any(lag.version_lag for lag in verification.lag.values())
+        )
 
     def summary_lines(self) -> List[str]:
         lines = [f"repair of subscriber {self.subscriber!r}:"]
@@ -63,8 +73,12 @@ class RepairResult:
         if self.verification is not None:
             lines.append(
                 "  post-repair audit: "
-                + ("replicas digest-equal" if self.verified_in_sync
+                + ("replicas digest-equal" if self.verification.in_sync
                    else f"{self.verification.divergent_total} still divergent")
+                + (", verified in sync" if self.verified_in_sync else
+                   ", NOT verified: version_lag "
+                   f"{sum(lag.version_lag for lag in self.verification.lag.values())}"
+                   f", stuck after the drain {self.stuck}")
             )
         return lines
 
@@ -107,6 +121,7 @@ def repair_subscriber(
 
     # Step 3: what the wedged queue held is now applied or a duplicate.
     service.subscriber.drain()
+    result.stuck = service.subscriber.stuck_dependencies()
     service.ecosystem.durability.snapshot()
     if reaudit:
         result.verification = auditor.audit(publisher_name)

@@ -280,6 +280,10 @@ class SubscriberVersionStore:
     ) -> None:
         self.kv = kv
         self._waiters = threading.Condition()
+        #: Threads inside :meth:`wait_satisfied`. A counter move reads
+        #: it without the lock: a waiter counts itself in *before* its
+        #: next check, so a move that read 0 is one that check sees.
+        self._waiting = 0
         self._applied = (
             metrics.counter(f"versionstore.{owner or 'subscriber'}.applied")
             if metrics is not None
@@ -367,11 +371,11 @@ class SubscriberVersionStore:
         the last one (global mode's gate counter) is bumped last.
         Coalesced messages carry summed increments."""
         steps = [(self._key(d), d, n) for d, n in counts.items() if n > 0]
+        if self._applied is not None and steps:
+            self._applied.increment(sum([step[2] for step in steps]))
         for shard, group in self.kv.by_shard(steps).items():
-            for _key, dep, amount in group:
+            for _key, dep, _amount in group:
                 yield_point("counter.bump", dep=dep)
-                if self._applied is not None:
-                    self._applied.increment(amount)
 
             def script(store: RedisLike, group: List[tuple] = group) -> None:
                 for key, dep, amount in group:
@@ -382,8 +386,7 @@ class SubscriberVersionStore:
                     observe_point("counter.bumped", dep=dep, value=ops)
 
             shard.eval(script)
-        with self._waiters:
-            self._waiters.notify_all()
+        self._wake()
 
     # Weak-mode per-object freshness -----------------------------------------
 
@@ -406,20 +409,29 @@ class SubscriberVersionStore:
         # Record-only: callers may hold the subscriber's per-object lock.
         value = self.kv.eval_on(key, script)
         observe_point("counter.fast_forward", dep=hashed_dep, value=value)
-        with self._waiters:
-            self._waiters.notify_all()
+        self._wake()
 
     # Blocking wait used by threaded subscriber workers --------------------------
 
     def wait_satisfied(self, dependencies: Dict[str, int], timeout: float) -> bool:
         end = time.monotonic() + timeout
         with self._waiters:
-            while not self.satisfied(dependencies):
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._waiters.wait(min(remaining, 0.05))
+            self._waiting += 1
+            try:
+                while not self.satisfied(dependencies):
+                    remaining = end - time.monotonic()
+                    if remaining <= 0:
+                        return False
+                    self._waiters.wait(min(remaining, 0.05))
+            finally:
+                self._waiting -= 1
         return True
+
+    def _wake(self) -> None:
+        """Wake the dependency waiters after a counter moved."""
+        if self._waiting:
+            with self._waiters:
+                self._waiters.notify_all()
 
     # Bootstrap ---------------------------------------------------------------
 
@@ -433,11 +445,9 @@ class SubscriberVersionStore:
                 store.hset(key, "ops", max(current, ops))
 
             self.kv.eval_on(key, script)
-        with self._waiters:
-            self._waiters.notify_all()
+        self._wake()
 
     def flush(self) -> None:
         yield_point("store.flush")
         self.kv.flushall()
-        with self._waiters:
-            self._waiters.notify_all()
+        self._wake()

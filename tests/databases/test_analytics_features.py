@@ -1,10 +1,8 @@
-"""Analytics extensions: SQL GROUP BY and access paths, Mongo pipelines,
-graph link features."""
+"""Analytics extensions: SQL GROUP BY and access paths, Mongo pipelines."""
 
 import pytest
 
 from repro.databases.document import MongoLike
-from repro.databases.graph import Neo4jLike
 from repro.databases.relational import (
     Col,
     Column,
@@ -132,18 +130,3 @@ class TestDocumentPipeline:
         assert db.distinct("events", "kind") == ["click", "search"]
         assert db.distinct("events", "tags") == ["a", "b"]
         assert db.distinct("events", "kind", {"n": {"$gt": 5}}) == ["search"]
-
-
-class TestGraphLinkFeatures:
-    def test_degree_and_common_neighbours(self):
-        db = Neo4jLike("g")
-        for i in range(1, 6):
-            db.create_node("User", {"id": i})
-        db.create_edge(1, "friend", 3, directed=False)
-        db.create_edge(1, "friend", 4, directed=False)
-        db.create_edge(2, "friend", 3, directed=False)
-        db.create_edge(2, "friend", 5, directed=False)
-        assert db.degree(1, "friend") == 2
-        assert db.degree(3, "friend", direction="in") == 2
-        assert db.common_neighbours(1, 2, "friend") == {3}
-        assert db.common_neighbours(4, 5, "friend") == set()

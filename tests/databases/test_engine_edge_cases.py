@@ -11,7 +11,6 @@ from repro.databases.relational import (
     Integer,
     PostgresLike,
     TableSchema,
-    Text,
 )
 from repro.databases.search import ElasticsearchLike, Term
 from repro.errors import SchemaError, UnknownTableError
@@ -96,20 +95,6 @@ class TestRelationalEdges:
         db.create_table(TableSchema("t", [Column("x", Integer())]))
         assert db.update("t", Col("x") == 99, {"x": 1}) == 0
         assert db.delete("t", Col("x") == 99) == 0
-
-    def test_drop_index(self):
-        from repro.databases.relational import Index
-
-        db = PostgresLike("p")
-        db.create_table(
-            TableSchema("t", [Column("x", Text())],
-                        indexes=[Index("ix", ["x"])])
-        )
-        db.insert("t", {"x": "a"})
-        db.drop_index("t", "ix")
-        db.stats.reset()
-        assert db.select("t", where=Col("x") == "a")
-        assert db.stats.scans == 1  # back to scanning
 
 
 class TestGraphEdges:

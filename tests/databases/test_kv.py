@@ -21,15 +21,6 @@ class TestBasicOps:
         assert kv.get("k") is None
         assert not kv.delete("k")
 
-    def test_incr(self, kv):
-        assert kv.incr("n") == 1
-        assert kv.incr("n", 5) == 6
-
-    def test_exists(self, kv):
-        assert not kv.exists("k")
-        kv.set("k", 0)
-        assert kv.exists("k")
-
     def test_keys_prefix(self, kv):
         kv.set("a:1", 1)
         kv.set("a:2", 1)
@@ -54,10 +45,6 @@ class TestHashes:
         kv.hset("h", "a", 1)
         kv.hset("h", "b", 2)
         assert kv.hgetall("h") == {"a": 1, "b": 2}
-
-    def test_hincrby(self, kv):
-        assert kv.hincrby("h", "n") == 1
-        assert kv.hincrby("h", "n", 3) == 4
 
 
 class TestScripts:
@@ -110,7 +97,7 @@ class TestFailureModel:
         with pytest.raises(FaultInjected):
             kv.eval(lambda s: steps.append(s.get("k")))
         assert steps == [] and kv.script_calls == 0
-        for op in (lambda: kv.keys(), lambda: kv.exists("k"), kv.dbsize, kv.flushall):
+        for op in (lambda: kv.keys(), kv.dbsize, kv.flushall):
             with pytest.raises(FaultInjected):
                 op()
         kv.restart()
