@@ -74,7 +74,7 @@ def test_bootstrap_scales_linearly(benchmark):
 def test_partial_bootstrap_is_cheaper(benchmark):
     eco, pub, sub = build(4000)
     start = time.perf_counter()
-    applied_partial = bootstrap_subscriber(sub, "pub", models=["Widget"])
+    applied_partial = bootstrap_subscriber(sub, scope={("pub", "Widget"): None})
     partial_elapsed = time.perf_counter() - start
     start = time.perf_counter()
     applied_full = bootstrap_subscriber(sub)
@@ -89,4 +89,4 @@ def test_partial_bootstrap_is_cheaper(benchmark):
     assert applied_partial < applied_full
     assert partial_elapsed < full_elapsed
 
-    benchmark(lambda: bootstrap_subscriber(sub, "pub", models=["Widget"]))
+    benchmark(lambda: bootstrap_subscriber(sub, scope={("pub", "Widget"): None}))

@@ -626,8 +626,8 @@ class Service:
         report: Optional[Any] = None,
         reaudit: bool = True,
     ) -> Any:
-        """Targeted anti-entropy: bootstrap's transfer for the divergent
-        objects only (O(divergence), no queue decommission, no
+        """Targeted anti-entropy: a bootstrap scoped to the divergent
+        objects (O(divergence) rows, no queue decommission, no full
         re-bootstrap). Returns a :class:`repro.repair.RepairResult`."""
         from repro.repair import repair_subscriber
 

@@ -1,46 +1,59 @@
 """Subscriber bootstrapping and recovery (§4.4).
 
-Three steps: (1) the publisher's version-store counters are transferred
-in bulk; (2) every subscribed object is dumped from the publisher's DB
-and applied locally; (3) messages published meanwhile are drained. The
-subscriber runs with weak semantics (``bootstrap_active`` is True) until
-step 3 completes, and step 3 skips what step 1 already counted: a queued
-message whose written objects' counters the transfer moved past its
-versions is acked as a duplicate (its writes are in step 2's dump), not
-applied and bumped a second time. A bootstrap restricted to some
-``models`` therefore transfers only the counters of the objects it
-dumps.
+Three steps: (1) the publisher's version-store counters and generation
+are transferred, and the subscriber *enters* that generation (flush,
+then adopt, as the live generation gate does); (2) subscribed objects
+are dumped from the publisher's DB and applied locally; (3) messages
+published meanwhile are drained. The subscriber runs with weak
+semantics (``bootstrap_active`` is True) until step 3 completes, and
+step 3 skips what the transfer already holds: a queued message whose
+written objects' counters the transfer moved past its versions is acked
+as a duplicate (its writes are in the dump), and so is a message of a
+generation older than the one step 1 entered (the transfer supersedes
+it).
 
-The same procedure serves as the *partial bootstrap* after a queue
-decommission, a subscriber version-store death, or the message-loss
-deadlock of §6.5. Targeted repair (``repro.repair``) is steps 1 and 2
-for an audit's divergent ids only (:func:`transfer_objects`).
+A ``scope`` — ``{(publisher, model_name): None | [ids]}``, ``None``
+meaning the whole model — restricts step 2. A full bootstrap loads
+every counter up front and lands every dumped row. A scoped one lands
+each dumped row, under the object's stripe lock, unless the local
+counter is already past the snapshot's, and then raises that counter.
+The rest of the step-1 snapshot (session users, ``__global__``, read
+dependencies) is loaded after step 3, and only when nothing is queued
+or unacked: any message published after the snapshot carries versions
+at or past it, so the raise discards nothing still to be applied. The
+snapshot is read before the dump, so a counter never claims more than
+the row that lands with it.
+
+The same procedure serves the partial bootstrap after a queue
+decommission or a subscriber version-store death, the back-fill of a
+newly published attribute (a model scope, §4.3), and targeted repair of
+the §6.5 loss (``repro.repair``: the audit's divergent ids).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SynapseError
+
+#: (publisher, model_name) -> None (the whole model) or the ids to transfer.
+Scope = Dict[Tuple[str, str], Optional[List[Any]]]
 
 
 def bootstrap_subscriber(
     service: Any,
     publisher_name: Optional[str] = None,
-    models: Optional[list] = None,
+    scope: Optional[Scope] = None,
 ) -> int:
-    """Synchronise ``service`` with its publisher(s); returns the number
-    of objects bulk-applied in step 2.
-
-    ``models`` restricts the bulk data phase to the named models — the
-    *partial data bootstrap* used after publishing new attributes
-    (§4.3), where only the affected model needs back-filling.
-    """
+    """Synchronise ``service`` with its publisher(s) — every one it
+    subscribes to, ``publisher_name`` only, or those ``scope`` names;
+    returns the number of dumped rows that landed in step 2."""
     subscriber = service.subscriber
+    store = service.subscriber_version_store
     if publisher_name is not None:
         apps = [publisher_name]
     else:
-        apps = sorted({spec.from_app for spec in subscriber.specs.values()})
+        apps = sorted({app for app, _model in (scope or subscriber.specs)})
     if not apps:
         return 0
 
@@ -50,7 +63,8 @@ def bootstrap_subscriber(
         queue.recommission()
 
     control = service.ecosystem.control
-    applied = 0
+    landed = 0
+    snapshots = []
     for app in apps:
         if not control.known(app):
             raise SynapseError(
@@ -60,40 +74,41 @@ def bootstrap_subscriber(
         # control-plane handler (which may live in another process).
         snapshot = control.bootstrap_snapshot(app)
         versions = snapshot["versions"]
-        if models is None:
-            service.subscriber_version_store.bulk_load(versions)
-        subscriber.generations[app] = snapshot["generation"]
+        subscriber.enter_generation(app, snapshot["generation"])
+        if scope is None:
+            store.bulk_load(versions)
+        snapshots.append(versions)
 
-        # Step 2 — bulk data transfer of every subscribed model: the
-        # publisher dumps each model as marshaled wire operations.
+        # Step 2 — data transfer: the publisher dumps each model in
+        # scope as marshaled wire operations (a delete for a requested
+        # id it no longer holds).
         for (from_app, model_name), spec in sorted(subscriber.specs.items()):
-            if from_app != app:
+            if from_app != app or (scope is not None and (app, model_name) not in scope):
                 continue
-            if models is not None and model_name not in models:
-                continue
-            dump = control.model_dump(app, model_name)
+            ids = None if scope is None else scope[(app, model_name)]
+            dump = control.model_dump(app, model_name, ids=ids)
             if not dump["found"]:
                 continue
-            dumped_ids = set()
-            for operation, row_id in zip(dump["operations"], dump["ids"]):
-                subscriber.apply_operation(app, operation)
-                dumped_ids.add(row_id)
-                applied += 1
-            if models is not None:
-                # Step 1 for this model's objects only: a counter the
-                # dump did not deliver the data of would make step 3
-                # skip that object's queued writes.
-                dumped = (subscriber.object_dep(app, op) for op in dump["operations"])
-                service.subscriber_version_store.bulk_load(
-                    {dep: versions[dep] for dep in dumped if dep in versions}
-                )
+            for operation in dump["operations"]:
+                if scope is None:
+                    subscriber.apply_operation(app, operation)
+                    landed += 1
+                    continue
+                hashed = subscriber.object_dep(app, operation)
+                version = versions.get(hashed, 0)
+                with subscriber._object_locks.lock_for(hashed):
+                    if store.ops(hashed) <= version:
+                        subscriber.apply_operation(app, operation)
+                        landed += 1
+                    store.bulk_load({hashed: version})
             # Anti-entropy: drop local rows the publisher no longer has
             # (their delete messages may have been lost — without this, a
             # rebootstrap after the §6.5 incident could leave ghosts).
             # Skipped for multi-publisher models (Fig 3): no single
             # publisher's dump is authoritative for the full row set.
-            if not spec.observer and not subscriber.is_multi_publisher(spec) \
+            if ids is None and not spec.observer and not subscriber.is_multi_publisher(spec) \
                     and spec.model_cls.__mapper__ is not None:
+                dumped_ids = set(dump["ids"])
                 local_rows = spec.model_cls.__mapper__._do_where({}, None, None)
                 for local_row in local_rows:
                     if local_row["id"] not in dumped_ids:
@@ -107,6 +122,9 @@ def bootstrap_subscriber(
 
     # Step 3 — process everything queued during the bulk phases.
     subscriber.drain()
+    if scope is not None and (queue is None or not (len(queue) or queue.unacked_count)):
+        for versions in snapshots:
+            store.bulk_load(versions)
     if queue is None or not len(queue):
         subscriber.bootstrapping = False
     # Bootstrap's bulk transfers bypass the WAL (steps 1 and 2 mutate
@@ -114,41 +132,6 @@ def bootstrap_subscriber(
     # state: a crash mid-bootstrap re-enters bootstrap, a crash after
     # this snapshot restores the bootstrapped replica.
     service.ecosystem.durability.snapshot()
-    return applied
-
-
-def transfer_objects(
-    service: Any, app: str, model_name: str, ids: List[Any]
-) -> List[Dict[str, Any]]:
-    """Bootstrap steps 1 and 2 for ``ids`` of one model: the publisher
-    reads each object's counter, then its row (a delete when it no
-    longer holds one). Per object, under the subscriber's stripe lock,
-    the operation lands unless the local counter is already past the
-    transferred one, and the counter is raised to it — which releases a
-    causal queue wedged behind a lost message. Returns the operations
-    that landed.
-
-    Like bootstrap, this runs on the subscriber's control path: the
-    transfer sits outside the message order, so a worker applying the
-    same object concurrently could be regressed (docs/recovery.md)."""
-    subscriber = service.subscriber
-    store = service.subscriber_version_store
-    dump = service.ecosystem.control.model_dump(app, model_name, ids=ids)
-    landed: List[Dict[str, Any]] = []
-    if not dump["found"]:
-        return landed
-    versions = dump["versions"]
-    for operation in dump["operations"]:
-        hashed = subscriber.object_dep(app, operation)
-        version = versions.get(hashed, 0)
-        with subscriber._object_locks.lock_for(hashed):
-            if store.ops(hashed) <= version:
-                subscriber.apply_operation(app, operation)
-                landed.append(operation)
-            store.bulk_load({hashed: version})
-    service.ecosystem.metrics.counter(
-        f"repair.{service.name}.applied_objects"
-    ).increment(len(landed))
     return landed
 
 

@@ -91,12 +91,6 @@ class DocumentDatabase(Database):
             self._collections[name] = col
         return col
 
-    def collection_names(self) -> List[str]:
-        return sorted(self._collections)
-
-    def drop_collection(self, name: str) -> None:
-        self._collections.pop(name, None)
-
     def create_index(self, collection: str, path: str) -> None:
         with self._lock:
             col = self.collection(collection)
@@ -157,29 +151,6 @@ class DocumentDatabase(Database):
                 return _deep_copy(new_doc)
             return None
 
-    def update_many(
-        self, collection: str, query: Dict[str, Any], update: Dict[str, Any]
-    ) -> List[Doc]:
-        """Update all matching documents; returns the new documents."""
-        with self._lock:
-            self._charge_write()
-            col = self.collection(collection)
-            out: List[Doc] = []
-            for doc in list(self._plan(col, query)):
-                new_doc = apply_update(doc, update)
-                old = col.docs[doc["_id"]]
-                col.index_remove(old)
-                col.docs[doc["_id"]] = new_doc
-                col.index_add(new_doc)
-                txn = self._txns.current()
-                if txn is not None:
-                    txn.record_replace(collection, doc["_id"], old)
-                    txn.written.append(
-                        {"table": collection, "op": "update", "row": _deep_copy(new_doc)}
-                    )
-                out.append(_deep_copy(new_doc))
-            return out
-
     def delete_one(self, collection: str, query: Dict[str, Any]) -> Optional[Doc]:
         with self._lock:
             self._charge_write()
@@ -196,24 +167,6 @@ class DocumentDatabase(Database):
                     )
                 return _deep_copy(removed)
             return None
-
-    def delete_many(self, collection: str, query: Dict[str, Any]) -> List[Doc]:
-        with self._lock:
-            self._charge_write()
-            self.stats.deletes += 1
-            col = self.collection(collection)
-            out: List[Doc] = []
-            for doc in list(self._plan(col, query)):
-                removed = col.docs.pop(doc["_id"])
-                col.index_remove(removed)
-                txn = self._txns.current()
-                if txn is not None:
-                    txn.record_delete(collection, removed)
-                    txn.written.append(
-                        {"table": collection, "op": "delete", "row": _deep_copy(removed)}
-                    )
-                out.append(_deep_copy(removed))
-            return out
 
     # -- reads ---------------------------------------------------------------
 
@@ -256,22 +209,6 @@ class DocumentDatabase(Database):
             self._charge_read()
             col = self.collection(collection)
             return sum(1 for _ in self._plan(col, query or {}))
-
-    def distinct(
-        self, collection: str, path: str, query: Optional[Dict[str, Any]] = None
-    ) -> List[Any]:
-        """Distinct values of a (dot-)path; array values contribute each
-        element (MongoDB semantics)."""
-        values = set()
-        for doc in self.find(collection, query, limit=None):
-            value = get_path(doc, path)
-            if value is _MISSING:
-                continue
-            if isinstance(value, list):
-                values.update(value)
-            else:
-                values.add(value)
-        return sorted(values, key=lambda v: (str(type(v)), str(v)))
 
     def aggregate(
         self, collection: str, pipeline: List[Dict[str, Any]]

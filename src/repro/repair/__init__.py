@@ -16,9 +16,9 @@ subsystem makes divergence *detectable* and *repairable* at fine grain:
   watermarks to tell transit *lag* (messages queued or in flight) from
   *loss* (divergence with an idle queue), pinpointing divergent objects
   by comparing the two maps;
-- :mod:`repro.repair.repairer` performs **targeted repair**: bootstrap's
-  counter and row transfer for the divergent objects only, so recovery
-  costs O(divergence) instead of O(dataset), no queue is decommissioned
+- :mod:`repro.repair.repairer` performs **targeted repair**: a bootstrap
+  scoped to the divergent objects, so recovery transfers and writes
+  O(divergence) rows instead of O(dataset), no queue is decommissioned
   and nothing is published.
 """
 

@@ -2,17 +2,16 @@
 
 The paper's §6.5 remedy for lost write-messages is a queue decommission
 followed by a full §4.4 re-bootstrap — O(dataset) to heal what may be a
-handful of lost messages. Targeted repair runs bootstrap's own steps 1
-and 2 for an audit report's divergent ids only
-(:func:`repro.core.bootstrap.transfer_objects`): the publisher reads
-each object's counter, then its row; the subscriber lands the row
-unless its counter is already past the transferred one, and raises the
-counter to it — healing the counter deficit a lost message left behind,
-which is what un-wedges a causally deadlocked queue without
-decommissioning it. Rows the publisher no longer holds are transferred
-as deletes, removing subscriber-side ghosts. Then the subscriber
-drains, checkpoints (the transfer bypasses the per-message log) and
-re-audits. Nothing is published: no other subscriber sees a heal.
+handful of lost messages. Targeted repair is that same bootstrap with a
+scope: audit, then :func:`repro.core.bootstrap.bootstrap_subscriber`
+over the audit's divergent ids only, then re-audit. The bootstrap
+enters the publisher's generation, lands each divergent row unless the
+local counter is already past the step-1 snapshot's (a row the
+publisher no longer holds comes as a delete, removing a ghost), drains,
+raises every counter the subscriber is still behind on once nothing is
+queued or unacked — object, session-user and ``__global__`` alike,
+which is what un-wedges a deadlocked queue without decommissioning it —
+and checkpoints. Nothing is published: no other subscriber sees a heal.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.bootstrap import transfer_objects
-from repro.errors import SynapseError
+from repro.core.bootstrap import bootstrap_subscriber
 from repro.repair.auditor import AuditReport, ReplicationAuditor
 
 
@@ -34,13 +32,14 @@ class RepairResult:
     repaired: Dict[Any, List[Any]] = field(default_factory=dict)
     #: Transferred rows that landed (the rest were already past).
     landed: int = 0
-    #: Landed deletes: ghosts the publisher no longer holds.
+    #: Ghosts removed: divergent rows the subscriber held before the
+    #: repair and the publisher no longer holds.
     deletes: int = 0
     #: The audit that drove the repair.
     audit: Optional[AuditReport] = None
     #: Post-repair audit (None when ``reaudit=False``).
     verification: Optional[AuditReport] = None
-    #: What the queue still waits on after the repair's drain
+    #: What the queue still waits on after the bootstrap's drain
     #: (``stuck_dependencies()``: dep -> (required, current)).
     stuck: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
@@ -89,10 +88,9 @@ def repair_subscriber(
     report: Optional[AuditReport] = None,
     reaudit: bool = True,
 ) -> RepairResult:
-    """Audit (unless ``report`` is given), transfer the divergent
-    objects, drain the subscriber, checkpoint, and re-audit to verify
-    digest equality. An audit that finds nothing divergent is its own
-    verification."""
+    """Audit (unless ``report`` is given), bootstrap the divergent
+    objects (which drains and checkpoints), and re-audit to verify. An
+    audit that finds nothing divergent is its own verification."""
     auditor = ReplicationAuditor(service)
     if report is None:
         report = auditor.audit(publisher_name)
@@ -104,25 +102,22 @@ def repair_subscriber(
             result.verification = report
         return result
 
-    control = service.ecosystem.control
-    for audit in report.models:
-        if not audit.divergent_ids:
-            continue
-        if not control.known(audit.publisher):
-            raise SynapseError(
-                f"cannot repair from unknown publisher {audit.publisher!r}"
-            )
-        landed = transfer_objects(
-            service, audit.publisher, audit.model_name, audit.divergent_ids
-        )
-        result.landed += len(landed)
-        result.deletes += sum(op["operation"] == "delete" for op in landed)
-        result.repaired[(audit.publisher, audit.model_name)] = audit.divergent_ids
-
-    # Step 3: what the wedged queue held is now applied or a duplicate.
-    service.subscriber.drain()
-    result.stuck = service.subscriber.stuck_dependencies()
-    service.ecosystem.durability.snapshot()
+    result.repaired = {
+        (audit.publisher, audit.model_name): audit.divergent_ids
+        for audit in report.models if audit.divergent_ids
+    }
+    subscriber = service.subscriber
+    mappers = {key: subscriber.specs[key].model_cls.__mapper__ for key in result.repaired}
+    held = [
+        (mappers[key], row_id) for key, ids in result.repaired.items()
+        for row_id in ids if mappers[key]._do_find(row_id) is not None
+    ]
+    result.landed = bootstrap_subscriber(service, scope=result.repaired)
+    result.deletes = sum(mapper._do_find(row_id) is None for mapper, row_id in held)
+    service.ecosystem.metrics.counter(
+        f"repair.{service.name}.applied_objects"
+    ).increment(result.landed)
+    result.stuck = subscriber.stuck_dependencies()
     if reaudit:
         result.verification = auditor.audit(publisher_name)
     service.ecosystem.recorder.record_event(

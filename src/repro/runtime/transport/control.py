@@ -179,9 +179,9 @@ class ControlPlane:
         self, service_name: str, model_name: str,
         ids: Optional[List[Any]] = None,
     ) -> Dict[str, Any]:
-        """{"found", "operations", "ids"} — bootstrap step 2 bulk data;
-        with ``ids``, steps 1 and 2 for those objects only, plus their
-        counters under ``versions``."""
+        """{"found", "operations", "ids"} — bootstrap step 2: every row
+        of the model, or with ``ids`` those rows only (a delete for one
+        the publisher no longer holds). Counters come from step 1."""
         return self.request(service_name, "model_dump", model=model_name, ids=ids)
 
     def model_digest(

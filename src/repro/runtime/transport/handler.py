@@ -107,12 +107,10 @@ class ControlPlaneHandler(OpTable):
 
     def _op_model_dump(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Bootstrap step 2 payload: every row of one published model,
-        marshaled exactly as a publish would marshal it. With ``ids``,
-        steps 1 and 2 for those objects only (targeted repair): each
-        object's counter is read before its row, as bootstrap reads
-        them, and an id this publisher no longer holds is dumped as a
-        delete."""
-        from repro.core.dependencies import dep_name
+        marshaled exactly as a publish would marshal it — or, with
+        ``ids``, those rows only, an id this publisher no longer holds
+        dumped as a delete. The counters come from step 1's
+        ``bootstrap_snapshot``, read before this dump."""
         from repro.core.marshal import marshal_operation
 
         service = self.service
@@ -126,28 +124,17 @@ class ControlPlaneHandler(OpTable):
         ids = params.get("ids")
         if ids is None:
             rows = mapper._do_where({}, None, None)
-            return {
-                "found": True,
-                "operations": [
-                    marshal_operation("update", model_cls, row, fields)
-                    for row in rows
-                ],
-                "ids": [row["id"] for row in rows],
-            }
-        store = service.publisher_version_store
-        operations, versions = [], {}
-        for row_id in ids:
-            dep = dep_name(service.name, model_cls.table_name(), row_id)
-            ops, _version = store.current(dep)
-            versions[store.hasher.hash(dep)] = ops
-            row = mapper._do_find(row_id)
-            kind = "delete" if row is None else "update"
-            operations.append(marshal_operation(
-                kind, model_cls, row or {"id": row_id}, fields
-            ))
+            ids = [row["id"] for row in rows]
+        else:
+            rows = [mapper._do_find(row_id) for row_id in ids]
         return {
-            "found": True, "operations": operations, "ids": list(ids),
-            "versions": versions,
+            "found": True,
+            "operations": [
+                marshal_operation("update", model_cls, row, fields) if row is not None
+                else marshal_operation("delete", model_cls, {"id": row_id}, fields)
+                for row_id, row in zip(ids, rows)
+            ],
+            "ids": list(ids),
         }
 
     def _op_model_digest(self, params: Dict[str, Any]) -> Dict[str, Any]:

@@ -150,6 +150,27 @@ class TestVersionStoreFailures:
         # Old generation counters were flushed; new ones restarted small.
         assert sub.subscriber_version_store.ops("pub/users/id/1") <= before
 
+    def test_bootstrap_enters_the_publishers_new_generation(self, eco):
+        """Bootstrap after a publisher generation bump flushes the old
+        generation's counters before adopting the new one, as the live
+        gate does. Adopting it without the flush keeps the doc's high
+        old-generation counter (set-to-max), so its next update is
+        acked as a duplicate and the row silently diverges."""
+        pub, User = make_publisher(eco)
+        sub, SubUser = make_subscriber(eco)
+        user = User.create(name="v0")
+        for i in range(1, 4):
+            user.update(name=f"v{i}")
+        sub.subscriber.drain()
+        pub.recover_publisher_version_store()
+        sub.subscriber.drain()
+        bootstrap_subscriber(sub)
+        assert sub.subscriber.generations["pub"] == 2
+        user.update(name="v4")
+        sub.subscriber.drain()
+        assert SubUser.find(user.id).name == "v4"
+        assert sub.audit_replication().in_sync
+
     def test_subscriber_store_death_triggers_partial_bootstrap(self, eco):
         pub, User = make_publisher(eco)
         sub, SubUser = make_subscriber(eco)

@@ -66,5 +66,5 @@ class TestAddField:
         migrator.add_field(User, "level", int, default=1)
         migrator.publish_new_attribute(User, "level")
         sub.subscriber.specs[("pub", "User")].fields["level"] = "level"
-        bootstrap_subscriber(sub, "pub", models=["User"])
+        bootstrap_subscriber(sub, scope={("pub", "User"): None})
         assert SubUser.all()[0].level == 1

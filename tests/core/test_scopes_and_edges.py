@@ -77,7 +77,7 @@ class TestPartialBootstrapScope:
         User.create(name="u")
         Widget.create(label="w")
         # Bootstrap only the Widget model.
-        applied = bootstrap_subscriber(sub, "pub", models=["Widget"])
+        applied = bootstrap_subscriber(sub, scope={("pub", "Widget"): None})
         assert applied == 1
         assert sub.registry["Widget"].count() == 1
         # User arrived through the normal queue drain (step 3), not bulk.

@@ -125,8 +125,3 @@ class TestDocumentPipeline:
             db.aggregate("events", [{"$lookup": {}}])
         with pytest.raises(DatabaseError):
             db.aggregate("events", [{"$match": {}, "$limit": 1}])
-
-    def test_distinct(self, db):
-        assert db.distinct("events", "kind") == ["click", "search"]
-        assert db.distinct("events", "tags") == ["a", "b"]
-        assert db.distinct("events", "kind", {"n": {"$gt": 5}}) == ["search"]

@@ -122,13 +122,6 @@ class TestEngine:
         assert out["n"] == 2
         assert db.update_one("users", {"name": "zzz"}, {"$set": {"n": 0}}) is None
 
-    def test_update_many(self, db):
-        db.insert_one("users", {"g": 1})
-        db.insert_one("users", {"g": 1})
-        out = db.update_many("users", {"g": 1}, {"$set": {"seen": True}})
-        assert len(out) == 2
-        assert all(d["seen"] for d in db.find("users"))
-
     def test_delete(self, db):
         db.insert_one("users", {"name": "a"})
         removed = db.delete_one("users", {"name": "a"})

@@ -3,7 +3,7 @@ analyzer management, graph updates, missing-target operations."""
 
 import pytest
 
-from repro.databases.document import MongoLike, TokuMXLike
+from repro.databases.document import MongoLike
 from repro.databases.graph import Neo4jLike
 from repro.databases.relational import (
     Col,
@@ -23,32 +23,6 @@ class TestDocumentEdges:
             db.insert_one("c", {"v": value})
         docs = db.find("c", sort=("v", 1))
         assert len(docs) == 6  # no TypeError; deterministic order
-
-    def test_update_many_inside_transaction_rolls_back(self):
-        db = TokuMXLike("t")
-        db.insert_one("c", {"g": 1, "n": 0})
-        db.insert_one("c", {"g": 1, "n": 0})
-        with pytest.raises(RuntimeError):
-            with db.begin():
-                db.update_many("c", {"g": 1}, {"$set": {"n": 9}})
-                raise RuntimeError("boom")
-        assert all(d["n"] == 0 for d in db.find("c"))
-
-    def test_delete_many(self):
-        db = MongoLike("m")
-        for i in range(4):
-            db.insert_one("c", {"n": i})
-        removed = db.delete_many("c", {"n": {"$lt": 2}})
-        assert len(removed) == 2
-        assert db.count("c") == 2
-
-    def test_collection_management(self):
-        db = MongoLike("m")
-        db.insert_one("a", {})
-        db.insert_one("b", {})
-        assert db.collection_names() == ["a", "b"]
-        db.drop_collection("a")
-        assert db.collection_names() == ["b"]
 
 
 class TestSearchEdges:
