@@ -126,7 +126,7 @@ def test_repair_beats_full_bootstrap(benchmark):
     lose_messages(eco, users, lost)
     writes_before = sub.database.stats.writes
     start = time.perf_counter()
-    applied = bootstrap_subscriber(sub)
+    applied = len(bootstrap_subscriber(sub))
     bootstrap_elapsed = time.perf_counter() - start
     bootstrap_writes = sub.database.stats.writes - writes_before
     assert ReplicationAuditor(sub).audit().in_sync

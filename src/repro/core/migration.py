@@ -113,7 +113,7 @@ class LiveMigrator:
     @staticmethod
     def backfill(subscriber_service: Any, publisher_name: Optional[str] = None) -> int:
         """Partial bootstrap so subscribers digest newly-published data."""
-        return bootstrap_subscriber(subscriber_service, publisher_name)
+        return len(bootstrap_subscriber(subscriber_service, publisher_name))
 
 
 def replicate_service(

@@ -14,9 +14,7 @@ done by the dependency check itself and acked as a duplicate; a weak
 one is discarded object by object.
 
 Weak mode never waits: it applies fresh updates and discards stale ones.
-During bootstrap every message is handled with weak semantics (§3.2),
-and one of a generation older than the one bootstrap entered is acked
-unapplied: the transfer supersedes it.
+During bootstrap every message is handled with weak semantics (§3.2).
 
 A subscription is read in one place. :class:`SubscriptionSpec` owns the
 field map in both directions — ``hydrate`` (remote → local, through the
@@ -340,12 +338,6 @@ class SynapseSubscriber:
             messages = sorted(messages, key=_by_seq)
         for position, message in enumerate(messages):
             weak = False
-            if self.bootstrapping and message.generation < self.generations.get(message.app, 1):
-                # Superseded: the bootstrap entered a newer generation,
-                # and its transfer holds what this write did.
-                self._duplicates.increment()
-                done.append(message)
-                continue
             if not self._generation_ready(message):
                 retry.append(message)
                 continue

@@ -53,6 +53,8 @@ class LagReport:
     decommissioned: bool = False
     #: Sum of per-dependency version-counter deficits vs the publisher.
     version_lag: int = 0
+    #: The deficits themselves: hashed dependency -> counters behind.
+    deficits: Dict[str, int] = field(default_factory=dict)
     #: Deficit attributable to deliberate flow-control shedding,
     #: already excluded from ``version_lag`` (backpressure, not loss).
     shed_deficit: int = 0
@@ -209,7 +211,7 @@ class ReplicationAuditor:
         # the publisher is unreachable — then lag stays transit-only).
         watermarks = service.ecosystem.control.watermarks(app)
         if watermarks is not None:
-            deficits = service.subscriber_version_store.deficits(watermarks)
+            deficits = report.deficits = service.subscriber_version_store.deficits(watermarks)
             # Deliberate flow-control sheds are backpressure, not loss:
             # reconcile the queue's shed ledger (trimmed to what is
             # still unhealed) and keep it out of the loss signal.

@@ -4,14 +4,16 @@ The paper's §6.5 remedy for lost write-messages is a queue decommission
 followed by a full §4.4 re-bootstrap — O(dataset) to heal what may be a
 handful of lost messages. Targeted repair is that same bootstrap with a
 scope: audit, then :func:`repro.core.bootstrap.bootstrap_subscriber`
-over the audit's divergent ids only, then re-audit. The bootstrap
+over the audit's divergent ids, with the audit's counter deficits as
+the counters it reads besides theirs, then re-audit. The bootstrap
 enters the publisher's generation, lands each divergent row unless the
 local counter is already past the step-1 snapshot's (a row the
 publisher no longer holds comes as a delete, removing a ghost), drains,
-raises every counter the subscriber is still behind on once nothing is
-queued or unacked — object, session-user and ``__global__`` alike,
-which is what un-wedges a deadlocked queue without decommissioning it —
-and checkpoints. Nothing is published: no other subscriber sees a heal.
+and — once nothing is queued or unacked — raises the deficient counters
+no write-message carries for an object it writes: a session user's,
+``__global__``. That is what un-wedges a deadlocked queue without
+decommissioning it. It then checkpoints. Nothing is published: no other
+subscriber sees a heal.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ class RepairResult:
     repaired: Dict[Any, List[Any]] = field(default_factory=dict)
     #: Transferred rows that landed (the rest were already past).
     landed: int = 0
-    #: Ghosts removed: divergent rows the subscriber held before the
-    #: repair and the publisher no longer holds.
+    #: Landed deletes: divergent ids the publisher no longer holds.
     deletes: int = 0
     #: The audit that drove the repair.
     audit: Optional[AuditReport] = None
@@ -106,18 +107,16 @@ def repair_subscriber(
         (audit.publisher, audit.model_name): audit.divergent_ids
         for audit in report.models if audit.divergent_ids
     }
-    subscriber = service.subscriber
-    mappers = {key: subscriber.specs[key].model_cls.__mapper__ for key in result.repaired}
-    held = [
-        (mappers[key], row_id) for key, ids in result.repaired.items()
-        for row_id in ids if mappers[key]._do_find(row_id) is not None
-    ]
-    result.landed = bootstrap_subscriber(service, scope=result.repaired)
-    result.deletes = sum(mapper._do_find(row_id) is None for mapper, row_id in held)
+    landed = bootstrap_subscriber(
+        service, scope=result.repaired,
+        behind=[dep for lag in report.lag.values() for dep in lag.deficits],
+    )
+    result.landed = len(landed)
+    result.deletes = sum(operation["operation"] == "delete" for operation in landed)
     service.ecosystem.metrics.counter(
         f"repair.{service.name}.applied_objects"
     ).increment(result.landed)
-    result.stuck = subscriber.stuck_dependencies()
+    result.stuck = service.subscriber.stuck_dependencies()
     if reaudit:
         result.verification = auditor.audit(publisher_name)
     service.ecosystem.recorder.record_event(

@@ -171,9 +171,13 @@ class ControlPlane:
             return 0
         return int(result["pending"]) if result else 0
 
-    def bootstrap_snapshot(self, service_name: str) -> Dict[str, Any]:
-        """{"versions": {...}, "generation": n} — bootstrap step 1 (§4.4)."""
-        return self.request(service_name, "bootstrap_snapshot")
+    def bootstrap_snapshot(
+        self, service_name: str, deps: Optional[List[str]] = None,
+    ) -> Dict[str, Any]:
+        """{"versions": {...}, "generation": n} — bootstrap step 1
+        (§4.4): every counter, or with ``deps`` those the publisher
+        holds."""
+        return self.request(service_name, "bootstrap_snapshot", deps=deps)
 
     def model_dump(
         self, service_name: str, model_name: str,

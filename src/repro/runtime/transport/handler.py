@@ -98,12 +98,19 @@ class ControlPlaneHandler(OpTable):
         }
 
     def _op_bootstrap_snapshot(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Bootstrap step 1 payload: counters plus the generation the
-        subscriber must adopt (§4.4)."""
-        return {
-            "versions": self.service.publisher_version_store.snapshot(),
-            "generation": self.service.current_generation(),
-        }
+        """Bootstrap step 1 payload: counters — every one, or with
+        ``deps`` those held — plus the generation the subscriber must
+        adopt (§4.4). The generation is read first: a bump in between
+        then leaves new counters under the old generation, which the
+        live gate still flushes, never old counters under the new."""
+        generation = self.service.current_generation()
+        store = self.service.publisher_version_store
+        deps = params.get("deps")
+        if deps is None:
+            versions = store.snapshot()
+        else:
+            versions = {dep: ops for dep, (ops, _version) in store.counters(deps).items() if ops}
+        return {"versions": versions, "generation": generation}
 
     def _op_model_dump(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Bootstrap step 2 payload: every row of one published model,

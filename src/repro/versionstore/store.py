@@ -436,16 +436,15 @@ class SubscriberVersionStore:
     # Bootstrap ---------------------------------------------------------------
 
     def bulk_load(self, snapshot: Dict[str, int]) -> None:
-        """Bootstrap step 1: adopt the publisher's ops counters (§4.4),
-        set-to-max, one script per shard."""
-        steps = [(self._key(hashed_dep), ops) for hashed_dep, ops in snapshot.items()]
-        for shard, group in self.kv.by_shard(steps).items():
+        """Bootstrap step 1: adopt the publisher's ops counters (§4.4)."""
+        for hashed_dep, ops in snapshot.items():
+            key = self._key(hashed_dep)
 
-            def script(store: RedisLike, group: List[tuple] = group) -> None:
-                for key, ops in group:
-                    store.hset(key, "ops", max(store.hget(key, "ops") or 0, ops))
+            def script(store: RedisLike, key: str = key, ops: int = ops) -> None:
+                current = store.hget(key, "ops") or 0
+                store.hset(key, "ops", max(current, ops))
 
-            shard.eval(script)
+            self.kv.eval_on(key, script)
         self._wake()
 
     def flush(self) -> None:

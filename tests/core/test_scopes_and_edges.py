@@ -78,14 +78,35 @@ class TestPartialBootstrapScope:
         Widget.create(label="w")
         # Bootstrap only the Widget model.
         applied = bootstrap_subscriber(sub, scope={("pub", "Widget"): None})
-        assert applied == 1
+        assert len(applied) == 1
         assert sub.registry["Widget"].count() == 1
         # User arrived through the normal queue drain (step 3), not bulk.
         assert sub.registry["User"].count() == 1
 
+    def test_a_model_scope_across_a_generation_bump_keeps_other_writes(self, eco):
+        """A model-scoped bootstrap that enters a newer publisher
+        generation finishes the old one first, as the live gate does: an
+        old-generation update of another model still queued is applied,
+        not discarded, and that model's next write lands by a drain."""
+        pub, sub = build(eco)
+        User = pub.registry["User"]
+        user = User.create(name="a")
+        pub.registry["Widget"].create(label="w")
+        sub.subscriber.drain()
+        user.update(name="b")  # queued, old generation
+        pub.recover_publisher_version_store()
+        bootstrap_subscriber(sub, scope={("pub", "Widget"): None})
+        SubUser = sub.registry["User"]
+        assert SubUser.find(user.id).name == "b"
+        user.update(name="c")
+        sub.subscriber.drain()
+        assert SubUser.find(user.id).name == "c"
+        assert sub.subscriber.stuck_dependencies() == {}
+        assert sub.audit_replication().in_sync
+
     def test_no_subscriptions_is_a_noop(self, eco):
         lonely = eco.service("lonely", database=MongoLike("l"))
-        assert bootstrap_subscriber(lonely) == 0
+        assert bootstrap_subscriber(lonely) == []
         assert lonely.subscriber.drain() == 0
 
 

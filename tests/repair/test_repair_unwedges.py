@@ -4,15 +4,21 @@ One case each for the wedges targeted repair once left behind while
 reporting digest-equal rows (ROADMAP (17)): the ``__global__`` gate
 counter in global mode (a), a causal session user's counter (b), an
 old-generation write queued across a publisher generation bump (c), and
-a write already queued behind the loss, in causal and global mode.
-After each repair the next write lands by ``drain()`` alone. A write
-still in transit when a repair runs is applied, not discarded.
+a write already queued behind the loss, in causal and global mode, and
+a write of the new generation lost as well. After each repair the next
+write lands by ``drain()`` alone. A write still in transit when a repair
+runs — queued, unacked, or versioned and not yet shipped — is applied,
+not discarded.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core import Ecosystem
+from repro.core.bootstrap import bootstrap_subscriber
+from repro.databases.relational import PostgresLike
+from repro.orm import Field, Model
 from repro.repair import ReplicationAuditor
 from tests.durability.test_restore import build_pipeline, replicas_in_sync
 from tests.repair.test_repair_verdict import lose_one_create, next_write_lands
@@ -42,8 +48,9 @@ def test_17b_causal_session_user(tmp_path):
 
 def test_17c_causal_across_a_generation_bump(tmp_path):
     """A lost create, an update of the same doc, then a publisher
-    generation bump: the old-generation update is superseded by the
-    repair's transfer instead of waiting on a counter the bump reset."""
+    generation bump: the repair drains the old-generation update before
+    entering the new generation instead of leaving it waiting on a
+    counter the bump reset."""
     healed(tmp_path, "causal", before=0, updates=1, bump=True)
 
 
@@ -54,6 +61,65 @@ def test_a_write_queued_behind_the_loss(tmp_path, mode):
     ``__global__``): the queue is not idle, yet the repair must raise
     that counter once its drain has applied what it could."""
     healed(tmp_path, mode, before=1, user=True, queued=True)
+
+
+@pytest.mark.parametrize("mode,user", [("causal", True), ("global", False)])
+def test_a_write_lost_in_a_generation_not_yet_entered(tmp_path, mode, user):
+    """The publisher's version store dies behind the wedged queue, and
+    the first write of the new generation is lost too. The audit
+    measured the old generation's counters, so its deficits do not
+    name the session user's or ``__global__``: entering the new
+    generation, the repair reads every counter instead."""
+    healed(tmp_path, mode, before=1, user=user, bump=True, queued=True, lose_queued=True)
+
+
+@pytest.mark.parametrize("heal", ["repair", "model-scope"])
+@pytest.mark.parametrize("mode", ["causal", "global"])
+def test_a_write_versioned_before_a_repair_and_shipped_after_lands(mode, heal):
+    """A publisher transaction prepared before the heal bumps another
+    doc's counter, and its message ships only when it commits, after
+    the heal's drain found the queue idle. That doc is outside the
+    scope — the repair's ids, or a bootstrap of another model, which
+    reads every counter: raising its counter to the snapshot would ack
+    the update as a duplicate and leave the old row."""
+    eco = Ecosystem()
+    pub = eco.service("pub", database=PostgresLike("pub-db"), delivery_mode=mode)
+
+    @pub.model(publish=["value"], name="Doc")
+    class PubDoc(Model):
+        value = Field(int, default=0)
+
+    @pub.model(publish=["value"], name="Tag")
+    class PubTag(Model):
+        value = Field(int, default=0)
+
+    sub = eco.service("sub", database=PostgresLike("sub-db"))
+    subscribe = {"from": "pub", "fields": ["value"], "mode": mode}
+
+    @sub.model(subscribe=subscribe, name="Doc")
+    class SubDoc(Model):
+        value = Field(int, default=0)
+
+    @sub.model(subscribe=subscribe, name="Tag")
+    class SubTag(Model):
+        value = Field(int, default=0)
+
+    docs = [PubDoc.create(value=i) for i in range(2)]
+    PubTag.create(value=9)
+    sub.subscriber.drain()
+    SubDoc.__mapper__._do_update(docs[0].id, {"value": -5})  # diverge
+    report = ReplicationAuditor(sub).audit()
+    txn = pub.database.begin()
+    docs[1].update(value=42)
+    txn.prepare()  # versioned, not shipped
+    if heal == "repair":
+        sub.repair_replication(report=report)
+    else:
+        bootstrap_subscriber(sub, scope={("pub", "Tag"): None})
+    txn.commit()  # ships
+    sub.subscriber.drain()
+    assert SubDoc.find(docs[1].id).value == 42
+    assert sub.subscriber.stuck_dependencies() == {}
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["queued", "unacked"])

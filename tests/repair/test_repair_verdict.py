@@ -25,13 +25,15 @@ MODES = st.sampled_from(["causal", "weak", "global"])
 
 
 def lose_one_create(
-    data_dir, mode, before, after, updates, user=False, bump=False, queued=False
+    data_dir, mode, before, after, updates, user=False, bump=False, queued=False,
+    lose_queued=False,
 ):
     """Creates around one lost create — all in one session user's
     controllers when ``user`` — and a drain; then a publisher generation
     bump and a drain (``bump``), one more update of the lost doc left
-    queued (``queued``), and a repair. Returns the pipeline, the session
-    user (or None) and the repair result."""
+    queued (``queued``) or lost as well (``lose_queued``), and a repair.
+    Returns the pipeline, the session user (or None) and the repair
+    result."""
     eco, pub, sub, manager, PubDoc, _SubDoc = build_pipeline(data_dir, mode=mode)
     session = None
     if user:
@@ -53,6 +55,8 @@ def lose_one_create(
         pub.recover_publisher_version_store()
         sub.subscriber.drain()
     if queued:
+        if lose_queued:
+            eco.broker.drop_next(1)
         with pub.controller(user=session):
             docs[before].update(value=7)
     return pub, sub, manager, PubDoc, session, sub.repair_replication()
