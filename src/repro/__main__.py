@@ -13,8 +13,9 @@ Commands:
     conformance [--seeds N] [--mode causal|global|weak] [--crash]
                 [--seed K --faults F --generation-bump --queue-limit Q]
                 [--find MARKER]
-        deterministic delivery-semantics conformance: directed race
-        scenarios plus a seeded-schedule sweep over the real
+        deterministic delivery-semantics conformance: every directed
+        scenario (the six demos below included, unnarrated) plus a
+        seeded-schedule sweep over the real
         queue/worker-step/subscriber/version-store code; with --seed K,
         replay one schedule and dump its violations and trace tail;
         with --find MARKER, print the replay line of the first of
@@ -37,50 +38,58 @@ Commands:
         with per-hop transit latency and the critical path; exits 0
         iff at least two shards contributed spans
     flow --demo [--writes N] [--queue-limit Q]
-        flow-control subsystem demo: flood a small bounded queue and
-        watch graduated backpressure shed weak publishes before the
-        kill cliff, then a hot-object update storm coalesce and drain
-        through batched pops of single applies; exits 0 iff shedding
-        and coalescing both happened and the queue survived
+        flow.shed-and-coalesce: flood a small bounded queue and watch
+        graduated backpressure shed weak publishes before the kill
+        cliff, then a hot-object update storm coalesce and drain
+        through batched pops of single applies (flow.admission-safety)
     views --demo [--writes N]
-        subscriber read-path demo: derived read models (count, sum,
-        top-k, per-author feeds) maintained incrementally in the apply
-        path behind a versioned cache; checks every aggregate against
-        full recomputation (INV_VIEW), exercises miss/hit/invalidate,
-        and kill-and-restarts to prove the restore rebuild is exact
+        views.restore-rebuild: derived read models (count, sum, top-k,
+        per-author feeds) maintained in the apply path behind a
+        versioned cache, each checked against full recomputation, the
+        cache read fresh, then a kill-and-restart whose restore must
+        rebuild them exactly (views.read-freshness)
     shard --demo [--operations N] [--timeout S]
-        process-sharded runtime demo: two worker processes each own
-        half of a six-service social ecosystem; write messages bound
-        for remote queues are forwarded through the broker seam, and
-        every audit/repair rides control-plane envelopes over pipes;
-        exits 0 iff all audits are digest-equal and the cross-shard
-        targeted repair verifies
+        shard.cross-process-repair: two worker processes each own half
+        of a six-service social ecosystem; write messages bound for
+        remote queues are forwarded through the broker seam, and every
+        audit and repair rides control-plane envelopes over pipes; all
+        audits digest-equal, nothing dropped, the cross-shard targeted
+        repair verified (delivery.at-least-once)
     recover --demo [--operations N] [--timeout S]
-        durability subsystem demo: two shards WAL every state
-        transition, one is kill -9'd mid-traffic, and a restart over
-        the same data directory restores it from snapshot + WAL
-        replay; exits 0 iff the restored mesh ends audit-clean
+        durability.kill-shard: two shards WAL every state transition,
+        one is kill -9'd mid-traffic, and a restart over the same
+        (temporary) data directory restores it from snapshot + WAL
+        replay; the mesh must end audit-clean
+        (durability.restore-equivalence)
     saga --demo [--sagas N] [--mode causal|global|weak] [--seed K]
-        CDC saga scenario: order/payment/inventory sagas through both
+        saga.loss-healed: order/payment/inventory sagas through both
         front-ends — ORM writes plus raw writes via the transactional
         outbox — with declined payments compensated by raw releases;
-        proves the inventory balance invariant and digest-equal
-        replicas, then injects a broker loss and heals it with
-        targeted repair; exits 0 iff converged, balanced and healed
+        the books balance and the replicas are digest-equal, then an
+        injected broker loss is healed by targeted repair
+        (saga.inventory-balance)
     repair --demo [--objects N] [--lose K]
-        reproduce the §6.5 message-loss incident (lost write-messages
-        wedging a causal subscriber), audit replica divergence by
-        comparing row-hash digests, and heal it with targeted repair —
+        repair.lost-messages: the §6.5 message-loss incident (lost
+        write-messages wedging a causal subscriber), replica divergence
+        audited by row-hash digests and healed by targeted repair —
         bootstrap's counter-and-row transfer for the divergent ids
-        only: no queue decommission, nothing published; exits 0 iff
-        the replicas end digest-equal
+        only: no queue decommission, nothing published
+        (delivery.at-least-once)
     version
+
+Each --demo command runs the directed scenario it names (the registry
+repro.runtime.conformance.scenarios.SCENARIOS, which conformance runs
+whole), printing its narration; every violation prints as "FAILED
+<invariant>: ..." and makes the exit code 1. The scenario's parameters
+are its flags. A flag without a value, or with one that does not parse,
+is a one-line usage error.
 """
 
 from __future__ import annotations
 
 import contextlib
 import importlib
+import inspect
 import os
 import sys
 import tempfile
@@ -130,67 +139,6 @@ def _metrics_command(args: List[str]) -> int:
             return 1
         for line in format_trace(trace):
             print(line)
-    return 0
-
-
-def _repair_command(args: List[str]) -> int:
-    """§6.5 in miniature: lose write-messages under causal delivery,
-    watch the subscriber wedge, then audit + targeted-repair it back to
-    digest-equality without decommissioning anything."""
-    from repro.apps import build_replicated_pair
-
-    opts = flags(args, objects=40, lose=3)
-    objects, lose = opts["objects"], opts["lose"]
-    eco, pub, sub, User = build_replicated_pair(
-        fields={"name": str, "score": int}, model="User"
-    )
-    users = []
-    with pub.controller():
-        for i in range(objects):
-            users.append(User.create(name=f"user-{i}", score=i))
-    sub.subscriber.drain()
-    print(f"replicated {objects} objects; injecting loss of {lose} messages...")
-
-    eco.broker.drop_next(lose)
-    # The second wave writes the same objects again: its messages depend
-    # on the lost increments and wedge the causal queue (§6.5 deadlock).
-    for _wave in range(2):
-        with pub.controller():
-            for user in users[:lose]:
-                user.score += 1000
-                user.save()
-    sub.subscriber.drain()
-
-    result = sub.repair_replication()
-    for line in result.audit.summary_lines():
-        print(line)
-    if result.audit.in_sync:
-        print("nothing to repair — loss injection did not diverge replicas")
-        return 1
-    print()
-    for line in result.summary_lines():
-        print(line)
-
-    print()
-    print("repair.* metrics:")
-    for name, value in eco.metrics.snapshot("repair.").items():
-        rendered = (
-            f"count={value['count']} mean={value['mean'] * 1000:.3f}ms"
-            if isinstance(value, dict) else str(value)
-        )
-        print(f"  {name:<40} {rendered}")
-    stats = eco.broker.queue_stats("sub")["sub"]
-    print(
-        f"queue after repair: queued={stats['queued']} "
-        f"in_flight={stats['in_flight']} decommissioned={stats['decommissioned']}"
-    )
-    if not result.verified_in_sync:
-        print("FAILED: replicas still divergent after repair")
-        return 1
-    if stats["decommissioned"]:
-        print("FAILED: repair should never decommission the queue")
-        return 1
-    print("OK: replicas digest-equal, queue intact")
     return 0
 
 
@@ -248,6 +196,31 @@ def _lazy(module: str, name: str) -> Callable[[List[str]], int]:
     return lambda args: getattr(importlib.import_module(module), name)(args)
 
 
+def _directed(key: str) -> Callable[[List[str]], int]:
+    """A demo command: ``--demo`` runs the directed scenario registered
+    as ``key``, narrated, its keyword defaults read as flags; each
+    violation is printed and makes the exit code 1."""
+
+    def command(args: List[str]) -> int:
+        from repro.runtime.conformance.scenarios import SCENARIOS
+
+        if "--demo" not in args:
+            print("this command currently only supports --demo")
+            return 1
+        scenario = SCENARIOS[key]
+        defaults = {
+            name: parameter.default
+            for name, parameter in inspect.signature(scenario).parameters.items()
+            if name != "say"
+        }
+        violations = scenario(say=print, **flags(args, **defaults))
+        for violation in violations:
+            print(f"FAILED {violation}")
+        return 1 if violations else 0
+
+    return command
+
+
 #: command -> its ``handler(args) -> exit code``. The module docstring
 #: above is the reference for what each one does.
 COMMANDS: Dict[str, Callable[[List[str]], int]] = {
@@ -257,17 +230,14 @@ COMMANDS: Dict[str, Callable[[List[str]], int]] = {
     "conformance": _lazy("repro.runtime.conformance.cli", "conformance_command"),
     "watch": _lazy("repro.runtime.monitor.watch", "watch_command"),
     "trace": _lazy("repro.runtime.transport.demo", "trace_command"),
-    "flow": _lazy("repro.runtime.flow.demo", "flow_command"),
-    "views": _lazy("repro.views.demo", "views_command"),
-    "shard": _lazy("repro.runtime.transport.demo", "shard_command"),
-    "recover": _lazy("repro.durability.demo", "recover_command"),
-    "saga": _lazy("repro.cdc.demo", "saga_command"),
-    "repair": _repair_command,
+    "flow": _directed("flow.shed-and-coalesce"),
+    "views": _directed("views.restore-rebuild"),
+    "shard": _directed("shard.cross-process-repair"),
+    "recover": _directed("durability.kill-shard"),
+    "saga": _directed("saga.loss-healed"),
+    "repair": _directed("repair.lost-messages"),
     "version": _version_command,
 }
-
-#: Commands that are a scripted demo and nothing else (yet).
-DEMO_ONLY = frozenset({"flow", "views", "shard", "recover", "saga", "repair"})
 
 
 def main(argv: list) -> int:
@@ -279,9 +249,6 @@ def main(argv: list) -> int:
     if handler is None:
         print(f"unknown command {command!r}")
         print(__doc__)
-        return 1
-    if command in DEMO_ONLY and "--demo" not in args:
-        print(f"the {command} command currently only supports --demo")
         return 1
     return handler(args)
 

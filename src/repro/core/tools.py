@@ -10,13 +10,20 @@ def flags(args: List[str], **defaults: Any) -> Dict[str, Any]:
     """Value-taking CLI flags by keyword: ``flags(args, writes=20,
     queue_limit=None)`` reads ``--writes N`` and ``--queue-limit Q``.
     A given flag is coerced to the type of its default (left a string
-    under a ``None`` default); an absent one is its default."""
+    under a ``None`` default); an absent one is its default. A flag with
+    no value, or one its type does not parse, exits with a one-line
+    usage error naming it."""
     out = dict(defaults)
     for key, default in defaults.items():
         flag = "--" + key.replace("_", "-")
         if flag in args:
-            value = args[args.index(flag) + 1]
-            out[key] = value if default is None else type(default)(value)
+            kind = str if default is None else type(default)
+            try:
+                out[key] = kind(args[args.index(flag) + 1])
+            except (IndexError, ValueError):
+                raise SystemExit(
+                    f"usage: {flag} needs a value of type {kind.__name__}"
+                ) from None
     return out
 
 

@@ -30,7 +30,6 @@ class GraphDatabase(Database):
         # node_id -> edge_type -> set of neighbour node ids
         self._out: Dict[int, Dict[str, Set[int]]] = {}
         self._in: Dict[int, Dict[str, Set[int]]] = {}
-        self._edge_props: Dict[Tuple[int, str, int], Props] = {}
         self._id_seq = itertools.count(1)
 
     # -- nodes -----------------------------------------------------------
@@ -78,11 +77,6 @@ class GraphDatabase(Database):
                 for edge_type, neighbours in neighbour_map.pop(node_id, {}).items():
                     for other in neighbours:
                         reverse.get(other, {}).get(edge_type, set()).discard(node_id)
-            self._edge_props = {
-                key: props
-                for key, props in self._edge_props.items()
-                if key[0] != node_id and key[2] != node_id
-            }
             return dict(node)
 
     def get_node(self, node_id: int) -> Optional[Props]:
@@ -117,12 +111,7 @@ class GraphDatabase(Database):
     # -- edges -----------------------------------------------------------
 
     def create_edge(
-        self,
-        src: int,
-        edge_type: str,
-        dst: int,
-        properties: Optional[Props] = None,
-        directed: bool = True,
+        self, src: int, edge_type: str, dst: int, directed: bool = True
     ) -> None:
         with self._lock:
             self._charge_write()
@@ -130,13 +119,9 @@ class GraphDatabase(Database):
             self._require_node(dst)
             self._out.setdefault(src, {}).setdefault(edge_type, set()).add(dst)
             self._in.setdefault(dst, {}).setdefault(edge_type, set()).add(src)
-            if properties:
-                self._edge_props[(src, edge_type, dst)] = dict(properties)
             if not directed:
                 self._out.setdefault(dst, {}).setdefault(edge_type, set()).add(src)
                 self._in.setdefault(src, {}).setdefault(edge_type, set()).add(dst)
-                if properties:
-                    self._edge_props[(dst, edge_type, src)] = dict(properties)
 
     def delete_edge(
         self, src: int, edge_type: str, dst: int, directed: bool = True
@@ -146,11 +131,9 @@ class GraphDatabase(Database):
             self.stats.deletes += 1
             self._out.get(src, {}).get(edge_type, set()).discard(dst)
             self._in.get(dst, {}).get(edge_type, set()).discard(src)
-            self._edge_props.pop((src, edge_type, dst), None)
             if not directed:
                 self._out.get(dst, {}).get(edge_type, set()).discard(src)
                 self._in.get(src, {}).get(edge_type, set()).discard(dst)
-                self._edge_props.pop((dst, edge_type, src), None)
 
     def has_edge(self, src: int, edge_type: str, dst: int) -> bool:
         return dst in self._out.get(src, {}).get(edge_type, set())
@@ -162,9 +145,6 @@ class GraphDatabase(Database):
                 if edge_type is None or etype == edge_type:
                     total += len(targets)
         return total
-
-    def edge_properties(self, src: int, edge_type: str, dst: int) -> Props:
-        return dict(self._edge_props.get((src, edge_type, dst), {}))
 
     # -- traversal ---------------------------------------------------------
 
@@ -188,30 +168,6 @@ class GraphDatabase(Database):
                         frontier.append(neighbour)
             depths.pop(start)
             return depths
-
-    def shortest_path(self, src: int, dst: int, edge_type: str) -> Optional[List[int]]:
-        """Unweighted shortest path as a node-id list, or None."""
-        with self._lock:
-            self._charge_read()
-            self._require_node(src)
-            self._require_node(dst)
-            if src == dst:
-                return [src]
-            parents: Dict[int, int] = {src: src}
-            frontier = deque([src])
-            while frontier:
-                current = frontier.popleft()
-                for neighbour in self._out.get(current, {}).get(edge_type, set()):
-                    if neighbour in parents:
-                        continue
-                    parents[neighbour] = current
-                    if neighbour == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(parents[path[-1]])
-                        return list(reversed(path))
-                    frontier.append(neighbour)
-            return None
 
     def recommend(
         self,

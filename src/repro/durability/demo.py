@@ -1,4 +1,5 @@
-"""Kill-and-restart recovery demo (``python -m repro recover --demo``).
+"""Kill-and-restart recovery: the ``durability.kill-shard`` directed
+scenario (``python -m repro recover --demo``).
 
 Two shards, each owning one publisher and the *other* shard's
 subscriber, so every replication message crosses the process boundary:
@@ -19,9 +20,10 @@ processes over the *same* data directory. Each shard restores on
 startup — the survivor from its snapshot, the victim by replaying its
 WAL — then drains, audits every replica against the remote publisher's
 row-hash digests over the control plane, heals any message that died
-in a pipe with targeted repair (§6.5), and re-audits. The demo is
-healthy iff the victim was really SIGKILLed, its restore replayed and
-requeued work, and every final audit is digest-equal.
+in a pipe with targeted repair (§6.5), and re-audits. Each violation
+is an ``INV_DURABLE`` one: the victim was not really SIGKILLed, its
+restore replayed or requeued nothing, a restore was unrecoverable, or a
+final audit (raised by the shard's verify step) is not digest-equal.
 
 Everything is module-level so the process start methods can pickle the
 callables by reference; a run's parameters reach the worker processes
@@ -33,11 +35,14 @@ from __future__ import annotations
 import os
 import signal
 import tempfile
+import time
 from functools import partial
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List
 
-from repro.core.tools import flags
-from repro.runtime.transport.demo import audit_owned_subscribers
+from repro.runtime.conformance.checker import INV_DURABLE, Violation, silent
+from repro.runtime.transport.demo import (
+    audit_owned_subscribers, say_audits, violations_of,
+)
 from repro.runtime.transport.shard import ShardRunner
 
 #: shard -> services. Subscribers live opposite their publisher, so both
@@ -68,9 +73,8 @@ def build_recover_ecosystem() -> Any:
     return ecosystem
 
 
-def recover_scenario(
-    ecosystem: Any, shard_name: str, operations: int = 24,
-    victim: Optional[str] = None,
+def recover_workload(
+    ecosystem: Any, shard_name: str, operations: int = 24, victim: str = ""
 ) -> Dict[str, Any]:
     """Publish this shard's workload; the shard named ``victim`` then
     SIGKILLs itself mid-traffic, leaving its backlog only in the WAL."""
@@ -90,6 +94,16 @@ def recover_scenario(
             item.save()
 
     if shard_name == victim:
+        # The survivor published the same workload first. Its forwarded
+        # messages must be in this shard's queue, and so in its WAL,
+        # when the kill lands: the link thread may still be reading
+        # them, so wait for all of them (bounded).
+        queues = [s.subscriber.queue for s in ecosystem.local_services()
+                  if s.subscriber.specs]
+        deadline = time.monotonic() + 10.0
+        while (sum(len(queue) for queue in queues) < operations + operations // 2
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
         # The point of the demo: a real, unhandled kill — no atexit, no
         # flush hooks, no goodbye to the parent. Everything this shard
         # still owes (its undrained subscriber queue, its publisher's
@@ -122,7 +136,7 @@ def recover_converge(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
 
 def recover_verify(ecosystem: Any, shard_name: str) -> Dict[str, Any]:
     """Final cross-process digest audit of every owned replica."""
-    return {"audits": audit_owned_subscribers(ecosystem)}
+    return audit_owned_subscribers(ecosystem, INV_DURABLE)
 
 
 # -- phase A: the crash run ----------------------------------------------------
@@ -141,14 +155,13 @@ def _run_crash_phase(
         build_recover_ecosystem,
         RECOVER_PLACEMENT,
         scenario=partial(
-            recover_scenario, operations=operations, victim=victim
+            recover_workload, operations=operations, victim=victim
         ),
         timeout=timeout,
         durability_dir=data_dir,
     )
     killed = False
     survivor_scenario: Dict[str, Any] = {}
-    survivor_stats: Dict[str, Any] = {}
     try:
         runner.start()
         # Survivor first: its forwarded messages reach the victim's
@@ -161,7 +174,7 @@ def _run_crash_phase(
         # quiesce helper polls the cluster snapshot from inside the
         # survivor, degrading to counter-stability for the dead peer.
         runner.quiesce(survivor)
-        survivor_stats = runner.finish([survivor])[survivor]
+        runner.finish([survivor])
     finally:
         runner.close()
     return {
@@ -169,100 +182,88 @@ def _run_crash_phase(
         "killed": killed,
         "survivor": survivor,
         "survivor_scenario": survivor_scenario,
-        "survivor_stats": survivor_stats,
     }
 
 
-# -- the full demo -------------------------------------------------------------
+# -- the full scenario ----------------------------------------------------------
 
 
 def run_recover_demo(
-    operations: int = 24,
-    timeout: float = 60.0,
-    data_dir: Optional[str] = None,
+    data_dir: str, operations: int = 24, timeout: float = 60.0
 ) -> Dict[str, Any]:
-    """Phase A (crash) then phase B (restart over the same data dir)."""
-    if data_dir is None:
-        data_dir = tempfile.mkdtemp(prefix="repro-recover-")
+    """Phase A (crash) then phase B (restart over the same data dir);
+    ``violations`` holds what went wrong in either."""
     crash = _run_crash_phase(data_dir, operations, timeout)
-    runner = ShardRunner(
+    restart = ShardRunner(
         build_recover_ecosystem,
         RECOVER_PLACEMENT,
         scenario=recover_converge,
         verify=recover_verify,
         timeout=timeout,
         durability_dir=data_dir,
-    )
-    restart = runner.run()
-    return {"data_dir": data_dir, "crash": crash, "restart": restart}
-
-
-def recover_healthy(outcome: Dict[str, Any]) -> bool:
-    """Did the demo demonstrate what it claims? The victim really died
-    by SIGKILL, its restore replayed WAL records and requeued backlog,
-    no restore was unrecoverable, and every final audit is in sync."""
-    crash = outcome["crash"]
-    if not crash.get("killed"):
-        return False
-    shards = outcome["restart"]["shards"]
+    ).run()
     victim = crash["victim"]
-    restored = (shards[victim]["stats"] or {}).get("restored") or {}
-    if restored.get("unrecoverable", True):
-        return False
-    if not restored.get("replayed") or not restored.get("requeued"):
-        return False
-    for shard in shards.values():
-        if (shard["stats"] or {}).get("restored", {}).get("unrecoverable"):
-            return False
-        for audit in (shard.get("verify") or {}).get("audits", {}).values():
-            if not audit["in_sync"]:
-                return False
-    return True
+    violations = [] if crash["killed"] else [Violation(
+        INV_DURABLE, f"shard {victim!r} was never SIGKILLed: the scenario "
+        "exercised nothing",
+    )]
+    for name, shard in sorted(restart["shards"].items()):
+        restored = shard["stats"]["restored"]
+        if restored["unrecoverable"]:
+            violations.append(Violation(
+                INV_DURABLE, f"shard {name!r}: restore was unrecoverable"
+            ))
+        elif name == victim and not (restored["replayed"] and restored["requeued"]):
+            violations.append(Violation(
+                INV_DURABLE, f"victim {name!r} restored without replaying "
+                f"WAL records ({restored['replayed']}) and requeueing its "
+                f"backlog ({restored['requeued']})",
+            ))
+    violations += violations_of(restart)
+    return {"crash": crash, "restart": restart, "violations": violations}
 
 
-def recover_command(args: Any) -> int:
-    """``python -m repro recover --demo [--operations N] [--timeout S]``."""
-    opts = flags(args, operations=24, timeout=60.0)
-    print(
-        f"phase A: 2 shards, durability on, {opts['operations']} writes per "
+def recover_kill_scenario(
+    say: Callable[[str], None] = silent,
+    operations: int = 24,
+    timeout: float = 60.0,
+) -> List[Violation]:
+    """SIGKILL a WAL-logging shard mid-traffic, restart both shards over
+    the same data directory, and audit every replica across processes.
+    The data directory is a temporary one, removed at the end."""
+    say(
+        f"phase A: 2 shards, durability on, {operations} writes per "
         f"publisher; SIGKILL {RECOVER_VICTIM!r} mid-traffic..."
     )
-    outcome = run_recover_demo(**opts)
-    crash = outcome["crash"]
-    print(
+    with tempfile.TemporaryDirectory(prefix="repro-recover-") as data_dir:
+        outcome = run_recover_demo(data_dir, operations, timeout)
+    crash, restart = outcome["crash"], outcome["restart"]
+    say(
         f"  victim {crash['victim']!r} killed: {crash['killed']} "
         f"(survivor {crash['survivor']!r} published "
         f"{crash['survivor_scenario'].get('published', 0)} messages, "
         "checkpointed, exited cleanly)"
     )
-    print(f"phase B: restart both shards over {outcome['data_dir']} ...")
-    shards = outcome["restart"]["shards"]
-    for shard_name in sorted(shards):
-        shard = shards[shard_name]
-        restored = (shard["stats"] or {}).get("restored") or {}
-        print(
-            f"  {shard_name}: restored snapshot="
-            f"{restored.get('snapshot_id')} "
-            f"replayed={restored.get('replayed', 0)} WAL records, "
-            f"requeued={restored.get('requeued', 0)} backlog messages, "
-            f"re-applied={restored.get('applied', 0)}"
+    say("phase B: restart both shards over the same data directory ...")
+    for shard_name, shard in sorted(restart["shards"].items()):
+        restored = shard["stats"]["restored"]
+        say(
+            f"  {shard_name}: restored snapshot={restored['snapshot_id']} "
+            f"replayed={restored['replayed']} WAL records, "
+            f"requeued={restored['requeued']} backlog messages, "
+            f"re-applied={restored['applied']}"
         )
         for name, state in sorted(shard["scenario"].items()):
-            print(
+            say(
                 f"    {name}: in_sync_before_repair="
                 f"{state['in_sync_before_repair']} "
                 f"repaired={state['objects_repaired']}"
             )
-        for name, audit in sorted(shard["verify"]["audits"].items()):
-            state = "in sync" if audit["in_sync"] \
-                else f"{audit['divergent']} divergent"
-            print(f"    audit {name}: {state} (rows={audit['rows']['Item']})")
-    print(
-        f"  quiesced after {outcome['restart']['quiesce_polls']} polls in "
-        f"{outcome['restart']['elapsed']:.2f}s"
+        say_audits(say, shard["verify"]["audits"], "    ")
+    say(
+        f"  quiesced after {restart['quiesce_polls']} polls in "
+        f"{restart['elapsed']:.2f}s"
     )
-    if recover_healthy(outcome):
-        print("OK: kill -9'd shard restored from WAL, all audits digest-equal")
-        return 0
-    print("FAILED: restore incomplete or replicas divergent — see above")
-    return 1
+    if not outcome["violations"]:
+        say("OK: kill -9'd shard restored from WAL, all audits digest-equal")
+    return outcome["violations"]

@@ -93,6 +93,27 @@ class Violation:
         return f"{self.invariant}{where}: {self.detail}"
 
 
+def silent(line: str) -> None:
+    """The narrator a directed scenario gets by default: it says nothing."""
+
+
+def view_violations(views: Any) -> List[Violation]:
+    """The aggregate half of INV_VIEW: at quiescence every incrementally
+    maintained view equals the same projection recomputed from a full
+    base-row scan."""
+    violations = []
+    for spec in views.specs():
+        incremental = views.canonical(spec.name)
+        recomputed = views.recompute_canonical(spec.name)
+        if incremental != recomputed:
+            violations.append(Violation(
+                INV_VIEW,
+                f"view {spec.name!r} diverged from recomputation: "
+                f"incremental={incremental!r} recomputed={recomputed!r}",
+            ))
+    return violations
+
+
 @dataclass
 class _MessageFate:
     message: Any
@@ -433,21 +454,7 @@ class DeliveryChecker:
                     )
                 )
         if self.views is not None:
-            # The aggregate half of INV_VIEW: after quiescence every
-            # incrementally maintained view must equal the same
-            # projection recomputed from a full base-row scan.
-            for spec in self.views.specs():
-                incremental = self.views.canonical(spec.name)
-                recomputed = self.views.recompute_canonical(spec.name)
-                if incremental != recomputed:
-                    self.violations.append(
-                        Violation(
-                            INV_VIEW,
-                            f"view {spec.name!r} diverged from recomputation: "
-                            f"incremental={incremental!r} "
-                            f"recomputed={recomputed!r}",
-                        )
-                    )
+            self.violations.extend(view_violations(self.views))
         if self.outbox is not None and self.cdc_poller is not None:
             # INV_CDC: a quiescent schedule may not leave committed
             # outbox entries untailed — every raw write must have been

@@ -36,6 +36,13 @@ reports checker violations under the same stable invariant names:
   prove a restore re-tails the outbox to digest-equal replicas with
   zero lost raw writes.
 
+The six demos are directed scenarios too, each with a narrator
+``say``: ``repair.lost-messages`` (§6.5), ``flow.shed-and-coalesce``,
+``views.restore-rebuild``, ``saga.loss-healed``, and the two that run
+real shard processes, ``shard.cross-process-repair``
+(``runtime/transport/demo.py``) and ``durability.kill-shard``
+(``durability/demo.py``). :data:`SCENARIOS` registers all of them.
+
 The module also pins the two *committed races* (generation gate vs
 in-flight deliveries; ack after decommission) — each as a base config
 and the trace marker of its race window, which :func:`find_schedule`
@@ -48,6 +55,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import replace
+from functools import partial, wraps
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
@@ -55,17 +63,24 @@ from typing import (
 from repro.broker.message import Message
 from repro.broker.queue import SubscriberQueue
 from repro.errors import QueueDecommissioned
+from repro.durability.demo import recover_kill_scenario
 from repro.runtime.conformance.checker import (
+    INV_ALO,
     INV_CDC,
     INV_DURABLE,
     INV_FLOW,
     INV_IDLE,
     INV_LEAK,
     INV_POP,
+    INV_SAGA,
+    INV_VIEW,
     Violation,
+    silent,
+    view_violations,
 )
 from repro.runtime.conformance.harness import ScheduleConfig, run_schedule
 from repro.runtime.interleave import install_hook, uninstall_hook
+from repro.runtime.transport.demo import shard_mesh_scenario
 
 # -- committed races ---------------------------------------------------------
 #
@@ -147,11 +162,28 @@ def _plain_message(app: str = "pub") -> Message:
     )
 
 
+def _claims(invariant: str, ok: str = "") -> Callable[..., Any]:
+    """Make a generator of what it found broken a directed scenario:
+    each text it yields is a violation of ``invariant``, and a run that
+    yields none closes its narration (``say``) with ``OK: <ok>``."""
+
+    def directed(scenario: Callable[..., Iterator[str]]) -> Callable[..., Any]:
+        @wraps(scenario)
+        def run(*args: Any, **params: Any) -> List[Violation]:
+            violations = [Violation(invariant, text) for text in scenario(*args, **params)]
+            if ok and not violations:
+                params.get("say", silent)(f"OK: {ok}")
+            return violations
+
+        return run
+
+    return directed
+
+
 # -- queue.pop-deadline ------------------------------------------------------
 
-def pop_deadline_scenario(
-    timeout: float = 0.5, pokes: int = 3
-) -> List[Violation]:
+@_claims(INV_POP)
+def pop_deadline_scenario(timeout: float = 0.5, pokes: int = 3) -> Iterator[str]:
     """Spurious-wakeup injection against a blocking ``pop``.
 
     A consumer blocks in ``pop(timeout=...)`` on an empty queue; we
@@ -186,21 +218,14 @@ def pop_deadline_scenario(
     queue.publish(_plain_message())
     thread.join(timeout * 4)
 
-    violations: List[Violation] = []
     if thread.is_alive():
-        violations.append(
-            Violation(INV_POP, "pop never returned after a real publish")
-        )
+        yield "pop never returned after a real publish"
     elif outcome.get("message") is None:
-        violations.append(
-            Violation(
-                INV_POP,
-                f"pop returned None after {outcome.get('elapsed', 0):.3f}s "
-                f"with {timeout:.3f}s of patience: a spurious wakeup was "
-                "treated as a timeout and the delivery was dropped",
-            )
+        yield (
+            f"pop returned None after {outcome.get('elapsed', 0):.3f}s "
+            f"with {timeout:.3f}s of patience: a spurious wakeup was "
+            "treated as a timeout and the delivery was dropped"
         )
-    return violations
 
 
 # -- fleet.idle-deadline -----------------------------------------------------
@@ -231,9 +256,10 @@ class _GreedyPool:
         return True
 
 
+@_claims(INV_IDLE)
 def fleet_idle_deadline_scenario(
     pools: int = 4, timeout: float = 30.0, settle_rounds: int = 3
-) -> List[Violation]:
+) -> Iterator[str]:
     """``wait_until_idle(timeout=T)`` against greedy pools on a fake
     clock: total elapsed time must stay at ``T``, not inflate to
     ``settle_rounds × pools × T`` (24x at the defaults)."""
@@ -249,20 +275,15 @@ def fleet_idle_deadline_scenario(
         fleet.wait_until_idle(timeout=timeout, settle_rounds=settle_rounds)
     finally:
         workers_mod.time = real_time
-    violations: List[Violation] = []
     # One shared deadline: the greedy first pool may eat the whole
     # budget, but the call as a whole must not exceed it (small slack
     # for the zero-remaining waits granted to the later pools).
     if clock.now > timeout * 1.5:
-        violations.append(
-            Violation(
-                INV_IDLE,
-                f"wait_until_idle(timeout={timeout}) consumed {clock.now:.1f}s "
-                f"across {pools} pools x {settle_rounds} rounds — the timeout "
-                "was granted per pool instead of shared",
-            )
+        yield (
+            f"wait_until_idle(timeout={timeout}) consumed {clock.now:.1f}s "
+            f"across {pools} pools x {settle_rounds} rounds — the timeout "
+            "was granted per pool instead of shared"
         )
-    return violations
 
 
 # -- drain.no-leaked-deliveries ----------------------------------------------
@@ -288,7 +309,8 @@ class _DecommissionOnPop:
                 self.overflow()
 
 
-def drain_leak_scenario(queue_limit: int = 4) -> List[Violation]:
+@_claims(INV_LEAK)
+def drain_leak_scenario(queue_limit: int = 4) -> Iterator[str]:
     """Decommission the queue in the middle of ``drain``'s pop loop and
     account for every message drain had already popped: each must come
     back via a nack (tolerated on the dead queue) instead of leaking as
@@ -328,14 +350,10 @@ def drain_leak_scenario(queue_limit: int = 4) -> List[Violation]:
     finally:
         uninstall_hook(hook)
 
-    violations: List[Violation] = []
     if not decommission_raised:
-        violations.append(
-            Violation(
-                INV_LEAK,
-                "queue decommissioned mid-drain but drain did not surface "
-                "QueueDecommissioned",
-            )
+        yield (
+            "queue decommissioned mid-drain but drain did not surface "
+            "QueueDecommissioned"
         )
     popped = set()
     returned = set()
@@ -352,19 +370,16 @@ def drain_leak_scenario(queue_limit: int = 4) -> List[Violation]:
             returned.add(uid)
     leaked = sorted(popped - returned)
     if leaked:
-        violations.append(
-            Violation(
-                INV_LEAK,
-                f"drain leaked popped deliveries {leaked}: neither acked nor "
-                "returned via nack when the queue was decommissioned",
-            )
+        yield (
+            f"drain leaked popped deliveries {leaked}: neither acked nor "
+            "returned via nack when the queue was decommissioned"
         )
-    return violations
 
 
 # -- flow.admission-safety ---------------------------------------------------
 
-def flow_coalesce_safety_scenario() -> List[Violation]:
+@_claims(INV_FLOW)
+def flow_coalesce_safety_scenario() -> Iterator[str]:
     """Causal-mode coalescing safety, both directions.
 
     Adjacent same-object writes must merge (create+update, then the
@@ -389,7 +404,6 @@ def flow_coalesce_safety_scenario() -> List[Violation]:
     SubDoc = sub.registry["Doc"]
 
     queue = sub.subscriber.queue
-    violations: List[Violation] = []
 
     with pub.controller():
         target = PubDoc.create(name="target", value=0)
@@ -397,13 +411,10 @@ def flow_coalesce_safety_scenario() -> List[Violation]:
         target.value = 1
         target.save()  # adjacent to the create: merges into it
     if eco.metrics.value("flow.sub.coalesced") != 1 or len(queue) != 1:
-        violations.append(
-            Violation(
-                INV_FLOW,
-                "adjacent same-object causal writes did not coalesce "
-                f"(coalesced={eco.metrics.value('flow.sub.coalesced')}, "
-                f"queued={len(queue)})",
-            )
+        yield (
+            "adjacent same-object causal writes did not coalesce "
+            f"(coalesced={eco.metrics.value('flow.sub.coalesced')}, "
+            f"queued={len(queue)})"
         )
 
     with pub.controller() as ctx:
@@ -417,38 +428,29 @@ def flow_coalesce_safety_scenario() -> List[Violation]:
 
     rejected = eco.metrics.value("flow.sub.coalesce_rejected")
     if rejected < 1 or len(queue) != 3:
-        violations.append(
-            Violation(
-                INV_FLOW,
-                "unsafe causal coalesce was not rejected: the intervener's "
-                "dependencies overlap the survivor's keys "
-                f"(rejected={rejected}, queued={len(queue)})",
-            )
+        yield (
+            "unsafe causal coalesce was not rejected: the intervener's "
+            "dependencies overlap the survivor's keys "
+            f"(rejected={rejected}, queued={len(queue)})"
         )
 
     with pub.controller():
         target.value = 3
         target.save()  # adjacent to the rejected update: safe again
     if eco.metrics.value("flow.sub.coalesced") != 2 or len(queue) != 3:
-        violations.append(
-            Violation(
-                INV_FLOW,
-                "safe trailing coalesce did not happen "
-                f"(coalesced={eco.metrics.value('flow.sub.coalesced')}, "
-                f"queued={len(queue)})",
-            )
+        yield (
+            "safe trailing coalesce did not happen "
+            f"(coalesced={eco.metrics.value('flow.sub.coalesced')}, "
+            f"queued={len(queue)})"
         )
 
     sub.subscriber.drain()
     row = SubDoc.__mapper__.find(target.id)
     final = row["value"] if row is not None else None
     if len(queue) or final != 3:
-        violations.append(
-            Violation(
-                INV_FLOW,
-                f"coalesced stream did not converge: queued={len(queue)}, "
-                f"replicated value={final!r} (expected 3)",
-            )
+        yield (
+            f"coalesced stream did not converge: queued={len(queue)}, "
+            f"replicated value={final!r} (expected 3)"
         )
 
     # Reverse hazard direction: this time the *absorbed* write depends
@@ -470,27 +472,20 @@ def flow_coalesce_safety_scenario() -> List[Violation]:
         target.save()  # must NOT merge ahead of the "other" create
     rejected = eco.metrics.value("flow.sub.coalesce_rejected")
     if rejected != rejected_before + 1 or len(queue) != 3:
-        violations.append(
-            Violation(
-                INV_FLOW,
-                "unsafe reverse-direction causal coalesce was not rejected: "
-                "the absorbed write depends on a key the intervener bumps "
-                f"(rejected={rejected - rejected_before}, queued={len(queue)})",
-            )
+        yield (
+            "unsafe reverse-direction causal coalesce was not rejected: "
+            "the absorbed write depends on a key the intervener bumps "
+            f"(rejected={rejected - rejected_before}, queued={len(queue)})"
         )
 
     sub.subscriber.drain()
     row = SubDoc.__mapper__.find(target.id)
     final = row["value"] if row is not None else None
     if len(queue) or final != 5:
-        violations.append(
-            Violation(
-                INV_FLOW,
-                "reverse-direction stream did not converge: "
-                f"queued={len(queue)}, replicated value={final!r} (expected 5)",
-            )
+        yield (
+            "reverse-direction stream did not converge: "
+            f"queued={len(queue)}, replicated value={final!r} (expected 5)"
         )
-    return violations
 
 
 # -- durability.restore-equivalence: crash points ----------------------------
@@ -608,13 +603,12 @@ def _wound_by_sigkill(
 
 
 def _crash_then_restore(
-    invariant: str,
     crash: str,
     build: Callable[[str], Tuple[Any, ...]],
     wound: Callable[..., None],
     claims: Callable[..., Iterable[str]] = lambda *_: (),
     kill_timeout: Optional[float] = None,
-) -> List[Violation]:
+) -> Iterator[str]:
     """The §4.4 recovery ladder every crash scenario climbs.
 
     ``build(data_dir)`` declares the pipeline — twice: a first
@@ -626,20 +620,14 @@ def _crash_then_restore(
     restore must be recoverable, and after one drain and at most one
     targeted repair the replicas must be digest-equal. ``claims(fixture,
     report, returned)`` then yields whatever else that crash must not
-    have cost. Violations carry ``invariant``; ``crash`` names the wound
-    in their text."""
+    have cost. Yields what it finds broken; ``crash`` names the wound
+    in the text."""
     import shutil
     import tempfile
 
     from repro.durability.wal import SimulatedCrash
 
     data_dir = tempfile.mkdtemp(prefix="repro-conf-crash-")
-    violations: List[Violation] = []
-
-    def violated(text: str) -> List[Violation]:
-        violations.append(Violation(invariant, text))
-        return violations
-
     manager = None
     try:
         lost = returned = 0
@@ -648,7 +636,8 @@ def _crash_then_restore(
                 build, wound, data_dir, kill_timeout
             )
             if problem is not None:
-                return violated(problem)
+                yield problem
+                return
         else:
             wounded = build(data_dir)
             try:
@@ -658,36 +647,32 @@ def _crash_then_restore(
                 wal.injector = None
                 lost = wal.drop_buffered_tail()
             else:
-                return violated(
+                yield (
                     f"the injector for {crash} never fired — the "
                     "scenario exercised nothing"
                 )
+                return
         fixture = eco, _pub, sub, manager, _doc_cls = build(data_dir)
         report = manager.restore()
         if report.unrecoverable:
-            return violated(
-                f"restore after {crash} reported unrecoverable: "
-                f"{report.error}"
-            )
+            yield f"restore after {crash} reported unrecoverable: {report.error}"
+            return
         eco.drain_all()
         if not sub.repair_replication().verified_in_sync:
-            violated(
+            yield (
                 f"replicas still divergent after {crash}, restore "
                 f"(replayed={report.replayed}, lost={lost} buffered "
                 "records) and targeted repair"
             )
-        for problem in claims(fixture, report, returned):
-            violated(problem)
+        yield from claims(fixture, report, returned)
     finally:
         if manager is not None:
             manager.close()
         shutil.rmtree(data_dir, ignore_errors=True)
-    return violations
 
 
-def durability_crash_point_scenario(
-    point: str, writes: int = 8
-) -> List[Violation]:
+@_claims(INV_DURABLE)
+def durability_crash_point_scenario(point: str, writes: int = 8) -> Iterator[str]:
     """Crash at one WAL crash point, then prove restore convergence.
 
     The first incarnation publishes causal writes (and, for
@@ -712,14 +697,15 @@ def durability_crash_point_scenario(
                 doc_cls.create(name=f"doc-{i}", value=i)
         sub.subscriber.drain()
 
-    return _crash_then_restore(
-        INV_DURABLE, f"a {point!r} crash",
+    yield from _crash_then_restore(
+        f"a {point!r} crash",
         lambda data_dir: _durability_scenario_eco(data_dir, fsync),
         wound,
     )
 
 
-def durability_kill_restart_scenario(timeout: float = 30.0) -> List[Violation]:
+@_claims(INV_DURABLE)
+def durability_kill_restart_scenario(timeout: float = 30.0) -> Iterator[str]:
     """The uncatchable crash: a child process dies by genuine SIGKILL
     mid-append, and the parent restores from the orphaned data dir.
 
@@ -762,8 +748,8 @@ def durability_kill_restart_scenario(timeout: float = 30.0) -> List[Violation]:
                 "and an empty WAL tail"
             )
 
-    return _crash_then_restore(
-        INV_DURABLE, "SIGKILL",
+    yield from _crash_then_restore(
+        "SIGKILL",
         lambda data_dir: _durability_scenario_eco(data_dir, "off"),
         wound, claims, kill_timeout=timeout,
     )
@@ -804,7 +790,8 @@ def _raw_writes(fixture: Tuple[Any, ...], writes: int) -> None:
         raw.insert(doc_cls, {"name": f"cdc-{i}", "value": i})
 
 
-def cdc_poll_crash_scenario(point: str, writes: int = 8) -> List[Violation]:
+@_claims(INV_CDC)
+def cdc_poll_crash_scenario(point: str, writes: int = 8) -> Iterator[str]:
     """Crash the CDC poller at one poll crash point, then prove a fresh
     restore over the same data dir re-tails the outbox without losing a
     single committed raw write.
@@ -825,14 +812,15 @@ def cdc_poll_crash_scenario(point: str, writes: int = 8) -> List[Violation]:
         fixture[1].cdc_poller.injector = PollCrash(point, after=after)
         fixture[0].cdc.poll_all()
 
-    return _crash_then_restore(
-        INV_CDC, crash, _cdc_scenario_eco, wound, _cdc_claims(writes, crash)
+    yield from _crash_then_restore(
+        crash, _cdc_scenario_eco, wound, _cdc_claims(writes, crash)
     )
 
 
+@_claims(INV_CDC)
 def cdc_kill_restart_scenario(
     timeout: float = 30.0, writes: int = 16
-) -> List[Violation]:
+) -> Iterator[str]:
     """The acceptance crash: SIGKILL the process hosting the CDC poller
     mid-tail, restore over the same data dir, and prove digest-equal
     replicas with zero lost outbox entries."""
@@ -845,29 +833,330 @@ def cdc_kill_restart_scenario(
         )
         fixture[0].cdc.poll_all()
 
-    return _crash_then_restore(
-        INV_CDC, "poller SIGKILL", _cdc_scenario_eco, wound,
+    yield from _crash_then_restore(
+        "poller SIGKILL", _cdc_scenario_eco, wound,
         _cdc_claims(writes, "poller SIGKILL"), kill_timeout=timeout,
     )
 
 
-def run_directed_scenarios() -> Dict[str, List[Violation]]:
-    """All directed scenarios; the CLI runs these before sweeping."""
-    return {
-        "queue.pop-deadline": pop_deadline_scenario(),
-        "fleet.idle-deadline": fleet_idle_deadline_scenario(),
-        "drain.no-leaked-deliveries": drain_leak_scenario(),
-        "flow.unsafe-coalesce-rejected": flow_coalesce_safety_scenario(),
-        "durability.crash-after-append":
-            durability_crash_point_scenario("after-append"),
-        "durability.crash-before-fsync":
-            durability_crash_point_scenario("before-fsync"),
-        "durability.crash-before-ack":
-            durability_crash_point_scenario("before-ack"),
-        "durability.kill-restart": durability_kill_restart_scenario(),
-        "cdc.poller-crash-before-checkpoint":
-            cdc_poll_crash_scenario("after-publish"),
-        "cdc.poller-crash-after-checkpoint":
-            cdc_poll_crash_scenario("after-checkpoint"),
-        "cdc.kill-restart": cdc_kill_restart_scenario(),
-    }
+# -- the demos: directed scenarios with a narrator ---------------------------
+#
+# Each takes ``say`` (the narrator; ``repro <command> --demo`` passes
+# ``print``) and its parameters as keyword defaults, which the CLI reads
+# as flags.
+
+
+def _say_metrics(say: Callable[[str], None], eco: Any, prefix: str) -> None:
+    say("")
+    say(f"{prefix}* metrics:")
+    for name, value in eco.metrics.snapshot(prefix).items():
+        if isinstance(value, dict):
+            value = f"count={value['count']} mean={value['mean']:.4g}"
+        say(f"  {name:<40} {value}")
+
+
+@_claims(INV_ALO, ok="replicas digest-equal, queue intact")
+def repair_loss_scenario(
+    say: Callable[[str], None] = silent, objects: int = 40, lose: int = 3
+) -> Iterator[str]:
+    """§6.5 in miniature: lose write-messages under causal delivery,
+    watch the subscriber wedge, then audit and targeted-repair it back to
+    digest-equality without decommissioning anything."""
+    from repro.apps import build_replicated_pair
+
+    eco, pub, sub, User = build_replicated_pair(
+        fields={"name": str, "score": int}, model="User"
+    )
+    with pub.controller():
+        users = [User.create(name=f"user-{i}", score=i) for i in range(objects)]
+    sub.subscriber.drain()
+    say(f"replicated {objects} objects; injecting loss of {lose} messages...")
+
+    eco.broker.drop_next(lose)
+    # The second wave writes the same objects again: its messages depend
+    # on the lost increments and wedge the causal queue (§6.5 deadlock).
+    for _wave in range(2):
+        with pub.controller():
+            for user in users[:lose]:
+                user.score += 1000
+                user.save()
+    sub.subscriber.drain()
+
+    result = sub.repair_replication()
+    for line in result.audit.summary_lines():
+        say(line)
+    if result.audit.in_sync:
+        yield (
+            f"losing {lose} messages did not diverge the replicas: the "
+            "scenario exercised nothing"
+        )
+        return
+    say("")
+    for line in result.summary_lines():
+        say(line)
+    _say_metrics(say, eco, "repair.")
+    stats = eco.broker.queue_stats("sub")["sub"]
+    say(
+        f"queue after repair: queued={stats['queued']} "
+        f"in_flight={stats['in_flight']} decommissioned={stats['decommissioned']}"
+    )
+    if not result.verified_in_sync:
+        yield "replicas still divergent after repair"
+    if stats["decommissioned"]:
+        yield "repair decommissioned the queue"
+
+
+@_claims(INV_FLOW, ok="weak publishes shed under pressure (queue "
+         "survived), hot updates coalesced and popped in batches, replicas converged")
+def flow_pressure_scenario(
+    say: Callable[[str], None] = silent, writes: int = 200, queue_limit: int = 64
+) -> Iterator[str]:
+    """Flood a weak-mode bounded queue nobody drains: graduated
+    backpressure must shed publishes before the kill cliff, and the
+    queue must survive. Then a hot-object update storm must coalesce and
+    drain through batched pops of single applies to the final values."""
+    from repro.apps import build_replicated_pair
+    from repro.core import Ecosystem
+    from repro.runtime.flow import FlowConfig
+
+    eco = Ecosystem(queue_limit=queue_limit)
+    eco.enable_flow(FlowConfig(batch_max=8))
+    eco, pub, sub, Item = build_replicated_pair(
+        eco, {"name": str, "score": int}, "Item", mode="weak"
+    )
+    queue = sub.subscriber.queue
+    flow = queue.flow
+    say(
+        f"flow demo: queue_limit={queue_limit} "
+        f"(credits high={flow.high} low={flow.low}), {writes} flood writes"
+    )
+
+    with pub.controller():
+        for i in range(writes):
+            Item.create(name=f"flood-{i}", score=0)
+    shed = eco.metrics.value("flow.sub.shed")
+    say(
+        f"after flood: queued={len(queue)} shed={shed} state={flow.state} "
+        f"credits={flow.credits} decommissioned={queue.decommissioned}"
+    )
+    for link in eco.monitor.health().links:
+        say("  " + link.summary_line())
+    say(f"drained {sub.subscriber.drain()} messages")
+
+    with pub.controller():
+        hot = [Item.create(name=f"hot-{i}", score=0) for i in range(4)]
+    rounds = 25
+    with pub.controller():
+        for _round in range(rounds):
+            for item in hot:
+                item.score += 1
+                item.save()
+    coalesced = eco.metrics.value("flow.sub.coalesced")
+    say(
+        f"after update storm: {rounds * len(hot)} updates -> "
+        f"queued={len(queue)} coalesced={coalesced} state={flow.state}"
+    )
+    sub.subscriber.drain()
+    _say_metrics(say, eco, "flow.")
+
+    if shed <= 0:
+        yield "no weak publishes were shed under pressure"
+    if queue.decommissioned:
+        yield "queue decommissioned: shedding failed to prevent the kill"
+    if coalesced <= 0:
+        yield "hot-object updates did not coalesce"
+    if not eco.metrics.snapshot("flow.")["flow.sub.batch_size"]["count"]:
+        yield "no batched pops recorded"
+    if len(queue):
+        yield f"{len(queue)} messages left queued"
+    replicas = [sub.registry["Item"].__mapper__.find(item.id) for item in hot]
+    if any(row is None or row["score"] != rounds for row in replicas):
+        yield "hot objects did not converge to the final score"
+
+
+def _views_eco(data_dir: str) -> Tuple[Any, ...]:
+    """A WAL-logging pair whose subscriber keeps four derived views."""
+    from repro.apps import build_replicated_pair
+    from repro.core import Ecosystem
+    from repro.views import CountView, FeedView, SumView, TopKView
+
+    eco = Ecosystem()
+    manager = eco.enable_durability(data_dir=data_dir, snapshot_every=10_000)
+    eco, pub, sub, Post = build_replicated_pair(
+        eco, {"author": str, "score": int}, "Post"
+    )
+    views = sub.enable_views()
+    views.declare(CountView("posts", "Post"))
+    views.declare(SumView("karma", "Post", "score"))
+    views.declare(TopKView("leaderboard", "Post", "score", k=3))
+    views.declare(FeedView("timelines", "Post", "author", limit=5))
+    return eco, pub, sub, manager, Post
+
+
+@_claims(INV_VIEW, ok="aggregates match recomputation, cache fresh, rebuild exact")
+def views_restore_scenario(
+    say: Callable[[str], None] = silent, writes: int = 30
+) -> Iterator[str]:
+    """Derived read models (count, sum, top-k, per-author feeds) kept in
+    the apply path behind a versioned cache: every aggregate equals its
+    recomputation after creates, and after deletes and updates; a warm
+    read hits and a read after a write is fresh; a kill-and-restart over
+    the same WAL rebuilds every view to its pre-crash value."""
+    from repro.durability.wal import SimulatedCrash
+
+    found: List[str] = []
+    before: Dict[str, Any] = {}
+
+    def check(views: Any, when: str) -> None:
+        say(f"{when}:")
+        for spec in views.specs():
+            say(f"  {spec.name:<12} {views.peek(spec.name)!r}")
+        found.extend(violation.detail for violation in view_violations(views))
+
+    def wound(fixture: Tuple[Any, ...], returned: Any) -> None:
+        _eco, pub, sub, manager, post_cls = fixture
+        authors = ["ada", "bob", "cyd"]
+        say(f"views demo: {writes} creates across {len(authors)} authors")
+        with pub.controller():
+            posts = [
+                post_cls.create(author=authors[i % len(authors)], score=i)
+                for i in range(writes)
+            ]
+        sub.subscriber.drain()
+        views = sub.views
+        check(views, "after create workload")
+
+        views.read("karma")  # the last fold wrote it through: hit
+        hits = views.cache.stats()["hits"]
+        with pub.controller():
+            posts[0].score += 1000
+            posts[0].save()
+        sub.subscriber.drain()
+        fresh = views.read("karma")  # the apply wrote the new sum through
+        expected = sum(range(writes)) + 1000
+        say(f"cache: {views.cache.stats()}; post-write karma={fresh}")
+        if hits < 1:
+            found.append("warm read missed the cache")
+        if fresh != expected:
+            found.append(f"stale read after an applied write ({fresh} != {expected})")
+
+        with pub.controller():
+            for post in posts[: len(posts) // 3]:
+                post.destroy()
+            for post in posts[len(posts) // 3:]:
+                post.score += 7
+                post.save()
+        sub.subscriber.drain()
+        check(views, "after delete/update workload")
+        before.update({spec.name: views.canonical(spec.name) for spec in views.specs()})
+        manager.wal.sync()
+        raise SimulatedCrash("killed after the workload")
+
+    def claims(
+        fixture: Tuple[Any, ...], report: Any, returned: int
+    ) -> Iterator[str]:
+        eco, _pub, sub, _manager, _post_cls = fixture
+        say(
+            f"restore: replayed={report.replayed} requeued={report.requeued} "
+            f"rebuilds={eco.metrics.value('views.sub.rebuilds')}"
+        )
+        check(sub.views, "after restore")
+        for name, value in before.items():
+            # Feeds lose arrival order across a rebuild: compare canonically.
+            if sub.views.canonical(name) != value:
+                yield f"rebuilt view {name!r} diverged: {sub.views.peek(name)!r}"
+
+    yield from _crash_then_restore(
+        "a kill after the workload", _views_eco, wound, claims
+    )
+    yield from found
+
+
+@_claims(INV_SAGA, ok="books balanced, replicas digest-equal; divergence "
+         "healed by targeted repair, books still balance")
+def saga_heal_scenario(
+    say: Callable[[str], None] = silent,
+    sagas: int = 6,
+    mode: str = "causal",
+    seed: int = 0,
+) -> Iterator[str]:
+    """Order/payment/inventory sagas through both front-ends (ORM writes
+    plus raw writes via the transactional outbox), declined payments
+    compensated by raw releases: the books balance and every replica is
+    digest-equal at quiescence. Then one injected broker loss must be
+    detected and healed by targeted repair, the books still balanced."""
+    from repro.cdc.saga import (
+        build_saga_ecosystem, check_saga_invariant, run_saga, run_sagas,
+    )
+
+    saga = build_saga_ecosystem(mode=mode)
+    say(
+        f"saga demo: {sagas} sagas, mode={mode}, "
+        "order=relational payment/inventory=document, "
+        "reservations via raw-write outbox"
+    )
+    for o in run_sagas(saga, sagas, seed=seed):
+        verdict = "approved " if o.approved else "declined, compensated"
+        say(f"  order {o.order_id}: qty={o.qty} [{verdict}]")
+    yield from check_saga_invariant(saga)
+    services = saga.subscribing_services()
+    for svc in services:
+        report = svc.audit_replication()
+        if not report.in_sync:
+            yield (
+                f"{svc.name}: {report.divergent_total} objects divergent "
+                "after a clean saga run"
+            )
+    snapshot = saga.eco.metrics.snapshot()
+    say(
+        f"cdc: {snapshot.get('cdc.inventory.appended', 0)} outbox entries "
+        f"appended, {snapshot.get('cdc.inventory.published', 0)} published"
+    )
+
+    say("injecting broker loss mid-saga...")
+    saga.eco.broker.drop_next(1)
+    run_saga(saga, index=sagas, qty=3, approved=True)
+    saga.eco.drain_all()
+    repairs = [svc.repair_replication() for svc in services]
+    if all(result.audit.in_sync for result in repairs):
+        yield "the injected loss diverged no replica: the repair was never exercised"
+    for result in repairs:
+        if not result.audit.in_sync:
+            say(
+                f"  {result.subscriber}: {result.audit.divergent_total} "
+                f"divergent objects detected, {result.objects_repaired} repaired"
+            )
+        if not result.verified_in_sync:
+            yield f"{result.subscriber}: divergence survived targeted repair"
+    yield from (f"after repair: {p}" for p in check_saga_invariant(saga))
+
+
+#: name -> scenario. Each returns its violations when called with no
+#: arguments; ``conformance`` runs them all, silently, before sweeping,
+#: and the six demo commands run theirs narrated (``repro <command>
+#: --demo``; docs/architecture.md's failure-model table names the
+#: scenario that executes each row).
+SCENARIOS: Dict[str, Callable[..., List[Violation]]] = {
+    "queue.pop-deadline": pop_deadline_scenario,
+    "fleet.idle-deadline": fleet_idle_deadline_scenario,
+    "drain.no-leaked-deliveries": drain_leak_scenario,
+    "flow.unsafe-coalesce-rejected": flow_coalesce_safety_scenario,
+    "durability.crash-after-append":
+        partial(durability_crash_point_scenario, point="after-append"),
+    "durability.crash-before-fsync":
+        partial(durability_crash_point_scenario, point="before-fsync"),
+    "durability.crash-before-ack":
+        partial(durability_crash_point_scenario, point="before-ack"),
+    "durability.kill-restart": durability_kill_restart_scenario,
+    "cdc.poller-crash-before-checkpoint":
+        partial(cdc_poll_crash_scenario, point="after-publish"),
+    "cdc.poller-crash-after-checkpoint":
+        partial(cdc_poll_crash_scenario, point="after-checkpoint"),
+    "cdc.kill-restart": cdc_kill_restart_scenario,
+    "repair.lost-messages": repair_loss_scenario,
+    "flow.shed-and-coalesce": flow_pressure_scenario,
+    "views.restore-rebuild": views_restore_scenario,
+    "saga.loss-healed": saga_heal_scenario,
+    "shard.cross-process-repair": shard_mesh_scenario,
+    "durability.kill-shard": recover_kill_scenario,
+}

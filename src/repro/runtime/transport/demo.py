@@ -1,4 +1,6 @@
-"""The 2-shard social-ecosystem demo (``python -m repro shard --demo``).
+"""The 2-shard social ecosystem: the ``shard.cross-process-repair``
+directed scenario (``python -m repro shard --demo``), and the fixture
+``trace`` and ``watch --cluster`` drive.
 
 Six services across two worker processes; the broker forward seam and
 the control plane are the only things crossing the process boundary:
@@ -14,7 +16,9 @@ fans out to one local queue and one forwarded cross-shard queue. After
 the mesh quiesces, each shard audits its subscribers — the mirrors'
 row-hash digests come from the remote publisher over the control plane —
 then deliberately loses one mirror row and heals it with a cross-process
-targeted repair (§6.5 over a pipe).
+targeted repair (§6.5 over a pipe). The verify step raises an
+``INV_ALO`` violation for a divergent audit, a dropped message or an
+unverified repair.
 
 Everything here is module-level so the spawn start method can pickle the
 callables by reference; a run's parameters reach the worker processes
@@ -24,9 +28,10 @@ bound onto them with :func:`functools.partial`.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.tools import flags
+from repro.runtime.conformance.checker import INV_ALO, Violation, silent
 from repro.runtime.transport.shard import ShardRunner
 
 #: shard -> services it owns. The mirrors are deliberately placed on the
@@ -152,11 +157,15 @@ def inject_lag_breach(ecosystem: Any) -> Dict[str, Any]:
     }
 
 
-def audit_owned_subscribers(ecosystem: Any) -> Dict[str, Dict[str, Any]]:
+def audit_owned_subscribers(
+    ecosystem: Any, invariant: str
+) -> Dict[str, Any]:
     """Audit every subscriber this shard owns against its publishers —
     remote ones answer with their row-hash digests over the control plane
-    — and count the replica rows of each subscribed model."""
+    — and count the replica rows of each subscribed model. A divergent
+    replica is a violation of ``invariant``."""
     audits: Dict[str, Dict[str, Any]] = {}
+    violations = []
     for service in ecosystem.local_services():
         if not service.subscriber.specs:
             continue
@@ -169,20 +178,33 @@ def audit_owned_subscribers(ecosystem: Any) -> Dict[str, Dict[str, Any]]:
                 for _app, model in sorted(service.subscriber.specs)
             },
         }
-    return audits
+        if not report.in_sync:
+            violations.append(Violation(
+                invariant,
+                f"{service.name}: {report.divergent_total} objects "
+                "divergent from their publisher at the final audit",
+            ))
+    return {"audits": audits, "violations": violations}
 
 
 def demo_verify(
     ecosystem: Any, shard_name: str, breach_shard: Optional[str] = None
 ) -> Dict[str, Any]:
     """Audit every owned subscriber, then lose-and-repair one mirror row
-    across the process boundary. ``breach_shard`` names the shard that
-    first injects an impossible SLO (the correlated-postmortem demo: its
-    breach dump pulls every peer's too)."""
+    across the process boundary; what went wrong comes back as
+    ``violations``. ``breach_shard`` names the shard that first injects
+    an impossible SLO (the correlated-postmortem demo: its breach dump
+    pulls every peer's too)."""
     breach: Optional[Dict[str, Any]] = None
     if breach_shard == shard_name:
         breach = inject_lag_breach(ecosystem)
-    audits = audit_owned_subscribers(ecosystem)
+    out = audit_owned_subscribers(ecosystem, INV_ALO)
+    violations = out["violations"]
+    dropped = ecosystem.metrics.value("broker.dropped")
+    if dropped:
+        violations.append(Violation(
+            INV_ALO, f"{shard_name}: the broker dropped {dropped} messages"
+        ))
 
     # The mirror's publisher lives on the other shard: the audit above
     # already exchanged digests over the pipe; now lose a replicated row
@@ -201,10 +223,30 @@ def demo_verify(
             objects_repaired=result.objects_repaired,
             verified_in_sync=result.verified_in_sync,
         )
-    out: Dict[str, Any] = {"audits": audits, "repair": repair_summary}
+        if not result.verified_in_sync:
+            violations.append(Violation(
+                INV_ALO, f"{mirror_name}: the lost row survived the "
+                "cross-shard targeted repair",
+            ))
+    else:
+        violations.append(Violation(
+            INV_ALO, f"{mirror_name} holds no post to lose: the cross-shard "
+            "repair was never exercised",
+        ))
+    out["repair"] = repair_summary
     if breach is not None:
         out["breach"] = breach
     return out
+
+
+def violations_of(run: Dict[str, Any]) -> List[Violation]:
+    """The violations the verify steps of a :meth:`ShardRunner.run`
+    raised, shard by shard."""
+    return [
+        violation
+        for shard in run["shards"].values()
+        for violation in shard["verify"]["violations"]
+    ]
 
 
 def run_demo(
@@ -214,8 +256,9 @@ def run_demo(
     breach_shard: Optional[str] = None,
     incident_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Build the runner and drive the full 2-shard demo."""
-    return ShardRunner(
+    """Build the runner and drive the full 2-shard demo; ``violations``
+    holds what its verify steps raised."""
+    outcome = ShardRunner(
         partial(build_demo_ecosystem, trace_sample=trace_sample or 0.0),
         DEMO_PLACEMENT,
         scenario=partial(demo_scenario, operations=operations),
@@ -223,6 +266,61 @@ def run_demo(
         timeout=timeout,
         incident_dir=incident_dir,
     ).run()
+    outcome["violations"] = violations_of(outcome)
+    return outcome
+
+
+def shard_mesh_scenario(
+    say: Callable[[str], None] = silent,
+    operations: int = 60,
+    timeout: float = 60.0,
+) -> List[Violation]:
+    """The 2-shard social ecosystem end to end: every audit digest-equal
+    and every cross-shard repair verified, with nothing dropped."""
+    say(
+        f"2-shard social ecosystem: {operations} operations per shard, "
+        "mirrors subscribed across the process boundary"
+    )
+    outcome = run_demo(operations=operations, timeout=timeout)
+    for shard_name in sorted(outcome["shards"]):
+        shard = outcome["shards"][shard_name]
+        scenario, verify, stats = shard["scenario"], shard["verify"], shard["stats"]
+        say(f"{shard_name} (owns {', '.join(stats['owned'])}):")
+        say(
+            f"  workload: {scenario['posts']} posts + "
+            f"{scenario['comments']} comments -> "
+            f"{scenario['published']} messages from {scenario['publisher']}"
+        )
+        say(
+            f"  seam: routed={stats['routed']} forwarded={stats['forwarded']} "
+            f"delivered={stats['delivered']} dropped={stats['dropped']}"
+        )
+        say_audits(say, verify["audits"], "  ")
+        repair = verify["repair"]
+        if repair["ran"]:
+            say(
+                f"  repair {repair['mirror']}: {repair['divergent']} "
+                f"divergent -> {repair['objects_repaired']} repaired, "
+                f"verified={repair['verified_in_sync']}"
+            )
+    say(
+        f"quiesced after {outcome['quiesce_polls']} polls in "
+        f"{outcome['elapsed']:.2f}s"
+    )
+    if not outcome["violations"]:
+        say("OK: all audits digest-equal, cross-shard repairs verified")
+    return outcome["violations"]
+
+
+def say_audits(
+    say: Callable[[str], None], audits: Dict[str, Any], indent: str
+) -> None:
+    """Narrate :func:`audit_owned_subscribers`' audits, one line each."""
+    for name, audit in sorted(audits.items()):
+        state = "in sync" if audit["in_sync"] \
+            else f"{audit['divergent']} divergent"
+        rows = " ".join(f"{model}={count}" for model, count in audit["rows"].items())
+        say(f"{indent}audit {name}: {state} ({rows})")
 
 
 def run_trace_demo(
@@ -272,17 +370,12 @@ def trace_command(args: Any) -> int:
     in one assembled trace."""
     from repro.runtime.monitor.cluster import format_assembled_trace
 
-    uid = None
-    skip = False
-    for arg in args:
-        if skip:
-            skip = False
-            continue
-        if arg.startswith("--"):
-            skip = True  # every flag of this command takes a value
-            continue
-        uid = arg
-        break
+    # Every flag of this command takes a value: the uid is the first
+    # argument that is neither a flag nor the value after one.
+    uid = next((
+        arg for i, arg in enumerate(args)
+        if not arg.startswith("--") and not (i and args[i - 1].startswith("--"))
+    ), None)
     assembled = run_trace_demo(
         uid=uid, **flags(args, operations=40, timeout=60.0)
     )
@@ -295,72 +388,3 @@ def trace_command(args: Any) -> int:
         return 0
     print("FAILED: expected spans from at least two shards")
     return 1
-
-
-def shard_command(args: Any) -> int:
-    """``python -m repro shard --demo [--operations N] [--timeout S]``."""
-    opts = flags(args, operations=60, timeout=60.0)
-    print(
-        f"2-shard social ecosystem: {opts['operations']} operations per "
-        "shard, mirrors subscribed across the process boundary"
-    )
-    outcome = run_demo(**opts)
-    for shard_name in sorted(outcome["shards"]):
-        shard = outcome["shards"][shard_name]
-        scenario = shard.get("scenario") or {}
-        verify = shard.get("verify") or {}
-        stats = shard.get("stats") or {}
-        print(f"{shard_name} (owns {', '.join(stats.get('owned', []))}):")
-        print(
-            f"  workload: {scenario.get('posts', 0)} posts + "
-            f"{scenario.get('comments', 0)} comments -> "
-            f"{scenario.get('published', 0)} messages from "
-            f"{scenario.get('publisher', '?')}"
-        )
-        print(
-            f"  seam: routed={stats.get('routed', 0)} "
-            f"forwarded={stats.get('forwarded', 0)} "
-            f"delivered={stats.get('delivered', 0)} "
-            f"dropped={stats.get('dropped', 0)}"
-        )
-        for name, audit in sorted((verify.get("audits") or {}).items()):
-            state = "in sync" if audit["in_sync"] \
-                else f"{audit['divergent']} divergent"
-            rows = audit["rows"]
-            print(
-                f"  audit {name}: {state} "
-                f"(users={rows['User']} posts={rows['Post']} "
-                f"comments={rows['Comment']})"
-            )
-        repair = verify.get("repair") or {}
-        if repair.get("ran"):
-            print(
-                f"  repair {repair['mirror']}: {repair['divergent']} "
-                f"divergent -> {repair['objects_repaired']} repaired, "
-                f"verified={repair['verified_in_sync']}"
-            )
-    print(
-        f"quiesced after {outcome['quiesce_polls']} polls in "
-        f"{outcome['elapsed']:.2f}s"
-    )
-    if demo_healthy(outcome):
-        print("OK: all audits digest-equal, cross-shard repairs verified")
-        return 0
-    print("FAILED: divergence or unverified repair — see above")
-    return 1
-
-
-def demo_healthy(outcome: Dict[str, Any]) -> bool:
-    """Did the demo demonstrate what it claims? Every audit in sync and
-    every cross-shard repair verified."""
-    for shard in outcome["shards"].values():
-        verify = shard.get("verify") or {}
-        for audit in (verify.get("audits") or {}).values():
-            if not audit["in_sync"]:
-                return False
-        repair = verify.get("repair") or {}
-        if not repair.get("ran") or not repair.get("verified_in_sync"):
-            return False
-        if (shard.get("stats") or {}).get("dropped"):
-            return False
-    return True

@@ -36,7 +36,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError, TransportTimeout
 from repro.runtime.monitor.cluster import (
@@ -68,8 +68,14 @@ def _shard_main(
     peer_conns: Dict[str, Any],
     durability_dir: Optional[str] = None,
     incident_dir: Optional[str] = None,
+    foreign: Tuple[Any, ...] = (),
 ) -> None:
-    """Worker-process entry point: build, wire the seams, serve commands."""
+    """Worker-process entry point: build, wire the seams, serve commands.
+    ``foreign`` are the other shards' pipe ends a fork inherited: closed
+    first, so a dead peer's link reads EOF instead of waiting out its
+    timeouts."""
+    for conn in foreign:
+        conn.close()
     try:
         set_process_shard(shard_name)
         ecosystem = builder()
@@ -292,15 +298,19 @@ class ShardRunner:
                 end_a, end_b = self._ctx.Pipe()
                 peer_conns[a][b] = end_a
                 peer_conns[b][a] = end_b
+        mesh = [end for ends in peer_conns.values() for end in ends.values()]
+        forked = self._ctx.get_start_method() == "fork"
         for name in shards:
             parent_end, child_end = self._ctx.Pipe()
             self._command[name] = parent_end
+            own = list(peer_conns[name].values())
+            foreign = tuple(end for end in mesh if forked and end not in own)
             self._processes[name] = self._ctx.Process(
                 target=_shard_main,
                 name=f"shard-{name}",
                 args=(name, self.builder, self.placement, self.scenario,
                       self.verify, child_end, peer_conns[name],
-                      self.durability_dir, self.incident_dir),
+                      self.durability_dir, self.incident_dir, foreign),
             )
         self._started = True
         for name in shards:

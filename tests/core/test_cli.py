@@ -1,6 +1,22 @@
 """CLI (`python -m repro`) smoke tests."""
 
+import os
+import tempfile
+
+import pytest
+
 from repro.__main__ import main
+
+#: Each demo command at a small size, and the start of its closing line
+#: when clean.
+DEMOS = [
+    (["repair", "--objects", "8", "--lose", "2"], "OK: replicas digest-equal"),
+    (["flow", "--writes", "120", "--queue-limit", "32"], "OK: weak publishes shed"),
+    (["views", "--writes", "9"], "OK: aggregates match recomputation"),
+    (["saga", "--sagas", "3"], "OK: books balanced"),
+    (["shard", "--operations", "10"], "OK: all audits digest-equal"),
+    (["recover", "--operations", "6"], "OK: kill -9'd shard restored"),
+]
 
 
 class TestCLI:
@@ -68,6 +84,20 @@ class TestCLI:
 
     def test_flow_without_demo_flag(self, capsys):
         assert main(["flow"]) == 1
+
+    @pytest.mark.parametrize("argv,closing", DEMOS, ids=[d[0][0] for d in DEMOS])
+    def test_demo_passes_and_leaves_no_temp_dir(self, argv, closing, capsys, monkeypatch,
+                                                 tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main([argv[0], "--demo", *argv[1:]]) == 0
+        assert capsys.readouterr().out.rstrip().splitlines()[-1].startswith(closing)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("args", [["--objects"], ["--objects", "x"]])
+    def test_a_bad_flag_is_a_usage_error(self, args):
+        with pytest.raises(SystemExit) as exit_:
+            main(["repair", "--demo", *args])
+        assert exit_.value.code == "usage: --objects needs a value of type int"
 
     def test_watch_once(self, capsys):
         assert main(["watch", "--once", "--writes", "10"]) == 0

@@ -89,12 +89,6 @@ class TestEdges:
         with pytest.raises(DatabaseError):
             db.create_edge(a["id"], "friend", 999)
 
-    def test_edge_properties(self, db):
-        a = db.create_node("User", {})
-        b = db.create_node("User", {})
-        db.create_edge(a["id"], "friend", b["id"], properties={"since": 2020})
-        assert db.edge_properties(a["id"], "friend", b["id"]) == {"since": 2020}
-
 
 class TestTraversal:
     def test_bfs_depths(self, db):
@@ -105,12 +99,6 @@ class TestTraversal:
     def test_bfs_depth_limit(self, db):
         build_social(db)
         assert db.traverse(1, "friend", max_depth=1) == {2: 1}
-
-    def test_shortest_path(self, db):
-        build_social(db)
-        assert db.shortest_path(1, 3, "friend") == [1, 2, 3]
-        assert db.shortest_path(1, 4, "friend") is None
-        assert db.shortest_path(1, 1, "friend") == [1]
 
     def test_recommendation_ranks_by_endorsements(self, db):
         build_social(db)

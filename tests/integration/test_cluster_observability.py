@@ -117,8 +117,4 @@ class TestCorrelatedPostmortem:
             assert "slo.breach" in meta["reason"]
 
     def test_workload_still_healthy_after_breach(self, outcome):
-        _, results = outcome
-        for shard, entry in results["shards"].items():
-            for audit in entry["verify"]["audits"].values():
-                assert audit["in_sync"], f"{shard} diverged"
-            assert entry["verify"]["repair"]["verified_in_sync"]
+        assert outcome[1]["violations"] == []

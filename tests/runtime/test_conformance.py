@@ -179,12 +179,12 @@ class TestFlowSchedules:
 
     def test_directed_unsafe_coalesce_scenario_is_clean(self):
         from repro.runtime.conformance.scenarios import (
+            SCENARIOS,
             flow_coalesce_safety_scenario,
-            run_directed_scenarios,
         )
 
         assert flow_coalesce_safety_scenario() == []
-        assert "flow.unsafe-coalesce-rejected" in run_directed_scenarios()
+        assert "flow.unsafe-coalesce-rejected" in SCENARIOS
 
 
 class TestFlowCrashSchedules:

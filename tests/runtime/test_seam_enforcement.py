@@ -318,14 +318,13 @@ RESTORE_CALLERS = {
     "runtime/transport/shard.py": 1,
     "runtime/conformance/harness.py": 1,
     "runtime/conformance/scenarios.py": 1,
-    "views/demo.py": 1,
 }
 
 
 def _scenario_modules():
     return sorted({
         rel_path for rel_path, _lineno, _line in _source_lines()
-        if rel_path.endswith("/demo.py") or rel_path.endswith("/watch.py")
+        if rel_path.endswith(("/demo.py", "/watch.py")) or rel_path == MAPPED_FIXTURE
     })
 
 
@@ -374,7 +373,7 @@ def test_restore_is_called_from_the_skeletons_only():
 def test_scenarios_and_demos_spell_no_repair_ladder():
     """audit -> if not in_sync -> repair(report=...) -> verified is what
     ``repair_replication()`` already does."""
-    scripts = _scenario_modules() + [MAPPED_FIXTURE, "__main__.py"]
+    scripts = _scenario_modules() + ["__main__.py"]
     violations = [
         f"{rel_path}:{lineno}: {line.strip()}"
         for rel_path, lineno, line in _source_lines()
@@ -398,7 +397,8 @@ def test_the_sigkill_child_block_exists_once():
 
 def test_demo_parameters_do_not_travel_through_the_environment():
     modules = _scenario_modules()
-    assert len(modules) == 6, modules  # five demo.py + monitor/watch.py
+    # The two shard demo.py, monitor/watch.py and the directed scenarios.
+    assert len(modules) == 4, modules
     violations = [
         f"{rel_path}:{lineno}: {line.strip()}"
         for rel_path, lineno, line in _source_lines()
@@ -442,13 +442,29 @@ def test_command_table_docstring_and_readme_agree():
     import repro.__main__ as cli
 
     table = set(cli.COMMANDS)
-    assert cli.DEMO_ONLY <= table
     documented = set(re.findall(r"^    (\w+)", cli.__doc__, flags=re.M))
     assert documented == table
     readme = os.path.join(REPO_ROOT, "README.md")
     with open(readme, encoding="utf-8") as fh:
         toured = set(re.findall(r"`python -m repro (\w+)", fh.read()))
     assert toured == table
+
+
+def test_each_failure_model_row_names_what_executes_it():
+    """docs/architecture.md's failure-model table: each row's last column
+    names registered directed scenarios or, where none runs it, tests."""
+    from repro.runtime.conformance.scenarios import SCENARIOS
+
+    with open(os.path.join(REPO_ROOT, "docs", "architecture.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Failure model", 1)[1]
+    header, _rule, *rows = re.search(r"^\|.*(\n\|.*)*", section, re.M).group(0).splitlines()
+    assert header.split("|")[-2].strip() == "scenario"
+    for row in rows:
+        names = re.findall(r"`([^`]+)`", row.split("|")[-2])
+        assert names and all(
+            name in SCENARIOS or os.path.isfile(os.path.join(REPO_ROOT, name.split("::")[0]))
+            for name in names
+        ), row
 
 
 # -- the one worker step ------------------------------------------------------
