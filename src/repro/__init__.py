@@ -18,7 +18,6 @@ from repro.core import CAUSAL, GLOBAL, WEAK, Ecosystem, Service
 from repro.orm import (
     BelongsTo,
     Field,
-    HasMany,
     Model,
     VirtualField,
     after_create,
@@ -43,7 +42,6 @@ __all__ = [
     "Field",
     "VirtualField",
     "BelongsTo",
-    "HasMany",
     "before_create",
     "after_create",
     "before_update",

@@ -85,6 +85,7 @@ class Message:
         coalesced_uids: Optional[List[str]] = None,
         increments: Optional[Dict[str, int]] = None,
         cdc: Optional[int] = None,
+        counters: Optional[Dict[str, List[int]]] = None,
     ) -> None:
         with _seq_lock:
             self.seq = next(_seq)  # broker-side FIFO tiebreaker
@@ -95,8 +96,12 @@ class Message:
         self.app = app
         self.operations = operations
         self.dependencies = dependencies
-        #: Cross-application dependencies: waited on, never incremented (§4.2).
-        self.external_dependencies = dict(external_dependencies or {})
+        #: Cross-application dependencies: waited on, never incremented
+        #: (§4.2). Adopted, like ``dependencies``: the caller hands over
+        #: a fresh dict.
+        self.external_dependencies = (
+            external_dependencies if external_dependencies is not None else {}
+        )
         self.published_at = published_at
         self.generation = generation
         #: End-to-end trace context; None unless the ecosystem tracer is
@@ -119,6 +124,11 @@ class Message:
         #: once the poller's cursor passes an entry, a shed would lose
         #: it until the next anti-entropy repair.
         self.cdc: Optional[int] = cdc
+        #: Publisher side only, never serialised: the post-bump
+        #: ``[ops, version]`` of each dependency key this publish's own
+        #: version-store bump left — what its ``out`` record carries.
+        #: ``None`` on a message from the wire.
+        self.counters = counters
         self.delivery_count = 0
         #: Queue-local dwell bookkeeping (set by ``SubscriberQueue``):
         #: runtime state of one queue's copy, never serialised.

@@ -93,6 +93,7 @@ def build_message(
     external_dependencies: Optional[Dict[str, int]] = None,
     uid: Optional[str] = None,
     cdc: Optional[int] = None,
+    counters: Optional[Dict[str, List[int]]] = None,
 ) -> Message:
     return Message(
         app=app,
@@ -103,4 +104,5 @@ def build_message(
         external_dependencies=dict(sorted((external_dependencies or {}).items())),
         uid=uid,
         cdc=cdc,
+        counters=counters,
     )

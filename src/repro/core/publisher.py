@@ -13,7 +13,8 @@ once, in :meth:`SynapsePublisher._prepare`:
 4. marshal the operations (virtual getters run here; a value the wire
    cannot carry is refused *before* any counter moves);
 5. bump the version-store counters (``ops``/``version``), obtaining the
-   message version of each dependency — :meth:`_register_with_recovery`,
+   message version of each dependency and the post-bump counters the
+   ``out`` record carries — :meth:`_register_with_recovery`,
    which bumps the publisher's generation and resumes with fresh
    counters when the version store crashed mid-algorithm (§4.4);
 6. release the locks, build the Fig 6(b) message, stop the overhead
@@ -290,7 +291,7 @@ class SynapsePublisher:
             # was — a bumped version with no message to carry it would
             # stall every causal subscriber on that object for ever.
             operations = list(starmap(marshal_operation, ops))
-            versions = self._register_with_recovery(read_deps, write_deps, trace)
+            versions, counters = self._register_with_recovery(read_deps, write_deps, trace)
         finally:
             store.release_locks(locks)
 
@@ -303,6 +304,7 @@ class SynapsePublisher:
             external_dependencies=external,
             uid=uid,
             cdc=cdc,
+            counters=counters,
         )
         # Publish-time work done; stop the overhead clock before the
         # (broker-side) fan-out which the paper attributes to the fabric.
@@ -407,17 +409,17 @@ class SynapsePublisher:
         read_deps: List[str],
         write_deps: List[str],
         trace: Optional[Union[SpanLog, Trace]] = None,
-    ) -> Dict[str, int]:
+    ) -> Tuple[Dict[str, int], Dict[str, List[int]]]:
         store = self.service.publisher_version_store
         start = trace_now() if trace is not None else 0.0
         try:
-            versions = store.register_operation(read_deps, write_deps)
+            bumped = store.register_operation(read_deps, write_deps)
         except FaultInjected:
             self.service.recover_publisher_version_store()
-            versions = store.register_operation(read_deps, write_deps)
+            bumped = store.register_operation(read_deps, write_deps)
         if trace is not None:
             trace.add(STAGE_REGISTER, start, trace_now() - start)
-        return versions
+        return bumped
 
     # ------------------------------------------------------------------
 

@@ -50,6 +50,10 @@ class FaultPlan:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def check_write(self) -> None:
+        # Nothing armed, nothing to count: no lock. An arm racing this
+        # write orders after it.
+        if not (self.down or self.skip_next_writes or self.fail_next_writes):
+            return
         with self._lock:
             if self.down:
                 raise FaultInjected("engine is down")

@@ -232,18 +232,20 @@ class DurabilityManager:
         kind = transition.record
         message = fields[-1] if isinstance(fields[-1], Message) else None
         if kind == "out":
-            # The payload plus the post-bump publisher version-store
-            # counters of its dependency keys: replay restores both the
-            # outbound intent and the counter state new publishes will
-            # continue from. A CDC publish piggybacks its outbox cursor
-            # (``cur``): advancing past the entry is atomic with
-            # capturing the counters its publish bumped — a crash can
-            # never leave the counters durable but the cursor behind
-            # (which would republish and double-bump).
-            service = self.ecosystem.local_service(message.app)
-            if service is None:
+            # The payload plus the publisher version-store counters its
+            # own bump left (``Message.counters``, read inside the bump's
+            # script): replay restores both the outbound intent and the
+            # counter state new publishes will continue from. Re-read
+            # here, after the write locks are released, they could hold
+            # a later publish's bump that never reaches the log. A CDC
+            # publish piggybacks its outbox cursor (``cur``): advancing
+            # past the entry is atomic with capturing the counters its
+            # publish bumped — a crash can never leave the counters
+            # durable but the cursor behind (which would republish and
+            # double-bump).
+            if self.ecosystem.local_service(message.app) is None:
                 return
-            fields += (service.publisher_version_store.counters(message.dependencies),)
+            fields += (message.counters,)
         elif kind == "shed":
             # The post-state of the app's shed-deficit ledger, an
             # idempotent replace on replay, appended *inside* the

@@ -17,7 +17,7 @@ from repro.orm.callbacks import (
     before_update,
 )
 from repro.orm.fields import Field, VirtualField
-from repro.orm.associations import BelongsTo, HasMany
+from repro.orm.associations import BelongsTo
 from repro.orm.mapper import Mapper, ReadEvent, WriteEvent, mapper_for
 from repro.orm.model import Model, bind_model
 
@@ -26,7 +26,6 @@ __all__ = [
     "Field",
     "VirtualField",
     "BelongsTo",
-    "HasMany",
     "Mapper",
     "mapper_for",
     "bind_model",

@@ -1,4 +1,4 @@
-"""Model associations: ``belongs_to`` and ``has_many``.
+"""Model associations: ``belongs_to``.
 
 ``BelongsTo`` implicitly declares the ``<name>_id`` foreign-key field
 (added by the model metaclass) and resolves through the model registry,
@@ -7,7 +7,7 @@ so associated models may live in the same service regardless of engine.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from repro.errors import ORMError
 
@@ -55,30 +55,3 @@ class BelongsTo:
     def __set__(self, instance: Any, value: Any) -> None:
         instance._write_attribute(self.foreign_key, None if value is None else value.id)
 
-
-class HasMany:
-    """``comments = HasMany("Comment")`` resolves to
-    ``Comment.where(post_id=self.id)`` for a ``Post`` owner."""
-
-    def __init__(self, target: str, foreign_key: Optional[str] = None) -> None:
-        self.target = target
-        self.foreign_key = foreign_key
-        self.name: str = ""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-        if self.foreign_key is None:
-            self.foreign_key = f"{snake_case(owner.__name__)}_id"
-
-    def __get__(self, instance: Any, owner: type) -> List[Any]:
-        if instance is None:
-            return self  # type: ignore[return-value]
-        registry = instance._registry
-        target = registry.get(self.target)
-        if target is None:
-            raise ORMError(
-                f"association {self.name!r}: model {self.target!r} not registered"
-            )
-        if instance.id is None:
-            return []
-        return target.where(**{self.foreign_key: instance.id})

@@ -90,7 +90,8 @@ class Mapper:
         return self._dispatch(intent, lambda: self._do_insert(attrs))
 
     def update(self, row_id: Any, attrs: Row) -> Row:
-        intent = WriteIntent("update", self.model_cls, row_id, dict(attrs))
+        # Handed over as is: the interceptor reads it before ``perform``.
+        intent = WriteIntent("update", self.model_cls, row_id, attrs)
         return self._dispatch(intent, lambda: self._do_update(row_id, attrs))
 
     def delete(self, row_id: Any) -> Row:

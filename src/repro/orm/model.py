@@ -89,15 +89,13 @@ class Model(metaclass=ModelMeta):
     _guard_state = threading.local()
 
     def __init__(self, **attrs: Any) -> None:
-        self._attributes: Dict[str, Any] = {}
-        self._changed: set = set()
+        self._attributes: Dict[str, Any] = {
+            name: field.default_value()
+            for name, field in self._fields.items()
+            if name not in attrs
+        }
         self._new_record = True
-        for name, field in self._fields.items():
-            if name not in attrs:
-                self._attributes[name] = field.default_value()
-        for name, value in attrs.items():
-            setattr(self, name, value)
-        self._changed = set(attrs)
+        self._assign(attrs)
 
     # -- attribute plumbing -------------------------------------------------
 
@@ -111,7 +109,17 @@ class Model(metaclass=ModelMeta):
                 "service and is read-only here"
             )
         self._attributes[name] = value
-        self._changed.add(name)
+
+    def _assign(self, attrs: Dict[str, Any]) -> None:
+        """Write ``attrs``: a declared field straight through
+        :meth:`_write_attribute`, anything else (a virtual attribute, an
+        association, an unknown name) through ``setattr``."""
+        fields = self._fields
+        for name, value in attrs.items():
+            if name in fields:
+                self._write_attribute(name, value)
+            else:
+                setattr(self, name, value)
 
     @classmethod
     def _suspend_readonly_guard(cls):
@@ -156,36 +164,32 @@ class Model(metaclass=ModelMeta):
 
     # -- persistence -----------------------------------------------------------
 
-    def to_attributes(self, names: Optional[List[str]] = None) -> Dict[str, Any]:
-        """Persisted attribute values (optionally a subset)."""
-        if names is None:
-            names = list(self._fields)
-        return {name: self._attributes.get(name) for name in names if name in self._fields}
+    def to_attributes(self) -> Dict[str, Any]:
+        """Persisted attribute values."""
+        attributes = self._attributes
+        return {name: attributes.get(name) for name in self._fields}
 
     def save(self) -> "Model":
         """Persist the object (INSERT when new, UPDATE otherwise)."""
         self._touch_timestamps()
-        run_callbacks(self, "before_save")
-        if self._new_record:
-            run_callbacks(self, "before_create")
-            row = self._mapper().insert(self.to_attributes())
-            self._load_row(row)
-            self._new_record = False
-            run_callbacks(self, "after_create")
+        callbacks = self._callbacks
+        new = self._new_record
+        kind = "create" if new else "update"
+        for name in callbacks["before_save"] + callbacks[f"before_{kind}"]:
+            getattr(self, name)()
+        attrs = self.to_attributes()
+        if new:
+            row = self._mapper().insert(attrs)
         else:
-            run_callbacks(self, "before_update")
-            attrs = self.to_attributes()
-            attrs.pop("id", None)
-            row = self._mapper().update(self.id, attrs)
-            self._load_row(row)
-            run_callbacks(self, "after_update")
-        run_callbacks(self, "after_save")
-        self._changed.clear()
+            row = self._mapper().update(attrs.pop("id"), attrs)
+        self._load_row(row)
+        self._new_record = False
+        for name in callbacks[f"after_{kind}"] + callbacks["after_save"]:
+            getattr(self, name)()
         return self
 
     def update(self, **attrs: Any) -> "Model":
-        for name, value in attrs.items():
-            setattr(self, name, value)
+        self._assign(attrs)
         return self.save()
 
     def destroy(self) -> "Model":
@@ -201,13 +205,13 @@ class Model(metaclass=ModelMeta):
         if row is None:
             raise RecordNotFound(f"{type(self).__name__} id={self.id} is gone")
         self._load_row(row)
-        self._changed.clear()
         return self
 
     def _load_row(self, row: Dict[str, Any]) -> None:
+        attributes = self._attributes
         for name in self._fields:
             if name in row:
-                self._attributes[name] = row[name]
+                attributes[name] = row[name]
 
     def _touch_timestamps(self) -> None:
         """ActiveRecord-style automatic timestamps: models declaring
@@ -226,10 +230,6 @@ class Model(metaclass=ModelMeta):
     def new_record(self) -> bool:
         return self._new_record
 
-    @property
-    def changed(self) -> set:
-        return set(self._changed)
-
     # -- class-level query API ----------------------------------------------------
 
     @classmethod
@@ -241,10 +241,10 @@ class Model(metaclass=ModelMeta):
     @classmethod
     def _instance(cls, attributes: Dict[str, Any], new_record: bool) -> "Model":
         """An instance over ``attributes`` without ``__init__``: no
-        callbacks, nothing marked changed."""
+        callbacks."""
         instance = cls.__new__(cls)
         # Private names only, which ``__setattr__`` would let through.
-        instance.__dict__.update(_attributes=attributes, _changed=set(), _new_record=new_record)
+        instance.__dict__.update(_attributes=attributes, _new_record=new_record)
         return instance
 
     @classmethod

@@ -31,7 +31,6 @@ from repro.runtime.flow.admission import (
 )
 from repro.runtime.flow.coalesce import (
     coalesce_key,
-    counter_increments,
     merge_into,
     raised_waits,
     union_conflicts,
@@ -50,7 +49,6 @@ __all__ = [
     "FlowOff",
     "QueueFlow",
     "coalesce_key",
-    "counter_increments",
     "merge_into",
     "raised_waits",
     "union_conflicts",

@@ -31,7 +31,7 @@ accounting.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.broker.message import Message
 
@@ -49,17 +49,6 @@ def coalesce_key(message: Message) -> Optional[Tuple[str, str, Any]]:
     if not types:
         return None
     return (message.app, types[0], operation.get("id"))
-
-
-def dep_keys(message: Message) -> set:
-    """Every dependency key a message waits on (write + external)."""
-    return set(message.dependencies) | set(message.external_dependencies)
-
-
-def counter_increments(message: Message) -> Dict[str, int]:
-    """How much applying this message bumps each dependency counter
-    (see :meth:`Message.counter_increments`)."""
-    return dict(message.counter_increments())
 
 
 def merge_into(survivor: Message, absorbed: Message) -> None:
@@ -82,9 +71,9 @@ def merge_into(survivor: Message, absorbed: Message) -> None:
     if old_op.get("operation") == "create":
         merged_op["operation"] = "create"
 
-    surv_incr = counter_increments(survivor)
+    surv_incr = survivor.counter_increments()
     increments = dict(surv_incr)
-    for dep, amount in counter_increments(absorbed).items():
+    for dep, amount in absorbed.counter_increments().items():
         increments[dep] = increments.get(dep, 0) + amount
 
     # The absorbed message's dependency versions were emitted *after*
@@ -129,7 +118,7 @@ def raised_waits(survivor: Message, absorbed: Message) -> set:
     if the bump satisfying such a wait is carried by a message queued
     in between, the merged survivor deadlocks behind itself.
     """
-    surv_incr = counter_increments(survivor)
+    surv_incr = survivor.counter_increments()
     waits = set()
     for dep, version in absorbed.dependencies.items():
         if version - surv_incr.get(dep, 0) > survivor.dependencies.get(dep, -1):
@@ -157,6 +146,10 @@ def union_conflicts(
 
     Conservative: any key overlap rejects the merge.
     """
-    if set(survivor.dependencies) & dep_keys(intervener):
+    waits = survivor.dependencies.keys()
+    if not (
+        waits.isdisjoint(intervener.dependencies)
+        and waits.isdisjoint(intervener.external_dependencies)
+    ):
         return True
-    return bool(raised and raised & set(counter_increments(intervener)))
+    return bool(raised) and not raised.isdisjoint(intervener.counter_increments())

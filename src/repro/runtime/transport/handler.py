@@ -105,12 +105,11 @@ class ControlPlaneHandler(OpTable):
         live gate still flushes, never old counters under the new."""
         generation = self.service.current_generation()
         store = self.service.publisher_version_store
-        deps = params.get("deps")
-        if deps is None:
-            versions = store.snapshot()
-        else:
-            versions = {dep: ops for dep, (ops, _version) in store.counters(deps).items() if ops}
-        return {"versions": versions, "generation": generation}
+        versions = store.snapshot(params.get("deps"))
+        return {
+            "versions": {dep: ops for dep, ops in versions.items() if ops},
+            "generation": generation,
+        }
 
     def _op_model_dump(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Bootstrap step 2 payload: every row of one published model,

@@ -175,28 +175,22 @@ class PublisherVersionStore:
     def release_locks(self, held: List[threading.Lock]) -> None:
         self.locks.release(held)
 
-    def _bump(self, store: RedisLike, key: str, is_write: bool) -> int:
-        """Script body for one key: increment ``ops`` (and ``version``
-        for writes); return the version number to embed in the message."""
-        if self._bumps is not None:
-            self._bumps.increment()
-        ops = (store.hget(key, "ops") or 0) + 1
-        store.hset(key, "ops", ops)
-        if is_write:
-            store.hset(key, "version", ops)
-            return ops - 1
-        return store.hget(key, "version") or 0
-
     def register_operation(
         self, read_deps: Iterable[str], write_deps: Iterable[str]
-    ) -> Dict[str, int]:
-        """Bump every dependency, one script per shard; returns
-        {hashed_dep: message_version}.
+    ) -> Tuple[Dict[str, int], Dict[str, List[int]]]:
+        """Bump every dependency, one script per shard: increment
+        ``ops`` (and set ``version`` to it for a write). Returns
+        ``(versions, counters)``: {hashed_dep: message_version} — a
+        write dep's ``ops - 1``, a read dep's ``version`` — and
+        {hashed_dep: post-bump ``[ops, version]``}, the state this very
+        bump left, read inside the script (what the publish's ``out``
+        record carries).
 
         Write-dep versions win when a name appears as both (hash
         collisions or explicit duplicates).
         """
         versions: Dict[str, int] = {}
+        counters: Dict[str, List[int]] = {}
         steps: List[tuple] = []
         for dep in read_deps:
             hashed = self.hasher.hash(dep)
@@ -210,10 +204,20 @@ class PublisherVersionStore:
 
             def script(store: RedisLike, group: List[tuple] = group) -> None:
                 for key, hashed, is_write in group:
-                    versions[hashed] = self._bump(store, key, is_write)
+                    ops = (store.hget(key, "ops") or 0) + 1
+                    store.hset(key, "ops", ops)
+                    if is_write:
+                        store.hset(key, "version", ops)
+                        versions[hashed] = ops - 1
+                        counters[hashed] = [ops, ops]
+                    else:
+                        version = versions[hashed] = store.hget(key, "version") or 0
+                        counters[hashed] = [ops, version]
 
             shard.eval(script)
-        return versions
+            if self._bumps is not None:
+                self._bumps.increment(len(group))
+        return versions, counters
 
     # -- introspection / bootstrap -------------------------------------------
 
@@ -221,22 +225,14 @@ class PublisherVersionStore:
         key = self._key(self.hasher.hash(dep))
         return (self.kv.hget(key, "ops") or 0, self.kv.hget(key, "version") or 0)
 
-    def snapshot(self) -> Dict[str, int]:
-        """hashed_dep -> ops, the bulk payload of bootstrap step 1 (§4.4)."""
-        return {dep: ops for dep, (ops, _version) in self.durable_state().items()}
+    def snapshot(self, hashed_deps: Optional[Iterable[str]] = None) -> Dict[str, int]:
+        """hashed_dep -> ops of every key, or of ``hashed_deps`` (an
+        absent key reads 0): the payload of bootstrap step 1 (§4.4)."""
+        if hashed_deps is None:
+            return {dep: ops for dep, (ops, _version) in self.durable_state().items()}
+        return {dep: self.kv.hget(self._key(dep), "ops") or 0 for dep in hashed_deps}
 
     # -- durability (docs/durability.md, "Restore") ---------------------------
-
-    def counters(self, hashed_deps: Iterable[str]) -> Dict[str, List[int]]:
-        """hashed_dep -> ``[ops, version]`` of the given keys: the
-        post-bump state an ``out`` record carries."""
-        out: Dict[str, List[int]] = {}
-        for hashed in hashed_deps:
-            key = self._key(hashed)
-            out[hashed] = [
-                self.kv.hget(key, "ops") or 0, self.kv.hget(key, "version") or 0
-            ]
-        return out
 
     def durable_state(self) -> Dict[str, List[int]]:
         """hashed_dep -> ``[ops, version]`` of every key (a snapshot's)."""

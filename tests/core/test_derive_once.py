@@ -225,4 +225,4 @@ class TestApplyPathKeepsBehaviour:
         with pytest.raises(ReadOnlyAttributeError):
             row.title = "mine"
         fresh = SubDoc.from_row({"id": 99})
-        assert fresh.title is None and not fresh.new_record and not fresh.changed
+        assert fresh.title is None and not fresh.new_record

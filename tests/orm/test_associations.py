@@ -5,7 +5,7 @@ import pytest
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.errors import ORMError
-from repro.orm import BelongsTo, Field, HasMany, Model, bind_model
+from repro.orm import BelongsTo, Field, Model, bind_model
 from repro.orm.associations import snake_case
 
 
@@ -15,12 +15,10 @@ def build_blog(db=None, registry=None):
 
     class User(Model):
         name = Field(str)
-        posts = HasMany("Post", foreign_key="author_id")
 
     class Post(Model):
         body = Field(str)
         author = BelongsTo("User")
-        comments = HasMany("Comment")
 
     class Comment(Model):
         body = Field(str)
@@ -43,6 +41,11 @@ class TestBelongsTo:
     def test_foreign_key_field_created(self):
         User, Post, Comment = build_blog()
         assert "author_id" in Post.persisted_fields()
+
+    def test_default_foreign_key_from_association_name(self):
+        User, Post, Comment = build_blog()
+        # Comment's ``post = BelongsTo("Post")`` -> post_id
+        assert "post_id" in Comment.persisted_fields()
 
     def test_assign_and_resolve(self):
         User, Post, Comment = build_blog()
@@ -78,27 +81,6 @@ class TestBelongsTo:
         orphan.parent_id = 1
         with pytest.raises(ORMError):
             _ = orphan.parent
-
-
-class TestHasMany:
-    def test_children_resolved(self):
-        User, Post, Comment = build_blog()
-        ada = User.create(name="ada")
-        p1 = Post.create(body="one", author_id=ada.id)
-        Post.create(body="two", author_id=ada.id)
-        Post.create(body="other", author_id=User.create(name="bob").id)
-        assert {p.body for p in ada.posts} == {"one", "two"}
-        Comment.create(body="c", post_id=p1.id, author_id=ada.id)
-        assert len(p1.comments) == 1
-
-    def test_default_foreign_key_from_owner_name(self):
-        User, Post, Comment = build_blog()
-        # Comment's HasMany owner is Post -> post_id
-        assert "post_id" in Comment.persisted_fields()
-
-    def test_unsaved_owner_has_no_children(self):
-        User, Post, Comment = build_blog()
-        assert User(name="x").posts == []
 
 
 class TestCrossEngineAssociations:

@@ -80,14 +80,6 @@ class TestLifecycle:
         other = user_cls.create(name="b")
         assert user.tags is not other.tags
 
-    def test_changed_tracking(self, user_cls):
-        user = user_cls(name="a")
-        assert "name" in user.changed
-        user.save()
-        assert user.changed == set()
-        user.age = 3
-        assert user.changed == {"age"}
-
     def test_unknown_attribute_rejected(self, user_cls):
         user = user_cls(name="a")
         with pytest.raises(ORMError):

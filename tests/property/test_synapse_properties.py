@@ -36,7 +36,7 @@ def publish_all(ops):
     messages = []
     for read_deps, write_deps in ops:
         reads = sorted(read_deps - write_deps)
-        messages.append(store.register_operation(reads, sorted(write_deps)))
+        messages.append(store.register_operation(reads, sorted(write_deps))[0])
     return messages
 
 

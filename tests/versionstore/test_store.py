@@ -93,29 +93,32 @@ class TestPublisherAlgorithm:
             "user/id/1", "user/id/2", "post/id/1", "comment/id/1", "comment/id/2",
         )
         # W1: write [u1, p1]
-        m1 = pub_store.register_operation(read_deps=[], write_deps=[u1, p1])
+        m1, _ = pub_store.register_operation(read_deps=[], write_deps=[u1, p1])
         assert m1 == {u1: 0, p1: 0}
         assert pub_store.current(u1) == (1, 1)
         assert pub_store.current(p1) == (1, 1)
         # W2: read [p1], write [u2, c1]
-        m2 = pub_store.register_operation(read_deps=[p1], write_deps=[u2, c1])
+        m2, counters = pub_store.register_operation(read_deps=[p1], write_deps=[u2, c1])
         assert m2 == {u2: 0, c1: 0, p1: 1}
         assert pub_store.current(p1) == (2, 1)
+        # The post-bump counters, read inside the bump's own script.
+        assert counters == {u2: [1, 1], c1: [1, 1], p1: [2, 1]}
         # W3: read [p1], write [u1, c2]
-        m3 = pub_store.register_operation(read_deps=[p1], write_deps=[u1, c2])
+        m3, _ = pub_store.register_operation(read_deps=[p1], write_deps=[u1, c2])
         assert m3 == {u1: 1, c2: 0, p1: 1}
         assert pub_store.current(u1) == (2, 2)
         assert pub_store.current(p1) == (3, 1)
         # W4: write [u1, p1]
-        m4 = pub_store.register_operation(read_deps=[], write_deps=[u1, p1])
+        m4, _ = pub_store.register_operation(read_deps=[], write_deps=[u1, p1])
         assert m4 == {u1: 2, p1: 3}
         assert pub_store.current(u1) == (3, 3)
         assert pub_store.current(p1) == (4, 4)
 
     def test_write_wins_over_read_for_same_dep(self, pub_store):
-        versions = pub_store.register_operation(read_deps=["x"], write_deps=["x"])
+        versions, counters = pub_store.register_operation(read_deps=["x"], write_deps=["x"])
         # ops: read bump ->1, write bump ->2; message carries version-1=1.
         assert versions == {"x": 1}
+        assert counters == {"x": [2, 2]}
 
     def test_locks_block_concurrent_holders(self, pub_store):
         held = pub_store.acquire_write_locks(["a", "b"])

@@ -49,7 +49,7 @@ WRITES = ["pub/comments/3", "pub/users/2", "pub/posts/9"]
 def test_register_is_one_script_per_shard_with_per_key_operations(n_shards):
     kv = make_kv(n_shards)
     store = PublisherVersionStore(kv)
-    versions = store.register_operation(READS, WRITES)
+    versions, _ = store.register_operation(READS, WRITES)
     assert versions == {**dict.fromkeys(READS, 0), **dict.fromkeys(WRITES, 0)}
     # A read dep is hget ops, hset ops, hget version; a write dep is
     # hget ops, hset ops, hset version — as when each was its own eval.
@@ -58,7 +58,7 @@ def test_register_is_one_script_per_shard_with_per_key_operations(n_shards):
     assert scripts == touched_shards(kv, [f"v:{dep}" for dep in READS + WRITES])
     assert scripts == 1 or n_shards > 1
     # Second operation: the Fig 8 arithmetic is unchanged.
-    again = store.register_operation(READS[:1], WRITES[:1])
+    again, _ = store.register_operation(READS[:1], WRITES[:1])
     assert again == {READS[0]: 0, WRITES[0]: 1}
     assert store.current(WRITES[0]) == (2, 2) and store.current(READS[0]) == (2, 0)
 
