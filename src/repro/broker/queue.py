@@ -6,7 +6,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.broker.message import Message
 from repro.durability.manager import DURABILITY_OFF
@@ -52,6 +52,9 @@ class SubscriberQueue:
         self.max_size = max_size
         self._items: deque = deque()
         self._unacked: Dict[int, Message] = {}
+        #: seqs of the in-flight deliveries a decommission cleared: their
+        #: workers' acks stay tolerated after a heal recommissions.
+        self._cleared: Set[int] = set()
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
         #: Poppers blocked on ``_available``, under ``self._lock``: a
@@ -108,6 +111,7 @@ class SubscriberQueue:
                 )
                 if killed:
                     self._items.clear()
+                    self._cleared.update(self._unacked)
                     self._unacked.clear()
                     self.decommissioned = True
                     flow.reset()
@@ -225,12 +229,12 @@ class SubscriberQueue:
         with self._lock:
             tolerated = message.seq not in self._unacked
             if tolerated:
-                if not self.decommissioned:
+                if not self.decommissioned and message.seq not in self._cleared:
                     raise BrokerError(f"ack of unknown delivery {message.seq}")
                 # Decommission cleared the in-flight table while this
-                # delivery was mid-message: the ack is a tolerated no-op
-                # (the worker learns about the decommission on its next
-                # pop and routes it to on_deadlock).
+                # delivery was mid-message: the ack is a tolerated no-op,
+                # on the dead queue and on the one a heal brought back.
+                self._cleared.discard(message.seq)
             else:
                 del self._unacked[message.seq]
                 self.total_acked += 1

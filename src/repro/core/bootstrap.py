@@ -5,11 +5,14 @@ are transferred, and the subscriber *enters* that generation (flush,
 then adopt, as the live generation gate does — after draining what is
 still queued of the old one); (2) subscribed objects are dumped from
 the publisher's DB and applied locally; (3) messages published
-meanwhile are drained. The subscriber runs with weak semantics
-(``bootstrap_active`` is True) until step 3 completes, and step 3 skips
-what the transfer already holds: a queued message whose written
-objects' counters the transfer moved past its versions is acked as a
-duplicate (its writes are in the dump).
+meanwhile are drained. Until step 3 completes (``bootstrap_active``
+is True) a message waits for nothing and lands fresh-or-discard per
+written object, so an older queued write never overwrites a newer one;
+its other counters (a session user's, ``__global__``) bump as an
+ordered apply bumps them. Step 3 skips what the transfer already
+holds: a queued message whose written objects' counters the transfer
+moved past its versions is acked as a duplicate (its writes are in the
+dump).
 
 A ``scope`` — ``{(publisher, model_name): None | [ids]}``, ``None``
 meaning the whole model — restricts step 2. A full bootstrap loads
@@ -28,7 +31,8 @@ it.
 The same procedure serves the partial bootstrap after a queue
 decommission or a subscriber version-store death, the back-fill of a
 newly published attribute (a model scope, §4.3), and targeted repair of
-the §6.5 loss (``repro.repair``: the audit's divergent ids).
+the §6.5 loss (``repro.repair``: the audit's divergent ids) — which is
+also what a worker pool's give-up runs.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ done by the dependency check itself and acked as a duplicate; a weak
 one is discarded object by object.
 
 Weak mode never waits: it applies fresh updates and discards stale ones.
-During bootstrap every message is handled with weak semantics (§3.2).
+During bootstrap an ordered message does not wait either: it is landed
+fresh-or-discard per written object, and its other own-app counters
+(a session user's, ``__global__``) bump as an ordered apply bumps them.
 
 A subscription is read in one place. :class:`SubscriptionSpec` owns the
 field map in both directions — ``hydrate`` (remote → local, through the
@@ -347,9 +349,10 @@ class SynapseSubscriber:
                 weak = True
             else:
                 # Bootstrap forces weak semantics (§3.2): apply without
-                # waiting, but keep full counter accounting so the
-                # configured mode resumes cleanly once in sync — and skip
-                # what step 1's bulk counter transfer already counted.
+                # waiting, fresh-or-discard per written object, but bump
+                # the other counters so the configured mode resumes
+                # cleanly once in sync — and skip what step 1's bulk
+                # counter transfer already counted.
                 forced = self.bootstrapping
                 required: Dict[str, int] = {}
                 if not forced:
@@ -373,6 +376,7 @@ class SynapseSubscriber:
                     continue
                 if not forced:
                     self._record_dep_wait(message, wait_start)
+                weak = forced
             failure = self._try_apply(message, weak)
             if failure is not None:
                 retry.extend(messages[position:])
@@ -431,7 +435,8 @@ class SynapseSubscriber:
 
     def _apply_one(self, message: Message, weak: bool) -> None:
         """Apply one admitted message: engine writes, the ``apply``
-        record, counter bumps, bookkeeping."""
+        record, counter bumps, bookkeeping. ``weak``: land it
+        fresh-or-discard (weak mode, or forced by a bootstrap)."""
         if weak:
             self._land(message, True, self._save, self._teller(message))
         else:
@@ -453,27 +458,32 @@ class SynapseSubscriber:
         # dependent message, and a dependent's record overtaking this
         # one would make replay land the older write last.
         emit(self.service.ecosystem.durability, SUBSCRIBER_APPLIED, self.service, message)
-        self._count(message, not weak)
+        self._count(message, weak)
         self._processed.increment()
         yield_point("msg.finished", message=message)
         self.service.ecosystem.monitor.observe_applied(self.service.name, message)
         if message.trace is not None:
             self.service.ecosystem.tracer.record(message.trace)
 
-    def _count(self, message: Message, bump: bool) -> None:
-        """Move the counters once a message's writes have landed.
-        ``bump`` increments every own-app dependency; externals are
-        never bumped."""
-        if bump:
-            mode = self.app_modes.get(message.app)
+    def _count(self, message: Message, weak: bool) -> None:
+        """Move the counters once a message's writes have landed. An
+        ordered mode bumps every own-app dependency — after a ``weak``
+        (bootstrap-forced) landing, every one but the written objects',
+        which :meth:`_land` fast-forwarded. Weak mode bumps nothing;
+        externals are never bumped."""
+        mode = self.app_modes.get(message.app, WEAK)
+        if mode != WEAK:
             self.service.subscriber_version_store.apply_counts(
-                message.fact(("bumps", mode), self._bump_order, mode)
+                message.fact(("bumps", mode, weak), self._bump_order, mode, weak)
             )
 
-    def _bump_order(self, message: Message, mode: Optional[str]) -> Dict[str, int]:
+    def _bump_order(self, message: Message, mode: str, weak: bool) -> Dict[str, int]:
         """The counter bumps of one apply in ``mode``, in the order they
         are made."""
         increments = message.counter_increments()
+        if weak:
+            written = self.object_deps(message)
+            increments = {dep: n for dep, n in increments.items() if dep not in written}
         if mode == GLOBAL:
             # The global counter is the gate that admits this message's
             # successor, so it is bumped after the object counters: once
@@ -519,24 +529,11 @@ class SynapseSubscriber:
         if views is not None:
             views.commit_batch()
 
-    def force_apply(self, message: Message) -> None:
-        """Give up waiting for a late/lost dependency and apply anyway
-        (the configurable-timeout semantics recommended in §6.5: causal
-        is timeout=∞, weak is timeout=0, this is anything in between).
-        A message of a generation not yet entered is dropped instead:
-        only the §4.4 gate may flush the old generation's counters."""
-        if message.generation > self.generations.get(message.app, 1):
-            return
-        if not self.applied(message):
-            failure = self._try_apply(message, weak=False)
-            if failure is not None:
-                raise failure
-
     def applied(self, message: Message) -> bool:
         """Has ``message`` been applied? True when every object it
         writes has a counter past the version it carries for that
         object — the dependency check's DONE verdict, asked alone
-        (restore, forced applies). Never for a message of a generation
+        (restore). Never for a message of a generation
         this subscriber has not entered: the gate flushes before such a
         message applies, and its versions restart below the old
         generation's counters."""
@@ -599,7 +596,7 @@ class SynapseSubscriber:
         An ordered message lands every operation. Weak delivery (§3.2)
         is fresh-or-discard per written object: apply unless the local
         replica is already ahead, then fast-forward the object's
-        counter."""
+        counter. A bootstrap-forced apply lands the same way."""
         if not weak:
             for operation in message.operations:
                 self._land_operation(message.app, operation, persist)
@@ -644,14 +641,14 @@ class SynapseSubscriber:
         :meth:`applied`; True when it landed. No callbacks (every cascade they
         produced is already its own log record), no write the publisher
         intercepts, no view hook (views rebuild after restore), no
-        interleave event of this module, no subscriber metric;
-        bootstrap-forced-weak applies bumped like ordered ones, so only
-        the configured mode decides ``weak``."""
+        interleave event of this module, no subscriber metric. An
+        ordered message replays as the live step chose: forced while the
+        subscriber is bootstrapping (the flag a snapshot restores)."""
         if self.applied(message):
             return False
-        weak = self.app_modes.get(message.app, WEAK) == WEAK
+        weak = self.bootstrapping or self.app_modes.get(message.app, WEAK) == WEAK
         self._land(message, weak, self._store_raw)
-        self._count(message, bump=not weak)
+        self._count(message, weak)
         return True
 
     def _generation_ready(self, message: Message) -> bool:

@@ -24,7 +24,9 @@ Invariant identifiers (stable, used by tests and the CLI):
 - ``generation.flush-safety`` — dependency counters are never flushed
   while an older-generation message is in flight.
 - ``delivery.at-least-once`` — every message that entered the queue is
-  applied or explicitly accounted (give-up, decommission).
+  applied or explicitly accounted (give-up, decommission, or acked as a
+  duplicate once a bootstrap load raised every object it writes past
+  the version it carries: its writes came in the bootstrap's dump).
 - ``delivery.dedup`` — no message lands a write or a counter bump
   twice, judged on effects: an ordered message finishes once (its
   redelivery is acked as a duplicate before applying), and a weak
@@ -50,6 +52,9 @@ Invariant identifiers (stable, used by tests and the CLI):
   the product may never have encoded it): nothing, an application
   callback above all, wrote into the containers every local queue and
   every redelivery share.
+- ``replicas.converge`` — a schedule with no fault armed, and one that
+  gave up on a message, ends with the replicas digest-equal: a give-up
+  heals (checked by the harness at the end of the schedule).
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ INV_VIEW = "views.read-freshness"
 INV_CDC = "cdc.outbox-delivery"
 INV_SAGA = "saga.inventory-balance"
 INV_IMMUTABLE = "body.immutable"
+INV_CONVERGE = "replicas.converge"
 
 
 @dataclass
@@ -135,7 +141,9 @@ class DeliveryChecker:
         #: uid -> message, popped but not yet acked/nacked.
         self.in_flight: Dict[str, Any] = {}
         self.gave_up: set = set()
-        self.crashed: set = set()
+        #: uids acked as duplicates without ever applying: a bootstrap
+        #: load had moved every object they write past their versions.
+        self.loaded_past: set = set()
         #: absorbed uid -> survivor uid (flow-control coalescing).
         self.coalesced_into: Dict[str, str] = {}
         #: uids the admission layer shed (never entered the queue).
@@ -164,6 +172,8 @@ class DeliveryChecker:
         self.cache_hits = 0
         self.cache_misses = 0
         self._counter_floor: Dict[str, int] = {}
+        #: dep -> the counter value a bootstrap last loaded for it.
+        self._loaded: Dict[str, int] = {}
         self._weak_applied: Dict[str, int] = {}
         #: uids whose apply in progress landed a fresh weak write.
         self._landed: set = set()
@@ -347,7 +357,17 @@ class DeliveryChecker:
                 )
 
     def _on_dedup_duplicate(self, info: Dict[str, Any]) -> None:
+        """A duplicate of a message that never applied is accounted
+        only when a load moved each object it writes past the version
+        it carries — its writes are in a bootstrap's dump."""
         self.duplicates += 1
+        message = info["message"]
+        fate, carried = self.entered.get(message.uid), message.dependencies
+        if fate is not None and not fate.finishes and all(
+            self._loaded.get(dep, 0) > carried.get(dep, 0)
+            for dep in self.subscriber.object_deps(message)
+        ):
+            self.loaded_past.add(message.uid)
 
     def _on_apply_weak(self, info: Dict[str, Any]) -> None:
         self._landed.add(info["message"].uid)
@@ -393,6 +413,9 @@ class DeliveryChecker:
             )
         self._counter_floor[dep] = value
 
+    def _on_counter_loaded(self, info: Dict[str, Any]) -> None:
+        self._loaded[info["dep"]] = info["value"]
+
     def _on_generation_flush(self, info: Dict[str, Any]) -> None:
         app, generation = info["app"], info["generation"]
         older = [
@@ -407,12 +430,12 @@ class DeliveryChecker:
                 f"{generation} while older-generation deliveries {older} "
                 "were still in flight (popped, unacked)",
             )
-        self._counter_floor.clear()
-        self._weak_applied.clear()
+        self._on_store_flush(info)
         self._last_global_version = None
 
     def _on_store_flush(self, info: Dict[str, Any]) -> None:
         self._counter_floor.clear()
+        self._loaded.clear()
         self._weak_applied.clear()
 
     # -- worker fates ---------------------------------------------------------
@@ -420,19 +443,17 @@ class DeliveryChecker:
     def _on_worker_gave_up(self, info: Dict[str, Any]) -> None:
         self.gave_up.add(info["message"].uid)
 
-    def _on_worker_crashed(self, info: Dict[str, Any]) -> None:
-        self.crashed.add(info["message"].uid)
-
     # -- end-of-schedule accounting ------------------------------------------
 
     def _accounted(self, uid: str) -> bool:
-        """Applied or given up — following coalesce edges: an absorbed
-        message is delivered exactly when its (transitive) survivor is."""
+        """Applied, given up or loaded past — following coalesce edges:
+        an absorbed message is delivered exactly when its (transitive)
+        survivor is."""
         seen = set()
         while uid not in seen:
             seen.add(uid)
             fate = self.entered.get(uid)
-            if (fate is not None and fate.finishes > 0) or uid in self.gave_up:
+            if fate is not None and fate.finishes or uid in self.gave_up or uid in self.loaded_past:
                 return True
             survivor = self.coalesced_into.get(uid)
             if survivor is None:
@@ -450,7 +471,7 @@ class DeliveryChecker:
                     Violation(
                         INV_ALO,
                         f"message {uid} entered the queue but was never "
-                        "applied, given up on, or decommissioned away",
+                        "applied, given up on, loaded past or decommissioned away",
                     )
                 )
         if self.views is not None:

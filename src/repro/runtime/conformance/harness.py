@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.delivery import CAUSAL, GLOBAL, WEAK, validate_mode
 from repro.errors import QueueDecommissioned
 from repro.runtime.conformance.checker import (
+    INV_CONVERGE,
     INV_DURABLE,
     INV_WORKER,
     DeliveryChecker,
@@ -294,6 +295,19 @@ class ConformanceHarness:
             manager2.close()
         return violations
 
+    # -- convergence ----------------------------------------------------------
+
+    def _check_convergence(self) -> List[Violation]:
+        """INV_CONVERGE: with no fault armed, or once a message was
+        given up on (and so healed), the quiescent replicas are
+        digest-equal. A lost write nothing waits on is left to the
+        audit: it need not converge."""
+        gave_up = len(self.checker.gave_up)
+        if self.config.faults and not gave_up or self.sub.audit_replication().in_sync:
+            return []
+        return [Violation(INV_CONVERGE, f"replicas diverged at the end of the schedule "
+                                        f"(gave up on {gave_up} message(s))")]
+
     def _cleanup_durability(self) -> None:
         import shutil
 
@@ -390,7 +404,8 @@ class ConformanceHarness:
         """One virtual pool worker: ``pop_many`` a batch (one message
         unless the schedule has flow on), then the production worker
         step — ``SubscriberWorkerPool.process`` and ``.settle`` inside
-        one ``queue.step``. A crash worker (``abandon_after``) leaves
+        one ``queue.step``; a decommissioned queue is healed, as a pool
+        thread heals it. A crash worker (``abandon_after``) leaves
         the step without settling — what a real pool worker dying
         mid-batch leaves behind. The pop size is ``batch_limit``, as in
         a pool thread and ``drain()``."""
@@ -404,8 +419,8 @@ class ConformanceHarness:
                 try:
                     batch = queue.pop_many(limit, timeout=0.0)
                 except QueueDecommissioned:
-                    observe_point("worker.decommissioned", worker=wid)
-                    return
+                    pool.heal("queue.decommissioned")
+                    continue
                 if not batch:
                     if self._drained():
                         observe_point("worker.drained", worker=wid)
@@ -432,9 +447,7 @@ class ConformanceHarness:
                                 "worker.crashed", worker=wid, message=message
                             )
                         return
-                    if not pool.settle(done, retry, errors):
-                        observe_point("worker.decommissioned", worker=wid)
-                        return
+                    pool.settle(done, retry, errors)
             except Exception as exc:  # noqa: BLE001 — the invariant itself
                 self.checker.violation(
                     INV_WORKER,
@@ -528,6 +541,7 @@ class ConformanceHarness:
                 f"{type(error).__name__}: {error}",
             )
         violations = self.checker.finalize()
+        violations.extend(self._check_convergence())
         if self.config.durability:
             try:
                 violations.extend(self._check_restore_equivalence())
@@ -544,13 +558,10 @@ class ConformanceHarness:
                 step=violation.step,
                 schedule=config.describe(),
             )
-        queue = self.sub.subscriber.queue
         stats = {
             "script_ops": len(self.script),
             "entered": len(self.checker.entered),
-            "applied": sum(
-                1 for fate in self.checker.entered.values() if fate.finishes
-            ),
+            "applied": sum(1 for fate in self.checker.entered.values() if fate.finishes),
             "duplicates": self.checker.duplicates,
             "gave_up": len(self.checker.gave_up),
             "tolerated_acks": self.checker.tolerated_acks,
@@ -559,7 +570,6 @@ class ConformanceHarness:
             "shed": len(self.checker.shed),
             "cache_hits": self.checker.cache_hits,
             "cache_misses": self.checker.cache_misses,
-            "decommissioned": queue.decommissioned if queue is not None else False,
             "steps": self.scheduler.steps,
         }
         return ScheduleResult(

@@ -6,20 +6,24 @@ subscriber's ``batch_limit``, the flow controller's ``batch_max`` (one
 with flow control off) — and runs the worker step on it:
 :meth:`SubscriberWorkerPool.process` (wait, up to a timeout, for its
 dependencies and apply) then :meth:`SubscriberWorkerPool.settle` (ack,
-nack, defer or give up). A message that exceeds the retry budget
-triggers the deadlock callback — production Synapse rebootstraps the
-subscriber at that point (§6.5). The conformance harness schedules the
-same two halves (docs/delivery_semantics.md, "The worker step").
+nack, defer or give up). A message that exceeds the retry budget is
+given up on (§6.5): acked, then healed where production Synapse
+rebootstraps the subscriber — by the audit-driven repair, a bootstrap
+scoped to what diverged (:func:`repro.repair.repair_subscriber`). A
+decommissioned queue heals the same way. The conformance harness
+schedules the same two halves (docs/delivery_semantics.md, "The worker
+step").
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.errors import DurabilityError, QueueDecommissioned
-from repro.runtime.interleave import observe_point
+from repro.repair.repairer import repair_subscriber
+from repro.runtime.interleave import observe_point, yield_point
 
 
 class WorkerFleet:
@@ -97,20 +101,14 @@ class SubscriberWorkerPool:
         workers: int = 4,
         wait_timeout: float = 0.2,
         max_deliveries: int = 20,
-        on_deadlock: Optional[Callable[[Any], None]] = None,
-        give_up_action: str = "drop",
     ) -> None:
-        if give_up_action not in ("drop", "apply"):
-            raise ValueError("give_up_action must be 'drop' or 'apply'")
         self.service = service
         self.workers = workers
         self.wait_timeout = wait_timeout
         self.max_deliveries = max_deliveries
-        self.on_deadlock = on_deadlock
-        #: What to do with a message whose dependencies never arrive:
-        #: "drop" it, or "apply" it with weak semantics (§6.5's
-        #: configurable give-up timeout).
-        self.give_up_action = give_up_action
+        #: One heal at a time: a give-up that arrives while one runs
+        #: waits, then audits what is left.
+        self._healing = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         self._active = 0
@@ -121,7 +119,7 @@ class SubscriberWorkerPool:
         self._idle = threading.Condition(self._active_lock)
         # Registry counters: they accumulate across this service's pools.
         registry = service.ecosystem.metrics
-        self._deadlocked = registry.counter(f"workers.{service.name}.deadlocked")
+        self._gave_up = registry.counter(f"workers.{service.name}.gave_up")
         #: Messages whose apply raised (DB fault, bad payload): they are
         #: nacked and retried until the delivery budget runs out.
         self._apply_errors = registry.counter(f"workers.{service.name}.apply_errors")
@@ -185,125 +183,119 @@ class SubscriberWorkerPool:
             self._apply_errors.increment(errors)
         return done, retry, errors
 
-    def settle(self, done: List[Any], retry: List[Any], errors: int) -> bool:
+    def settle(self, done: List[Any], retry: List[Any], errors: int) -> None:
         """Return every delivery of a processed batch to the queue: ack
         what applied; give up (§6.5) on what is over its delivery
-        budget; retry the rest. False when the queue was decommissioned
-        under the batch (routed to ``on_deadlock``; the worker is
-        finished). A ``DurabilityError`` passes through.
+        budget — ack it, then :meth:`heal`; retry the rest. A
+        ``DurabilityError`` passes through.
 
         A batch that applied nothing and raised nothing stalled purely
         on dependency waits: its missing predecessors are behind it in
         the queue. Such a batch is *deferred* — rotated to the back so
         the chain head surfaces; nacking it to the front would re-pop
         the same messages while the predecessor starves. A batch that
-        made progress, or failed, is nacked and retries at the front."""
+        made progress, or failed, is nacked and retries at the front.
+        The give-ups heal last, with the rest of the batch back in the
+        queue for the heal's drain."""
         queue = self.service.subscriber.queue
         stalled = not done and not errors
-        try:
-            for message in done:
+        given_up = []
+        for message in done:
+            queue.ack(message)
+        for message in retry:
+            if message.delivery_count >= self.max_deliveries:
+                # Record-only: the conformance checker's accounting of
+                # a message that will never apply.
+                observe_point("worker.gave_up", message=message)
                 queue.ack(message)
-            for message in retry:
-                if message.delivery_count >= self.max_deliveries:
-                    self._give_up(message)
-                elif stalled:
-                    queue.defer(message)
-                else:
-                    queue.nack(message)
-        except QueueDecommissioned:
-            # The queue died while these deliveries were in flight (their
-            # ack/nack is a tolerated no-op). Route the decommission like
-            # the pop path does instead of letting the exception kill the
-            # worker silently.
-            self._on_decommission()
-            return False
-        return True
+                given_up.append(message.uid)
+            elif stalled:
+                queue.defer(message)
+            else:
+                queue.nack(message)
+        if given_up:
+            self._gave_up.increment(len(given_up))
+            self.heal("worker.gave_up", uids=given_up)
+
+    def heal(self, kind: str, **evidence: Any) -> None:
+        """Heal the subscriber as a bootstrap would (§4.4, §6.5): bring
+        a decommissioned queue back, then repair — audit, land the
+        divergent rows, drain, raise the deficits. The given-up
+        message's object and the object of any lost write are in the
+        audit's scope. Records one ``kind`` anomaly with the repair's
+        evidence, or with the error a failed repair raised: the worker
+        lives on, and a later heal or ``repair_subscriber`` converges.
+        A ``DurabilityError`` passes through. Give-ups, decommissions
+        and a failed log are exactly the §6.5 events a postmortem needs
+        frozen: each is a flight-recorder anomaly."""
+        service, queue = self.service, self.service.subscriber.queue
+        # Polled, not blocked on: under the conformance scheduler the
+        # healer is parked at a yield point inside its drain.
+        while not self._healing.acquire(timeout=self.wait_timeout):
+            yield_point("worker.heal_wait")
+        try:
+            if queue.decommissioned:
+                queue.recommission()
+            result = repair_subscriber(service, reaudit=False)
+        except DurabilityError:
+            raise
+        except Exception as exc:
+            evidence["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            evidence.update(objects_repaired=result.objects_repaired,
+                            landed=result.landed, stuck=result.stuck)
+        finally:
+            self._healing.release()
+        service.ecosystem.recorder.anomaly(kind, service=service.name, **evidence)
 
     def _run(self) -> None:
         """One pool thread: pop up to ``batch_limit`` deliveries in one
-        lock round-trip, then run the worker step on them."""
+        lock round-trip, then run the worker step on them; heal a
+        decommissioned queue and keep popping."""
         subscriber = self.service.subscriber
         queue = subscriber.queue
         if queue is None:
             return
         limit = subscriber.batch_limit
-        flow = queue.flow
         while not self._stop.is_set():
             try:
                 batch = queue.pop_many(limit, timeout=0.05)
             except QueueDecommissioned:
-                self._on_decommission()
-                return
-            if not batch:
+                batch = None  # heal the queue, then pop again
+            if batch == []:
                 continue
             with self._active_lock:
                 self._active += 1
             try:
+                if batch is None:
+                    self.heal("queue.decommissioned")
+                    continue
                 # One WAL step (nothing without durability): the batch's
                 # ``apply`` records and the acks that settle it reach the
                 # kernel in one write when the block ends.
                 with queue.step:
-                    done, retry, errors = self.process(batch)
-                    if not self.settle(done, retry, errors):
-                        return
-                flow.batch_size.record(len(batch))
+                    self.settle(*self.process(batch))
+                queue.flow.batch_size.record(len(batch))
             except DurabilityError as exc:
-                # From an apply's record, an ack's, or the write that
-                # ends the step: the log is fail-stop, nothing settled
-                # after it is durable, so the pool is finished.
-                self._on_fatal(exc)
+                # From an apply's record, an ack's, a heal's, or the
+                # write that ends the step: the log is fail-stop, nothing
+                # settled after it is durable, so every worker stops
+                # popping, and the one that hit it first records one
+                # ``worker.fatal`` anomaly: restart the process over the
+                # surviving log prefix (docs/durability.md).
+                with self._active_lock:
+                    first = not self._stop.is_set()
+                    self._stop.set()
+                if first:
+                    self.service.ecosystem.recorder.anomaly(
+                        "worker.fatal", service=self.service.name,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
                 return
             finally:
                 with self._idle:
                     self._active -= 1
                     self._idle.notify_all()
-
-    def _on_decommission(self) -> None:
-        self._record_anomaly("queue.decommissioned")
-        if self.on_deadlock is not None:
-            self.on_deadlock(self.service)
-
-    def _on_fatal(self, error: DurabilityError) -> None:
-        """The WAL failed under a worker. Like a decommission this ends
-        the pool — every worker stops popping — and the owner hears of
-        it once, from the worker that hit it first: restart the process
-        over the surviving log prefix (docs/durability.md)."""
-        with self._active_lock:
-            first = not self._stop.is_set()
-            self._stop.set()
-        if first:
-            self._record_anomaly(
-                "worker.fatal", error=f"{type(error).__name__}: {error}"
-            )
-            if self.on_deadlock is not None:
-                self.on_deadlock(self.service)
-
-    def _give_up(self, message: Any) -> None:
-        """Give-up timeout reached (§6.5): drop or weak-apply, then ack."""
-        subscriber = self.service.subscriber
-        # Record-only: the conformance checker's accounting of a message
-        # that will never apply.
-        observe_point("worker.gave_up", message=message)
-        if self.give_up_action == "apply":
-            subscriber.force_apply(message)
-        subscriber.queue.ack(message)
-        self._deadlocked.increment()
-        self._record_anomaly(
-            "worker.deadlock",
-            uid=message.uid,
-            app=message.app,
-            deliveries=message.delivery_count,
-            action=self.give_up_action,
-        )
-        if self.on_deadlock is not None:
-            self.on_deadlock(self.service)
-
-    def _record_anomaly(self, kind: str, **data: Any) -> None:
-        """Flight-recorder hook: give-ups and decommissions are exactly
-        the §6.5 events a postmortem needs frozen."""
-        self.service.ecosystem.recorder.anomaly(
-            kind, service=self.service.name, **data
-        )
 
     # -- synchronisation -----------------------------------------------------------
 

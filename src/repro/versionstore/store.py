@@ -441,6 +441,8 @@ class SubscriberVersionStore:
                 store.hset(key, "ops", max(current, ops))
 
             self.kv.eval_on(key, script)
+            # Record-only: a bootstrap loads under an object lock.
+            observe_point("counter.loaded", dep=hashed_dep, value=ops)
         self._wake()
 
     def flush(self) -> None:

@@ -74,6 +74,16 @@ class TestDecommissionTolerance:
         queue.nack(inflight)
         assert queue.stats()["queued"] == 0
 
+    def test_ack_after_a_heal_recommissioned_the_queue_is_noop(self):
+        """A worker pool heals a decommission while another worker is
+        still mid-message: that worker's ack must not kill it."""
+        queue, inflight = self._decommissioned_with_inflight()
+        queue.recommission()
+        queue.ack(inflight)
+        assert queue.stats()["acked"] == 0
+        with pytest.raises(BrokerError):
+            queue.ack(inflight)  # tolerated once, not for ever
+
     def test_next_pop_still_reports_decommission(self):
         queue, inflight = self._decommissioned_with_inflight()
         queue.ack(inflight)

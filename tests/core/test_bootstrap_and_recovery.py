@@ -100,6 +100,36 @@ class TestBootstrap:
         sub.subscriber.drain()
         assert SubUser.find(user.id).name == "v3"
 
+    def test_forced_applies_never_land_an_older_write_over_a_newer(self, eco):
+        """A bootstrap's drain lands a queued write fresh-or-discard. The
+        newest of three writes of one object reaches the queue first,
+        while the object's counter is behind all three (the older two
+        are held by a crashed worker): it lands and moves the counter
+        past the other two, which are acked as duplicates once they
+        come back."""
+        pub, User = make_publisher(eco)
+        sub, SubUser = make_subscriber(eco)
+        other = User.create(name="other")
+        sub.subscriber.drain()
+        user = User.create(name="v1")
+        user.update(name="v2")
+        user.update(name="v3")
+        queue = sub.subscriber.queue
+        writes = [queue.pop() for _ in range(3)]
+        queue.nack(writes[-1])
+
+        # A targeted bootstrap of another object drains the queue forced.
+        bootstrap_subscriber(sub, scope={("pub", "User"): [other.id]})
+        assert SubUser.find(user.id).name == "v3"
+        assert queue.requeue_unacked() == 2
+        assert sub.subscriber.drain() == 2
+        assert eco.metrics.value("subscriber.sub.duplicates") == 2
+        assert SubUser.find(user.id).name == "v3"
+        assert sub.subscriber.stuck_dependencies() == {}
+        user.update(name="v4")
+        assert sub.subscriber.drain() == 1
+        assert SubUser.find(user.id).name == "v4"
+
 
 class TestQueueOverflowDecommission:
     def test_overflow_kills_queue_then_partial_bootstrap_recovers(self, eco):

@@ -6,7 +6,7 @@ injected message loss and injected at-least-once redeliveries. At the
 end, the central registry's counters must balance to the message:
 
     published * fanout == routed + dropped
-    processed + duplicates + deadlocked == delivered (acked)
+    processed + duplicates + gave_up == delivered (acked)
     no double-apply (row count == distinct applied creates)
 """
 
@@ -85,7 +85,7 @@ class TestRegistryReconciliation:
             for message in captured[:REDELIVERIES]:
                 sub_queue.publish(message.delivery())
             assert pool.wait_until_idle(timeout=30)
-            deadlocked = eco.metrics.value("workers.sub.deadlocked")
+            gave_up = eco.metrics.value("workers.sub.gave_up")
 
         assert errors == []
         metrics = eco.metrics
@@ -101,12 +101,12 @@ class TestRegistryReconciliation:
         assert metrics.value("broker.dropped") == DROPPED
 
         # Everything delivered to the subscriber was acked, and every ack
-        # is accounted for as processed, duplicate or deadlocked.
+        # is accounted for as processed, duplicate or given up.
         sub_queue = sub.subscriber.queue
         assert len(sub_queue) == 0 and sub_queue.unacked_count == 0
         processed = metrics.value("subscriber.sub.processed")
         duplicates = metrics.value("subscriber.sub.duplicates")
-        assert processed + duplicates + deadlocked == sub_queue.total_acked
+        assert processed + duplicates + gave_up == sub_queue.total_acked
         assert sub_queue.total_acked == sub_queue.total_published
 
         # Every injected redelivery either deduplicated (its original was
@@ -133,6 +133,6 @@ class TestRegistryReconciliation:
             "publisher.pub.published",
             "subscriber.sub.processed",
             "subscriber.sub.duplicates",
-            "workers.sub.deadlocked",
+            "workers.sub.gave_up",
         ):
             assert name in snap

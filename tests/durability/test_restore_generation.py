@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.runtime.workers import SubscriberWorkerPool
 from tests.durability.test_restore import build_pipeline, replicas_in_sync
 
 
@@ -53,20 +54,45 @@ def test_restore_keeps_new_generation_deliveries(tmp_path, drained, snapshot):
 
 
 def test_give_up_never_applies_past_the_generation_gate(tmp_path):
-    """The pool's give-up path asks the same question: a newer-generation
-    message it forces must not land before the gate has flushed the old
-    generation's counters."""
+    """A pool gives up on a generation-2 message that the gate holds
+    back behind a stuck generation-1 one. The heal drains generation 1,
+    against generation 1's counters, before it enters generation 2:
+    nothing of the new generation lands before the flush."""
     eco, pub, sub, _, PubDoc, SubDoc = build_pipeline(tmp_path)
     with pub.controller():
         doc = PubDoc.create(name="doc", value=1)
     sub.subscriber.drain()
+    eco.broker.drop_next(1)
+    with pub.controller():
+        for value in (2, 3):  # 2 is lost: 3 waits for it
+            doc.value = value
+            doc.save()
     pub.recover_publisher_version_store()
     with pub.controller():
-        doc.value = 2
+        doc.value = 4
         doc.save()
-    message = sub.subscriber.queue.pop(timeout=0)
-    assert message.generation == 2
-    sub.subscriber.force_apply(message)
-    assert sub.subscriber.generations.get("pub", 1) == 1
+    queue = sub.subscriber.queue
+    old, new = queue.pop(timeout=0), queue.pop(timeout=0)
+    assert (old.generation, new.generation) == (1, 2)
+    queue.nack(old)
+    queue.nack(new)  # the new-generation message is one delivery ahead
+    assert queue.pop(timeout=0) is new
+    queue.nack(new)
+
+    pool = SubscriberWorkerPool(sub, workers=1, wait_timeout=0.01, max_deliveries=3)
+    with pool:
+        assert pool.wait_until_idle(timeout=20)
+    (gave_up,) = eco.recorder.events("worker.gave_up")
+    assert gave_up.data["uids"] == [new.uid]
+    assert sub.subscriber.generations["pub"] == 2
+    # The generation-1 write applied (forced), then the flush, then the
+    # generation-2 row landed.
+    assert eco.metrics.value("subscriber.sub.processed") == 2
+    assert replicas_in_sync(pub, sub)
+    assert sub.subscriber.stuck_dependencies() == {}
+    with pub.controller():
+        doc.value = 5
+        doc.save()
+    assert sub.subscriber.drain() == 1
     rows = SubDoc.__mapper__._do_where({}, None, None)
-    assert [row["value"] for row in rows] == [1]
+    assert [row["value"] for row in rows] == [5]

@@ -200,7 +200,7 @@ def test_full_disk_under_a_worker_pool_is_fatal_not_an_apply_error(
     """A WAL failure under a pool is fail-stop, not an apply error: it
     used to be counted, nacked and retried until a later ack raised the
     same error out of the worker loop — threads dying one by one with no
-    callback, ``wait_until_idle`` left to time out."""
+    anomaly, ``wait_until_idle`` left to time out."""
     eco, pub, (sub,), manager, PubDoc = build_pipeline(tmp_path)
     with pub.controller():
         for i in range(6):
@@ -208,16 +208,16 @@ def test_full_disk_under_a_worker_pool_is_fatal_not_an_apply_error(
     on_disk = len(lines_on_disk(manager))
 
     disk["writes_left"] = 0
-    told = []
-    pool = SubscriberWorkerPool(
-        sub, workers=2, wait_timeout=0.05, on_deadlock=told.append
-    )
+    pool = SubscriberWorkerPool(sub, workers=2, wait_timeout=0.05)
     with pool:
         workers = list(pool._threads)
         for worker in workers:
             worker.join(timeout=10)
         assert not any(worker.is_alive() for worker in workers)
-    assert told == [sub]  # once, whichever worker hit it first
+    # Once, whichever worker hit it first; nothing else is told.
+    assert [event.kind for event in eco.recorder.anomalies()] == [
+        "durability.io_error", "worker.fatal",
+    ]
     fatal = eco.recorder.events("worker.fatal")
     assert len(fatal) == 1 and fatal[0].data["service"] == "sub"
     assert fatal[0].data["error"].startswith("WALWriteFailed")

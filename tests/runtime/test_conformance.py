@@ -2,7 +2,6 @@
 and one committed schedule per fixed race (each re-broken by reverting
 its fix in-place and asserting the checker names the right invariant)."""
 
-import threading
 import time
 from unittest import mock
 
@@ -228,8 +227,8 @@ class TestSweepRunsTheProductionWorkerStep:
     """What scheduling ``SubscriberWorkerPool.process``/``settle``
     (instead of a copy that nacked) buys, asserted over the CI matrix's
     first 20 seeds: stalled batches rotate, the rotation is logged and
-    replayed by the restore-equivalence check, and the give-up is the
-    pool's own."""
+    replayed by the restore-equivalence check, and the give-up — and
+    its heal — is the pool's own."""
 
     @pytest.fixture(scope="class")
     def swept(self):
@@ -244,11 +243,15 @@ class TestSweepRunsTheProductionWorkerStep:
         with mock.patch.object(
             DurabilityManager, "_replay_record", spy_replay
         ), mock.patch.object(
-            workers_mod.SubscriberWorkerPool, "_give_up", autospec=True,
-            side_effect=workers_mod.SubscriberWorkerPool._give_up,
-        ) as give_up:
+            workers_mod.SubscriberWorkerPool, "heal", autospec=True,
+            side_effect=workers_mod.SubscriberWorkerPool.heal,
+        ) as heal:
             results = [run_schedule(config) for config in default_matrix(20)]
-        return results, replayed_defers, give_up.call_count
+        give_ups = sum(
+            len(call.kwargs["uids"]) for call in heal.call_args_list
+            if call.args[1] == "worker.gave_up"
+        )
+        return results, replayed_defers, give_ups
 
     def test_every_schedule_is_clean(self, swept):
         failed = [r.config.describe() for r in swept[0] if not r.ok]
@@ -483,7 +486,8 @@ class TestDrainLeakScenario:
 
 class TestWorkerPoolDecommissionRouting:
     """A real pool worker must survive a decommission mid-message and
-    route the condition to ``on_deadlock`` instead of dying silently."""
+    heal it — recommission, repair what the decommission lost — instead
+    of dying silently."""
 
     def test_pool_worker_routes_decommission_to_on_deadlock(self):
         from repro.core import Ecosystem
@@ -504,17 +508,23 @@ class TestWorkerPoolDecommissionRouting:
         class SubDoc(Model):
             name = Field(str)
 
-        deadlocked = threading.Event()
-        pool = workers_mod.SubscriberWorkerPool(
-            sub, workers=2, on_deadlock=lambda service: deadlocked.set()
-        )
+        pool = workers_mod.SubscriberWorkerPool(sub, workers=2, wait_timeout=0.05)
+        queue = sub.subscriber.queue
         with pool:
             with pub.controller():
                 for i in range(10):  # overflow: queue_limit=3
                     PubDoc.create(name=f"doc-{i}")
-            assert deadlocked.wait(5.0)
+            deadline = time.monotonic() + 10
+            while queue.decommissioned or not pool.wait_until_idle(timeout=1):
+                assert time.monotonic() < deadline
+            threads = list(pool._threads)
+            assert all(thread.is_alive() for thread in threads)
         # No thread died on an unhandled exception: stop() joined all.
-        assert not any(thread.is_alive() for thread in pool._threads)
+        assert not any(thread.is_alive() for thread in threads)
+        healed = eco.recorder.events("queue.decommissioned")
+        assert healed and all("error" not in event.data for event in healed)
+        assert SubDoc.count() == 10
+        assert sub.audit_replication().in_sync
 
 
 class TestSchedulerHasNoWallClockSleeps:

@@ -118,7 +118,7 @@ class TestWorkerStallRotation:
         assert sub.subscriber.batch_limit == 1  # FLOW_OFF: one message a pop
         with pool:
             assert pool.wait_until_idle(timeout=20)
-        assert eco.metrics.value("workers.sub.deadlocked") == 0
+        assert eco.metrics.value("workers.sub.gave_up") == 0
         for doc in docs:
             assert SubDoc.__mapper__.find(doc.id) is not None
 
@@ -137,7 +137,7 @@ class TestWorkerStallRotation:
         assert sub.subscriber.batch_limit == 8
         with pool:
             assert pool.wait_until_idle(timeout=20)
-        assert eco.metrics.value("workers.sub.deadlocked") == 0
+        assert eco.metrics.value("workers.sub.gave_up") == 0
         for doc in docs:
             assert SubDoc.__mapper__.find(doc.id) is not None
 
@@ -177,6 +177,6 @@ class TestWorkerStallRotation:
             with pool:
                 assert pool.wait_until_idle(timeout=20)
         assert blocked_on_first == []
-        assert eco.metrics.value("workers.sub.deadlocked") == 0
+        assert eco.metrics.value("workers.sub.gave_up") == 0
         for doc in docs:
             assert SubDoc.__mapper__.find(doc.id) is not None

@@ -26,10 +26,10 @@ class TestRings:
     def test_event_kind_filter_and_anomalies(self):
         recorder = FlightRecorder()
         recorder.record_event("broker.drop", uid="pub:1")
-        recorder.anomaly("worker.deadlock", uid="pub:2")
+        recorder.anomaly("worker.gave_up", uid="pub:2")
         assert [e.kind for e in recorder.events("broker.drop")] == ["broker.drop"]
         anomalies = recorder.anomalies()
-        assert [e.kind for e in anomalies] == ["worker.deadlock"]
+        assert [e.kind for e in anomalies] == ["worker.gave_up"]
         assert anomalies[0].severity == "anomaly"
 
     def test_clear(self):

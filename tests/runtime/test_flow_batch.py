@@ -183,7 +183,7 @@ class TestBatchedWorkerPool:
         for doc in docs:
             assert SubDoc.__mapper__.find(doc.id) is not None
         assert eco.metrics.snapshot("flow.")["flow.sub.batch_size"]["count"] > 0
-        assert eco.metrics.value("workers.sub.deadlocked") == 0
+        assert eco.metrics.value("workers.sub.gave_up") == 0
 
     def test_a_pool_pops_batch_limit_like_drain(self):
         """Under flow control a pool pops ``batch_limit`` deliveries —

@@ -471,14 +471,18 @@ def test_each_failure_model_row_names_what_executes_it():
 #
 # What happens to a popped batch lives in ``SubscriberWorkerPool.process``
 # and ``.settle`` (``runtime/workers.py``); the pool's threads and the
-# conformance harness's virtual workers both run them. ``drain`` is the
+# conformance harness's virtual workers both run them, and both heal a
+# decommissioned queue the pool's way. ``drain`` is the
 # deliberate second consumer: it holds what it could not apply and
 # re-queues once at the end.
 
 #: method -> the (module, function) sites that may call it.
 WORKER_STEP_CALLERS = {
     "defer": {("runtime/workers.py", "settle")},
-    "_give_up": {("runtime/workers.py", "settle")},
+    "heal": {
+        ("runtime/workers.py", "settle"), ("runtime/workers.py", "_run"),
+        ("runtime/conformance/harness.py", "_subscriber_loop"),
+    },
     "nack": {("runtime/workers.py", "settle"), ("core/subscriber.py", "drain")},
     "process_batch": {
         ("runtime/workers.py", "process"), ("core/subscriber.py", "drain"),

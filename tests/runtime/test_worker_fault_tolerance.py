@@ -5,6 +5,7 @@ from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
+from repro.repair import repair_subscriber
 from repro.runtime.workers import SubscriberWorkerPool
 
 
@@ -53,17 +54,27 @@ class TestApplyFaults:
 
     def test_poison_message_eventually_dropped(self):
         """An apply that always fails exhausts the delivery budget and is
-        dropped (counted), instead of wedging the queue."""
+        given up on, instead of wedging the queue. The heal fails too —
+        the engine is down — and says so in its anomaly, but the worker
+        lives on: later traffic lands through the pool, and one repair
+        once the engine is back converges."""
         eco, pub, User, sub, SubUser = build()
         sub.database.faults.down = True
-        User.create(name="poison")
+        poison = User.create(name="poison")
         pool = SubscriberWorkerPool(sub, workers=1, wait_timeout=0.01,
                                     max_deliveries=3)
         with pool:
             assert pool.wait_until_idle(timeout=20)
-        assert eco.metrics.value("workers.sub.deadlocked") == 1
-        sub.database.faults.down = False
-        # Queue is clear; later traffic flows.
-        User.create(name="fresh")
-        sub.subscriber.drain()
-        assert SubUser.count(name="fresh") == 1
+            assert eco.metrics.value("workers.sub.gave_up") == 1
+            (gave_up,) = eco.recorder.events("worker.gave_up")
+            assert gave_up.data["error"]
+            assert sub.subscriber.queue.unacked_count == 0
+            assert all(thread.is_alive() for thread in pool._threads)
+
+            sub.database.faults.down = False
+            User.create(name="fresh")
+            assert pool.wait_until_idle(timeout=20)
+            assert SubUser.count(name="fresh") == 1
+        result = repair_subscriber(sub)
+        assert result.verified_in_sync
+        assert SubUser.find(poison.id).name == "poison"

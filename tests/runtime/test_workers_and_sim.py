@@ -87,14 +87,16 @@ class TestWorkerPool:
         eco.broker.drop_next(1)
         user.update(name="v2")  # lost
         user.update(name="v3")  # now blocked forever
-        hits = []
         pool = SubscriberWorkerPool(
             sub, workers=2, wait_timeout=0.01, max_deliveries=3,
-            on_deadlock=lambda svc: hits.append(svc.name),
         )
         with pool:
-            pool.wait_until_idle(timeout=10)
-        assert hits  # recovery hook invoked (§6.5)
+            assert pool.wait_until_idle(timeout=10)
+        # The give-up healed (§6.5): one anomaly with the repair's evidence.
+        (gave_up,) = eco.recorder.events("worker.gave_up")
+        assert gave_up.data["service"] == "sub"
+        assert gave_up.data["objects_repaired"] == 1
+        assert SubUser.find(user.id).name == "v3"
 
 
 class TestSimulator:
