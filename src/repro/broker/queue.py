@@ -6,7 +6,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.broker.message import Message
 from repro.durability.manager import DURABILITY_OFF
@@ -52,9 +52,10 @@ class SubscriberQueue:
         self.max_size = max_size
         self._items: deque = deque()
         self._unacked: Dict[int, Message] = {}
-        #: seqs of the in-flight deliveries a decommission cleared: their
-        #: workers' acks stay tolerated after a heal recommissions.
-        self._cleared: Set[int] = set()
+        #: The highest seq a decommission cleared from the in-flight
+        #: table (seqs only grow): the acks of those deliveries' workers
+        #: stay tolerated after a heal recommissions.
+        self._cleared_upto = 0
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
         #: Poppers blocked on ``_available``, under ``self._lock``: a
@@ -111,7 +112,7 @@ class SubscriberQueue:
                 )
                 if killed:
                     self._items.clear()
-                    self._cleared.update(self._unacked)
+                    self._cleared_upto = max(self._unacked, default=self._cleared_upto)
                     self._unacked.clear()
                     self.decommissioned = True
                     flow.reset()
@@ -148,14 +149,8 @@ class SubscriberQueue:
 
         ``timeout=0`` polls; ``timeout=None`` blocks indefinitely.
         """
-        yield_point("queue.pop", queue=self.name)
-        with self._lock:
-            self._await_items_locked(timeout)
-            if not self._items:
-                return None
-            message = self._take_locked()
-        yield_point("queue.popped", queue=self.name, message=message)
-        return message
+        popped = self.pop_many(1, timeout)
+        return popped[0] if popped else None
 
     def _await_items_locked(self, timeout: Optional[float]) -> None:
         """Wait until a message is queued or ``timeout`` passes; raises
@@ -229,12 +224,11 @@ class SubscriberQueue:
         with self._lock:
             tolerated = message.seq not in self._unacked
             if tolerated:
-                if not self.decommissioned and message.seq not in self._cleared:
+                if not self.decommissioned and message.seq > self._cleared_upto:
                     raise BrokerError(f"ack of unknown delivery {message.seq}")
                 # Decommission cleared the in-flight table while this
                 # delivery was mid-message: the ack is a tolerated no-op,
                 # on the dead queue and on the one a heal brought back.
-                self._cleared.discard(message.seq)
             else:
                 del self._unacked[message.seq]
                 self.total_acked += 1

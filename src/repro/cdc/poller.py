@@ -30,12 +30,12 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.cdc.outbox import OutboxTable, check_entry_version, entry_row
-from repro.durability.wal import SimulatedCrash
+from repro.durability.wal import CrashInjector
 from repro.errors import CdcError
 from repro.runtime.interleave import CDC_CURSOR_ADVANCED, emit
 
 
-class PollCrash:
+class PollCrash(CrashInjector):
     """Deterministic crash-point injection for poller recovery tests.
 
     Points: ``before-publish`` (entry read, nothing durable),
@@ -45,28 +45,10 @@ class PollCrash:
     """
 
     POINTS = ("before-publish", "after-publish", "after-checkpoint")
+    ERROR, NAME = CdcError, "poller crash"
 
     def __init__(self, point: str, after: int = 1, hard: bool = False):
-        if point not in self.POINTS:
-            raise CdcError(f"unknown poller crash point {point!r}")
-        self.point = point
-        self.remaining = after
-        self.hard = hard
-        self.fired = False
-
-    def fire(self, point: str) -> None:
-        if self.fired or point != self.point:
-            return
-        self.remaining -= 1
-        if self.remaining > 0:
-            return
-        self.fired = True
-        if self.hard:  # pragma: no cover - exercised via subprocesses
-            import os
-            import signal
-
-            os.kill(os.getpid(), signal.SIGKILL)
-        raise SimulatedCrash(f"injected poller crash at {point}")
+        super().__init__(point, after, hard)
 
 
 class CdcPoller:

@@ -103,10 +103,12 @@ class CrashInjector:
     """
 
     POINTS = ("after-append", "before-fsync", "before-ack")
+    #: What an unknown point raises, and what the crash is called.
+    ERROR, NAME = DurabilityError, "crash"
 
     def __init__(self, point: str, after_records: int = 1, hard: bool = False):
         if point not in self.POINTS:
-            raise DurabilityError(f"unknown crash point {point!r}")
+            raise self.ERROR(f"unknown {self.NAME} point {point!r}")
         self.point = point
         self.remaining = after_records
         self.hard = hard
@@ -123,7 +125,7 @@ class CrashInjector:
             import signal
 
             os.kill(os.getpid(), signal.SIGKILL)
-        raise SimulatedCrash(f"injected crash at {point}")
+        raise SimulatedCrash(f"injected {self.NAME} at {point}")
 
 
 def _crc(canonical: str) -> int:

@@ -36,6 +36,19 @@ _PY_TO_COLUMN: Dict[type, Type[ColumnType]] = {
 }
 
 
+def _order_and_limit(
+    rows: List[Row], limit: Optional[int], order_by: Optional[tuple]
+) -> List[Row]:
+    """``rows`` ordered and cut in memory, for an engine whose query
+    does neither: ``None`` sorts last ascending, as the relational
+    engine orders it."""
+    if order_by is not None:
+        field, direction = order_by
+        rows.sort(key=lambda r: (r.get(field) is None, r.get(field)),
+                  reverse=(direction == "desc"))
+    return rows if limit is None else rows[:limit]
+
+
 def _column_type_for(py_type: Optional[type]) -> ColumnType:
     if py_type is None:
         return Json()
@@ -218,13 +231,7 @@ class ColumnarMapper(Mapper):
             for row in self.db.scan(self.table)
             if all(row.get(k) == v for k, v in conditions.items())
         ]
-        if order_by is not None:
-            field, direction = order_by
-            rows.sort(key=lambda r: (r.get(field) is None, r.get(field)),
-                      reverse=(direction == "desc"))
-        if limit is not None:
-            rows = rows[:limit]
-        return rows
+        return _order_and_limit(rows, limit, order_by)
 
     def _do_count(self, conditions: Row) -> int:
         if not conditions:
@@ -246,13 +253,7 @@ class SearchMapper(Mapper):
             analyzers = getattr(self.model_cls, "__analyzers__", None)
             self.db.create_index(self.table, analyzers=analyzers)
 
-    @staticmethod
-    def _to_attrs(doc: Optional[Row]) -> Optional[Row]:
-        if doc is None:
-            return None
-        attrs = dict(doc)
-        attrs["id"] = attrs.pop("_id")
-        return attrs
+    _to_attrs = staticmethod(DocumentMapper._to_attrs)
 
     def _do_insert(self, attrs: Row) -> Row:
         doc = {k: v for k, v in attrs.items() if k != "id"}
@@ -285,13 +286,7 @@ class SearchMapper(Mapper):
             if all(row.get(k) == v for k, v in conditions.items())
         ]
         rows.sort(key=lambda r: str(r["id"]))
-        if order_by is not None:
-            field, direction = order_by
-            rows.sort(key=lambda r: (r.get(field) is None, r.get(field)),
-                      reverse=(direction == "desc"))
-        if limit is not None:
-            rows = rows[:limit]
-        return rows
+        return _order_and_limit(rows, limit, order_by)
 
     def _do_count(self, conditions: Row) -> int:
         if not conditions:
@@ -333,13 +328,7 @@ class GraphMapper(Mapper):
         self, conditions: Row, limit: Optional[int], order_by: Optional[tuple]
     ) -> List[Row]:
         rows = self.db.find_nodes(self.label, conditions)
-        if order_by is not None:
-            field, direction = order_by
-            rows.sort(key=lambda r: (r.get(field) is None, r.get(field)),
-                      reverse=(direction == "desc"))
-        if limit is not None:
-            rows = rows[:limit]
-        return rows
+        return _order_and_limit(rows, limit, order_by)
 
     def _do_count(self, conditions: Row) -> int:
         if not conditions:

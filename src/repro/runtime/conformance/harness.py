@@ -404,7 +404,8 @@ class ConformanceHarness:
         """One virtual pool worker: ``pop_many`` a batch (one message
         unless the schedule has flow on), then the production worker
         step — ``SubscriberWorkerPool.process`` and ``.settle`` inside
-        one ``queue.step``; a decommissioned queue is healed, as a pool
+        the pool's step gate and one ``queue.step``; a decommissioned
+        queue is healed, as a pool
         thread heals it. A crash worker (``abandon_after``) leaves
         the step without settling — what a real pool worker dying
         mid-batch leaves behind. The pop size is ``batch_limit``, as in
@@ -426,7 +427,7 @@ class ConformanceHarness:
                         observe_point("worker.drained", worker=wid)
                         return
                     continue
-                with queue.step:
+                with pool.stepping(), queue.step:
                     done, retry, errors = pool.process(batch)
                     if errors:
                         # No schedule injects engine faults: an apply that

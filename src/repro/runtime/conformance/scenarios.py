@@ -93,6 +93,8 @@ from repro.runtime.transport.demo import shard_mesh_scenario
 #     python -m repro conformance --find generation.deferred --generation-bump
 #     python -m repro conformance --find queue.ack.tolerated \
 #         --messages 12 --queue-limit 4
+#     python -m repro conformance --find worker.heal_wait \
+#         --mode global --queue-limit 3
 
 #: Generation gate vs in-flight deliveries: with ``peek_unacked``
 #: blinded, such a schedule flushes the app's counters while an older-
@@ -110,6 +112,17 @@ DECOMMISSION_ACK_SCHEDULE = ScheduleConfig(
     mode="causal", workers=3, messages=12, queue_limit=4
 )
 DECOMMISSION_ACK_MARKER = "queue.ack.tolerated"
+
+#: A heal beside live workers, one schedule per ordered mode: with the
+#: pool's step gate blinded (``SubscriberWorkerPool.stepping``), an
+#: apply admitted before a decommission's heal landed its object writes
+#: its older row over the repaired one, and the object's next write is
+#: acked as a duplicate (``replicas.converge``); with the gate, a worker
+#: waits the heal out (``worker.heal_wait``).
+HEAL_RACE_SCHEDULES = tuple(
+    ScheduleConfig(mode=mode, queue_limit=3) for mode in ("causal", "global")
+)
+HEAL_RACE_MARKER = "worker.heal_wait"
 
 
 def trace_has(trace: List[str], marker: str) -> bool:

@@ -10,16 +10,18 @@ nack, defer or give up). A message that exceeds the retry budget is
 given up on (§6.5): acked, then healed where production Synapse
 rebootstraps the subscriber — by the audit-driven repair, a bootstrap
 scoped to what diverged (:func:`repro.repair.repair_subscriber`). A
-decommissioned queue heals the same way. The conformance harness
-schedules the same two halves (docs/delivery_semantics.md, "The worker
-step").
+decommissioned queue heals the same way. A heal runs alone: no worker
+step of the pool runs beside it (:meth:`SubscriberWorkerPool.stepping`).
+The conformance harness schedules the same two halves inside the same
+gate (docs/delivery_semantics.md, "The worker step").
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, List, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Set, Tuple
 
 from repro.errors import DurabilityError, QueueDecommissioned
 from repro.repair.repairer import repair_subscriber
@@ -106,17 +108,15 @@ class SubscriberWorkerPool:
         self.workers = workers
         self.wait_timeout = wait_timeout
         self.max_deliveries = max_deliveries
-        #: One heal at a time: a give-up that arrives while one runs
-        #: waits, then audits what is left.
-        self._healing = threading.Lock()
+        #: The threads inside a worker step, and those healing, first
+        #: come first: the first heals once every step has ended, and no
+        #: step starts while any waits (:meth:`stepping`, :meth:`heal`).
+        #: Notified as each ends, which :meth:`wait_until_idle` waits on.
+        self._gate = threading.Condition()
+        self._stepping: Set[int] = set()
+        self._healing: List[int] = []
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
-        self._active = 0
-        self._active_lock = threading.Lock()
-        # Event-based idle signaling: workers notify after every message
-        # completion (replacing the old 5 ms busy-poll in
-        # :meth:`wait_until_idle`).
-        self._idle = threading.Condition(self._active_lock)
         # Registry counters: they accumulate across this service's pools.
         registry = service.ecosystem.metrics
         self._gave_up = registry.counter(f"workers.{service.name}.gave_up")
@@ -227,13 +227,22 @@ class SubscriberWorkerPool:
         lives on, and a later heal or ``repair_subscriber`` converges.
         A ``DurabilityError`` passes through. Give-ups, decommissions
         and a failed log are exactly the §6.5 events a postmortem needs
-        frozen: each is a flight-recorder anomaly."""
-        service, queue = self.service, self.service.subscriber.queue
-        # Polled, not blocked on: under the conformance scheduler the
-        # healer is parked at a yield point inside its drain.
-        while not self._healing.acquire(timeout=self.wait_timeout):
-            yield_point("worker.heal_wait")
+        frozen: each is a flight-recorder anomaly.
+
+        One heal at a time, and never beside a worker step: an apply
+        that passed its dependency check before the repair landed its
+        object would land its older write over the repaired row. The
+        caller has settled its batch, or holds none."""
+        service = self.service
+        subscriber, queue = service.subscriber, service.subscriber.queue
+        me = threading.get_ident()
+        with self._gate:
+            self._stepping.discard(me)  # settled: no longer mid-step
+            self._healing.append(me)
         try:
+            self._await(lambda: self._healing[0] == me and not self._stepping)
+            if kind == "queue.decommissioned" and not queue.decommissioned:
+                return  # another worker's heal brought it back
             if queue.decommissioned:
                 queue.recommission()
             result = repair_subscriber(service, reaudit=False)
@@ -245,8 +254,41 @@ class SubscriberWorkerPool:
             evidence.update(objects_repaired=result.objects_repaired,
                             landed=result.landed, stuck=result.stuck)
         finally:
-            self._healing.release()
+            # The repair's bootstrap ends with the heal, also when its
+            # drain left messages queued or it raised: the workers apply
+            # in the configured mode again.
+            subscriber.bootstrapping = False
+            with self._gate:
+                self._healing.remove(me)
+                self._gate.notify_all()
         service.ecosystem.recorder.anomaly(kind, service=service.name, **evidence)
+
+    @contextmanager
+    def stepping(self) -> Iterator[None]:
+        """``with pool.stepping():`` around one worker step — the
+        ``process`` and ``settle`` of a popped batch. It waits while a
+        heal runs, and a heal waits for it to end."""
+        me = threading.get_ident()
+        self._await(lambda: not self._healing, lambda: self._stepping.add(me))
+        try:
+            yield
+        finally:
+            with self._gate:
+                self._stepping.discard(me)
+                self._gate.notify_all()
+
+    def _await(self, ready: Callable[[], bool], then: Callable[[], Any] = lambda: None) -> None:
+        """Wait until ``ready()``, then run ``then()`` — both under
+        ``_gate``. Polled at ``wait_timeout``, with a yield point
+        between polls: under the conformance scheduler the worker this
+        one waits for runs only when this one yields."""
+        while True:
+            with self._gate:
+                if ready():
+                    then()
+                    return
+                self._gate.wait(self.wait_timeout)
+            yield_point("worker.heal_wait")
 
     def _run(self) -> None:
         """One pool thread: pop up to ``batch_limit`` deliveries in one
@@ -264,8 +306,6 @@ class SubscriberWorkerPool:
                 batch = None  # heal the queue, then pop again
             if batch == []:
                 continue
-            with self._active_lock:
-                self._active += 1
             try:
                 if batch is None:
                     self.heal("queue.decommissioned")
@@ -273,7 +313,7 @@ class SubscriberWorkerPool:
                 # One WAL step (nothing without durability): the batch's
                 # ``apply`` records and the acks that settle it reach the
                 # kernel in one write when the block ends.
-                with queue.step:
+                with self.stepping(), queue.step:
                     self.settle(*self.process(batch))
                 queue.flow.batch_size.record(len(batch))
             except DurabilityError as exc:
@@ -283,7 +323,7 @@ class SubscriberWorkerPool:
                 # popping, and the one that hit it first records one
                 # ``worker.fatal`` anomaly: restart the process over the
                 # surviving log prefix (docs/durability.md).
-                with self._active_lock:
+                with self._gate:
                     first = not self._stop.is_set()
                     self._stop.set()
                 if first:
@@ -292,32 +332,31 @@ class SubscriberWorkerPool:
                         error=f"{type(exc).__name__}: {exc}",
                     )
                 return
-            finally:
-                with self._idle:
-                    self._active -= 1
-                    self._idle.notify_all()
 
     # -- synchronisation -----------------------------------------------------------
 
     def wait_until_idle(self, timeout: float = 10.0) -> bool:
         """Block until the queue is drained and no worker is mid-message.
 
-        Event-driven: workers notify the condition after every message
-        completion; the short bounded wait is only a safety net against
+        Event-driven: a worker step and a heal notify the gate as they
+        end; the short bounded wait is only a safety net against
         transitions with no notifier (e.g. an external publish while the
-        pool is idle).
+        pool is idle). A decommissioned queue is not drained: a heal is
+        owed.
         """
         queue = self.service.subscriber.queue
         deadline = time.monotonic() + timeout
 
         def drained() -> bool:
-            return queue is None or (len(queue) == 0 and queue.unacked_count == 0)
+            return queue is None or not (
+                queue.decommissioned or len(queue) or queue.unacked_count
+            )
 
-        with self._idle:
+        with self._gate:
             while True:
-                if self._active == 0 and drained():
+                if not self._stepping and not self._healing and drained():
                     return True
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
-                self._idle.wait(min(remaining, 0.25))
+                self._gate.wait(min(remaining, 0.25))

@@ -75,14 +75,19 @@ class TestDecommissionTolerance:
         assert queue.stats()["queued"] == 0
 
     def test_ack_after_a_heal_recommissioned_the_queue_is_noop(self):
-        """A worker pool heals a decommission while another worker is
-        still mid-message: that worker's ack must not kill it."""
+        """A pool worker popped a batch before the decommission and
+        waited out the heal that recommissioned the queue: its ack must
+        not kill it. A delivery popped after the heal is held to the
+        strict rule."""
         queue, inflight = self._decommissioned_with_inflight()
         queue.recommission()
         queue.ack(inflight)
         assert queue.stats()["acked"] == 0
+        queue.publish(make_message(op_id=9))
+        later = queue.pop()
+        queue.ack(later)
         with pytest.raises(BrokerError):
-            queue.ack(inflight)  # tolerated once, not for ever
+            queue.ack(later)
 
     def test_next_pop_still_reports_decommission(self):
         queue, inflight = self._decommissioned_with_inflight()

@@ -2,6 +2,7 @@
 and one committed schedule per fixed race (each re-broken by reverting
 its fix in-place and asserting the checker names the right invariant)."""
 
+import contextlib
 import time
 from unittest import mock
 
@@ -27,12 +28,14 @@ from repro.runtime.conformance import (
     replay_twice,
     run_schedule,
 )
-from repro.runtime.conformance.checker import INV_DURABLE
+from repro.runtime.conformance.checker import INV_CONVERGE, INV_DURABLE
 from repro.runtime.conformance.scenarios import (
     DECOMMISSION_ACK_MARKER,
     DECOMMISSION_ACK_SCHEDULE,
     GATE_RACE_MARKER,
     GATE_RACE_SCHEDULE,
+    HEAL_RACE_MARKER,
+    HEAL_RACE_SCHEDULES,
     drain_leak_scenario,
     find_schedule,
     fleet_idle_deadline_scenario,
@@ -366,6 +369,22 @@ class TestDecommissionAckSchedule:
             DECOMMISSION_ACK_SCHEDULE, DECOMMISSION_ACK_MARKER,
             accept=violates_reverted,
         )
+
+
+class TestHealRaceSchedule:
+    """A heal beside live workers (fix: the pool's step gate)."""
+
+    @pytest.mark.parametrize("base", HEAL_RACE_SCHEDULES, ids=lambda c: c.mode)
+    def test_reverting_the_step_gate_diverges_the_replicas(self, base):
+        def violates_reverted(config):
+            with mock.patch.object(
+                workers_mod.SubscriberWorkerPool, "stepping",
+                lambda self: contextlib.nullcontext(),
+            ):
+                result = run_schedule(config)
+            return INV_CONVERGE in invariants(result.violations)
+
+        find_schedule(base, HEAL_RACE_MARKER, accept=violates_reverted)
 
 
 class TestFindSchedule:

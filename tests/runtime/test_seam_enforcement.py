@@ -471,8 +471,9 @@ def test_each_failure_model_row_names_what_executes_it():
 #
 # What happens to a popped batch lives in ``SubscriberWorkerPool.process``
 # and ``.settle`` (``runtime/workers.py``); the pool's threads and the
-# conformance harness's virtual workers both run them, and both heal a
-# decommissioned queue the pool's way. ``drain`` is the
+# conformance harness's virtual workers both run them inside the pool's
+# step gate (``stepping``), and both heal a decommissioned queue the
+# pool's way. ``drain`` is the
 # deliberate second consumer: it holds what it could not apply and
 # re-queues once at the end.
 
@@ -486,6 +487,10 @@ WORKER_STEP_CALLERS = {
     "nack": {("runtime/workers.py", "settle"), ("core/subscriber.py", "drain")},
     "process_batch": {
         ("runtime/workers.py", "process"), ("core/subscriber.py", "drain"),
+    },
+    "stepping": {
+        ("runtime/workers.py", "_run"),
+        ("runtime/conformance/harness.py", "_subscriber_loop"),
     },
 }
 

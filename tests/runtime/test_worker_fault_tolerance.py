@@ -70,6 +70,8 @@ class TestApplyFaults:
             assert gave_up.data["error"]
             assert sub.subscriber.queue.unacked_count == 0
             assert all(thread.is_alive() for thread in pool._threads)
+            # The failed heal's bootstrap ended with it: ordered again.
+            assert not sub.subscriber.bootstrapping
 
             sub.database.faults.down = False
             User.create(name="fresh")
