@@ -31,9 +31,10 @@ in what they hand that algorithm (the table is in
 - **ORM write inside** ``database.begin()``: every write of the
   transaction combined into one message, the context captured at the
   first write, no publisher locks (the engine holds the rows until
-  commit), prepared in the transaction's prepare phase and shipped from
-  ``on_commit`` — commit + version bumps + publish are atomic (§4.2
-  "Transactions");
+  commit), marshalled in the transaction's prepare phase, bumped and
+  shipped from ``on_commit`` before the engine releases the rows —
+  commit + version bumps + publish are atomic (§4.2 "Transactions"),
+  and a rollback, prepared or not, has bumped nothing;
 - **CDC ingest** (:meth:`ingest_cdc`): one committed outbox entry, no
   context, no engine write, a ``uid``/``cdc`` pair derived from the
   outbox sequence.
@@ -84,13 +85,13 @@ Operation = Tuple[str, type, Row, List[str]]
 
 class _TxnBatch:
     """Writes accumulated within one DB transaction, the controller
-    context of the first, and — between the two commit phases — the ship
-    step of their one message."""
+    context of the first, and — between the two commit phases — their
+    marshalled operations."""
 
     def __init__(self, ctx: Any) -> None:
         self.ops: List[Operation] = []
         self.ctx = ctx
-        self.ship: Optional[Callable[[], Any]] = None
+        self.operations: Optional[List[Dict[str, Any]]] = None
 
 
 class SynapsePublisher:
@@ -240,14 +241,16 @@ class SynapsePublisher:
         locked: bool = True,
         uid: Optional[str] = None,
         cdc: Optional[int] = None,
+        operations: Optional[List[Dict[str, Any]]] = None,
     ) -> Callable[[], Any]:
         """Everything up to a built, versioned message; returns the ship
-        step (broker fan-out and what follows it), which the caller runs
-        now or hands to the transaction's commit phase.
+        step (broker fan-out and what follows it) for the caller to run.
 
         ``perform`` is the engine write of the one operation in ``ops``
         (whose row is then a stub holding the id, if known); it runs
         under the write-dependency locks and its row replaces the stub.
+        ``operations`` are ``ops`` already marshalled (a transaction's
+        prepare phase).
         """
         service = self.service
         clock = service.ecosystem.clock
@@ -290,7 +293,8 @@ class SynapsePublisher:
             # wire cannot carry raises here, with every counter where it
             # was — a bumped version with no message to carry it would
             # stall every causal subscriber on that object for ever.
-            operations = list(starmap(marshal_operation, ops))
+            if operations is None:
+                operations = list(starmap(marshal_operation, ops))
             versions, counters = self._register_with_recovery(read_deps, write_deps, trace)
         finally:
             store.release_locks(locks)
@@ -335,15 +339,18 @@ class SynapsePublisher:
     # ------------------------------------------------------------------
 
     def _prepare_transaction(self, txn: Any) -> None:
-        """2PC phase one: bump versions and build the combined message.
-        The engine holds locks on the written rows until commit, so the
-        publisher takes none of its own (§4.2 optimisation)."""
+        """2PC phase one: marshal the combined message's operations, so a
+        value the wire cannot carry aborts the transaction. No counter
+        moves here: a rollback after it has nothing to undo."""
         batch: _TxnBatch = txn._synapse_batch
-        batch.ship = self._prepare(batch.ops, batch.ctx, locked=False)
+        batch.operations = list(starmap(marshal_operation, batch.ops))
 
     def _commit_transaction(self, txn: Any) -> None:
-        """2PC phase two: the local commit succeeded — publish."""
-        txn._synapse_batch.ship()
+        """2PC phase two, before the engine releases the written rows:
+        bump, build and publish the message. The engine holds the rows,
+        so the publisher takes no locks of its own (§4.2 optimisation)."""
+        batch: _TxnBatch = txn._synapse_batch
+        self._prepare(batch.ops, batch.ctx, locked=False, operations=batch.operations)()
 
     def ingest_cdc(
         self, kind: str, model_cls: type, row: Row, cdc_seq: int

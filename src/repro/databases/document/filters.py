@@ -46,17 +46,6 @@ def set_path(doc: Dict[str, Any], path: str, value: Any) -> None:
     current[parts[-1]] = value
 
 
-def unset_path(doc: Dict[str, Any], path: str) -> None:
-    parts = path.split(".")
-    current: Any = doc
-    for part in parts[:-1]:
-        current = current.get(part)
-        if not isinstance(current, dict):
-            return
-    if isinstance(current, dict):
-        current.pop(parts[-1], None)
-
-
 def _compare(op: str, value: Any, target: Any) -> bool:
     if op == "$ne":
         return value != target
@@ -157,9 +146,6 @@ def apply_update(doc: Dict[str, Any], update: Dict[str, Any]) -> Dict[str, Any]:
         if op == "$set":
             for path, value in spec.items():
                 set_path(new_doc, path, value)
-        elif op == "$unset":
-            for path in spec:
-                unset_path(new_doc, path)
         elif op == "$inc":
             for path, delta in spec.items():
                 current = get_path(new_doc, path)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.databases.base import Database
@@ -138,36 +137,7 @@ class GraphDatabase(Database):
     def has_edge(self, src: int, edge_type: str, dst: int) -> bool:
         return dst in self._out.get(src, {}).get(edge_type, set())
 
-    def count_edges(self, edge_type: Optional[str] = None) -> int:
-        total = 0
-        for adj in self._out.values():
-            for etype, targets in adj.items():
-                if edge_type is None or etype == edge_type:
-                    total += len(targets)
-        return total
-
     # -- traversal ---------------------------------------------------------
-
-    def traverse(
-        self, start: int, edge_type: str, max_depth: int
-    ) -> Dict[int, int]:
-        """BFS: reachable node ids -> depth (start excluded)."""
-        with self._lock:
-            self._charge_read()
-            self._require_node(start)
-            depths: Dict[int, int] = {start: 0}
-            frontier = deque([start])
-            while frontier:
-                current = frontier.popleft()
-                depth = depths[current]
-                if depth >= max_depth:
-                    continue
-                for neighbour in self._out.get(current, {}).get(edge_type, set()):
-                    if neighbour not in depths:
-                        depths[neighbour] = depth + 1
-                        frontier.append(neighbour)
-            depths.pop(start)
-            return depths
 
     def recommend(
         self,
@@ -176,12 +146,24 @@ class GraphDatabase(Database):
         liked: str,
         depth: int = 2,
     ) -> List[Tuple[int, int]]:
-        """'Things my network likes that I don't': walk ``relation`` to
-        ``depth``, collect ``liked`` targets, rank by endorsement count.
-        This is the friends-of-friends query of Example 2."""
+        """'Things my network likes that I don't': walk ``relation``
+        breadth-first to ``depth``, collect ``liked`` targets, rank by
+        endorsement count. This is the friends-of-friends query of
+        Example 2."""
         with self._lock:
             self._charge_read()
-            network = self.traverse(node_id, relation, depth)
+            self._require_node(node_id)
+            network = {node_id}
+            frontier = [node_id]
+            for _ in range(depth):
+                reached = []
+                for current in frontier:
+                    for neighbour in self._out.get(current, {}).get(relation, ()):
+                        if neighbour not in network:
+                            network.add(neighbour)
+                            reached.append(neighbour)
+                frontier = reached
+            network.discard(node_id)
             own = self._out.get(node_id, {}).get(liked, set())
             counts: Dict[int, int] = {}
             for other in network:

@@ -43,11 +43,6 @@ class RelationalDatabase(Database):
                 raise SchemaError(f"table {schema.name!r} already exists")
             self._tables[schema.name] = TableStorage(schema)
 
-    def drop_table(self, name: str) -> None:
-        with self._lock:
-            self._storage(name)
-            del self._tables[name]
-
     def has_table(self, name: str) -> bool:
         return name in self._tables
 
@@ -66,12 +61,6 @@ class RelationalDatabase(Database):
             storage.schema.drop_column(name)
             for row in storage.rows.values():
                 row.pop(name, None)
-
-    def create_index(self, table: str, index: Index) -> None:
-        with self._lock:
-            storage = self._storage(table)
-            storage.schema.add_index(index)
-            storage.rebuild_index(index)
 
     # ----------------------------------------------------------------- DML
 
@@ -224,39 +213,6 @@ class RelationalDatabase(Database):
                     out.append((lrow, rrow))
             return out
 
-    def aggregate(
-        self,
-        table: str,
-        group_by: Optional[str] = None,
-        aggregates: Optional[Dict[str, Tuple[str, str]]] = None,
-        where: Expression = ALWAYS,
-    ) -> List[Row]:
-        """GROUP BY with count/sum/avg/min/max aggregates.
-
-        ``aggregates`` maps output alias -> (function, column); use
-        column ``"*"`` with ``count``. Returns one row per group (or a
-        single row when ``group_by`` is None). Aggregations are not read
-        dependencies (§4.2).
-        """
-        aggregates = aggregates or {"count": ("count", "*")}
-        with self._lock:
-            self._charge_read()
-            storage = self._storage(table)
-            groups: Dict[Any, List[Row]] = {}
-            for row in self._plan(storage, where):
-                key = row.get(group_by) if group_by is not None else None
-                groups.setdefault(key, []).append(row)
-        out: List[Row] = []
-        for key in sorted(groups, key=lambda k: (k is None, str(k))):
-            bucket = groups[key]
-            result: Row = {}
-            if group_by is not None:
-                result[group_by] = key
-            for alias, (fn, column) in aggregates.items():
-                result[alias] = _aggregate(fn, column, bucket)
-            out.append(result)
-        return out
-
     # -------------------------------------------------------------- planner
 
     def _plan(self, storage: TableStorage, where: Expression) -> Iterable[Row]:
@@ -330,27 +286,6 @@ class RelationalDatabase(Database):
             raise UnsupportedOperationError(
                 f"{self.engine_family} ({type(self).__name__}) has no RETURNING"
             )
-
-
-def _aggregate(fn: str, column: str, rows: List[Row]) -> Any:
-    if fn == "count":
-        if column == "*":
-            return len(rows)
-        return sum(1 for r in rows if r.get(column) is not None)
-    values = [
-        r[column] for r in rows
-        if isinstance(r.get(column), (int, float))
-        and not isinstance(r.get(column), bool)
-    ]
-    if fn == "sum":
-        return sum(values)
-    if fn == "avg":
-        return sum(values) / len(values) if values else None
-    if fn == "min":
-        return min(values) if values else None
-    if fn == "max":
-        return max(values) if values else None
-    raise UnsupportedOperationError(f"unknown aggregate {fn!r}")
 
 
 class PostgresLike(RelationalDatabase):

@@ -29,6 +29,11 @@ class Expression:
     def __or__(self, other: "Expression") -> "Expression":
         return Or(self, other)
 
+    def __bool__(self) -> bool:
+        # ``and``/``or``/``not`` would silently drop a predicate, and
+        # ``Col(c) != v`` (no ``!=`` node) would quietly become a bool.
+        raise TypeError("a WHERE expression has no truth value; use & and |")
+
 
 class Always(Expression):
     """Matches every row; the default WHERE clause."""
@@ -73,27 +78,12 @@ class Eq(_Comparison):
         return [(self.column, self.value)]
 
 
-class Ne(_Comparison):
-    op = "!="
-
-    def matches(self, row: Dict[str, Any]) -> bool:
-        return row.get(self.column) != self.value
-
-
 class Lt(_Comparison):
     op = "<"
 
     def matches(self, row: Dict[str, Any]) -> bool:
         v = row.get(self.column)
         return _comparable(v, self.value) and v < self.value
-
-
-class Le(_Comparison):
-    op = "<="
-
-    def matches(self, row: Dict[str, Any]) -> bool:
-        v = row.get(self.column)
-        return _comparable(v, self.value) and v <= self.value
 
 
 class Gt(_Comparison):
@@ -149,14 +139,8 @@ class Col:
     def __eq__(self, other: Any) -> Expression:  # type: ignore[override]
         return Eq(self.name, other)
 
-    def __ne__(self, other: Any) -> Expression:  # type: ignore[override]
-        return Ne(self.name, other)
-
     def __lt__(self, other: Any) -> Expression:
         return Lt(self.name, other)
-
-    def __le__(self, other: Any) -> Expression:
-        return Le(self.name, other)
 
     def __gt__(self, other: Any) -> Expression:
         return Gt(self.name, other)

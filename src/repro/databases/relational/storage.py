@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Iterator, Optional, Set
 
-from repro.databases.relational.schema import PRIMARY_KEY, Index, TableSchema
+from repro.databases.relational.schema import PRIMARY_KEY, TableSchema
 from repro.errors import DuplicateKeyError
 
 
@@ -58,19 +58,6 @@ class TableStorage:
                 bucket.discard(row[PRIMARY_KEY])
                 if not bucket:
                     del self._indexes[name][key]
-
-    def rebuild_index(self, index: Index) -> None:
-        """Populate a freshly-added index from existing rows."""
-        table: Dict[tuple, Set[int]] = {}
-        for row_id, row in self.rows.items():
-            key = index.key_for(row)
-            bucket = table.setdefault(key, set())
-            if index.unique and bucket:
-                raise DuplicateKeyError(
-                    f"unique index {index.name!r} violated for key {key!r}"
-                )
-            bucket.add(row_id)
-        self._indexes[index.name] = table
 
     # -- row operations ------------------------------------------------------
 

@@ -75,13 +75,17 @@ class Transaction:
         self.state = self.PREPARED
 
     def commit(self) -> None:
+        """Phase two: the commit hooks run before the engine releases the
+        written rows, so what they do is atomic with the commit."""
         self._require(self.PENDING, self.PREPARED)
         if self.state == self.PENDING:
             self.prepare()
         self.state = self.COMMITTED
-        self.engine._finish_transaction(self)
-        for hook in self.on_commit:
-            hook(self)
+        try:
+            for hook in self.on_commit:
+                hook(self)
+        finally:
+            self.engine._finish_transaction(self)
 
     def rollback(self) -> None:
         if self.state in (self.COMMITTED, self.ABORTED):

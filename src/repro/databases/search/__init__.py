@@ -1,5 +1,5 @@
 """Search engine (Elasticsearch stand-in): analyzers, inverted index,
-TF-IDF scored queries and aggregations."""
+TF-IDF scored queries and the terms aggregation."""
 
 from repro.databases.search.analysis import ANALYZERS, analyze
 from repro.databases.search.engine import ElasticsearchLike, SearchDatabase

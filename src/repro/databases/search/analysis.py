@@ -4,8 +4,6 @@
   paper's Sub1b example).
 - ``standard``: split on non-alphanumerics, lowercase, drop English
   stopwords.
-- ``whitespace``: split on whitespace only, case preserved.
-- ``keyword``: the whole input as a single term.
 """
 
 from __future__ import annotations
@@ -34,19 +32,9 @@ def standard_analyzer(text: str) -> List[str]:
     ]
 
 
-def whitespace_analyzer(text: str) -> List[str]:
-    return text.split()
-
-
-def keyword_analyzer(text: str) -> List[str]:
-    return [text] if text else []
-
-
 ANALYZERS: Dict[str, Callable[[str], List[str]]] = {
     "simple": simple_analyzer,
     "standard": standard_analyzer,
-    "whitespace": whitespace_analyzer,
-    "keyword": keyword_analyzer,
 }
 
 

@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.databases.base import Database
-from repro.databases.search.aggregations import (
-    histogram_aggregation,
-    stats_aggregation,
-    terms_aggregation,
-)
 from repro.databases.search.analysis import ANALYZERS, analyze
 from repro.databases.search.inverted_index import InvertedIndex
 from repro.databases.search.query import MatchAll, Query
@@ -56,7 +52,7 @@ class _SearchIndex:
 
 
 class SearchDatabase(Database):
-    """Document indexing plus scored queries and aggregations.
+    """Document indexing plus scored queries and the terms aggregation.
 
     Writes return the indexed document (Elasticsearch's index API echoes
     the document back), so the cheap Synapse intercept path applies.
@@ -91,14 +87,6 @@ class SearchDatabase(Database):
 
     def has_table(self, name: str) -> bool:
         return name in self._indexes
-
-    def index_names(self) -> List[str]:
-        return sorted(self._indexes)
-
-    def set_analyzer(self, index: str, field: str, analyzer: str) -> None:
-        if analyzer not in ANALYZERS:
-            raise SchemaError(f"unknown analyzer {analyzer!r}")
-        self._index(index).field_analyzers[field] = analyzer
 
     # -- writes ---------------------------------------------------------------
 
@@ -171,22 +159,24 @@ class SearchDatabase(Database):
         kind: str,
         field: str,
         query: Optional[Query] = None,
-        **kwargs: Any,
-    ) -> Any:
-        """Aggregation over query hits: ``terms``, ``stats``, ``histogram``."""
+    ) -> List[Dict[str, Any]]:
+        """The ``terms`` aggregation over query hits: one bucket per
+        distinct value, most frequent first; a list field counts each
+        element."""
+        if kind != "terms":
+            raise SchemaError(f"unknown aggregation {kind!r}")
         with self._lock:
             self._charge_read()
             self.ensure_index(index)
             idx = self._index(index)
-            scores = (query or MatchAll()).matches(idx)
-            docs = [idx.docs[doc_id] for doc_id in scores]
-        if kind == "terms":
-            return terms_aggregation(docs, field, kwargs.get("size"))
-        if kind == "stats":
-            return stats_aggregation(docs, field)
-        if kind == "histogram":
-            return histogram_aggregation(docs, field, kwargs["interval"])
-        raise SchemaError(f"unknown aggregation {kind!r}")
+            counter: Counter = Counter()
+            for doc_id in (query or MatchAll()).matches(idx):
+                value = idx.docs[doc_id].get(field)
+                if isinstance(value, list):
+                    counter.update(value)
+                elif value is not None:
+                    counter[value] += 1
+        return [{"key": key, "doc_count": count} for key, count in counter.most_common()]
 
     # -- internals ---------------------------------------------------------------
 

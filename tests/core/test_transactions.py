@@ -119,3 +119,38 @@ class TestTransactionalPublishing:
         assert pub.current_generation() == 2
         sub.subscriber.drain()
         assert SubAccount.count() == 1
+
+
+@pytest.mark.parametrize("mode", ["causal", "global"])
+def test_a_transaction_rolled_back_after_prepare_wedges_nothing(mode):
+    """The prepare phase moves no counter, so a rollback after it leaves
+    none ahead of the messages: the doc's next write — and, in global
+    mode, every later write of any object — lands by drain alone."""
+    eco = Ecosystem()
+    pub = eco.service("pub", database=PostgresLike("pub-db"), delivery_mode=mode)
+
+    @pub.model(publish=["value"], name="Doc")
+    class PubDoc(Model):
+        value = Field(int, default=0)
+
+    sub = eco.service("sub", database=PostgresLike("sub-db"))
+
+    @sub.model(subscribe={"from": "pub", "fields": ["value"], "mode": mode}, name="Doc")
+    class SubDoc(Model):
+        value = Field(int, default=0)
+
+    doc = PubDoc.create(value=1)
+    sub.subscriber.drain()
+    txn = pub.database.begin()
+    doc.update(value=2)
+    txn.prepare()
+    txn.rollback()
+    assert pub.publisher.messages_published == 1
+
+    doc.update(value=3)
+    other = PubDoc.create(value=7)
+    sub.subscriber.drain()
+    assert SubDoc.find(doc.id).value == 3
+    assert SubDoc.find(other.id).value == 7
+    assert sub.subscriber.stuck_dependencies() == {}
+    assert sub.audit_replication().in_sync

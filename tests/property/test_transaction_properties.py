@@ -10,7 +10,7 @@ from repro.orm import Field, Model
 
 txn_scripts = st.lists(
     st.tuples(
-        st.booleans(),  # commit (True) or abort (False)
+        st.sampled_from(["commit", "abort", "prepare-abort"]),
         st.lists(
             st.tuples(st.integers(min_value=0, max_value=3),  # slot
                       st.integers(min_value=0, max_value=99)),  # value
@@ -45,7 +45,7 @@ class TestTransactionalReplication:
         eco, pub, Slot, sub, SubSlot = build()
         live = {}
         committed_txns = 0
-        for commit, writes in scripts:
+        for end, writes in scripts:
             txn = pub.database.begin()
             try:
                 for slot, value in writes:
@@ -53,10 +53,12 @@ class TestTransactionalReplication:
                         live[slot].update(n=value)
                     else:
                         live[slot] = Slot.create(n=value)
-                if commit:
+                if end == "commit":
                     txn.commit()
                     committed_txns += 1
                 else:
+                    if end == "prepare-abort":
+                        txn.prepare()
                     txn.rollback()
                     # Forget local handles from the aborted transaction;
                     # reload survivors from the DB.
@@ -73,3 +75,4 @@ class TestTransactionalReplication:
         pub_state = {s.id: s.n for s in Slot.all()}
         sub_state = {s.id: s.n for s in SubSlot.all()}
         assert sub_state == pub_state
+        assert sub.subscriber.stuck_dependencies() == {}

@@ -75,13 +75,13 @@ def test_a_write_lost_in_a_generation_not_yet_entered(tmp_path, mode, user):
 
 @pytest.mark.parametrize("heal", ["repair", "model-scope"])
 @pytest.mark.parametrize("mode", ["causal", "global"])
-def test_a_write_versioned_before_a_repair_and_shipped_after_lands(mode, heal):
-    """A publisher transaction prepared before the heal bumps another
-    doc's counter, and its message ships only when it commits, after
-    the heal's drain found the queue idle. That doc is outside the
-    scope — the repair's ids, or a bootstrap of another model, which
-    reads every counter: raising its counter to the snapshot would ack
-    the update as a duplicate and leave the old row."""
+def test_a_write_versioned_before_a_repair_and_shipped_after_lands(mode, heal, monkeypatch):
+    """A publisher write bumps another doc's counter before the heal,
+    and its message ships only after the heal's drain found the queue
+    idle (the heal runs between the bump and the broker publish). That
+    doc is outside the scope — the repair's ids, or a bootstrap of
+    another model, which reads every counter: raising its counter to the
+    snapshot would ack the update as a duplicate and leave the old row."""
     eco = Ecosystem()
     pub = eco.service("pub", database=PostgresLike("pub-db"), delivery_mode=mode)
 
@@ -109,14 +109,17 @@ def test_a_write_versioned_before_a_repair_and_shipped_after_lands(mode, heal):
     sub.subscriber.drain()
     SubDoc.__mapper__._do_update(docs[0].id, {"value": -5})  # diverge
     report = ReplicationAuditor(sub).audit()
-    txn = pub.database.begin()
+    publish = eco.broker.publish
+
+    def heal_then_publish(message):
+        if heal == "repair":
+            sub.repair_replication(report=report)
+        else:
+            bootstrap_subscriber(sub, scope={("pub", "Tag"): None})
+        publish(message)
+
+    monkeypatch.setattr(eco.broker, "publish", heal_then_publish)
     docs[1].update(value=42)
-    txn.prepare()  # versioned, not shipped
-    if heal == "repair":
-        sub.repair_replication(report=report)
-    else:
-        bootstrap_subscriber(sub, scope={("pub", "Tag"): None})
-    txn.commit()  # ships
     sub.subscriber.drain()
     assert SubDoc.find(docs[1].id).value == 42
     assert sub.subscriber.stuck_dependencies() == {}
