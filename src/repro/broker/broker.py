@@ -9,7 +9,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.broker.message import Message
 from repro.broker.queue import SubscriberQueue
 from repro.durability.manager import DURABILITY_OFF
-from repro.errors import BrokerError
 from repro.runtime.flow.admission import FLOW_OFF
 from repro.runtime.interleave import PUBLISHER_ROUTED, emit
 from repro.runtime.metrics import MetricsRegistry
@@ -170,12 +169,6 @@ class Broker:
                     remote.append(sub)
         self._routes = routes
 
-    def subscribers_of(self, publisher_app: str) -> List[str]:
-        with self._lock:
-            return sorted(
-                sub for sub, pubs in self._bindings.items() if publisher_app in pubs
-            )
-
     # -- routing ----------------------------------------------------------------
 
     def publish(self, message: Message) -> None:
@@ -297,9 +290,3 @@ class Broker:
                 queue = self._queues.get(subscriber_app)
                 return {subscriber_app: queue.stats()} if queue is not None else {}
             return {name: queue.stats() for name, queue in self._queues.items()}
-
-    def validate_binding(self, subscriber_app: str, publisher_app: str) -> None:
-        if publisher_app not in self._publications:
-            raise BrokerError(
-                f"{subscriber_app!r} subscribes to unknown publisher {publisher_app!r}"
-            )

@@ -1,5 +1,5 @@
 """Wide-column store (Cassandra stand-in): LSM write path with memtable,
-immutable SSTables, compaction, tombstones and logged batches."""
+immutable SSTables, compaction and tombstones."""
 
 from repro.databases.columnar.engine import CassandraLike, ColumnarDatabase, ColumnFamily
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.databases.base import Database
 from repro.databases.columnar.memtable import Memtable, SSTable, compact, merge_row
@@ -60,8 +60,7 @@ class _Family:
 class ColumnarDatabase(Database):
     """Write-optimised engine: upserts land in a memtable, flushed to
     immutable SSTables and compacted. No ``RETURNING``: Synapse's
-    read-back intercept protocol applies (§4.1). Logged batches provide
-    the batch atomicity used for transactional message application (§4.2).
+    read-back intercept protocol applies (§4.1).
     """
 
     engine_family = "columnar"
@@ -108,27 +107,6 @@ class ColumnarDatabase(Database):
             family = self._family(table)
             family.memtable.delete(rowkey, next(self._ts))
             family.maybe_flush()
-
-    def batch(self, mutations: Iterable[Tuple[str, str, Any]]) -> None:
-        """Logged batch: apply all mutations atomically at one timestamp.
-
-        Each mutation is ``("put", table, values)`` or
-        ``("delete", table, rowkey)``.
-        """
-        with self._lock:
-            self._charge_write()
-            ts = next(self._ts)
-            for kind, table, payload in mutations:
-                family = self._family(table)
-                if kind == "put":
-                    rowkey = family.schema.rowkey(payload)
-                    family.memtable.put(rowkey, dict(payload), ts)
-                elif kind == "delete":
-                    family.memtable.delete(payload, ts)
-                else:
-                    raise SchemaError(f"unknown batch mutation {kind!r}")
-            for table in {table for _, table, _ in mutations}:
-                self._family(table).maybe_flush()
 
     # -- reads -----------------------------------------------------------------
 

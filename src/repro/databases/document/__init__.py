@@ -6,12 +6,10 @@ from repro.databases.document.engine import (
     RethinkDBLike,
     TokuMXLike,
 )
-from repro.databases.document.filters import matches_filter
 
 __all__ = [
     "DocumentDatabase",
     "MongoLike",
     "TokuMXLike",
     "RethinkDBLike",
-    "matches_filter",
 ]

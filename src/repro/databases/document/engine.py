@@ -8,9 +8,10 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.databases.base import Database
 from repro.databases.document.filters import (
     _deep_copy,
-    apply_update,
+    check_filter,
     get_path,
     matches_filter,
+    set_fields,
     set_path,
     _MISSING,
 )
@@ -21,13 +22,12 @@ Doc = Dict[str, Any]
 
 
 class _Collection:
-    """One schemaless collection with optional hash indexes on dot-paths."""
+    """One schemaless collection keyed by ``_id``."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.docs: Dict[int, Doc] = {}
         self._id_seq = itertools.count(1)
-        self.indexes: Dict[str, Dict[Any, set]] = {}
 
     def next_id(self) -> int:
         return next(self._id_seq)
@@ -36,34 +36,6 @@ class _Collection:
         if isinstance(doc_id, int):
             current = next(self._id_seq)
             self._id_seq = itertools.count(max(current, doc_id + 1))
-
-    def index_add(self, doc: Doc) -> None:
-        for path, table in self.indexes.items():
-            value = get_path(doc, path)
-            if value is _MISSING:
-                value = None
-            key = _index_key(value)
-            table.setdefault(key, set()).add(doc["_id"])
-
-    def index_remove(self, doc: Doc) -> None:
-        for path, table in self.indexes.items():
-            value = get_path(doc, path)
-            if value is _MISSING:
-                value = None
-            key = _index_key(value)
-            bucket = table.get(key)
-            if bucket is not None:
-                bucket.discard(doc["_id"])
-                if not bucket:
-                    del table[key]
-
-
-def _index_key(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(value)
-    if isinstance(value, dict):
-        return tuple(sorted(value.items()))
-    return value
 
 
 class DocumentDatabase(Database):
@@ -91,19 +63,6 @@ class DocumentDatabase(Database):
             self._collections[name] = col
         return col
 
-    def create_index(self, collection: str, path: str) -> None:
-        with self._lock:
-            col = self.collection(collection)
-            if path in col.indexes:
-                return
-            table: Dict[Any, set] = {}
-            for doc in col.docs.values():
-                value = get_path(doc, path)
-                if value is _MISSING:
-                    value = None
-                table.setdefault(_index_key(value), set()).add(doc["_id"])
-            col.indexes[path] = table
-
     # -- writes --------------------------------------------------------------
 
     def insert_one(self, collection: str, doc: Doc) -> Doc:
@@ -120,7 +79,6 @@ class DocumentDatabase(Database):
             if doc_id in col.docs:
                 raise DuplicateKeyError(f"duplicate _id {doc_id} in {collection!r}")
             col.docs[doc_id] = new_doc
-            col.index_add(new_doc)
             txn = self._txns.current()
             if txn is not None:
                 txn.record_insert(collection, doc_id)
@@ -132,16 +90,18 @@ class DocumentDatabase(Database):
     def update_one(
         self, collection: str, query: Dict[str, Any], update: Dict[str, Any]
     ) -> Optional[Doc]:
-        """Update the first matching document; returns the new document."""
+        """``$set`` fields of the first matching document; returns the
+        new document."""
+        patch = set_fields(update)
         with self._lock:
             self._charge_write()
             col = self.collection(collection)
             for doc in self._plan(col, query):
-                new_doc = apply_update(doc, update)
+                new_doc = _deep_copy(doc)
+                for path, value in patch.items():
+                    set_path(new_doc, path, value)
                 old = col.docs[doc["_id"]]
-                col.index_remove(old)
                 col.docs[doc["_id"]] = new_doc
-                col.index_add(new_doc)
                 txn = self._txns.current()
                 if txn is not None:
                     txn.record_replace(collection, doc["_id"], old)
@@ -158,7 +118,6 @@ class DocumentDatabase(Database):
             col = self.collection(collection)
             for doc in self._plan(col, query):
                 removed = col.docs.pop(doc["_id"])
-                col.index_remove(removed)
                 txn = self._txns.current()
                 if txn is not None:
                     txn.record_delete(collection, removed)
@@ -176,7 +135,6 @@ class DocumentDatabase(Database):
         query: Optional[Dict[str, Any]] = None,
         sort: Optional[Tuple[str, int]] = None,
         limit: Optional[int] = None,
-        projection: Optional[List[str]] = None,
     ) -> List[Doc]:
         with self._lock:
             self._charge_read()
@@ -190,12 +148,7 @@ class DocumentDatabase(Database):
             )
         else:
             docs.sort(key=lambda d: d["_id"])
-        if limit is not None:
-            docs = docs[:limit]
-        if projection is not None:
-            keep = set(projection) | {"_id"}
-            docs = [{k: v for k, v in d.items() if k in keep} for d in docs]
-        return docs
+        return docs if limit is None else docs[:limit]
 
     def get(self, collection: str, doc_id: Any) -> Optional[Doc]:
         with self._lock:
@@ -213,29 +166,15 @@ class DocumentDatabase(Database):
     def aggregate(
         self, collection: str, pipeline: List[Dict[str, Any]]
     ) -> List[Doc]:
-        """A subset of the MongoDB aggregation pipeline:
-        ``$match``, ``$group`` (``$sum``/``$avg``/``$min``/``$max``,
-        numeric literal 1 for counting), ``$sort``, ``$limit``,
-        ``$unwind``."""
+        """A subset of the MongoDB aggregation pipeline: ``$group`` (with
+        ``$sum`` over a field or a literal, 1 for counting), ``$sort`` and
+        ``$limit``."""
         docs = self.find(collection, limit=None)
         for stage in pipeline:
             if len(stage) != 1:
                 raise DatabaseError("each pipeline stage has exactly one key")
             op, spec = next(iter(stage.items()))
-            if op == "$match":
-                docs = [d for d in docs if matches_filter(d, spec)]
-            elif op == "$unwind":
-                path = spec.lstrip("$")
-                unwound = []
-                for doc in docs:
-                    value = get_path(doc, path)
-                    if isinstance(value, list):
-                        for element in value:
-                            clone = _deep_copy(doc)
-                            set_path(clone, path, element)
-                            unwound.append(clone)
-                docs = unwound
-            elif op == "$group":
+            if op == "$group":
                 docs = _group_stage(docs, spec)
             elif op == "$sort":
                 for path, direction in reversed(list(spec.items())):
@@ -252,20 +191,13 @@ class DocumentDatabase(Database):
     # -- planner ---------------------------------------------------------------
 
     def _plan(self, col: _Collection, query: Dict[str, Any]) -> Iterable[Doc]:
+        check_filter(query)
         if "_id" in query and not isinstance(query["_id"], dict):
             self.stats.index_lookups += 1
             doc = col.docs.get(query["_id"])
             if doc is not None and matches_filter(doc, query):
                 yield doc
             return
-        for path, condition in query.items():
-            if path in col.indexes and not isinstance(condition, (dict, list)):
-                self.stats.index_lookups += 1
-                for doc_id in list(col.indexes[path].get(_index_key(condition), ())):
-                    doc = col.docs.get(doc_id)
-                    if doc is not None and matches_filter(doc, query):
-                        yield doc
-                return
         self.stats.scans += 1
         for doc_id in list(col.docs):
             doc = col.docs.get(doc_id)
@@ -290,25 +222,15 @@ class DocumentDatabase(Database):
 
     def _undo_insert(self, collection: str, doc_id: Any) -> None:
         with self._lock:
-            col = self.collection(collection)
-            doc = col.docs.pop(doc_id, None)
-            if doc is not None:
-                col.index_remove(doc)
+            self.collection(collection).docs.pop(doc_id, None)
 
     def _undo_replace(self, collection: str, doc_id: Any, old_doc: Doc) -> None:
         with self._lock:
-            col = self.collection(collection)
-            current = col.docs.get(doc_id)
-            if current is not None:
-                col.index_remove(current)
-            col.docs[doc_id] = _deep_copy(old_doc)
-            col.index_add(col.docs[doc_id])
+            self.collection(collection).docs[doc_id] = _deep_copy(old_doc)
 
     def _undo_delete(self, collection: str, old_doc: Doc) -> None:
         with self._lock:
-            col = self.collection(collection)
-            col.docs[old_doc["_id"]] = _deep_copy(old_doc)
-            col.index_add(col.docs[old_doc["_id"]])
+            self.collection(collection).docs[old_doc["_id"]] = _deep_copy(old_doc)
 
 
 def _group_stage(docs: List[Doc], spec: Dict[str, Any]) -> List[Doc]:
@@ -335,6 +257,8 @@ def _group_stage(docs: List[Doc], spec: Dict[str, Any]) -> List[Doc]:
             if field == "_id":
                 continue
             op, operand = next(iter(accumulator.items()))
+            if op != "$sum":
+                raise DatabaseError(f"unsupported accumulator {op!r}")
             if isinstance(operand, str) and operand.startswith("$"):
                 values = [
                     v for v in (get_path(d, operand[1:]) for d in bucket)
@@ -342,16 +266,7 @@ def _group_stage(docs: List[Doc], spec: Dict[str, Any]) -> List[Doc]:
                 ]
             else:
                 values = [operand] * len(bucket)
-            if op == "$sum":
-                result[field] = sum(values)
-            elif op == "$avg":
-                result[field] = sum(values) / len(values) if values else None
-            elif op == "$min":
-                result[field] = min(values) if values else None
-            elif op == "$max":
-                result[field] = max(values) if values else None
-            else:
-                raise DatabaseError(f"unsupported accumulator {op!r}")
+            result[field] = sum(values)
         out.append(result)
     return out
 

@@ -12,7 +12,7 @@ from repro.databases.relational.engine import (
     PostgresLike,
     RelationalDatabase,
 )
-from repro.databases.relational.expression import Col, ALWAYS
+from repro.databases.relational.expression import ALWAYS
 from repro.databases.relational.schema import Column, Index, TableSchema
 from repro.databases.relational.types import (
     Boolean,
@@ -31,7 +31,6 @@ __all__ = [
     "TableSchema",
     "Column",
     "Index",
-    "Col",
     "ALWAYS",
     "Integer",
     "Float",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.databases.base import Database
 from repro.databases.relational.expression import ALWAYS, Expression
@@ -82,51 +82,22 @@ class RelationalDatabase(Database):
         self,
         table: str,
         where: Expression = ALWAYS,
-        columns: Optional[Sequence[str]] = None,
-        order_by: Optional[Any] = None,
+        order_by: Optional[Tuple[str, str]] = None,
         limit: Optional[int] = None,
-        offset: int = 0,
-        distinct: bool = False,
     ) -> List[Row]:
-        """SELECT rows matching ``where``; always includes the primary key
-        (Synapse injects primary-key selectors into reads, §4.2).
-
-        ``order_by`` is one ``(column, "asc"|"desc")`` pair or a list of
-        them; ``distinct`` dedupes on the projected columns (implies a
-        projection without the primary key).
-        """
+        """SELECT rows matching ``where``, ordered by one
+        ``(column, "asc"|"desc")`` pair (primary key by default)."""
         with self._lock:
             self._charge_read()
             storage = self._storage(table)
             rows = list(self._plan(storage, where))
         if order_by is not None:
-            pairs = order_by if isinstance(order_by, list) else [order_by]
-            for column, direction in reversed(pairs):
-                rows.sort(key=lambda r: (r.get(column) is None, r.get(column)),
-                          reverse=(direction.lower() == "desc"))
+            column, direction = order_by
+            rows.sort(key=lambda r: (r.get(column) is None, r.get(column)),
+                      reverse=(direction.lower() == "desc"))
         else:
             rows.sort(key=lambda r: r[PRIMARY_KEY])
-        if offset:
-            rows = rows[offset:]
-        if limit is not None:
-            rows = rows[:limit]
-        if distinct:
-            if columns is None:
-                raise UnsupportedOperationError(
-                    "DISTINCT needs an explicit column projection"
-                )
-            seen = set()
-            out: List[Row] = []
-            for row in rows:
-                projected = tuple(row.get(c) for c in columns)
-                if projected not in seen:
-                    seen.add(projected)
-                    out.append(dict(zip(columns, projected)))
-            return out
-        if columns is not None:
-            keep = set(columns) | {PRIMARY_KEY}
-            rows = [{k: v for k, v in row.items() if k in keep} for row in rows]
-        return rows
+        return rows if limit is None else rows[:limit]
 
     def get(self, table: str, row_id: int) -> Optional[Row]:
         """Point lookup by primary key."""
@@ -186,32 +157,6 @@ class RelationalDatabase(Database):
                     txn.written.append({"table": table, "op": "delete", "row": dict(row)})
                 deleted.append(row)
             return deleted if returning else len(deleted)
-
-    def join(
-        self,
-        left: str,
-        right: str,
-        on: Tuple[str, str],
-        where: Expression = ALWAYS,
-    ) -> List[Tuple[Row, Row]]:
-        """Inner hash join; ``on`` is (left_column, right_column).
-
-        The WHERE predicate applies to the left row. Joins are read
-        dependencies on every returned row from both tables (§4.2).
-        """
-        with self._lock:
-            self._charge_read()
-            left_rows = list(self._plan(self._storage(left), where))
-            right_storage = self._storage(right)
-            left_col, right_col = on
-            by_key: Dict[Any, List[Row]] = {}
-            for row in right_storage.scan():
-                by_key.setdefault(row.get(right_col), []).append(row)
-            out: List[Tuple[Row, Row]] = []
-            for lrow in left_rows:
-                for rrow in by_key.get(lrow.get(left_col), []):
-                    out.append((lrow, rrow))
-            return out
 
     # -------------------------------------------------------------- planner
 

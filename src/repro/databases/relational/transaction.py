@@ -3,7 +3,7 @@
 Synapse hijacks the driver's commit path (§4.2): it turns the local commit
 into a 2PC so that (1) the local commit, (2) the version-store increments
 and (3) the broker publish either all happen or none do. The hooks below
-(`on_prepare`, `on_commit`, `on_abort`) are that hijack point.
+(`on_prepare`, `on_commit`) are that hijack point.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class Transaction:
         self.written: List[Dict[str, Any]] = []
         self.on_prepare: List[Callable[["Transaction"], None]] = []
         self.on_commit: List[Callable[["Transaction"], None]] = []
-        self.on_abort: List[Callable[["Transaction"], None]] = []
 
     # -- undo log -----------------------------------------------------------
 
@@ -103,8 +102,6 @@ class Transaction:
                 self.engine._undo_delete(table, old_row)
         self.state = self.ABORTED
         self.engine._finish_transaction(self)
-        for hook in self.on_abort:
-            hook(self)
 
     # -- context manager ----------------------------------------------------
 

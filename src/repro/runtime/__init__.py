@@ -7,7 +7,6 @@ from repro.runtime.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    ThroughputMeter,
 )
 from repro.runtime.monitor import (
     FlightRecorder,
@@ -41,7 +40,6 @@ __all__ = [
     "MetricsRegistry",
     "RecorderEvent",
     "Span",
-    "ThroughputMeter",
     "Trace",
     "Tracer",
     "activate_trace",

@@ -120,7 +120,3 @@ def uninstall_hook(hook: Callable[[Optional[str], dict, bool], None]) -> None:
     with _install_lock:
         if _hook is hook:
             _hook = None
-
-
-def hook_installed() -> bool:
-    return _hook is not None

@@ -26,7 +26,6 @@ import zlib
 from collections import deque
 from typing import Any, Dict, List, Optional, Union
 
-from repro.clock import Clock, DEFAULT_CLOCK
 from repro.runtime.tracing import current_trace, trace_now
 
 #: Reservoir capacity: percentiles stay exact below this many samples
@@ -337,38 +336,3 @@ class MetricsRegistry:
             )
         for instrument in instruments:
             instrument.reset()
-
-
-class ThroughputMeter:
-    """Counts events over a wall-clock (or virtual) window."""
-
-    def __init__(self, clock: Optional[Clock] = None) -> None:
-        self.clock = clock or DEFAULT_CLOCK
-        self._count = 0
-        self._lock = threading.Lock()
-        self._started: Optional[float] = None
-        self._stopped: Optional[float] = None
-
-    def start(self) -> None:
-        self._started = self.clock.monotonic()
-
-    def mark(self, count: int = 1) -> None:
-        with self._lock:
-            self._count += count
-
-    def stop(self) -> None:
-        self._stopped = self.clock.monotonic()
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    def per_second(self) -> float:
-        if self._started is None:
-            return 0.0
-        end = self._stopped if self._stopped is not None else self.clock.monotonic()
-        elapsed = end - self._started
-        if elapsed <= 0:
-            return 0.0
-        return self.count / elapsed

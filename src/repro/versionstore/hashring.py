@@ -15,9 +15,9 @@ def stable_hash(value: str) -> int:
 class HashRing:
     """Maps keys to nodes with virtual nodes for balance.
 
-    Adding/removing a node only remaps the keys owned by its ring
-    segments — the property that lets Synapse grow the version-store
-    fleet without a global reshuffle.
+    Adding a node only remaps the keys its ring segments take over — the
+    property that lets Synapse grow the version-store fleet without a
+    global reshuffle.
     """
 
     def __init__(self, nodes: List[Any], vnodes: int = 64) -> None:
@@ -35,10 +35,6 @@ class HashRing:
         for i in range(self.vnodes):
             point = stable_hash(f"{label}#{i}")
             bisect.insort(self._ring, (point, node))
-
-    def remove_node(self, node: Any) -> None:
-        self._nodes.remove(node)
-        self._ring = [(p, n) for p, n in self._ring if n is not node]
 
     def node_for(self, key: str) -> Any:
         if len(self._nodes) == 1:

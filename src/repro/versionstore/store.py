@@ -103,10 +103,6 @@ class ShardedKV:
         for shard in self.shards:
             shard.flushall()
 
-    @property
-    def any_down(self) -> bool:
-        return any(shard.is_down for shard in self.shards)
-
     def total_keys(self) -> int:
         return sum(shard.dbsize() for shard in self.shards)
 

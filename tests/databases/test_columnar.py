@@ -97,23 +97,5 @@ class TestClusteringAndScan:
 
 
 class TestBatches:
-    def test_logged_batch_applies_atomically(self, db):
-        db.batch(
-            [
-                ("put", "users", {"id": 1, "name": "a"}),
-                ("put", "users", {"id": 2, "name": "b"}),
-            ]
-        )
-        assert db.count("users") == 2
-
-    def test_batch_delete(self, db):
-        db.put("users", {"id": 1})
-        db.batch([("delete", "users", (1,)), ("put", "users", {"id": 2})])
-        assert [r["id"] for r in db.scan("users")] == [2]
-
-    def test_batch_rejects_unknown_mutation(self, db):
-        with pytest.raises(SchemaError):
-            db.batch([("truncate", "users", None)])
-
     def test_no_returning(self, db):
         assert db.supports_returning is False

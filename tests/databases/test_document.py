@@ -1,15 +1,24 @@
 """Unit tests for the document engine and its filter language."""
 
+import re
+
 import pytest
 
-from repro.databases.document import MongoLike, TokuMXLike, matches_filter
-from repro.databases.document.filters import apply_update, get_path, set_path
+from repro.databases.document import MongoLike, TokuMXLike
+from repro.databases.document.filters import get_path, matches_filter, set_path
 from repro.errors import DatabaseError, DuplicateKeyError, UnsupportedOperationError
 
 
 @pytest.fixture
 def db():
     return MongoLike("mongo")
+
+
+def rejected(db, query, operator):
+    """The engine refuses ``query``, naming ``operator``, rather than
+    reading it as an equality that matches nothing."""
+    with pytest.raises(DatabaseError, match=re.escape(repr(operator))):
+        db.find("c", query)
 
 
 class TestFilters:
@@ -21,39 +30,39 @@ class TestFilters:
         assert not matches_filter(doc, {"missing": 1})
         assert matches_filter(doc, {"missing": None})
 
-    def test_comparison_operators(self):
-        doc = {"n": 5, "s": "hello"}
-        assert matches_filter(doc, {"n": {"$gt": 4}})
-        assert matches_filter(doc, {"n": {"$gte": 5, "$lte": 5}})
-        assert not matches_filter(doc, {"n": {"$lt": 5}})
-        assert matches_filter(doc, {"n": {"$ne": 4}})
-        assert matches_filter(doc, {"n": {"$in": [5, 6]}})
-        assert matches_filter(doc, {"n": {"$nin": [1, 2]}})
-        assert matches_filter(doc, {"s": {"$regex": "^hel"}})
+    def test_comparison_operators(self, db):
+        db.insert_one("c", {"n": 5, "s": "hello"})
+        for op in ("$gt", "$gte", "$lt", "$lte", "$ne", "$in", "$nin"):
+            rejected(db, {"n": {op: 4}}, op)
+        rejected(db, {"s": {"$regex": "^hel"}}, "$regex")
+        # An operator beside a literal key in one condition is refused too.
+        rejected(db, {"n": {"x": 1, "$lt": 9}}, "$lt")
 
-    def test_exists(self):
-        doc = {"a": 1}
-        assert matches_filter(doc, {"a": {"$exists": True}})
-        assert matches_filter(doc, {"b": {"$exists": False}})
-        assert not matches_filter(doc, {"b": {"$exists": True}})
+    def test_exists(self, db):
+        db.insert_one("c", {"a": 1})
+        assert matches_filter({"a": 1}, {"b": None})
+        assert not matches_filter({"a": 1}, {"a": None})
+        rejected(db, {"b": {"$exists": False}}, "$exists")
 
-    def test_array_membership_semantics(self):
+    def test_array_membership_semantics(self, db):
         doc = {"tags": ["cats", "dogs"]}
         assert matches_filter(doc, {"tags": "cats"})
-        assert matches_filter(doc, {"tags": {"$in": ["dogs", "fish"]}})
-        assert matches_filter(doc, {"tags": {"$all": ["cats", "dogs"]}})
-        assert not matches_filter(doc, {"tags": {"$all": ["cats", "fish"]}})
-        assert matches_filter(doc, {"tags": {"$size": 2}})
+        assert not matches_filter(doc, {"tags": "fish"})
+        assert matches_filter(doc, {"tags": ["cats", "dogs"]})
+        for op in ("$in", "$all", "$size", "$elemMatch"):
+            rejected(db, {"tags": {op: ["dogs"]}}, op)
 
-    def test_logical_operators(self):
-        doc = {"a": 1, "b": 2}
-        assert matches_filter(doc, {"$or": [{"a": 9}, {"b": 2}]})
-        assert matches_filter(doc, {"$and": [{"a": 1}, {"b": 2}]})
-        assert matches_filter(doc, {"$nor": [{"a": 9}, {"b": 9}]})
-        assert not matches_filter(doc, {"$or": [{"a": 9}, {"b": 9}]})
+    def test_logical_operators(self, db):
+        db.insert_one("c", {"a": 1, "b": 2})
+        for op in ("$or", "$and", "$nor"):
+            rejected(db, {op: [{"a": 1}, {"b": 2}]}, op)
 
-    def test_mixed_type_ordering_never_matches(self):
-        assert not matches_filter({"a": "x"}, {"a": {"$gt": 1}})
+    def test_mixed_type_ordering_never_matches(self, db):
+        """An ordering the engine cannot evaluate is refused: it is
+        never read as an equality that quietly matches nothing."""
+        db.insert_one("c", {"a": "x"})
+        rejected(db, {"a": {"$gt": 1}}, "$gt")
+        assert not matches_filter({"a": "x"}, {"a": 1})
 
 
 class TestPathHelpers:
@@ -68,29 +77,33 @@ class TestPathHelpers:
 
 
 class TestUpdates:
-    def test_replacement_preserves_id(self):
-        out = apply_update({"_id": 1, "a": 1}, {"b": 2})
-        assert out == {"_id": 1, "b": 2}
+    def test_replacement_preserves_id(self, db):
+        """A whole-document replacement is refused, so the stored
+        document keeps its ``_id`` and its fields."""
+        db.insert_one("c", {"a": 1})
+        with pytest.raises(DatabaseError, match="'b'"):
+            db.update_one("c", {"_id": 1}, {"b": 2})
+        assert db.find("c") == [{"_id": 1, "a": 1}]
 
-    def test_set_unset_inc(self):
-        doc = {"_id": 1, "a": 1, "b": {"c": 3}}
-        out = apply_update(doc, {"$set": {"b.c": 9}, "$inc": {"n": 2}})
-        assert out["b"]["c"] == 9
-        assert out["n"] == 2
-        # original untouched
-        assert doc["b"]["c"] == 3
-        # $unset is not an operator this engine knows
-        with pytest.raises(DatabaseError):
-            apply_update(doc, {"$unset": {"a": 1}})
+    def test_set_unset_inc(self, db):
+        db.insert_one("c", {"a": 1, "b": {"c": 3}})
+        out = db.update_one("c", {"_id": 1}, {"$set": {"b.c": 9, "n": 2}})
+        assert out == {"_id": 1, "a": 1, "b": {"c": 9}, "n": 2}
+        # $set is the one operator: the others are refused by name,
+        # also beside a $set and also when nothing matches.
+        for update in ({"$unset": {"a": 1}}, {"$set": {"a": 0}, "$inc": {"n": 2}}):
+            with pytest.raises(DatabaseError, match=re.escape(repr(list(update)[-1]))):
+                db.update_one("c", {"_id": 1}, update)
+        with pytest.raises(DatabaseError, match=r"'\$inc'"):
+            db.update_one("c", {"_id": 99}, {"$inc": {"n": 1}})
+        assert db.get("c", 1) == out
 
-    def test_push_pull_add_to_set(self):
-        doc = {"_id": 1, "tags": ["a"]}
-        out = apply_update(doc, {"$push": {"tags": "b"}})
-        assert out["tags"] == ["a", "b"]
-        out = apply_update(out, {"$pull": {"tags": "a"}})
-        assert out["tags"] == ["b"]
-        out = apply_update(out, {"$addToSet": {"tags": "b"}})
-        assert out["tags"] == ["b"]
+    def test_push_pull_add_to_set(self, db):
+        db.insert_one("c", {"tags": ["a"]})
+        for op in ("$push", "$pull", "$addToSet"):
+            with pytest.raises(DatabaseError, match=re.escape(repr(op))):
+                db.update_one("c", {"_id": 1}, {op: {"tags": "b"}})
+        assert db.get("c", 1)["tags"] == ["a"]
 
 
 class TestEngine:
@@ -115,12 +128,11 @@ class TestEngine:
             db.insert_one("users", {"age": age, "x": "y"})
         docs = db.find("users", sort=("age", -1), limit=2)
         assert [d["age"] for d in docs] == [3, 2]
-        docs = db.find("users", projection=["age"])
-        assert set(docs[0]) == {"_id", "age"}
+        assert [d["age"] for d in db.find("users", sort=("age", 1))] == [1, 2, 3]
 
     def test_update_one_returns_new_doc(self, db):
         db.insert_one("users", {"name": "a", "n": 1})
-        out = db.update_one("users", {"name": "a"}, {"$inc": {"n": 1}})
+        out = db.update_one("users", {"name": "a"}, {"$set": {"n": 2}})
         assert out["n"] == 2
         assert db.update_one("users", {"name": "zzz"}, {"$set": {"n": 0}}) is None
 
@@ -138,20 +150,17 @@ class TestEngine:
         assert db.find("users")[0]["tags"] == ["a"]
 
     def test_index_point_lookup(self, db):
-        db.create_index("users", "name")
+        """A filter on ``_id`` is a point lookup, also beside other
+        conditions, for reads and for writes; any other filter scans."""
         db.insert_one("users", {"name": "a"})
         db.insert_one("users", {"name": "b"})
         db.stats.reset()
-        assert db.find("users", {"name": "b"})[0]["name"] == "b"
-        assert db.stats.index_lookups == 1
-        assert db.stats.scans == 0
-
-    def test_index_created_after_data(self, db):
-        db.insert_one("users", {"name": "a"})
-        db.create_index("users", "name")
-        db.stats.reset()
-        assert db.find("users", {"name": "a"})
-        assert db.stats.index_lookups == 1
+        assert db.find("users", {"_id": 2})[0]["name"] == "b"
+        assert db.find("users", {"_id": 2, "name": "a"}) == []
+        assert db.update_one("users", {"_id": 1}, {"$set": {"n": 1}})["n"] == 1
+        assert (db.stats.index_lookups, db.stats.scans) == (3, 0)
+        assert db.find("users", {"name": "b"})[0]["_id"] == 2
+        assert (db.stats.index_lookups, db.stats.scans) == (3, 1)
 
     def test_id_lookup_uses_pk(self, db):
         doc = db.insert_one("users", {"name": "a"})
@@ -180,7 +189,6 @@ class TestTransactions:
 
     def test_tokumx_rollback_restores_a_deleted_document(self):
         db = TokuMXLike("toku")
-        db.create_index("users", "name")
         db.insert_one("users", {"name": "a", "n": 1})
         with pytest.raises(RuntimeError):
             with db.begin():
@@ -189,5 +197,5 @@ class TestTransactions:
                 raise RuntimeError("boom")
         assert db.find("users") == [{"_id": 1, "name": "a", "n": 1}]
         db.stats.reset()
-        assert db.find("users", {"name": "a"})[0]["n"] == 1
+        assert db.find("users", {"_id": 1})[0]["n"] == 1
         assert (db.stats.index_lookups, db.stats.scans) == (1, 0)

@@ -1,17 +1,17 @@
-"""Edge-case coverage across engines: mixed-type sorting, projections,
-analyzer validation, graph updates, missing-target operations."""
+"""Edge-case coverage across engines: mixed-type sorting, analyzer
+validation, graph updates, missing-target operations."""
 
 import pytest
 
 from repro.databases.document import MongoLike
 from repro.databases.graph import Neo4jLike
 from repro.databases.relational import (
-    Col,
     Column,
     Integer,
     PostgresLike,
     TableSchema,
 )
+from repro.databases.relational.expression import where_from_dict
 from repro.databases.search import ElasticsearchLike
 from repro.errors import SchemaError, UnknownTableError
 
@@ -51,17 +51,11 @@ class TestRelationalEdges:
         with pytest.raises(UnknownTableError):
             db.select("nope")
 
-    def test_offset_beyond_data(self):
-        db = PostgresLike("p")
-        db.create_table(TableSchema("t", [Column("x", Integer())]))
-        db.insert("t", {"x": 1})
-        assert db.select("t", offset=10) == []
-
     def test_update_missing_rows_returns_zero(self):
         db = PostgresLike("p")
         db.create_table(TableSchema("t", [Column("x", Integer())]))
-        assert db.update("t", Col("x") == 99, {"x": 1}) == 0
-        assert db.delete("t", Col("x") == 99) == 0
+        assert db.update("t", where_from_dict({"x": 99}), {"x": 1}) == 0
+        assert db.delete("t", where_from_dict({"x": 99})) == 0
 
 
 class TestGraphEdges:

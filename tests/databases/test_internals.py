@@ -6,7 +6,6 @@ from repro.databases.columnar.memtable import Memtable, SSTable, compact, merge_
 from repro.databases.relational.expression import (
     ALWAYS,
     And,
-    Col,
     Eq,
     where_from_dict,
 )
@@ -19,23 +18,17 @@ class TestExpressions:
         assert ALWAYS.equality_candidates() == []
 
     def test_equality_candidates_from_and(self):
-        expr = (Col("a") == 1) & (Col("b") == 2) & (Col("c") > 3)
-        assert ("a", 1) in expr.equality_candidates()
-        assert ("b", 2) in expr.equality_candidates()
-        assert all(c != ("c", 3) for c in expr.equality_candidates())
-
-    def test_or_has_no_equality_candidates(self):
-        expr = (Col("a") == 1) | (Col("b") == 2)
-        assert expr.equality_candidates() == []
+        expr = And(And(Eq("a", 1), Eq("b", 2)), Eq("c", 3))
+        assert expr.equality_candidates() == [("a", 1), ("b", 2), ("c", 3)]
 
     def test_comparisons_with_none_never_match(self):
-        for expr in [Col("x") > 1, Col("x") < 1, Col("x") >= 1]:
-            assert not expr.matches({"x": None})
-            assert not expr.matches({})
+        assert not Eq("x", 1).matches({"x": None})
+        assert not Eq("x", 1).matches({})
 
     def test_mixed_type_comparison_never_matches(self):
-        assert not (Col("x") > 1).matches({"x": "string"})
-        assert not (Col("x") < "a").matches({"x": 5})
+        # No coercion: the text "1" is not the integer 1.
+        assert not Eq("x", 1).matches({"x": "1"})
+        assert not Eq("x", "5").matches({"x": 5})
 
     def test_where_from_dict(self):
         assert where_from_dict(None) is ALWAYS
@@ -48,8 +41,8 @@ class TestExpressions:
         assert not multi.matches({"a": 1, "b": 3})
 
     def test_repr_smoke(self):
-        text = repr((Col("a") == 1) & ((Col("b") > 2) | (Col("c") < 3)))
-        assert "a" in text and "AND" in text and "OR" in text
+        text = repr(where_from_dict({"a": 1, "b": "x"}))
+        assert text == "((a = 1) AND (b = 'x'))"
 
 
 class TestMemtableAndSSTables:

@@ -1,10 +1,10 @@
-"""Composite-index planning and $elemMatch filter extensions."""
+"""Composite-index planning, and the document engine's refusal of
+``$elemMatch``."""
 
 import pytest
 
-from repro.databases.document import MongoLike, matches_filter
+from repro.databases.document import MongoLike
 from repro.databases.relational import (
-    Col,
     Column,
     Index,
     Integer,
@@ -12,6 +12,8 @@ from repro.databases.relational import (
     TableSchema,
     Text,
 )
+from repro.databases.relational.expression import where_from_dict
+from repro.errors import DatabaseError
 
 
 def planned_index(db, table, where):
@@ -55,14 +57,14 @@ class TestCompositeIndexPlanning:
         return database
 
     def test_widest_index_chosen(self, db):
-        where = (Col("tenant") == "acme") & (Col("kind") == "click")
+        where = where_from_dict({"tenant": "acme", "kind": "click"})
         assert planned_index(db, "events", where) == "by_tenant_kind"
 
     def test_falls_back_to_narrower_index(self, db):
-        assert planned_index(db, "events", Col("tenant") == "acme") == "by_tenant"
+        assert planned_index(db, "events", where_from_dict({"tenant": "acme"})) == "by_tenant"
 
     def test_composite_results_match_scan(self, db):
-        where = (Col("tenant") == "acme") & (Col("kind") == "click")
+        where = where_from_dict({"tenant": "acme", "kind": "click"})
         db.stats.reset()
         indexed = db.select("events", where=where)
         assert db.stats.index_lookups == 1 and db.stats.scans == 0
@@ -76,41 +78,31 @@ class TestCompositeIndexPlanning:
     def test_partial_composite_match_not_usable(self, db):
         # Only "kind" has an equality: by_tenant_kind cannot serve it.
         db.stats.reset()
-        assert planned_index(db, "events", Col("kind") == "click") is None
+        assert planned_index(db, "events", where_from_dict({"kind": "click"})) is None
         assert db.stats.scans == 1
 
     def test_index_maintained_through_updates(self, db):
-        db.update("events", (Col("tenant") == "acme") & (Col("kind") == "click"),
+        db.update("events", where_from_dict({"tenant": "acme", "kind": "click"}),
                   {"kind": "tap"})
-        where = (Col("tenant") == "acme") & (Col("kind") == "tap")
+        where = where_from_dict({"tenant": "acme", "kind": "tap"})
         assert len(db.select("events", where=where)) == 3
-        old = (Col("tenant") == "acme") & (Col("kind") == "click")
+        old = where_from_dict({"tenant": "acme", "kind": "click"})
         assert db.select("events", where=old) == []
 
 
 class TestElemMatch:
-    def test_elem_match_on_subdocuments(self):
-        doc = {"items": [{"sku": "a", "qty": 1}, {"sku": "b", "qty": 5}]}
-        assert matches_filter(doc, {"items": {"$elemMatch": {"qty": {"$gt": 3}}}})
-        assert matches_filter(
-            doc, {"items": {"$elemMatch": {"sku": "b", "qty": {"$gte": 5}}}}
-        )
-        # No single element satisfies both conditions together.
-        assert not matches_filter(
-            doc, {"items": {"$elemMatch": {"sku": "a", "qty": {"$gt": 3}}}}
-        )
-
-    def test_elem_match_on_scalars(self):
-        doc = {"scores": [1, 7, 3]}
-        assert matches_filter(doc, {"scores": {"$elemMatch": {"$gt": 5}}})
-        assert not matches_filter(doc, {"scores": {"$elemMatch": {"$gt": 9}}})
-
-    def test_elem_match_on_non_array(self):
-        assert not matches_filter({"x": 3}, {"x": {"$elemMatch": {"$gt": 1}}})
-
     def test_engine_integration(self):
+        """``$elemMatch`` is not an operator the engine has: every
+        planned read and write refuses it, naming it, even with nothing
+        to scan, instead of matching nothing."""
         db = MongoLike("m")
-        db.insert_one("orders", {"items": [{"sku": "a", "qty": 1}]})
+        query = {"items": {"$elemMatch": {"qty": 9}}}
+        with pytest.raises(DatabaseError, match=r"\$elemMatch"):
+            db.find("orders", query)
         db.insert_one("orders", {"items": [{"sku": "a", "qty": 9}]})
-        hits = db.find("orders", {"items": {"$elemMatch": {"qty": {"$gt": 5}}}})
-        assert len(hits) == 1
+        for call in (db.find, db.count, db.delete_one):
+            with pytest.raises(DatabaseError, match=r"\$elemMatch"):
+                call("orders", query)
+        with pytest.raises(DatabaseError, match=r"\$elemMatch"):
+            db.update_one("orders", query, {"$set": {"n": 1}})
+        assert db.count("orders") == 1

@@ -1,75 +1,24 @@
-"""Property: logged batches are atomic and timestamp-consistent."""
+"""A tombstone wins a timestamp tie with a put, in the memtable and across a flush."""
 
-import hypothesis.strategies as st
-from hypothesis import given, settings
-
-from repro.databases.columnar import CassandraLike, ColumnFamily
-
-batch_specs = st.lists(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["put", "delete"]),
-            st.integers(min_value=1, max_value=5),
-            st.integers(min_value=0, max_value=99),
-        ),
-        min_size=1, max_size=5,
-    ),
-    min_size=1, max_size=10,
-)
-
-
-def replay_reference(batches):
-    """Cassandra batch semantics: one timestamp per batch; tombstones win
-    timestamp ties, so a delete anywhere in a batch kills the key even if
-    a put follows it; among puts, the last written cell wins."""
-    reference = {}
-    for batch in batches:
-        dead = {key for kind, key, _v in batch if kind == "delete"}
-        puts = {}
-        for kind, key, value in batch:
-            if kind == "put":
-                puts[key] = value
-        for key, value in puts.items():
-            if key not in dead:
-                reference[key] = value
-        for key in dead:
-            reference.pop(key, None)
-    return reference
+from repro.databases.columnar.memtable import Memtable, SSTable, merge_row
 
 
 class TestBatchAtomicity:
-    @given(batches=batch_specs,
-           flush_threshold=st.integers(min_value=1, max_value=8))
-    @settings(max_examples=60, deadline=None)
-    def test_batches_equal_reference_semantics(self, batches, flush_threshold):
-        db = CassandraLike("c", flush_threshold=flush_threshold)
-        db.create_table(ColumnFamily("t"))
-        for batch in batches:
-            mutations = []
-            for kind, key, value in batch:
-                if kind == "put":
-                    mutations.append(("put", "t", {"id": key, "v": value}))
-                else:
-                    mutations.append(("delete", "t", (key,)))
-            db.batch(mutations)
-        reference = replay_reference(batches)
-        for key in range(1, 6):
-            row = db.get_by_id("t", key)
-            if key in reference:
-                assert row is not None and row["v"] == reference[key], key
-            else:
-                assert row is None, key
-
     def test_tombstone_wins_timestamp_tie(self):
-        """Within one batch (one timestamp), the delete shadows the put —
-        Cassandra's tie-break rule."""
-        db = CassandraLike("c")
-        db.create_table(ColumnFamily("t"))
-        db.batch([
-            ("delete", "t", (1,)),
-            ("put", "t", {"id": 1, "v": 1}),
-        ])
-        assert db.get_by_id("t", 1) is None
-        # A later batch resurrects the key.
-        db.batch([("put", "t", {"id": 1, "v": 2})])
-        assert db.get_by_id("t", 1) == {"id": 1, "v": 2}
+        """At one timestamp the delete shadows the put, whichever came
+        first and whether or not a flush lies between them: Cassandra's
+        tie-break rule."""
+        for delete_first in (True, False):
+            memtable = Memtable()
+            if delete_first:
+                memtable.delete((1,), timestamp=5)
+            memtable.put((1,), {"v": 1}, timestamp=5)
+            if not delete_first:
+                memtable.delete((1,), timestamp=5)
+            assert merge_row((1,), [memtable]) is None
+            fresh = Memtable()
+            fresh.put((1,), {"v": 1}, timestamp=5)
+            assert merge_row((1,), [fresh, SSTable.from_memtable(memtable)]) is None
+            # A later write resurrects the key.
+            fresh.put((1,), {"v": 2}, timestamp=6)
+            assert merge_row((1,), [fresh, SSTable.from_memtable(memtable)]) == {"v": 2}

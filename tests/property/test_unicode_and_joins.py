@@ -1,18 +1,11 @@
-"""Unicode round-trips through the whole wire path, and join properties."""
+"""Unicode round-trips through the whole wire path, and drain bounds."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
-from repro.databases.relational import (
-    Col,
-    Column,
-    Integer,
-    PostgresLike,
-    TableSchema,
-    Text,
-)
+from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 
 # Includes combining characters, CJK, emoji, RTL and control-adjacent.
@@ -42,58 +35,6 @@ class TestUnicodeWirePath:
         item = Item.create(name=name)
         sub.subscriber.drain()
         assert SubItem.find(item.id).name == name
-
-
-class TestJoinProperties:
-    rows = st.lists(
-        st.tuples(st.integers(min_value=1, max_value=5),   # fk
-                  st.integers(min_value=0, max_value=9)),  # payload
-        min_size=0, max_size=20,
-    )
-    parents = st.sets(st.integers(min_value=1, max_value=5), min_size=0,
-                      max_size=5)
-
-    @given(children=rows, parent_ids=parents)
-    @settings(max_examples=60, deadline=None)
-    def test_join_equals_nested_loop(self, children, parent_ids):
-        db = PostgresLike("p")
-        db.create_table(TableSchema("parents", [Column("tag", Text())]))
-        db.create_table(
-            TableSchema("children",
-                        [Column("parent_id", Integer()),
-                         Column("n", Integer())])
-        )
-        for pid in sorted(parent_ids):
-            db.insert("parents", {"id": pid, "tag": f"p{pid}"})
-        for fk, n in children:
-            db.insert("children", {"parent_id": fk, "n": n})
-        joined = db.join("parents", "children", on=("id", "parent_id"))
-        expected = [
-            (p, c)
-            for p in db.select("parents")
-            for c in db.select("children")
-            if c["parent_id"] == p["id"]
-        ]
-        def key(pair):
-            return (pair[0]["id"], pair[1]["id"])
-
-        assert sorted(joined, key=key) == sorted(expected, key=key)
-
-    @given(children=rows)
-    @settings(max_examples=40, deadline=None)
-    def test_join_with_where_filters_left_side(self, children):
-        db = PostgresLike("p")
-        db.create_table(TableSchema("parents", [Column("tag", Text())]))
-        db.create_table(
-            TableSchema("children", [Column("parent_id", Integer())])
-        )
-        db.insert("parents", {"id": 1, "tag": "keep"})
-        db.insert("parents", {"id": 2, "tag": "drop"})
-        for fk, _n in children:
-            db.insert("children", {"parent_id": 1 if fk % 2 else 2})
-        joined = db.join("parents", "children", on=("id", "parent_id"),
-                         where=Col("tag") == "keep")
-        assert all(p["tag"] == "keep" for p, _c in joined)
 
 
 class TestDrainBounds:

@@ -15,6 +15,7 @@ from repro.core import subscriber as subscriber_mod
 from repro.core.subscriber import SynapseSubscriber
 from repro.durability.manager import DurabilityManager
 from repro.errors import BrokerError, QueueDecommissioned
+from repro.runtime import interleave
 from repro.runtime import workers as workers_mod
 from repro.runtime.conformance import (
     DeliveryChecker,
@@ -44,7 +45,6 @@ from repro.runtime.conformance.scenarios import (
 )
 from repro.runtime.interleave import (
     SUBSCRIBER_APPLIED,
-    hook_installed,
     install_hook,
     uninstall_hook,
     yield_point,
@@ -80,7 +80,7 @@ class TestDeterminism:
 
     def test_hook_uninstalled_after_run(self):
         run_schedule(ScheduleConfig(mode="weak", seed=3))
-        assert not hook_installed()
+        assert interleave._hook is None
         yield_point("noop")  # must be a no-op outside a schedule
 
 

@@ -6,7 +6,7 @@ from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
-from repro.runtime.metrics import Histogram, ThroughputMeter
+from repro.runtime.metrics import Histogram
 from repro.runtime.simulation import (
     DBCeiling,
     SimMessage,
@@ -32,17 +32,6 @@ class TestHistogram:
         h = Histogram()
         assert h.mean() == 0.0
         assert h.percentile(99) == 0.0
-
-    def test_throughput_meter(self):
-        from repro.clock import VirtualClock
-
-        clock = VirtualClock()
-        meter = ThroughputMeter(clock)
-        meter.start()
-        meter.mark(100)
-        clock.advance(2.0)
-        meter.stop()
-        assert meter.per_second() == 50.0
 
 
 class TestWorkerPool:

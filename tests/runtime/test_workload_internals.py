@@ -81,8 +81,8 @@ class TestShardedKV:
 
     def test_any_down_detection(self):
         kv = ShardedKV([RedisLike("a"), RedisLike("b")])
-        assert not kv.any_down
+        assert [shard.is_down for shard in kv.shards] == [False, False]
         kv.shards[1].crash()
-        assert kv.any_down
+        assert [shard.is_down for shard in kv.shards] == [False, True]
         kv.shards[1].restart()
-        assert not kv.any_down
+        assert [shard.is_down for shard in kv.shards] == [False, False]

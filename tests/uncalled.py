@@ -1,14 +1,18 @@
-"""List the functions under ``src/repro`` that no collected test calls.
+"""List the functions under ``src/repro`` that nothing outside the tests
+calls while the collected tests run.
 
 Load it explicitly; nothing registers it::
 
     PYTHONPATH=src python -m pytest -p tests.uncalled [pytest args]
 
 A ``sys.setprofile`` hook (and ``threading.setprofile`` for worker
-threads) records every code object entered in this process; at the end
-the summary lists each function of the package that was never entered,
-with its raw line count. Child processes are not followed. The name keeps
-the file out of test collection (``test_*.py``).
+threads) records every code object entered in this process whose calling
+frame lies outside ``tests/``; at the end the summary lists each function
+of the package that was never entered that way, with its raw line count.
+A function that only test code calls is listed, however many tests call
+it: it is surface that the system itself never drives. Child processes
+are not followed. The name keeps the file out of test collection
+(``test_*.py``).
 """
 
 import inspect
@@ -16,13 +20,17 @@ import os
 import sys
 import threading
 
-_ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro")
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_ROOT = os.path.join(_REPO, "src", "repro")
+_TESTS = os.path.join(_REPO, "tests") + os.sep
 _seen = set()
 
 
 def _hook(frame, event, arg):
     if event == "call":
-        _seen.add(frame.f_code)
+        caller = frame.f_back
+        if caller is None or not caller.f_code.co_filename.startswith(_TESTS):
+            _seen.add(frame.f_code)
 
 
 def _functions(code):
