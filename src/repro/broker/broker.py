@@ -281,12 +281,3 @@ class Broker:
         acked is neither queued nor applied."""
         with self._lock:
             return {name: queue.unacked_count for name, queue in self._queues.items()}
-
-    def queue_stats(self, subscriber_app: Optional[str] = None) -> Dict[str, Dict[str, int]]:
-        """Full queue accounting (queued/in_flight/published/acked/
-        decommissioned) for one subscriber or all of them."""
-        with self._lock:
-            if subscriber_app is not None:
-                queue = self._queues.get(subscriber_app)
-                return {subscriber_app: queue.stats()} if queue is not None else {}
-            return {name: queue.stats() for name, queue in self._queues.items()}

@@ -320,20 +320,6 @@ class SubscriberQueue:
         with self._lock:
             return len(self._unacked)
 
-    def stats(self) -> Dict[str, int]:
-        """Queued *and* delivered-but-unacked counts, plus lifetime
-        published/acked totals — what an auditor needs to tell transit
-        lag (messages still queued or in flight) from loss (published
-        but neither queued, in flight, nor acked)."""
-        with self._lock:
-            return {
-                "queued": len(self._items),
-                "in_flight": len(self._unacked),
-                "published": self.total_published,
-                "acked": self.total_acked,
-                "decommissioned": int(self.decommissioned),
-            }
-
     # -- durability (docs/durability.md, "Restore") -------------------------------
 
     def durable_state(self) -> Dict[str, Any]:

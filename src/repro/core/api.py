@@ -441,9 +441,6 @@ class Service:
     def subscription_specs_for(self, model_cls: type) -> List[SubscriptionSpec]:
         return self._subscribed.get(model_cls, [])
 
-    def published_models(self) -> List[type]:
-        return list(self._published)
-
     # ------------------------------------------------------------------
     # Controller / background-job scopes (§2, §4.2)
     # ------------------------------------------------------------------
@@ -613,9 +610,9 @@ class Service:
 
     def audit_replication(self, publisher_name: Optional[str] = None) -> Any:
         """Compare this subscriber's replicas against their publishers:
-        row-hash digests locate divergent objects; broker/version-store
-        watermarks tell transit lag from §6.5-style loss. Returns an
-        :class:`repro.repair.AuditReport`."""
+        row-hash digests locate divergent objects; the lag monitor's
+        reading of each link tells transit lag from §6.5-style loss.
+        Returns an :class:`repro.repair.AuditReport`."""
         from repro.repair import ReplicationAuditor
 
         return ReplicationAuditor(self).audit(publisher_name)
@@ -634,30 +631,6 @@ class Service:
         return repair_subscriber(
             self, publisher_name, report=report, reaudit=reaudit
         )
-
-    def stats(self) -> Dict[str, Any]:
-        """Operational counters for dashboards/tests.
-
-        Every value is a read-through view of the ecosystem's
-        :class:`MetricsRegistry`; ``ecosystem.metrics.snapshot()`` exposes
-        the same counters (and more) under their hierarchical names.
-        """
-        queue = self.subscriber.queue
-        counted = self.ecosystem.metrics.value
-        return {
-            "service": self.name,
-            "delivery_mode": self.delivery_mode,
-            "messages_published": self.publisher.messages_published,
-            "publish_overhead_mean_ms": self.publisher.overhead.mean() * 1000,
-            "messages_processed": counted(f"subscriber.{self.name}.processed"),
-            "stale_discarded": counted(f"subscriber.{self.name}.stale_discarded"),
-            "duplicates_ignored": counted(f"subscriber.{self.name}.duplicates"),
-            "dep_wait_mean_ms": self.subscriber.dep_wait.mean() * 1000,
-            "apply_mean_ms": self.subscriber.apply_time.mean() * 1000,
-            "queue_depth": len(queue) if queue is not None else 0,
-            "bootstrapping": self.subscriber.bootstrapping,
-            "generation": self.current_generation(),
-        }
 
     def __repr__(self) -> str:
         return f"<Service {self.name!r} mode={self.delivery_mode}>"

@@ -200,13 +200,6 @@ class Model(metaclass=ModelMeta):
         run_callbacks(self, "after_destroy")
         return self
 
-    def reload(self) -> "Model":
-        row = self._mapper().find(self.id)
-        if row is None:
-            raise RecordNotFound(f"{type(self).__name__} id={self.id} is gone")
-        self._load_row(row)
-        return self
-
     def _load_row(self, row: Dict[str, Any]) -> None:
         attributes = self._attributes
         for name in self._fields:
@@ -292,28 +285,6 @@ class Model(metaclass=ModelMeta):
     @classmethod
     def count(cls, **conditions: Any) -> int:
         return cls._mapper().count(conditions)
-
-    @classmethod
-    def update_all(cls, conditions: Optional[Dict[str, Any]] = None,
-                   **values: Any) -> List["Model"]:
-        """Multi-object UPDATE, unrolled into single-object updates so
-        per-object callbacks and replication fire for each row (§4.2:
-        "Synapse unrolls the multi-object update into single-object
-        updates")."""
-        updated = []
-        for instance in cls.where(**(conditions or {})):
-            instance.update(**values)
-            updated.append(instance)
-        return updated
-
-    @classmethod
-    def destroy_all(cls, **conditions: Any) -> int:
-        """Multi-object DELETE, unrolled for the same reason."""
-        count = 0
-        for instance in cls.where(**conditions):
-            instance.destroy()
-            count += 1
-        return count
 
     def __eq__(self, other: object) -> bool:
         return (

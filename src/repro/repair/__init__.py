@@ -12,8 +12,8 @@ subsystem makes divergence *detectable* and *repairable* at fine grain:
   publisher and a document/graph/search subscriber hash identical
   logical rows;
 - :mod:`repro.repair.auditor` runs the **ReplicationAuditor**, comparing
-  publisher vs subscriber digests plus broker and version-store
-  watermarks to tell transit *lag* (messages queued or in flight) from
+  publisher vs subscriber digests plus the lag monitor's reading of each
+  link to tell transit *lag* (messages queued or in flight) from
   *loss* (divergence with an idle queue), pinpointing divergent objects
   by comparing the two maps;
 - :mod:`repro.repair.repairer` performs **targeted repair**: a bootstrap
@@ -24,7 +24,6 @@ subsystem makes divergence *detectable* and *repairable* at fine grain:
 
 from repro.repair.auditor import (
     AuditReport,
-    LagReport,
     ModelAudit,
     ReplicationAuditor,
 )
@@ -38,7 +37,6 @@ from repro.repair.repairer import RepairResult, repair_subscriber
 
 __all__ = [
     "AuditReport",
-    "LagReport",
     "ModelAudit",
     "ModelDigest",
     "RepairResult",

@@ -2,12 +2,13 @@
 
 An audit answers two questions per (publisher, subscriber) pair:
 
-1. **Is the subscriber behind, and is it lag or loss?** Broker queue
-   stats (queued + delivered-but-unacked) and version-store watermark
-   deficits distinguish the two: divergence *with* messages still in
-   transit is ordinary lag and will heal by draining; divergence with an
-   idle queue and a persistent counter deficit is the §6.5 loss
-   signature and needs repair.
+1. **Is the subscriber behind, and is it lag or loss?** The lag
+   monitor's reading of the link (:meth:`LagMonitor.link`: queued,
+   delivered-but-unacked and outbox-tail messages, version-store
+   watermark deficits) distinguishes the two: divergence *with*
+   messages still in transit is ordinary lag and will heal by draining;
+   divergence with nothing in transit and a persistent counter deficit
+   is the §6.5 loss signature and needs repair.
 2. **Exactly which objects diverge?** Per-model digests — one
    ``{id: row hash}`` map per side — are compared in one pass.
 
@@ -23,6 +24,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import SynapseError
 from repro.repair.digest import ModelDigest, subscriber_model_digest
+from repro.runtime.monitor.lag import LinkHealth
 from repro.runtime.tracing import STAGE_AUDIT_DIFF, STAGE_AUDIT_DIGEST, trace_now
 
 
@@ -43,39 +45,13 @@ class ModelAudit:
 
 
 @dataclass
-class LagReport:
-    """Transit/watermark accounting for one publisher binding."""
-
-    queued: int = 0
-    in_flight: int = 0
-    published: int = 0
-    acked: int = 0
-    decommissioned: bool = False
-    #: Sum of per-dependency version-counter deficits vs the publisher.
-    version_lag: int = 0
-    #: The deficits themselves: hashed dependency -> counters behind.
-    deficits: Dict[str, int] = field(default_factory=dict)
-    #: Deficit attributable to deliberate flow-control shedding,
-    #: already excluded from ``version_lag`` (backpressure, not loss).
-    shed_deficit: int = 0
-    #: Committed-but-unpublished CDC outbox entries on the publisher.
-    #: Outbox-tail lag is transit, not §6.5 loss: the entries are
-    #: durable and the poller will publish them (docs/cdc.md).
-    outbox_pending: int = 0
-
-    @property
-    def in_transit(self) -> int:
-        return self.queued + self.in_flight + self.outbox_pending
-
-
-@dataclass
 class AuditReport:
     """Everything one audit run learned about one subscriber service."""
 
     subscriber: str
     models: List[ModelAudit] = field(default_factory=list)
-    #: publisher app -> transit/watermark lag.
-    lag: Dict[str, LagReport] = field(default_factory=dict)
+    #: publisher app -> the monitor's reading of the link.
+    lag: Dict[str, LinkHealth] = field(default_factory=dict)
     elapsed: float = 0.0
 
     @property
@@ -88,10 +64,11 @@ class AuditReport:
 
     @property
     def suspected_loss(self) -> bool:
-        """Divergence while nothing is queued or in flight: the messages
-        that would have healed it are gone (§6.5), not merely late."""
+        """Divergence while nothing is in transit on any audited link:
+        the messages that would have healed it are gone (§6.5), not
+        merely late."""
         return self.divergent_total > 0 and all(
-            report.in_transit == 0 for report in self.lag.values()
+            link.in_transit == 0 for link in self.lag.values()
         )
 
     def divergent_for(self, publisher: str, model_name: str) -> List[Any]:
@@ -103,19 +80,7 @@ class AuditReport:
     def summary_lines(self) -> List[str]:
         """Human-readable rendering for the CLI and demos."""
         lines = [f"audit of subscriber {self.subscriber!r}:"]
-        for app, report in sorted(self.lag.items()):
-            state = "DECOMMISSIONED" if report.decommissioned else (
-                "in transit" if report.in_transit else "idle"
-            )
-            line = (
-                f"  {app}: queued={report.queued} in_flight={report.in_flight} "
-                f"version_lag={report.version_lag}"
-            )
-            if report.shed_deficit:
-                line += f" shed_deficit={report.shed_deficit}"
-            if report.outbox_pending:
-                line += f" outbox_pending={report.outbox_pending}"
-            lines.append(line + f" [{state}]")
+        lines += ["  " + self.lag[app].summary_line() for app in sorted(self.lag)]
         for audit in self.models:
             status = "in sync" if audit.in_sync else (
                 f"DIVERGED ids={sorted(audit.divergent_ids, key=repr)}"
@@ -162,7 +127,7 @@ class ReplicationAuditor:
             apps = [publisher_name]
 
         for app in apps:
-            report.lag[app] = self._lag_report(app)
+            report.lag[app] = service.ecosystem.monitor.link(app, service.name)
         for (from_app, model_name), spec in sorted(service.subscriber.specs.items()):
             if from_app not in apps:
                 continue
@@ -192,39 +157,6 @@ class ReplicationAuditor:
         return report
 
     # ------------------------------------------------------------------
-
-    def _lag_report(self, app: str) -> LagReport:
-        service = self.service
-        report = LagReport()
-        stats = service.broker.queue_stats(service.name).get(service.name)
-        if stats is not None:
-            report.queued = stats["queued"]
-            report.in_flight = stats["in_flight"]
-            report.published = stats["published"]
-            report.acked = stats["acked"]
-            report.decommissioned = bool(stats["decommissioned"])
-        # CDC outbox tail on the publisher: committed raw writes the
-        # poller has not published yet count as in transit, so an audit
-        # taken mid-tail reports lag rather than suspected loss.
-        report.outbox_pending = service.ecosystem.control.outbox_lag(app)
-        # Publisher watermark read: a control-plane request (None when
-        # the publisher is unreachable — then lag stays transit-only).
-        watermarks = service.ecosystem.control.watermarks(app)
-        if watermarks is not None:
-            deficits = report.deficits = service.subscriber_version_store.deficits(watermarks)
-            # Deliberate flow-control sheds are backpressure, not loss:
-            # reconcile the queue's shed ledger (trimmed to what is
-            # still unhealed) and keep it out of the loss signal.
-            forgiven: Dict[str, int] = {}
-            queue = service.subscriber.queue
-            if queue is not None:
-                forgiven = queue.flow.reconcile_shed(app, deficits)
-            report.shed_deficit = sum(forgiven.values())
-            report.version_lag = sum(
-                max(0, behind - forgiven.get(dep, 0))
-                for dep, behind in deficits.items()
-            )
-        return report
 
     def _audit_model(self, app: str, spec: Any, trace: Any) -> Optional[ModelAudit]:
         service = self.service
@@ -260,7 +192,6 @@ class ReplicationAuditor:
 # Re-exported for callers that only need the dataclass names.
 __all__ = [
     "AuditReport",
-    "LagReport",
     "ModelAudit",
     "ModelDigest",
     "ReplicationAuditor",

@@ -908,14 +908,14 @@ def repair_loss_scenario(
     for line in result.summary_lines():
         say(line)
     _say_metrics(say, eco, "repair.")
-    stats = eco.broker.queue_stats("sub")["sub"]
+    link = eco.monitor.link("pub", "sub")
     say(
-        f"queue after repair: queued={stats['queued']} "
-        f"in_flight={stats['in_flight']} decommissioned={stats['decommissioned']}"
+        f"queue after repair: queued={link.queued} "
+        f"in_flight={link.in_flight} decommissioned={link.decommissioned}"
     )
     if not result.verified_in_sync:
         yield "replicas still divergent after repair"
-    if stats["decommissioned"]:
+    if link.decommissioned:
         yield "repair decommissioned the queue"
 
 

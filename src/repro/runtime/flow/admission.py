@@ -330,9 +330,6 @@ class FlowController:
             )
         return self._queues[queue.name]
 
-    def queues(self) -> Dict[str, QueueFlow]:
-        return dict(self._queues)
-
 
 class _NoSamples:
     """The ``batch_size`` histogram of flow off: records nothing."""

@@ -239,7 +239,7 @@ class MetricsRegistry:
 
     Names are dot-separated (``layer.instance.metric``); requesting the
     same name twice returns the same instrument, so the publisher, the
-    ``Service.stats()`` surface and the CLI all observe one value.
+    exporters and the CLI all observe one value.
     """
 
     def __init__(self) -> None:

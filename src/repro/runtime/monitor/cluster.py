@@ -18,8 +18,8 @@ the control plane:
   assembly places each span at its recorded start: no offset is
   estimated and no span is moved.
 - **federation ops** — every shard registers a pseudo-service
-  ``_shard:<name>`` on the control plane answering ``ping``,
-  ``snapshot``, ``trace_ids``, ``trace_fetch`` and ``flight_dump``; any
+  ``_shard:<name>`` on the control plane answering ``snapshot``,
+  ``trace_ids``, ``trace_fetch`` and ``flight_dump``; any
   shard (or the parent CLI, via ``ShardRunner.cluster_request``) can
   pull the whole cluster's snapshots and traces through one shard.
 - **correlated postmortems** — when a shard's FlightRecorder auto-dumps
@@ -116,7 +116,6 @@ class ClusterPlane:
         #: What this shard answers its peers and its own loopback:
         #: always local — federation is the asker's job.
         self._peer_ops = OpTable(f"shard {shard_name!r} cluster", {
-            "ping": lambda p: {"shard": shard_name, "pong": True},
             "snapshot": lambda p: self.local_snapshot(**p),
             "trace_ids": lambda p: self.local_trace_ids(),
             "trace_fetch": lambda p: self.local_trace_spans(p["uid"]),

@@ -8,8 +8,12 @@ publisher→subscriber *link* of an ecosystem continuously:
 - each applied message contributes its end-to-end lag (apply time minus
   ``published_at``, ecosystem clock) and queue dwell to a sliding-window
   histogram per link;
+- :meth:`LagMonitor.link` is the one reading of a link — window
+  percentiles, messages in transit, watermark deficits — which
+  :meth:`LagMonitor.health` takes for every link and the replication
+  auditor for the links it audits;
 - a :class:`LinkSLO` (p99 threshold, error budget, stall deadline) is
-  evaluated on demand by :meth:`LagMonitor.health`, using three breach
+  evaluated in that reading, using three breach
   signals: window p99 over threshold, budget burn rate over 1, or an
   in-transit message older than the stall deadline (a wedged link never
   applies anything, so its *window* looks healthy — the queue age is
@@ -115,9 +119,17 @@ class LinkHealth:
     in_flight: int = 0
     oldest_in_transit: float = 0.0
     version_lag: int = 0
+    #: The deficits themselves: hashed dependency -> counters behind the
+    #: publisher's watermark (the repair scope; not in :meth:`to_dict`).
+    deficits: Dict[str, int] = field(default_factory=dict)
     #: Counter deficit attributable to deliberate flow-control shedding
     #: (already excluded from ``version_lag``).
     shed_deficit: int = 0
+    #: Committed-but-unpublished CDC outbox entries on the publisher:
+    #: transit, not §6.5 loss — the poller will publish them.
+    outbox_pending: int = 0
+    #: Whether the subscriber's queue was killed (§4.4 re-bootstrap).
+    decommissioned: bool = False
     status: str = STATUS_NO_DATA
     #: Which signals fired: "p99_lag", "burn_rate", "stalled".
     reasons: List[str] = field(default_factory=list)
@@ -130,6 +142,13 @@ class LinkHealth:
     @property
     def breached(self) -> bool:
         return self.status == STATUS_BREACHED
+
+    @property
+    def in_transit(self) -> int:
+        """Messages still on their way: queued, popped-unacked, or in
+        the publisher's outbox tail. Divergence with none of these is
+        the §6.5 loss signature."""
+        return self.queued + self.in_flight + self.outbox_pending
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -147,6 +166,8 @@ class LinkHealth:
             "oldest_in_transit": self.oldest_in_transit,
             "version_lag": self.version_lag,
             "shed_deficit": self.shed_deficit,
+            "outbox_pending": self.outbox_pending,
+            "decommissioned": self.decommissioned,
             "backpressure": self.backpressure,
             "credits": self.credits,
             "slo": {
@@ -174,6 +195,10 @@ def format_link(link: Dict[str, Any]) -> str:
     )
     if link["shed_deficit"]:
         line += f" shed={link['shed_deficit']}"
+    if link["outbox_pending"]:
+        line += f" outbox_pending={link['outbox_pending']}"
+    if link["decommissioned"]:
+        line += " decommissioned"
     if link["backpressure"]:
         line += f" bp={link['backpressure']}/{link['credits']}"
     return line + f" [{tag}]"
@@ -312,13 +337,12 @@ class LagMonitor:
     # -- evaluation ---------------------------------------------------------
 
     def health(self) -> HealthReport:
-        """Evaluate every link against its SLO; emits ``slo.breach`` /
-        ``slo.recovered`` recorder events on transitions."""
-        now = self.ecosystem.clock.now()
-        report = HealthReport(at=now)
+        """Read every link; emits ``slo.breach`` / ``slo.recovered``
+        recorder events on transitions."""
+        report = HealthReport(at=self.ecosystem.clock.now())
         recorder = self.ecosystem.recorder
         for publisher, subscriber in self.links():
-            entry = self._evaluate_link(publisher, subscriber, now)
+            entry = self.link(publisher, subscriber)
             report.links.append(entry)
             link = (publisher, subscriber)
             was_breached = self._breached.get(link, False)
@@ -330,9 +354,13 @@ class LagMonitor:
                 recorder.record_event("slo.recovered", **entry.to_dict())
         return report
 
-    def _evaluate_link(
-        self, publisher: str, subscriber: str, now: float
-    ) -> LinkHealth:
+    def link(self, publisher: str, subscriber: str) -> LinkHealth:
+        """The one reading of a link: its apply window against its SLO,
+        what is in transit (queued, in flight, in the CDC outbox tail),
+        and how far the subscriber's counters trail the publisher's
+        watermarks. Reads only — no event, no breach transition — so
+        the auditor takes its lag from here."""
+        now = self.ecosystem.clock.now()
         slo = self.slo_for(publisher, subscriber)
         window = self._window_for(publisher, subscriber)
         entry = LinkHealth(publisher=publisher, subscriber=subscriber, slo=slo)
@@ -344,6 +372,8 @@ class LagMonitor:
             entry.over_fraction / slo.over_budget if slo.over_budget > 0 else 0.0
         )
 
+        control = self.ecosystem.control
+        entry.outbox_pending = control.outbox_lag(publisher)
         service = self.ecosystem.local_service(subscriber)
         if service is not None:
             queue = service.subscriber.queue
@@ -352,6 +382,7 @@ class LagMonitor:
                 if flow.capacity is not None:
                     entry.backpressure = flow.state
                     entry.credits = flow.credits
+                entry.decommissioned = queue.decommissioned
                 oldest = 0.0
                 queued = in_flight = 0
                 for message in queue.peek_all():
@@ -367,9 +398,11 @@ class LagMonitor:
                 entry.oldest_in_transit = oldest
             # Publisher watermark read over the control plane (None when
             # the publisher is unreachable from this process).
-            watermarks = self.ecosystem.control.watermarks(publisher)
+            watermarks = control.watermarks(publisher)
             if watermarks is not None:
-                deficits = service.subscriber_version_store.deficits(watermarks)
+                deficits = entry.deficits = (
+                    service.subscriber_version_store.deficits(watermarks)
+                )
                 # Deficits from deliberate shedding are backpressure,
                 # not the §6.5 loss signature: reconcile the flow
                 # ledger (trimming what repair has healed since) and

@@ -150,13 +150,6 @@ class ControlPlane:
 
     # -- typed client helpers -------------------------------------------------
 
-    def ping(self, service_name: str) -> bool:
-        result = self._request_or_none(service_name, "ping")
-        return bool(result and result.get("pong"))
-
-    def generation(self, service_name: str) -> int:
-        return int(self.request(service_name, "generation")["generation"])
-
     def watermarks(self, service_name: str) -> Optional[Dict[str, int]]:
         """Publisher version-store snapshot, or None if unreachable."""
         result = self._request_or_none(service_name, "watermarks")

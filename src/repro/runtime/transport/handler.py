@@ -67,8 +67,6 @@ class ControlPlaneHandler(OpTable):
     def __init__(self, service: Any) -> None:
         self.service = service
         super().__init__(f"service {service.name!r}", {
-            "ping": self._op_ping,
-            "generation": self._op_generation,
             "watermarks": self._op_watermarks,
             "bootstrap_snapshot": self._op_bootstrap_snapshot,
             "model_dump": self._op_model_dump,
@@ -79,20 +77,15 @@ class ControlPlaneHandler(OpTable):
 
     # -- ops -----------------------------------------------------------------
 
-    def _op_ping(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return {"service": self.service.name, "pong": True}
-
-    def _op_generation(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return {"generation": self.service.current_generation()}
-
     def _op_watermarks(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Publisher version-store snapshot: hashed_dep -> ops counter."""
         return {"versions": self.service.publisher_version_store.snapshot()}
 
     def _op_outbox_lag(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Unpublished CDC outbox entries on this publisher. The auditor
-        folds this into in-transit lag: a committed raw write whose entry
-        the poller has not tailed yet is late, not lost (docs/cdc.md)."""
+        """Unpublished CDC outbox entries on this publisher. A link's
+        lag reading folds this into in-transit lag: a committed raw
+        write whose entry the poller has not tailed yet is late, not
+        lost (docs/cdc.md)."""
         return {
             "pending": self.service.ecosystem.cdc.outbox_pending(self.service.name)
         }

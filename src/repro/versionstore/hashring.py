@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 
 def stable_hash(value: str) -> int:
@@ -46,10 +46,3 @@ class HashRing:
     @property
     def nodes(self) -> List[Any]:
         return list(self._nodes)
-
-    def distribution(self, keys: List[str]) -> Dict[Any, int]:
-        """How many of ``keys`` land on each node (for balance tests)."""
-        counts: Dict[Any, int] = {node: 0 for node in self._nodes}
-        for key in keys:
-            counts[self.node_for(key)] += 1
-        return counts

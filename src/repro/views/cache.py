@@ -69,9 +69,6 @@ class ReplicatedCache:
 
     # -- read side (cache-aside) -------------------------------------------
 
-    def version(self, key: str) -> int:
-        return (self.kv.get(f"c:{key}") or _UNWRITTEN)["ver"]
-
     def read(self, key: str, loader: Callable[[], Any]) -> Tuple[Any, bool]:
         """Serve ``key`` from cache, or load-and-fill via ``loader``.
         Returns ``(value, hit)``."""

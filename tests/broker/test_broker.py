@@ -202,16 +202,13 @@ class TestQueueStats:
         queue = SubscriberQueue("sub")
         queue.publish(make_message(op_id=1))
         queue.publish(make_message(op_id=2))
-        assert queue.stats() == {
-            "queued": 2, "in_flight": 0, "published": 2, "acked": 0,
-            "decommissioned": 0,
-        }
+        assert (len(queue), queue.unacked_count) == (2, 0)
+        assert (queue.total_published, queue.total_acked) == (2, 0)
+        assert not queue.decommissioned
         delivery = queue.pop()
-        stats = queue.stats()
-        assert (stats["queued"], stats["in_flight"]) == (1, 1)
+        assert (len(queue), queue.unacked_count) == (1, 1)
         queue.ack(delivery)
-        stats = queue.stats()
-        assert (stats["in_flight"], stats["acked"]) == (0, 1)
+        assert (queue.unacked_count, queue.total_acked) == (0, 1)
 
     def test_broker_in_flight_view(self):
         broker = Broker()
@@ -221,23 +218,10 @@ class TestQueueStats:
         q.pop()
         assert broker.in_flight() == {"sub": 1}
 
-    def test_broker_queue_stats_filter(self):
-        broker = Broker()
-        broker.bind("sub1", "pub")
-        broker.bind("sub2", "pub")
-        broker.publish(make_message(app="pub"))
-        all_stats = broker.queue_stats()
-        assert set(all_stats) == {"sub1", "sub2"}
-        only = broker.queue_stats("sub1")
-        assert set(only) == {"sub1"}
-        assert only["sub1"]["queued"] == 1
-        assert broker.queue_stats("nobody") == {}
-
     def test_stats_show_decommission(self):
         broker = Broker(default_queue_limit=2)
-        broker.bind("sub", "pub")
+        queue = broker.bind("sub", "pub")
         for i in range(3):
             broker.publish(make_message(app="pub", op_id=i))
-        stats = broker.queue_stats("sub")["sub"]
-        assert stats["decommissioned"] == 1
-        assert stats["queued"] == 0  # backlog was dropped with the queue
+        assert queue.decommissioned
+        assert len(queue) == 0  # backlog was dropped with the queue

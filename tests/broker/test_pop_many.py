@@ -49,7 +49,7 @@ class TestPopMany:
         assert [m.seq for m in queue.peek_unacked()] == [m.seq for m in batch]
         for message in batch:
             queue.ack(message)
-        assert queue.stats()["acked"] == 3
+        assert queue.total_acked == 3
 
     def test_nacked_message_leads_next_batch(self):
         queue = SubscriberQueue("q")

@@ -158,7 +158,7 @@ def publish_update_drain(pub, PubDoc, subs):
     for sub, SubDoc in subs.values():
         assert sub.subscriber.drain() == 2
         assert SubDoc.find(doc.id).tags[0] == "b"
-        assert sub.subscriber.queue.stats()["acked"] == 2
+        assert sub.subscriber.queue.total_acked == 2
 
 
 def test_in_process_publish_apply_ack_never_parses_json():

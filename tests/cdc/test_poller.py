@@ -184,6 +184,24 @@ class TestAuditorTransit:
         assert healed.in_sync
         assert healed.lag["pub"].outbox_pending == 0
 
+    def test_health_shows_an_unpolled_outbox_tail(self):
+        """A poller that never runs leaves committed raw writes in the
+        outbox: the link's health reading counts them, so ``watch``
+        shows the tail of a dead poller."""
+        eco, pub, sub, PubDoc, SubDoc = build_pipeline()
+        for i in range(3):
+            pub.raw_session().insert(PubDoc, {"name": f"raw{i}", "value": i})
+
+        link = eco.monitor.health().link("pub", "sub")
+        assert link.outbox_pending == 3
+        assert link.to_dict()["outbox_pending"] == 3
+        assert "outbox_pending=3" in link.summary_line()
+        assert (link.queued, link.in_flight, link.in_transit) == (0, 0, 3)
+        assert not link.breached  # the tail feeds no breach signal
+
+        eco.drain_all()
+        assert eco.monitor.health().link("pub", "sub").outbox_pending == 0
+
 
 class TestPollCrash:
     def test_unknown_point_rejected(self):

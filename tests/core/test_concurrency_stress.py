@@ -51,7 +51,9 @@ def stall_report(sub):
     queue = sub.subscriber.queue
     return {
         "stuck_dependencies": sub.subscriber.stuck_dependencies(),
-        "queue": queue.stats(),
+        "queued": len(queue),
+        "published": queue.total_published,
+        "acked": queue.total_acked,
         "unacked": [message.uid for message in queue.peek_unacked()],
     }
 

@@ -1,4 +1,4 @@
-"""At-least-once dedup, give-up timeouts, and multi-object unrolling."""
+"""At-least-once dedup and give-up timeouts."""
 
 import pytest
 
@@ -79,46 +79,3 @@ class TestGiveUpTimeout:
         assert SubUser.find(user.id).name == "v3"
         assert eco.metrics.value("workers.sub.gave_up") == 1
         assert sub.audit_replication().in_sync
-
-
-class TestMultiObjectUnrolling:
-    def test_update_all_publishes_per_object_messages(self, eco):
-        pub, User, sub, SubUser = build(eco)
-        for i in range(5):
-            User.create(name="bulk", n=i)
-        before = pub.publisher.messages_published
-        updated = User.update_all({"name": "bulk"}, n=99)
-        assert len(updated) == 5
-        # One message per object, not one bulk message (§4.2).
-        assert pub.publisher.messages_published == before + 5
-        sub.subscriber.drain()
-        assert all(u.n == 99 for u in SubUser.where(name="bulk"))
-
-    def test_update_all_fires_callbacks_per_object(self, eco):
-        events = []
-        svc = eco.service("svc", database=MongoLike("m"))
-
-        from repro.orm import after_update
-
-        @svc.model()
-        class Thing(Model):
-            x = Field(int)
-
-            @after_update
-            def log(self):
-                events.append(self.id)
-
-        a = Thing.create(x=1)
-        b = Thing.create(x=1)
-        Thing.update_all({"x": 1}, x=2)
-        assert sorted(events) == [a.id, b.id]
-
-    def test_destroy_all(self, eco):
-        pub, User, sub, SubUser = build(eco)
-        for i in range(4):
-            User.create(name="gone", n=i)
-        User.create(name="kept")
-        sub.subscriber.drain()
-        assert User.destroy_all(name="gone") == 4
-        sub.subscriber.drain()
-        assert [u.name for u in SubUser.all()] == ["kept"]

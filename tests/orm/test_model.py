@@ -62,18 +62,6 @@ class TestLifecycle:
         with pytest.raises(ORMError):
             user_cls(name="a").destroy()
 
-    def test_reload(self, user_cls):
-        user = user_cls.create(name="a")
-        stale = user_cls.find(user.id)
-        user.update(name="b")
-        assert stale.reload().name == "b"
-
-    def test_reload_gone_record(self, user_cls):
-        user = user_cls.create(name="a")
-        user_cls.find(user.id).destroy()
-        with pytest.raises(RecordNotFound):
-            user.reload()
-
     def test_defaults(self, user_cls):
         user = user_cls.create(name="a")
         assert user.tags == []

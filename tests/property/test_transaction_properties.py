@@ -63,11 +63,9 @@ class TestTransactionalReplication:
                     # Forget local handles from the aborted transaction;
                     # reload survivors from the DB.
                     live = {
-                        slot: obj for slot, obj in live.items()
+                        slot: Slot.find(obj.id) for slot, obj in live.items()
                         if pub.database.get("slots", obj.id) is not None
                     }
-                    for obj in live.values():
-                        obj.reload()
             except Exception:
                 raise
         assert pub.publisher.messages_published == committed_txns

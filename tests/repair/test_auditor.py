@@ -87,6 +87,47 @@ class TestAudit:
         assert not report.suspected_loss
         queue.nack(delivery)
 
+    def test_lag_is_the_monitors_reading_of_each_link(self, eco):
+        """A subscriber of two publishers with only ``pub2``'s writes
+        queued: the audit charges them to ``pub2`` alone, and reads
+        every link exactly as the lag monitor does — without the
+        monitor's breach events."""
+        pub1 = eco.service("pub1", database=MongoLike("pub1-db"))
+        pub2 = eco.service("pub2", database=MongoLike("pub2-db"))
+
+        @pub1.model(publish=["name"])
+        class Post(Model):
+            name = Field(str)
+
+        @pub2.model(publish=["name"])
+        class Like(Model):
+            name = Field(str)
+
+        sub = eco.service("sub", database=PostgresLike("sub-db"))
+
+        @sub.model(subscribe={"from": "pub1", "fields": ["name"]}, name="Post")
+        class SubPost(Model):
+            name = Field(str)
+
+        @sub.model(subscribe={"from": "pub2", "fields": ["name"]}, name="Like")
+        class SubLike(Model):
+            name = Field(str)
+
+        Post.create(name="a")
+        sub.subscriber.drain()
+        for i in range(3):
+            Like.create(name=f"b{i}")
+
+        report = ReplicationAuditor(sub).audit()
+        assert report.lag["pub1"].in_transit == 0
+        assert report.lag["pub2"].queued == 3
+        for app in ("pub1", "pub2"):
+            audited, monitored = report.lag[app], eco.monitor.link(app, "sub")
+            for name in ("queued", "in_flight", "version_lag", "shed_deficit"):
+                assert getattr(audited, name) == getattr(monitored, name), name
+        assert not eco.recorder.events("slo.breach")
+        assert not eco.recorder.events("slo.recovered")
+
     def test_unknown_publisher_rejected(self, eco):
         pub, sub = build_pair(eco)
         with pytest.raises(SynapseError):

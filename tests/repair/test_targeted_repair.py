@@ -75,9 +75,9 @@ class TestLossRepair:
 
         # 3. No heavyweight §6.5 remedy was used: the queue survived
         # (never decommissioned) and drained completely.
-        stats = eco.broker.queue_stats("sub")["sub"]
-        assert stats["decommissioned"] == 0
-        assert stats["queued"] == 0 and stats["in_flight"] == 0
+        queue = sub.subscriber.queue
+        assert not queue.decommissioned
+        assert len(queue) == 0 and queue.unacked_count == 0
         assert not sub.bootstrap_active
 
     def test_repair_cost_scales_with_divergence_not_dataset(self, eco):

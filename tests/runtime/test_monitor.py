@@ -1,16 +1,25 @@
 """LagMonitor: per-link SLO evaluation edges, breach transitions, and
 the end-to-end acceptance scenario (drop -> wedge -> breach -> dump)."""
 
+import os
+import re
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.clock import VirtualClock
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 from repro.runtime.monitor import FlightRecorder, LinkSLO, SlidingWindow, load_dump
+from repro.runtime.monitor.lag import LinkHealth
+
+OBSERVABILITY_MD = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(repro.__file__))),
+    "docs", "observability.md",
+)
 
 
 def build(eco):
@@ -214,6 +223,22 @@ class TestSLOEdges:
         assert payload["links"][0]["publisher"] == "pub"
         lines = report.summary_lines()
         assert any("pub -> sub" in line for line in lines)
+
+
+class TestLinkFieldsDoc:
+    def test_to_dict_keys_are_the_documented_fields(self):
+        """docs/observability.md, "The reading of a link", tables every
+        key of ``LinkHealth.to_dict()`` once; the two stay equal."""
+        with open(OBSERVABILITY_MD, encoding="utf-8") as fh:
+            section = fh.read().split("### The reading of a link", 1)[1]
+        table = section.split("\n\n|", 1)[1].split("\n\n", 1)[0]
+        documented = [
+            name
+            for row in table.splitlines()[2:]
+            for name in re.findall(r"`([a-z_0-9]+)`", row.split("|")[1])
+        ]
+        keys = LinkHealth(publisher="p", subscriber="s", slo=LinkSLO()).to_dict()
+        assert sorted(documented) == sorted(keys)
 
 
 class TestAcceptance:

@@ -59,8 +59,6 @@ def eco():
 class TestLoopbackSeam:
     def test_typed_helpers_answer_over_json(self, eco):
         control = eco.control
-        assert control.ping("pub")
-        assert control.generation("pub") == 1
         watermarks = control.watermarks("pub")
         assert watermarks is not None and len(watermarks) == 4
         assert all(v >= 1 for v in watermarks.values())
@@ -73,7 +71,7 @@ class TestLoopbackSeam:
         assert eco.control.watermarks("ghost") is None
         assert eco.control.model_digest("ghost", "User") is None
         with pytest.raises(ControlPlaneError) as excinfo:
-            eco.control.request("ghost", "ping")
+            eco.control.request("ghost", "watermarks")
         assert excinfo.value.error_type == "UnknownService"
 
     def test_unknown_op_is_structured_error(self, eco):
@@ -83,7 +81,7 @@ class TestLoopbackSeam:
 
     def test_non_serializable_params_rejected_before_the_wire(self, eco):
         with pytest.raises(TransportSerializationError):
-            eco.control.request("pub", "ping", payload=object())
+            eco.control.request("pub", "watermarks", payload=object())
 
     def test_digest_round_trips_through_wire_form(self, eco):
         local = publisher_model_digest(

@@ -145,7 +145,7 @@ class TestPlumbing:
         cache, _ = make_cache()
         cache.write_through("k", "v")
         cache.flush()
-        assert cache.version("k") == 0
+        assert cache.kv.get("c:k") is None  # no watermark left
         value, hit = cache.read("k", lambda: "reloaded")
         assert (value, hit) == ("reloaded", False)
 
