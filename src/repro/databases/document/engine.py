@@ -82,33 +82,27 @@ class DocumentDatabase(Database):
             txn = self._txns.current()
             if txn is not None:
                 txn.record_insert(collection, doc_id)
-                txn.written.append(
-                    {"table": collection, "op": "insert", "row": _deep_copy(new_doc)}
-                )
             return _deep_copy(new_doc)
 
     def update_one(
         self, collection: str, query: Dict[str, Any], update: Dict[str, Any]
     ) -> Optional[Doc]:
         """``$set`` fields of the first matching document; returns the
-        new document."""
+        new document. The stored version is a copy of the returned one,
+        so neither it nor the ``$set`` values can reach the store."""
         patch = set_fields(update)
         with self._lock:
             self._charge_write()
             col = self.collection(collection)
-            for doc in self._plan(col, query):
-                new_doc = _deep_copy(doc)
+            for old in self._plan(col, query):
+                new_doc = _deep_copy(old)
                 for path, value in patch.items():
                     set_path(new_doc, path, value)
-                old = col.docs[doc["_id"]]
-                col.docs[doc["_id"]] = new_doc
+                col.docs[old["_id"]] = _deep_copy(new_doc)
                 txn = self._txns.current()
                 if txn is not None:
-                    txn.record_replace(collection, doc["_id"], old)
-                    txn.written.append(
-                        {"table": collection, "op": "update", "row": _deep_copy(new_doc)}
-                    )
-                return _deep_copy(new_doc)
+                    txn.record_replace(collection, old["_id"], old)
+                return new_doc
             return None
 
     def delete_one(self, collection: str, query: Dict[str, Any]) -> Optional[Doc]:
@@ -121,9 +115,6 @@ class DocumentDatabase(Database):
                 txn = self._txns.current()
                 if txn is not None:
                     txn.record_delete(collection, removed)
-                    txn.written.append(
-                        {"table": collection, "op": "delete", "row": _deep_copy(removed)}
-                    )
                 return _deep_copy(removed)
             return None
 
@@ -139,16 +130,16 @@ class DocumentDatabase(Database):
         with self._lock:
             self._charge_read()
             col = self.collection(collection)
-            docs = [_deep_copy(d) for d in self._plan(col, query or {})]
-        if sort is not None:
-            path, direction = sort
-            docs.sort(
-                key=lambda d: _sort_key(get_path(d, path)),
-                reverse=(direction < 0),
-            )
-        else:
-            docs.sort(key=lambda d: d["_id"])
-        return docs if limit is None else docs[:limit]
+            docs = list(self._plan(col, query or {}))
+            if sort is not None:
+                path, direction = sort
+                docs.sort(
+                    key=lambda d: _sort_key(get_path(d, path)),
+                    reverse=(direction < 0),
+                )
+            else:
+                docs.sort(key=lambda d: d["_id"])
+            return [_deep_copy(d) for d in docs[:limit]]
 
     def get(self, collection: str, doc_id: Any) -> Optional[Doc]:
         with self._lock:
@@ -191,13 +182,18 @@ class DocumentDatabase(Database):
     # -- planner ---------------------------------------------------------------
 
     def _plan(self, col: _Collection, query: Dict[str, Any]) -> Iterable[Doc]:
-        check_filter(query)
-        if "_id" in query and not isinstance(query["_id"], dict):
+        """The documents matching ``query``. A filter on a plain ``_id``
+        is a point lookup; an ``_id``-only one needs no filter walk."""
+        doc_id = query.get("_id", _MISSING)
+        if doc_id is not _MISSING and not isinstance(doc_id, dict):
+            if len(query) > 1:
+                check_filter(query)
             self.stats.index_lookups += 1
-            doc = col.docs.get(query["_id"])
-            if doc is not None and matches_filter(doc, query):
+            doc = col.docs.get(doc_id)
+            if doc is not None and (len(query) == 1 or matches_filter(doc, query)):
                 yield doc
             return
+        check_filter(query)
         self.stats.scans += 1
         for doc_id in list(col.docs):
             doc = col.docs.get(doc_id)

@@ -36,6 +36,9 @@ def get_path(doc: Dict[str, Any], path: str) -> Any:
 
 def set_path(doc: Dict[str, Any], path: str, value: Any) -> None:
     """Set ``a.b.c`` creating intermediate dicts."""
+    if "." not in path:
+        doc[path] = value
+        return
     parts = path.split(".")
     current = doc
     for part in parts[:-1]:

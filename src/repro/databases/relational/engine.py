@@ -75,7 +75,6 @@ class RelationalDatabase(Database):
             txn = self._txns.current()
             if txn is not None:
                 txn.record_insert(table, written[PRIMARY_KEY])
-                txn.written.append({"table": table, "op": "insert", "row": dict(written)})
             return dict(written) if returning else None
 
     def select(
@@ -135,9 +134,6 @@ class RelationalDatabase(Database):
                 storage.replace(row[PRIMARY_KEY], new_row)
                 if txn is not None:
                     txn.record_replace(table, row[PRIMARY_KEY], row)
-                    txn.written.append(
-                        {"table": table, "op": "update", "row": dict(new_row)}
-                    )
                 updated.append(new_row)
             return updated if returning else len(updated)
 
@@ -154,7 +150,6 @@ class RelationalDatabase(Database):
                 storage.delete(row[PRIMARY_KEY])
                 if txn is not None:
                     txn.record_delete(table, row)
-                    txn.written.append({"table": table, "op": "delete", "row": dict(row)})
                 deleted.append(row)
             return deleted if returning else len(deleted)
 

@@ -37,9 +37,6 @@ class Transaction:
         self.engine = engine
         self.state = self.PENDING
         self.undo_log: List[UndoEntry] = []
-        #: Rows written by this transaction, in order — consumed by the
-        #: Synapse interceptor to build one message per transaction.
-        self.written: List[Dict[str, Any]] = []
         self.on_prepare: List[Callable[["Transaction"], None]] = []
         self.on_commit: List[Callable[["Transaction"], None]] = []
 
@@ -118,6 +115,13 @@ class Transaction:
         return False
 
 
+class _Current(threading.local):
+    """Each thread's current transaction: the class default answers a
+    thread that never began one without a failed attribute lookup."""
+
+    txn: Optional[Transaction] = None
+
+
 class TransactionManager:
     """Per-engine transaction bookkeeping: a mutex serialising writers and
     a thread-local current transaction so ORM code need not thread the
@@ -125,7 +129,7 @@ class TransactionManager:
 
     def __init__(self) -> None:
         self._mutex = threading.RLock()
-        self._local = threading.local()
+        self._local = _Current()
 
     def begin(self, engine: Any) -> Transaction:
         if self.current() is not None:
@@ -136,7 +140,7 @@ class TransactionManager:
         return txn
 
     def current(self) -> Optional[Transaction]:
-        return getattr(self._local, "txn", None)
+        return self._local.txn
 
     def finish(self, txn: Transaction) -> None:
         if self.current() is txn:

@@ -141,14 +141,14 @@ class DocumentMapper(Mapper):
 
     @staticmethod
     def _to_attrs(doc: Optional[Row]) -> Optional[Row]:
-        if doc is None:
-            return None
-        attrs = dict(doc)
-        attrs["id"] = attrs.pop("_id")
-        return attrs
+        """Rename ``_id`` to ``id`` in place: every engine call hands
+        back a private copy of the stored document."""
+        if doc is not None:
+            doc["id"] = doc.pop("_id")
+        return doc
 
     def _do_insert(self, attrs: Row) -> Row:
-        doc = self._to_doc({k: v for k, v in attrs.items() if v is not None or k != "id"})
+        doc = self._to_doc(attrs)
         if doc.get("_id") is None:
             doc.pop("_id", None)
         return self._to_attrs(self.db.insert_one(self.table, doc))
@@ -170,7 +170,7 @@ class DocumentMapper(Mapper):
     def _do_where(
         self, conditions: Row, limit: Optional[int], order_by: Optional[tuple]
     ) -> List[Row]:
-        query = self._to_doc(dict(conditions))
+        query = self._to_doc(conditions)
         sort = None
         if order_by is not None:
             field, direction = order_by
@@ -181,7 +181,7 @@ class DocumentMapper(Mapper):
         return [self._to_attrs(d) for d in docs]
 
     def _do_count(self, conditions: Row) -> int:
-        return self.db.count(self.table, self._to_doc(dict(conditions)))
+        return self.db.count(self.table, self._to_doc(conditions))
 
     def current_transaction(self):
         if self.db.supports_transactions:

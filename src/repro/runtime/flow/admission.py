@@ -258,7 +258,10 @@ class QueueFlow:
         the tail (and nothing in flight) may depend on a key the
         candidate increments, or increment a key the absorbed write
         would newly wait on from the candidate's earlier position —
-        see ``union_conflicts`` for both directions."""
+        see ``union_conflicts`` for both directions. A candidate at the
+        tail with nothing in flight has no such message: safe unscanned."""
+        if not unacked and items and items[-1] is candidate:
+            return True
         raised = raised_waits(candidate, message)
         scanned = 0
         found = False

@@ -31,7 +31,7 @@ accounting.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import AbstractSet, Any, Optional, Tuple
 
 from repro.broker.message import Message
 
@@ -71,10 +71,12 @@ def merge_into(survivor: Message, absorbed: Message) -> None:
     if old_op.get("operation") == "create":
         merged_op["operation"] = "create"
 
-    surv_incr = survivor.counter_increments()
-    increments = dict(surv_incr)
-    for dep, amount in absorbed.counter_increments().items():
-        increments[dep] = increments.get(dep, 0) + amount
+    # Until the absorbed bumps are added below, ``increments`` holds
+    # the survivor's own.
+    increments = (
+        dict(survivor.increments) if survivor.increments
+        else dict.fromkeys(survivor.dependencies, 1)
+    )
 
     # The absorbed message's dependency versions were emitted *after*
     # the survivor's publisher-side bumps, so they assume the survivor
@@ -85,9 +87,12 @@ def merge_into(survivor: Message, absorbed: Message) -> None:
     # the survivor's own requirement keeps every external prerequisite.
     dependencies = dict(survivor.dependencies)
     for dep, version in absorbed.dependencies.items():
-        version -= surv_incr.get(dep, 0)
+        version -= increments.get(dep, 0)
         if version > dependencies.get(dep, -1):
             dependencies[dep] = version
+    amounts = absorbed.increments
+    for dep in amounts or absorbed.dependencies:
+        increments[dep] = increments.get(dep, 0) + (amounts[dep] if amounts else 1)
     external = dict(survivor.external_dependencies)
     for dep, version in absorbed.external_dependencies.items():
         if version > external.get(dep, -1):
@@ -130,7 +135,7 @@ def raised_waits(survivor: Message, absorbed: Message) -> set:
 
 
 def union_conflicts(
-    survivor: Message, intervener: Message, raised: frozenset = frozenset()
+    survivor: Message, intervener: Message, raised: AbstractSet[str] = frozenset()
 ) -> bool:
     """Would coalescing past ``intervener`` break the dependency union?
 
@@ -152,4 +157,6 @@ def union_conflicts(
         and waits.isdisjoint(intervener.external_dependencies)
     ):
         return True
-    return bool(raised) and not raised.isdisjoint(intervener.counter_increments())
+    return bool(raised) and not raised.isdisjoint(
+        intervener.increments or intervener.dependencies
+    )

@@ -5,8 +5,10 @@ import re
 import pytest
 
 from repro.databases.document import MongoLike, TokuMXLike
+from repro.databases.document import engine as engine_module
 from repro.databases.document.filters import get_path, matches_filter, set_path
 from repro.errors import DatabaseError, DuplicateKeyError, UnsupportedOperationError
+from repro.orm.engine_mappers import DocumentMapper
 
 
 @pytest.fixture
@@ -149,6 +151,99 @@ class TestEngine:
         doc["tags"].append("b")
         assert db.find("users")[0]["tags"] == ["a"]
 
+    @pytest.mark.parametrize("call", ["find", "insert", "update", "delete", "where"])
+    def test_mapper_rows_are_private(self, call):
+        """Every row the mapper hands back, whose ``_id`` it renames in
+        place, is a copy: mutating a top-level or a nested value of it
+        leaves the stored document (or, for a delete, the undo image a
+        rollback restores) as it was."""
+        db = TokuMXLike("toku")
+        mapper = DocumentMapper(db)
+        mapper.table = "users"
+        db.insert_one("users", {"name": "a", "tags": ["x"], "address": {"city": "nyc"}})
+        stored = db.find("users")
+        with pytest.raises(RuntimeError):
+            with db.begin():
+                row = {
+                    "find": lambda: mapper._do_find(1),
+                    "insert": lambda: mapper._do_insert(
+                        {"id": 2, "tags": ["y"], "address": {"city": "sf"}}
+                    ),
+                    "update": lambda: mapper._do_update(1, {"name": "b"}),
+                    "delete": lambda: mapper._do_delete(1),
+                    "where": lambda: mapper._do_where({"name": "a"}, None, None)[0],
+                }[call]()
+                before = db.find("users")
+                row["name"] = "mutated"
+                row["tags"].append("mutated")
+                row["address"]["city"] = "mutated"
+                assert db.find("users") == before
+                raise RuntimeError("roll back")
+        assert db.find("users") == stored
+
+    def test_mapper_update_renames_the_engines_copy(self, db, monkeypatch):
+        """A by-id update takes two copies (the new stored version, the
+        returned one); the mapper renames the returned one in place."""
+        mapper = DocumentMapper(db)
+        mapper.table = "users"
+        db.insert_one("users", {"name": "a", "address": {"city": "nyc"}})
+        copies = []
+        real = engine_module._deep_copy
+        monkeypatch.setattr(
+            engine_module, "_deep_copy", lambda value: copies.append(1) or real(value)
+        )
+        returned = []
+        update_one = db.update_one
+        monkeypatch.setattr(
+            db, "update_one", lambda *a: returned.append(update_one(*a)) or returned[0]
+        )
+        row = mapper._do_update(1, {"id": 1, "name": "b"})
+        assert row is returned[0]
+        assert row == {"id": 1, "name": "b", "address": {"city": "nyc"}}
+        assert len(copies) == 2
+
+    def test_set_values_do_not_alias_the_store(self, db):
+        """The ``$set`` values are copied into the store: a caller that
+        mutates its list after the update does not reach the document."""
+        db.insert_one("users", {"name": "a"})
+        tags = ["x"]
+        out = db.update_one("users", {"_id": 1}, {"$set": {"tags": tags, "a.b": tags}})
+        tags.append("y")
+        out["name"] = "z"
+        assert db.get("users", 1) == {"_id": 1, "name": "a", "tags": ["x"], "a": {"b": ["x"]}}
+
+    def test_find_copies_only_what_it_returns(self, db, monkeypatch):
+        for n in range(10):
+            db.insert_one("users", {"n": n})
+        copies = []
+        real = engine_module._deep_copy
+        monkeypatch.setattr(
+            engine_module, "_deep_copy", lambda value: copies.append(1) or real(value)
+        )
+        assert db.find("users", sort=("n", -1), limit=1) == [{"_id": 10, "n": 9}]
+        assert len(copies) == 1
+
+    def test_id_only_filter_skips_the_filter_walk(self, db, monkeypatch):
+        """An ``_id``-only filter is a dict lookup: no operator check and
+        no match walk. Beside another condition both still run, and an
+        operator under ``_id`` is still refused."""
+        db.insert_one("users", {"name": "a"})
+        calls = []
+        for name in ("check_filter", "matches_filter"):
+            real = getattr(engine_module, name)
+            monkeypatch.setattr(
+                engine_module, name,
+                lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a),
+            )
+        assert db.update_one("users", {"_id": 1}, {"$set": {"n": 1}})["n"] == 1
+        assert db.find("users", {"_id": 1})[0]["n"] == 1
+        assert db.delete_one("users", {"_id": 2}) is None
+        assert calls == []
+        assert db.find("users", {"_id": 1, "name": "b"}) == []
+        assert calls == ["check_filter", "matches_filter"]
+        rejected(db, {"_id": {"$gt": 0}}, "$gt")
+        rejected(db, {"_id": 1, "$or": []}, "$or")
+
     def test_index_point_lookup(self, db):
         """A filter on ``_id`` is a point lookup, also beside other
         conditions, for reads and for writes; any other filter scans."""
@@ -186,6 +281,20 @@ class TestTransactions:
                 raise RuntimeError("boom")
         assert db.count("users") == 1
         assert db.find("users")[0]["name"] == "a"
+
+    def test_tokumx_rollback_of_a_nested_set_restores_the_exact_document(self):
+        db = TokuMXLike("toku")
+        db.insert_one("users", {"name": "a", "a": {"b": 1, "c": [1, 2]}})
+        prior = db.find("users")
+        with pytest.raises(RuntimeError):
+            with db.begin():
+                out = db.update_one("users", {"_id": 1}, {"$set": {"a.b": 2, "a.d": 3}})
+                assert out["a"] == {"b": 2, "c": [1, 2], "d": 3}
+                out["a"]["c"].append(3)
+                raise RuntimeError("boom")
+        assert db.find("users") == prior == [
+            {"_id": 1, "name": "a", "a": {"b": 1, "c": [1, 2]}}
+        ]
 
     def test_tokumx_rollback_restores_a_deleted_document(self):
         db = TokuMXLike("toku")

@@ -219,7 +219,7 @@ class TestTransactions:
         txn = db.begin()
         db.insert("users", {"name": "a"})
         db.update("users", where_from_dict({"name": "a"}), {"age": 5})
-        assert [w["op"] for w in txn.written] == ["insert", "update"]
+        assert [entry[0] for entry in txn.undo_log] == ["insert", "replace"]
         txn.commit()
 
     def test_prepare_hook_failure_aborts(self, db):

@@ -2,12 +2,19 @@
 discounted dependency versions), per-mode safety, and the end-to-end
 convergence of coalesced streams."""
 
+from collections import deque
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.broker import Message, SubscriberQueue
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 from repro.runtime.flow import FlowConfig, FlowController
+from repro.runtime.flow import admission
+from repro.runtime.flow.admission import COALESCE_WINDOW
 from repro.runtime.flow.coalesce import (
     coalesce_key,
     merge_into,
@@ -293,3 +300,103 @@ class TestEndToEnd:
         # sees no divergence and no version lag.
         report = sub.audit_replication()
         assert report.in_sync
+
+
+def full_scan(candidate, message, items, unacked):
+    """The oracle: the verdict ``QueueFlow._union_safe`` gave before it
+    accepted a tail candidate unscanned, with ``union_conflicts``' old
+    overlap test (against the materialised ``counter_increments()``)."""
+    raised = raised_waits(candidate, message)
+
+    def conflicts(intervener):
+        waits = candidate.dependencies.keys()
+        if not (waits.isdisjoint(intervener.dependencies)
+                and waits.isdisjoint(intervener.external_dependencies)):
+            return True
+        return bool(raised) and not raised.isdisjoint(intervener.counter_increments())
+
+    scanned = 0
+    for queued in reversed(items):
+        if queued is candidate:
+            break
+        scanned += 1
+        if scanned > COALESCE_WINDOW or conflicts(queued):
+            return False
+    else:
+        return False
+    return not any(conflicts(in_flight) for in_flight in unacked.values())
+
+
+KEYS = st.sampled_from(["o", "p", "q", "r", "s", "u"])
+VERSIONS = st.dictionaries(KEYS, st.integers(0, 4), max_size=2)
+
+
+@st.composite
+def messages(draw, op_id=None):
+    """A queued write: random dependency, external and (for a message
+    that already absorbed others) increment key sets."""
+    deps = draw(VERSIONS)
+    increments = draw(st.none() | st.dictionaries(KEYS, st.integers(1, 3), max_size=2))
+    return write(op_id=draw(st.integers(2, 5)) if op_id is None else op_id,
+                 deps=deps, externals=draw(VERSIONS), increments=increments)
+
+
+@st.composite
+def queue_states(draw):
+    before = draw(st.lists(messages(), max_size=3))
+    candidate = draw(messages(op_id=1))
+    after = draw(st.just([]) | st.lists(messages(), max_size=3) | st.lists(
+        messages(), min_size=COALESCE_WINDOW, max_size=COALESCE_WINDOW + 1))
+    in_flight = draw(st.just([]) | st.lists(messages(), max_size=2))
+    queued = draw(st.booleans())  # False: the candidate left the queue
+    items = deque([*before, *([candidate] if queued else []), *after])
+    return candidate, draw(messages(op_id=1)), items, {m.uid: m for m in in_flight}
+
+
+class TestTailFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(queue_states())
+    def test_verdict_equals_the_full_scan(self, state):
+        candidate, message, items, unacked = state
+        flow = FlowedQueue(mode="causal").queue.flow
+        assert flow._union_safe(candidate, message, items, unacked) == full_scan(
+            candidate, message, items, unacked
+        )
+
+    def count_scan_calls(self, monkeypatch):
+        calls = {"raised_waits": 0, "union_conflicts": 0}
+        for name in calls:
+            real = getattr(admission, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(admission, name, counted)
+        return calls
+
+    def test_a_tail_burst_merges_without_a_scan(self, monkeypatch):
+        calls = self.count_scan_calls(monkeypatch)
+        q = FlowedQueue(mode="causal")
+        q.queue.publish(write(op_id=2, deps={"p": 0}))
+        for version in range(32):
+            q.queue.publish(write(op_id=1, deps={"o": version, "u": version},
+                                  attrs={"score": version}))
+        assert len(q.queue) == 2
+        assert q.registry.value("flow.q.coalesced") == 31
+        assert calls == {"raised_waits": 0, "union_conflicts": 0}
+        q.queue.pop()
+        survivor = q.queue.pop()
+        assert survivor.operations[0]["attributes"] == {"score": 31}
+        assert survivor.counter_increments() == {"o": 32, "u": 32}
+        assert survivor.dependencies == {"o": 0, "u": 0}
+
+    def test_an_in_flight_message_still_gets_the_scan(self, monkeypatch):
+        calls = self.count_scan_calls(monkeypatch)
+        q = FlowedQueue(mode="causal")
+        q.queue.publish(write(op_id=2, deps={"p": 0}))
+        q.queue.pop()
+        for version in range(2):
+            q.queue.publish(write(op_id=1, deps={"o": version}))
+        assert q.registry.value("flow.q.coalesced") == 1
+        assert calls == {"raised_waits": 1, "union_conflicts": 1}
