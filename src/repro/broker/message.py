@@ -82,7 +82,6 @@ class Message:
         external_dependencies: Optional[Dict[str, int]] = None,
         uid: Optional[str] = None,
         trace: Optional[Trace] = None,
-        coalesced_uids: Optional[List[str]] = None,
         increments: Optional[Dict[str, int]] = None,
         cdc: Optional[int] = None,
         counters: Optional[Dict[str, List[int]]] = None,
@@ -108,10 +107,6 @@ class Message:
         #: enabled. Serialised with the payload so it survives the wire;
         #: forked per local delivery.
         self.trace = trace
-        #: Uids of messages this one absorbed via flow-control
-        #: coalescing; their at-least-once obligation is discharged
-        #: when this message finishes.
-        self.coalesced_uids: List[str] = list(coalesced_uids or [])
         #: Per-dependency counter bumps on apply. ``None`` means the
         #: plain §4.2 rule (one per write dependency); coalesced
         #: messages carry the summed increments of their constituents.
@@ -156,8 +151,6 @@ class Message:
             "published_at": self.published_at,
             "generation": self.generation,
         }
-        if self.coalesced_uids:
-            payload["coalesced_uids"] = self.coalesced_uids
         if self.increments:
             payload["increments"] = self.increments
         if self.cdc is not None:
@@ -218,7 +211,6 @@ class Message:
             external_dependencies=data.get("external_dependencies"),
             uid=data.get("uid"),
             trace=Trace.from_dict(data["trace"]) if data.get("trace") else None,
-            coalesced_uids=data.get("coalesced_uids"),
             increments=data.get("increments"),
             cdc=data.get("cdc"),
         )
@@ -249,7 +241,6 @@ class Message:
         dependencies: Dict[str, int],
         external_dependencies: Dict[str, int],
         increments: Dict[str, int],
-        coalesced_uids: List[str],
     ) -> None:
         """Replace the body fields a merge changes — the single
         sanctioned mutation of a published message (flow-control
@@ -261,7 +252,6 @@ class Message:
         self.dependencies = dependencies
         self.external_dependencies = external_dependencies
         self.increments = increments
-        self.coalesced_uids = coalesced_uids
         self._body = [None]
         self._facts = {}
 

@@ -207,7 +207,8 @@ def pub_record(queue_name: str, body: str) -> str:
 def coal_record(
     queue_name: str, uid: str, absorbed: List[str], body: str
 ) -> str:
-    """``{"t": "coal", "q", "uid", "absorbed", "m"}``."""
+    """``{"t": "coal", "q", "uid", "absorbed", "m"}``: ``absorbed`` lists
+    the uid the merge absorbed, ``m`` is the survivor's post-merge body."""
     return (
         f'{{"absorbed":{canonical_json(absorbed)},"m":{body},'
         f'"q":{_name(queue_name)},"t":"coal","uid":{_quote(uid)}}}'
@@ -235,7 +236,7 @@ def ack_record(queue_name: str, uid: str) -> str:
 LAYOUTS = {
     "out": lambda message, counters: out_record(message.app, message.body(), counters, message.cdc),
     "pub": lambda q, message: pub_record(q, message.body()),
-    "coal": lambda q, _, into: coal_record(q, into.uid, into.coalesced_uids, into.body()),
+    "coal": lambda q, message, into: coal_record(q, into.uid, [message.uid], into.body()),
     "shed": lambda q, message, ledger: {"t": "shed", "q": q, "app": message.app, "ledger": ledger},
     "defer": lambda q, message: {"t": "defer", "q": q, "uid": message.uid},
     "ack": lambda q, message: ack_record(q, message.uid),

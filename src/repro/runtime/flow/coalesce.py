@@ -24,9 +24,10 @@ one message where the delivery mode allows it:
   adjacent pair with no conflicting intervener is safe.
 
 The survivor is always the *earlier* message: it keeps its uid,
-position, and ``published_at`` (so lag measurements stay honest), and
-records the absorbed uids in ``coalesced_uids`` for at-least-once
-accounting.
+position, and ``published_at`` (so lag measurements stay honest). It
+keeps the version arithmetic and nothing else of the absorbed write, no
+uid history: the absorbed uid is named once, by the merge's ``coal``
+WAL record and its ``queue.coalesced`` event.
 """
 
 from __future__ import annotations
@@ -73,10 +74,7 @@ def merge_into(survivor: Message, absorbed: Message) -> None:
 
     # Until the absorbed bumps are added below, ``increments`` holds
     # the survivor's own.
-    increments = (
-        dict(survivor.increments) if survivor.increments
-        else dict.fromkeys(survivor.dependencies, 1)
-    )
+    increments = dict(survivor.counter_increments())
 
     # The absorbed message's dependency versions were emitted *after*
     # the survivor's publisher-side bumps, so they assume the survivor
@@ -90,9 +88,8 @@ def merge_into(survivor: Message, absorbed: Message) -> None:
         version -= increments.get(dep, 0)
         if version > dependencies.get(dep, -1):
             dependencies[dep] = version
-    amounts = absorbed.increments
-    for dep in amounts or absorbed.dependencies:
-        increments[dep] = increments.get(dep, 0) + (amounts[dep] if amounts else 1)
+    for dep, amount in absorbed.counter_increments().items():
+        increments[dep] = increments.get(dep, 0) + amount
     external = dict(survivor.external_dependencies)
     for dep, version in absorbed.external_dependencies.items():
         if version > external.get(dep, -1):
@@ -103,9 +100,6 @@ def merge_into(survivor: Message, absorbed: Message) -> None:
         increments=increments,
         dependencies=dependencies,
         external_dependencies=external,
-        coalesced_uids=[
-            *survivor.coalesced_uids, absorbed.uid, *absorbed.coalesced_uids
-        ],
     )
     if survivor.trace is None and absorbed.trace is not None:
         survivor.trace = absorbed.trace

@@ -158,12 +158,11 @@ class TestBrokerRouting:
             dependencies={"u1": 4},
             external_dependencies={},
             increments={"u1": 2},
-            coalesced_uids=["pub:99"],
         )
         assert m2.operations[0]["attributes"] == {"name": "x"}
         assert m2.dependencies == {"u1": 3} and m2.increments is None
         assert m2.body() is published.body() and m1.body() != m2.body()
-        assert json.loads(m1.body())["coalesced_uids"] == ["pub:99"]
+        assert json.loads(m1.body())["increments"] == {"u1": 2}
 
     def test_backlog_and_subscribers_of(self):
         broker = Broker()

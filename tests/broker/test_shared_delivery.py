@@ -232,12 +232,11 @@ rows = st.fixed_dictionaries({
     deps=dep_maps,
     externals=dep_maps,
     increments=st.none() | dep_maps,
-    coalesced=st.lists(st.text(min_size=1, max_size=6), max_size=3),
     cdc=st.none() | st.integers(1, 999),
     traced=st.booleans(),
 )
 def test_local_delivery_equals_the_wire_round_trip(
-    rows, kind, deps, externals, increments, coalesced, cdc, traced
+    rows, kind, deps, externals, increments, cdc, traced
 ):
     message = build_message(
         app="pub",
@@ -257,7 +256,6 @@ def test_local_delivery_equals_the_wire_round_trip(
             dependencies=message.dependencies,
             external_dependencies=message.external_dependencies,
             increments=dict(sorted(increments.items())),
-            coalesced_uids=coalesced,
         )
     if traced:
         message.trace = Trace(app="pub", trace_id=message.uid)

@@ -69,25 +69,25 @@ class TestMessageGolden:
         assert payload["external_dependencies"] == {"other/posts/1": 9}
 
     def test_coalesce_metadata_exact_payload(self):
-        message = make_message(
-            coalesced_uids=["pub:39", "pub:40"],
-            increments={"pub/users/7": 3},
-        )
+        message = make_message(increments={"pub/users/7": 3})
         payload = json.loads(message.to_json())
-        assert payload["coalesced_uids"] == ["pub:39", "pub:40"]
-        assert payload["increments"] == {"pub/users/7": 3}
-        # Absent on plain messages: the keys are conditional, not null.
+        # Absent on plain messages: the key is conditional, not null.
         plain = json.loads(make_message().to_json())
-        assert "coalesced_uids" not in plain
         assert "increments" not in plain
+        # A merge carries its summed bumps and nothing else: no history
+        # of the uids it absorbed.
+        assert payload == {**plain, "increments": {"pub/users/7": 3}}
 
     def test_round_trip_preserves_everything(self):
         message = make_message(
             external_dependencies={"other/posts/1": 9},
-            coalesced_uids=["pub:39"],
             increments={"pub/users/7": 2},
         )
-        back = Message.from_json(message.to_json())
+        # An older body also names the uids its merges absorbed: it
+        # loads unchanged, the list ignored.
+        older = json.loads(message.to_json())
+        older["coalesced_uids"] = ["pub:39"]
+        back = Message.from_json(json.dumps(older))
         assert back.uid == message.uid
         assert back.app == message.app
         assert back.operations == message.operations
@@ -95,8 +95,8 @@ class TestMessageGolden:
         assert back.external_dependencies == message.external_dependencies
         assert back.published_at == message.published_at
         assert back.generation == message.generation
-        assert back.coalesced_uids == ["pub:39"]
         assert back.counter_increments() == {"pub/users/7": 2}
+        assert back.to_wire() == message.to_wire()
 
     def test_newer_wire_version_is_refused(self):
         data = json.loads(make_message().to_json())

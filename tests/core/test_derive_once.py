@@ -96,7 +96,7 @@ class TestFactsCell:
         delivery = published.delivery()
         fact = published.fact("k", lambda message: {"derived": True})
         assert delivery.fact("k", lambda message: {"derived": False}) is fact
-        delivery.rewrite([], {"d": 1}, {}, {"d": 2}, ["other"])
+        delivery.rewrite([], {"d": 1}, {}, {"d": 2})
         assert delivery.fact("k", lambda message: dict(message.increments)) == {"d": 2}
         assert published.fact("k", lambda message: None) is fact
         wired = Message.from_json(published.to_json())
@@ -117,7 +117,9 @@ class TestFactsCell:
         with pub.controller():
             doc.update(value=2)
         (survivor,) = sub0.subscriber.queue.peek_all()
-        assert survivor.coalesced_uids  # the second publish merged in
+        # The second publish merged in: its value, its bump.
+        assert eco.metrics.value("flow.sub0.coalesced") == 1
+        assert survivor.operations[0]["attributes"]["value"] == 2
         assert sub0.subscriber.drain() == 1
         assert derivations["bumps"] == 2
         with pub.controller():

@@ -6,6 +6,8 @@ dir."""
 from __future__ import annotations
 
 import json
+import os
+import shutil
 
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
@@ -45,6 +47,21 @@ def replicas_in_sync(pub, sub):
     mine = subscriber_model_digest(sub, spec)
     theirs = publisher_model_digest(pub, "Doc", sorted(spec.fields))
     return mine.objects == theirs.objects
+
+
+def assert_one_survivor_of_three(pub, sub, value):
+    """The restored queue holds one message: the survivor of a create
+    and two updates of one object, carrying the three writes' bumps.
+    Drained, it leaves the replicas and their counters equal."""
+    (survivor,) = sub.subscriber.queue.peek_all()
+    assert survivor.operations[0]["attributes"]["value"] == value
+    increments = survivor.counter_increments()
+    assert increments and set(increments.values()) == {3}
+    sub.subscriber.drain()
+    assert replicas_in_sync(pub, sub)
+    assert sub.subscriber_version_store.snapshot() == (
+        pub.publisher_version_store.snapshot()
+    )
 
 
 class TestRestorePipeline:
@@ -316,6 +333,103 @@ class TestRestoreWithFlow:
         rows = SubDoc.__mapper__._do_where({}, None, None)
         assert len(rows) == 1 and rows[0]["value"] == 7
         assert replicas_in_sync(pub_b, sub_b)
+
+    def test_restored_survivor_coalesces_again(self, tmp_path):
+        """A survivor restored from a snapshot absorbs the next write to
+        its object; a second restore yields it once, carrying all three
+        writes' bumps."""
+        from repro.runtime.flow import FlowConfig
+
+        eco_a, pub_a, sub_a, mgr_a, PubDoc, _ = build_pipeline(
+            tmp_path, flow=FlowConfig(batch_max=4)
+        )
+        with pub_a.controller():
+            doc = PubDoc.create(name="doc", value=0)
+        with pub_a.controller():
+            doc.update(value=1)
+        mgr_a.snapshot()
+
+        eco_b, pub_b, sub_b, mgr_b, PubDocB, _ = build_pipeline(
+            tmp_path, flow=FlowConfig(batch_max=4)
+        )
+        assert mgr_b.restore().requeued == 1
+        with pub_b.controller():
+            PubDocB.find(doc.id).update(value=2)
+        assert eco_b.metrics.value("flow.sub.coalesced") == 1
+
+        eco_c, pub_c, sub_c, mgr_c, _, _ = build_pipeline(
+            tmp_path, flow=FlowConfig(batch_max=4)
+        )
+        assert mgr_c.restore().requeued == 1
+        assert_one_survivor_of_three(pub_c, sub_c, value=2)
+
+    def test_snapshot_between_two_merges(self, tmp_path):
+        """The snapshot holds the survivor after its first merge; the
+        tail's ``coal`` record of the second replaces its body."""
+        from repro.runtime.flow import FlowConfig
+
+        eco_a, pub_a, sub_a, mgr_a, PubDoc, _ = build_pipeline(
+            tmp_path, flow=FlowConfig(batch_max=4)
+        )
+        with pub_a.controller():
+            doc = PubDoc.create(name="doc", value=0)
+        with pub_a.controller():
+            doc.update(value=1)
+        mgr_a.snapshot()
+        with pub_a.controller():
+            doc.update(value=2)
+        assert eco_a.metrics.value("flow.sub.coalesced") == 2
+
+        eco_b, pub_b, sub_b, mgr_b, _, _ = build_pipeline(
+            tmp_path, flow=FlowConfig(batch_max=4)
+        )
+        report = mgr_b.restore()
+        assert report.snapshot_id == 1 and report.requeued == 1
+        assert_one_survivor_of_three(pub_b, sub_b, value=2)
+
+    def test_old_format_coal_records_restore_the_same(self, tmp_path):
+        """A log written when a survivor carried its uid history: each
+        ``coal`` record's ``absorbed`` lists every uid absorbed so far,
+        and so does its body's ``coalesced_uids``. It restores to the
+        pending message the current format restores to."""
+        from repro.durability.wal import decode_record, encode_record
+        from repro.runtime.flow import FlowConfig
+
+        eco_a, pub_a, sub_a, mgr_a, PubDoc, _ = build_pipeline(
+            tmp_path / "new", flow=FlowConfig(batch_max=4)
+        )
+        with pub_a.controller():
+            doc = PubDoc.create(name="doc", value=0)
+        for value in (1, 2):
+            with pub_a.controller():
+                doc.update(value=value)
+        mgr_a.close()
+        shutil.copytree(tmp_path / "new", tmp_path / "old")
+        history = []
+        for segment_id in mgr_a.wal.segment_ids():
+            path = os.path.join(tmp_path / "old", os.path.relpath(
+                mgr_a.wal.segment_path(segment_id), tmp_path / "new"
+            ))
+            with open(path, "r", encoding="utf-8") as fh:
+                records = [decode_record(line) for line in fh if line.strip()]
+            for rec in records:
+                if rec["t"] == "coal":
+                    history += rec["absorbed"]
+                    rec["absorbed"] = list(history)
+                    rec["m"] = dict(rec["m"], coalesced_uids=list(history))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(encode_record(rec) + "\n" for rec in records)
+        assert len(history) == 2
+
+        pending = {}
+        for layout in ("new", "old"):
+            eco, pub, sub, mgr, _, _ = build_pipeline(
+                tmp_path / layout, flow=FlowConfig(batch_max=4)
+            )
+            assert mgr.restore().requeued == 1
+            (pending[layout],) = sub.subscriber.queue.peek_all()
+            assert_one_survivor_of_three(pub, sub, value=2)
+        assert pending["old"].to_wire() == pending["new"].to_wire()
 
     def test_shed_deficit_ledger_round_trips(self, tmp_path):
         from repro.runtime.flow import FlowConfig

@@ -183,7 +183,8 @@ class TestPipelineRecordGolden:
         assert set(coal) == {"t", "q", "uid", "m", "absorbed"}
         assert coal["uid"] == "pub:1"
         assert coal["absorbed"] == ["pub:2"]
-        assert coal["m"]["coalesced_uids"] == ["pub:2"]
+        assert coal["m"] == survivor.to_wire()
+        assert coal["m"]["increments"] == {"h1": 2}
         shed = by_type["shed"]
         assert set(shed) == {"t", "q", "app", "ledger"}
         assert shed["app"] == "pub"

@@ -2,6 +2,8 @@
 discounted dependency versions), per-mode safety, and the end-to-end
 convergence of coalesced streams."""
 
+import json
+import re
 from collections import deque
 
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.broker import Message, SubscriberQueue
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
+from repro.durability.wal import LAYOUTS
 from repro.orm import Field, Model
 from repro.runtime.flow import FlowConfig, FlowController
 from repro.runtime.flow import admission
@@ -22,6 +25,12 @@ from repro.runtime.flow.coalesce import (
     union_conflicts,
 )
 from repro.runtime.metrics import MetricsRegistry
+
+
+def coal(absorbed, survivor, queue="q"):
+    """The ``coal`` WAL record of the merge of ``absorbed`` into
+    ``survivor``, decoded."""
+    return json.loads(LAYOUTS["coal"](queue, absorbed, survivor))
 
 
 def write(op="update", op_id=1, attrs=None, deps=None, app="pub",
@@ -60,7 +69,8 @@ class TestMergeArithmetic:
         op = survivor.operations[0]
         assert op["operation"] == "create"
         assert op["attributes"] == {"name": "a", "score": 5}
-        assert survivor.coalesced_uids == [absorbed.uid]
+        record = coal(absorbed, survivor)
+        assert (record["uid"], record["absorbed"]) == (survivor.uid, [absorbed.uid])
 
     def test_increments_sum_and_deps_discount(self):
         """The publisher emitted the absorbed message's dep versions
@@ -76,21 +86,25 @@ class TestMergeArithmetic:
 
     def test_chained_merges_accumulate(self):
         survivor = write(deps={"k": 2})
-        merge_into(survivor, write(deps={"k": 3}))
+        second = write(deps={"k": 3})
+        merge_into(survivor, second)
         # Second absorb: survivor now bumps k by 2, so a dep of 4 is
         # fully covered by the survivor's own apply.
         third = write(deps={"k": 4})
         merge_into(survivor, third)
         assert survivor.dependencies == {"k": 2}
         assert survivor.counter_increments() == {"k": 3}
-        assert len(survivor.coalesced_uids) == 2
+        # Each merge's record names the one uid it absorbed, not the
+        # survivor's history.
+        assert coal(third, survivor)["absorbed"] == [third.uid]
+        assert json.dumps(second.uid) not in json.dumps(survivor.to_wire())
 
     def test_merged_message_survives_the_wire(self):
         survivor = write(deps={"k": 2})
         merge_into(survivor, write(deps={"k": 3}))
         copied = Message.from_json(survivor.to_json())
         assert copied.counter_increments() == {"k": 2}
-        assert copied.coalesced_uids == survivor.coalesced_uids
+        assert copied.to_wire() == survivor.to_wire()
 
     def test_union_conflicts_is_key_overlap(self):
         assert union_conflicts(write(deps={"a": 1}), write(deps={"a": 5}))
@@ -125,6 +139,39 @@ class TestMergeArithmetic:
         ) == set()
 
 
+def widest(value):
+    """The length of the largest container anywhere in ``value``."""
+    if isinstance(value, (dict, list)):
+        items = value.values() if isinstance(value, dict) else value
+        return max([len(value), *map(widest, items)])
+    return 0
+
+
+class TestMergeIsBounded:
+    """A survivor keeps the version arithmetic of what it absorbed and
+    nothing else, so neither its body nor the ``coal`` record of its
+    next merge grows with the writes it has absorbed."""
+
+    @staticmethod
+    def absorb(count):
+        survivor = write(deps={"k": 0}, uid="pub:0")
+        for n in range(1, count + 1):
+            absorbed = write(deps={"k": n}, attrs={"name": f"v{n}"}, uid=f"pub:{n}")
+            merge_into(survivor, absorbed)
+        return survivor, absorbed
+
+    def test_record_and_body_are_flat_in_the_absorb_count(self):
+        shapes = []
+        for count in (10, 10**4):
+            survivor, last = self.absorb(count)
+            assert survivor.counter_increments() == {"k": count + 1}
+            record = LAYOUTS["coal"]("q", last, survivor)
+            assert json.loads(record)["absorbed"] == [last.uid]
+            # Numbers (uids, counts) differ only in their width.
+            shapes.append((len(re.sub(r"\d+", "0", record)), widest(survivor.to_wire())))
+        assert shapes[0] == shapes[1]
+
+
 class FlowedQueue:
     def __init__(self, mode="weak", **config_kwargs):
         self.registry = MetricsRegistry()
@@ -139,14 +186,14 @@ class FlowedQueue:
 class TestQueueCoalescing:
     def test_weak_same_object_writes_always_merge(self):
         q = FlowedQueue(mode="weak")
-        q.queue.publish(write(op="create", op_id=1, attrs={"score": 0}))
-        q.queue.publish(write(op_id=1, attrs={"score": 1}))
-        q.queue.publish(write(op_id=1, attrs={"score": 2}))
+        q.queue.publish(write(op="create", op_id=1, attrs={"score": 0}, deps={"k": 0}))
+        q.queue.publish(write(op_id=1, attrs={"score": 1}, deps={"k": 1}))
+        q.queue.publish(write(op_id=1, attrs={"score": 2}, deps={"k": 2}))
         assert len(q.queue) == 1
         assert q.registry.value("flow.q.coalesced") == 2
         survivor = q.queue.pop()
         assert survivor.operations[0]["attributes"]["score"] == 2
-        assert len(survivor.coalesced_uids) == 2
+        assert survivor.counter_increments() == {"k": 3}
 
     def test_different_objects_do_not_merge(self):
         q = FlowedQueue(mode="weak")
