@@ -46,10 +46,10 @@ class Broker:
         self._queues: Dict[str, SubscriberQueue] = {}
         #: subscriber app -> set of publisher apps it listens to
         self._bindings: Dict[str, Set[str]] = {}
-        #: publisher app -> ``(local [(subscriber app, queue)], remote
+        #: publisher app -> ``(local {subscriber app: queue}, remote
         #: [subscriber app])``: the bindings split by placement, rebuilt
         #: by :meth:`bind` and :meth:`attach` rather than per publish.
-        self._routes: Dict[str, Tuple[List[Tuple[str, SubscriberQueue]], List[str]]] = {}
+        self._routes: Dict[str, Tuple[Dict[str, SubscriberQueue], List[str]]] = {}
         #: publisher app -> model name -> (fields, delivery_mode)
         self._publications: Dict[str, Dict[str, Tuple[List[str], str]]] = {}
         self._publisher_modes: Dict[str, str] = {}
@@ -159,12 +159,12 @@ class Broker:
     def _route_locked(self) -> None:
         """Rebuild :attr:`_routes`; caller holds ``self._lock``."""
         is_local = self.placement[0]
-        routes: Dict[str, Tuple[List[Tuple[str, SubscriberQueue]], List[str]]] = {}
+        routes: Dict[str, Tuple[Dict[str, SubscriberQueue], List[str]]] = {}
         for sub, pubs in self._bindings.items():
             for app in pubs:
-                local, remote = routes.setdefault(app, ([], []))
+                local, remote = routes.setdefault(app, ({}, []))
                 if is_local(sub):
-                    local.append((sub, self._queues[sub]))
+                    local[sub] = self._queues[sub]
                 else:
                     remote.append(sub)
         self._routes = routes
@@ -189,31 +189,30 @@ class Broker:
         wire payload via the forwarder instead of a local enqueue.
         """
         # One WAL step (nothing without durability): the ``out`` record
-        # and every local queue's ``pub`` reach the kernel in one write
-        # when the block ends — before the caller is answered, and
-        # before anything is handed to the forwarder below.
+        # reaches the kernel in one write when the block ends — before
+        # the caller is answered, and before anything is handed to the
+        # forwarder below.
         with self.durability.step:
-            # Logged before fan-out: the publisher's version store is
-            # already bumped, so the record carries the counter state a
-            # restored process must resume publishing from. Its encode is
-            # the one encode of this publish: every delivery's
-            # ``pub``/``apply`` records and the forwarder reuse the body
-            # it fills the shared cell with.
-            emit(self.durability, PUBLISHER_ROUTED, message)
             with self._lock:
-                local, remote = self._routes.get(message.app, ((), ()))
+                local, remote = self._routes.get(message.app, ({}, ()))
                 forwarder = self.placement[1]
+            if self._drop_next:  # peeked unlocked: no armed drop, no work
+                local = {sub: q for sub, q in local.items() if not self._dropped_on(sub, message)}
+            # Logged before fan-out, and after the drops: the publisher's
+            # version store is already bumped, so the record carries the
+            # counter state a restored process must resume publishing
+            # from, and names the queues it is delivered to here — each
+            # one's ``pub`` on replay. Its encode is the one encode of this
+            # publish: every delivery's ``apply`` records and the
+            # forwarder reuse the body it fills the shared cell with.
+            emit(self.durability, PUBLISHER_ROUTED, tuple(local), message)
             traced = message.trace is not None
-            for sub, queue in local:
-                if self._should_drop():
-                    self._record_drop(sub, message)
-                    continue
+            for queue in local.values():
                 start = trace_now() if traced else 0.0
                 self._enqueue(queue, message.delivery(), start)
         payload: Optional[str] = None
         for sub in remote:
-            if self._should_drop():
-                self._record_drop(sub, message)
+            if self._dropped_on(sub, message):
                 continue
             if payload is None:
                 payload = message.to_json()
@@ -254,20 +253,20 @@ class Broker:
         with self._lock:
             self._drop_next += count
 
-    def _should_drop(self) -> bool:
-        if self._drop_next:  # peeked unlocked: no armed drop, no lock
-            with self._lock:
-                if self._drop_next > 0:
-                    self._drop_next -= 1
-                    return True
-        return False
-
-    def _record_drop(self, subscriber_app: str, message: Message) -> None:
-        """Count a lost routing and name it in the flight recorder."""
+    def _dropped_on(self, subscriber_app: str, message: Message) -> bool:
+        """Take one armed drop, if any, for this routing: count the lost
+        routing and name it in the flight recorder."""
+        if not self._drop_next:  # peeked unlocked: no armed drop, no lock
+            return False
+        with self._lock:
+            if self._drop_next <= 0:
+                return False
+            self._drop_next -= 1
         self._dropped.increment()
         self.recorder.record_event(
             "broker.drop", queue=subscriber_app, uid=message.uid, app=message.app
         )
+        return True
 
     # -- introspection ----------------------------------------------------------
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
 
 from repro.errors import BrokerError
@@ -62,11 +63,21 @@ WIRE_VERSION = 4
 _seq = itertools.count(1)
 _seq_lock = threading.Lock()
 
-#: Canonical JSON: sorted keys, no whitespace, ASCII-only. The one
-#: encoding of a message body and of a WAL record (whose CRC replay
-#: recomputes from exactly this form), so a cached body can be spliced
-#: into a record verbatim.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: The C encoder ``json.JSONEncoder(sort_keys=True, separators=(",",
+#: ":")).encode`` builds anew on every call, built once — same bytes.
+#: It keeps no circular-reference markers: a shared markers dict would
+#: keep the ids an encode that raised left in it.
+_encode = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True
+)
+
+
+def canonical_json(value: Any) -> str:
+    """Canonical JSON: sorted keys, no whitespace, ASCII-only. The one
+    encoding of a message body and of a WAL record (whose CRC replay
+    recomputes from exactly this form), so a cached body can be spliced
+    into a record verbatim."""
+    return "".join(_encode(value, 0))
 
 
 class Message:
@@ -122,7 +133,8 @@ class Message:
         #: Publisher side only, never serialised: the post-bump
         #: ``[ops, version]`` of each dependency key this publish's own
         #: version-store bump left — what its ``out`` record carries.
-        #: ``None`` on a message from the wire.
+        #: ``None`` on a message from the wire: the log tells a forwarded
+        #: delivery from a local one by it.
         self.counters = counters
         self.delivery_count = 0
         #: Queue-local dwell bookkeeping (set by ``SubscriberQueue``):

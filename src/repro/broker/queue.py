@@ -352,18 +352,23 @@ class SubscriberQueue:
         )
 
     def replay(self, rec: Dict[str, Any], applied: Callable[[Message], bool]) -> None:
-        """Restore: apply one tail record about this queue (``pub``,
-        ``coal``, ``defer``, ``ack``, ``shed``, ``decom``, ``recom``) to
-        what the restore has rebuilt so far. ``applied(message)`` is the
-        subscriber's counter rule: a replayed ``pub`` of a message it
-        has already applied is not owed again."""
+        """Restore: apply one tail record about this queue (``pub`` —
+        logged for a forwarded delivery, derived from the ``out`` record
+        of a local one — ``coal``, ``defer``, ``ack``, ``shed``,
+        ``decom``, ``recom``) to what the restore has rebuilt so far.
+        ``applied(message)`` is the subscriber's counter rule: a
+        replayed ``pub`` of a message it has already applied is not owed
+        again."""
         restored = self._restored
         if restored is None:
             restored = self._restored = _Restored()
         pending, kind = restored.pending, rec["t"]
         if kind == "pub":
+            # A queue decommissioned before the ``out`` record naming it
+            # dropped the delivery: the enqueue follows the record.
             uid = rec["m"]["uid"]
-            if uid not in pending and not applied(Message.from_wire(rec["m"])):
+            owed = not (restored.decommissioned or uid in pending)
+            if owed and not applied(Message.from_wire(rec["m"])):
                 pending[uid] = rec["m"]
                 restored.published += 1
         elif kind == "coal":
@@ -384,8 +389,11 @@ class SubscriberQueue:
             if pending.pop(rec["uid"], None) is not None:
                 restored.acked += 1
         elif kind == "shed":
-            # Post-state ledgers: last writer wins.
+            # Post-state ledgers: last writer wins. The shed message
+            # never joined the queue, though its ``out`` named it.
             restored.shed[rec["app"]] = dict(rec["ledger"])
+            if pending.pop(rec.get("uid"), None) is not None:
+                restored.published -= 1
         elif kind in ("decom", "recom"):
             restored.decommissioned = kind == "decom"
             pending.clear()

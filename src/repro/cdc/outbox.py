@@ -66,6 +66,10 @@ from repro.runtime.interleave import OUTBOX_COMMITTED, emit
 #: poller refuses rows from a newer version instead of misreading them.
 OUTBOX_VERSION = 1
 
+#: The ``attributes`` text of an entry: ``json.dumps(..., sort_keys=True)``
+#: without a new encoder per raw write.
+_attributes_json = json.JSONEncoder(sort_keys=True).encode
+
 #: The registry name of each service's outbox model. Registering it as
 #: an ordinary model means snapshots capture and restore outbox rows
 #: with no extra durability code.
@@ -273,10 +277,10 @@ class OutboxTable:
             "kind": kind,
             "model": model_cls.__name__,
             "row_id": row.get("id"),
-            "attributes": json.dumps(attributes, sort_keys=True),
+            "attributes": _attributes_json(attributes),
             "committed_at": self.service.ecosystem.clock.monotonic(),
         }
-        self.mapper._do_insert(dict(entry))
+        self.mapper._do_insert(entry)  # every engine stores a copy
         return entry
 
     def _after_commit(self, entry: Dict[str, Any]) -> None:

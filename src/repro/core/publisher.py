@@ -263,7 +263,7 @@ class SynapsePublisher:
         read_deps, external = self._collect_dependencies(
             ctx, service.delivery_mode, shared_deps, trace
         )
-        store = service.publisher_version_store
+        store, log = service.publisher_version_store, service.broker.durability
         written: List[str] = []
         for _kind, model_cls, row, _fields in ops:
             if row["id"] is not None:
@@ -295,7 +295,13 @@ class SynapsePublisher:
             # stall every causal subscriber on that object for ever.
             if operations is None:
                 operations = list(starmap(marshal_operation, ops))
+            # Open until the end of the publish step: a snapshot waits
+            # for the ``out`` record of a bump it could capture.
+            log.open_publish()
             versions, counters = self._register_with_recovery(read_deps, write_deps, trace)
+        except BaseException:
+            log.close_publish()
+            raise
         finally:
             store.release_locks(locks)
 

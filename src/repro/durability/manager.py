@@ -35,7 +35,9 @@ of an outermost step holds no lock, so that is where the
 ``snapshot_every`` cadence is checked.
 
 **What the manager keeps** is what belongs to the log: the sink, the
-step, the snapshot store and its cadence, and :meth:`restore`, which is
+step, the publish gate a snapshot waits behind
+(:meth:`DurabilityManager.open_publish`), the snapshot store and its
+cadence, and :meth:`restore`, which is
 ARIES-lite — load the latest valid snapshot and hand each section to
 its owner, replay the WAL tail past its pin handing each record to its
 owner by type (the queue drops a replayed ``pub`` its subscriber's
@@ -58,9 +60,9 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.broker.message import Message
 from repro.durability import wal
@@ -73,7 +75,7 @@ from repro.durability.wal import (
     SegmentedWAL,
 )
 from repro.errors import WALCorrupt
-from repro.runtime.interleave import TRANSITIONS, Transition
+from repro.runtime.interleave import TRANSITIONS, Transition, yield_point
 from repro.runtime.tracing import STAGE_WAL, STAGE_WAL_FLUSH, trace_now
 
 
@@ -110,6 +112,8 @@ class _Step(threading.local):
     #: The last traced message the thread logged inside its open step:
     #: the ``wal.flush`` span of the write that ends the step goes there.
     trace = None
+    #: Publishes the thread has open (``DurabilityManager.open_publish``).
+    opened = 0
 
     def __init__(self, manager: "DurabilityManager") -> None:
         self._manager = manager
@@ -120,6 +124,13 @@ class _Step(threading.local):
 
     def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
         self.depth -= 1
+        manager = self._manager
+        if self.opened:
+            # The first step to end after a publish's bump is its
+            # publish step: the publish closes here (a snapshot's sync
+            # writes what the step left in the buffer), before the
+            # snapshot below, which so never waits on it.
+            manager.close_publish()
         trace = self.trace
         if trace is None:
             self._wal.flush()
@@ -128,7 +139,6 @@ class _Step(threading.local):
             start = trace_now()
             if self._wal.flush():
                 trace.add(STAGE_WAL_FLUSH, start, trace_now() - start)
-        manager = self._manager
         if exc_type is None and not self.depth and manager.snapshot_every is not None:
             manager.maybe_snapshot()
 
@@ -145,7 +155,7 @@ class DurabilityOff:
     def _nothing(self, *args: Any) -> None:
         pass
 
-    log_transition = snapshot = close = _nothing
+    log_transition = snapshot = close = open_publish = close_publish = _nothing
 
 
 DURABILITY_OFF = DurabilityOff()
@@ -181,7 +191,11 @@ class DurabilityManager:
         self.snapshot_every = snapshot_every
         #: ``wal.appends`` when the last snapshot was taken.
         self._snapshot_mark = 0
-        self._snapshot_lock = threading.RLock()
+        self._snapshot_lock = threading.Lock()
+        #: The publish gate (:meth:`open_publish`): publishes open, and
+        #: snapshots waiting or capturing.
+        self._gate = threading.Condition()
+        self._open = self._snapshots = 0
         self.step = _Step(self)
         #: True while :meth:`restore` runs: the sink is a no-op so
         #: replayed effects are not re-logged.
@@ -231,6 +245,15 @@ class DurabilityManager:
             return  # a replayed effect: do not encode its body for nothing
         kind = transition.record
         message = fields[-1] if isinstance(fields[-1], Message) else None
+        if kind == "pub" and message.counters is not None:
+            # A local delivery (it carries the publisher-side counters):
+            # its ``out`` record names this queue, and replay derives
+            # the ``pub``. Only a forwarded delivery, whose ``out`` is in
+            # another process's log, is logged here. The write that ends
+            # the publish step still shows on the delivery's trace.
+            if message.trace is not None and self.step.depth:
+                self.step.trace = message.trace
+            return
         if kind == "out":
             # The payload plus the publisher version-store counters its
             # own bump left (``Message.counters``, read inside the bump's
@@ -265,6 +288,54 @@ class DurabilityManager:
             self.wal.injector.fire("before-ack")
         self._append(wal.LAYOUTS[kind](*fields), message)
 
+    # -- the publish gate ----------------------------------------------------
+
+    def open_publish(self) -> None:
+        """A publish is *open* from its version-store bump
+        (``SynapsePublisher._prepare`` calls this just before it) to the
+        end of its publish step. A snapshot waits out every other
+        thread's open publish, and none opens while a snapshot waits or
+        captures: so a snapshot holds no bump whose ``out`` record is
+        not before its pin, and no ``out`` record before its pin whose
+        local deliveries its queues do not hold."""
+        step = self.step
+        with self._gate:
+            while self._snapshots and not step.opened:  # else waited for
+                self._gate.wait()
+            self._open += 1
+        step.opened += 1
+
+    def close_publish(self) -> None:
+        """Close the calling thread's open publish, if it has one."""
+        step = self.step
+        if step.opened:
+            step.opened -= 1
+            with self._gate:
+                self._open -= 1
+                if self._snapshots:
+                    self._gate.notify_all()
+
+    @contextmanager
+    def _exclusive(self) -> Iterator[None]:
+        """Run a snapshot: alone, and with no other thread's publish
+        open. The wait polls, with a yield point between polls: under
+        the conformance scheduler the publish it waits for runs only
+        when this thread yields."""
+        mine = self.step.opened
+        with self._gate:
+            self._snapshots += 1
+        try:
+            while self._open > mine:
+                with self._gate:  # a close notifies; the timeout polls
+                    self._gate.wait(0.01)
+                yield_point("durability.snapshot_wait")
+            with self._snapshot_lock:
+                yield
+        finally:
+            with self._gate:
+                self._snapshots -= 1
+                self._gate.notify_all()
+
     # -- snapshot ------------------------------------------------------------
 
     def maybe_snapshot(self) -> Optional[int]:
@@ -273,33 +344,40 @@ class DurabilityManager:
         outermost step (the publish step, a drain round, a pool batch):
         capturing a queue takes its lock, so a snapshot may only start
         where none is held."""
-        with self._snapshot_lock:
-            if self.snapshot_every is None or (
-                self.wal.appends.value - self._snapshot_mark < self.snapshot_every
-            ):
-                return None
-            return self.snapshot()
+        if not self._snapshot_due():
+            return None
+        with self._exclusive():
+            return self._snapshot(None) if self._snapshot_due() else None
+
+    def _snapshot_due(self) -> bool:
+        return self.wal.appends.value - self._snapshot_mark >= self.snapshot_every
 
     def snapshot(self, pin: Optional[Tuple[int, int]] = None) -> int:
         """Checkpoint the process's durable state and compact the log.
 
-        The WAL is synced and the pin taken *before* state capture, so
-        records racing the capture appear both in the snapshot and the
-        tail. The counters make that overlap idempotent: a service's
-        section captures its counters before its rows, so an ``apply``
-        whose bump the snapshot holds has its rows there too, and replay
-        skips it as applied (docs/durability.md). ``pin``
-        overrides the position (tests replaying a bounded prefix)."""
-        with self._snapshot_lock:
-            self.wal.sync()
-            if pin is None:
-                pin = self.wal.position()
-            snapshot_id, _ = self.snapshots.write(self.capture_state(), pin)
-            self.snapshots.compact(snapshot_id)
-            self.wal.compact_below(pin[0])
-            self._snapshot_mark = self.wal.appends.value
-            self._snap_count.increment()
-            return snapshot_id
+        It waits out every other thread's open publish (a bump whose
+        ``out`` record or deliveries are not in yet), and no publish
+        opens until it is done. The WAL is synced and the pin taken
+        *before* state capture, so records racing the capture appear
+        both in the snapshot and the tail. The counters make that
+        overlap idempotent: a service's section captures its counters
+        before its rows, so an ``apply`` whose bump the snapshot holds
+        has its rows there too, and replay skips it as applied
+        (docs/durability.md). ``pin`` overrides the position (tests
+        replaying a bounded prefix)."""
+        with self._exclusive():
+            return self._snapshot(pin)
+
+    def _snapshot(self, pin: Optional[Tuple[int, int]]) -> int:
+        self.wal.sync()
+        if pin is None:
+            pin = self.wal.position()
+        snapshot_id, _ = self.snapshots.write(self.capture_state(), pin)
+        self.snapshots.compact(snapshot_id)
+        self.wal.compact_below(pin[0])
+        self._snapshot_mark = self.wal.appends.value
+        self._snap_count.increment()
+        return snapshot_id
 
     def capture_state(self) -> Dict[str, Any]:
         """The process's durable state, one section per owner: what a
@@ -435,6 +513,8 @@ class DurabilityManager:
             report.applied += 1
 
     def _to_publisher(self, rec: Dict[str, Any], report: RestoreReport) -> None:
+        for name in rec.get("q", ()):  # each local delivery's ``pub``
+            self._to_queue({"t": "pub", "q": name, "m": rec["m"]}, report)
         service = self.ecosystem.local_service(rec["app"])
         if service is None:
             return

@@ -71,7 +71,11 @@ from repro.runtime.monitor.recorder import FlightRecorder
 
 #: On-disk WAL schema version. Bump when a record changes meaning;
 #: replay refuses records from a *newer* schema instead of misreading.
-WAL_WIRE_VERSION = 1
+#: v2: an ``out`` record names the local queues it was delivered to
+#: (``q``), which stand in for their ``pub`` records, and a ``shed``
+#: record names the message it shed (``uid``). A v1 log still replays:
+#: its ``out`` records name no queue and its ``pub`` records are there.
+WAL_WIRE_VERSION = 2
 
 FSYNC_OFF = "off"
 FSYNC_INTERVAL = "interval"
@@ -174,9 +178,10 @@ def encode_record(
 
 # -- literal layouts of the hot record types ----------------------------------
 #
-# Ten records per published message (one ``out``; a ``pub``, an ``apply``
-# and an ``ack`` per subscriber) made the generic header dump the largest
-# part of an append. Each layout below writes its record's keys as
+# A message published to three local subscribers costs seven records
+# (one ``out`` naming the three queues; an ``apply`` and an ``ack`` per
+# subscriber), and the generic header dump was the largest part of an
+# append. Each layout below writes its record's keys as
 # constant text in canonical (sorted) order around the message's cached
 # body; a queue, service or app name is quoted once and remembered, a
 # uid is quoted per record. What they return is what ``canonical_json``
@@ -185,17 +190,21 @@ def encode_record(
 # and goes to :func:`encode_record` in place of the dict.
 
 _name = lru_cache(maxsize=1024)(_quote)
+#: A route's local queue names, a tuple, to their JSON list.
+_names = lru_cache(maxsize=1024)(canonical_json)
 
 
 def out_record(
     app: str, body: str, counters: Dict[str, List[int]],
-    cursor: Optional[int] = None,
+    cursor: Optional[int] = None, queues: Tuple[str, ...] = (),
 ) -> str:
-    """``{"t": "out", "app", "m", "vs"}``, plus ``cur`` for a CDC publish."""
+    """``{"t": "out", "app", "m", "q", "vs"}``, plus ``cur`` for a CDC
+    publish: ``q`` lists the local queues the message was delivered to,
+    one ``pub`` each on replay."""
     cur = "" if cursor is None else f'"cur":{canonical_json(cursor)},'
     return (
-        f'{{"app":{_name(app)},{cur}"m":{body},"t":"out",'
-        f'"vs":{canonical_json(counters)}}}'
+        f'{{"app":{_name(app)},{cur}"m":{body},"q":{_names(queues)},'
+        f'"t":"out","vs":{canonical_json(counters)}}}'
     )
 
 
@@ -234,10 +243,12 @@ def ack_record(queue_name: str, uid: str) -> str:
 #: ``DurabilityManager.log_transition`` hands ``out`` the post-bump
 #: counters too, and ``shed`` the ledger in place of the flow state.
 LAYOUTS = {
-    "out": lambda message, counters: out_record(message.app, message.body(), counters, message.cdc),
+    "out": lambda queues, message, counters: out_record(
+        message.app, message.body(), counters, message.cdc, queues),
     "pub": lambda q, message: pub_record(q, message.body()),
     "coal": lambda q, message, into: coal_record(q, into.uid, [message.uid], into.body()),
-    "shed": lambda q, message, ledger: {"t": "shed", "q": q, "app": message.app, "ledger": ledger},
+    "shed": lambda q, message, ledger: {
+        "t": "shed", "q": q, "app": message.app, "ledger": ledger, "uid": message.uid},
     "defer": lambda q, message: {"t": "defer", "q": q, "uid": message.uid},
     "ack": lambda q, message: ack_record(q, message.uid),
     "decom": lambda q: {"t": "decom", "q": q},

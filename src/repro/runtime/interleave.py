@@ -42,7 +42,7 @@ from typing import Any, Callable, Optional
 #: whose restore replays that record (docs/durability.md, "Restore").
 Transition = namedtuple("Transition", "name fields record owner")
 
-PUBLISHER_ROUTED = Transition("publisher.routed", ("message",), "out", "publisher")
+PUBLISHER_ROUTED = Transition("publisher.routed", ("queues", "message"), "out", "publisher")
 QUEUE_PUBLISHED = Transition("queue.published", ("queue", "message"), "pub", "queue")
 QUEUE_COALESCED = Transition("queue.coalesced", ("queue", "message", "into"), "coal", "queue")
 QUEUE_SHED = Transition("queue.shed", ("queue", "message", "flow"), "shed", "queue")

@@ -71,9 +71,12 @@ class TestWALRecordsGolden:
 
         # The publish's out record carries the piggybacked cursor: the
         # cursor advance is atomic with the counter capture, closing
-        # the crash window between publish and checkpoint.
+        # the crash window between publish and checkpoint. It names the
+        # local queue it was delivered to, and no pub record follows.
         (out,) = [rec for rec in records if rec["t"] == "out"]
-        assert set(out) == {"t", "app", "m", "vs", "cur"}
+        assert set(out) == {"t", "app", "m", "q", "vs", "cur"}
+        assert out["q"] == ["sub"]
+        assert not [rec for rec in records if rec["t"] == "pub"]
         assert out["cur"] == 1
         assert out["m"]["uid"] == "pub:cdc:1"
         assert out["m"]["cdc"] == 1

@@ -77,7 +77,7 @@ class TestEnablingAfterTheQueuesExist:
         assert eco.metrics.value("flow.sub.coalesced") == 1
         manager.wal.sync()
         kinds = [(rec["t"], rec.get("q")) for _, rec in manager.wal.replay()]
-        assert kinds == [("out", None), ("pub", "sub"), ("out", None), ("coal", "sub")]
+        assert kinds == [("out", ["sub"]), ("out", ["sub"]), ("coal", "sub")]
         assert sub.subscriber.batch_limit == 4
         eco.drain_all()
         assert sub.registry["Doc"].__mapper__.find(doc.id)["value"] == 2

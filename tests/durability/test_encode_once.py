@@ -230,12 +230,12 @@ def test_traced_message_logs_no_trace_and_times_its_appends(tmp_path):
         PubDoc.create(name="doc", value=1)
     sub.subscriber.drain()
     carried = [rec for rec in wal_records(manager) if "m" in rec]
-    assert [rec["t"] for rec in carried] == ["out", "pub", "apply"]
+    assert [rec["t"] for rec in carried] == ["out", "apply"]
     assert all("trace" not in rec["m"] for rec in carried)
-    # out (publisher side, carried over the wire), pub, apply; the ack
+    # out (publisher side, carried over the wire), apply; the ack
     # record lands on the already-finished trace object as well.
     stages = eco.tracer.last().stages()
-    assert stages.count(STAGE_WAL) == 4
+    assert stages.count(STAGE_WAL) == 3
 
 
 # -- the count guards: at most one encode per publish, on first use ------------
@@ -296,9 +296,10 @@ def test_durable_fanout_encodes_once_per_publish(tmp_path, monkeypatch):
                 docs[0].save()
         for sub in subs:
             assert sub.subscriber.drain() == 1
-        # out + 3 x (pub, apply, ack); every body from the one encode
-        # (the ``out`` record's), and no local queue parses it back.
-        assert eco.metrics.value("durability.wal.appends") - appends == 10
+        # out (naming the 3 queues) + 3 x (apply, ack); every body from
+        # the one encode (the ``out`` record's), and no local queue
+        # parses it back.
+        assert eco.metrics.value("durability.wal.appends") - appends == 7
         assert counts.take() == (1, 0)
     for sub in subs:
         assert replicas_in_sync(pub, sub)

@@ -12,6 +12,9 @@ queued for ever.
 
 from __future__ import annotations
 
+import shutil
+import threading
+
 from repro.core.dependencies import dep_name
 from tests.durability.test_restore import build_pipeline, replicas_in_sync
 
@@ -55,6 +58,38 @@ class TestOutRecordCounters:
         sub_b.subscriber.drain()
         assert sub_b.subscriber.stuck_dependencies() == {}
         assert [row["value"] for row in SubDoc_b.__mapper__._do_where({}, None, None)] == [3]
+        assert replicas_in_sync(pub_b, sub_b)
+
+    def test_a_snapshot_waits_for_the_out_record_of_a_bump_it_holds(
+        self, tmp_path
+    ):
+        """A snapshot taken on another thread while a publish sits
+        between its bump and its ship step must not capture that bump
+        before the ``out`` record is logged: a process killed before
+        the record would restore a counter no logged message carries,
+        and the object's next write would wait for it for ever."""
+        live, killed = tmp_path / "live", tmp_path / "killed"
+        eco_a, pub_a, sub_a, mgr_a, PubDoc, _ = build_pipeline(live)
+        doc = PubDoc.create(name="doc", value=0)
+        sub_a.subscriber.drain()
+        ship = prepare_update(pub_a, PubDoc, doc.id, 1)
+        snapshotter = threading.Thread(target=mgr_a.snapshot)
+        snapshotter.start()
+        snapshotter.join(0.3)
+        # Killed here, before the out record: the data dir as it is now
+        # is what the process restarts from.
+        shutil.copytree(live, killed)
+        ship()
+        snapshotter.join(timeout=30)
+        assert not snapshotter.is_alive() and mgr_a.snapshots.ids() == [1]
+
+        eco_b, pub_b, sub_b, mgr_b, PubDoc_b, SubDoc_b = build_pipeline(killed)
+        assert not mgr_b.restore().unrecoverable
+        sub_b.subscriber.drain()
+        PubDoc_b.find(doc.id).update(value=2)
+        sub_b.subscriber.drain()
+        assert sub_b.subscriber.stuck_dependencies() == {}
+        assert [row["value"] for row in SubDoc_b.__mapper__._do_where({}, None, None)] == [2]
         assert replicas_in_sync(pub_b, sub_b)
 
     def test_a_later_out_logged_alone_wedges_until_repair(self, tmp_path):

@@ -11,8 +11,10 @@ Pinned here, each failing with its half of the mechanism reverted:
 (b) under fsync ``off`` a publish whose ``save()`` returned, and a
     drained message, are in the segment file — read through a second
     handle, no ``sync()``, no ``close()`` — and a step is one write;
-(c) with threads in overlapping steps the file is append order, and
-    each queue's ``pub`` records are in that queue's order;
+(c) with threads in overlapping steps the file is append order, and a
+    restored queue's order is the order of the ``out`` records naming
+    it — which the live order matches up to the swap of two publishes
+    that overlapped in time;
 (d) a forwarder is never handed a message whose ``out`` record is not
     in the file yet, not even from a publish nested in another step;
 (e) a process SIGKILLed inside a step leaves a log of whole lines that
@@ -36,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.durability.wal as wal_mod
+from repro.broker.message import Message
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
@@ -154,6 +157,11 @@ def drive_every_record_type(data_dir, pub_name, sub_name):
         PubDoc.create(name="fits")
         PubDoc.create(name="kills")
     queue.recommission()  # recom
+    # Forwarded by another shard, whose log holds its out record: pub.
+    eco.broker.deliver_remote(sub_name, Message(
+        app=pub_name, operations=[], dependencies={}, published_at=0.0,
+        uid=f"{pub_name}:far",
+    ).to_json())
     return manager
 
 
@@ -204,10 +212,11 @@ def test_plain_names_too(tmp_path):
      lambda queue_name, uid: f'{{"q":"{queue_name}","t":"ack","uid":"{uid}"}}'),
     # Two keys swapped: ``cur`` sorts between ``app`` and ``m``.
     ("out_record",
-     lambda app, body, counters, cursor=None: (
+     lambda app, body, counters, cursor=None, queues=(): (
          f'{{"app":{json.dumps(app)},"m":{body},'
          + ("" if cursor is None else f'"cur":{json.dumps(cursor)},')
-         + f'"t":"out","vs":{json.dumps(counters, sort_keys=True, separators=(",", ":"))}}}'
+         + f'"q":{json.dumps(list(queues))},"t":"out",'
+         + f'"vs":{json.dumps(counters, sort_keys=True, separators=(",", ":"))}}}'
      )),
 ])
 def test_the_property_catches_a_broken_layout(
@@ -228,10 +237,10 @@ def test_returned_publish_and_drained_message_are_in_the_file(tmp_path):
     flushes = lambda: eco.metrics.value("durability.wal.flushes")  # noqa: E731
     with pub.controller():
         PubDoc.create(name="doc", value=1)
-    # No sync(), no close(): save() returned, so out + 3 pub are there —
-    # and they got there together.
-    assert [rec["t"] for rec in records_on_disk(manager)] == [
-        "out", "pub", "pub", "pub",
+    # No sync(), no close(): save() returned, so its out record, naming
+    # the three queues it was delivered to, is there.
+    assert [(rec["t"], rec["q"]) for rec in records_on_disk(manager)] == [
+        ("out", ["sub_a", "sub_b", "sub_c"]),
     ]
     assert flushes() == 1
     for count, sub in enumerate(subs, start=1):
@@ -240,7 +249,7 @@ def test_returned_publish_and_drained_message_are_in_the_file(tmp_path):
         assert [rec["t"] for rec in tail] == ["apply", "ack"]
         assert tail[0]["svc"] == tail[1]["q"] == sub.name
         assert flushes() == 1 + count
-    assert eco.metrics.value("durability.wal.appends") == 10
+    assert eco.metrics.value("durability.wal.appends") == 7
 
 
 @pytest.mark.parametrize("flow, tail", [
@@ -294,9 +303,9 @@ def test_the_step_write_is_a_span_on_the_message_trace(tmp_path):
 
 # -- (c) overlapping steps: append order, queue order -------------------------
 
-def test_overlapping_steps_keep_append_order_and_queue_order(
-    tmp_path, monkeypatch
-):
+def two_publishers_two_subscribers(data_dir):
+    """``pub_a`` and ``pub_b`` each fanned out to ``sub_1`` and
+    ``sub_2``, durability armed."""
     eco = Ecosystem()
     publishers = []
     for name in ("pub_a", "pub_b"):
@@ -318,7 +327,13 @@ def test_overlapping_steps_keep_append_order_and_queue_order(
             class SubDoc(Model):
                 name = Field(str)
 
-    manager = eco.enable_durability(data_dir=str(tmp_path))
+    return eco, publishers, eco.enable_durability(data_dir=str(data_dir))
+
+
+def test_overlapping_steps_keep_append_order_and_queue_order(
+    tmp_path, monkeypatch
+):
+    eco, publishers, manager = two_publishers_two_subscribers(tmp_path)
     appended = {}
     real_append = SegmentedWAL.append
 
@@ -352,25 +367,31 @@ def test_overlapping_steps_keep_append_order_and_queue_order(
     assert not errors and not any(thread.is_alive() for thread in threads)
 
     lines = lines_on_disk(manager)
-    assert len(lines) == len(appended) == 2 * writes * 3  # out + 2 pub each
+    assert len(lines) == len(appended) == 2 * writes  # one out each
     # The file is append order: line i is the record given position i.
     assert lines == [
         encode_record(appended[position]) for position in sorted(appended)
     ]
     records = [decode_record(line) for line in lines]
+    assert {rec["t"] for rec in records} == {"out"}
+    manager.close()
+    eco_b, _, manager_b = two_publishers_two_subscribers(tmp_path)
+    assert manager_b.restore().requeued == 2 * 2 * writes
     for sub_name in ("sub_1", "sub_2"):
-        queue_order = [
-            message.uid for message in eco.broker.queue_for(sub_name).peek_all()
-        ]
-        assert len(queue_order) == 2 * writes
-        assert queue_order == [
-            rec["m"]["uid"] for rec in records
-            if rec["t"] == "pub" and rec["q"] == sub_name
-        ]
-    first_seen = {}
-    for index, rec in enumerate(records):
-        first_seen.setdefault(rec["m"]["uid"], (index, rec["t"]))
-    assert {kind for _, kind in first_seen.values()} == {"out"}
+        logged = [rec["m"]["uid"] for rec in records if sub_name in rec["q"]]
+        assert len(logged) == 2 * writes
+        # A restored queue is in the order of the out records naming it.
+        restored = eco_b.broker.queue_for(sub_name).peek_all()
+        assert [message.uid for message in restored] == logged
+        # Live, two publishes that overlapped in time (one per thread)
+        # may have reached the queue the other way round: dependencies,
+        # not queue position, decide apply order. One thread's own
+        # publishes never overlap, so each keeps its out-record order.
+        live = [m.uid for m in eco.broker.queue_for(sub_name).peek_all()]
+        assert sorted(live) == sorted(logged)
+        for pub, _ in publishers:
+            mine = lambda uids: [uid for uid in uids if uid.startswith(pub.name)]  # noqa: E731
+            assert mine(live) == mine(logged)
 
 
 # -- (d) flushed before forwarded ---------------------------------------------
@@ -398,8 +419,8 @@ def test_forwarder_finds_the_out_record_in_the_file(tmp_path):
         with pub.controller():
             PubDoc.create(name="nested")
     assert forwarded == [
-        ("far", [("out", None), ("pub", "near")]),
-        ("far", [("out", None), ("pub", "near")]),
+        ("far", [("out", ["near"])]),
+        ("far", [("out", ["near"])]),
     ]
 
 
@@ -407,7 +428,7 @@ def test_forwarder_finds_the_out_record_in_the_file(tmp_path):
 
 def test_sigkill_inside_a_step_keeps_every_returned_publish():
     """The kill-restart scenario's child dies on its ninth append — the
-    ``out`` record of its fifth publish, held in the step's buffer. The
+    ``out`` record of its ninth publish, held in the step's buffer. The
     scenario checks the orphaned log line by line and counts the
     publishes that had returned against what restore brings back."""
     violations = durability_kill_restart_scenario()
@@ -457,7 +478,7 @@ def test_append_and_encode_record_run_once_per_record(tmp_path, monkeypatch):
     for sub in subs:
         sub.subscriber.drain()
     lines = lines_on_disk(manager)
-    assert calls["append"] == calls["encode"] == len(lines) == 10
+    assert calls["append"] == calls["encode"] == len(lines) == 7
     assert calls["bytes"] == sum(len(line) + 1 for line in lines)
 
 
@@ -472,7 +493,7 @@ def test_interval_loses_exactly_its_unsynced_tail(tmp_path):
             PubDoc.create(name=f"doc-{i}", value=i)
     sub.subscriber.drain()
     appends = eco.metrics.value("durability.wal.appends")
-    assert appends == 3 * 4  # out, pub, apply, ack
+    assert appends == 3 * 3  # out, apply, ack
     # Steps ended, nothing was synced: only the full group is in the
     # file, and it was fsynced.
     assert len(lines_on_disk(manager)) == 8
@@ -494,7 +515,7 @@ def test_always_fsyncs_every_record(tmp_path):
     with pub.controller():
         PubDoc.create(name="doc")
     sub.subscriber.drain()
-    assert eco.metrics.value("durability.wal.appends") == 4
-    assert eco.metrics.value("durability.wal.fsyncs") == 4
-    assert seen == [1, 1, 1, 1]  # never more than the record just appended
-    assert len(lines_on_disk(manager)) == 4
+    assert eco.metrics.value("durability.wal.appends") == 3
+    assert eco.metrics.value("durability.wal.fsyncs") == 3
+    assert seen == [1, 1, 1]  # never more than the record just appended
+    assert len(lines_on_disk(manager)) == 3

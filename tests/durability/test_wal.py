@@ -11,6 +11,7 @@ from repro.durability.wal import (
     CrashInjector,
     SegmentedWAL,
     SimulatedCrash,
+    WAL_WIRE_VERSION,
     encode_record,
 )
 from repro.errors import DurabilityError, WALCorrupt
@@ -197,7 +198,7 @@ class TestTornTailAndCorruption:
     def test_newer_wire_version_on_disk_raises(self, tmp_path):
         wal = self._write(tmp_path, count=1)
         line = encode_record({"t": "ack", "q": "q", "uid": "future"})
-        bumped = line.replace('"v":1', '"v":999')
+        bumped = line.replace(f'"v":{WAL_WIRE_VERSION}', '"v":999')
         with open(wal.segment_path(1), "r+", encoding="utf-8") as fh:
             fh.seek(0)
             content = fh.read()

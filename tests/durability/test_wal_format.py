@@ -34,7 +34,7 @@ class TestWALEnvelopeGolden:
     def test_envelope_exact_shape(self):
         rec = {"t": "ack", "q": "sub", "uid": "pub:7"}
         assert json.loads(encode_record(rec)) == {
-            "v": 1,
+            "v": 2,
             "crc": record_crc(rec),
             "rec": {"t": "ack", "q": "sub", "uid": "pub:7"},
         }
@@ -79,6 +79,7 @@ class TestPipelineRecordGolden:
     disk — the hooks, not just the codec."""
 
     def _one_write(self, tmp_path):
+        from repro.broker.message import Message
         from repro.core import Ecosystem
         from repro.databases.document import MongoLike
         from repro.databases.relational import PostgresLike
@@ -101,6 +102,12 @@ class TestPipelineRecordGolden:
         with pub.controller():
             PubDoc.create(name="ada")
         sub.subscriber.drain()
+        # A delivery forwarded by another shard, whose log holds its
+        # ``out`` record: the one kind of delivery logged as ``pub``.
+        eco.broker.deliver_remote("sub", Message(
+            app="pub", operations=[], dependencies={}, published_at=0.0,
+            uid="pub:far",
+        ).to_json())
         manager.close()
         path = manager.wal.segment_path(1)
         with open(path, "r", encoding="utf-8") as fh:
@@ -112,8 +119,9 @@ class TestPipelineRecordGolden:
         for rec in records:
             by_type.setdefault(rec["t"], rec)
         out = by_type["out"]
-        assert set(out) == {"t", "app", "m", "vs"}
+        assert set(out) == {"t", "app", "m", "q", "vs"}
         assert out["app"] == "pub"
+        assert out["q"] == ["sub"]  # the local delivery: no pub record
         # The embedded payload is the golden wire format, trace dropped.
         assert out["m"]["wire_version"] == 4
         assert "repair" not in out["m"] and "bootstrap" not in out["m"]
@@ -121,8 +129,9 @@ class TestPipelineRecordGolden:
         assert all(
             len(pair) == 2 for pair in out["vs"].values()
         ), "vs maps hashed key -> [ops, version]"
-        assert set(by_type["pub"]) == {"t", "q", "m"}
-        assert by_type["pub"]["q"] == "sub"
+        (pub,) = [rec for rec in records if rec["t"] == "pub"]
+        assert set(pub) == {"t", "q", "m"}
+        assert pub["q"] == "sub" and pub["m"]["uid"] == "pub:far"
         apply_rec = by_type["apply"]
         assert set(apply_rec) == {"t", "svc", "uid", "m"}
         assert apply_rec["svc"] == "sub"
@@ -186,8 +195,9 @@ class TestPipelineRecordGolden:
         assert coal["m"] == survivor.to_wire()
         assert coal["m"]["increments"] == {"h1": 2}
         shed = by_type["shed"]
-        assert set(shed) == {"t", "q", "app", "ledger"}
+        assert set(shed) == {"t", "q", "app", "ledger", "uid"}
         assert shed["app"] == "pub"
+        assert shed["uid"] == "pub:2"
         assert shed["ledger"] == {"h1": 1}
         defer = by_type["defer"]
         assert defer == {"t": "defer", "q": "sub", "uid": "pub:1"}

@@ -146,7 +146,7 @@ def test_full_disk_at_a_step_end_refuses_publishes_and_restores(
             PubDoc.create(name=f"doc-{i}", value=i)
     assert sub.subscriber.drain() == 3
     on_disk = len(lines_on_disk(manager))
-    assert on_disk == 3 * 4 and manager.wal.position() == (1, on_disk)
+    assert on_disk == 3 * 3 and manager.wal.position() == (1, on_disk)
 
     disk["writes_left"] = 0
     with pub.controller():
