@@ -16,10 +16,7 @@ import statistics
 import time
 
 from benchmarks.common import emit, format_table
-from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
+from repro.apps import build_replicated_pair
 
 WRITES = 1500
 BLOCKS = 6
@@ -27,23 +24,7 @@ RATES = [0.0, 0.01, 1.0]  # each compared against tracing never enabled
 
 
 def build():
-    eco = Ecosystem()
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name", "score"])
-    class User(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "score"]},
-               name="User")
-    class SubUser(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
-    return eco, pub, sub, User
+    return build_replicated_pair(fields={"name": str, "score": int}, model="User")
 
 
 def run_once(rate) -> float:

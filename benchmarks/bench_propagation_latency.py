@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 
 from benchmarks.common import emit, format_table
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.columnar import CassandraLike
 from repro.databases.document import MongoLike
@@ -91,19 +92,7 @@ def test_propagation_latency(benchmark):
 
 def test_single_hop_latency_kernel(benchmark):
     """Benchmark kernel: one publish + one synchronous apply."""
-    eco = Ecosystem()
-    pub = eco.service("pub", database=MongoLike("p"))
-
-    @pub.model(publish=["x"], name="Event")
-    class Event(Model):
-        x = Field(int)
-
-    sub = eco.service("sub", database=PostgresLike("s"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["x"]}, name="Event")
-    class SubEvent(Model):
-        x = Field(int)
-
+    eco, pub, sub, Event = build_replicated_pair(fields={"x": int}, model="Event")
     def hop():
         Event.create(x=1)
         sub.subscriber.drain()

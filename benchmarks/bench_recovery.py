@@ -10,30 +10,18 @@ from __future__ import annotations
 import time
 
 from benchmarks.common import emit, format_table
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.core.bootstrap import bootstrap_subscriber
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 
 DATASET = 2000
 
 
 def build(queue_limit=None):
-    eco = Ecosystem(queue_limit=queue_limit)
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["n"], name="Item")
-    class Item(Model):
-        n = Field(int)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["n"]}, name="Item")
-    class SubItem(Model):
-        n = Field(int)
-
-    return eco, pub, pub.registry["Item"], sub, sub.registry["Item"]
+    eco, pub, sub, Item = build_replicated_pair(
+        Ecosystem(queue_limit=queue_limit), {"n": int}, "Item"
+    )
+    return eco, pub, Item, sub, sub.registry["Item"]
 
 
 def scenario_message_loss():

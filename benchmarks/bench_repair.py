@@ -13,10 +13,10 @@ from __future__ import annotations
 import time
 
 from benchmarks.common import emit, format_table
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.core.bootstrap import bootstrap_subscriber
 from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 from repro.repair import ReplicationAuditor, repair_subscriber
 
@@ -37,15 +37,8 @@ def build(n_objects: int):
         score = Field(int, default=0)
 
     users = [User.create(name=f"u{i}", score=i) for i in range(n_objects)]
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "score"]},
-               name="User")
-    class SubUser(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
+    # The replica joins late: bootstrap, not the queue, fills it.
+    _, _, sub, _ = build_replicated_pair(eco, {"name": str, "score": int}, "User")
     bootstrap_subscriber(sub)
     return eco, pub, sub, users
 

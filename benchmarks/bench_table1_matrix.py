@@ -8,13 +8,13 @@ subscriber-only in Table 3) and prints the measured support matrix.
 from __future__ import annotations
 
 from benchmarks.common import emit, format_table
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.columnar import CassandraLike
 from repro.databases.document import MongoLike, RethinkDBLike, TokuMXLike
 from repro.databases.graph import Neo4jLike
 from repro.databases.relational import MySQLLike, OracleLike, PostgresLike
 from repro.databases.search import ElasticsearchLike
-from repro.orm import Field, Model
 
 ENGINES = [
     ("PostgreSQL", lambda n: PostgresLike(n), "Relational", True),
@@ -33,18 +33,12 @@ ROUNDTRIP_OBJECTS = 10
 
 def roundtrip(pub_factory, sub_factory, tag: str) -> bool:
     eco = Ecosystem()
-    pub = eco.service(f"pub-{tag}", database=pub_factory(f"pub-{tag}-db"))
-
-    @pub.model(publish=["name"], name="Item")
-    class Item(Model):
-        name = Field(str)
-
-    sub = eco.service(f"sub-{tag}", database=sub_factory(f"sub-{tag}-db"))
-
-    @sub.model(subscribe={"from": f"pub-{tag}", "fields": ["name"]}, name="Item")
-    class SubItem(Model):
-        name = Field(str)
-
+    eco.service(f"pub-{tag}", database=pub_factory(f"pub-{tag}-db"))
+    eco.service(f"sub-{tag}", database=sub_factory(f"sub-{tag}-db"))
+    _, pub, sub, Item = build_replicated_pair(
+        eco, model="Item", pub=f"pub-{tag}", sub=f"sub-{tag}"
+    )
+    SubItem = sub.registry["Item"]
     items = [Item.create(name=f"item{i}") for i in range(ROUNDTRIP_OBJECTS)]
     items[0].update(name="renamed")
     items[1].destroy()

@@ -7,6 +7,21 @@ model published from a MongoLike service and subscribed, attribute for
 attribute, by a PostgresLike service. Subsystems (flow, durability,
 views, outbox, tracing) are armed by the caller on what this returns —
 or on the ecosystem handed in — never by a flag here.
+
+The builder declares only what the ecosystem it is given still lacks: a
+service already registered under ``pub`` or ``sub`` is reused, and so is
+a model already in the publisher's registry. Every variation is one more
+call or one declaration ahead of it, never a parameter:
+
+- fan-out: call it again on the same ecosystem with a new ``sub=``;
+- another engine or a transactional pair: declare the service first,
+  e.g. ``eco.service(pub, database=PostgresLike(...))``, then call the
+  builder with that ecosystem;
+- an unpublished session model beside the replica: one
+  ``@pub.model(name="User")`` by the caller.
+
+A renamed or virtual mapping is a different declaration and is written
+by hand.
 """
 
 from __future__ import annotations
@@ -43,11 +58,11 @@ def build_replicated_pair(
     class)``; the replica class is ``subscriber.registry[model]``."""
     eco = ecosystem if ecosystem is not None else Ecosystem()
     fields = fields or {"name": str}
-    publisher = eco.service(
-        pub, database=MongoLike(f"{pub}-db"), delivery_mode=mode
-    )
-    model_cls = publisher.model(publish=list(fields), name=model)(_model(fields))
-    subscriber = eco.service(sub, database=PostgresLike(f"{sub}-db"))
+    publisher = eco.local_service(pub) or eco.service(
+        pub, database=MongoLike(f"{pub}-db"), delivery_mode=mode)
+    model_cls = publisher.registry.get(model) or publisher.model(
+        publish=list(fields), name=model)(_model(fields))
+    subscriber = eco.local_service(sub) or eco.service(sub, database=PostgresLike(f"{sub}-db"))
     subscriber.model(
         subscribe={"from": pub, "fields": list(fields), "mode": mode}, name=model
     )(_model(fields))

@@ -6,35 +6,17 @@ from __future__ import annotations
 
 import json
 
-from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
+from repro.apps import build_replicated_pair
 from repro.durability.wal import decode_record
-from repro.orm import Field, Model
 
 
 def build_pipeline(data_dir, mode="causal"):
-    eco = Ecosystem()
-    pub = eco.service("pub", database=MongoLike("pub-db"), delivery_mode=mode)
-
-    @pub.model(publish=["name", "value"], name="Doc")
-    class PubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(
-        subscribe={"from": "pub", "fields": ["name", "value"], "mode": mode},
-        name="Doc",
+    eco, pub, sub, PubDoc = build_replicated_pair(
+        fields={"name": str, "value": int}, mode=mode
     )
-    class SubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
     manager = eco.enable_durability(data_dir=str(data_dir))
     pub.enable_outbox()
-    return eco, pub, sub, manager, PubDoc, SubDoc
+    return eco, pub, sub, manager, PubDoc, sub.registry["Doc"]
 
 
 def read_records(manager):

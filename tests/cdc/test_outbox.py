@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.cdc import (
     OUTBOX_MODEL_NAME,
     OUTBOX_VERSION,
@@ -20,7 +21,7 @@ from repro.cdc import (
     entry_row,
 )
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike, TokuMXLike
+from repro.databases.document import TokuMXLike
 from repro.databases.relational import PostgresLike
 from repro.errors import CdcError
 from repro.orm import Field, Model
@@ -29,14 +30,11 @@ from repro.orm import Field, Model
 def build_pipeline(pub_db=None, mode="causal"):
     """One pub -> sub pipeline with the outbox armed on the publisher."""
     eco = Ecosystem()
-    pub = eco.service(
-        "pub", database=pub_db or MongoLike("pub-db"), delivery_mode=mode
+    if pub_db is not None:
+        eco.service("pub", database=pub_db, delivery_mode=mode)
+    _, pub, sub, PubDoc = build_replicated_pair(
+        eco, {"name": str, "value": int}, mode=mode
     )
-
-    @pub.model(publish=["name", "value"], name="Doc")
-    class PubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
 
     # Local-only model: raw writes to it must not leave outbox entries,
     # mirroring the ORM path where unpublished writes are not intercepted.
@@ -44,18 +42,8 @@ def build_pipeline(pub_db=None, mode="causal"):
     class Note(Model):
         body = Field(str)
 
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(
-        subscribe={"from": "pub", "fields": ["name", "value"], "mode": mode},
-        name="Doc",
-    )
-    class SubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
     pub.enable_outbox()
-    return eco, pub, sub, PubDoc, SubDoc
+    return eco, pub, sub, PubDoc, sub.registry["Doc"]
 
 
 def outbox_rows(pub):

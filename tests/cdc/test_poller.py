@@ -6,14 +6,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.broker import Message
 from repro.cdc import PollCrash
-from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
 from repro.durability.wal import SimulatedCrash
 from repro.errors import CdcError
-from repro.orm import Field, Model
 from repro.runtime.flow import FlowConfig
 from repro.runtime.flow.admission import ADMIT, SHED, QueueFlow
 from repro.runtime.metrics import MetricsRegistry
@@ -21,26 +18,11 @@ from repro.runtime.workers import WorkerFleet
 
 
 def build_pipeline(mode="causal"):
-    eco = Ecosystem()
-    pub = eco.service("pub", database=MongoLike("pub-db"), delivery_mode=mode)
-
-    @pub.model(publish=["name", "value"], name="Doc")
-    class PubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(
-        subscribe={"from": "pub", "fields": ["name", "value"], "mode": mode},
-        name="Doc",
+    eco, pub, sub, PubDoc = build_replicated_pair(
+        fields={"name": str, "value": int}, mode=mode
     )
-    class SubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
     pub.enable_outbox()
-    return eco, pub, sub, PubDoc, SubDoc
+    return eco, pub, sub, PubDoc, sub.registry["Doc"]
 
 
 def rows_of(model_cls):

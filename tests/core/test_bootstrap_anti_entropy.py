@@ -1,6 +1,7 @@
 """Bootstrap anti-entropy: ghost rows from lost delete messages."""
 
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.core.bootstrap import bootstrap_subscriber
 from repro.databases.document import MongoLike
@@ -9,19 +10,8 @@ from repro.orm import Field, Model
 
 
 def build(eco):
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["n"], name="Item")
-    class Item(Model):
-        n = Field(int)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["n"]}, name="Item")
-    class SubItem(Model):
-        n = Field(int)
-
-    return pub, pub.registry["Item"], sub, sub.registry["Item"]
+    _, pub, sub, Item = build_replicated_pair(eco, {"n": int}, "Item")
+    return pub, Item, sub, sub.registry["Item"]
 
 
 class TestGhostRowReconciliation:

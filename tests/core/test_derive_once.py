@@ -15,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.broker import Message
 from repro.clock import VirtualClock
 from repro.core import Ecosystem
@@ -58,20 +59,12 @@ def fan_out(modes, publisher_mode="causal", flow=None):
     eco = Ecosystem()
     if flow is not None:
         eco.enable_flow(flow)
-    pub = eco.service("pub", database=MongoLike("pub-db"), delivery_mode=publisher_mode)
-
-    @pub.model(publish=["name", "value"], name="Doc")
-    class PubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
+    eco.service("pub", database=MongoLike("pub-db"), delivery_mode=publisher_mode)
     subs = []
     for index, mode in enumerate(modes):
-        sub = eco.service(f"sub{index}", database=PostgresLike(f"sub{index}-db"))
-        sub.model(
-            subscribe={"from": "pub", "fields": ["name", "value"], "mode": mode},
-            name="Doc",
-        )(type("Doc", (Model,), {"name": Field(str), "value": Field(int, default=0)}))
+        _, pub, sub, PubDoc = build_replicated_pair(
+            eco, {"name": str, "value": int}, mode=mode, sub=f"sub{index}"
+        )
         subs.append(sub)
     return eco, pub, PubDoc, subs
 

@@ -12,10 +12,10 @@ end, the central registry's counters must balance to the message:
 
 import threading
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 from repro.runtime.workers import SubscriberWorkerPool
 
 PUBLISHER_THREADS = 4
@@ -26,19 +26,10 @@ REDELIVERIES = 50
 
 
 def build(eco):
-    pub = eco.service("pub", database=MongoLike("pub-db"), version_store_shards=4)
-
-    @pub.model(publish=["body"], name="Note")
-    class Note(Model):
-        body = Field(str)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"), version_store_shards=4)
-
-    @sub.model(subscribe={"from": "pub", "fields": ["body"]}, name="Note")
-    class SubNote(Model):
-        body = Field(str)
-
-    return pub, sub, pub.registry["Note"], sub.registry["Note"]
+    eco.service("pub", database=MongoLike("pub-db"), version_store_shards=4)
+    eco.service("sub", database=PostgresLike("sub-db"), version_store_shards=4)
+    _, pub, sub, Note = build_replicated_pair(eco, {"body": str}, "Note")
+    return pub, sub, Note, sub.registry["Note"]
 
 
 class TestRegistryReconciliation:

@@ -17,7 +17,7 @@ import pytest
 from repro.core.dependencies import dep_name
 from repro.databases.base import FaultPlan
 from repro.errors import FaultInjected
-from tests.durability.test_encode_once import build_pipeline, replicas_in_sync
+from tests.durability.test_encode_once import build_pipeline
 
 
 class CountingLock:
@@ -86,7 +86,7 @@ class TestOneUpdate:
         assert out["vs"] == {dep: list(store.current(dep))} == {dep: [2, 2]}
         for sub in subs:
             sub.subscriber.drain()
-            assert replicas_in_sync(pub, sub)
+            assert sub.audit_replication().in_sync
 
 
 class TestFaultPlanLock:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import build_replicated_pair
 from repro.broker.message import canonical_json
 from repro.core import Ecosystem
 from repro.core.dependencies import dep_name
@@ -37,22 +38,10 @@ BAD_VALUES = {
 
 def tagging_pair(engine):
     eco = Ecosystem()
-    pub = eco.service("pub", database=engine("pub-db"), delivery_mode="causal")
-
-    @pub.model(publish=["tags"], name="Doc")
-    class PubDoc(Model):
-        tags = Field(list)
-
-    sub = eco.service("sub", database=MongoLike("sub-db"))
-
-    @sub.model(
-        subscribe={"from": "pub", "fields": ["tags"], "mode": "causal"},
-        name="Doc",
-    )
-    class SubDoc(Model):
-        tags = Field(list)
-
-    return eco, pub, sub, PubDoc, SubDoc
+    eco.service("pub", database=engine("pub-db"))
+    eco.service("sub", database=MongoLike("sub-db"))
+    _, pub, sub, PubDoc = build_replicated_pair(eco, {"tags": list})
+    return eco, pub, sub, PubDoc, sub.registry["Doc"]
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_VALUES))
@@ -237,17 +226,9 @@ def stamped_pair(engine, bad):
             getter=lambda self: bad if self.name == "bad" else self.name.upper()
         )
 
-    sub = eco.service("sub", database=MongoLike("sub-db"))
-
-    @sub.model(
-        subscribe={"from": "pub", "fields": ["name", "stamp"], "mode": "causal"},
-        name="Doc",
-    )
-    class SubDoc(Model):
-        name = Field(str)
-        stamp = Field(str)
-
-    return eco, pub, sub, PubDoc, SubDoc
+    eco.service("sub", database=MongoLike("sub-db"))
+    _, pub, sub, _ = build_replicated_pair(eco, {"name": str, "stamp": str})
+    return eco, pub, sub, PubDoc, sub.registry["Doc"]
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_VIRTUALS))

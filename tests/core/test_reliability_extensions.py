@@ -2,11 +2,9 @@
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.broker import Message
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 from repro.runtime.workers import SubscriberWorkerPool
 
 
@@ -16,21 +14,8 @@ def eco():
 
 
 def build(eco):
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name", "n"])
-    class User(Model):
-        name = Field(str)
-        n = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "n"]}, name="User")
-    class SubUser(Model):
-        name = Field(str)
-        n = Field(int, default=0)
-
-    return pub, pub.registry["User"], sub, sub.registry["User"]
+    _, pub, sub, User = build_replicated_pair(eco, {"name": str, "n": int}, "User")
+    return pub, User, sub, sub.registry["User"]
 
 
 class TestAtLeastOnceDedup:

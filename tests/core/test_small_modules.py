@@ -3,6 +3,7 @@ marshal, tools, clock, fault plans."""
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.clock import Clock, VirtualClock
 from repro.core import Ecosystem
 from repro.core.delivery import (
@@ -133,20 +134,9 @@ class TestMarshal:
 class TestTools:
     def build(self):
         eco = Ecosystem()
-        pub = eco.service("pub", database=MongoLike("p"))
-
-        @pub.model(publish=["name"])
-        class User(Model):
-            name = Field(str)
-
-        sub = eco.service("sub", database=MongoLike("s"))
-
-        @sub.model(subscribe={"from": "pub", "fields": ["name"],
-                              "mode": "weak"}, name="User")
-        class SubUser(Model):
-            name = Field(str)
-
-        return eco
+        eco.service("pub", database=MongoLike("p"))
+        eco.service("sub", database=MongoLike("s"))
+        return build_replicated_pair(eco, model="User", mode="weak")[0]
 
     def test_describe(self):
         text = describe_ecosystem(self.build())

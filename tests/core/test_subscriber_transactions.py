@@ -2,29 +2,18 @@
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 
 
 def build(eco):
-    pub = eco.service("pub", database=PostgresLike("pub-db"))
-
-    @pub.model(publish=["name", "balance"])
-    class Account(Model):
-        name = Field(str)
-        balance = Field(int)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "balance"]},
-               name="Account")
-    class SubAccount(Model):
-        name = Field(str)
-        balance = Field(int)
-
-    return pub, pub.registry["Account"], sub, sub.registry["Account"]
+    eco.service("pub", database=PostgresLike("pub-db"))
+    _, pub, sub, Account = build_replicated_pair(
+        eco, {"name": str, "balance": int}, "Account"
+    )
+    return pub, Account, sub, sub.registry["Account"]
 
 
 class TestAtomicApply:
@@ -72,17 +61,10 @@ class TestAtomicApply:
 
     def test_non_transactional_subscriber_still_works(self):
         eco = Ecosystem()
-        pub = eco.service("pub", database=PostgresLike("p"))
-
-        @pub.model(publish=["n"], name="Item")
-        class Item(Model):
-            n = Field(int)
-
-        sub = eco.service("sub", database=MongoLike("s"))  # no txns
-
-        @sub.model(subscribe={"from": "pub", "fields": ["n"]}, name="Item")
-        class SubItem(Model):
-            n = Field(int)
+        eco.service("pub", database=PostgresLike("p"))
+        eco.service("sub", database=MongoLike("s"))  # no txns
+        _, pub, sub, Item = build_replicated_pair(eco, {"n": int}, "Item")
+        SubItem = sub.registry["Item"]
 
         with pub.database.begin():
             Item.create(n=1)

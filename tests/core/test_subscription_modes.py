@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
@@ -61,24 +62,12 @@ class TestPerPublisherModes:
         """The Crowdtap pattern: causal from one app, weak from another."""
         eco = Ecosystem()
         make_two_model_publisher(eco)
-        other = eco.service("other", database=MongoLike("o"))
-
-        @other.model(publish=["c"])
-        class Gamma(Model):
-            c = Field(int)
-
-        sub = eco.service("sub", database=PostgresLike("s"))
-
-        @sub.model(subscribe={"from": "pub", "fields": ["a"],
-                              "mode": "causal"}, name="Alpha")
-        class SubAlpha(Model):
-            a = Field(int)
-
-        @sub.model(subscribe={"from": "other", "fields": ["c"],
-                              "mode": "weak"}, name="Gamma")
-        class SubGamma(Model):
-            c = Field(int)
-
+        eco.service("other", database=MongoLike("o"))
+        eco.service("sub", database=PostgresLike("s"))
+        build_replicated_pair(eco, {"a": int}, "Alpha")
+        _, _, sub, _ = build_replicated_pair(
+            eco, {"c": int}, "Gamma", mode="weak", pub="other"
+        )
         assert sub.subscriber.app_modes == {"pub": "causal", "other": "weak"}
 
     def test_unsubscribed_model_messages_still_advance_dependencies(self):

@@ -2,10 +2,9 @@
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 from repro.runtime.flow import FlowConfig
 from repro.runtime import tracing
 from repro.runtime.tracing import (
@@ -25,19 +24,10 @@ from repro.runtime.workers import SubscriberWorkerPool
 
 
 def build(eco, pub_db=None):
-    pub = eco.service("pub", database=pub_db or MongoLike("p"))
-
-    @pub.model(publish=["name"], name="User")
-    class User(Model):
-        name = Field(str)
-
-    sub = eco.service("sub", database=PostgresLike("s"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="User")
-    class SubUser(Model):
-        name = Field(str)
-
-    return pub, sub, pub.registry["User"], sub.registry["User"]
+    if pub_db is not None:
+        eco.service("pub", database=pub_db)
+    _, pub, sub, User = build_replicated_pair(eco, model="User")
+    return pub, sub, User, sub.registry["User"]
 
 
 class TestTracingDisabled:

@@ -1,27 +1,14 @@
 """Sampled always-on tracing: deterministic head-based decisions,
 exemplar attachment through the live pipeline, and trace release."""
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 from repro.runtime.tracing import MARK_ACKED, Tracer
 
 
 def build(eco):
-    pub = eco.service("pub", database=MongoLike("p"))
-
-    @pub.model(publish=["name"], name="User")
-    class User(Model):
-        name = Field(str)
-
-    sub = eco.service("sub", database=PostgresLike("s"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="User")
-    class SubUser(Model):
-        name = Field(str)
-
-    return pub, sub, pub.registry["User"]
+    _, pub, sub, User = build_replicated_pair(eco, model="User")
+    return pub, sub, User
 
 
 class TestSamplingDecision:

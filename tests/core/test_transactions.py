@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 
 
 @pytest.fixture
@@ -14,21 +14,12 @@ def eco():
 
 
 def build(eco):
-    pub = eco.service("pub", database=PostgresLike("pub-db"))
-
-    @pub.model(publish=["name", "balance"])
-    class Account(Model):
-        name = Field(str)
-        balance = Field(int)
-
-    sub = eco.service("sub", database=MongoLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "balance"]})
-    class Account(Model):  # noqa: F811
-        name = Field(str)
-        balance = Field(int)
-
-    return pub, pub.registry["Account"], sub, sub.registry["Account"]
+    eco.service("pub", database=PostgresLike("pub-db"))
+    eco.service("sub", database=MongoLike("sub-db"))
+    _, pub, sub, Account = build_replicated_pair(
+        eco, {"name": str, "balance": int}, "Account"
+    )
+    return pub, Account, sub, sub.registry["Account"]
 
 
 class TestTransactionalPublishing:
@@ -127,17 +118,9 @@ def test_a_transaction_rolled_back_after_prepare_wedges_nothing(mode):
     none ahead of the messages: the doc's next write — and, in global
     mode, every later write of any object — lands by drain alone."""
     eco = Ecosystem()
-    pub = eco.service("pub", database=PostgresLike("pub-db"), delivery_mode=mode)
-
-    @pub.model(publish=["value"], name="Doc")
-    class PubDoc(Model):
-        value = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["value"], "mode": mode}, name="Doc")
-    class SubDoc(Model):
-        value = Field(int, default=0)
+    eco.service("pub", database=PostgresLike("pub-db"), delivery_mode=mode)
+    _, pub, sub, PubDoc = build_replicated_pair(eco, {"value": int}, mode=mode)
+    SubDoc = sub.registry["Doc"]
 
     doc = PubDoc.create(value=1)
     sub.subscriber.drain()

@@ -24,15 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import build_replicated_pair
 import repro.broker.message as message_mod
 from repro.broker.message import WIRE_VERSION, Message, canonical_json
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
 from repro.durability.wal import WAL_WIRE_VERSION, decode_record, encode_record
 from repro.errors import DurabilityError
-from repro.orm import Field, Model
-from repro.repair.digest import publisher_model_digest, subscriber_model_digest
 from repro.runtime.flow import FlowConfig
 from repro.runtime.tracing import STAGE_WAL, Trace
 
@@ -43,37 +40,16 @@ def build_pipeline(data_dir=None, subscribers=("sub",), mode="causal", flow=None
     eco = Ecosystem()
     if flow is not None:
         eco.enable_flow(flow)
-    pub = eco.service("pub", database=MongoLike("pub-db"), delivery_mode=mode)
-
-    @pub.model(publish=["name", "value"], name="Doc")
-    class PubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
     subs = []
     for sub_name in subscribers:
-        sub = eco.service(sub_name, database=PostgresLike(f"{sub_name}-db"))
-
-        @sub.model(
-            subscribe={"from": "pub", "fields": ["name", "value"], "mode": mode},
-            name="Doc",
+        _, pub, sub, PubDoc = build_replicated_pair(
+            eco, {"name": str, "value": int}, mode=mode, sub=sub_name
         )
-        class SubDoc(Model):
-            name = Field(str)
-            value = Field(int, default=0)
-
         subs.append(sub)
     manager = None
     if data_dir is not None:
         manager = eco.enable_durability(data_dir=str(data_dir))
     return eco, pub, subs, manager, PubDoc
-
-
-def replicas_in_sync(pub, sub):
-    spec = next(iter(sub.subscriber.specs.values()))
-    mine = subscriber_model_digest(sub, spec)
-    theirs = publisher_model_digest(pub, "Doc", sorted(spec.fields))
-    return mine.objects == theirs.objects
 
 
 def wal_records(manager):
@@ -164,7 +140,7 @@ def test_coalesced_survivor_is_relogged_post_merge(tmp_path):
     assert not report.unrecoverable
     assert report.requeued == 1
     sub_b.subscriber.drain()
-    assert replicas_in_sync(pub_b, sub_b)
+    assert sub_b.audit_replication().in_sync
 
 
 # -- (c) foreign bytes are re-encoded, not trusted ----------------------------
@@ -302,7 +278,7 @@ def test_durable_fanout_encodes_once_per_publish(tmp_path, monkeypatch):
         assert eco.metrics.value("durability.wal.appends") - appends == 7
         assert counts.take() == (1, 0)
     for sub in subs:
-        assert replicas_in_sync(pub, sub)
+        assert sub.audit_replication().in_sync
 
 
 def test_plain_fanout_never_encodes(monkeypatch):

@@ -16,7 +16,7 @@ import shutil
 import threading
 
 from repro.core.dependencies import dep_name
-from tests.durability.test_restore import build_pipeline, replicas_in_sync
+from tests.durability.test_restore import build_pipeline
 
 
 def prepare_update(pub, model_cls, row_id, value):
@@ -58,7 +58,7 @@ class TestOutRecordCounters:
         sub_b.subscriber.drain()
         assert sub_b.subscriber.stuck_dependencies() == {}
         assert [row["value"] for row in SubDoc_b.__mapper__._do_where({}, None, None)] == [3]
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
 
     def test_a_snapshot_waits_for_the_out_record_of_a_bump_it_holds(
         self, tmp_path
@@ -90,7 +90,7 @@ class TestOutRecordCounters:
         sub_b.subscriber.drain()
         assert sub_b.subscriber.stuck_dependencies() == {}
         assert [row["value"] for row in SubDoc_b.__mapper__._do_where({}, None, None)] == [2]
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
 
     def test_a_later_out_logged_alone_wedges_until_repair(self, tmp_path):
         """The window this leaves open, declared: ``out`` records are
@@ -116,4 +116,4 @@ class TestOutRecordCounters:
         PubDoc_b.find(doc.id).update(value=3)
         sub_b.subscriber.drain()
         assert [row["value"] for row in SubDoc_b.__mapper__._do_where({}, None, None)] == [3]
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync

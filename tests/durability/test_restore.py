@@ -9,11 +9,8 @@ import json
 import os
 import shutil
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
-from repro.repair.digest import publisher_model_digest, subscriber_model_digest
 
 
 def build_pipeline(data_dir, mode="causal", flow=None, queue_limit=None, **durability):
@@ -21,32 +18,9 @@ def build_pipeline(data_dir, mode="causal", flow=None, queue_limit=None, **durab
     eco = Ecosystem(queue_limit=queue_limit) if queue_limit else Ecosystem()
     if flow is not None:
         eco.enable_flow(flow)
-    pub = eco.service("pub", database=MongoLike("pub-db"), delivery_mode=mode)
-
-    @pub.model(publish=["name", "value"], name="Doc")
-    class PubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(
-        subscribe={"from": "pub", "fields": ["name", "value"], "mode": mode},
-        name="Doc",
-    )
-    class SubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
+    _, pub, sub, PubDoc = build_replicated_pair(eco, {"name": str, "value": int}, mode=mode)
     manager = eco.enable_durability(data_dir=str(data_dir), **durability)
-    return eco, pub, sub, manager, PubDoc, SubDoc
-
-
-def replicas_in_sync(pub, sub):
-    spec = next(iter(sub.subscriber.specs.values()))
-    mine = subscriber_model_digest(sub, spec)
-    theirs = publisher_model_digest(pub, "Doc", sorted(spec.fields))
-    return mine.objects == theirs.objects
+    return eco, pub, sub, manager, PubDoc, sub.registry["Doc"]
 
 
 def assert_one_survivor_of_three(pub, sub, value):
@@ -58,7 +32,7 @@ def assert_one_survivor_of_three(pub, sub, value):
     increments = survivor.counter_increments()
     assert increments and set(increments.values()) == {3}
     sub.subscriber.drain()
-    assert replicas_in_sync(pub, sub)
+    assert sub.audit_replication().in_sync
     assert sub.subscriber_version_store.snapshot() == (
         pub.publisher_version_store.snapshot()
     )
@@ -81,7 +55,7 @@ class TestRestorePipeline:
         assert report.replayed > 0
         assert report.requeued == 0  # everything was acked pre-crash
         sub_b.subscriber.drain()
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
         rows = SubDoc.__mapper__._do_where({}, None, None)
         assert len(rows) == 6
         assert {row["value"] for row in rows} == {100, 1, 2, 3, 4, 5}
@@ -98,7 +72,7 @@ class TestRestorePipeline:
         assert report.requeued == 5
         assert len(sub_b.subscriber.queue) == 5
         sub_b.subscriber.drain()
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
 
     def test_applied_uids_deduplicate_replayed_tail(self, tmp_path):
         """apply logged, ack crash-lost: the requeued message must be
@@ -130,7 +104,7 @@ class TestRestorePipeline:
         assert eco_b.metrics.value("subscriber.sub.processed") == 0
         rows = SubDoc.__mapper__._do_where({}, None, None)
         assert len(rows) == 1 and rows[0]["value"] == 1
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
         assert sub_b.subscriber_version_store.snapshot() == (
             pub_b.publisher_version_store.snapshot()
         )
@@ -151,7 +125,7 @@ class TestRestorePipeline:
         fresh_uid = sub_b.subscriber.queue._items[0].uid
         assert fresh_uid not in seen
         sub_b.subscriber.drain()
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
 
     def test_decommissioned_queue_restores_decommissioned(self, tmp_path):
         eco_a, pub_a, sub_a, mgr_a, PubDoc, _ = build_pipeline(
@@ -191,7 +165,7 @@ class TestRestorePipeline:
         # Only the post-snapshot tail replays, not all 11 writes.
         assert 0 < report.replayed < 11
         sub_b.subscriber.drain()
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
         assert len(SubDoc.__mapper__._do_where({}, None, None)) == 11
 
     def test_auto_snapshot_cadence(self, tmp_path):
@@ -224,7 +198,7 @@ class TestRestorePipeline:
         eco_b, pub_b, sub_b, mgr_b, _, _ = build_pipeline(tmp_path)
         report = mgr_b.restore()
         assert report.snapshot_id == 1 and report.replayed == 0
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
 
     def test_snapshot_captures_counters_before_rows(self, tmp_path, monkeypatch):
         """The invariant that makes a replayed overlap safe to skip: a
@@ -280,7 +254,7 @@ class TestRestorePipeline:
         sub_b.subscriber.drain()
         rows = SubDoc.__mapper__._do_where({}, None, None)
         assert [row["value"] for row in rows] == [2]
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
         assert sub_b.subscriber_version_store.snapshot() == (
             pub_b.publisher_version_store.snapshot()
         )
@@ -332,7 +306,7 @@ class TestRestoreWithFlow:
         sub_b.subscriber.drain()
         rows = SubDoc.__mapper__._do_where({}, None, None)
         assert len(rows) == 1 and rows[0]["value"] == 7
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
 
     def test_restored_survivor_coalesces_again(self, tmp_path):
         """A survivor restored from a snapshot absorbs the next write to

@@ -20,13 +20,10 @@ from __future__ import annotations
 
 import threading
 
+from repro.apps import build_replicated_pair
 from repro.broker.message import Message
 from repro.core import Ecosystem
 from repro.core.dependencies import dep_name
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
-from repro.repair.digest import publisher_model_digest, subscriber_model_digest
 from repro.runtime.flow import FlowConfig
 from repro.runtime.flow.coalesce import merge_into
 from repro.runtime.interleave import (
@@ -41,32 +38,9 @@ def build_pipeline(data_dir, mode="causal", flow=None):
     eco = Ecosystem()
     if flow is not None:
         eco.enable_flow(flow)
-    pub = eco.service("pub", database=MongoLike("pub-db"), delivery_mode=mode)
-
-    @pub.model(publish=["name", "value"], name="Doc")
-    class PubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(
-        subscribe={"from": "pub", "fields": ["name", "value"], "mode": mode},
-        name="Doc",
-    )
-    class SubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
+    _, pub, sub, PubDoc = build_replicated_pair(eco, {"name": str, "value": int}, mode=mode)
     manager = eco.enable_durability(data_dir=str(data_dir))
-    return eco, pub, sub, manager, PubDoc, SubDoc
-
-
-def replicas_in_sync(pub, sub):
-    spec = next(iter(sub.subscriber.specs.values()))
-    mine = subscriber_model_digest(sub, spec)
-    theirs = publisher_model_digest(pub, "Doc", sorted(spec.fields))
-    return mine.objects == theirs.objects
+    return eco, pub, sub, manager, PubDoc, sub.registry["Doc"]
 
 
 class TestCoalescedAbsorbedReplay:
@@ -117,7 +91,7 @@ class TestCoalescedAbsorbedReplay:
         )
         assert len(sub_b.subscriber.queue) == 0
         assert sub_b.subscriber.drain() == 0  # no re-delivery
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
 
     def test_organic_coalesce_ack_restore_digest_equality(self, tmp_path):
         """End to end over the real flow pipeline: publish, coalesce,
@@ -145,7 +119,7 @@ class TestCoalescedAbsorbedReplay:
         assert not report.unrecoverable
         assert report.requeued == 0
         assert sub_b.subscriber.drain() == 0  # no re-delivery
-        assert replicas_in_sync(pub_b, sub_b)
+        assert sub_b.audit_replication().in_sync
         assert SubDoc.__mapper__.find(doc.id)["value"] == 2
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.workers import SubscriberWorkerPool
-from tests.durability.test_restore import build_pipeline, replicas_in_sync
+from tests.durability.test_restore import build_pipeline
 
 
 def wound(data_dir, drained, snapshot):
@@ -48,7 +48,7 @@ def test_restore_keeps_new_generation_deliveries(tmp_path, drained, snapshot):
     assert pub.current_generation() == 2
     sub.subscriber.drain()
     assert sub.subscriber.generations["pub"] == 2
-    assert replicas_in_sync(pub, sub)
+    assert sub.audit_replication().in_sync
     rows = SubDoc.__mapper__._do_where({}, None, None)
     assert sorted(row["value"] for row in rows) == [2, 3, 100, 101]
 
@@ -88,7 +88,7 @@ def test_give_up_never_applies_past_the_generation_gate(tmp_path):
     # The generation-1 write applied (forced), then the flush, then the
     # generation-2 row landed.
     assert eco.metrics.value("subscriber.sub.processed") == 2
-    assert replicas_in_sync(pub, sub)
+    assert sub.audit_replication().in_sync
     assert sub.subscriber.stuck_dependencies() == {}
     with pub.controller():
         doc.value = 5

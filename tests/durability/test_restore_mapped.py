@@ -237,13 +237,7 @@ def test_publisher_virtual_attribute_is_not_restored_as_a_column(tmp_path, engin
             name = Field(str)
             shout = VirtualField(getter=lambda doc: doc.name.upper())
 
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-        @sub.model(subscribe={"from": "pub", "fields": ["name", "shout"]}, name="Doc")
-        class SubDoc(Model):
-            name = Field(str)
-            shout = Field(str)
-
+        _, pub, sub, _ = build_replicated_pair(eco, {"name": str, "shout": str})
         return eco, pub, sub, eco.enable_durability(data_dir=str(data_dir)), PubDoc
 
     eco_a, pub_a, sub_a, mgr_a, PubDocA = build_pub(tmp_path)

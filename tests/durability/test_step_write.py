@@ -37,6 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import build_replicated_pair
 import repro.durability.wal as wal_mod
 from repro.broker.message import Message
 from repro.core import Ecosystem
@@ -48,7 +49,6 @@ from repro.durability.wal import (
     decode_record,
     encode_record,
 )
-from repro.orm import Field, Model
 from repro.runtime.conformance.scenarios import durability_kill_restart_scenario
 from repro.runtime.flow import FlowConfig
 from repro.runtime.interleave import QUEUE_RECOMMISSIONED
@@ -89,28 +89,13 @@ def build_pipeline(
     eco = Ecosystem()
     if flow is not None:
         eco.enable_flow(flow)
-    pub = eco.service(
-        pub_name, database=PostgresLike("pub-db"), delivery_mode=mode
-    )
-
-    @pub.model(publish=["name", "value"], name="Doc")
-    class PubDoc(Model):
-        name = Field(str)
-        value = Field(int, default=0)
-
+    eco.service(pub_name, database=PostgresLike("pub-db"), delivery_mode=mode)
     subs = []
     for sub_name in subscribers:
-        sub = eco.service(sub_name, database=MongoLike(f"{sub_name}-db"))
-
-        @sub.model(
-            subscribe={"from": pub_name, "fields": ["name", "value"],
-                       "mode": mode},
-            name="Doc",
+        eco.service(sub_name, database=MongoLike(f"{sub_name}-db"))
+        _, pub, sub, PubDoc = build_replicated_pair(
+            eco, {"name": str, "value": int}, mode=mode, pub=pub_name, sub=sub_name
         )
-        class SubDoc(Model):
-            name = Field(str)
-            value = Field(int, default=0)
-
         subs.append(sub)
     manager = eco.enable_durability(
         data_dir=str(data_dir), fsync=fsync, **durability
@@ -307,26 +292,15 @@ def two_publishers_two_subscribers(data_dir):
     """``pub_a`` and ``pub_b`` each fanned out to ``sub_1`` and
     ``sub_2``, durability armed."""
     eco = Ecosystem()
+    for name in ("pub_a", "pub_b", "sub_1", "sub_2"):
+        eco.service(name, database=MongoLike(f"{name}-db"))
     publishers = []
     for name in ("pub_a", "pub_b"):
-        pub = eco.service(name, database=MongoLike(f"{name}-db"))
-
-        @pub.model(publish=["name"], name=f"Doc_{name}")
-        class PubDoc(Model):
-            name = Field(str)
-
-        publishers.append((pub, PubDoc))
-    for sub_name in ("sub_1", "sub_2"):
-        sub = eco.service(sub_name, database=MongoLike(f"{sub_name}-db"))
-        for pub, _ in publishers:
-
-            @sub.model(
-                subscribe={"from": pub.name, "fields": ["name"]},
-                name=f"Doc_{pub.name}",
+        for sub_name in ("sub_1", "sub_2"):
+            _, pub, _, PubDoc = build_replicated_pair(
+                eco, model=f"Doc_{name}", pub=name, sub=sub_name
             )
-            class SubDoc(Model):
-                name = Field(str)
-
+        publishers.append((pub, PubDoc))
     return eco, publishers, eco.enable_durability(data_dir=str(data_dir))
 
 

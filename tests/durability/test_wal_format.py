@@ -79,25 +79,10 @@ class TestPipelineRecordGolden:
     disk — the hooks, not just the codec."""
 
     def _one_write(self, tmp_path):
+        from repro.apps import build_replicated_pair
         from repro.broker.message import Message
-        from repro.core import Ecosystem
-        from repro.databases.document import MongoLike
-        from repro.databases.relational import PostgresLike
-        from repro.orm import Field, Model
 
-        eco = Ecosystem()
-        pub = eco.service("pub", database=MongoLike("pub-db"))
-
-        @pub.model(publish=["name"], name="Doc")
-        class PubDoc(Model):
-            name = Field(str)
-
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-        @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="Doc")
-        class SubDoc(Model):
-            name = Field(str)
-
+        eco, pub, sub, PubDoc = build_replicated_pair()
         manager = eco.enable_durability(data_dir=str(tmp_path))
         with pub.controller():
             PubDoc.create(name="ada")
@@ -144,28 +129,15 @@ class TestPipelineRecordGolden:
         real hooks and read back raw off disk. ``coal`` carries the
         absorbed uids (replay drops them from pending) and ``defer``
         pins the rotation a restored queue must reproduce."""
+        from repro.apps import build_replicated_pair
         from repro.broker.message import Message
         from repro.core import Ecosystem
-        from repro.databases.document import MongoLike
-        from repro.databases.relational import PostgresLike
-        from repro.orm import Field, Model
         from repro.runtime.flow import FlowConfig
         from repro.runtime.flow.coalesce import merge_into
 
         eco = Ecosystem()
         eco.enable_flow(FlowConfig(capacity=8))
-        pub = eco.service("pub", database=MongoLike("pub-db"))
-
-        @pub.model(publish=["name"], name="Doc")
-        class PubDoc(Model):
-            name = Field(str)
-
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-        @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="Doc")
-        class SubDoc(Model):
-            name = Field(str)
-
+        _, pub, sub, PubDoc = build_replicated_pair(eco)
         manager = eco.enable_durability(data_dir=str(tmp_path))
         flow = sub.subscriber.queue.flow
         survivor = Message(

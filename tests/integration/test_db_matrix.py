@@ -6,13 +6,13 @@ into every engine (including itself), with ids preserved.
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.columnar import CassandraLike
 from repro.databases.document import MongoLike, RethinkDBLike, TokuMXLike
 from repro.databases.graph import Neo4jLike
 from repro.databases.relational import MySQLLike, OracleLike, PostgresLike
 from repro.databases.search import ElasticsearchLike
-from repro.orm import Field, Model
 
 PUBLISHERS = {
     "postgresql": PostgresLike,
@@ -35,21 +35,10 @@ SUBSCRIBERS = {
 @pytest.mark.parametrize("sub_name", sorted(SUBSCRIBERS))
 def test_engine_pair_roundtrip(pub_name, sub_name):
     eco = Ecosystem()
-    pub = eco.service("pub", database=PUBLISHERS[pub_name]("pub-db"))
-
-    @pub.model(publish=["title", "score"], name="Doc")
-    class Doc(Model):
-        title = Field(str)
-        score = Field(int)
-
-    sub = eco.service("sub", database=SUBSCRIBERS[sub_name]("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["title", "score"]},
-               name="Doc")
-    class SubDoc(Model):
-        title = Field(str)
-        score = Field(int)
-
+    eco.service("pub", database=PUBLISHERS[pub_name]("pub-db"))
+    eco.service("sub", database=SUBSCRIBERS[sub_name]("sub-db"))
+    _, pub, sub, Doc = build_replicated_pair(eco, {"title": str, "score": int})
+    SubDoc = sub.registry["Doc"]
     docs = [Doc.create(title=f"doc {i}", score=i) for i in range(5)]
     docs[0].update(score=100)
     docs[1].destroy()

@@ -3,10 +3,10 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.core.bootstrap import bootstrap_subscriber
 from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 
 crud_ops = st.lists(
@@ -51,12 +51,8 @@ class TestBootstrapConvergence:
         for op in ops[:join_at]:
             apply_op(Item, live, op)
 
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-        @sub.model(subscribe={"from": "pub", "fields": ["n"]}, name="Item")
-        class SubItem(Model):
-            n = Field(int)
-
+        _, _, sub, _ = build_replicated_pair(eco, {"n": int}, "Item")
+        SubItem = sub.registry["Item"]
         if lose and len(ops) > join_at:
             eco.broker.drop_next(1)
         for op in ops[join_at:]:

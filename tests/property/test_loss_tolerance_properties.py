@@ -3,10 +3,9 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 
 updates = st.lists(
     st.tuples(st.integers(min_value=0, max_value=3),   # slot
@@ -18,19 +17,8 @@ loss_mask = st.lists(st.booleans(), min_size=25, max_size=25)
 
 def build(mode):
     eco = Ecosystem()
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["n"], name="Item")
-    class Item(Model):
-        n = Field(int)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["n"], "mode": mode},
-               name="Item")
-    class SubItem(Model):
-        n = Field(int)
-
+    eco.service("pub", database=MongoLike("pub-db"))
+    _, _, sub, Item = build_replicated_pair(eco, {"n": int}, "Item", mode=mode)
     return eco, Item, sub, sub.registry["Item"]
 
 

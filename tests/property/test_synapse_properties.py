@@ -3,11 +3,10 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.kv import RedisLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 from repro.versionstore import (
     PublisherVersionStore,
     ShardedKV,
@@ -121,19 +120,7 @@ crud_ops = st.lists(
 
 
 def build_pair():
-    eco = Ecosystem()
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["n"], name="Item")
-    class Item(Model):
-        n = Field(int)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["n"]}, name="Item")
-    class SubItem(Model):
-        n = Field(int)
-
+    eco, pub, sub, Item = build_replicated_pair(fields={"n": int}, model="Item")
     return eco, pub, Item, sub, sub.registry["Item"]
 
 
@@ -194,19 +181,9 @@ class TestEndToEndReplication:
         import random
 
         eco = Ecosystem()
-        pub = eco.service("pub", database=MongoLike("pub-db"))
-
-        @pub.model(publish=["n"], name="Item")
-        class Item(Model):
-            n = Field(int)
-
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-        @sub.model(subscribe={"from": "pub", "fields": ["n"], "mode": "weak"},
-                   name="Item")
-        class SubItem(Model):
-            n = Field(int)
-
+        eco.service("pub", database=MongoLike("pub-db"))
+        _, pub, sub, Item = build_replicated_pair(eco, {"n": int}, "Item", mode="weak")
+        SubItem = sub.registry["Item"]
         live = {}
         for kind, slot, value in ops:
             if kind == "create" and slot not in live:

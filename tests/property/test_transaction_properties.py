@@ -3,10 +3,10 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 
 txn_scripts = st.lists(
     st.tuples(
@@ -23,18 +23,9 @@ txn_scripts = st.lists(
 
 def build():
     eco = Ecosystem()
-    pub = eco.service("pub", database=PostgresLike("pub-db"))
-
-    @pub.model(publish=["n"], name="Slot")
-    class Slot(Model):
-        n = Field(int)
-
-    sub = eco.service("sub", database=MongoLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["n"]}, name="Slot")
-    class SubSlot(Model):
-        n = Field(int)
-
+    eco.service("pub", database=PostgresLike("pub-db"))
+    eco.service("sub", database=MongoLike("sub-db"))
+    _, pub, sub, Slot = build_replicated_pair(eco, {"n": int}, "Slot")
     return eco, pub, Slot, sub, sub.registry["Slot"]
 
 

@@ -3,10 +3,9 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 
 # Includes combining characters, CJK, emoji, RTL and control-adjacent.
 unicode_text = st.text(
@@ -19,22 +18,10 @@ class TestUnicodeWirePath:
     @given(name=unicode_text)
     @settings(max_examples=60, deadline=None)
     def test_any_unicode_survives_publish_subscribe(self, name):
-        eco = Ecosystem()
-        pub = eco.service("pub", database=MongoLike("p"))
-
-        @pub.model(publish=["name"], name="Item")
-        class Item(Model):
-            name = Field(str)
-
-        sub = eco.service("sub", database=PostgresLike("s"))
-
-        @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="Item")
-        class SubItem(Model):
-            name = Field(str)
-
+        eco, pub, sub, Item = build_replicated_pair(model="Item")
         item = Item.create(name=name)
         sub.subscriber.drain()
-        assert SubItem.find(item.id).name == name
+        assert sub.registry["Item"].find(item.id).name == name
 
 
 class TestDrainBounds:

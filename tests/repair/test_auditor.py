@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
@@ -16,21 +17,7 @@ def eco():
 
 
 def build_pair(eco):
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name", "score"], name="User")
-    class User(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "score"]},
-               name="User")
-    class SubUser(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
+    _, pub, sub, _ = build_replicated_pair(eco, {"name": str, "score": int}, "User")
     return pub, sub
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
@@ -68,21 +69,8 @@ class TestModelDigests:
 
     def _ecosystem(self, sub_db):
         eco = Ecosystem()
-        pub = eco.service("pub", database=MongoLike("pub-db"))
-
-        @pub.model(publish=["name", "score"], name="User")
-        class User(Model):
-            name = Field(str)
-            score = Field(int, default=0)
-
-        sub = eco.service("sub", database=sub_db)
-
-        @sub.model(subscribe={"from": "pub", "fields": ["name", "score"]},
-                   name="User")
-        class SubUser(Model):
-            name = Field(str)
-            score = Field(int, default=0)
-
+        eco.service("sub", database=sub_db)
+        _, pub, sub, _ = build_replicated_pair(eco, {"name": str, "score": int}, "User")
         return eco, pub, sub
 
     @pytest.mark.parametrize("sub_db_factory", [

@@ -20,7 +20,7 @@ from repro.core.bootstrap import bootstrap_subscriber
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 from repro.repair import ReplicationAuditor
-from tests.durability.test_restore import build_pipeline, replicas_in_sync
+from tests.durability.test_restore import build_pipeline
 from tests.repair.test_repair_verdict import lose_one_create, next_write_lands
 
 
@@ -154,7 +154,7 @@ def test_a_write_in_transit_during_a_repair_is_applied(tmp_path, mode, held):
             queue.ack(message)
         assert SubDoc.__mapper__._do_find(docs[1].id)["value"] == 42
         assert eco.metrics.value("subscriber.sub.duplicates") == 0
-        assert replicas_in_sync(pub, sub)
+        assert sub.audit_replication().in_sync
         assert result.verified_in_sync is not held
     finally:
         manager.close()

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.orm import Field, Model
-from tests.durability.test_restore import build_pipeline, replicas_in_sync
+from tests.durability.test_restore import build_pipeline
 
 MODES = st.sampled_from(["causal", "weak", "global"])
 
@@ -69,7 +69,7 @@ def next_write_lands(pub, sub, PubDoc, session):
         PubDoc.create(name="next", value=99)
         PubDoc.find_by(name="lost").update(value=98)
     sub.subscriber.drain()
-    return replicas_in_sync(pub, sub) and sub.subscriber.stuck_dependencies() == {}
+    return sub.audit_replication().in_sync and sub.subscriber.stuck_dependencies() == {}
 
 
 @given(

@@ -10,8 +10,8 @@ decommission, no full re-bootstrap.
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 from repro.repair import ReplicationAuditor, repair_subscriber
@@ -23,21 +23,7 @@ def eco():
 
 
 def build_pair(eco, objects=20):
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name", "score"], name="User")
-    class User(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "score"]},
-               name="User")
-    class SubUser(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
+    _, pub, sub, User = build_replicated_pair(eco, {"name": str, "score": int}, "User")
     users = [User.create(name=f"u{i}", score=i) for i in range(objects)]
     sub.subscriber.drain()
     return pub, sub, users

@@ -35,24 +35,13 @@ from repro.runtime.tracing import (
 
 
 def _build_pair_ecosystem():
+    from repro.apps import build_replicated_pair
     from repro.core import Ecosystem
     from repro.databases.document import MongoLike
-    from repro.orm import Field, Model
 
     eco = Ecosystem()
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name"], name="Doc")
-    class Doc(Model):
-        name = Field(str)
-
-    sub = eco.service("sub", database=MongoLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="Doc")
-    class SubDoc(Model):
-        name = Field(str)
-
-    return eco, pub, sub, Doc
+    eco.service("sub", database=MongoLike("sub-db"))
+    return build_replicated_pair(eco)
 
 
 class TestLoopbackFederation:

@@ -510,23 +510,9 @@ class TestWorkerPoolDecommissionRouting:
 
     def test_pool_worker_routes_decommission_to_on_deadlock(self):
         from repro.core import Ecosystem
-        from repro.databases.document import MongoLike
-        from repro.databases.relational import PostgresLike
-        from repro.orm import Field, Model
 
-        eco = Ecosystem(queue_limit=3)
-        pub = eco.service("pub", database=MongoLike("pub-db"))
-
-        @pub.model(publish=["name"], name="Doc")
-        class PubDoc(Model):
-            name = Field(str)
-
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-        @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="Doc")
-        class SubDoc(Model):
-            name = Field(str)
-
+        eco, pub, sub, PubDoc = build_replicated_pair(Ecosystem(queue_limit=3))
+        SubDoc = sub.registry["Doc"]
         pool = workers_mod.SubscriberWorkerPool(sub, workers=2, wait_timeout=0.05)
         queue = sub.subscriber.queue
         with pool:

@@ -14,13 +14,11 @@ from __future__ import annotations
 import threading
 from unittest import mock
 
+from repro.apps import build_replicated_pair
 from repro.broker.message import Message
 from repro.broker.queue import SubscriberQueue
 from repro.core import Ecosystem
 from repro.core.subscriber import SynapseSubscriber
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 from repro.runtime.flow import FlowConfig
 from repro.runtime.workers import SubscriberWorkerPool
 from repro.versionstore.store import SubscriberVersionStore
@@ -85,28 +83,8 @@ class TestWorkerStallRotation:
         eco = Ecosystem()
         if flow_kwargs:
             eco.enable_flow(FlowConfig(**flow_kwargs))
-        pub = eco.service(
-            "pub", database=MongoLike("pub-db"), delivery_mode="causal"
-        )
-
-        @pub.model(publish=["name", "score"], name="Doc")
-        class Doc(Model):
-            name = Field(str)
-            score = Field(int, default=0)
-
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-        @sub.model(
-            subscribe={
-                "from": "pub", "fields": ["name", "score"], "mode": "causal"
-            },
-            name="Doc",
-        )
-        class SubDoc(Model):
-            name = Field(str)
-            score = Field(int, default=0)
-
-        return eco, pub, sub, Doc, SubDoc
+        _, pub, sub, Doc = build_replicated_pair(eco, {"name": str, "score": int})
+        return eco, pub, sub, Doc, sub.registry["Doc"]
 
     def test_deep_chain_drains_with_single_message_workers(self):
         eco, pub, sub, Doc, SubDoc = self._chain_ecosystem()

@@ -4,10 +4,8 @@ import json
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.monitor import mangle, parse_prometheus, to_json, to_prometheus
 
@@ -19,18 +17,7 @@ def run_workload(flow=False):
         from repro.runtime.flow import FlowConfig
 
         eco.enable_flow(FlowConfig(capacity=64))
-    pub = eco.service("pub", database=MongoLike("p"))
-
-    @pub.model(publish=["name"], name="User")
-    class User(Model):
-        name = Field(str)
-
-    sub = eco.service("sub", database=PostgresLike("s"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="User")
-    class SubUser(Model):
-        name = Field(str)
-
+    _, pub, sub, User = build_replicated_pair(eco, model="User")
     with pub.controller():
         for i in range(5):
             User.create(name=f"u{i}")

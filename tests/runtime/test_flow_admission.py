@@ -233,31 +233,13 @@ class TestShedDeficitAudits:
     visible and repairable."""
 
     def _ecosystem(self):
+        from repro.apps import build_replicated_pair
         from repro.core import Ecosystem
-        from repro.databases.document import MongoLike
-        from repro.databases.relational import PostgresLike
-        from repro.orm import Field, Model
 
         eco = Ecosystem()
         eco.enable_flow(FlowConfig(capacity=6))
-        pub = eco.service(
-            "pub", database=MongoLike("pub-db"), delivery_mode="weak"
-        )
-
-        @pub.model(publish=["name"], name="Item")
-        class Item(Model):
-            name = Field(str)
-
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-        @sub.model(
-            subscribe={"from": "pub", "fields": ["name"], "mode": "weak"},
-            name="Item",
-        )
-        class SubItem(Model):
-            name = Field(str)
-
-        return eco, pub, sub, Item, SubItem
+        _, pub, sub, Item = build_replicated_pair(eco, model="Item", mode="weak")
+        return eco, pub, sub, Item, sub.registry["Item"]
 
     def test_shed_deficit_is_forgiven_and_repair_heals_it(self):
         eco, pub, sub, Item, SubItem = self._ecosystem()

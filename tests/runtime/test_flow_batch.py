@@ -5,10 +5,9 @@ on."""
 
 import random
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 from repro.runtime.flow import FlowConfig
 from repro.runtime.interleave import install_hook, uninstall_hook
 from repro.runtime.workers import SubscriberWorkerPool
@@ -19,22 +18,10 @@ def build_ecosystem(mode="causal", flow=True, coalesce=False, batch_max=8,
     eco = Ecosystem()
     if flow:
         eco.enable_flow(FlowConfig(batch_max=batch_max, coalesce=coalesce))
-    pub = eco.service("pub", database=MongoLike("pub-db"), delivery_mode=mode)
-
-    @pub.model(publish=["name", "score"], name="Doc")
-    class Doc(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
-    sub = eco.service("sub", database=sub_db or PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "score"],
-                          "mode": mode}, name="Doc")
-    class SubDoc(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
-    return eco, pub, sub, Doc, SubDoc
+    if sub_db is not None:
+        eco.service("sub", database=sub_db)
+    _, pub, sub, Doc = build_replicated_pair(eco, {"name": str, "score": int}, mode=mode)
+    return eco, pub, sub, Doc, sub.registry["Doc"]
 
 
 class TestProcessBatch:
@@ -231,24 +218,13 @@ class TestBatchOfOneIsTheSingleMessagePath:
         every run queues exactly the same messages."""
         eco = Ecosystem()
         models = {}
-        for app, mode in (("cpub", "causal"), ("wpub", "weak")):
-            pub = eco.service(app, database=MongoLike(f"{app}-db"),
-                              delivery_mode=mode)
-
-            @pub.model(publish=["score"], name=f"{app}Doc")
-            class Doc(Model):
-                score = Field(int, default=0)
-
-            models[app] = (pub, Doc)
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
         replicas = []
         for app, mode in (("cpub", "causal"), ("wpub", "weak")):
-            @sub.model(subscribe={"from": app, "fields": ["score"],
-                                  "mode": mode}, name=f"{app}Doc")
-            class SubDoc(Model):
-                score = Field(int, default=0)
-
-            replicas.append(SubDoc)
+            _, pub, sub, Doc = build_replicated_pair(
+                eco, {"score": int}, f"{app}Doc", mode=mode, pub=app
+            )
+            models[app] = (pub, Doc)
+            replicas.append(sub.registry[f"{app}Doc"])
         rng = random.Random(seed)
         docs = {app: [] for app in models}
         for step in range(48):

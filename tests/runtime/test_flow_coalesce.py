@@ -9,12 +9,10 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import build_replicated_pair
 from repro.broker import Message, SubscriberQueue
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
 from repro.durability.wal import LAYOUTS
-from repro.orm import Field, Model
 from repro.runtime.flow import FlowConfig, FlowController
 from repro.runtime.flow import admission
 from repro.runtime.flow.admission import COALESCE_WINDOW
@@ -292,27 +290,10 @@ class TestEndToEnd:
     def _ecosystem(self, mode):
         eco = Ecosystem()
         eco.enable_flow(FlowConfig(batch_max=4))
-        pub = eco.service(
-            "pub", database=MongoLike("pub-db"), delivery_mode=mode
+        _, pub, sub, Item = build_replicated_pair(
+            eco, {"name": str, "score": int}, "Item", mode=mode
         )
-
-        @pub.model(publish=["name", "score"], name="Item")
-        class Item(Model):
-            name = Field(str)
-            score = Field(int, default=0)
-
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-        @sub.model(
-            subscribe={"from": "pub", "fields": ["name", "score"],
-                       "mode": mode},
-            name="Item",
-        )
-        class SubItem(Model):
-            name = Field(str)
-            score = Field(int, default=0)
-
-        return eco, pub, sub, Item, SubItem
+        return eco, pub, sub, Item, sub.registry["Item"]
 
     def test_weak_hot_object_storm_converges(self):
         eco, pub, sub, Item, SubItem = self._ecosystem("weak")

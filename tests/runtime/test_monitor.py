@@ -8,11 +8,9 @@ from types import SimpleNamespace
 import pytest
 
 import repro
+from repro.apps import build_replicated_pair
 from repro.clock import VirtualClock
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 from repro.runtime.monitor import FlightRecorder, LinkSLO, SlidingWindow, load_dump
 from repro.runtime.monitor.lag import LinkHealth
 
@@ -23,20 +21,7 @@ OBSERVABILITY_MD = os.path.join(
 
 
 def build(eco):
-    pub = eco.service("pub", database=MongoLike("p"))
-
-    @pub.model(publish=["name", "score"], name="User")
-    class User(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("s"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "score"]}, name="User")
-    class SubUser(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
+    _, pub, sub, User = build_replicated_pair(eco, {"name": str, "score": int}, "User")
     return pub, sub, User
 
 

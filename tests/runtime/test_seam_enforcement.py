@@ -343,6 +343,96 @@ def test_the_replicated_pair_is_declared_in_one_module():
     assert len(sites) == 4, sites
 
 
+#: ``tests/`` and the benchmark scripts, scanned for hand-built pairs;
+#: ``benchmarks/e2e`` is the pinned harness and keeps its own setup.
+PAIR_SCAN_DIRS = ("tests", "benchmarks")
+PAIR_SCAN_SKIP = ("benchmarks/e2e/",)
+
+#: ``module::function`` -> why that one-model publisher -> replica pair
+#: is declared by hand and not with the builder.
+HAND_BUILT_PAIRS = {
+    "benchmarks/bench_cluster_trace_overhead.py::build_full":
+        "the pre-e2e cluster benchmark, kept as is until it is deleted",
+    "benchmarks/bench_propagation_latency.py::run_propagation":
+        "each replica times its apply in an after_save callback",
+    "tests/broker/test_shared_delivery.py::body_immutable_scenario":
+        "the replica's before_save callback mutates the applied value",
+    "tests/broker/test_shared_delivery.py::tagging_pipeline":
+        "the replica's before_save callback mutates the applied value",
+    "tests/core/test_bootstrap_anti_entropy.py::test_ghost_delete_fires_destroy_callbacks":
+        "the replica's after_destroy callback is what the test observes",
+    "tests/durability/test_restore_mapped.py::build_local_state":
+        "the replica computes a local column in a before_save callback",
+}
+
+
+def _model_decorators(function):
+    """``(published, replicas, other)``: the ``.model(...)`` calls in
+    ``function`` that publish a persisted model, that subscribe to one
+    publisher under the same attribute names, and the rest that
+    subscribe (decorators, multi-publisher models, renames and virtuals,
+    observers) — shapes the builder does not declare."""
+    import ast
+
+    published, replicas, other = 0, 0, 0
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "model":
+            keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+            subscribe = keywords.get("subscribe")
+            if subscribe is None:
+                published += "publish" in keywords and "ephemeral" not in keywords
+                continue
+            mapped = isinstance(subscribe, ast.Dict) and any(
+                getattr(key, "value", None) == "fields" and isinstance(value, ast.Dict)
+                for key, value in zip(subscribe.keys, subscribe.values)
+            )
+            plain = not (
+                mapped or isinstance(subscribe, ast.List)
+                or "publish" in keywords or "observer" in keywords
+            )
+            replicas += plain
+            other += not plain
+    return published, replicas, other
+
+
+def _hand_built_pairs():
+    """Every innermost function that declares one published model and a
+    replica of it: the shape ``build_replicated_pair`` declares."""
+    import ast
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for top in PAIR_SCAN_DIRS:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(REPO_ROOT, top)):
+            for filename in sorted(filenames):
+                path = os.path.join(dirpath, filename)
+                rel_path = os.path.relpath(path, REPO_ROOT).replace(os.sep, "/")
+                if not filename.endswith(".py") or rel_path.startswith(PAIR_SCAN_SKIP):
+                    continue
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if not isinstance(node, functions):
+                        continue
+                    nested = any(
+                        inner is not node and isinstance(inner, functions)
+                        and _model_decorators(inner)[0]
+                        for inner in ast.walk(node)
+                    )
+                    published, replicas, other = _model_decorators(node)
+                    if not nested and published == 1 and replicas and not other:
+                        yield f"{rel_path}::{node.name}"
+
+
+def test_tests_and_benchmarks_take_the_replicated_pair_builder():
+    found = set(_hand_built_pairs())
+    # Equality, so a stale entry fails as loudly as a new copy.
+    assert found == set(HAND_BUILT_PAIRS), (
+        "declare a one-model publisher -> replica pair with "
+        "repro.apps.build_replicated_pair (or allow-list it here with its "
+        "reason):\n" + "\n".join(sorted(found ^ set(HAND_BUILT_PAIRS)))
+    )
+
+
 def test_restore_is_called_from_the_skeletons_only():
     import ast
 

@@ -10,9 +10,7 @@ import time
 
 import pytest
 
-from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
+from repro.apps import build_replicated_pair
 from repro.errors import (
     ControlPlaneError,
     TransportError,
@@ -20,7 +18,6 @@ from repro.errors import (
     TransportTimeout,
     WALWriteFailed,
 )
-from repro.orm import Field, Model
 from repro.repair.digest import ModelDigest, publisher_model_digest
 from repro.runtime.monitor.recorder import FlightRecorder
 from repro.runtime.transport import (
@@ -33,22 +30,9 @@ from repro.runtime.transport import (
 
 @pytest.fixture
 def eco():
-    eco = Ecosystem()
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name", "score"], name="User")
-    class User(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name", "score"]},
-               name="User")
-    class SubUser(Model):
-        name = Field(str)
-        score = Field(int, default=0)
-
+    eco, pub, sub, User = build_replicated_pair(
+        fields={"name": str, "score": int}, model="User"
+    )
     with pub.controller():
         for i in range(4):
             User.create(name=f"user-{i}", score=i)

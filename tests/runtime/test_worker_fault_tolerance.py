@@ -1,29 +1,14 @@
 """Worker resilience against engine faults during message application."""
 
 
-from repro.core import Ecosystem
-from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
+from repro.apps import build_replicated_pair
 from repro.repair import repair_subscriber
 from repro.runtime.workers import SubscriberWorkerPool
 
 
 def build():
-    eco = Ecosystem()
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name"])
-    class User(Model):
-        name = Field(str)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="User")
-    class SubUser(Model):
-        name = Field(str)
-
-    return eco, pub, pub.registry["User"], sub, sub.registry["User"]
+    eco, pub, sub, User = build_replicated_pair(model="User")
+    return eco, pub, User, sub, sub.registry["User"]
 
 
 class TestApplyFaults:

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.databases.document import MongoLike
-from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 from repro.runtime.metrics import Histogram
 from repro.runtime.simulation import (
@@ -36,19 +36,8 @@ class TestHistogram:
 
 class TestWorkerPool:
     def build(self, eco):
-        pub = eco.service("pub", database=MongoLike("pub-db"))
-
-        @pub.model(publish=["name"])
-        class User(Model):
-            name = Field(str)
-
-        sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-        @sub.model(subscribe={"from": "pub", "fields": ["name"]})
-        class User(Model):  # noqa: F811
-            name = Field(str)
-
-        return pub, pub.registry["User"], sub, sub.registry["User"]
+        _, pub, sub, User = build_replicated_pair(eco, model="User")
+        return pub, User, sub, sub.registry["User"]
 
     def test_parallel_workers_apply_everything(self):
         eco = Ecosystem()

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
 from repro.core.delivery import GLOBAL_OBJECT
 from repro.databases.document import MongoLike
 from repro.databases.kv import RedisLike
 from repro.errors import FaultInjected
-from repro.orm import Field, Model
 from repro.runtime.interleave import install_hook, uninstall_hook
 from repro.versionstore import (
     PublisherVersionStore,
@@ -89,18 +89,9 @@ def test_check_and_apply_are_one_script_per_shard_with_per_key_operations(n_shar
 
 def test_one_failed_key_write_fails_one_key_and_registration_recovers():
     eco = Ecosystem()
-    pub = eco.service("pub", database=MongoLike("pub-db"))
-
-    @pub.model(publish=["name"], name="Doc")
-    class Doc(Model):
-        name = Field(str)
-
-    sub = eco.service("sub", database=MongoLike("sub-db"))
-
-    @sub.model(subscribe={"from": "pub", "fields": ["name"]}, name="Doc")
-    class SubDoc(Model):
-        name = Field(str)
-
+    eco.service("sub", database=MongoLike("sub-db"))
+    _, pub, sub, Doc = build_replicated_pair(eco)
+    SubDoc = sub.registry["Doc"]
     with pub.controller():
         first = Doc.create(name="before")
     (shard,) = pub.publisher_version_store.kv.shards

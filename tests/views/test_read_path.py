@@ -5,10 +5,9 @@ rebuilding them, and the INV_VIEW conformance variant."""
 
 import tempfile
 
+from repro.apps import build_replicated_pair
 from repro.core import Ecosystem
-from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
-from repro.orm import Field, Model
 from repro.runtime.conformance import (
     INV_VIEW,
     DeliveryChecker,
@@ -26,25 +25,11 @@ def build_pipeline(mode="causal", flow=None, data_dir=None, pub_db=None):
         eco.enable_flow(flow)
     if data_dir is not None:
         eco.enable_durability(data_dir=data_dir, snapshot_every=10_000)
-    pub = eco.service(
-        "pub", database=pub_db or MongoLike("pub-db"), delivery_mode=mode
+    if pub_db is not None:
+        eco.service("pub", database=pub_db, delivery_mode=mode)
+    _, pub, sub, Post = build_replicated_pair(
+        eco, {"author": str, "score": int}, "Post", mode=mode
     )
-
-    @pub.model(publish=["author", "score"], name="Post")
-    class Post(Model):
-        author = Field(str)
-        score = Field(int, default=0)
-
-    sub = eco.service("sub", database=PostgresLike("sub-db"))
-
-    @sub.model(
-        subscribe={"from": "pub", "fields": ["author", "score"], "mode": mode},
-        name="Post",
-    )
-    class SubPost(Model):
-        author = Field(str)
-        score = Field(int, default=0)
-
     views = sub.enable_views()
     views.declare(CountView("posts", "Post"))
     views.declare(SumView("karma", "Post", "score"))
